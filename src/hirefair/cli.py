@@ -24,7 +24,16 @@ from hirefair.corpus import (
     save_corpus,
     validate_corpus,
 )
-from hirefair.pipeline import DataError, run_audit
+from hirefair.pipeline import (
+    DataError,
+    VariantSet,
+    _write_jsonl,
+    measure_summaries,
+    paired_samples,
+    run_audit,
+    score_variants,
+    summarize_cell,
+)
 from hirefair.report import ReportError, aggregate, emit, read_ledger
 from hirefair.retrieval import PooledScore, RetrievalError, SimilarityRecord
 
@@ -107,6 +116,10 @@ def _load_backend_config(path, backend_id, kind):
     raise ConfigError(f"no {kind} backend {backend_id or ''!r} found in {path}")
 
 
+def _variant_id(resume) -> str:
+    return resume.lineage[-1] if resume.lineage else "original"
+
+
 @main.command("embed")
 @click.option("--backends", "backends_path", required=True, type=click.Path(exists=True),
               help="JSON file with backend blocks.")
@@ -123,16 +136,10 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
         resumes, jobs = load_corpus(in_path)
         if not jobs:
             _fail(EXIT_DATA, "corpus has no job posts to score against")
-        vectors = backend.embed_batch([r.body for r in resumes])
-        job_vectors = backend.embed_batch([j.body for j in jobs])
-        rows = []
-        for job, jv in zip(jobs, job_vectors):
-            for resume, rv in zip(resumes, vectors):
-                variant = resume.lineage[-1] if resume.lineage else "original"
-                rows.append(retrieval.ScoreRow(
-                    job_id=job.id, resume_id=resume.id, variant_id=variant,
-                    score=retrieval.cosine(rv.values, jv.values),
-                ))
+        variants = VariantSet(draw=0, resumes={})
+        for resume in resumes:
+            variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume
+        rows = score_variants(backend, jobs, variants)
         retrieval.write_score_table(rows, out_path)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -156,40 +163,24 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
 def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
                   temperature, runs, cache_dir):
     """Generate summaries for every resume at one grid cell."""
-    from hirefair.backends import CompletionRequest
-    from hirefair.pipeline import summary_prompt
-
     try:
         cfg = _load_backend_config(backends_path, backend_id, "completion")
         cache = ResponseCache(cache_dir) if cache_dir else None
         backend = build_backend(cfg, cache)
         resumes, _ = load_corpus(in_path)
-        rows = []
-        for resume in resumes:
-            prompt = summary_prompt(resume, int(length), pov)
-            for run_index in range(1, runs + 1):
-                text = backend.complete(CompletionRequest(
-                    backend_id=cfg.id, model_name=cfg.model_name, prompt=prompt,
-                    temperature=float(temperature), max_words_hint=int(length),
-                    run_index=run_index,
-                ))
-                rows.append({
-                    "resume_id": resume.id,
-                    "variant_id": resume.lineage[-1] if resume.lineage else "original",
-                    "model_name": cfg.model_name, "length": int(length),
-                    "pov": pov, "temperature": float(temperature),
-                    "run_index": run_index, "text": text,
-                })
-        with Path(out_path).open("w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+        records = [
+            record for resume in resumes
+            for record in summarize_cell(backend, resume, _variant_id(resume),
+                                         float(temperature), int(length), pov, runs)
+        ]
+        _write_jsonl([textmetrics.summary_row(r) for r in records], Path(out_path))
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except BackendError as exc:
         _fail(EXIT_BACKEND, str(exc))
     except CorpusError as exc:
         _fail(EXIT_DATA, str(exc))
-    click.echo(f"wrote {len(rows)} summaries to {out_path}")
+    click.echo(f"wrote {len(records)} summaries to {out_path}")
 
 
 @main.command("measure")
@@ -198,20 +189,8 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
 @click.option("--out", "out_path", required=True, type=click.Path())
 def measure_cmd(in_path, out_path):
     """Compute the proxy measures for generated summaries."""
-    rows = []
     try:
-        with Path(in_path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                record = textmetrics.SummaryRecord(
-                    resume_id=rec["resume_id"], variant_id=rec["variant_id"],
-                    model_name=rec["model_name"], length_setting=rec["length"],
-                    pov=rec["pov"], temperature=rec["temperature"],
-                    run_index=rec["run_index"], text=rec["text"],
-                )
-                rows.append((record, textmetrics.measure_text(record.text)))
+        rows = measure_summaries(textmetrics.read_summaries(in_path))
         textmetrics.write_measures(rows, out_path)
     except (KeyError, json.JSONDecodeError, textmetrics.TextMetricsError) as exc:
         _fail(EXIT_DATA, f"bad summaries file: {exc}")
@@ -324,52 +303,22 @@ def audit_retrieval(scores_path, metric, n_values, x_values, mode,
 def audit_summarization(measures_path, correction, alpha):
     """Invariance-violation rates from a measures file.
 
-    Groups are paired via the name:* variant ids recorded by the pipeline.
-    Each run index pairs separately here; the composite run averages runs
-    per resume first (configurable via pair_runs).
+    Pairs as the composite run does by default: group versions are matched
+    by their name:* variant ids (a draw tag such as @d1 is ignored), the
+    generation runs are averaged per resume, and regard is included when
+    the file has it.
     """
-    from hirefair.pipeline import COMPARISON_PAIRS
-
     try:
         measured = textmetrics.read_measures(measures_path)
     except (textmetrics.TextMetricsError, OSError, ValueError, KeyError) as exc:
         _fail(EXIT_DATA, str(exc))
-    values: dict[tuple, float] = {}
-    cells = set()
-    models = set()
-    resume_ids = set()
-    for record, mv in measured:
-        models.add(record.model_name)
-        resume_ids.add(record.resume_id)
-        cells.add((record.temperature, record.length_setting, record.pov,
-                   record.run_index))
-        for measure in ("reading_ease", "reading_time", "polarity", "subjectivity"):
-            values[(record.model_name, record.variant_id, record.resume_id, measure,
-                    record.temperature, record.length_setting, record.pov,
-                    record.run_index)] = mv.scalar(measure)
-    results = []
-    for model in sorted(models):
-        for comparison, (left, right) in COMPARISON_PAIRS.items():
-            for measure in ("reading_ease", "reading_time", "polarity", "subjectivity"):
-                for temperature, length, pov, run_index in sorted(cells):
-                    diffs = []
-                    for rid in sorted(resume_ids):
-                        lkey = (model, f"name:{left}", rid, measure, temperature,
-                                length, pov, run_index)
-                        rkey = (model, f"name:{right}", rid, measure, temperature,
-                                length, pov, run_index)
-                        if lkey in values and rkey in values:
-                            diffs.append(values[lkey] - values[rkey])
-                    if len(diffs) >= 2:
-                        label = stats.TestLabel(model=model, measure=measure,
-                                                comparison=comparison,
-                                                temperature=temperature,
-                                                length=length, pov=pov)
-                        results.append((label, stats.paired_t_test(diffs)))
-    if not results:
+    samples = paired_samples(measured)
+    if not samples:
         _fail(EXIT_DATA, "no pairable measures found (need name:* group variants)")
-    for rate in stats.invariance_violation_rate(results, correction=correction,
-                                                alpha=alpha):
+    results = [(sample.label, stats.paired_t_test(sample)) for sample in samples]
+    rates, _ = stats.invariance_violation_rate(results, correction=correction,
+                                               alpha=alpha)
+    for rate in rates:
         click.echo(f"{rate.model}\t{rate.comparison_type}\t"
                    f"{rate.rejected}/{rate.total}\t{rate.rate:.4f}")
 

@@ -141,8 +141,24 @@ class RunConfig:
 
 _PINNED_BY_REPLICATION = ("temperatures", "lengths", "povs", "runs")
 
+_GRID_KEYS = ("n_values", "x_values", "temperatures", "lengths", "povs", "runs",
+              "draws")
+
+_TOP_LEVEL_KEYS = ("schema_version", "preset", "corpus", "out_dir", "backends",
+                   "grid", "correction", "alpha", "master_seed", "typo_count",
+                   "spacing_mode", "swap_matching", "extracurricular",
+                   "pair_runs", "regard_endpoint", "regard_credential_env",
+                   "occupation_aliases", "frequency_table")
+
+
+def _reject_unknown(raw: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
 
 def _grid_from_dict(raw: dict, preset: str | None) -> GridConfig:
+    _reject_unknown(raw, _GRID_KEYS, "grid")
     if preset == "replication":
         for key in _PINNED_BY_REPLICATION:
             if key in raw:
@@ -171,16 +187,19 @@ def load_run_config(path, **overrides) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if raw.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError("config missing or unsupported schema_version")
+    _reject_unknown(raw, _TOP_LEVEL_KEYS, "top-level")
     preset = raw.get("preset")
     if preset not in (None, "replication"):
         raise ConfigError(f"unknown preset {preset!r}")
-    if preset == "replication" and "alpha" in raw and raw["alpha"] != 0.05:
-        raise ConfigError("replication preset pins alpha=0.05")
 
     def pick(key, default):
         if key in overrides and overrides[key] is not None:
             return overrides[key]
         return raw.get(key, default)
+
+    alpha = float(pick("alpha", 0.05))
+    if preset == "replication" and alpha != 0.05:
+        raise ConfigError("replication preset pins alpha=0.05")
 
     try:
         backends = tuple(BackendConfig.from_dict(b) for b in raw.get("backends", []))
@@ -214,7 +233,7 @@ def load_run_config(path, **overrides) -> RunConfig:
         backends=backends,
         grid=_grid_from_dict(grid_raw, preset),
         correction=pick("correction", "bh"),
-        alpha=float(pick("alpha", 0.05)),
+        alpha=alpha,
         master_seed=int(pick("master_seed", 0)),
         typo_count=int(pick("typo_count", 10)),
         spacing_mode=pick("spacing_mode", "collapse"),

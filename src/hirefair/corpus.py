@@ -94,9 +94,6 @@ class DemographicGroup:
         return cls(gender=gender, race=race)
 
 
-ALL_GROUPS = tuple(DemographicGroup.from_code(c) for c in GROUP_CODES)
-
-
 @dataclass(frozen=True)
 class Resume:
     """One candidate document plus demographic label and perturbation lineage."""

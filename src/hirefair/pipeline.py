@@ -321,6 +321,25 @@ def summary_prompt(resume: Resume, length: int, pov: str) -> str:
     return f"{resume.body}\n\n{instruction}"
 
 
+def summarize_cell(backend, resume: Resume, variant_id: str, temperature: float,
+                   length: int, pov: str, runs: int) -> list[SummaryRecord]:
+    """Summaries of one resume version at one grid cell, one per run index."""
+    prompt = summary_prompt(resume, length, pov)
+    model = backend.config.model_name
+    records = []
+    for run_index in range(1, runs + 1):
+        text = backend.complete(CompletionRequest(
+            backend_id=backend.config.id, model_name=model, prompt=prompt,
+            temperature=temperature, max_words_hint=length, run_index=run_index,
+        ))
+        records.append(SummaryRecord(
+            resume_id=resume.id, variant_id=variant_id, model_name=model,
+            length_setting=length, pov=pov, temperature=temperature,
+            run_index=run_index, text=text,
+        ))
+    return records
+
+
 def generate_summaries(backend, variants: VariantSet, config: RunConfig,
                        ) -> list[SummaryRecord]:
     """Summaries for every named group version over the full grid."""
@@ -330,25 +349,12 @@ def generate_summaries(backend, variants: VariantSet, config: RunConfig,
     for g in GROUP_CODES:
         group_variants = variants.resumes[f"name:{g}"]
         for rid in sorted(group_variants):
-            resume = group_variants[rid]
             for temperature in grid.temperatures:
                 for length in grid.lengths:
                     for pov in grid.povs:
-                        prompt = summary_prompt(resume, length, pov)
-                        for run_index in range(1, grid.runs + 1):
-                            text = backend.complete(CompletionRequest(
-                                backend_id=backend.config.id,
-                                model_name=backend.config.model_name,
-                                prompt=prompt, temperature=temperature,
-                                max_words_hint=length, run_index=run_index,
-                            ))
-                            records.append(SummaryRecord(
-                                resume_id=rid, variant_id=f"name:{g}" + tag,
-                                model_name=backend.config.model_name,
-                                length_setting=length, pov=pov,
-                                temperature=temperature, run_index=run_index,
-                                text=text,
-                            ))
+                        records.extend(summarize_cell(
+                            backend, group_variants[rid], f"name:{g}" + tag,
+                            temperature, length, pov, grid.runs))
     return records
 
 
@@ -359,105 +365,90 @@ def measure_summaries(records: list[SummaryRecord],
 
 
 def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
-                   model: str, config: RunConfig, draw: int,
-                   ) -> list[stats.PairedSample]:
+                   pair_runs: str = "average") -> list[stats.PairedSample]:
     """Pair group-version measures per resume across the four comparisons.
 
-    Generation runs are averaged per resume before pairing by default;
-    pair_runs="separate" keeps each run index as its own pair.
+    Models, grid cells and run indices come from the records, and the draw
+    tag (``@dN``) of a variant id is ignored, so a measures file from any
+    draw pairs the same way. Generation runs are averaged per resume before
+    pairing by default; pair_runs="separate" keeps each run index as its
+    own pair.
     """
-    grid = config.grid
-    tag = _suffix(draw)
     measures = ["reading_ease", "reading_time", "polarity", "subjectivity"]
     if any(mv.regard is not None for _, mv in measured):
         measures.append("regard")
 
-    cell: dict[tuple, list[float]] = {}
+    values: dict[tuple, float] = {}
+    models, cells, run_indices, resume_ids = set(), set(), set(), set()
     for record, mv in measured:
+        group = record.variant_id.partition("@")[0]
+        cell = (record.temperature, record.length_setting, record.pov)
+        models.add(record.model_name)
+        cells.add(cell)
+        run_indices.add(record.run_index)
+        resume_ids.add(record.resume_id)
         for measure in measures:
-            value = mv.scalar(measure)
-            if value is None:
-                continue
-            key = (record.variant_id, record.resume_id, measure,
-                   record.temperature, record.length_setting, record.pov,
-                   record.run_index)
-            cell.setdefault(key, []).append(value)
+            v = mv.scalar(measure)
+            if v is not None:
+                values.setdefault((record.model_name, group, record.resume_id,
+                                   measure, cell, record.run_index), v)
 
-    def value_of(group, rid, measure, temperature, length, pov, run_index):
-        key = (f"name:{group}" + tag, rid, measure, temperature, length, pov, run_index)
-        values = cell.get(key)
-        return values[0] if values else None
-
-    resume_ids = sorted({record.resume_id for record, _ in measured})
+    if pair_runs == "separate":
+        run_groups = [(r,) for r in sorted(run_indices)]
+    else:
+        run_groups = [tuple(sorted(run_indices))]
     samples: list[stats.PairedSample] = []
-    for comparison, (left, right) in COMPARISON_PAIRS.items():
-        for measure in measures:
-            for temperature in grid.temperatures:
-                for length in grid.lengths:
-                    for pov in grid.povs:
-                        if config.pair_runs == "separate":
-                            run_groups = [(r,) for r in range(1, grid.runs + 1)]
-                        else:
-                            run_groups = [tuple(range(1, grid.runs + 1))]
-                        diffs: list[float] = []
-                        for rid in resume_ids:
-                            for runs in run_groups:
-                                lvals = [value_of(left, rid, measure, temperature,
-                                                  length, pov, r) for r in runs]
-                                rvals = [value_of(right, rid, measure, temperature,
-                                                  length, pov, r) for r in runs]
-                                if None in lvals or None in rvals:
-                                    continue
-                                diffs.append(sum(lvals) / len(lvals)
-                                             - sum(rvals) / len(rvals))
-                        if len(diffs) >= 2:
-                            samples.append(stats.PairedSample(
-                                differences=tuple(diffs),
-                                label=stats.TestLabel(
-                                    model=model, measure=measure,
-                                    comparison=comparison,
-                                    temperature=temperature, length=length,
-                                    pov=pov,
-                                ),
-                            ))
+    for model in sorted(models):
+        for comparison, (left, right) in COMPARISON_PAIRS.items():
+            for measure in measures:
+                for cell in sorted(cells):
+                    diffs: list[float] = []
+                    for rid in sorted(resume_ids):
+                        for runs in run_groups:
+                            lvals = [values.get((model, f"name:{left}", rid,
+                                                 measure, cell, r)) for r in runs]
+                            rvals = [values.get((model, f"name:{right}", rid,
+                                                 measure, cell, r)) for r in runs]
+                            if None in lvals or None in rvals:
+                                continue
+                            diffs.append(sum(lvals) / len(lvals)
+                                         - sum(rvals) / len(rvals))
+                    if len(diffs) >= 2:
+                        temperature, length, pov = cell
+                        samples.append(stats.PairedSample(
+                            differences=tuple(diffs),
+                            label=stats.TestLabel(
+                                model=model, measure=measure, comparison=comparison,
+                                temperature=temperature, length=length, pov=pov,
+                            ),
+                        ))
     return samples
 
 
 def summarization_metrics(samples: list[stats.PairedSample], run_id: str,
-                          config: RunConfig,
+                          config: RunConfig, draw: int,
                           test_log: list | None = None) -> list[LedgerEntry]:
     """Run the t-test grid, correct within (model, comparison type), and emit
     violation-rate entries."""
     results = [(s.label, stats.paired_t_test(s)) for s in samples]
-    rates = stats.invariance_violation_rate(results, correction=config.correction,
-                                            alpha=config.alpha)
+    rates, rejected = stats.invariance_violation_rate(
+        results, correction=config.correction, alpha=config.alpha)
     if test_log is not None:
-        flags: dict[tuple, bool] = {}
-        by_group: dict[tuple[str, str], list[int]] = {}
-        for i, (label, _) in enumerate(results):
-            by_group.setdefault((label.model, label.comparison_type), []).append(i)
-        correct = stats.CORRECTIONS[config.correction]
-        for indices in by_group.values():
-            decided = correct([results[i][1].p for i in indices], config.alpha)
-            for i, f in zip(indices, decided):
-                flags[i] = f
-        for i, (label, result) in enumerate(results):
+        for sample, (label, result), flag in zip(samples, results, rejected):
             test_log.append({
                 "model": label.model, "measure": label.measure,
                 "comparison": label.comparison, "temperature": label.temperature,
                 "length": label.length, "pov": label.pov,
                 "t": result.t, "df": result.df, "p": result.p,
-                "degenerate": result.degenerate, "rejected": flags[i],
-                "n": len(samples[i].differences),
+                "degenerate": result.degenerate, "rejected": flag,
+                "n": len(sample.differences),
             })
-    entries = []
-    for rate in rates:
-        entries.append(make_entry(
-            run_id, "violation_rate", rate.model, rate.comparison_type,
-            f"alpha={config.alpha:g}", config.correction,
-            rate.rate, sample_size=rate.total,
-        ))
-    return entries
+    return [
+        make_entry(run_id, "violation_rate", rate.model, rate.comparison_type,
+                   f"alpha={config.alpha:g}", config.correction,
+                   rate.rate, sample_size=rate.total, detail=f"draw={draw}")
+        for rate in rates
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +548,8 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
         for backend in completers:
             records = generate_summaries(backend, variants, config)
             summaries_path = out_dir / f"summaries_{backend.config.id}{_suffix(draw)}.jsonl"
-            _write_jsonl([
-                {"resume_id": r.resume_id, "variant_id": r.variant_id,
-                 "model_name": r.model_name, "temperature": r.temperature,
-                 "length": r.length_setting, "pov": r.pov,
-                 "run_index": r.run_index, "text": r.text}
-                for r in records
-            ], summaries_path)
+            _write_jsonl([textmetrics.summary_row(r) for r in records],
+                         summaries_path)
             files.append(summaries_path)
 
             measured = measure_summaries(records, regard_client)
@@ -571,9 +557,8 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
             textmetrics.write_measures(measured, measures_path)
             files.append(measures_path)
 
-            samples = paired_samples(measured, backend.config.model_name,
-                                     config, draw)
-            entries.extend(summarization_metrics(samples, run_id, config,
+            samples = paired_samples(measured, config.pair_runs)
+            entries.extend(summarization_metrics(samples, run_id, config, draw,
                                                  test_log=test_log))
 
     ledger_path = out_dir / "ledger.jsonl"

@@ -80,15 +80,6 @@ class RankedSet:
     job_id: str
     entries: tuple[RankedEntry, ...]
 
-    def rank_of(self, resume_id: str) -> int:
-        for e in self.entries:
-            if e.resume_id == resume_id:
-                return e.rank
-        raise KeyError(resume_id)
-
-    def scores(self) -> dict[str, float]:
-        return {e.resume_id: e.score for e in self.entries}
-
     def top_n(self, n: int) -> "TopNSet":
         if n < 1:
             raise RetrievalError(f"n must be >= 1, got {n}")

@@ -129,19 +129,6 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
 
 
-def student_t_sf(t: float, df: int) -> float:
-    """One-sided survival function P(T > t) of Student's t with df dof."""
-    if df < 1:
-        raise StatsError(f"df must be >= 1, got {df}")
-    if math.isnan(t):
-        raise StatsError("t statistic is NaN")
-    if math.isinf(t):
-        return 0.0 if t > 0 else 1.0
-    x = df / (df + t * t)
-    half = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return half if t >= 0 else 1.0 - half
-
-
 def student_t_two_sided_p(t: float, df: int) -> float:
     """Two-sided p-value P(|T| >= |t|)."""
     if math.isinf(t):
@@ -220,6 +207,11 @@ def paired_t_test(sample: PairedSample | Sequence[float]) -> TestResult:
     n = len(diffs)
     if n < 2:
         raise StatsError(f"paired t-test needs n >= 2 differences, got {n}")
+    # Divide by the power of two just above max|d|. Power-of-two scaling is
+    # exact, so t and p are invariant under it, and tiny differences (|d|
+    # near 1e-162) no longer underflow when squared.
+    exponent = math.frexp(max(abs(d) for d in diffs))[1]
+    diffs = [math.ldexp(d, -exponent) for d in diffs]
     mean = math.fsum(diffs) / n
     ss = math.fsum((d - mean) ** 2 for d in diffs)
     df = n - 1
@@ -312,8 +304,9 @@ def invariance_violation_rate(
     correction: str = "bh",
     alpha: float = 0.05,
     scope: str = "group",
-) -> list[ViolationRate]:
-    """Fraction of tests rejected per (model, comparison type) group.
+) -> tuple[list[ViolationRate], list[bool]]:
+    """Fraction of tests rejected per (model, comparison type) group, and
+    whether each test was rejected, in input order.
 
     The correction runs within each group by default; scope="global" applies
     it once across all tests (sensitivity analysis) while still reporting
@@ -346,4 +339,4 @@ def invariance_violation_rate(
         rejected = sum(1 for i in indices if flags[i])
         rows.append(ViolationRate(model=model, comparison_type=ctype,
                                   total=len(indices), rejected=rejected))
-    return rows
+    return rows, flags

@@ -308,6 +308,33 @@ def measure_text(text: str, regard_client: RegardClient | None = None,
     )
 
 
+def summary_row(record: SummaryRecord) -> dict:
+    """One line of a summaries JSONL file, the format read_summaries reads."""
+    return {
+        "resume_id": record.resume_id, "variant_id": record.variant_id,
+        "model_name": record.model_name, "temperature": record.temperature,
+        "length": record.length_setting, "pov": record.pov,
+        "run_index": record.run_index, "text": record.text,
+    }
+
+
+def read_summaries(path) -> list[SummaryRecord]:
+    """Summary records from a JSONL file of summary_row lines."""
+    records = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            records.append(SummaryRecord(
+                resume_id=rec["resume_id"], variant_id=rec["variant_id"],
+                model_name=rec["model_name"], length_setting=rec["length"],
+                pov=rec["pov"], temperature=rec["temperature"],
+                run_index=rec["run_index"], text=rec["text"],
+            ))
+    return records
+
+
 def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path) -> None:
     """One JSON line per summary with its measures; schema versioned."""
     path = Path(path)

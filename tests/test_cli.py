@@ -4,11 +4,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from hirefair.backends import BackendConfig, build_backend
 from hirefair.cli import main
 from hirefair.config import ConfigError, load_run_config
 from hirefair.corpus import load_corpus
 from hirefair.pipeline import DataError, derive_seed, run_audit, summary_prompt
-from hirefair.retrieval import read_score_table
+from hirefair.retrieval import cosine, read_score_table
+from hirefair.textmetrics import read_measures, read_summaries, summary_row
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -65,6 +67,22 @@ def test_replication_preset_rejects_pinned_overrides(tmp_path, fixtures_dir):
     path2 = write_config(tmp_path, fixtures_dir, preset="replication", alpha=0.10)
     with pytest.raises(ConfigError, match="alpha"):
         load_run_config(path2)
+    path3 = write_config(tmp_path, fixtures_dir, preset="replication",
+                         grid={"n_values": [3], "x_values": [25]})
+    with pytest.raises(ConfigError, match="alpha"):
+        load_run_config(path3, alpha=0.2)
+    result = CliRunner().invoke(main, ["run", "--config", str(path3), "--alpha", "0.2"])
+    assert result.exit_code == 2
+    assert "alpha" in result.output
+
+
+def test_config_rejects_unknown_keys(tmp_path, fixtures_dir):
+    path = write_config(tmp_path, fixtures_dir, draws=2)  # belongs under grid
+    with pytest.raises(ConfigError, match="unknown top-level key.*draws"):
+        load_run_config(path)
+    path = write_config(tmp_path, fixtures_dir, grid={"run": 2})
+    with pytest.raises(ConfigError, match="unknown grid key.*run"):
+        load_run_config(path)
 
 
 def test_config_validation_errors(tmp_path, fixtures_dir):
@@ -262,6 +280,17 @@ def test_cli_embed_and_audit_retrieval(tmp_path, fixtures_dir):
     assert result.exit_code == 0, result.output
     rows = read_score_table(scores_path)
     assert len(rows) == 12 * 3
+    resumes, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
+    backend = build_backend(BackendConfig.from_dict(backends["backends"][0]))
+    resume_vectors = backend.embed_batch([r.body for r in resumes])
+    job_vectors = backend.embed_batch([j.body for j in jobs])
+    expected = {
+        (job.id, resume.id, resume.lineage[-1] if resume.lineage else "original",
+         cosine(rv.values, jv.values))
+        for job, jv in zip(jobs, job_vectors)
+        for resume, rv in zip(resumes, resume_vectors)
+    }
+    assert {(r.job_id, r.resume_id, r.variant_id, r.score) for r in rows} == expected
 
 
 def test_cli_run_and_exit_codes(tmp_path, fixtures_dir):
@@ -323,6 +352,34 @@ def test_cli_measure_stage(tmp_path, fixtures_dir):
     assert out.exists()
 
 
+def test_cli_summarize_then_measure(tmp_path, fixtures_dir):
+    backends = {"backends": [{"id": "gen", "kind": "completion",
+                              "protocol": "mock", "model_name": "m"}]}
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps(backends))
+    summaries = tmp_path / "summaries.jsonl"
+    runner = CliRunner()
+    result = runner.invoke(main, [
+        "summarize", "--backends", str(backends_path),
+        "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(summaries),
+        "--length", "200", "--pov", "first", "--temperature", "0.3", "--runs", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    lines = [json.loads(line) for line in summaries.read_text().splitlines()]
+    records = read_summaries(summaries)
+    assert [summary_row(r) for r in records] == lines
+    assert len(records) == 12 * 2
+    assert {(r.length_setting, r.pov, r.temperature) for r in records} == {(200, "first", 0.3)}
+    assert [r.run_index for r in records[:2]] == [1, 2]
+
+    measures = tmp_path / "measures.jsonl"
+    result = runner.invoke(main, ["measure", "--in", str(summaries),
+                                  "--out", str(measures)])
+    assert result.exit_code == 0, result.output
+    measured = read_measures(measures)
+    assert [r.resume_id for r, _ in measured] == [r.resume_id for r in records]
+
+
 def test_cli_rank_from_score_table(tmp_path, fixtures_dir):
     config = load_run_config(write_config(tmp_path, fixtures_dir))
     run_audit(config)
@@ -359,6 +416,34 @@ def test_cli_audit_summarization(tmp_path, fixtures_dir):
         assert model == "mock-summarizer"
         assert ctype in ("gender", "race")
         assert 0.0 <= float(rate) <= 1.0
+
+
+def test_cli_audit_summarization_agrees_with_run(tmp_path, fixtures_dir):
+    """Per draw, the subcommand counts the tests the run counted: runs are
+    averaged per resume, @dN measures files pair, and each draw's rates
+    enter the report."""
+    grid = {"n_values": [3], "x_values": [25], "temperatures": [0.0],
+            "lengths": [100], "povs": ["third"], "runs": 2, "draws": 2}
+    config = load_run_config(write_config(tmp_path, fixtures_dir, grid=grid))
+    result = run_audit(config)
+    runner = CliRunner()
+    per_draw: dict[str, list[tuple[int, int]]] = {}
+    for name in ("measures_gen.jsonl", "measures_gen@d1.jsonl"):
+        out = runner.invoke(main, ["audit", "summarization", "--measures",
+                                   str(Path(config.out_dir) / name)])
+        assert out.exit_code == 0, out.output
+        for line in out.output.strip().splitlines():
+            _, ctype, counts, _ = line.split("\t")
+            rejected, total = (int(c) for c in counts.split("/"))
+            per_draw.setdefault(ctype, []).append((rejected, total))
+    rows = {r.perturbation: r for r in result.report.rows
+            if r.metric == "violation_rate"}
+    assert set(rows) == set(per_draw) == {"gender", "race"}
+    for ctype, draws in per_draw.items():
+        assert len(draws) == 2
+        assert rows[ctype].value == pytest.approx(
+            sum(rejected / total for rejected, total in draws) / 2)
+        assert rows[ctype].sample_size == sum(total for _, total in draws)
 
 
 def test_cli_audit_retrieval_nonuniformity(tmp_path, fixtures_dir):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hirefair.stats import (
@@ -99,6 +99,11 @@ def test_t_test_needs_two_points():
 @given(st.lists(st.floats(-100, 100), min_size=3, max_size=30),
        st.integers(min_value=-20, max_value=20))
 @settings(max_examples=60, deadline=None)
+@example(diffs=[1.5, 2.00001, 26.411188956495252, 46.93494187618634,
+                57.076056499164736, 70.70979103621497, 75.98251624656166,
+                -74.7018195161213, -86.70305234025442, -92.32442566510514,
+                -96.24888165511378], k=-1)
+@example(diffs=[1e-162, 2e-162, 4e-162], k=-20)
 def test_t_statistic_invariant_under_power_of_two_scaling(diffs, k):
     scale = 2.0 ** k
     base = paired_t_test(diffs)
@@ -244,7 +249,7 @@ def test_comparison_type_partition():
 def test_all_degenerate_yields_zero_rate():
     results = [(_label("m", c), paired_t_test([0.0, 0.0, 0.0]))
                for c in ("MW-FW", "MB-FB", "MW-MB", "FW-FB")]
-    rows = invariance_violation_rate(results)
+    rows, _ = invariance_violation_rate(results)
     assert {r.comparison_type for r in rows} == {"gender", "race"}
     assert all(r.rate == 0.0 for r in rows)
 
@@ -256,9 +261,10 @@ def test_rate_arithmetic():
         p = 1e-12 if i < 8 else 1.0
         results.append((_label("m", "MW-MB", temperature=0.0 if i % 2 else 0.3),
                         TestResult(t=0.0, df=10, p=p)))
-    (row,) = invariance_violation_rate(results)
+    (row,), rejected = invariance_violation_rate(results)
     assert row.total == 40 and row.rejected == 8
     assert row.rate == pytest.approx(0.20)
+    assert rejected == [i < 8 for i in range(40)]
 
 
 def test_correction_scope_global():
@@ -266,8 +272,8 @@ def test_correction_scope_global():
         (_label("m", "MW-FW"), TestResult(t=0.0, df=10, p=0.001)),
         (_label("m", "MW-MB"), TestResult(t=0.0, df=10, p=0.04)),
     ]
-    grouped = invariance_violation_rate(results, scope="group")
-    global_ = invariance_violation_rate(results, scope="global")
+    grouped, _ = invariance_violation_rate(results, scope="group")
+    global_, _ = invariance_violation_rate(results, scope="global")
     # per-group: each group has m=1, so both reject at alpha=0.05
     assert sum(r.rejected for r in grouped) == 2
     # global: m=2, step-up keeps both (0.04 <= 2/2*0.05)
@@ -299,7 +305,7 @@ def test_planted_race_shift_detected_with_gender_clean():
                                          temperature=temperature, length=length),
                         )
                         results.append((sample.label, paired_t_test(sample)))
-        rows = {r.comparison_type: r for r in invariance_violation_rate(results)}
+        rows = {r.comparison_type: r for r in invariance_violation_rate(results)[0]}
         if rows["race"].rate > 0.0 and rows["gender"].rate == 0.0:
             hits += 1
     assert hits / seeds >= 0.95
