@@ -28,7 +28,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import requests
@@ -36,8 +36,6 @@ import requests
 logger = logging.getLogger(__name__)
 
 MOCK_DIM = 256
-HTTP_PROTOCOLS = ("openai-compatible", "cohere-compatible", "mistral-compatible")
-MOCK_PROTOCOLS = ("mock", "mock-biased", "echo")
 
 
 class BackendError(Exception):
@@ -54,7 +52,7 @@ class RetryPolicy:
 class BackendConfig:
     id: str
     kind: str       # "embedding" | "completion"
-    protocol: str   # see HTTP_PROTOCOLS / MOCK_PROTOCOLS
+    protocol: str   # (kind, protocol) must be a key of BACKENDS
     model_name: str
     endpoint: str = ""
     credential_env: str = ""
@@ -64,34 +62,11 @@ class BackendConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("embedding", "completion"):
-            raise BackendError(f"backend {self.id}: invalid kind {self.kind!r}")
-        if self.protocol not in HTTP_PROTOCOLS + MOCK_PROTOCOLS:
-            raise BackendError(f"backend {self.id}: unknown protocol {self.protocol!r}")
-        if self.parallelism < 1:
-            raise BackendError(f"backend {self.id}: parallelism must be >= 1")
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "BackendConfig":
-        retry = raw.get("retry", {})
-        return cls(
-            id=raw["id"], kind=raw["kind"], protocol=raw["protocol"],
-            model_name=raw.get("model_name", ""),
-            endpoint=raw.get("endpoint", ""),
-            credential_env=raw.get("credential_env", ""),
-            parallelism=int(raw.get("parallelism", 8)),
-            retry=RetryPolicy(max_attempts=int(retry.get("max", 3)),
-                              base_delay_ms=int(retry.get("base_delay_ms", 250))),
-            max_chars=raw.get("max_chars"),
-            params=dict(raw.get("params", {})),
-        )
-
-
-@dataclass(frozen=True)
-class EmbeddingRequest:
-    backend_id: str
-    model_name: str
-    text: str
+        if (self.kind, self.protocol) not in BACKENDS:
+            raise BackendError(f"backend {self.id}: protocol {self.protocol!r} "
+                               f"serves no kind {self.kind!r}")
+        if self.parallelism < 1 or self.retry.max_attempts < 1:
+            raise BackendError(f"backend {self.id}: parallelism and retry.max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -175,6 +150,26 @@ class ResponseCache:
         os.replace(tmp, path)
 
 
+def cached_call(cache: ResponseCache | None, key: tuple, fetch: Callable,
+                validate: Callable):
+    """validate(fetch()), read through `cache` when there is one.
+
+    `key` holds cache_key's arguments. A cached response is validated again
+    before use; a fetched one is stored only after it validated, so a bad
+    response is never cached.
+    """
+    if cache is None:
+        return validate(fetch())
+    digest = cache_key(*key)
+    response = cache.get(digest)
+    if response is not None:
+        return validate(response)
+    response = fetch()
+    result = validate(response)
+    cache.put(digest, response)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # mock embeddings
 # ---------------------------------------------------------------------------
@@ -229,6 +224,69 @@ def mock_biased_embedding(text: str, tag_bias: Mapping[str, float],
 
 
 # ---------------------------------------------------------------------------
+# HTTP transport
+# ---------------------------------------------------------------------------
+
+class JsonEndpoint:
+    """JSON POSTs to one URL over one session; every failure is a BackendError.
+
+    Construction fails fast, before any request, when the URL is empty or the
+    credential variable is unset. Connection errors, timeouts, 429 and 5xx
+    are retried under `retry` with exponential backoff; any other 4xx, a body
+    that is not JSON, and a body the schema adapter cannot read fail at once.
+    """
+
+    def __init__(self, name: str, url: str, credential_env: str,
+                 retry: RetryPolicy, timeout: float):
+        if not url:
+            raise BackendError(f"{name}: endpoint required for HTTP protocols")
+        self.headers = {"Content-Type": "application/json"}
+        if credential_env:
+            if credential_env not in os.environ:
+                raise BackendError(
+                    f"{name}: credential env var {credential_env!r} is not set")
+            self.headers["Authorization"] = f"Bearer {os.environ[credential_env]}"
+        self.name, self.url, self.retry, self.timeout = name, url, retry, timeout
+        self.session = requests.Session()
+
+    def post(self, payload: dict, read: Callable):
+        """`read(body)` of the JSON answer to `payload`; `read` raises
+        LookupError, TypeError or ValueError for a body it cannot use."""
+        delay = self.retry.base_delay_ms / 1000.0
+        for attempt in range(1, self.retry.max_attempts + 1):
+            try:
+                resp = self.session.post(self.url, json=payload, headers=self.headers,
+                                         timeout=self.timeout)
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                error = str(exc)
+            except requests.RequestException as exc:
+                raise BackendError(f"{self.name}: request failed: {exc}") from exc
+            else:
+                if resp.status_code < 400:
+                    try:
+                        return read(resp.json())
+                    except (LookupError, TypeError, ValueError) as exc:
+                        raise BackendError(
+                            f"{self.name}: unreadable response: {exc!r}") from exc
+                error = f"HTTP {resp.status_code}: {resp.text[:200]}"
+                if resp.status_code != 429 and resp.status_code < 500:
+                    raise BackendError(f"{self.name}: {error}")
+            if attempt < self.retry.max_attempts:
+                logger.warning("%s attempt %d failed: %s", self.name, attempt, error)
+                time.sleep(delay)
+                delay *= 2
+        raise BackendError(f"{self.name}: request failed after "
+                           f"{self.retry.max_attempts} attempts: {error}")
+
+
+def _numbers(values) -> list[float]:
+    """A JSON array of numbers as floats."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise TypeError(f"not an array of numbers: {str(values)[:80]}")
+    return [float(v) for v in values]
+
+
+# ---------------------------------------------------------------------------
 # backend implementations
 # ---------------------------------------------------------------------------
 
@@ -249,50 +307,31 @@ class EmbeddingBackend:
         self._dimension: int | None = None
         self._dim_lock = threading.Lock()
 
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits if self.cache else 0
-
     def _embed_uncached(self, text: str) -> list[float]:
         raise NotImplementedError
 
-    def _request_payload(self, text: str):
-        return {"op": "embed", "text": text}
-
-    def _check_dimension(self, values: Sequence[float]) -> None:
+    def _vector(self, values: Sequence[float]) -> EmbeddingVector:
+        """A response as a vector of the backend's established dimension."""
+        vec = EmbeddingVector(values=tuple(values))
         with self._dim_lock:
             if self._dimension is None:
-                self._dimension = len(values)
-            elif len(values) != self._dimension:
+                self._dimension = vec.dimension
+            elif vec.dimension != self._dimension:
                 raise BackendError(
-                    f"backend {self.config.id}: dimension {len(values)} != "
+                    f"backend {self.config.id}: dimension {vec.dimension} != "
                     f"established {self._dimension}"
                 )
+        return vec
 
     def _embed_one(self, text: str) -> EmbeddingVector:
         _check_length(self.config, text)
-        key = None
-        if self.cache is not None:
-            key = cache_key(self.config.id, self.config.model_name,
-                            self._request_payload(text))
-            cached = self.cache.get(key)
-            if cached is not None:
-                vec = EmbeddingVector(values=tuple(cached))
-                self._check_dimension(vec.values)
-                return vec
-        values = self._embed_uncached(text)
-        vec = EmbeddingVector(values=tuple(values))
-        self._check_dimension(vec.values)
-        if self.cache is not None:
-            self.cache.put(key, list(vec.values))
-        return vec
+        key = (self.config.id, self.config.model_name, {"op": "embed", "text": text})
+        return cached_call(self.cache, key, lambda: self._embed_uncached(text),
+                           self._vector)
 
-    def embed_batch(self, requests_: Sequence[EmbeddingRequest | str]) -> list[EmbeddingVector]:
+    def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         """Embed in order; cached entries are served without touching the network."""
-        texts = [r.text if isinstance(r, EmbeddingRequest) else r for r in requests_]
-        if not texts:
-            return []
-        if self.config.parallelism == 1 or len(texts) == 1:
+        if self.config.parallelism == 1 or len(texts) <= 1:
             return [self._embed_one(t) for t in texts]
         with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
             return list(pool.map(self._embed_one, texts))
@@ -314,45 +353,18 @@ class MockEmbeddingBackend(EmbeddingBackend):
         return list(mock_embedding(text, self.dim).values)
 
 
-def _retrying(config: BackendConfig, send):
-    policy = config.retry
-    delay = policy.base_delay_ms / 1000.0
-    last_error = None
-    for attempt in range(policy.max_attempts):
-        try:
-            return send()
-        except (requests.RequestException, BackendError) as exc:
-            last_error = exc
-            if attempt + 1 < policy.max_attempts:
-                logger.warning("backend %s attempt %d failed: %s",
-                               config.id, attempt + 1, exc)
-                time.sleep(delay)
-                delay *= 2
-    raise BackendError(
-        f"backend {config.id}: request failed after {policy.max_attempts} attempts: "
-        f"{last_error}"
-    ) from last_error
+class HttpBackend:
+    """Mixin for the HTTP protocols: the backend's JsonEndpoint, built (and its
+    credential checked) with the backend."""
 
-
-def _http_post(config: BackendConfig, session: requests.Session, payload: dict):
-    def send():
-        headers = {"Content-Type": "application/json"}
-        if config.credential_env:
-            headers["Authorization"] = f"Bearer {os.environ[config.credential_env]}"
-        resp = session.post(config.endpoint, json=payload, headers=headers, timeout=60)
-        if resp.status_code >= 500 or resp.status_code == 429:
-            raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        resp.raise_for_status()
-        return resp.json()
-
-    return _retrying(config, send)
-
-
-class HttpEmbeddingBackend(EmbeddingBackend):
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         super().__init__(config, cache)
-        self.session = requests.Session()
+        self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
+                                 config.credential_env, config.retry, timeout=60.0)
+        self.session = self.http.session
 
+
+class HttpEmbeddingBackend(HttpBackend, EmbeddingBackend):
     def _embed_uncached(self, text: str) -> list[float]:
         if self.config.protocol == "cohere-compatible":
             payload = {
@@ -360,12 +372,10 @@ class HttpEmbeddingBackend(EmbeddingBackend):
                 "texts": [text],
                 "input_type": self.config.params.get("input_type", "search_document"),
             }
-            body = _http_post(self.config, self.session, payload)
-            return body["embeddings"][0]
+            return self.http.post(payload, lambda body: _numbers(body["embeddings"][0]))
         # openai-compatible and mistral-compatible share the /embeddings schema
         payload = {"model": self.config.model_name, "input": [text]}
-        body = _http_post(self.config, self.session, payload)
-        return body["data"][0]["embedding"]
+        return self.http.post(payload, lambda body: _numbers(body["data"][0]["embedding"]))
 
 
 class CompletionBackend:
@@ -373,32 +383,26 @@ class CompletionBackend:
         self.config = config
         self.cache = cache
 
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits if self.cache else 0
-
     def _complete_uncached(self, request: CompletionRequest) -> str:
         raise NotImplementedError
+
+    def _text(self, text) -> str:
+        if not isinstance(text, str) or not text:
+            raise BackendError(f"backend {self.config.id}: empty or non-text "
+                               f"completion {text!r:.80}")
+        return text
 
     def complete(self, request: CompletionRequest) -> str:
         """Run one completion; responses are cached per (prompt, run_index,
         temperature) so reruns stay stable despite provider nondeterminism."""
         _check_length(self.config, request.prompt)
-        key = None
-        if self.cache is not None:
-            payload = {
-                "op": "complete", "prompt": request.prompt,
-                "temperature": request.temperature, "run_index": request.run_index,
-                "max_words_hint": request.max_words_hint,
-            }
-            key = cache_key(self.config.id, self.config.model_name, payload)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        text = self._complete_uncached(request)
-        if self.cache is not None:
-            self.cache.put(key, text)
-        return text
+        payload = {
+            "op": "complete", "prompt": request.prompt,
+            "temperature": request.temperature, "run_index": request.run_index,
+            "max_words_hint": request.max_words_hint,
+        }
+        return cached_call(self.cache, (self.config.id, self.config.model_name, payload),
+                           lambda: self._complete_uncached(request), self._text)
 
     def complete_text(self, prompt: str, temperature: float = 0.0,
                       run_index: int = 1, max_words_hint: int = 0) -> str:
@@ -409,11 +413,7 @@ class CompletionBackend:
         ))
 
 
-class HttpCompletionBackend(CompletionBackend):
-    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
-        super().__init__(config, cache)
-        self.session = requests.Session()
-
+class HttpCompletionBackend(HttpBackend, CompletionBackend):
     def _complete_uncached(self, request: CompletionRequest) -> str:
         if self.config.protocol == "cohere-compatible":
             payload = {
@@ -421,19 +421,13 @@ class HttpCompletionBackend(CompletionBackend):
                 "message": request.prompt,
                 "temperature": request.temperature,
             }
-            body = _http_post(self.config, self.session, payload)
-            text = body.get("text", "")
-        else:
-            payload = {
-                "model": self.config.model_name,
-                "messages": [{"role": "user", "content": request.prompt}],
-                "temperature": request.temperature,
-            }
-            body = _http_post(self.config, self.session, payload)
-            text = body["choices"][0]["message"]["content"]
-        if not text:
-            raise BackendError(f"backend {self.config.id}: empty completion")
-        return text
+            return self.http.post(payload, lambda body: body["text"])
+        payload = {
+            "model": self.config.model_name,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": request.temperature,
+        }
+        return self.http.post(payload, lambda body: body["choices"][0]["message"]["content"])
 
 
 #: Word stock for the deterministic mock summarizer; includes evaluative
@@ -476,23 +470,22 @@ class EchoCompletionBackend(CompletionBackend):
         return request.prompt.rstrip("\n").rsplit("\n", 1)[-1]
 
 
+#: The backend class serving each (kind, protocol) pair; BackendConfig
+#: rejects every other pair.
+BACKENDS = {
+    ("embedding", "openai-compatible"): HttpEmbeddingBackend,
+    ("embedding", "mistral-compatible"): HttpEmbeddingBackend,
+    ("embedding", "cohere-compatible"): HttpEmbeddingBackend,
+    ("embedding", "mock"): MockEmbeddingBackend,
+    ("embedding", "mock-biased"): MockEmbeddingBackend,
+    ("completion", "openai-compatible"): HttpCompletionBackend,
+    ("completion", "mistral-compatible"): HttpCompletionBackend,
+    ("completion", "cohere-compatible"): HttpCompletionBackend,
+    ("completion", "mock"): MockCompletionBackend,
+    ("completion", "echo"): EchoCompletionBackend,
+}
+
+
 def build_backend(config: BackendConfig, cache: ResponseCache | None = None):
     """Construct a backend from config, failing fast on missing credentials."""
-    if config.protocol in HTTP_PROTOCOLS:
-        if not config.endpoint:
-            raise BackendError(f"backend {config.id}: endpoint required for HTTP protocols")
-        if config.credential_env and config.credential_env not in os.environ:
-            raise BackendError(
-                f"backend {config.id}: credential env var {config.credential_env!r} "
-                f"is not set"
-            )
-        if config.kind == "embedding":
-            return HttpEmbeddingBackend(config, cache)
-        return HttpCompletionBackend(config, cache)
-    if config.protocol in ("mock", "mock-biased"):
-        if config.kind == "embedding":
-            return MockEmbeddingBackend(config, cache)
-        return MockCompletionBackend(config, cache)
-    if config.protocol == "echo":
-        return EchoCompletionBackend(config, cache)
-    raise BackendError(f"backend {config.id}: unknown protocol {config.protocol!r}")
+    return BACKENDS[(config.kind, config.protocol)](config, cache)

@@ -14,8 +14,8 @@ from pathlib import Path
 import click
 
 from hirefair import perturb, retrieval, stats, textmetrics
-from hirefair.backends import BackendConfig, BackendError, ResponseCache, build_backend
-from hirefair.config import ConfigError, load_run_config
+from hirefair.backends import BackendError, ResponseCache, build_backend
+from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import (
     CorpusError,
     load_corpus,
@@ -104,20 +104,24 @@ def perturb_cmd(plan_path, in_path, out_path):
     click.echo(f"wrote {len(perturbed)} resumes to {out_path}")
 
 
-def _load_backend_config(path, backend_id, kind):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    blocks = doc.get("backends", doc if isinstance(doc, list) else [doc])
+def _load_backend(path, backend_id, kind, cache_dir):
+    """The first `kind` block of a backends file (or the one named
+    backend_id), built over a response cache in cache_dir if given."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read backends file {path}: {exc}") from exc
+    blocks = doc if isinstance(doc, list) else doc.get("backends", [doc])
     for raw in blocks:
-        if backend_id is None:
-            if raw.get("kind") == kind:
-                return BackendConfig.from_dict(raw)
-        elif raw.get("id") == backend_id:
-            return BackendConfig.from_dict(raw)
+        if raw.get("kind") == kind and backend_id in (None, raw.get("id")):
+            return build_backend(backend_from_dict(raw),
+                                 ResponseCache(cache_dir) if cache_dir else None)
     raise ConfigError(f"no {kind} backend {backend_id or ''!r} found in {path}")
 
 
 def _variant_id(resume) -> str:
-    return resume.lineage[-1] if resume.lineage else "original"
+    """The spec id of the last perturbation (name:FW), without its details."""
+    return perturb.parse_lineage_entry(resume.lineage[-1])[0] if resume.lineage else "original"
 
 
 @main.command("embed")
@@ -130,9 +134,7 @@ def _variant_id(resume) -> str:
 def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
     """Embed a corpus and write the (job, resume, variant, score) table."""
     try:
-        cfg = _load_backend_config(backends_path, backend_id, "embedding")
-        cache = ResponseCache(cache_dir) if cache_dir else None
-        backend = build_backend(cfg, cache)
+        backend = _load_backend(backends_path, backend_id, "embedding", cache_dir)
         resumes, jobs = load_corpus(in_path)
         if not jobs:
             _fail(EXIT_DATA, "corpus has no job posts to score against")
@@ -164,9 +166,7 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
                   temperature, runs, cache_dir):
     """Generate summaries for every resume at one grid cell."""
     try:
-        cfg = _load_backend_config(backends_path, backend_id, "completion")
-        cache = ResponseCache(cache_dir) if cache_dir else None
-        backend = build_backend(cfg, cache)
+        backend = _load_backend(backends_path, backend_id, "completion", cache_dir)
         resumes, _ = load_corpus(in_path)
         records = [
             record for resume in resumes
@@ -233,15 +233,15 @@ def audit():
               required=True)
 @click.option("--n", "n_values", multiple=True, type=int, help="Top-n sizes.")
 @click.option("--x", "x_values", multiple=True, type=float, help="Top-x percentages.")
-@click.option("--mode", type=click.Choice(["sep", "pool"]), default="sep")
 @click.option("--original", "original_variant", default="name:MW",
               help="Variant id treated as the original ranking (exclusion).")
 @click.option("--perturbed", "perturbed_variant", default="swap:MW->FW",
               help="Variant id whose scores re-rank the originals (exclusion).")
 @click.option("--alpha", type=float, default=0.05)
-def audit_retrieval(scores_path, metric, n_values, x_values, mode,
+def audit_retrieval(scores_path, metric, n_values, x_values,
                     original_variant, perturbed_variant, alpha):
-    """Recompute retrieval metrics from a saved score table."""
+    """Recompute retrieval metrics from a saved score table. Non-uniformity is
+    tested per job post; a score table has no occupations to pool by."""
     try:
         rows = retrieval.read_score_table(scores_path)
     except (RetrievalError, OSError, ValueError) as exc:
@@ -284,13 +284,8 @@ def audit_retrieval(scores_path, metric, n_values, x_values, mode,
                 for job_id in sorted(by_job)
             }
             for x in x_values:
-                results = retrieval.non_uniformity(
-                    pooled, x, mode="separated" if mode == "sep" else "pooled",
-                    occupation_of={j: j for j in pooled} if mode == "pool" else None,
-                    alpha=alpha,
-                )
-                for res in results:
-                    click.echo(f"{res.unit_id}\tnonuniformity\tx={x:g}\t{mode}\t"
+                for res in retrieval.non_uniformity(pooled, x, alpha=alpha):
+                    click.echo(f"{res.unit_id}\tnonuniformity\tx={x:g}\tsep\t"
                                f"chi2={res.chi2:.4f}\tp={res.p:.6f}\tflag={res.flag}")
     except RetrievalError as exc:
         _fail(EXIT_DATA, str(exc))

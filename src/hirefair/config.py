@@ -9,10 +9,10 @@ attempts to override those fields under the preset are configuration errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from hirefair.backends import BackendConfig
+from hirefair.backends import BackendConfig, BackendError, RetryPolicy
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -150,11 +150,46 @@ _TOP_LEVEL_KEYS = ("schema_version", "preset", "corpus", "out_dir", "backends",
                    "pair_runs", "regard_endpoint", "regard_credential_env",
                    "occupation_aliases", "frequency_table")
 
+_BACKEND_KEYS = tuple(f.name for f in fields(BackendConfig))
+
+_RETRY_KEYS = ("max", "base_delay_ms")
+
 
 def _reject_unknown(raw: dict, known: tuple[str, ...], where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} block must be a JSON object, got {raw!r:.80}")
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
+def _convert(kind, key: str, value):
+    """kind(value) for config field `key`; a value it cannot take is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+
+
+def backend_from_dict(raw: dict) -> BackendConfig:
+    """A backend block as a BackendConfig; any fault in it is a ConfigError."""
+    _reject_unknown(raw, _BACKEND_KEYS, "backend")
+    retry = raw.get("retry", {})
+    _reject_unknown(retry, _RETRY_KEYS, "retry")
+    try:
+        return BackendConfig(
+            id=raw["id"], kind=raw["kind"], protocol=raw["protocol"],
+            model_name=raw.get("model_name", ""),
+            endpoint=raw.get("endpoint", ""),
+            credential_env=raw.get("credential_env", ""),
+            parallelism=int(raw.get("parallelism", 8)),
+            retry=RetryPolicy(max_attempts=int(retry.get("max", 3)),
+                              base_delay_ms=int(retry.get("base_delay_ms", 250))),
+            max_chars=None if raw.get("max_chars") is None else int(raw["max_chars"]),
+            params=dict(raw.get("params", {})),
+        )
+    except (BackendError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid backend block: {exc}") from exc
 
 
 def _grid_from_dict(raw: dict, preset: str | None) -> GridConfig:
@@ -174,7 +209,7 @@ def _grid_from_dict(raw: dict, preset: str | None) -> GridConfig:
             updates[key] = tuple(raw[key])
     for key in ("runs", "draws"):
         if key in raw:
-            updates[key] = int(raw[key])
+            updates[key] = _convert(int, key, raw[key])
     return replace(base, **updates) if updates else base
 
 
@@ -197,14 +232,11 @@ def load_run_config(path, **overrides) -> RunConfig:
             return overrides[key]
         return raw.get(key, default)
 
-    alpha = float(pick("alpha", 0.05))
+    alpha = _convert(float, "alpha", pick("alpha", 0.05))
     if preset == "replication" and alpha != 0.05:
         raise ConfigError("replication preset pins alpha=0.05")
 
-    try:
-        backends = tuple(BackendConfig.from_dict(b) for b in raw.get("backends", []))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid backend block: {exc}") from exc
+    backends = tuple(backend_from_dict(b) for b in raw.get("backends", []))
 
     grid_raw = dict(raw.get("grid", {}))
     for key in ("n_values", "x_values", "draws"):
@@ -234,8 +266,8 @@ def load_run_config(path, **overrides) -> RunConfig:
         grid=_grid_from_dict(grid_raw, preset),
         correction=pick("correction", "bh"),
         alpha=alpha,
-        master_seed=int(pick("master_seed", 0)),
-        typo_count=int(pick("typo_count", 10)),
+        master_seed=_convert(int, "master_seed", pick("master_seed", 0)),
+        typo_count=_convert(int, "typo_count", pick("typo_count", 10)),
         spacing_mode=pick("spacing_mode", "collapse"),
         swap_matching=pick("swap_matching", "frequency_binned"),
         extracurricular=bool(pick("extracurricular", False)),

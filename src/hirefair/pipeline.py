@@ -476,8 +476,13 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = ResponseCache(out_dir / "cache")
 
-    # fail fast: construct every backend (validates credentials) before work
+    # fail fast: build every backend and the regard client (each checks its credential)
     backends = {b.id: build_backend(b, cache) for b in config.backends}
+    regard_client = None
+    if config.regard_endpoint:
+        regard_client = RegardClient(config.regard_endpoint,
+                                     credential_env=config.regard_credential_env,
+                                     cache=cache)
     embedders = [backends[b.id] for b in config.embedding_backends()]
     completers = [backends[b.id] for b in config.completion_backends()]
     if not embedders and not completers:
@@ -516,12 +521,6 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
     occupation_of = {j.id: j.occupation for j in jobs}
-
-    regard_client = None
-    if config.regard_endpoint:
-        regard_client = RegardClient(config.regard_endpoint,
-                                     credential_env=config.regard_credential_env,
-                                     cache=cache)
 
     entries: list[LedgerEntry] = []
     files: list[Path] = []

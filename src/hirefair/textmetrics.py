@@ -18,13 +18,11 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-import requests
-
-from hirefair.backends import ResponseCache, cache_key
+from hirefair.backends import BackendError, JsonEndpoint, ResponseCache, RetryPolicy, cached_call
 
 logger = logging.getLogger(__name__)
 
@@ -208,46 +206,27 @@ class RegardClient:
     """Thin client for an external regard classifier endpoint.
 
     The endpoint receives {"text": ...} and must answer with the four
-    category scores. Failures degrade gracefully: score() returns None and
-    the measure is recorded as absent.
+    category scores. Construction fails fast when `credential_env` is unset;
+    a failed request degrades gracefully: score() returns None and the
+    measure is recorded as absent.
     """
 
     def __init__(self, endpoint: str, credential_env: str = "",
-                 cache: ResponseCache | None = None,
-                 post: Callable | None = None, timeout: float = 30.0):
+                 cache: ResponseCache | None = None, post: Callable | None = None):
         self.endpoint = endpoint
-        self.credential_env = credential_env
         self.cache = cache
-        self.timeout = timeout
-        self._post = post or self._http_post
-
-    def _http_post(self, payload: dict) -> dict:
-        import os
-        headers = {"Content-Type": "application/json"}
-        if self.credential_env:
-            headers["Authorization"] = f"Bearer {os.environ[self.credential_env]}"
-        resp = requests.post(self.endpoint, json=payload, headers=headers,
-                             timeout=self.timeout)
-        resp.raise_for_status()
-        return resp.json()
+        self._post = post or partial(
+            JsonEndpoint("regard endpoint", endpoint, credential_env,
+                         RetryPolicy(max_attempts=1), timeout=30.0).post,
+            read=validate_regard)
 
     def score(self, text: str) -> dict[str, float] | None:
-        key = None
-        if self.cache is not None:
-            key = cache_key("regard", self.endpoint, {"text": text})
-            cached = self.cache.get(key)
-            if cached is not None:
-                return validate_regard(cached)
         try:
-            raw = self._post({"text": text})
-            scores = validate_regard(raw)
-        except (requests.RequestException, TextMetricsError, KeyError,
-                ValueError, TypeError) as exc:
+            return cached_call(self.cache, ("regard", self.endpoint, {"text": text}),
+                               lambda: self._post({"text": text}), validate_regard)
+        except (BackendError, TextMetricsError, ValueError, TypeError) as exc:
             logger.warning("regard endpoint failed; measure absent: %s", exc)
             return None
-        if self.cache is not None:
-            self.cache.put(key, scores)
-        return scores
 
 
 # ---------------------------------------------------------------------------

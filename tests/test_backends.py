@@ -12,7 +12,6 @@ from hirefair.backends import (
     BackendError,
     CompletionRequest,
     EchoCompletionBackend,
-    EmbeddingRequest,
     MockCompletionBackend,
     MockEmbeddingBackend,
     ResponseCache,
@@ -123,9 +122,9 @@ def test_same_text_twice_served_from_cache(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     backend = MockEmbeddingBackend(mock_config(), cache)
     first = backend.embed_batch(["same text"])
-    assert backend.cache_hits == 0
+    assert cache.hits == 0
     second = backend.embed_batch(["same text"])
-    assert backend.cache_hits == 1
+    assert cache.hits == 1
     assert first[0].values == second[0].values
 
 
@@ -187,12 +186,6 @@ def test_order_preserved_under_parallelism(tmp_path):
     a = serial.embed_batch(texts)
     b = parallel.embed_batch(texts)
     assert [v.values for v in a] == [v.values for v in b]
-
-
-def test_embedding_requests_accepted():
-    backend = MockEmbeddingBackend(mock_config())
-    reqs = [EmbeddingRequest(backend_id="m", model_name="mock-model", text="alpha")]
-    assert backend.embed_batch(reqs)[0].values == mock_embedding("alpha").values
 
 
 def test_dimension_mismatch_detected():
@@ -335,6 +328,74 @@ def test_retries_bounded(monkeypatch):
     assert calls["n"] == 2
 
 
+@pytest.mark.parametrize("status", [400, 401])
+def test_client_errors_fail_without_retry(monkeypatch, status):
+    config = http_config("openai-compatible", "embedding", monkeypatch)
+    backend = build_backend(config)
+    calls = {"n": 0}
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        calls["n"] += 1
+        return FakeResponse(status_code=status, payload={"error": "denied"})
+
+    monkeypatch.setattr(backend.session, "post", fake_post)
+    with pytest.raises(BackendError, match=f"HTTP {status}"):
+        backend.embed_batch(["x"])
+    assert calls["n"] == 1
+
+
+def test_connection_errors_and_429_are_retried(monkeypatch):
+    import requests
+
+    from hirefair.backends import RetryPolicy
+
+    config = BackendConfig(
+        id="flaky", kind="embedding", protocol="openai-compatible",
+        model_name="m", endpoint="https://example.invalid", parallelism=1,
+        retry=RetryPolicy(max_attempts=3, base_delay_ms=1),
+    )
+    backend = build_backend(config)
+    answers = [requests.ConnectionError("refused"), FakeResponse(status_code=429),
+               FakeResponse(payload={"data": [{"embedding": [2.0]}]})]
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        answer = answers.pop(0)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(backend.session, "post", fake_post)
+    assert backend.embed_batch(["x"])[0].values == (2.0,)
+    assert answers == []
+
+
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+#: Answers with status 200 that the schema adapters cannot read.
+MALFORMED_BODIES = [
+    ("embedding", FakeResponse(payload={"data": []})),
+    ("embedding", FakeResponse(payload={"data": [{"embedding": "abc"}]})),
+    ("embedding", NotJsonResponse()),
+    ("completion", FakeResponse(payload={"id": "chat-1"})),
+]
+
+
+@pytest.mark.parametrize("kind,response", MALFORMED_BODIES)
+def test_malformed_body_is_backend_error(monkeypatch, tmp_path, kind, response):
+    cache = ResponseCache(tmp_path)
+    backend = build_backend(http_config("openai-compatible", kind, monkeypatch), cache)
+    monkeypatch.setattr(backend.session, "post", lambda *a, **k: response)
+    with pytest.raises(BackendError, match="unreadable response"):
+        if kind == "embedding":
+            backend.embed_batch(["x"])
+        else:
+            backend.complete_text("prompt")
+    assert not list(tmp_path.rglob("*.json"))  # never cached
+
+
 def test_missing_credential_fails_fast(monkeypatch):
     monkeypatch.delenv("NOPE_KEY", raising=False)
     config = BackendConfig(
@@ -361,6 +422,10 @@ def test_config_validation():
     with pytest.raises(BackendError):
         BackendConfig(id="x", kind="embedding", protocol="mock", model_name="m",
                       parallelism=0)
+    with pytest.raises(BackendError, match="serves no kind"):
+        BackendConfig(id="x", kind="embedding", protocol="echo", model_name="m")
+    with pytest.raises(BackendError, match="serves no kind"):
+        BackendConfig(id="x", kind="completion", protocol="mock-biased", model_name="m")
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +470,12 @@ def test_live_backends_smoke(tmp_path):
     """Point HIREFAIR_LIVE_BACKENDS at a backends JSON to smoke-test each block."""
     import json as _json
 
+    from hirefair.config import backend_from_dict
+
     doc = _json.loads(open(LIVE_CONFIG_PATH).read())
     cache = ResponseCache(tmp_path / "cache")
     for raw in doc["backends"]:
-        backend = build_backend(BackendConfig.from_dict(raw), cache)
+        backend = build_backend(backend_from_dict(raw), cache)
         if raw["kind"] == "embedding":
             (vec,) = backend.embed_batch(["smoke test resume text"])
             assert vec.dimension > 0

@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hirefair.backends import BackendConfig, build_backend
+from hirefair.backends import build_backend
 from hirefair.cli import main
-from hirefair.config import ConfigError, load_run_config
+from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import load_corpus
 from hirefair.pipeline import DataError, derive_seed, run_audit, summary_prompt
 from hirefair.retrieval import cosine, read_score_table
@@ -99,6 +99,46 @@ def test_config_validation_errors(tmp_path, fixtures_dir):
     path = write_config(tmp_path, fixtures_dir, backends=[])
     with pytest.raises(ConfigError, match="backend"):
         load_run_config(path)
+
+
+MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name": "bow-256"}
+
+
+@pytest.mark.parametrize("extra", [
+    {"alpha": "abc"},
+    {"master_seed": "seven"},
+    {"typo_count": [1]},
+    {"grid": {"runs": "two"}},
+    {"grid": {"draws": None}},
+    {"backends": [dict(MOCK_EMBED, parallelism="many")]},
+    {"backends": [dict(MOCK_EMBED, max_chars="abc")]},
+    {"backends": [dict(MOCK_EMBED, retry={"max": "x"})]},
+    {"backends": [dict(MOCK_EMBED, colour="red")]},
+    {"backends": [dict(MOCK_EMBED, retry={"tries": 3})]},
+    {"backends": [dict(MOCK_EMBED, protocol="echo")]},
+    {"backends": [dict(MOCK_EMBED, kind="completion", protocol="mock-biased")]},
+])
+def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
+    path = write_config(tmp_path, fixtures_dir, **extra)
+    with pytest.raises(ConfigError):
+        load_run_config(path)
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("command,block", [
+    ("embed", dict(MOCK_EMBED, protocol="echo")),
+    ("summarize", {"id": "gen", "kind": "completion", "protocol": "mock",
+                   "model_name": "m", "parallelism": "many"}),
+])
+def test_cli_stage_rejects_invalid_backend_block(tmp_path, fixtures_dir, command, block):
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps({"backends": [block]}))
+    result = CliRunner().invoke(main, [
+        command, "--backends", str(backends_path),
+        "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 2, result.output
 
 
 def test_config_overrides_win(tmp_path, fixtures_dir):
@@ -281,7 +321,7 @@ def test_cli_embed_and_audit_retrieval(tmp_path, fixtures_dir):
     rows = read_score_table(scores_path)
     assert len(rows) == 12 * 3
     resumes, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
-    backend = build_backend(BackendConfig.from_dict(backends["backends"][0]))
+    backend = build_backend(backend_from_dict(backends["backends"][0]))
     resume_vectors = backend.embed_batch([r.body for r in resumes])
     job_vectors = backend.embed_batch([j.body for j in jobs])
     expected = {
@@ -318,6 +358,41 @@ def test_cli_run_fails_fast_without_credentials(tmp_path, fixtures_dir, monkeypa
     result = runner.invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == 3
     assert "MISSING_API_KEY" in result.output
+
+
+@pytest.mark.parametrize("kind,body", [
+    ("embedding", {"data": []}),
+    ("completion", {"id": "chat-1"}),
+])
+def test_cli_run_malformed_endpoint_exits_3(tmp_path, fixtures_dir, monkeypatch,
+                                            kind, body):
+    import requests
+
+    class Response:
+        status_code = 200
+        text = ""
+
+        def json(self):
+            return body
+
+    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **k: Response())
+    live = {"id": "live", "kind": kind, "protocol": "openai-compatible",
+            "model_name": "x", "endpoint": "https://example.invalid"}
+    backends = [MOCK_EMBED, live] if kind == "completion" else [live]
+    config_path = write_config(tmp_path, fixtures_dir, backends=backends)
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 3, result.output
+    assert "unreadable response" in result.output
+
+
+def test_cli_run_regard_without_credential_exits_3(tmp_path, fixtures_dir, monkeypatch):
+    monkeypatch.delenv("MISSING_REGARD_KEY", raising=False)
+    config_path = write_config(tmp_path, fixtures_dir,
+                               regard_endpoint="https://example.invalid/regard",
+                               regard_credential_env="MISSING_REGARD_KEY")
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 3, result.output
+    assert "MISSING_REGARD_KEY" in result.output
 
 
 def test_cli_report_from_ledger(tmp_path, fixtures_dir):
@@ -378,6 +453,43 @@ def test_cli_summarize_then_measure(tmp_path, fixtures_dir):
     assert result.exit_code == 0, result.output
     measured = read_measures(measures)
     assert [r.resume_id for r, _ in measured] == [r.resume_id for r in records]
+
+
+def test_cli_stage_chain_reaches_audit_summarization(tmp_path, fixtures_dir):
+    """perturb -> summarize per group, then measure -> audit summarization:
+    the summaries carry the spec ids (name:FB ...), so the groups pair."""
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps({"backends": [
+        {"id": "gen", "kind": "completion", "protocol": "mock", "model_name": "m"}]}))
+    runner = CliRunner()
+    lines: list[str] = []
+    for group in ("FB", "FW", "MB", "MW"):
+        plan = tmp_path / f"plan_{group}.json"
+        plan.write_text(json.dumps({"schema_version": 1, "specs": [
+            {"id": f"name:{group}", "kind": "assign_name", "seed": 3,
+             "params": {"group": group}}]}))
+        corpus = tmp_path / f"corpus_{group}.jsonl"
+        summaries = tmp_path / f"summaries_{group}.jsonl"
+        for args in (
+            ["perturb", "--plan", str(plan),
+             "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(corpus)],
+            ["summarize", "--backends", str(backends_path),
+             "--in", str(corpus), "--out", str(summaries)],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        lines += summaries.read_text().splitlines()
+    summaries = tmp_path / "summaries.jsonl"
+    summaries.write_text("\n".join(lines) + "\n")
+    assert {r.variant_id for r in read_summaries(summaries)} == {
+        "name:FB", "name:FW", "name:MB", "name:MW"}
+    measures = tmp_path / "measures.jsonl"
+    result = runner.invoke(main, ["measure", "--in", str(summaries), "--out", str(measures)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["audit", "summarization", "--measures", str(measures)])
+    assert result.exit_code == 0, result.output
+    rows = [line.split("\t") for line in result.output.strip().splitlines()]
+    assert sorted(ctype for _, ctype, _, _ in rows) == ["gender", "race"]
 
 
 def test_cli_rank_from_score_table(tmp_path, fixtures_dir):
@@ -453,7 +565,7 @@ def test_cli_audit_retrieval_nonuniformity(tmp_path, fixtures_dir):
     result = runner.invoke(main, [
         "audit", "retrieval",
         "--scores", str(Path(config.out_dir) / "scores_emb.csv"),
-        "--metric", "nonuniformity", "--x", "25", "--mode", "sep",
+        "--metric", "nonuniformity", "--x", "25",
     ])
     assert result.exit_code == 0, result.output
     assert len(result.output.strip().splitlines()) == 3  # one row per job

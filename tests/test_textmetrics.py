@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirefair.backends import ResponseCache
+from hirefair.backends import BackendError, ResponseCache
 from hirefair.textmetrics import (
     MeasureVector,
     RegardClient,
@@ -251,6 +251,12 @@ def test_regard_client_caches(tmp_path):
     assert client.score("same text") == FIXED_SCORES
     assert client.score("same text") == FIXED_SCORES
     assert calls["n"] == 1
+
+
+def test_regard_client_fails_fast_on_missing_credential(monkeypatch):
+    monkeypatch.delenv("NOPE_REGARD_KEY", raising=False)
+    with pytest.raises(BackendError, match="NOPE_REGARD_KEY"):
+        RegardClient("https://example.invalid/regard", credential_env="NOPE_REGARD_KEY")
 
 
 # ---------------------------------------------------------------------------
