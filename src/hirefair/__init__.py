@@ -19,7 +19,7 @@ from hirefair.corpus import (
     save_corpus,
 )
 from hirefair.perturb import PerturbationSpec
-from hirefair.retrieval import exclusion, non_uniformity, rank_resumes
+from hirefair.retrieval import competition_ranks, exclusion, non_uniformity, score_array
 from hirefair.stats import (
     bh_correct,
     bonferroni_correct,
@@ -36,12 +36,13 @@ __all__ = [
     "bh_correct",
     "bonferroni_correct",
     "chi_squared_gof",
+    "competition_ranks",
     "exclusion",
     "load_corpus",
     "load_name_pools",
     "non_uniformity",
     "pair_jobs",
     "paired_t_test",
-    "rank_resumes",
     "save_corpus",
+    "score_array",
 ]

@@ -86,8 +86,6 @@ class EmbeddingVector:
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    backend_id: str
-    model_name: str
     prompt: str
     temperature: float = 0.0
     max_words_hint: int = 0
@@ -407,7 +405,6 @@ class CompletionBackend:
     def complete_text(self, prompt: str, temperature: float = 0.0,
                       run_index: int = 1, max_words_hint: int = 0) -> str:
         return self.complete(CompletionRequest(
-            backend_id=self.config.id, model_name=self.config.model_name,
             prompt=prompt, temperature=temperature, run_index=run_index,
             max_words_hint=max_words_hint,
         ))

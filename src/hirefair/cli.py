@@ -35,7 +35,7 @@ from hirefair.pipeline import (
     summarize_cell,
 )
 from hirefair.report import ReportError, aggregate, emit, read_ledger
-from hirefair.retrieval import PooledScore, RetrievalError, SimilarityRecord
+from hirefair.retrieval import RetrievalError
 
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
@@ -204,22 +204,18 @@ def measure_cmd(in_path, out_path):
 def rank_cmd(scores_path, variant, top):
     """Print competition ranks per job from a saved score table."""
     try:
-        rows = retrieval.read_score_table(scores_path)
+        table = retrieval.score_array(retrieval.read_score_table(scores_path))
+        scores = table.of(variant)
     except (RetrievalError, OSError, ValueError) as exc:
         _fail(EXIT_DATA, str(exc))
-    by_job: dict[str, list] = {}
-    for row in rows:
-        if row.variant_id == variant:
-            by_job.setdefault(row.job_id, []).append(
-                SimilarityRecord(row.resume_id, row.job_id, row.score))
-    if not by_job:
-        _fail(EXIT_DATA, f"variant {variant!r} not present in score table")
-    for job_id in sorted(by_job):
-        ranked = retrieval.rank_resumes(by_job[job_id])
-        for entry in ranked.entries:
-            if top and entry.rank > top:
+    for job_id, job_scores in zip(table.jobs, scores):
+        ranks = retrieval.competition_ranks(job_scores)
+        order = sorted(range(len(job_scores)),
+                       key=lambda i: (-job_scores[i], table.resumes[i]))
+        for i in order:
+            if top and ranks[i] > top:
                 break
-            click.echo(f"{job_id}\t{entry.rank}\t{entry.resume_id}\t{entry.score:.6f}")
+            click.echo(f"{job_id}\t{ranks[i]}\t{table.resumes[i]}\t{job_scores[i]:.6f}")
 
 
 @main.group()
@@ -243,51 +239,21 @@ def audit_retrieval(scores_path, metric, n_values, x_values,
     """Recompute retrieval metrics from a saved score table. Non-uniformity is
     tested per job post; a score table has no occupations to pool by."""
     try:
-        rows = retrieval.read_score_table(scores_path)
-    except (RetrievalError, OSError, ValueError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    by_job: dict[str, list[retrieval.ScoreRow]] = {}
-    for row in rows:
-        by_job.setdefault(row.job_id, []).append(row)
-
-    try:
+        table = retrieval.score_array(retrieval.read_score_table(scores_path))
         if metric == "exclusion":
-            if not n_values:
-                n_values = (5, 10, 100)
-            for job_id in sorted(by_job):
-                job_rows = by_job[job_id]
-                orig = [SimilarityRecord(r.resume_id, r.job_id, r.score)
-                        for r in job_rows if r.variant_id == original_variant]
-                pert = {r.resume_id: r.score for r in job_rows
-                        if r.variant_id == perturbed_variant}
-                if not orig or not pert:
-                    _fail(EXIT_DATA,
-                          f"job {job_id}: variants {original_variant!r} / "
-                          f"{perturbed_variant!r} not present in score table")
-                ranked = retrieval.rank_resumes(orig)
-                for n in n_values:
-                    value = retrieval.exclusion(ranked, pert, n)
+            original = table.of(original_variant)
+            perturbed = table.of(perturbed_variant)
+            for j, job_id in enumerate(table.jobs):
+                for n in n_values or (5, 10, 100):
+                    value = retrieval.exclusion(original[j], perturbed[j], n)
                     click.echo(f"{job_id}\texclusion\tn={n}\t{value:.6f}")
         else:
-            if not x_values:
-                x_values = (5.0, 10.0)
-            name_variants = sorted({r.variant_id for r in rows
-                                    if r.variant_id.startswith("name:")})
-            if len(name_variants) != 4:
-                _fail(EXIT_DATA, "score table lacks the four name:* group variants")
-            pooled = {
-                job_id: [
-                    PooledScore(member_id=f"{r.resume_id}@{r.variant_id[5:7]}",
-                                group=r.variant_id[5:7], score=r.score)
-                    for r in by_job[job_id] if r.variant_id in name_variants
-                ]
-                for job_id in sorted(by_job)
-            }
-            for x in x_values:
-                for res in retrieval.non_uniformity(pooled, x, alpha=alpha):
+            pools = table.pools()
+            for x in x_values or (5.0, 10.0):
+                for res in retrieval.non_uniformity(pools, x, alpha=alpha):
                     click.echo(f"{res.unit_id}\tnonuniformity\tx={x:g}\tsep\t"
                                f"chi2={res.chi2:.4f}\tp={res.p:.6f}\tflag={res.flag}")
-    except RetrievalError as exc:
+    except (RetrievalError, OSError, ValueError) as exc:
         _fail(EXIT_DATA, str(exc))
 
 

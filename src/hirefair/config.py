@@ -192,6 +192,16 @@ def backend_from_dict(raw: dict) -> BackendConfig:
         raise ConfigError(f"invalid backend block: {exc}") from exc
 
 
+def _grid_list(key: str, value) -> tuple:
+    """A grid list as a tuple, unconverted: strings for povs, numbers (not
+    booleans) for the others; anything else is a ConfigError."""
+    kind, noun = (str, "strings") if key == "povs" else ((int, float), "numbers")
+    if not isinstance(value, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, kind) for v in value):
+        raise ConfigError(f"grid.{key} must be a list of {noun}, got {value!r}")
+    return tuple(value)
+
+
 def _grid_from_dict(raw: dict, preset: str | None) -> GridConfig:
     _reject_unknown(raw, _GRID_KEYS, "grid")
     if preset == "replication":
@@ -206,7 +216,7 @@ def _grid_from_dict(raw: dict, preset: str | None) -> GridConfig:
     updates = {}
     for key in ("n_values", "x_values", "temperatures", "lengths", "povs"):
         if key in raw:
-            updates[key] = tuple(raw[key])
+            updates[key] = _grid_list(key, raw[key])
     for key in ("runs", "draws"):
         if key in raw:
             updates[key] = _convert(int, key, raw[key])
@@ -259,6 +269,9 @@ def load_run_config(path, **overrides) -> RunConfig:
     else:
         raise ConfigError("config must name an output directory")
     freq_table = pick("frequency_table", "")
+    extracurricular = pick("extracurricular", False)
+    if not isinstance(extracurricular, bool):
+        raise ConfigError(f"extracurricular must be true or false, got {extracurricular!r}")
     return RunConfig(
         corpus_path=resolve(corpus),
         out_dir=out_dir,
@@ -270,7 +283,7 @@ def load_run_config(path, **overrides) -> RunConfig:
         typo_count=_convert(int, "typo_count", pick("typo_count", 10)),
         spacing_mode=pick("spacing_mode", "collapse"),
         swap_matching=pick("swap_matching", "frequency_binned"),
-        extracurricular=bool(pick("extracurricular", False)),
+        extracurricular=extracurricular,
         pair_runs=pick("pair_runs", "average"),
         regard_endpoint=pick("regard_endpoint", ""),
         regard_credential_env=pick("regard_credential_env", ""),

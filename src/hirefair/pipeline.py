@@ -40,7 +40,7 @@ from hirefair.report import (
     manifest_digest,
     write_ledger,
 )
-from hirefair.retrieval import PooledScore, ScoreRow, SimilarityRecord, SwapExclusion
+from hirefair.retrieval import ScoreRow, SwapExclusion
 from hirefair.textmetrics import MeasureVector, RegardClient, SummaryRecord
 
 logger = logging.getLogger(__name__)
@@ -188,31 +188,14 @@ def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[S
     return rows
 
 
-def _score_lookup(rows: list[ScoreRow]) -> dict[tuple[str, str, str], float]:
-    return {(r.job_id, r.variant_id, r.resume_id): r.score for r in rows}
-
-
 def retrieval_metrics(model: str, run_id: str, jobs: list[JobPost],
                       rows: list[ScoreRow], variants: VariantSet,
                       occupation_of: dict[str, str], config: RunConfig,
                       detail_log: list | None = None) -> list[LedgerEntry]:
     """Exclusion (per swap, direction, and non-demographic kind) plus
     non-uniformity entries for one embedding backend and one draw."""
-    scores = _score_lookup(rows)
-    tag = _suffix(variants.draw)
-    resume_ids = sorted(variants.resumes[f"name:{GROUP_CODES[0]}"])
+    table = retrieval.score_array(rows)
     entries: list[LedgerEntry] = []
-
-    def ranked_set(job_id: str, variant: str) -> retrieval.RankedSet:
-        records = [
-            SimilarityRecord(resume_id=rid, job_id=job_id,
-                             score=scores[(job_id, variant + tag, rid)])
-            for rid in resume_ids
-        ]
-        return retrieval.rank_resumes(records)
-
-    def perturbed_scores(job_id: str, variant: str) -> dict[str, float]:
-        return {rid: scores[(job_id, variant + tag, rid)] for rid in resume_ids}
 
     contrasts: list[tuple[str, str, str]] = []  # (label, original variant, perturbed variant)
     for src, tgt in SWAP_PAIRS:
@@ -226,32 +209,25 @@ def retrieval_metrics(model: str, run_id: str, jobs: list[JobPost],
             contrasts.append((f"extraswap:{src}->{tgt}", f"extra:{src}",
                               f"extraswap:{src}->{tgt}"))
 
-    original_variants = sorted({orig for _, orig, _ in contrasts})
     for n in config.grid.n_values:
-        swap_rows: list[SwapExclusion] = []
-        extra_rows: list[SwapExclusion] = []
+        swaps: dict[str, list[SwapExclusion]] = {"swap": [], "extraswap": []}
         kind_values: dict[str, list[float]] = {}
         for job in jobs:
-            originals = {orig: ranked_set(job.id, orig) for orig in original_variants}
+            j = table.jobs.index(job.id)
             for label, orig, pert in contrasts:
-                value = retrieval.exclusion(originals[orig],
-                                            perturbed_scores(job.id, pert), n)
+                value = retrieval.exclusion(table.of(orig)[j], table.of(pert)[j], n)
                 entries.append(make_entry(
                     run_id, "exclusion", model, label, f"n={n}", "",
                     value, sample_size=1, detail=f"job={job.id};draw={variants.draw}",
                 ))
                 kind, _, rest = label.partition(":")
-                if kind == "swap":
+                if kind in swaps:
                     src, _, tgt = rest.partition("->")
-                    swap_rows.append(SwapExclusion(source=src, target=tgt,
-                                                   value=value, job_id=job.id))
-                elif kind == "extraswap":
-                    src, _, tgt = rest.partition("->")
-                    extra_rows.append(SwapExclusion(source=src, target=tgt,
-                                                    value=value, job_id=job.id))
+                    swaps[kind].append(SwapExclusion(source=src, target=tgt, value=value))
                 else:
                     kind_values.setdefault(kind, []).append(value)
 
+        swap_rows = swaps["swap"]
         for result in retrieval.directional_exclusion(swap_rows):
             entries.append(make_entry(
                 run_id, "exclusion", model, f"dir:{result.direction}", f"n={n}", "",
@@ -275,20 +251,14 @@ def retrieval_metrics(model: str, run_id: str, jobs: list[JobPost],
                 detail=f"draw={variants.draw}",
             ))
         if config.extracurricular:
-            for result in retrieval.directional_exclusion(extra_rows):
+            for result in retrieval.directional_exclusion(swaps["extraswap"]):
                 entries.append(make_entry(
                     run_id, "exclusion", model, f"dir-extra:{result.direction}",
                     f"n={n}", "", result.value, sample_size=result.samples,
                     detail=f"draw={variants.draw}",
                 ))
 
-    pooled: dict[str, list[PooledScore]] = {}
-    for job in jobs:
-        pooled[job.id] = [
-            PooledScore(member_id=f"{rid}@{g}", group=g,
-                        score=scores[(job.id, f"name:{g}" + tag, rid)])
-            for g in GROUP_CODES for rid in resume_ids
-        ]
+    pooled = table.pools()
     for x in config.grid.x_values:
         for mode, mode_key in (("separated", "sep"), ("pooled", "pool")):
             results = retrieval.non_uniformity(
@@ -329,8 +299,8 @@ def summarize_cell(backend, resume: Resume, variant_id: str, temperature: float,
     records = []
     for run_index in range(1, runs + 1):
         text = backend.complete(CompletionRequest(
-            backend_id=backend.config.id, model_name=model, prompt=prompt,
-            temperature=temperature, max_words_hint=length, run_index=run_index,
+            prompt=prompt, temperature=temperature, max_words_hint=length,
+            run_index=run_index,
         ))
         records.append(SummaryRecord(
             resume_id=resume.id, variant_id=variant_id, model_name=model,

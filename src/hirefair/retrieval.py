@@ -1,5 +1,7 @@
 """Similarity ranking and the retrieval fairness metrics.
 
+The metrics work on numpy score arrays: one job's resumes on the last axis,
+and for non-uniformity the four group versions of each resume on the first.
 Ranks are competition ranks computed from strict score comparisons, so any
 strictly increasing transform of the scores leaves ranks, top-n membership,
 and both metrics unchanged.
@@ -59,107 +61,37 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class SimilarityRecord:
-    resume_id: str
-    job_id: str
-    score: float
+def competition_ranks(scores) -> np.ndarray:
+    """Rank of each score among one job's scores: 1 + the number of strictly
+    greater scores, so ties share a rank and the ranks after them skip."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise RetrievalError(f"ranks need one job's 1-D scores, got shape {scores.shape}")
+    return 1 + scores.size - np.searchsorted(np.sort(scores), scores, side="right")
 
 
-@dataclass(frozen=True)
-class RankedEntry:
-    resume_id: str
-    score: float
-    rank: int
-
-
-@dataclass(frozen=True)
-class RankedSet:
-    """Resumes for one job ordered by nonincreasing score with competition ranks."""
-
-    job_id: str
-    entries: tuple[RankedEntry, ...]
-
-    def top_n(self, n: int) -> "TopNSet":
-        if n < 1:
-            raise RetrievalError(f"n must be >= 1, got {n}")
-        members = frozenset(e.resume_id for e in self.entries if e.rank <= n)
-        return TopNSet(job_id=self.job_id, n=n, members=members)
-
-
-@dataclass(frozen=True)
-class TopNSet:
-    """Membership set for rank <= n; ties at the boundary are all admitted."""
-
-    job_id: str
-    n: int
-    members: frozenset[str]
-
-
-def _competition_ranks(items: Sequence[tuple[str, float]]) -> list[RankedEntry]:
-    # rank = 1 + number of strictly greater scores; ties share a rank
-    ordered = sorted(items, key=lambda it: (-it[1], it[0]))
-    entries: list[RankedEntry] = []
-    rank = 1
-    for i, (rid, score) in enumerate(ordered):
-        if i > 0 and score < ordered[i - 1][1]:
-            rank = i + 1
-        entries.append(RankedEntry(resume_id=rid, score=score, rank=rank))
-    return entries
-
-
-def rank_resumes(records: Sequence[SimilarityRecord]) -> RankedSet:
-    """Rank one job's similarity records: lower rank means higher similarity."""
-    if not records:
-        raise RetrievalError("no similarity records to rank")
-    job_ids = {r.job_id for r in records}
-    if len(job_ids) != 1:
-        raise RetrievalError(f"records span multiple jobs: {sorted(job_ids)}")
-    seen: set[str] = set()
-    for r in records:
-        if r.resume_id in seen:
-            raise RetrievalError(f"duplicate resume_id {r.resume_id!r}")
-        seen.add(r.resume_id)
-    entries = _competition_ranks([(r.resume_id, r.score) for r in records])
-    return RankedSet(job_id=records[0].job_id, entries=tuple(entries))
-
-
-def exclusion(original: RankedSet, perturbed_scores: Mapping[str, float], n: int) -> float:
+def exclusion(original, perturbed, n: int) -> float:
     """Fraction of the original top-n whose perturbed version falls outside top-n.
 
-    Each perturbed resume d' is re-ranked one at a time against the other
-    resumes' original scores; d' is excluded when its competition rank in
-    that substituted pool exceeds n.
+    original[i] and perturbed[i] are resume i's scores for one job before and
+    after the perturbation. Each perturbed resume is re-ranked one at a time
+    against the other resumes' original scores: its rank is 1 + the number
+    of other originals above it, and it is excluded when that rank exceeds n.
     """
     if n < 1:
         raise RetrievalError(f"n must be >= 1, got {n}")
-    top = [e for e in original.entries if e.rank <= n]
-    if not top:
-        raise RetrievalError(f"empty top-{n} set for job {original.job_id!r}")
-    missing = [e.resume_id for e in top if e.resume_id not in perturbed_scores]
-    if missing:
+    original = np.asarray(original, dtype=np.float64)
+    perturbed = np.asarray(perturbed, dtype=np.float64)
+    if original.ndim != 1 or original.size == 0 or perturbed.shape != original.shape:
         raise RetrievalError(
-            f"perturbed scores missing for top-{n} members: {missing}"
+            f"need one original and one perturbed score per resume, got shapes "
+            f"{original.shape} and {perturbed.shape}"
         )
-    excluded = 0
-    for e in top:
-        new_score = perturbed_scores[e.resume_id]
-        new_rank = 1 + sum(
-            1 for other in original.entries
-            if other.resume_id != e.resume_id and other.score > new_score
-        )
-        if new_rank > n:
-            excluded += 1
-    return excluded / len(top)
-
-
-@dataclass(frozen=True)
-class PooledScore:
-    """One scored member of the pooled four-group corpus for a job."""
-
-    member_id: str  # unique within the pool, e.g. "r12@FW"
-    group: str      # group code
-    score: float
+    top = competition_ranks(original) <= n
+    new = perturbed[top]
+    above = original.size - np.searchsorted(np.sort(original), new, side="right")
+    above -= original[top] > new  # the resume's own original score
+    return int(np.count_nonzero(1 + above > n)) / int(np.count_nonzero(top))
 
 
 @dataclass(frozen=True)
@@ -175,38 +107,27 @@ class NonUniformityResult:
     underpowered: bool = False
 
 
-def _top_x_counts(scores: Sequence[PooledScore], x: float) -> tuple[dict[str, int], int, bool]:
-    pool_size = len(scores)
-    k = max(1, math.ceil(x / 100.0 * pool_size))
-    entries = _competition_ranks([(s.member_id, s.score) for s in scores])
-    group_of = {s.member_id: s.group for s in scores}
-    counts = {g: 0 for g in GROUP_CODES}
-    selected = 0
-    for e in entries:
-        if e.rank <= k:
-            counts[group_of[e.resume_id]] += 1
-            selected += 1
+def top_x_counts(pool, x: float) -> tuple[dict[str, int], int, bool]:
+    """Per-group members of the top-x% of one job's (4 groups x R resumes)
+    pool, rows in GROUP_CODES order; returns (counts, selected, underpowered).
+    Every member whose competition rank is within the cut is selected."""
+    pool = np.asarray(pool, dtype=np.float64)
+    if pool.ndim != 2 or pool.shape[0] != len(GROUP_CODES) or pool.shape[1] == 0:
+        raise RetrievalError(
+            f"pool must contain every resume in all four group versions, "
+            f"got shape {pool.shape}"
+        )
+    k = max(1, math.ceil(x / 100.0 * pool.size))
+    selected = (competition_ranks(pool.ravel()) <= k).reshape(pool.shape)
+    counts = dict(zip(GROUP_CODES, selected.sum(axis=1).tolist()))
     underpowered = k < len(GROUP_CODES)
     if underpowered:
         logger.warning("top-%s%% selects only %d resumes; test underpowered", x, k)
-    return counts, selected, underpowered
-
-
-def _validate_pool(scores: Sequence[PooledScore], unit: str) -> None:
-    counts = {g: 0 for g in GROUP_CODES}
-    for s in scores:
-        if s.group not in counts:
-            raise RetrievalError(f"{unit}: unknown group {s.group!r}")
-        counts[s.group] += 1
-    if len(set(counts.values())) != 1 or 0 in counts.values():
-        raise RetrievalError(
-            f"{unit}: pool must contain every resume in all four group versions, "
-            f"got counts {counts}"
-        )
+    return counts, int(selected.sum()), underpowered
 
 
 def non_uniformity(
-    scores_by_job: Mapping[str, Sequence[PooledScore]],
+    scores_by_job: Mapping[str, np.ndarray],
     x: float,
     mode: str = "separated",
     occupation_of: Mapping[str, str] | None = None,
@@ -214,8 +135,10 @@ def non_uniformity(
 ) -> list[NonUniformityResult]:
     """Chi-squared test of group balance in the top-x% of the pooled corpus.
 
-    Separated mode tests each job post; pooled mode sums the per-job counts
-    across each occupation's job posts and runs one test per occupation.
+    Each job maps to its (4 groups x R resumes) score pool, rows in
+    GROUP_CODES order. Separated mode tests each job post; pooled mode sums
+    the per-job counts across each occupation's job posts and runs one test
+    per occupation.
     """
     if not 0 < x <= 100:
         raise RetrievalError(f"x must be in (0, 100], got {x}")
@@ -224,11 +147,8 @@ def non_uniformity(
     if mode == "pooled" and occupation_of is None:
         raise RetrievalError("pooled mode requires an occupation mapping")
 
-    per_job: dict[str, tuple[dict[str, int], int, bool]] = {}
-    for job_id in sorted(scores_by_job):
-        scores = scores_by_job[job_id]
-        _validate_pool(scores, f"job {job_id!r}")
-        per_job[job_id] = _top_x_counts(scores, x)
+    per_job = {job_id: top_x_counts(scores_by_job[job_id], x)
+               for job_id in sorted(scores_by_job)}
 
     def build(unit_id: str, counts: dict[str, int], k: int, underpowered: bool):
         result = uniform_gof([counts[g] for g in GROUP_CODES])
@@ -271,7 +191,6 @@ class SwapExclusion:
     source: str
     target: str
     value: float
-    job_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -334,3 +253,52 @@ def read_score_table(path) -> list[ScoreRow]:
             rows.append(ScoreRow(job_id=rec[0], resume_id=rec[1],
                                  variant_id=rec[2], score=float(rec[3])))
     return rows
+
+
+@dataclass(frozen=True)
+class ScoreArray:
+    """A score table as one dense array indexed (variant, job, resume); each
+    axis lists its ids in sorted order."""
+
+    variants: tuple[str, ...]
+    jobs: tuple[str, ...]
+    resumes: tuple[str, ...]
+    scores: np.ndarray
+
+    def of(self, variant: str) -> np.ndarray:
+        """The (job, resume) scores of one variant."""
+        if variant not in self.variants:
+            raise RetrievalError(f"variant {variant!r} not present in score table")
+        return self.scores[self.variants.index(variant)]
+
+    def pools(self) -> dict[str, np.ndarray]:
+        """Per job, the (4 groups x R resumes) scores of the name:* variants,
+        groups in GROUP_CODES order."""
+        names = np.stack([self.of(f"name:{g}") for g in GROUP_CODES])
+        return {job_id: names[:, j] for j, job_id in enumerate(self.jobs)}
+
+
+def score_array(rows: Iterable[ScoreRow]) -> ScoreArray:
+    """Score rows as a ScoreArray; the draw tag of a variant id (name:MW@d1)
+    is dropped. A non-finite score, a duplicate (variant, job, resume) cell
+    and a missing one are RetrievalErrors."""
+    cells: dict[tuple[str, str, str], float] = {}
+    for r in rows:
+        key = (r.variant_id.partition("@")[0], r.job_id, r.resume_id)
+        if not math.isfinite(r.score):
+            raise RetrievalError(f"non-finite score for {key}")
+        if key in cells:
+            raise RetrievalError(f"duplicate score for {key}")
+        cells[key] = r.score
+    if not cells:
+        raise RetrievalError("score table is empty")
+    axes = [tuple(sorted({key[i] for key in cells})) for i in range(3)]
+    index = [{name: i for i, name in enumerate(axis)} for axis in axes]
+    scores = np.full([len(axis) for axis in axes], np.nan)
+    for key, score in cells.items():
+        scores[tuple(ix[name] for ix, name in zip(index, key))] = score
+    missing = np.argwhere(np.isnan(scores))
+    if missing.size:
+        first = tuple(axis[i] for axis, i in zip(axes, missing[0]))
+        raise RetrievalError(f"score table lacks {len(missing)} cell(s), first {first}")
+    return ScoreArray(*axes, scores=scores)

@@ -143,8 +143,7 @@ def test_cached_response_is_byte_identical(tmp_path):
     cache = ResponseCache(tmp_path)
     config = mock_config(kind="completion")
     backend = MockCompletionBackend(config, cache)
-    req = CompletionRequest(backend_id="m", model_name="mock-model",
-                            prompt="summarize this", temperature=0.0,
+    req = CompletionRequest(prompt="summarize this", temperature=0.0,
                             max_words_hint=20, run_index=1)
     first = backend.complete(req)
     second = backend.complete(req)
@@ -157,15 +156,13 @@ def test_completions_cached_per_run_index(tmp_path):
     backend = MockCompletionBackend(mock_config(kind="completion"), cache)
     texts = {
         run: backend.complete(CompletionRequest(
-            backend_id="m", model_name="mock-model", prompt="p",
-            temperature=0.0, max_words_hint=30, run_index=run))
+            prompt="p", temperature=0.0, max_words_hint=30, run_index=run))
         for run in (1, 2, 3)
     }
     assert len(set(texts.values())) > 1  # provider nondeterminism emulated
     for run, text in texts.items():
         assert backend.complete(CompletionRequest(
-            backend_id="m", model_name="mock-model", prompt="p",
-            temperature=0.0, max_words_hint=30, run_index=run)) == text
+            prompt="p", temperature=0.0, max_words_hint=30, run_index=run)) == text
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hirefair.cli import main
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import load_corpus
 from hirefair.pipeline import DataError, derive_seed, run_audit, summary_prompt
+from hirefair.report import make_entry, read_ledger
 from hirefair.retrieval import cosine, read_score_table
 from hirefair.textmetrics import read_measures, read_summaries, summary_row
 
@@ -117,6 +118,9 @@ MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name"
     {"backends": [dict(MOCK_EMBED, retry={"tries": 3})]},
     {"backends": [dict(MOCK_EMBED, protocol="echo")]},
     {"backends": [dict(MOCK_EMBED, kind="completion", protocol="mock-biased")]},
+    {"grid": {"n_values": ["a"]}},
+    {"grid": {"x_values": 5}},
+    {"extracurricular": "false"},
 ])
 def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
     path = write_config(tmp_path, fixtures_dir, **extra)
@@ -578,3 +582,60 @@ def test_cli_audit_retrieval_nonuniformity(tmp_path, fixtures_dir):
     ])
     assert excl.exit_code == 0, excl.output
     assert len(excl.output.strip().splitlines()) == 3
+
+
+def test_cli_audit_retrieval_agrees_with_run(tmp_path, fixtures_dir):
+    """Per draw, the subcommand prints the run's per-job exclusion values
+    and separated non-uniformity flags, read from ledger.jsonl; a score
+    table with a duplicated cell is a data error."""
+    grid = {"n_values": [1, 3, 12], "x_values": [25, 50], "temperatures": [0.0],
+            "lengths": [100], "povs": ["third"], "runs": 1, "draws": 2}
+    config = load_run_config(write_config(tmp_path, fixtures_dir, grid=grid))
+    run_audit(config)
+    out = Path(config.out_dir)
+    _, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
+
+    # the ledger stores no job or draw; an entry's id digests its detail
+    details = [f"{key}={job.id};draw={draw}" for key in ("job", "unit")
+               for job in jobs for draw in (0, 1)]
+    ledger = {}
+    for e in read_ledger(out / "ledger.jsonl"):
+        for detail in details:
+            if make_entry(e.run_id, e.metric, e.model, e.perturbation, e.param,
+                          e.mode, e.value, e.sample_size, detail).entry_id == e.entry_id:
+                ledger[(e.metric, e.perturbation, e.param, e.mode, detail)] = e.value
+
+    runner = CliRunner()
+    for draw, name in enumerate(("scores_emb.csv", "scores_emb@d1.csv")):
+        excl = runner.invoke(main, ["audit", "retrieval", "--scores", str(out / name),
+                                    "--metric", "exclusion", "--n", "1", "--n", "3",
+                                    "--n", "12"])
+        assert excl.exit_code == 0, excl.output
+        lines = excl.output.strip().splitlines()
+        assert len(lines) == len(jobs) * 3
+        for line in lines:
+            job, _, param, value = line.split("\t")
+            expected = ledger[("exclusion", "swap:MW->FW", param, "",
+                               f"job={job};draw={draw}")]
+            assert value == f"{expected:.6f}"
+
+        nonu = runner.invoke(main, ["audit", "retrieval", "--scores", str(out / name),
+                                    "--metric", "nonuniformity", "--x", "25", "--x", "50"])
+        assert nonu.exit_code == 0, nonu.output
+        lines = nonu.output.strip().splitlines()
+        assert len(lines) == len(jobs) * 2
+        for line in lines:
+            job, _, param, mode, _, _, flag = line.split("\t")
+            expected = ledger[("nonuniformity", "name-pool", param, mode,
+                               f"unit={job};draw={draw}")]
+            assert flag == f"flag={expected == 1.0}"
+
+    rows = (out / "scores_emb.csv").read_text().splitlines()
+    duplicated = next(r for r in rows if ",swap:MW->FW," in r)
+    bad = tmp_path / "duplicated.csv"
+    bad.write_text("\n".join(rows + [duplicated.rsplit(",", 1)[0] + ",0.0"]) + "\n")
+    for args in (["audit", "retrieval", "--metric", "exclusion"],
+                 ["audit", "retrieval", "--metric", "nonuniformity"], ["rank"]):
+        result = runner.invoke(main, args + ["--scores", str(bad)])
+        assert result.exit_code == 4, result.output
+        assert "duplicate" in result.output

@@ -1,25 +1,27 @@
+import itertools
 import logging
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hirefair.corpus import GROUP_CODES
 from hirefair.retrieval import (
     DIRECTIONS,
-    PooledScore,
     RetrievalError,
     ScoreRow,
-    SimilarityRecord,
     SwapExclusion,
+    competition_ranks,
     cosine,
     direction_of,
     directional_exclusion,
     exclusion,
     non_uniformity,
-    rank_resumes,
     read_score_table,
+    score_array,
     write_score_table,
 )
 
@@ -47,9 +49,15 @@ def exclusion_bruteforce(original_scores: dict[str, float],
     return excluded / len(top)
 
 
-def records(scores: dict[str, float], job_id: str = "j"):
-    return [SimilarityRecord(resume_id=k, job_id=job_id, score=v)
-            for k, v in scores.items()]
+def excl(scores: dict[str, float], perturbed: dict[str, float], n: int) -> float:
+    """exclusion() on score arrays, resume i being the i-th key of `scores`."""
+    return exclusion(np.array(list(scores.values())),
+                     np.array([perturbed[rid] for rid in scores]), n)
+
+
+def mapped(f, scores: np.ndarray) -> np.ndarray:
+    """f applied to each score as a Python float."""
+    return np.array([f(s) for s in scores.ravel().tolist()]).reshape(scores.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -92,47 +100,40 @@ def test_cosine_errors():
 # ---------------------------------------------------------------------------
 
 def test_rank_simple():
-    ranked = rank_resumes(records({"a": 0.9, "b": 0.5, "c": 0.1}))
-    assert {e.resume_id: e.rank for e in ranked.entries} == {"a": 1, "b": 2, "c": 3}
+    assert competition_ranks([0.9, 0.5, 0.1]).tolist() == [1, 2, 3]
 
 
 def test_rank_ties_share_and_skip():
-    ranked = rank_resumes(records({"a": 0.9, "b": 0.9, "c": 0.1}))
-    assert {e.resume_id: e.rank for e in ranked.entries} == {"a": 1, "b": 1, "c": 3}
+    assert competition_ranks([0.9, 0.9, 0.1]).tolist() == [1, 1, 3]
 
 
 def test_rank_single():
-    ranked = rank_resumes(records({"only": 0.4}))
-    assert ranked.entries[0].rank == 1
+    assert competition_ranks([0.4]).tolist() == [1]
 
 
 def test_rank_matches_definition_on_random_scores():
     rng = random.Random(11)
     for _ in range(30):
-        scores = {f"r{i}": rng.choice([0.1, 0.25, 0.25, 0.4, 0.8]) for i in range(9)}
-        ranked = rank_resumes(records(scores))
-        for e in ranked.entries:
-            strictly_above = sum(1 for s in scores.values() if s > e.score)
-            assert e.rank == strictly_above + 1
+        scores = [rng.choice([0.1, 0.25, 0.25, 0.4, 0.8]) for _ in range(9)]
+        for score, rank in zip(scores, competition_ranks(scores)):
+            assert rank == sum(1 for s in scores if s > score) + 1
 
 
 def test_rank_duplicate_resume_error():
-    recs = records({"a": 0.9}) + records({"a": 0.8})
-    with pytest.raises(RetrievalError):
-        rank_resumes(recs)
+    rows = [ScoreRow("j", "a", "name:MW", 0.9), ScoreRow("j", "a", "name:MW", 0.8)]
+    with pytest.raises(RetrievalError, match="duplicate"):
+        score_array(rows)
 
 
 def test_rank_multiple_jobs_error():
-    recs = records({"a": 0.9}, "j1") + records({"b": 0.8}, "j2")
-    with pytest.raises(RetrievalError):
-        rank_resumes(recs)
+    with pytest.raises(RetrievalError, match="1-D"):
+        competition_ranks([[0.9], [0.8]])
 
 
 def test_top_n_tie_at_boundary_admits_all():
-    ranked = rank_resumes(records({"a": 0.9, "b": 0.5, "c": 0.5, "d": 0.1}))
-    top = ranked.top_n(2)
-    assert top.members == {"a", "b", "c"}
-    assert len(top.members) > top.n
+    top = competition_ranks([0.9, 0.5, 0.5, 0.1]) <= 2
+    assert top.tolist() == [True, True, True, False]
+    assert top.sum() > 2
 
 
 # ---------------------------------------------------------------------------
@@ -141,34 +142,30 @@ def test_top_n_tie_at_boundary_admits_all():
 
 def test_exclusion_identity_perturbation_is_zero():
     scores = {"a": 0.9, "b": 0.8, "c": 0.7}
-    ranked = rank_resumes(records(scores))
-    assert exclusion(ranked, scores, 2) == 0.0
+    assert excl(scores, scores, 2) == 0.0
 
 
 def test_exclusion_spec_example():
-    ranked = rank_resumes(records({"a": 0.9, "b": 0.8, "c": 0.7}))
-    perturbed = {"a": 0.65, "b": 0.8, "c": 0.7}
-    assert exclusion(ranked, perturbed, 2) == 0.5
+    assert excl({"a": 0.9, "b": 0.8, "c": 0.7}, {"a": 0.65, "b": 0.8, "c": 0.7}, 2) == 0.5
 
 
 def test_exclusion_all_dropped():
     scores = {f"r{i}": 1.0 - i / 10 for i in range(8)}
-    ranked = rank_resumes(records(scores))
     floor = min(scores.values()) - 1.0
     perturbed = {rid: floor for rid in scores}
-    assert exclusion(ranked, perturbed, 5) == 1.0
+    assert excl(scores, perturbed, 5) == 1.0
 
 
 def test_exclusion_missing_perturbed_scores():
-    ranked = rank_resumes(records({"a": 0.9, "b": 0.8}))
-    with pytest.raises(RetrievalError, match="missing"):
-        exclusion(ranked, {"a": 0.5}, 2)
+    with pytest.raises(RetrievalError, match="shapes"):
+        exclusion([0.9, 0.8], [0.5], 2)
+    with pytest.raises(RetrievalError, match="shapes"):
+        exclusion([], [], 1)
 
 
 def test_exclusion_n_validation():
-    ranked = rank_resumes(records({"a": 0.9}))
     with pytest.raises(RetrievalError):
-        exclusion(ranked, {"a": 0.9}, 0)
+        exclusion([0.9], [0.9], 0)
 
 
 def test_exclusion_matches_bruteforce_oracle():
@@ -178,8 +175,7 @@ def test_exclusion_matches_bruteforce_oracle():
         scores = {f"r{i}": round(rng.uniform(0, 1), 6) for i in range(size)}
         perturbed = {f"r{i}": round(rng.uniform(0, 1), 6) for i in range(size)}
         n = rng.randint(1, size)
-        ranked = rank_resumes(records(scores))
-        assert exclusion(ranked, perturbed, n) == exclusion_bruteforce(scores, perturbed, n)
+        assert excl(scores, perturbed, n) == exclusion_bruteforce(scores, perturbed, n)
 
 
 def test_exclusion_fixed_membership_monotone_in_threshold():
@@ -188,18 +184,16 @@ def test_exclusion_fixed_membership_monotone_in_threshold():
     rng = random.Random(99)
     for _ in range(100):
         size = rng.randint(2, 10)
-        scores = {f"r{i}": round(rng.uniform(0, 1), 6) for i in range(size)}
-        perturbed = {f"r{i}": round(rng.uniform(0, 1), 6) for i in range(size)}
-        ranked = rank_resumes(records(scores))
+        scores = [round(rng.uniform(0, 1), 6) for i in range(size)]
+        perturbed = [round(rng.uniform(0, 1), 6) for i in range(size)]
         n = rng.randint(1, size - 1)
-        top = [e for e in ranked.entries if e.rank <= n]
+        top = np.flatnonzero(competition_ranks(scores) <= n)
 
         def excluded_at(threshold):
             count = 0
-            for e in top:
-                new_rank = 1 + sum(1 for o in ranked.entries
-                                   if o.resume_id != e.resume_id
-                                   and o.score > perturbed[e.resume_id])
+            for i in top:
+                new_rank = 1 + sum(1 for j, s in enumerate(scores)
+                                   if j != i and s > perturbed[i])
                 count += new_rank > threshold
             return count
 
@@ -218,18 +212,14 @@ def test_metrics_invariant_under_monotone_transform():
     rng = random.Random(31337)
     for _ in range(40):
         size = rng.randint(3, 12)
-        scores = {f"r{i}": round(rng.uniform(-0.5, 1), 6) for i in range(size)}
-        perturbed = {f"r{i}": round(rng.uniform(-0.5, 1), 6) for i in range(size)}
+        scores = np.array([round(rng.uniform(-0.5, 1), 6) for i in range(size)])
+        perturbed = np.array([round(rng.uniform(-0.5, 1), 6) for i in range(size)])
         n = rng.randint(1, size)
-        base_ranked = rank_resumes(records(scores))
-        base_excl = exclusion(base_ranked, perturbed, n)
+        base_ranks = competition_ranks(scores)
+        base_excl = exclusion(scores, perturbed, n)
         for f in monotone_transforms():
-            t_ranked = rank_resumes(records({k: f(v) for k, v in scores.items()}))
-            assert [(e.resume_id, e.rank) for e in t_ranked.entries] == \
-                   [(e.resume_id, e.rank) for e in base_ranked.entries]
-            assert t_ranked.top_n(n).members == base_ranked.top_n(n).members
-            t_excl = exclusion(t_ranked, {k: f(v) for k, v in perturbed.items()}, n)
-            assert t_excl == base_excl
+            assert np.array_equal(competition_ranks(mapped(f, scores)), base_ranks)
+            assert exclusion(mapped(f, scores), mapped(f, perturbed), n) == base_excl
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +227,11 @@ def test_metrics_invariant_under_monotone_transform():
 # ---------------------------------------------------------------------------
 
 def balanced_pool():
-    """40 members, scores descending in an order that keeps every group count
-    equal in any prefix of multiples of four."""
-    groups = ["FB", "FW", "MB", "MW"]
-    return [PooledScore(member_id=f"m{i}", group=groups[i % 4], score=1.0 - i * 0.01)
-            for i in range(40)]
+    """4 groups x 10 resumes; member 4r + g (group g, resume r) scores
+    1 - (4r + g) / 100, so every group count is equal in any prefix of
+    multiples of four."""
+    return np.array([[1.0 - (4 * r + g) * 0.01 for r in range(10)]
+                     for g in range(len(GROUP_CODES))])
 
 
 def test_non_uniformity_uniform_counts():
@@ -254,20 +244,17 @@ def test_non_uniformity_uniform_counts():
 
 def test_non_uniformity_spec_counts():
     # top 25% of 160 = 40 selected with group layout 20/10/5/5
-    members = []
+    by_group = {g: [] for g in GROUP_CODES}
     layout = [("FB", 20), ("FW", 10), ("MB", 5), ("MW", 5)]
+    # remaining 120 below the cut, filling every group to 40 to keep the pool balanced
+    remaining = [("FB", 40 - 20), ("FW", 40 - 10), ("MB", 40 - 5), ("MW", 40 - 5)]
     score = 1.0
-    for group, count in layout:
+    for group, count in layout + remaining:
         for i in range(count):
-            members.append(PooledScore(f"{group}{i}", group, score))
+            by_group[group].append(score)
             score -= 0.001
-    # remaining 120 below the cut, 30 per group to keep the pool balanced
-    remaining = {"FB": 40 - 20, "FW": 40 - 10, "MB": 40 - 5, "MW": 40 - 5}
-    for group, count in remaining.items():
-        for i in range(count):
-            members.append(PooledScore(f"low{group}{i}", group, score))
-            score -= 0.001
-    (res,) = non_uniformity({"j": members}, x=25.0)
+    pool = np.array([by_group[g] for g in GROUP_CODES])
+    (res,) = non_uniformity({"j": pool}, x=25.0)
     assert res.counts == {"FB": 20, "FW": 10, "MB": 5, "MW": 5}
     assert res.chi2 == pytest.approx(15.0)
     assert res.p == pytest.approx(0.00182, abs=1e-5)
@@ -303,19 +290,19 @@ def test_non_uniformity_validates_inputs():
         non_uniformity({"j": pool}, x=101.0)
     with pytest.raises(RetrievalError):
         non_uniformity({"j": pool}, x=10.0, mode="pooled")  # no occupation map
-    unbalanced = pool[:-1]
     with pytest.raises(RetrievalError, match="four group versions"):
-        non_uniformity({"j": unbalanced}, x=10.0)
+        non_uniformity({"j": pool[:3]}, x=10.0)  # a group missing
+    with pytest.raises(RetrievalError, match="four group versions"):
+        non_uniformity({"j": pool.ravel()}, x=10.0)  # no group axis
 
 
 def test_non_uniformity_counts_invariant_under_monotone_transform():
-    pool = [PooledScore(f"m{i}", ["FB", "FW", "MB", "MW"][i % 4],
-                        round(random.Random(i).uniform(0, 1), 6))
-            for i in range(80)]
+    # member 4r + g is group g's version of resume r
+    pool = np.array([[round(random.Random(4 * r + g).uniform(0, 1), 6) for r in range(20)]
+                     for g in range(len(GROUP_CODES))])
     base = non_uniformity({"j": pool}, x=25.0)[0]
     for f in monotone_transforms():
-        mapped = [PooledScore(p.member_id, p.group, f(p.score)) for p in pool]
-        res = non_uniformity({"j": mapped}, x=25.0)[0]
+        res = non_uniformity({"j": mapped(f, pool)}, x=25.0)[0]
         assert res.counts == base.counts
         assert res.flag == base.flag
 
@@ -348,10 +335,10 @@ def test_directional_exclusion_identity_grid():
 
 def test_directional_exclusion_averages_constituents():
     grid = [
-        SwapExclusion("MW", "FW", 0.2, "j1"),
-        SwapExclusion("MB", "FB", 0.4, "j1"),
-        SwapExclusion("FW", "MW", 0.1, "j1"),
-        SwapExclusion("FB", "MB", 0.1, "j1"),
+        SwapExclusion("MW", "FW", 0.2),
+        SwapExclusion("MB", "FB", 0.4),
+        SwapExclusion("FW", "MW", 0.1),
+        SwapExclusion("FB", "MB", 0.1),
     ]
     results = {r.direction: r for r in directional_exclusion(grid)}
     assert results["M->F"].value == pytest.approx(0.3)
@@ -379,6 +366,37 @@ def test_score_table_round_trip(tmp_path):
     assert read_score_table(path) == rows
 
 
+def test_score_array_is_dense_and_sorted():
+    cells = itertools.product(("swap:MW->FW", "name:MW"), ("j2", "j1"), ("r2", "r1"))
+    rows = [ScoreRow(job, rid, variant + "@d1", float(score))
+            for score, (variant, job, rid) in enumerate(cells)]
+    table = score_array(rows)
+    assert table.variants == ("name:MW", "swap:MW->FW")  # draw tag dropped
+    assert table.jobs == ("j1", "j2") and table.resumes == ("r1", "r2")
+    assert table.of("name:MW").tolist() == [[7.0, 6.0], [5.0, 4.0]]
+    assert table.of("swap:MW->FW")[1].tolist() == [1.0, 0.0]
+    with pytest.raises(RetrievalError, match="not present"):
+        table.of("name:FW")
+    with pytest.raises(RetrievalError, match="not present"):
+        table.pools()
+
+
+def test_score_array_pools_follow_group_codes():
+    rows = [ScoreRow("j", "r", f"name:{g}", float(i)) for i, g in enumerate(GROUP_CODES)]
+    (job, pool), = score_array(reversed(rows)).pools().items()
+    assert job == "j" and pool.tolist() == [[0.0], [1.0], [2.0], [3.0]]
+
+
+def test_score_array_rejects_gaps_and_bad_scores():
+    rows = [ScoreRow("j1", "r1", "name:MW", 0.5), ScoreRow("j2", "r2", "name:MW", 0.4)]
+    with pytest.raises(RetrievalError, match="lacks 2 cell"):
+        score_array(rows)
+    with pytest.raises(RetrievalError, match="non-finite"):
+        score_array([ScoreRow("j1", "r1", "name:MW", math.nan)])
+    with pytest.raises(RetrievalError, match="empty"):
+        score_array([])
+
+
 def test_score_table_header_check(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope,nope\n1,2\n")
@@ -389,8 +407,5 @@ def test_score_table_header_check(tmp_path):
 @given(st.lists(st.floats(-1, 1), min_size=2, max_size=12, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_exclusion_bounds(scores):
-    table = {f"r{i}": s for i, s in enumerate(scores)}
-    perturbed = {k: -v for k, v in table.items()}
-    ranked = rank_resumes(records(table))
-    value = exclusion(ranked, perturbed, 2)
+    value = exclusion(scores, [-s for s in scores], 2)
     assert 0.0 <= value <= 1.0
