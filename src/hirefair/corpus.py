@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
@@ -142,11 +144,15 @@ class NamePool:
 
     The bundled asset carries exactly 100 names per group; ad-hoc pools
     (fixtures, user-supplied) may be smaller but need at least two names.
+    ``bins`` maps each name to its frequency quartile bin: the number of
+    upper-value quartile boundaries of the pool's frequencies strictly below
+    the name's frequency, so a pool with one distinct frequency has one bin.
     """
 
     group: DemographicGroup
     names: tuple[str, ...]
     frequencies: dict[str, int] = field(default_factory=dict)
+    bins: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -160,6 +166,11 @@ class NamePool:
             if f < 0:
                 raise ValueError(f"negative frequency for {name!r}")
         object.__setattr__(self, "frequencies", freqs)
+        boundaries = np.percentile(list(freqs.values()), (25.0, 50.0, 75.0),
+                                   method="higher")
+        object.__setattr__(self, "bins", {
+            name: int(np.count_nonzero(boundaries < f)) for name, f in freqs.items()
+        })
 
 
 def _group_to_json(group: DemographicGroup | None) -> str | None:
@@ -263,8 +274,8 @@ def load_corpus(path) -> tuple[list[Resume], list[JobPost]]:
     return resumes, jobs
 
 
-def load_name_pools(path=None, *, frequency_overrides: dict[str, dict[str, int]] | None = None,
-                    verify_checksum: bool = True) -> dict[str, NamePool]:
+def load_name_pools(path=None, *, frequency_overrides: dict[str, dict[str, int]] | None = None
+                    ) -> dict[str, NamePool]:
     """Load name pools keyed by group code.
 
     With no path, loads the bundled asset and verifies its sha256 against
@@ -274,7 +285,7 @@ def load_name_pools(path=None, *, frequency_overrides: dict[str, dict[str, int]]
     bundled = path is None
     path = Path(path) if path is not None else _DATA_DIR / "name_pools.json"
     raw = path.read_bytes()
-    if bundled and verify_checksum:
+    if bundled:
         digest = hashlib.sha256(raw).hexdigest()
         if digest != NAME_POOL_SHA256:
             raise CorpusError(

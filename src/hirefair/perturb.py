@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from hirefair.corpus import (
+    GROUP_CODES,
     DemographicGroup,
     NamePool,
     Resume,
@@ -31,23 +30,27 @@ from hirefair.corpus import (
 
 logger = logging.getLogger(__name__)
 
-KINDS = (
-    "assign_name",
-    "between_group_name",
-    "within_group_name",
-    "typo",
-    "spacing",
-    "extracurricular",
-)
 
-_REQUIRED_PARAMS = {
-    "assign_name": ("group",),
-    "between_group_name": ("source", "target"),
-    "within_group_name": (),
-    "typo": (),
-    "spacing": (),
-    "extracurricular": (),
+def _one_of(*values):
+    return lambda v: isinstance(v, str) and v in values
+
+
+_GROUP = _one_of(*GROUP_CODES)
+
+#: Parameters each kind accepts, with a check of each value.
+_PARAMS = {
+    "assign_name": {"group": _GROUP},
+    "between_group_name": {"source": _GROUP, "target": _GROUP,
+                           "matching": _one_of("frequency_binned", "random")},
+    "within_group_name": {},
+    "typo": {"count": lambda v: type(v) is int and v >= 0},
+    "spacing": {"mode": _one_of("collapse", "per_newline")},
+    "extracurricular": {"all_sources": lambda v: type(v) is bool},
 }
+
+KINDS = tuple(_PARAMS)
+
+_REQUIRED_PARAMS = {"assign_name": ("group",), "between_group_name": ("source", "target")}
 
 LAST_NAME = "Williams"
 NAME_PLACEHOLDER = "{{NAME}}"
@@ -89,15 +92,24 @@ class PerturbationSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.id:
-            raise PerturbError("spec id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise PerturbError(f"spec id must be a non-empty string, got {self.id!r}")
         if self.kind not in KINDS:
             raise PerturbError(f"unknown perturbation kind {self.kind!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise PerturbError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        missing = [p for p in _REQUIRED_PARAMS[self.kind] if p not in self.params]
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise PerturbError(f"spec {self.id!r}: seed must be a 64-bit unsigned "
+                               f"integer, got {self.seed!r}")
+        if not isinstance(self.params, dict):
+            raise PerturbError(f"spec {self.id!r}: params must be an object")
+        missing = [p for p in _REQUIRED_PARAMS.get(self.kind, ()) if p not in self.params]
         if missing:
             raise PerturbError(f"spec {self.id!r} ({self.kind}) missing params: {missing}")
+        checks = _PARAMS[self.kind]
+        for key, value in self.params.items():
+            if key not in checks:
+                raise PerturbError(f"spec {self.id!r} ({self.kind}): unknown param {key!r}")
+            if not checks[key](value):
+                raise PerturbError(f"spec {self.id!r} ({self.kind}): invalid {key} {value!r}")
 
 
 def _rng(seed: int, kind: str, resume_id: str) -> random.Random:
@@ -169,27 +181,10 @@ def _replace_name(body: str, old: str, new: str) -> str:
     return re.sub(rf"\b{re.escape(old)}\b", new, body)
 
 
-def frequency_bins(pool: NamePool, n_bins: int = 4) -> dict[str, int]:
-    """Bin pool names by frequency quartiles; returns name -> bin index.
-
-    Boundaries are the upper-value quartiles of the pool's frequency
-    distribution; a name's bin is the number of boundaries strictly below
-    its frequency. Pools with a single distinct frequency collapse to one bin.
-    """
-    freqs = [pool.frequencies[n] for n in pool.names]
-    qs = [100.0 * k / n_bins for k in range(1, n_bins)]
-    boundaries = np.percentile(freqs, qs, method="higher")
-    return {
-        name: int(sum(1 for b in boundaries if pool.frequencies[name] > b))
-        for name in pool.names
-    }
-
-
 def _bin_candidates(pool: NamePool, want_bin: int, exclude: set[str]) -> tuple[list[str], int]:
     """Names of ``want_bin`` minus exclusions, falling back to the nearest bin."""
-    bins = frequency_bins(pool)
     by_bin: dict[int, list[str]] = {}
-    for name, b in bins.items():
+    for name, b in pool.bins.items():
         if name not in exclude:
             by_bin.setdefault(b, []).append(name)
     if not by_bin:
@@ -224,7 +219,7 @@ def between_group_swap(resume: Resume, target: DemographicGroup,
     exclude = set(overlapping_names(pools)) | {old}
     fallback_bin = None
     if matching == "frequency_binned":
-        want = frequency_bins(source_pool).get(old)
+        want = source_pool.bins.get(old)
         if want is None:
             raise PerturbError(
                 f"resume {resume.id}: first name {old!r} not in pool {resume.group.code}"
@@ -259,12 +254,11 @@ def within_group_swap(resume: Resume, pools: Mapping[str, NamePool], seed: int,
     if old is None:
         raise PerturbError(f"resume {resume.id}: cannot determine current first name")
     pool = pools[resume.group.code]
-    bins = frequency_bins(pool)
-    if old not in bins:
+    if old not in pool.bins:
         raise PerturbError(
             f"resume {resume.id}: first name {old!r} not in pool {resume.group.code}"
         )
-    want = bins[old]
+    want = pool.bins[old]
     candidates, got = _bin_candidates(pool, want, exclude={old})
     rng = _rng(seed, "within_group_name", resume.id)
     new = rng.choice(candidates)
@@ -335,7 +329,7 @@ def spacing_perturb(resume: Resume, mode: str = "collapse",
     return resume.with_body(body, lineage_entry=lineage_entry(spec_id, mode=mode))
 
 
-def add_extracurriculars(resume: Resume, backend, seed: int,
+def add_extracurriculars(resume: Resume, backend,
                          audit_log: list | None = None,
                          spec_id: str = "extracurricular") -> Resume:
     """Append identity-conditioned extracurricular sections from a completion
@@ -371,35 +365,35 @@ def apply_spec(resume: Resume, spec: PerturbationSpec,
                backend=None, audit_log: list | None = None) -> Resume:
     """Apply one spec to one resume; returns the resume unchanged when the
     spec does not target it (wrong source group / non-generated source)."""
-    kind = spec.kind
+    kind, params = spec.kind, spec.params
     if kind == "assign_name":
-        group = DemographicGroup.from_code(spec.params["group"])
+        group = DemographicGroup.from_code(params["group"])
         return assign_name(resume, group, pools, spec.seed, spec_id=spec.id)
     if kind == "between_group_name":
-        if resume.group is None or resume.group.code != spec.params["source"]:
+        if resume.group is None or resume.group.code != params["source"]:
             logger.debug("spec %s skips resume %s (group mismatch)", spec.id, resume.id)
             return resume
-        target = DemographicGroup.from_code(spec.params["target"])
+        target = DemographicGroup.from_code(params["target"])
         return between_group_swap(
             resume, target, pools, spec.seed,
-            matching=spec.params.get("matching", "frequency_binned"),
-            spec_id=spec.id,
+            matching=params.get("matching", "frequency_binned"), spec_id=spec.id,
         )
     if kind == "within_group_name":
         return within_group_swap(resume, pools, spec.seed, spec_id=spec.id)
     if kind == "typo":
-        return typo_perturb(resume, spec.seed,
-                            count=int(spec.params.get("count", 10)), spec_id=spec.id)
+        return typo_perturb(resume, spec.seed, count=params.get("count", 10),
+                            spec_id=spec.id)
     if kind == "spacing":
-        return spacing_perturb(resume, mode=spec.params.get("mode", "collapse"),
+        return spacing_perturb(resume, mode=params.get("mode", "collapse"),
                                spec_id=spec.id)
-    if kind == "extracurricular":
-        if resume.source != "generated" and not spec.params.get("all_sources", False):
-            logger.debug("spec %s skips resume %s (source %s)", spec.id, resume.id, resume.source)
-            return resume
-        return add_extracurriculars(resume, backend, spec.seed,
-                                    audit_log=audit_log, spec_id=spec.id)
-    raise PerturbError(f"unknown perturbation kind {kind!r}")
+    # extracurricular, the one kind that calls a backend
+    if backend is None:
+        raise PerturbError(f"spec {spec.id!r}: extracurricular augmentation needs "
+                           "a completion backend")
+    if resume.source != "generated" and not params.get("all_sources", False):
+        logger.debug("spec %s skips resume %s (source %s)", spec.id, resume.id, resume.source)
+        return resume
+    return add_extracurriculars(resume, backend, audit_log=audit_log, spec_id=spec.id)
 
 
 def apply_plan(resumes: Sequence[Resume], specs: Sequence[PerturbationSpec],
@@ -416,14 +410,23 @@ def apply_plan(resumes: Sequence[Resume], specs: Sequence[PerturbationSpec],
 
 
 def load_plan(path) -> list[PerturbationSpec]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("schema_version") != PLAN_SCHEMA_VERSION:
+    """Read a plan file; a file that is not a valid plan is a PerturbError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise PerturbError(f"cannot read plan {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("schema_version") != PLAN_SCHEMA_VERSION:
         raise PerturbError("plan file missing or unsupported schema_version")
-    return [
-        PerturbationSpec(id=s["id"], kind=s["kind"], seed=int(s["seed"]),
-                         params=dict(s.get("params", {})))
-        for s in doc["specs"]
-    ]
+    try:
+        return [
+            PerturbationSpec(id=s["id"], kind=s["kind"], seed=s["seed"],
+                             params=s.get("params", {}))
+            for s in doc["specs"]
+        ]
+    except KeyError as exc:
+        raise PerturbError(f"malformed plan {path}: missing {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise PerturbError(f"malformed plan {path}: {exc}") from exc
 
 
 def save_plan(specs: Sequence[PerturbationSpec], path) -> None:

@@ -23,7 +23,6 @@ from hirefair.backends import (
 from hirefair.config import RunConfig
 from hirefair.corpus import (
     GROUP_CODES,
-    DemographicGroup,
     JobPost,
     Resume,
     load_corpus,
@@ -31,6 +30,7 @@ from hirefair.corpus import (
     pair_jobs,
     validate_corpus,
 )
+from hirefair.perturb import PerturbationSpec
 from hirefair.report import (
     LedgerEntry,
     MetricReport,
@@ -53,12 +53,7 @@ SUMMARY_PROMPT = (
 )
 
 #: Ordered between-group swaps: gender flips and race flips.
-SWAP_PAIRS = (
-    ("MW", "FW"), ("MB", "FB"),   # M->F
-    ("FW", "MW"), ("FB", "MB"),   # F->M
-    ("MW", "MB"), ("FW", "FB"),   # W->B
-    ("MB", "MW"), ("FB", "FW"),   # B->W
-)
+SWAP_PAIRS = tuple(pair for pairs in retrieval.DIRECTIONS.values() for pair in pairs)
 
 #: Comparison pairs for summarization invariance: (first group, second group).
 COMPARISON_PAIRS = {
@@ -90,72 +85,52 @@ class VariantSet:
         return sorted(self.resumes)
 
 
+def variant_plans(config: RunConfig, draw: int) -> list[list[PerturbationSpec]]:
+    """One perturbation plan per variant of the corpus for one draw, in build
+    order. Every plan starts by naming the resume for one group (name:FW);
+    a variant's id is the id of its plan's last spec."""
+    master = config.master_seed
+
+    def spec(spec_id: str, kind: str, label: str, *parts, **params) -> PerturbationSpec:
+        return PerturbationSpec(id=spec_id, kind=kind,
+                                seed=derive_seed(master, label, draw, *parts),
+                                params=params)
+
+    name = {g: spec(f"name:{g}", "assign_name", "assign", g, group=g)
+            for g in GROUP_CODES}
+    swap = {(src, tgt): spec(f"swap:{src}->{tgt}", "between_group_name", "swap",
+                             src, tgt, source=src, target=tgt,
+                             matching=config.swap_matching)
+            for src, tgt in SWAP_PAIRS}
+    plans = [[name[g]] for g in GROUP_CODES]
+    plans += [[name[src], swap[src, tgt]] for src, tgt in SWAP_PAIRS]
+    for g in GROUP_CODES:
+        plans += [
+            [name[g], spec(f"within:{g}", "within_group_name", "within", g)],
+            [name[g], spec(f"typo:{g}", "typo", "typo", g, count=config.typo_count)],
+            [name[g], spec(f"spacing:{g}", "spacing", "spacing", g,
+                           mode=config.spacing_mode)],
+        ]
+    if config.extracurricular:
+        plans += [[name[g], spec(f"extra:{g}", "extracurricular", "extra", g)]
+                  for g in GROUP_CODES]
+        plans += [[name[src], swap[src, tgt],
+                   spec(f"extraswap:{src}->{tgt}", "extracurricular", "extra-swap",
+                        src, tgt)]
+                  for src, tgt in SWAP_PAIRS]
+    return plans
+
+
 def build_variants(resumes: list[Resume], pools, config: RunConfig, draw: int,
                    completion_backend=None, audit_log: list | None = None) -> VariantSet:
-    """Construct the named originals plus every perturbed version."""
-    master = config.master_seed
-    variants: dict[str, dict[str, Resume]] = {}
-
-    named: dict[str, dict[str, Resume]] = {}
-    for g in GROUP_CODES:
-        group = DemographicGroup.from_code(g)
-        seed = derive_seed(master, "assign", draw, g)
-        named[g] = {
-            r.id: perturb.assign_name(r, group, pools, seed, spec_id=f"assign:{g}")
-            for r in resumes
-        }
-        variants[f"name:{g}"] = named[g]
-
-    for src, tgt in SWAP_PAIRS:
-        seed = derive_seed(master, "swap", draw, src, tgt)
-        target = DemographicGroup.from_code(tgt)
-        variants[f"swap:{src}->{tgt}"] = {
-            rid: perturb.between_group_swap(
-                res, target, pools, seed, matching=config.swap_matching,
-                spec_id=f"swap:{src}->{tgt}",
-            )
-            for rid, res in named[src].items()
-        }
-
-    for g in GROUP_CODES:
-        seed = derive_seed(master, "within", draw, g)
-        variants[f"within:{g}"] = {
-            rid: perturb.within_group_swap(res, pools, seed, spec_id=f"within:{g}")
-            for rid, res in named[g].items()
-        }
-        seed = derive_seed(master, "typo", draw, g)
-        variants[f"typo:{g}"] = {
-            rid: perturb.typo_perturb(res, seed, count=config.typo_count,
-                                      spec_id=f"typo:{g}")
-            for rid, res in named[g].items()
-        }
-        variants[f"spacing:{g}"] = {
-            rid: perturb.spacing_perturb(res, mode=config.spacing_mode,
-                                         spec_id=f"spacing:{g}")
-            for rid, res in named[g].items()
-        }
-
-    if config.extracurricular:
-        if completion_backend is None:
-            raise DataError("extracurricular augmentation needs a completion backend")
-        for g in GROUP_CODES:
-            seed = derive_seed(master, "extra", draw, g)
-            variants[f"extra:{g}"] = {
-                rid: perturb.add_extracurriculars(res, completion_backend, seed,
-                                                  audit_log=audit_log,
-                                                  spec_id=f"extra:{g}")
-                for rid, res in named[g].items()
-            }
-        for src, tgt in SWAP_PAIRS:
-            seed = derive_seed(master, "extra-swap", draw, src, tgt)
-            variants[f"extraswap:{src}->{tgt}"] = {
-                rid: perturb.add_extracurriculars(res, completion_backend, seed,
-                                                  audit_log=audit_log,
-                                                  spec_id=f"extraswap:{src}->{tgt}")
-                for rid, res in variants[f"swap:{src}->{tgt}"].items()
-            }
-
-    return VariantSet(draw=draw, resumes=variants)
+    """Every variant of the corpus for one draw: each of variant_plans
+    applied by perturb.apply_plan, the code `hirefair perturb` runs."""
+    ids = [r.id for r in resumes]
+    return VariantSet(draw=draw, resumes={
+        plan[-1].id: dict(zip(ids, perturb.apply_plan(
+            resumes, plan, pools, completion_backend, audit_log)))
+        for plan in variant_plans(config, draw)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +319,8 @@ def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
     pairing by default; pair_runs="separate" keeps each run index as its
     own pair.
     """
-    measures = ["reading_ease", "reading_time", "polarity", "subjectivity"]
-    if any(mv.regard is not None for _, mv in measured):
-        measures.append("regard")
+    has_regard = any(mv.regard is not None for _, mv in measured)
+    measures = [m for m in MeasureVector.NAMES if m != "regard" or has_regard]
 
     values: dict[tuple, float] = {}
     models, cells, run_indices, resume_ids = set(), set(), set(), set()

@@ -250,6 +250,9 @@ def read_score_table(path) -> list[ScoreRow]:
         if header != list(SCORE_TABLE_FIELDS):
             raise RetrievalError(f"unexpected score table header: {header}")
         for rec in reader:
+            if len(rec) != len(SCORE_TABLE_FIELDS):
+                raise RetrievalError(f"{path}: line {reader.line_num}: expected "
+                                     f"{len(SCORE_TABLE_FIELDS)} fields, got {len(rec)}")
             rows.append(ScoreRow(job_id=rec[0], resume_id=rec[1],
                                  variant_id=rec[2], score=float(rec[3])))
     return rows

@@ -275,12 +275,11 @@ class MeasureVector:
         return getattr(self, measure)
 
 
-def measure_text(text: str, regard_client: RegardClient | None = None,
-                 ms_per_char: float = READING_MS_PER_CHAR) -> MeasureVector:
+def measure_text(text: str, regard_client: RegardClient | None = None) -> MeasureVector:
     """Compute all five measures; regard is absent without a configured client."""
     return MeasureVector(
         reading_ease=flesch_reading_ease(text),
-        reading_time=reading_time(text, ms_per_char),
+        reading_time=reading_time(text),
         polarity=polarity(text),
         subjectivity=subjectivity(text),
         regard=regard_client.score(text) if regard_client is not None else None,

@@ -7,8 +7,16 @@ from click.testing import CliRunner
 from hirefair.backends import build_backend
 from hirefair.cli import main
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
-from hirefair.corpus import load_corpus
-from hirefair.pipeline import DataError, derive_seed, run_audit, summary_prompt
+from hirefair.corpus import Resume, load_corpus
+from hirefair.perturb import save_plan
+from hirefair.pipeline import (
+    DataError,
+    build_variants,
+    derive_seed,
+    run_audit,
+    summary_prompt,
+    variant_plans,
+)
 from hirefair.report import make_entry, read_ledger
 from hirefair.retrieval import cosine, read_score_table
 from hirefair.textmetrics import read_measures, read_summaries, summary_row
@@ -309,6 +317,77 @@ def test_cli_perturb_roundtrip(tmp_path, fixtures_dir):
     assert all(r.group is not None for r in resumes)
 
 
+@pytest.mark.parametrize("plan", [
+    "not json",
+    {"schema_version": 1},
+    {"schema_version": 1, "specs": [{"id": "t", "kind": "typo", "seed": "x"}]},
+    {"schema_version": 1, "specs": [{"id": "n", "kind": "assign_name", "seed": 1,
+                                     "params": {"group": "XX"}}]},
+    {"schema_version": 1, "specs": [{"id": "t", "kind": "typo", "seed": 1,
+                                     "params": {"count": "abc"}}]},
+    {"schema_version": 1, "specs": [
+        {"id": "n", "kind": "assign_name", "seed": 1, "params": {"group": "FW"}},
+        {"id": "x", "kind": "extracurricular", "seed": 1}]},
+])
+def test_cli_perturb_bad_plan_is_data_error(tmp_path, fixtures_dir, plan):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(plan if isinstance(plan, str) else json.dumps(plan))
+    result = CliRunner().invoke(main, [
+        "perturb", "--plan", str(plan_path),
+        "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(tmp_path / "o.jsonl"),
+    ])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("error: ")
+
+
+def test_variant_plans_reproduce_run_scores(tmp_path, fixtures_dir):
+    """Each of the run's variant plans, saved and applied by `perturb` and
+    scored by `embed`, gives exactly the run's score rows for that variant."""
+    config = load_run_config(write_config(tmp_path, fixtures_dir))
+    run_audit(config)
+    run_rows = (Path(config.out_dir) / "scores_emb.csv").read_text().splitlines()[1:]
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps({"backends": [MOCK_EMBED]}))
+    runner = CliRunner()
+    plans = variant_plans(config, 0)
+    assert len(plans) == 24
+    for plan in plans:
+        variant = plan[-1].id
+        plan_path, corpus, scores = (tmp_path / f"{variant}.{ext}".replace(":", "_")
+                                     for ext in ("json", "jsonl", "csv"))
+        save_plan(plan, plan_path)
+        for args in (
+            ["perturb", "--plan", str(plan_path),
+             "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(corpus)],
+            ["embed", "--backends", str(backends_path), "--in", str(corpus),
+             "--out", str(scores)],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        expected = sorted(r for r in run_rows if r.split(",")[2] == variant)
+        assert len(expected) == 12 * 3
+        assert sorted(scores.read_text().splitlines()[1:]) == expected
+
+
+def test_run_augments_generated_resumes_only(tmp_path, fixtures_dir, pools):
+    class Backend:
+        def complete_text(self, prompt):
+            return "Awards\n- Prize"
+
+    config = load_run_config(write_config(tmp_path, fixtures_dir, extracurricular=True))
+    resumes = [Resume(id="g", profession="Accountant", body="Ledgers.\n", source="generated"),
+               Resume(id="k", profession="Accountant", body="Ledgers.\n", source="kaggle")]
+    variants = build_variants(resumes, pools, config, 0, completion_backend=Backend())
+    for g in ("FB", "FW", "MB", "MW"):
+        named, extra = variants.resumes[f"name:{g}"], variants.resumes[f"extra:{g}"]
+        assert extra["g"].body.endswith("Awards\n- Prize\n")
+        assert extra["k"].body == named["k"].body
+    result = CliRunner().invoke(main, ["run", "--config", str(write_config(
+        tmp_path, fixtures_dir, extracurricular=True, backends=[MOCK_EMBED]))])
+    assert result.exit_code == 4, result.output
+    assert "needs a completion backend" in result.output
+
+
 def test_cli_embed_and_audit_retrieval(tmp_path, fixtures_dir):
     backends = {"backends": [{"id": "emb", "kind": "embedding",
                               "protocol": "mock", "model_name": "bow"}]}
@@ -513,6 +592,19 @@ def test_cli_rank_from_score_table(tmp_path, fixtures_dir):
                                    str(Path(config.out_dir) / "scores_emb.csv"),
                                    "--variant", "name:XX"])
     assert missing.exit_code == 4
+
+
+@pytest.mark.parametrize("args", [
+    ["rank"],
+    ["audit", "retrieval", "--metric", "exclusion"],
+    ["audit", "retrieval", "--metric", "nonuniformity"],
+])
+def test_cli_short_score_row_is_data_error(tmp_path, args):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("job_id,resume_id,variant_id,score\nj1,r1,name:MW\n")
+    result = CliRunner().invoke(main, args + ["--scores", str(scores)])
+    assert result.exit_code == 4, result.output
+    assert "expected 4 fields, got 3" in result.output
 
 
 def test_cli_audit_summarization(tmp_path, fixtures_dir):

@@ -16,7 +16,6 @@ from hirefair.perturb import (
     assign_name,
     assigned_first_name,
     between_group_swap,
-    frequency_bins,
     lineage_entry,
     load_plan,
     parse_lineage_entry,
@@ -162,7 +161,7 @@ def test_between_swap_frequency_binned_uses_matching_bin(tiny_pools, unnamed_res
 # ---------------------------------------------------------------------------
 
 def test_frequency_bins_quartiles(tiny_pools):
-    bins = frequency_bins(tiny_pools["MW"])
+    bins = tiny_pools["MW"].bins
     assert bins["Arlo"] == bins["Bram"] == 0  # low bin holds 1 and 2
     assert bins["Cato"] == 1
     assert bins["Dov"] == 2
@@ -170,7 +169,7 @@ def test_frequency_bins_quartiles(tiny_pools):
 
 def test_frequency_bins_degenerate_equal_frequencies():
     pool = make_pool("MW", {"A": 7, "B": 7, "C": 7, "D": 7})
-    assert set(frequency_bins(pool).values()) == {0}
+    assert set(pool.bins.values()) == {0}
 
 
 def test_within_swap_same_bin(tiny_pools, unnamed_resume):
@@ -196,7 +195,7 @@ def test_within_swap_bin_fallback_recorded(unnamed_resume):
     # "Solo" sits alone in the top bin; swap must fall back to the nearest
     # occupied bin and record that in lineage
     pools = {"MW": make_pool("MW", {"A": 1, "B": 2, "C": 3, "Solo": 100})}
-    assert frequency_bins(pools["MW"]) == {"A": 0, "B": 0, "C": 1, "Solo": 2}
+    assert pools["MW"].bins == {"A": 0, "B": 0, "C": 1, "Solo": 2}
     named = assign_name(unnamed_resume, MW, pools, seed=4)
     named = named.with_body(named.body.replace(assigned_first_name(named), "Solo"),
                             lineage_entry="fix#first=Solo")
@@ -344,15 +343,15 @@ class GroupKeyedBackend:
 
 def test_extracurricular_appends_block(unnamed_resume, pools):
     named = assign_name(unnamed_resume, FW, pools, seed=1)
-    out = add_extracurriculars(named, FixedBlockBackend(), seed=0)
+    out = add_extracurriculars(named, FixedBlockBackend())
     assert out.body == named.body.rstrip("\n") + "\n\n" + FixedBlockBackend.block + "\n"
 
 
 def test_extracurricular_group_conditioned(unnamed_resume, pools):
     backend = GroupKeyedBackend()
-    fw = add_extracurriculars(assign_name(unnamed_resume, FW, pools, 1), backend, 0)
+    fw = add_extracurriculars(assign_name(unnamed_resume, FW, pools, 1), backend)
     mb_named = assign_name(unnamed_resume, MB, pools, 1)
-    mb = add_extracurriculars(mb_named, backend, 0)
+    mb = add_extracurriculars(mb_named, backend)
     assert fw.body != mb.body
     assert "White female section" in fw.body
     assert "Black male section" in mb.body
@@ -360,7 +359,7 @@ def test_extracurricular_group_conditioned(unnamed_resume, pools):
 
 def test_extracurricular_requires_group(unnamed_resume):
     with pytest.raises(PerturbError, match="group"):
-        add_extracurriculars(unnamed_resume, FixedBlockBackend(), seed=0)
+        add_extracurriculars(unnamed_resume, FixedBlockBackend())
 
 
 def test_extracurricular_empty_completion_rejected(unnamed_resume, pools):
@@ -370,13 +369,13 @@ def test_extracurricular_empty_completion_rejected(unnamed_resume, pools):
 
     named = assign_name(unnamed_resume, FW, pools, seed=1)
     with pytest.raises(PerturbError, match="empty completion"):
-        add_extracurriculars(named, EmptyBackend(), seed=0)
+        add_extracurriculars(named, EmptyBackend())
 
 
 def test_extracurricular_audit_log(unnamed_resume, pools):
     named = assign_name(unnamed_resume, FW, pools, seed=1)
     log = []
-    add_extracurriculars(named, FixedBlockBackend(), seed=0, audit_log=log)
+    add_extracurriculars(named, FixedBlockBackend(), audit_log=log)
     (entry,) = log
     assert entry["resume_id"] == named.id
     assert "You are White, female professional" in entry["prompt"]
