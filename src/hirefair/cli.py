@@ -21,6 +21,7 @@ from hirefair.corpus import (
     load_corpus,
     load_name_pools,
     pair_jobs,
+    read_frequency_table,
     save_corpus,
     validate_corpus,
 )
@@ -91,12 +92,16 @@ def corpus_validate(path):
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-def perturb_cmd(plan_path, in_path, out_path):
+@click.option("--frequency-table", "frequency_table", default=None,
+              type=click.Path(exists=True),
+              help="A {group: {name: count}} JSON, the run config's frequency_table.")
+def perturb_cmd(plan_path, in_path, out_path, frequency_table):
     """Apply an ordered perturbation plan to a corpus."""
     try:
         specs = perturb.load_plan(plan_path)
         resumes, jobs = load_corpus(in_path)
-        pools = load_name_pools()
+        pools = load_name_pools(frequency_overrides=(
+            read_frequency_table(frequency_table) if frequency_table else None))
         perturbed = perturb.apply_plan(resumes, specs, pools=pools)
         save_corpus(perturbed, jobs, out_path)
     except (CorpusError, perturb.PerturbError) as exc:

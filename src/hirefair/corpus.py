@@ -274,6 +274,26 @@ def load_corpus(path) -> tuple[list[Resume], list[JobPost]]:
     return resumes, jobs
 
 
+def read_frequency_table(path) -> dict[str, dict[str, int]]:
+    """A ``{group code: {name: count}}`` JSON file, the ``frequency_overrides``
+    of load_name_pools; a file that is not such a table is a CorpusError."""
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorpusError(f"cannot read frequency table {path}: {exc}") from exc
+    if not isinstance(table, dict):
+        raise CorpusError(f"frequency table {path}: expected a JSON object")
+    for code, counts in table.items():
+        if code not in GROUP_CODES:
+            raise CorpusError(f"frequency table {path}: unknown group {code!r}")
+        if not isinstance(counts, dict) or not all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                for n in counts.values()):
+            raise CorpusError(f"frequency table {path}: group {code} needs "
+                              "an object of non-negative integer counts")
+    return table
+
+
 def load_name_pools(path=None, *, frequency_overrides: dict[str, dict[str, int]] | None = None
                     ) -> dict[str, NamePool]:
     """Load name pools keyed by group code.

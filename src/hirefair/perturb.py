@@ -196,14 +196,16 @@ def _bin_candidates(pool: NamePool, want_bin: int, exclude: set[str]) -> tuple[l
 def between_group_swap(resume: Resume, target: DemographicGroup,
                        pools: Mapping[str, NamePool], seed: int,
                        matching: str = "frequency_binned",
-                       spec_id: str = "between_group_name") -> Resume:
+                       spec_id: str = "between_group_name",
+                       shared_names: frozenset[str] | None = None) -> Resume:
     """Swap the first name into the target group's pool.
 
     All whole-word occurrences of the old first name are replaced; nothing
     else in the body changes. Names that appear in more than one pool are
-    never chosen as targets, keeping the new group label unambiguous. With
-    frequency_binned matching the replacement comes from the target-pool
-    quartile bin matching the old name's bin in its own pool.
+    never chosen as targets, keeping the new group label unambiguous;
+    ``shared_names`` is ``overlapping_names(pools)`` when the caller already
+    has it. With frequency_binned matching the replacement comes from the
+    target-pool quartile bin matching the old name's bin in its own pool.
     """
     if resume.group is None:
         raise PerturbError(f"resume {resume.id} is unnamed; assign a name first")
@@ -216,7 +218,9 @@ def between_group_swap(resume: Resume, target: DemographicGroup,
         raise PerturbError(f"resume {resume.id}: cannot determine current first name")
     source_pool = pools[resume.group.code]
     target_pool = pools[target.code]
-    exclude = set(overlapping_names(pools)) | {old}
+    if shared_names is None:
+        shared_names = overlapping_names(pools)
+    exclude = set(shared_names) | {old}
     fallback_bin = None
     if matching == "frequency_binned":
         want = source_pool.bins.get(old)
@@ -362,9 +366,11 @@ def add_extracurriculars(resume: Resume, backend,
 
 def apply_spec(resume: Resume, spec: PerturbationSpec,
                pools: Mapping[str, NamePool] | None = None,
-               backend=None, audit_log: list | None = None) -> Resume:
+               backend=None, audit_log: list | None = None,
+               shared_names: frozenset[str] | None = None) -> Resume:
     """Apply one spec to one resume; returns the resume unchanged when the
-    spec does not target it (wrong source group / non-generated source)."""
+    spec does not target it (wrong source group / non-generated source).
+    ``shared_names`` is passed on to between_group_swap."""
     kind, params = spec.kind, spec.params
     if kind == "assign_name":
         group = DemographicGroup.from_code(params["group"])
@@ -377,6 +383,7 @@ def apply_spec(resume: Resume, spec: PerturbationSpec,
         return between_group_swap(
             resume, target, pools, spec.seed,
             matching=params.get("matching", "frequency_binned"), spec_id=spec.id,
+            shared_names=shared_names,
         )
     if kind == "within_group_name":
         return within_group_swap(resume, pools, spec.seed, spec_id=spec.id)
@@ -400,11 +407,12 @@ def apply_plan(resumes: Sequence[Resume], specs: Sequence[PerturbationSpec],
                pools: Mapping[str, NamePool] | None = None,
                backend=None, audit_log: list | None = None) -> list[Resume]:
     """Apply an ordered list of specs to every resume."""
+    shared_names = overlapping_names(pools) if pools is not None else None
     out = []
     for resume in resumes:
         for spec in specs:
             resume = apply_spec(resume, spec, pools=pools, backend=backend,
-                                audit_log=audit_log)
+                                audit_log=audit_log, shared_names=shared_names)
         out.append(resume)
     return out
 

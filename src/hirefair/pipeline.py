@@ -28,6 +28,7 @@ from hirefair.corpus import (
     load_corpus,
     load_name_pools,
     pair_jobs,
+    read_frequency_table,
     validate_corpus,
 )
 from hirefair.perturb import PerturbationSpec
@@ -441,7 +442,7 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
 
     freq_overrides = None
     if config.frequency_table_path:
-        freq_overrides = json.loads(Path(config.frequency_table_path).read_text())
+        freq_overrides = read_frequency_table(config.frequency_table_path)
     pools = load_name_pools(frequency_overrides=freq_overrides)
     problems = validate_corpus(resumes, jobs, pools)
     problems.extend(f"resume {r.id}: empty body" for r in resumes if not r.body.strip())

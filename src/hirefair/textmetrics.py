@@ -39,6 +39,9 @@ REGARD_CATEGORIES = ("positive", "negative", "neutral", "other")
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*")
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
+_SENTENCE_END_RE = re.compile(r"[.!?]+(?:\s+|$)")
+_WORD_CHARS_RE = re.compile(r"[A-Za-z.]+")
+_NON_LETTER_RE = re.compile(r"[^a-z]")
 
 
 class TextMetricsError(Exception):
@@ -55,6 +58,11 @@ def _lexicon() -> dict:
     return json.loads((_DATA_DIR / "sentiment_lexicon.json").read_text())
 
 
+@lru_cache(maxsize=1)
+def _abbreviations() -> frozenset[str]:
+    return frozenset(_text_rules()["abbreviations"])
+
+
 # ---------------------------------------------------------------------------
 # readability
 # ---------------------------------------------------------------------------
@@ -62,32 +70,36 @@ def _lexicon() -> dict:
 def split_sentences(text: str) -> list[str]:
     """Split on terminal punctuation (. ! ?) followed by whitespace or EOF,
     except after a known abbreviation. Segments without a word don't count."""
-    abbreviations = set(_text_rules()["abbreviations"])
+    abbreviations = _abbreviations()
+    # The last [A-Za-z.]+ run before a boundary is the first run found in the
+    # reversed text from that point, so no sentence is scanned twice.
+    reverse = text[::-1]
+    n = len(text)
     parts: list[str] = []
     start = 0
-    for match in re.finditer(r"[.!?]+(?:\s+|$)", text):
-        chunk = text[start:match.end()]
-        head = text[start:match.start()]
-        last_word = re.findall(r"[A-Za-z.]+", head)
-        if last_word and last_word[-1].rstrip(".").lower() in abbreviations:
+    for match in _SENTENCE_END_RE.finditer(text):
+        last_word = _WORD_CHARS_RE.search(reverse, n - match.start(), n - start)
+        if last_word and last_word.group()[::-1].rstrip(".").lower() in abbreviations:
             continue
-        parts.append(chunk)
+        parts.append(text[start:match.end()])
         start = match.end()
     if start < len(text):
         parts.append(text[start:])
     return [p for p in parts if _WORD_RE.search(p)]
 
 
+@lru_cache(maxsize=16384)
 def count_syllables(word: str) -> int:
     """Syllables by vowel-group counting with silent-e handling.
 
     Rules (shipped in data/text_rules.json): count maximal runs of aeiouy in
     the lowercased letters; subtract one for a trailing silent 'e' unless the
     word ends in consonant+'le'; exception table wins; minimum one syllable.
-    Tokens without letters count as one.
+    Tokens without letters count as one. Counts are memoised per word:
+    summaries reuse a small vocabulary.
     """
     rules = _text_rules()
-    letters = re.sub(r"[^a-z]", "", word.lower())
+    letters = _NON_LETTER_RE.sub("", word.lower())
     if not letters:
         return 1
     exceptions = rules["exceptions"]
@@ -118,7 +130,7 @@ def flesch_reading_ease(text: str) -> float:
     sentences = split_sentences(text)
     n_sentences = max(1, len(sentences))
     n_words = len(words)
-    n_syllables = sum(count_syllables(w) for w in words)
+    n_syllables = sum(map(count_syllables, words))
     return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
 
 
@@ -143,47 +155,66 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return max(lo, min(hi, value))
 
 
-def _is_negation(token: str, negations: set[str]) -> bool:
-    return token in negations or token.endswith("n't")
-
-
-def _sentiment_scores(text: str) -> list[tuple[float, float]]:
+@lru_cache(maxsize=16384)
+def _token_fact(token: str) -> tuple[tuple[float, float] | None, float | None, bool]:
+    """Lexicon facts of one token, resolved once per distinct token:
+    ((polarity, subjectivity) of a scored word or None, modifier intensity or
+    None, whether it negates)."""
     lex = _lexicon()
-    entries: Mapping[str, dict] = lex["entries"]
-    negations = set(lex["negations"])
-    neg_mult = lex["negation_multiplier"]
-    tokens = _TOKEN_RE.findall(text.lower())
-    scored: list[tuple[float, float]] = []
-    for i, token in enumerate(tokens):
-        entry = entries.get(token)
-        if entry is None or entry.get("modifier"):
-            continue
-        pol = float(entry.get("polarity", 0.0))
-        subj = float(entry.get("subjectivity", 0.0))
-        prev = entries.get(tokens[i - 1]) if i > 0 else None
-        if prev is not None and prev.get("modifier"):
-            pol *= float(prev["intensity"])
-            subj *= float(prev["intensity"])
-        if any(_is_negation(t, negations) for t in tokens[max(0, i - 2):i]):
-            pol *= neg_mult
-        scored.append((pol, subj))
-    return scored
+    negates = token in lex["negations"] or token.endswith("n't")
+    entry = lex["entries"].get(token)
+    if entry is None:
+        return None, None, negates
+    if entry.get("modifier"):
+        return None, float(entry["intensity"]), negates
+    return (float(entry.get("polarity", 0.0)), float(entry.get("subjectivity", 0.0))), None, negates
+
+
+def _sentiment_scores(text: str) -> tuple[list[float], list[float]]:
+    """Polarity and subjectivity of each matched word, in text order.
+
+    A modifier right before a matched word scales both of its scores; a
+    negation among the two tokens before it scales its polarity. Curly
+    apostrophes count as straight ones, so "don’t" negates like "don't".
+    """
+    neg_mult = _lexicon()["negation_multiplier"]
+    pols: list[float] = []
+    subjs: list[float] = []
+    intensity = None                 # modifier intensity of the previous token
+    negated_1 = negated_2 = False    # whether the previous / the one before negates
+    tokens = _TOKEN_RE.findall(text.lower().replace("’", "'"))
+    for scores, own_intensity, negates in map(_token_fact, tokens):
+        if scores is not None:
+            pol, subj = scores
+            if intensity is not None:
+                pol *= intensity
+                subj *= intensity
+            if negated_1 or negated_2:
+                pol *= neg_mult
+            pols.append(pol)
+            subjs.append(subj)
+        intensity, negated_1, negated_2 = own_intensity, negates, negated_1
+    return pols, subjs
+
+
+def _sentiment(text: str) -> tuple[float, float]:
+    """(polarity, subjectivity) from one scan: mean scores of matched words,
+    clamped to [-1, 1] and [0, 1]; (0, 0) with no matches."""
+    pols, subjs = _sentiment_scores(text)
+    if not pols:
+        return 0.0, 0.0
+    return (_clamp(sum(pols) / len(pols), -1.0, 1.0),
+            _clamp(sum(subjs) / len(subjs), 0.0, 1.0))
 
 
 def polarity(text: str) -> float:
     """Mean lexicon polarity of matched words in [-1, 1]; 0 with no matches."""
-    scored = _sentiment_scores(text)
-    if not scored:
-        return 0.0
-    return _clamp(sum(p for p, _ in scored) / len(scored), -1.0, 1.0)
+    return _sentiment(text)[0]
 
 
 def subjectivity(text: str) -> float:
     """Mean lexicon subjectivity of matched words in [0, 1]; 0 with no matches."""
-    scored = _sentiment_scores(text)
-    if not scored:
-        return 0.0
-    return _clamp(sum(s for _, s in scored) / len(scored), 0.0, 1.0)
+    return _sentiment(text)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +308,12 @@ class MeasureVector:
 
 def measure_text(text: str, regard_client: RegardClient | None = None) -> MeasureVector:
     """Compute all five measures; regard is absent without a configured client."""
+    pol, subj = _sentiment(text)
     return MeasureVector(
         reading_ease=flesch_reading_ease(text),
         reading_time=reading_time(text),
-        polarity=polarity(text),
-        subjectivity=subjectivity(text),
+        polarity=pol,
+        subjectivity=subj,
         regard=regard_client.score(text) if regard_client is not None else None,
     )
 

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hirefair.backends import build_backend
 from hirefair.cli import main
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
-from hirefair.corpus import Resume, load_corpus
+from hirefair.corpus import Resume, load_corpus, load_name_pools
 from hirefair.perturb import save_plan
 from hirefair.pipeline import (
     DataError,
@@ -340,10 +340,10 @@ def test_cli_perturb_bad_plan_is_data_error(tmp_path, fixtures_dir, plan):
     assert result.output.startswith("error: ")
 
 
-def test_variant_plans_reproduce_run_scores(tmp_path, fixtures_dir):
+def assert_plans_reproduce_run(tmp_path, fixtures_dir, config_path, perturb_args=()):
     """Each of the run's variant plans, saved and applied by `perturb` and
     scored by `embed`, gives exactly the run's score rows for that variant."""
-    config = load_run_config(write_config(tmp_path, fixtures_dir))
+    config = load_run_config(config_path)
     run_audit(config)
     run_rows = (Path(config.out_dir) / "scores_emb.csv").read_text().splitlines()[1:]
     backends_path = tmp_path / "backends.json"
@@ -357,7 +357,7 @@ def test_variant_plans_reproduce_run_scores(tmp_path, fixtures_dir):
                                      for ext in ("json", "jsonl", "csv"))
         save_plan(plan, plan_path)
         for args in (
-            ["perturb", "--plan", str(plan_path),
+            ["perturb", "--plan", str(plan_path), *perturb_args,
              "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(corpus)],
             ["embed", "--backends", str(backends_path), "--in", str(corpus),
              "--out", str(scores)],
@@ -367,6 +367,51 @@ def test_variant_plans_reproduce_run_scores(tmp_path, fixtures_dir):
         expected = sorted(r for r in run_rows if r.split(",")[2] == variant)
         assert len(expected) == 12 * 3
         assert sorted(scores.read_text().splitlines()[1:]) == expected
+
+
+def test_variant_plans_reproduce_run_scores(tmp_path, fixtures_dir):
+    assert_plans_reproduce_run(tmp_path, fixtures_dir, write_config(tmp_path, fixtures_dir))
+
+
+def test_variant_plans_reproduce_run_scores_with_frequency_table(tmp_path, fixtures_dir, pools):
+    """With a non-uniform frequency table the binned swaps depend on it, and
+    `perturb --frequency-table` applies the same table as the run."""
+    table = {code: {name: rank + 1 for rank, name in enumerate(pool.names)}
+             for code, pool in pools.items()}
+    table_path = tmp_path / "frequencies.json"
+    table_path.write_text(json.dumps(table))
+    binned = load_name_pools(frequency_overrides=table)
+    assert all(set(pool.bins.values()) == {0, 1, 2, 3} for pool in binned.values())
+    assert_plans_reproduce_run(
+        tmp_path, fixtures_dir,
+        write_config(tmp_path, fixtures_dir, frequency_table=str(table_path)),
+        perturb_args=("--frequency-table", str(table_path)))
+
+
+@pytest.mark.parametrize("table", [
+    "not json",
+    "[1, 2]",
+    json.dumps({"XX": {"Adam": 1}}),
+    json.dumps({"MW": {"Adam": -1}}),
+    json.dumps({"MW": {"Adam": "many"}}),
+    json.dumps({"MW": [1, 2]}),
+])
+def test_bad_frequency_table_is_data_error(tmp_path, fixtures_dir, table):
+    table_path = tmp_path / "frequencies.json"
+    table_path.write_text(table)
+    plan_path = tmp_path / "plan.json"
+    save_plan(variant_plans(load_run_config(write_config(tmp_path, fixtures_dir)), 0)[4],
+              plan_path)
+    runner = CliRunner()
+    for args in (
+        ["perturb", "--plan", str(plan_path), "--frequency-table", str(table_path),
+         "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(tmp_path / "o.jsonl")],
+        ["run", "--config", str(write_config(tmp_path, fixtures_dir,
+                                              frequency_table=str(table_path)))],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert "frequency table" in result.output
 
 
 def test_run_augments_generated_resumes_only(tmp_path, fixtures_dir, pools):

@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hirefair
 from hirefair.backends import BackendError, ResponseCache
 from hirefair.textmetrics import (
     MeasureVector,
@@ -184,6 +187,14 @@ def test_averaging_over_matches():
     assert polarity("excellent terrible good") == pytest.approx((1.0 - 1.0 + 0.7) / 3)
 
 
+def test_curly_apostrophe_negates():
+    assert polarity("don’t good") == polarity("don't good") == pytest.approx(-0.35)
+    # one token, so the two-token window still reaches past "very"
+    assert polarity("don’t very good") == polarity("don't very good") == pytest.approx(
+        0.7 * 1.3 * -0.5)
+    assert subjectivity("isn’t great") == subjectivity("isn't great")
+
+
 @given(st.text(max_size=300))
 @settings(max_examples=100, deadline=None)
 def test_sentiment_bounds(text):
@@ -325,3 +336,97 @@ def test_measures_file_rejects_unknown_schema(tmp_path):
     path.write_text('{"schema_version": 99}\n')
     with pytest.raises(TextMetricsError):
         read_measures(path)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle for the deterministic measures
+# ---------------------------------------------------------------------------
+
+_DATA = Path(hirefair.__file__).parent / "data"
+RULES = json.loads((_DATA / "text_rules.json").read_text())
+LEXICON = json.loads((_DATA / "sentiment_lexicon.json").read_text())
+
+
+def oracle_syllables(word: str) -> int:
+    letters = "".join(ch for ch in word.lower() if "a" <= ch <= "z")
+    if not letters:
+        return 1
+    if letters in RULES["exceptions"]:
+        return RULES["exceptions"][letters]
+    count = len(re.findall(r"[aeiouy]+", letters))
+    consonant_le = re.search(r"[^aeiouy]le$", letters) is not None
+    if count > 1 and letters.endswith("e") and not consonant_le:
+        count -= 1
+    return max(1, count)
+
+
+def oracle_sentence_count(text: str) -> int:
+    count, start = 0, 0
+    for end in re.finditer(r"[.!?]+(?:\s+|$)", text):
+        runs = re.findall(r"[A-Za-z.]+", text[start:end.start()])
+        if runs and runs[-1].rstrip(".").lower() in RULES["abbreviations"]:
+            continue
+        count += bool(re.search(r"[A-Za-z0-9]", text[start:end.end()]))
+        start = end.end()
+    count += bool(re.search(r"[A-Za-z0-9]", text[start:]))
+    return max(1, count)
+
+
+def oracle_reading_ease(text: str) -> float:
+    words = re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text)
+    return flesch_formula(len(words), oracle_sentence_count(text),
+                          sum(oracle_syllables(w) for w in words))
+
+
+def oracle_sentiment(text: str) -> tuple[float, float]:
+    """Mean over matched tokens; a modifier right before a token multiplies
+    by its intensity; a negation or n't token among the two before it
+    multiplies polarity by the negation multiplier."""
+    entries = LEXICON["entries"]
+    tokens = re.findall(r"[a-z0-9']+", text.lower().replace("’", "'"))
+    pols, subjs = [], []
+    for i, token in enumerate(tokens):
+        entry = entries.get(token)
+        if entry is None or entry.get("modifier"):
+            continue
+        pol, subj = entry["polarity"], entry["subjectivity"]
+        before = entries.get(tokens[i - 1], {}) if i > 0 else {}
+        if before.get("modifier"):
+            pol, subj = pol * before["intensity"], subj * before["intensity"]
+        if any(t in LEXICON["negations"] or t.endswith("n't") for t in tokens[max(0, i - 2):i]):
+            pol *= LEXICON["negation_multiplier"]
+        pols.append(pol)
+        subjs.append(subj)
+    if not pols:
+        return 0.0, 0.0
+    return (max(-1.0, min(1.0, sum(pols) / len(pols))),
+            max(0.0, min(1.0, sum(subjs) / len(subjs))))
+
+
+ORACLE_WORDS = sorted(LEXICON["entries"]) + LEXICON["negations"] + [
+    "don't", "don’t", "isn't", "isn’t", "won’t", "n't", "candidate", "the",
+    "people", "little", "business", "area", "rhythm", "42", "well-known",
+] + RULES["abbreviations"]
+
+
+@st.composite
+def oracle_texts(draw):
+    pieces = draw(st.lists(st.tuples(
+        st.sampled_from(ORACLE_WORDS),
+        st.sampled_from(["lower", "title", "upper"]),
+        st.sampled_from(["", "", ",", ".", "!", "?", "...", "?!", "'"]),
+        st.sampled_from([" ", " ", "  ", "\n"]),
+    ), min_size=1, max_size=40))
+    return "".join(getattr(word, case)() + end + gap for word, case, end, gap in pieces)
+
+
+@given(oracle_texts())
+@settings(max_examples=300, deadline=None)
+def test_measures_agree_with_oracle(text):
+    mv = measure_text(text)
+    assert (mv.reading_ease, mv.reading_time, mv.polarity, mv.subjectivity) == (
+        flesch_reading_ease(text), reading_time(text), polarity(text), subjectivity(text))
+    assert mv.reading_ease == oracle_reading_ease(text)
+    assert (mv.polarity, mv.subjectivity) == oracle_sentiment(text)
+    for word in re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text):
+        assert count_syllables(word) == oracle_syllables(word)
