@@ -25,7 +25,7 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -148,24 +148,63 @@ class ResponseCache:
         os.replace(tmp, path)
 
 
-def cached_call(cache: ResponseCache | None, key: tuple, fetch: Callable,
-                validate: Callable):
-    """validate(fetch()), read through `cache` when there is one.
+def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
+                 fetch: Callable[[int], object], validate: Callable, width: int = 1,
+                 on_error: Callable[[Exception], object] | None = None) -> list:
+    """[validate(fetch(i)) for each i], each distinct request made once and
+    read through `cache` when there is one.
 
-    `key` holds cache_key's arguments. A cached response is validated again
-    before use; a fetched one is stored only after it validated, so a bad
-    response is never cached.
+    `keys[i]` holds cache_key's arguments for request i, and `fetch(i)` makes
+    that request. Requests with one key share one result. Cached responses
+    are validated again on the calling thread; misses are fetched on
+    min(width, misses) threads, on the calling thread when that is one. A
+    fetched response is stored only after it validated, so a bad response is
+    never cached. Without `on_error`, the first failure cancels the requests
+    still queued and is raised; with it, `on_error(exc)` becomes the failed
+    request's result (and may raise instead).
     """
-    if cache is None:
-        return validate(fetch())
-    digest = cache_key(*key)
-    response = cache.get(digest)
-    if response is not None:
-        return validate(response)
-    response = fetch()
-    result = validate(response)
-    cache.put(digest, response)
-    return result
+    digests = [cache_key(*key) for key in keys]
+    first: dict[str, int] = {}
+    for i, digest in enumerate(digests):
+        first.setdefault(digest, i)
+
+    def guarded(step: Callable, *args):
+        try:
+            return step(*args)
+        except Exception as exc:
+            if on_error is None:
+                raise
+            return on_error(exc)
+
+    def call(digest: str, i: int):
+        response = fetch(i)
+        result = validate(response)
+        if cache is not None:
+            cache.put(digest, response)
+        return result
+
+    results: dict[str, object] = {}
+    misses: list[tuple[str, int]] = []
+    for digest, i in first.items():
+        response = cache.get(digest) if cache is not None else None
+        if response is None:
+            misses.append((digest, i))
+        else:
+            results[digest] = guarded(validate, response)
+    workers = min(width, len(misses))
+    if workers <= 1:
+        for digest, i in misses:
+            results[digest] = guarded(call, digest, i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(guarded, call, digest, i) for digest, i in misses]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
+        # Queued calls start in order, so the first failure comes before
+        # every cancelled call.
+        for (digest, _), future in zip(misses, futures):
+            results[digest] = future.result()
+    return [results[digest] for digest in digests]
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +335,25 @@ def _check_length(config: BackendConfig, text: str) -> None:
         )
 
 
-class EmbeddingBackend:
-    """Shared embed_batch plumbing: cache, ordering, dimension checks."""
+class Backend:
+    """A backend's config and response cache.
+
+    `width` bounds the threads a batch fetches misses on. In-process
+    backends make no requests, so their batches run on the calling thread.
+    """
+
+    width = 1
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         self.config = config
         self.cache = cache
+
+
+class EmbeddingBackend(Backend):
+    """Shared embed_batch plumbing: cache, ordering, dimension checks."""
+
+    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
+        super().__init__(config, cache)
         self._dimension: int | None = None
         self._dim_lock = threading.Lock()
 
@@ -321,18 +373,15 @@ class EmbeddingBackend:
                 )
         return vec
 
-    def _embed_one(self, text: str) -> EmbeddingVector:
-        _check_length(self.config, text)
-        key = (self.config.id, self.config.model_name, {"op": "embed", "text": text})
-        return cached_call(self.cache, key, lambda: self._embed_uncached(text),
-                           self._vector)
-
     def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Embed in order; cached entries are served without touching the network."""
-        if self.config.parallelism == 1 or len(texts) <= 1:
-            return [self._embed_one(t) for t in texts]
-        with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
-            return list(pool.map(self._embed_one, texts))
+        """Embed in order, each distinct text once; cached entries are served
+        without touching the network."""
+        for text in texts:
+            _check_length(self.config, text)
+        keys = [(self.config.id, self.config.model_name, {"op": "embed", "text": text})
+                for text in texts]
+        return cached_calls(self.cache, keys, lambda i: self._embed_uncached(texts[i]),
+                            self._vector, self.width)
 
 
 class MockEmbeddingBackend(EmbeddingBackend):
@@ -353,13 +402,15 @@ class MockEmbeddingBackend(EmbeddingBackend):
 
 class HttpBackend:
     """Mixin for the HTTP protocols: the backend's JsonEndpoint, built (and its
-    credential checked) with the backend."""
+    credential checked) with the backend; batches keep up to `parallelism`
+    requests in flight."""
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         super().__init__(config, cache)
         self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
                                  config.credential_env, config.retry, timeout=60.0)
         self.session = self.http.session
+        self.width = config.parallelism
 
 
 class HttpEmbeddingBackend(HttpBackend, EmbeddingBackend):
@@ -376,11 +427,7 @@ class HttpEmbeddingBackend(HttpBackend, EmbeddingBackend):
         return self.http.post(payload, lambda body: _numbers(body["data"][0]["embedding"]))
 
 
-class CompletionBackend:
-    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
-        self.config = config
-        self.cache = cache
-
+class CompletionBackend(Backend):
     def _complete_uncached(self, request: CompletionRequest) -> str:
         raise NotImplementedError
 
@@ -390,17 +437,25 @@ class CompletionBackend:
                                f"completion {text!r:.80}")
         return text
 
+    def complete_batch(self, requests: Sequence[CompletionRequest]) -> list[str]:
+        """Run completions in order, each distinct request once; responses
+        are cached per (prompt, run_index, temperature) so reruns stay stable
+        despite provider nondeterminism."""
+        keys = []
+        for request in requests:
+            _check_length(self.config, request.prompt)
+            keys.append((self.config.id, self.config.model_name, {
+                "op": "complete", "prompt": request.prompt,
+                "temperature": request.temperature, "run_index": request.run_index,
+                "max_words_hint": request.max_words_hint,
+            }))
+        return cached_calls(self.cache, keys,
+                            lambda i: self._complete_uncached(requests[i]),
+                            self._text, self.width)
+
     def complete(self, request: CompletionRequest) -> str:
-        """Run one completion; responses are cached per (prompt, run_index,
-        temperature) so reruns stay stable despite provider nondeterminism."""
-        _check_length(self.config, request.prompt)
-        payload = {
-            "op": "complete", "prompt": request.prompt,
-            "temperature": request.temperature, "run_index": request.run_index,
-            "max_words_hint": request.max_words_hint,
-        }
-        return cached_call(self.cache, (self.config.id, self.config.model_name, payload),
-                           lambda: self._complete_uncached(request), self._text)
+        """Run one completion: a batch of one."""
+        return self.complete_batch([request])[0]
 
     def complete_text(self, prompt: str, temperature: float = 0.0,
                       run_index: int = 1, max_words_hint: int = 0) -> str:

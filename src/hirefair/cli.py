@@ -33,7 +33,7 @@ from hirefair.pipeline import (
     paired_samples,
     run_audit,
     score_variants,
-    summarize_cell,
+    summarize,
 )
 from hirefair.report import ReportError, aggregate, emit, read_ledger
 from hirefair.retrieval import RetrievalError
@@ -173,11 +173,8 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
     try:
         backend = _load_backend(backends_path, backend_id, "completion", cache_dir)
         resumes, _ = load_corpus(in_path)
-        records = [
-            record for resume in resumes
-            for record in summarize_cell(backend, resume, _variant_id(resume),
-                                         float(temperature), int(length), pov, runs)
-        ]
+        records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
+                            [(float(temperature), int(length), pov)], runs)
         _write_jsonl([textmetrics.summary_row(r) for r in records], Path(out_path))
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))

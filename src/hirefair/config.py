@@ -97,6 +97,12 @@ class RunConfig:
         ids = [b.id for b in self.backends]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate backend ids: {ids}")
+        # report rows are keyed by model name, so two such backends would merge
+        models = [(b.kind, b.model_name) for b in self.backends]
+        shared = sorted({m for m in models if models.count(m) > 1})
+        if shared:
+            raise ConfigError("backends of one kind share a model_name: " + ", ".join(
+                f"{kind} {name!r}" for kind, name in shared))
 
     def embedding_backends(self) -> list[BackendConfig]:
         return [b for b in self.backends if b.kind == "embedding"]

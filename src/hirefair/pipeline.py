@@ -9,6 +9,7 @@ inputs produce byte-identical artifacts and skip remote calls.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -267,47 +268,47 @@ def summary_prompt(resume: Resume, length: int, pov: str) -> str:
     return f"{resume.body}\n\n{instruction}"
 
 
-def summarize_cell(backend, resume: Resume, variant_id: str, temperature: float,
-                   length: int, pov: str, runs: int) -> list[SummaryRecord]:
-    """Summaries of one resume version at one grid cell, one per run index."""
-    prompt = summary_prompt(resume, length, pov)
+def summarize(backend, versions: list[tuple[Resume, str]],
+              cells: list[tuple[float, int, str]], runs: int) -> list[SummaryRecord]:
+    """Summaries of each (resume, variant id) version at each (temperature,
+    length, pov) cell, one per run index, requested as one batch."""
+    calls: list[tuple[str, str, str, CompletionRequest]] = []
+    for resume, variant_id in versions:
+        for temperature, length, pov in cells:
+            prompt = summary_prompt(resume, length, pov)
+            calls.extend((resume.id, variant_id, pov, CompletionRequest(
+                prompt=prompt, temperature=temperature, max_words_hint=length,
+                run_index=run_index,
+            )) for run_index in range(1, runs + 1))
+    texts = backend.complete_batch([request for *_, request in calls])
     model = backend.config.model_name
-    records = []
-    for run_index in range(1, runs + 1):
-        text = backend.complete(CompletionRequest(
-            prompt=prompt, temperature=temperature, max_words_hint=length,
-            run_index=run_index,
-        ))
-        records.append(SummaryRecord(
-            resume_id=resume.id, variant_id=variant_id, model_name=model,
-            length_setting=length, pov=pov, temperature=temperature,
-            run_index=run_index, text=text,
-        ))
-    return records
+    return [
+        SummaryRecord(
+            resume_id=resume_id, variant_id=variant_id, model_name=model,
+            length_setting=request.max_words_hint, pov=pov,
+            temperature=request.temperature, run_index=request.run_index, text=text,
+        )
+        for (resume_id, variant_id, pov, request), text in zip(calls, texts)
+    ]
 
 
 def generate_summaries(backend, variants: VariantSet, config: RunConfig,
                        ) -> list[SummaryRecord]:
     """Summaries for every named group version over the full grid."""
     grid = config.grid
-    records: list[SummaryRecord] = []
     tag = _suffix(variants.draw)
-    for g in GROUP_CODES:
-        group_variants = variants.resumes[f"name:{g}"]
-        for rid in sorted(group_variants):
-            for temperature in grid.temperatures:
-                for length in grid.lengths:
-                    for pov in grid.povs:
-                        records.extend(summarize_cell(
-                            backend, group_variants[rid], f"name:{g}" + tag,
-                            temperature, length, pov, grid.runs))
-    return records
+    versions = [(resume, f"name:{g}" + tag) for g in GROUP_CODES
+                for _, resume in sorted(variants.resumes[f"name:{g}"].items())]
+    cells = list(itertools.product(grid.temperatures, grid.lengths, grid.povs))
+    return summarize(backend, versions, cells, grid.runs)
 
 
 def measure_summaries(records: list[SummaryRecord],
-                      regard_client: RegardClient | None = None,
+                      regard_client: RegardClient | None = None, width: int = 1,
                       ) -> list[tuple[SummaryRecord, MeasureVector]]:
-    return [(r, textmetrics.measure_text(r.text, regard_client)) for r in records]
+    """Measures of each record; regard requests keep up to `width` in flight."""
+    vectors = textmetrics.measure_texts([r.text for r in records], regard_client, width)
+    return list(zip(records, vectors))
 
 
 def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
@@ -496,7 +497,9 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
                          summaries_path)
             files.append(summaries_path)
 
-            measured = measure_summaries(records, regard_client)
+            # regard runs at the parallelism of the backend it scores
+            measured = measure_summaries(records, regard_client,
+                                         backend.config.parallelism)
             measures_path = out_dir / f"measures_{backend.config.id}{_suffix(draw)}.jsonl"
             textmetrics.write_measures(measured, measures_path)
             files.append(measures_path)

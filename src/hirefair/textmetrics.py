@@ -20,9 +20,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-from hirefair.backends import BackendError, JsonEndpoint, ResponseCache, RetryPolicy, cached_call
+from hirefair.backends import BackendError, JsonEndpoint, ResponseCache, RetryPolicy, cached_calls
 
 logger = logging.getLogger(__name__)
 
@@ -251,13 +251,21 @@ class RegardClient:
                          RetryPolicy(max_attempts=1), timeout=30.0).post,
             read=validate_regard)
 
+    def _absent(self, exc: Exception) -> None:
+        if not isinstance(exc, (BackendError, TextMetricsError, ValueError, TypeError)):
+            raise exc
+        logger.warning("regard endpoint failed; measure absent: %s", exc)
+        return None
+
+    def score_batch(self, texts: Sequence[str], width: int = 1) -> list[dict[str, float] | None]:
+        """Scores of each text in order, each distinct text posted once with
+        up to `width` requests in flight; None where a request failed."""
+        keys = [("regard", self.endpoint, {"text": text}) for text in texts]
+        return cached_calls(self.cache, keys, lambda i: self._post({"text": texts[i]}),
+                            validate_regard, width, on_error=self._absent)
+
     def score(self, text: str) -> dict[str, float] | None:
-        try:
-            return cached_call(self.cache, ("regard", self.endpoint, {"text": text}),
-                               lambda: self._post({"text": text}), validate_regard)
-        except (BackendError, TextMetricsError, ValueError, TypeError) as exc:
-            logger.warning("regard endpoint failed; measure absent: %s", exc)
-            return None
+        return self.score_batch([text])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +314,30 @@ class MeasureVector:
         return getattr(self, measure)
 
 
+def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
+                  width: int = 1) -> list[MeasureVector]:
+    """All five measures of each text; regard is absent without a configured
+    client and is scored as one batch with up to `width` requests in flight."""
+    if regard_client is None:
+        regards = [None] * len(texts)
+    else:
+        regards = regard_client.score_batch(texts, width)
+    vectors = []
+    for text, regard in zip(texts, regards):
+        pol, subj = _sentiment(text)
+        vectors.append(MeasureVector(
+            reading_ease=flesch_reading_ease(text),
+            reading_time=reading_time(text),
+            polarity=pol,
+            subjectivity=subj,
+            regard=regard,
+        ))
+    return vectors
+
+
 def measure_text(text: str, regard_client: RegardClient | None = None) -> MeasureVector:
     """Compute all five measures; regard is absent without a configured client."""
-    pol, subj = _sentiment(text)
-    return MeasureVector(
-        reading_ease=flesch_reading_ease(text),
-        reading_time=reading_time(text),
-        polarity=pol,
-        subjectivity=subj,
-        regard=regard_client.score(text) if regard_client is not None else None,
-    )
+    return measure_texts([text], regard_client)[0]
 
 
 def summary_row(record: SummaryRecord) -> dict:

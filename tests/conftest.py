@@ -58,3 +58,112 @@ def tiny_pools():
         "MB": make_pool("MB", {"Kofi": 1, "Lumo": 2, "Nuru": 100, "Okal": 200}),
         "FB": make_pool("FB", {"Pema": 1, "Qiana": 2, "Runa": 100, "Sela": 200}),
     }
+
+
+class LoopbackService:
+    """Embedding, chat and regard endpoints on 127.0.0.1 for HTTP-path tests.
+
+    Every answer derives from the sha256 of the request body, so identical
+    requests get identical answers whatever order they arrive in. Each
+    request waits `delay` seconds while counted as in flight, per path and
+    over all paths ("*"). Paths listed in
+    `refuse` are answered with 400.
+    """
+
+    VOCAB = ("the candidate shows strong steady experience with reliable "
+             "delivery clear communication and careful planning across "
+             "demanding projects").split()
+
+    def __init__(self, delay: float = 0.002):
+        import threading
+        from http.server import ThreadingHTTPServer
+
+        self.delay = delay
+        self.refuse: set[str] = set()
+        self.lock = threading.Lock()
+        self.reset()
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
+        self.server.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+
+    def reset(self) -> None:
+        with self.lock:
+            self.requests: dict[str, int] = {}
+            self.regard_texts: dict[str, int] = {}
+            self.inflight: dict[str, int] = {}
+            self.inflight_max: dict[str, int] = {}  # per path, and "*" for all
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=10)
+
+    def answer(self, path: str, body: dict, digest: bytes):
+        if path == "/v1/embeddings":
+            return {"data": [{"embedding": [b / 255.0 - 0.5 for b in digest[:16]]}]}
+        if path == "/v1/chat/completions":
+            words = [self.VOCAB[b % len(self.VOCAB)] for b in digest]
+            text = " ".join(" ".join(words[i:i + 8]).capitalize() + "."
+                            for i in range(0, len(words), 8))
+            return {"choices": [{"message": {"content": text}}]}
+        if path == "/regard":
+            weights = [1.0 + b for b in digest[:4]]
+            return dict(zip(("positive", "negative", "neutral", "other"),
+                            (w / sum(weights) for w in weights)))
+        return None
+
+    def _handler(self):
+        import hashlib
+        import json
+        import time
+        from http.server import BaseHTTPRequestHandler
+
+        service = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+                pass
+
+            def do_POST(self):
+                raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                body = json.loads(raw)
+                with service.lock:
+                    service.requests[self.path] = service.requests.get(self.path, 0) + 1
+                    if self.path == "/regard":
+                        text = body["text"]
+                        service.regard_texts[text] = service.regard_texts.get(text, 0) + 1
+                    for name in (self.path, "*"):
+                        service.inflight[name] = service.inflight.get(name, 0) + 1
+                        service.inflight_max[name] = max(
+                            service.inflight_max.get(name, 0), service.inflight[name])
+                try:
+                    time.sleep(service.delay)
+                    doc = service.answer(self.path, body, hashlib.sha256(raw).digest())
+                finally:
+                    # out of flight before the client can see the answer
+                    with service.lock:
+                        for name in (self.path, "*"):
+                            service.inflight[name] -= 1
+                status = 400 if doc is None or self.path in service.refuse else 200
+                payload = json.dumps(doc if status == 200 else {"error": "refused"})
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload.encode("utf-8"))
+
+        return Handler
+
+
+@pytest.fixture
+def loopback():
+    service = LoopbackService()
+    try:
+        yield service
+    finally:
+        service.close()

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hirefair.backends import (
     ResponseCache,
     build_backend,
     cache_key,
+    cached_calls,
     mock_biased_embedding,
     mock_embedding,
     token_bucket,
@@ -210,6 +214,159 @@ def test_non_finite_vector_rejected():
 
     with pytest.raises(BackendError, match="non-finite"):
         NanBackend(mock_config()).embed_batch(["x"])
+
+
+# ---------------------------------------------------------------------------
+# cached_calls: one batched path for every remote request
+# ---------------------------------------------------------------------------
+
+def key_of(i):
+    return ("b", "m", {"item": i})
+
+
+def test_cached_calls_keep_input_order():
+    def fetch(i):
+        time.sleep(0.001 * (i % 5))
+        return i * 10
+
+    keys = [key_of(i) for i in range(30)]
+    assert cached_calls(None, keys, fetch, lambda r: r + 1, width=4) == \
+        [i * 10 + 1 for i in range(30)]
+
+
+def test_cached_calls_fetch_each_distinct_key_once(tmp_path):
+    fetched = []
+    lock = threading.Lock()
+
+    def fetch(i):
+        with lock:
+            fetched.append(items[i])
+        return f"response {items[i]}"
+
+    items = [0, 1, 0, 2, 1, 0]
+    keys = [key_of(i) for i in items]
+    for cache in (None, ResponseCache(tmp_path)):
+        fetched.clear()
+        results = cached_calls(cache, keys, fetch, str, width=4)
+        assert results == [f"response {i}" for i in items]
+        assert sorted(fetched) == [0, 1, 2]
+
+
+def test_cached_calls_all_hits_start_no_thread(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path)
+    keys = [key_of(i) for i in range(10)]
+    cached_calls(cache, keys, lambda i: [float(i)], tuple, width=8)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a batch of cache hits started a thread pool")
+
+    monkeypatch.setattr("hirefair.backends.ThreadPoolExecutor", no_pool)
+    threads = threading.active_count()
+    assert cached_calls(cache, keys, lambda i: pytest.fail("fetched a hit"),
+                        tuple, width=8) == [(float(i),) for i in range(10)]
+    assert threading.active_count() == threads
+
+
+def test_in_process_backends_run_on_the_calling_thread():
+    seen = set()
+
+    class Embedder(MockEmbeddingBackend):
+        def _embed_uncached(self, text):
+            seen.add(threading.get_ident())
+            return super()._embed_uncached(text)
+
+    class Completer(MockCompletionBackend):
+        def _complete_uncached(self, request):
+            seen.add(threading.get_ident())
+            return super()._complete_uncached(request)
+
+    embedder = Embedder(mock_config())
+    completer = Completer(mock_config(kind="completion"))
+    assert embedder.config.parallelism == completer.config.parallelism == 8
+    embedder.embed_batch([f"text {i}" for i in range(20)])
+    completer.complete_batch([CompletionRequest(prompt=f"p {i}") for i in range(20)])
+    assert seen == {threading.get_ident()}
+
+
+def test_cached_calls_first_error_cancels_queued_calls():
+    started = []
+
+    def fetch(i):
+        started.append(i)
+        if i == 0:
+            raise BackendError("refused")
+        time.sleep(0.2)
+        return i
+
+    keys = [key_of(i) for i in range(20)]
+    with pytest.raises(BackendError, match="refused"):
+        cached_calls(None, keys, fetch, int, width=2)
+    assert len(started) < 10
+
+
+def test_cached_calls_never_cache_an_invalid_response(tmp_path):
+    def fetch(i):
+        time.sleep(0.001)
+        return "bad" if i == 5 else f"good {i}"
+
+    def validate(response):
+        if response == "bad":
+            raise BackendError("invalid response")
+        return response
+
+    keys = [key_of(i) for i in range(12)]
+    cache = ResponseCache(tmp_path)
+    with pytest.raises(BackendError, match="invalid"):
+        cached_calls(cache, keys, fetch, validate, width=4)
+    stored = [p.read_text() for p in tmp_path.rglob("*.json")]
+    assert stored and not any('"bad"' in text for text in stored)
+
+    # with on_error the failed request's result is absent, the rest is stored
+    results = cached_calls(cache, keys, fetch, validate, width=4,
+                           on_error=lambda exc: None)
+    assert results == [None if i == 5 else f"good {i}" for i in range(12)]
+    assert cache.get(cache_key(*keys[5])) is None
+    assert len(list(tmp_path.rglob("*.json"))) == 11
+
+
+def test_embed_batch_stress_with_more_workers_than_cores(tmp_path):
+    texts = [f"word{i % 97} shared text {i % 3}" for i in range(400)]
+    cache = ResponseCache(tmp_path)
+    backend = MockEmbeddingBackend(mock_config(), cache)
+    backend.width = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        vectors = backend.embed_batch(texts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [v.values for v in vectors] == [mock_embedding(t).values for t in texts]
+    assert len(list(tmp_path.rglob("*.json"))) == len(set(texts))
+    assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+def test_single_calls_are_batches_of_one(monkeypatch):
+    from hirefair import backends, perturb, textmetrics
+    from hirefair.corpus import DemographicGroup, Resume
+
+    batches = []
+
+    def recording(cache, keys, *args, **kwargs):
+        batches.append(len(keys))
+        return cached_calls(cache, keys, *args, **kwargs)
+
+    monkeypatch.setattr(backends, "cached_calls", recording)
+    monkeypatch.setattr(textmetrics, "cached_calls", recording)
+    backend = MockCompletionBackend(mock_config(kind="completion"))
+    backend.complete(CompletionRequest(prompt="p"))
+    backend.complete_text("q", max_words_hint=20)
+    resume = Resume(id="r1", profession="Data Analyst", body="Data Analyst\nSQL\n",
+                    source="generated", group=DemographicGroup.from_code("FW"))
+    perturb.add_extracurriculars(resume, backend)
+    client = textmetrics.RegardClient("https://example.invalid/regard",
+                                      post=lambda payload: None)
+    client.score("text")
+    assert batches == [1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

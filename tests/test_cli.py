@@ -776,3 +776,88 @@ def test_cli_audit_retrieval_agrees_with_run(tmp_path, fixtures_dir):
         result = runner.invoke(main, args + ["--scores", str(bad)])
         assert result.exit_code == 4, result.output
         assert "duplicate" in result.output
+
+
+def test_backends_sharing_a_model_name_are_config_errors(tmp_path, fixtures_dir):
+    """Report rows are keyed by model name: two mock embedders named bow used
+    to land in one row and drop each other's equal-valued entries."""
+    backends = [
+        {"id": "bow-a", "kind": "embedding", "protocol": "mock", "model_name": "bow",
+         "params": {"dim": 256}},
+        {"id": "bow-b", "kind": "embedding", "protocol": "mock", "model_name": "bow",
+         "params": {"dim": 128}},
+    ]
+    path = write_config(tmp_path, fixtures_dir, backends=backends)
+    with pytest.raises(ConfigError, match="model_name"):
+        load_run_config(path)
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "'bow'" in result.output
+
+    # one name across the two kinds stays allowed
+    load_run_config(write_config(tmp_path, fixtures_dir, backends=[
+        dict(MOCK_EMBED, model_name="m"),
+        {"id": "gen", "kind": "completion", "protocol": "mock", "model_name": "m"}]))
+
+
+# ---------------------------------------------------------------------------
+# HTTP path, end to end over a loopback service
+# ---------------------------------------------------------------------------
+
+CRITERION_8_ARTIFACTS = (
+    "manifest.json", "ledger.jsonl", "report.csv", "report.json", "scores_emb.csv",
+    "summaries_gen.jsonl", "measures_gen.jsonl", "t_tests.jsonl",
+    "nonuniformity_tests.jsonl", "plot_exclusion.csv", "plot_nonuniformity.csv",
+    "plot_violation_rate.csv")
+
+
+def http_config(tmp_path, fixtures_dir, url, parallelism, out):
+    return write_config(
+        tmp_path, fixtures_dir, out_dir=str(out), regard_endpoint=f"{url}/regard",
+        backends=[
+            {"id": "emb", "kind": "embedding", "protocol": "openai-compatible",
+             "model_name": "loop-embed", "endpoint": f"{url}/v1/embeddings",
+             "parallelism": parallelism},
+            {"id": "gen", "kind": "completion", "protocol": "openai-compatible",
+             "model_name": "loop-chat", "endpoint": f"{url}/v1/chat/completions",
+             "parallelism": parallelism},
+        ],
+        grid={"n_values": [3], "x_values": [25], "temperatures": [0.0, 0.3],
+              "lengths": [100], "povs": ["third"], "runs": 2})
+
+
+def test_http_run_is_identical_at_any_parallelism(tmp_path, fixtures_dir, loopback):
+    outputs = {}
+    for parallelism in (1, 4):
+        loopback.reset()
+        out = tmp_path / f"out-{parallelism}"
+        config = load_run_config(http_config(tmp_path, fixtures_dir, loopback.url,
+                                             parallelism, out))
+        run_audit(config)
+        outputs[parallelism] = {name: (out / name).read_bytes()
+                                for name in CRITERION_8_ARTIFACTS}
+        assert 1 <= loopback.inflight_max["*"] <= parallelism
+        if parallelism > 1:
+            # embeddings, completions and regard each overlap their requests
+            assert min(loopback.inflight_max.values()) > 1
+        # the chat schema carries no run index, so runs 1 and 2 repeat a text;
+        # regard posts each distinct text once
+        texts = [r.text for r in read_summaries(out / "summaries_gen.jsonl")]
+        assert len(set(texts)) < len(texts)
+        assert sorted(loopback.regard_texts) == sorted(set(texts))
+        assert set(loopback.regard_texts.values()) == {1}
+        measured = read_measures(out / "measures_gen.jsonl")
+        assert all(mv.regard is not None for _, mv in measured)
+    assert outputs[1] == outputs[4]
+
+
+def test_http_backend_error_cancels_the_batch_and_exits_3(tmp_path, fixtures_dir,
+                                                          loopback):
+    loopback.refuse.add("/v1/chat/completions")
+    path = http_config(tmp_path, fixtures_dir, loopback.url, 4, tmp_path / "out")
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "HTTP 400" in result.output
+    # 12 resumes x 4 groups x 2 temperatures x 2 runs were due; the first
+    # refusal cancelled the queued ones
+    assert loopback.requests["/v1/chat/completions"] < 12 * 4 * 2 * 2 // 4
