@@ -26,9 +26,11 @@ import random
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from types import UnionType
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import requests
@@ -42,10 +44,47 @@ class BackendError(Exception):
     """Raised for backend configuration or transport failures."""
 
 
+_type_hints = lru_cache(maxsize=None)(get_type_hints)
+
+
+def _is_a(value, hint) -> bool:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_is_a(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (tuple, list)) and all(_is_a(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items())
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def check_types(record, error: type[Exception]) -> None:
+    """Raise `error` unless each field of the dataclass `record` holds a value
+    of its annotated type as JSON gives it: a float field takes an int too
+    and keeps it as written, a number field takes no bool or string, and a
+    tuple field takes a list, stored as a tuple. The message names the
+    field's config file key (its metadata "key", else its name)."""
+    hints = _type_hints(type(record))
+    for f in fields(record):
+        value, hint = getattr(record, f.name), hints[f.name]
+        if not _is_a(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise error(f"{f.metadata.get('key', f.name)} must be {name}, "
+                        f"got {value!r:.80}")
+        if isinstance(value, list):
+            object.__setattr__(record, f.name, tuple(value))
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    max_attempts: int = 3
+    max_attempts: int = field(default=3, metadata={"key": "max"})
     base_delay_ms: int = 250
+
+    def __post_init__(self):
+        check_types(self, BackendError)
 
 
 @dataclass(frozen=True)
@@ -53,7 +92,7 @@ class BackendConfig:
     id: str
     kind: str       # "embedding" | "completion"
     protocol: str   # (kind, protocol) must be a key of BACKENDS
-    model_name: str
+    model_name: str = ""
     endpoint: str = ""
     credential_env: str = ""
     parallelism: int = 8
@@ -62,6 +101,7 @@ class BackendConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_types(self, BackendError)
         if (self.kind, self.protocol) not in BACKENDS:
             raise BackendError(f"backend {self.id}: protocol {self.protocol!r} "
                                f"serves no kind {self.kind!r}")
@@ -271,10 +311,11 @@ class JsonEndpoint:
     credential variable is unset. Connection errors, timeouts, 429 and 5xx
     are retried under `retry` with exponential backoff; any other 4xx, a body
     that is not JSON, and a body the schema adapter cannot read fail at once.
+    The session pools `width` connections, one per request in flight.
     """
 
     def __init__(self, name: str, url: str, credential_env: str,
-                 retry: RetryPolicy, timeout: float):
+                 retry: RetryPolicy, timeout: float, width: int = 1):
         if not url:
             raise BackendError(f"{name}: endpoint required for HTTP protocols")
         self.headers = {"Content-Type": "application/json"}
@@ -285,6 +326,9 @@ class JsonEndpoint:
             self.headers["Authorization"] = f"Bearer {os.environ[credential_env]}"
         self.name, self.url, self.retry, self.timeout = name, url, retry, timeout
         self.session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=width)
+        self.session.mount("http://", adapter)
+        self.session.mount("https://", adapter)
 
     def post(self, payload: dict, read: Callable):
         """`read(body)` of the JSON answer to `payload`; `read` raises
@@ -408,7 +452,8 @@ class HttpBackend:
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         super().__init__(config, cache)
         self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
-                                 config.credential_env, config.retry, timeout=60.0)
+                                 config.credential_env, config.retry, timeout=60.0,
+                                 width=config.parallelism)
         self.session = self.http.session
         self.width = config.parallelism
 

@@ -116,7 +116,9 @@ def _load_backend(path, backend_id, kind, cache_dir):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read backends file {path}: {exc}") from exc
-    blocks = doc if isinstance(doc, list) else doc.get("backends", [doc])
+    blocks = doc.get("backends", [doc]) if isinstance(doc, dict) else doc
+    if not isinstance(blocks, list) or not all(isinstance(raw, dict) for raw in blocks):
+        raise ConfigError(f"backends file {path} must hold backend blocks, got {doc!r:.80}")
     for raw in blocks:
         if raw.get("kind") == kind and backend_id in (None, raw.get("id")):
             return build_backend(backend_from_dict(raw),

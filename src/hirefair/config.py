@@ -9,10 +9,10 @@ attempts to override those fields under the preset are configuration errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from hirefair.backends import BackendConfig, BackendError, RetryPolicy
+from hirefair.backends import BackendConfig, BackendError, RetryPolicy, check_types
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -28,6 +28,9 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class GridConfig:
+    """The experimental grid. Its defaults are the published grid, which the
+    replication preset pins."""
+
     n_values: tuple[int, ...] = (5, 10, 100)
     x_values: tuple[float, ...] = (5.0, 10.0)
     temperatures: tuple[float, ...] = ALLOWED_TEMPERATURES
@@ -37,6 +40,7 @@ class GridConfig:
     draws: int = 1
 
     def __post_init__(self):
+        check_types(self, ConfigError)
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError(f"n_values must be positive integers: {self.n_values}")
         if not self.x_values or any(not 0 < x <= 100 for x in self.x_values):
@@ -56,13 +60,12 @@ class GridConfig:
             raise ConfigError(f"draws must be >= 1, got {self.draws}")
 
 
-#: Grid pinned by the replication preset.
-REPLICATION_GRID = GridConfig()
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    corpus_path: str
+    """A run's settings. Each field is read from the config file key named by
+    its metadata "key", else by its name."""
+
+    corpus_path: str = field(metadata={"key": "corpus"})
     out_dir: str
     backends: tuple[BackendConfig, ...]
     grid: GridConfig = field(default_factory=GridConfig)
@@ -76,10 +79,11 @@ class RunConfig:
     pair_runs: str = "average"  # "average" | "separate"
     regard_endpoint: str = ""
     regard_credential_env: str = ""
-    occupation_aliases: dict = field(default_factory=dict)
-    frequency_table_path: str = ""
+    occupation_aliases: dict[str, str] = field(default_factory=dict)
+    frequency_table_path: str = field(default="", metadata={"key": "frequency_table"})
 
     def __post_init__(self):
+        check_types(self, ConfigError)
         if self.correction not in ("bh", "bonferroni"):
             raise ConfigError(f"correction must be bh or bonferroni, got {self.correction!r}")
         if not 0 < self.alpha < 1:
@@ -111,188 +115,94 @@ class RunConfig:
         return [b for b in self.backends if b.kind == "completion"]
 
     def canonical_dict(self) -> dict:
-        """Config as manifest content. Excludes out_dir so reruns into a
-        different directory produce identical manifests and reports."""
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "corpus_path": str(self.corpus_path),
-            "backends": [
-                {"id": b.id, "kind": b.kind, "protocol": b.protocol,
-                 "model_name": b.model_name, "endpoint": b.endpoint,
-                 "params": b.params}
-                for b in sorted(self.backends, key=lambda b: b.id)
-            ],
-            "grid": {
-                "n_values": list(self.grid.n_values),
-                "x_values": list(self.grid.x_values),
-                "temperatures": list(self.grid.temperatures),
-                "lengths": list(self.grid.lengths),
-                "povs": list(self.grid.povs),
-                "runs": self.grid.runs,
-                "draws": self.grid.draws,
-            },
-            "correction": self.correction,
-            "alpha": self.alpha,
-            "master_seed": self.master_seed,
-            "typo_count": self.typo_count,
-            "spacing_mode": self.spacing_mode,
-            "swap_matching": self.swap_matching,
-            "extracurricular": self.extracurricular,
-            "pair_runs": self.pair_runs,
-            "regard_endpoint": self.regard_endpoint,
-            "occupation_aliases": self.occupation_aliases,
-            "frequency_table_path": str(self.frequency_table_path),
-        }
+        """Config as manifest content: every field but the paths and the
+        deployment settings, so a rerun from another directory, into another
+        directory or at another width has the same manifest. The manifest
+        pins the corpus and frequency table by their sha256 instead."""
+        doc = asdict(self, dict_factory=lambda items: {
+            name: value for name, value in items if name not in _NOT_IN_MANIFEST})
+        doc["backends"] = sorted(doc["backends"], key=lambda b: b["id"])
+        return dict(doc, schema_version=CONFIG_SCHEMA_VERSION)
 
+
+#: RunConfig fields holding paths; a relative path in the file is relative to
+#: the file's directory.
+_PATHS = ("corpus_path", "frequency_table_path", "out_dir")
+
+#: RunConfig and BackendConfig fields the manifest leaves out: paths, and
+#: settings that change how a run is deployed but not what it computes.
+_NOT_IN_MANIFEST = _PATHS + ("regard_credential_env", "credential_env",
+                             "parallelism", "retry", "max_chars")
 
 _PINNED_BY_REPLICATION = ("temperatures", "lengths", "povs", "runs")
 
-_GRID_KEYS = ("n_values", "x_values", "temperatures", "lengths", "povs", "runs",
-              "draws")
 
-_TOP_LEVEL_KEYS = ("schema_version", "preset", "corpus", "out_dir", "backends",
-                   "grid", "correction", "alpha", "master_seed", "typo_count",
-                   "spacing_mode", "swap_matching", "extracurricular",
-                   "pair_runs", "regard_endpoint", "regard_credential_env",
-                   "occupation_aliases", "frequency_table")
-
-_BACKEND_KEYS = tuple(f.name for f in fields(BackendConfig))
-
-_RETRY_KEYS = ("max", "base_delay_ms")
-
-
-def _reject_unknown(raw: dict, known: tuple[str, ...], where: str) -> None:
+def _values(cls, raw, where: str, extra: tuple[str, ...] = ()) -> dict:
+    """A config block's values by field name of dataclass `cls`; a key that
+    names no field (nor is in `extra`) is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} block must be a JSON object, got {raw!r:.80}")
-    unknown = sorted(set(raw) - set(known))
+    names = {f.metadata.get("key", f.name): f.name for f in fields(cls)}
+    unknown = sorted(set(raw) - set(names) - set(extra))
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return {names[key]: value for key, value in raw.items() if key in names}
 
 
-def _convert(kind, key: str, value):
-    """kind(value) for config field `key`; a value it cannot take is a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+def _construct(cls, values: dict, where: str):
+    """cls(**values); a field with no default and no value is a ConfigError."""
+    missing = [f.metadata.get("key", f.name) for f in fields(cls) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where} must set {', '.join(missing)}")
+    return cls(**values)
 
 
-def backend_from_dict(raw: dict) -> BackendConfig:
+def backend_from_dict(raw) -> BackendConfig:
     """A backend block as a BackendConfig; any fault in it is a ConfigError."""
-    _reject_unknown(raw, _BACKEND_KEYS, "backend")
-    retry = raw.get("retry", {})
-    _reject_unknown(retry, _RETRY_KEYS, "retry")
+    values = _values(BackendConfig, raw, "backend")
     try:
-        return BackendConfig(
-            id=raw["id"], kind=raw["kind"], protocol=raw["protocol"],
-            model_name=raw.get("model_name", ""),
-            endpoint=raw.get("endpoint", ""),
-            credential_env=raw.get("credential_env", ""),
-            parallelism=int(raw.get("parallelism", 8)),
-            retry=RetryPolicy(max_attempts=int(retry.get("max", 3)),
-                              base_delay_ms=int(retry.get("base_delay_ms", 250))),
-            max_chars=None if raw.get("max_chars") is None else int(raw["max_chars"]),
-            params=dict(raw.get("params", {})),
-        )
-    except (BackendError, KeyError, TypeError, ValueError) as exc:
+        if "retry" in values:
+            values["retry"] = RetryPolicy(**_values(RetryPolicy, values["retry"], "retry"))
+        return _construct(BackendConfig, values, "backend block")
+    except BackendError as exc:
         raise ConfigError(f"invalid backend block: {exc}") from exc
 
 
-def _grid_list(key: str, value) -> tuple:
-    """A grid list as a tuple, unconverted: strings for povs, numbers (not
-    booleans) for the others; anything else is a ConfigError."""
-    kind, noun = (str, "strings") if key == "povs" else ((int, float), "numbers")
-    if not isinstance(value, (list, tuple)) or any(
-            isinstance(v, bool) or not isinstance(v, kind) for v in value):
-        raise ConfigError(f"grid.{key} must be a list of {noun}, got {value!r}")
-    return tuple(value)
-
-
-def _grid_from_dict(raw: dict, preset: str | None) -> GridConfig:
-    _reject_unknown(raw, _GRID_KEYS, "grid")
-    if preset == "replication":
-        for key in _PINNED_BY_REPLICATION:
-            if key in raw:
-                raise ConfigError(
-                    f"replication preset pins grid.{key}; remove the override"
-                )
-        base = REPLICATION_GRID
-    else:
-        base = GridConfig()
-    updates = {}
-    for key in ("n_values", "x_values", "temperatures", "lengths", "povs"):
-        if key in raw:
-            updates[key] = _grid_list(key, raw[key])
-    for key in ("runs", "draws"):
-        if key in raw:
-            updates[key] = _convert(int, key, raw[key])
-    return replace(base, **updates) if updates else base
-
-
 def load_run_config(path, **overrides) -> RunConfig:
-    """Load a JSON run config; keyword overrides win over file values."""
+    """Load a JSON run config; keyword overrides (RunConfig fields, or the
+    grid's draws) that are not None win over file values."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    values = _values(RunConfig, raw, "top-level", extra=("schema_version", "preset"))
     if raw.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError("config missing or unsupported schema_version")
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "top-level")
     preset = raw.get("preset")
     if preset not in (None, "replication"):
         raise ConfigError(f"unknown preset {preset!r}")
+    grid = _values(GridConfig, values.pop("grid", {}), "grid")
 
-    def pick(key, default):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        return raw.get(key, default)
+    for name in _PATHS:
+        if isinstance(values.get(name), str) and values[name]:
+            values[name] = str(path.parent / values[name])
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if "out_dir" in overrides:  # CLI paths are cwd-relative
+        overrides["out_dir"] = str(Path(overrides["out_dir"]).absolute())
+    if "draws" in overrides:
+        grid["draws"] = overrides.pop("draws")
+    values.update(overrides)
 
-    alpha = _convert(float, "alpha", pick("alpha", 0.05))
-    if preset == "replication" and alpha != 0.05:
-        raise ConfigError("replication preset pins alpha=0.05")
-
-    backends = tuple(backend_from_dict(b) for b in raw.get("backends", []))
-
-    grid_raw = dict(raw.get("grid", {}))
-    for key in ("n_values", "x_values", "draws"):
-        if key in overrides and overrides[key] is not None:
-            grid_raw[key] = overrides[key]
-
-    base_dir = path.parent
-
-    def resolve(p):
-        p = Path(p)
-        return str(p if p.is_absolute() else base_dir / p)
-
-    corpus = pick("corpus", None)
-    if corpus is None:
-        raise ConfigError("config must name a corpus file")
-    if overrides.get("out_dir") is not None:
-        out_dir = str(Path(overrides["out_dir"]).absolute())  # CLI paths are cwd-relative
-    elif raw.get("out_dir") is not None:
-        out_dir = resolve(raw["out_dir"])
-    else:
-        raise ConfigError("config must name an output directory")
-    freq_table = pick("frequency_table", "")
-    extracurricular = pick("extracurricular", False)
-    if not isinstance(extracurricular, bool):
-        raise ConfigError(f"extracurricular must be true or false, got {extracurricular!r}")
-    return RunConfig(
-        corpus_path=resolve(corpus),
-        out_dir=out_dir,
-        backends=backends,
-        grid=_grid_from_dict(grid_raw, preset),
-        correction=pick("correction", "bh"),
-        alpha=alpha,
-        master_seed=_convert(int, "master_seed", pick("master_seed", 0)),
-        typo_count=_convert(int, "typo_count", pick("typo_count", 10)),
-        spacing_mode=pick("spacing_mode", "collapse"),
-        swap_matching=pick("swap_matching", "frequency_binned"),
-        extracurricular=extracurricular,
-        pair_runs=pick("pair_runs", "average"),
-        regard_endpoint=pick("regard_endpoint", ""),
-        regard_credential_env=pick("regard_credential_env", ""),
-        occupation_aliases=dict(raw.get("occupation_aliases", {})),
-        frequency_table_path=resolve(freq_table) if freq_table else "",
-    )
+    if preset == "replication":
+        if values.get("alpha", RunConfig.alpha) != RunConfig.alpha:
+            raise ConfigError(f"replication preset pins alpha={RunConfig.alpha}")
+        for key in _PINNED_BY_REPLICATION:
+            if key in grid:
+                raise ConfigError(
+                    f"replication preset pins grid.{key}; remove the override")
+    values["grid"] = GridConfig(**grid)
+    if isinstance(values.get("backends"), list):
+        values["backends"] = tuple(backend_from_dict(b) for b in values["backends"])
+    return _construct(RunConfig, values, "config")

@@ -426,9 +426,11 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     backends = {b.id: build_backend(b, cache) for b in config.backends}
     regard_client = None
     if config.regard_endpoint:
+        # pooled for the widest completion backend whose summaries it scores
+        width = max((b.parallelism for b in config.completion_backends()), default=1)
         regard_client = RegardClient(config.regard_endpoint,
                                      credential_env=config.regard_credential_env,
-                                     cache=cache)
+                                     cache=cache, width=width)
     embedders = [backends[b.id] for b in config.embedding_backends()]
     completers = [backends[b.id] for b in config.completion_backends()]
     if not embedders and not completers:
@@ -454,6 +456,8 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     manifest_core = {
         "config": config.canonical_dict(),
         "corpus_sha256": hashlib.sha256(corpus_path.read_bytes()).hexdigest(),
+        "frequency_table_sha256": config.frequency_table_path and hashlib.sha256(
+            Path(config.frequency_table_path).read_bytes()).hexdigest(),
         "resumes": len(resumes),
         "jobs": len(jobs),
         "occupations": {

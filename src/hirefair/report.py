@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,26 +54,18 @@ def make_entry(run_id: str, metric: str, model: str, perturbation: str,
     """Build an entry whose id is a digest of its content (so duplicates collide)."""
     if metric not in METRICS:
         raise ReportError(f"unknown metric {metric!r}")
-    content = _canonical({
-        "run_id": run_id, "metric": metric, "model": model,
-        "perturbation": perturbation, "param": param, "mode": mode,
-        "value": value, "sample_size": sample_size, "detail": detail,
-    })
-    entry_id = hashlib.sha256(content.encode("utf-8")).hexdigest()[:16]
-    return LedgerEntry(entry_id=entry_id, run_id=run_id, metric=metric,
-                       model=model, perturbation=perturbation, param=param,
-                       mode=mode, value=value, sample_size=sample_size)
+    entry = LedgerEntry("", run_id, metric, model, perturbation, param, mode,
+                        value, sample_size)
+    content = dict(asdict(entry), detail=detail)
+    del content["entry_id"]
+    entry_id = hashlib.sha256(_canonical(content).encode("utf-8")).hexdigest()[:16]
+    return replace(entry, entry_id=entry_id)
 
 
 def write_ledger(entries: Iterable[LedgerEntry], path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for e in entries:
-            fh.write(_canonical({
-                "entry_id": e.entry_id, "run_id": e.run_id, "metric": e.metric,
-                "model": e.model, "perturbation": e.perturbation,
-                "param": e.param, "mode": e.mode, "value": e.value,
-                "sample_size": e.sample_size,
-            }))
+            fh.write(_canonical(asdict(e)))
             fh.write("\n")
 
 
@@ -134,8 +126,7 @@ def aggregate(entries: Iterable[LedgerEntry], run_id: str,
                         rows=tuple(rows))
 
 
-REPORT_COLUMNS = ("metric", "model", "perturbation", "param", "mode",
-                  "value", "sample_size")
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _float_repr(value: float) -> str:
@@ -157,8 +148,8 @@ def emit(report: MetricReport, out_dir, svg: bool = False) -> list[Path]:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(REPORT_COLUMNS)
         for row in report.rows:
-            writer.writerow([row.metric, row.model, row.perturbation, row.param,
-                             row.mode, _float_repr(row.value), row.sample_size])
+            writer.writerow(_float_repr(v) if isinstance(v, float) else v
+                            for v in astuple(row))
     written.append(csv_path)
 
     json_path = out_dir / "report.json"
@@ -166,12 +157,7 @@ def emit(report: MetricReport, out_dir, svg: bool = False) -> list[Path]:
         "schema_version": REPORT_SCHEMA_VERSION,
         "run_id": report.run_id,
         "manifest_digest": report.manifest_digest,
-        "rows": [
-            {"metric": r.metric, "model": r.model, "perturbation": r.perturbation,
-             "param": r.param, "mode": r.mode, "value": r.value,
-             "sample_size": r.sample_size}
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
     }
     json_path.write_text(json.dumps(doc, indent=1, sort_keys=True,
                                     ensure_ascii=False) + "\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -239,16 +239,18 @@ class RegardClient:
     The endpoint receives {"text": ...} and must answer with the four
     category scores. Construction fails fast when `credential_env` is unset;
     a failed request degrades gracefully: score() returns None and the
-    measure is recorded as absent.
+    measure is recorded as absent. The client pools `width` connections, as
+    many as the widest batch it scores keeps in flight.
     """
 
     def __init__(self, endpoint: str, credential_env: str = "",
-                 cache: ResponseCache | None = None, post: Callable | None = None):
+                 cache: ResponseCache | None = None, post: Callable | None = None,
+                 width: int = 1):
         self.endpoint = endpoint
         self.cache = cache
         self._post = post or partial(
             JsonEndpoint("regard endpoint", endpoint, credential_env,
-                         RetryPolicy(max_attempts=1), timeout=30.0).post,
+                         RetryPolicy(max_attempts=1), timeout=30.0, width=width).post,
             read=validate_regard)
 
     def _absent(self, exc: Exception) -> None:
@@ -304,14 +306,15 @@ class MeasureVector:
     subjectivity: float
     regard: dict[str, float] | None = None
 
-    #: Measure names in ledger order; regard is optional.
-    NAMES = ("reading_ease", "reading_time", "polarity", "subjectivity", "regard")
-
     def scalar(self, measure: str, regard_category: str = "positive") -> float | None:
         """Scalar value of a measure; regard collapses to one category's score."""
         if measure == "regard":
             return None if self.regard is None else self.regard[regard_category]
         return getattr(self, measure)
+
+
+#: Measure names in ledger order; regard is optional.
+MeasureVector.NAMES = tuple(f.name for f in fields(MeasureVector))
 
 
 def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
@@ -368,28 +371,28 @@ def read_summaries(path) -> list[SummaryRecord]:
 
 
 def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path) -> None:
-    """One JSON line per summary with its measures; schema versioned."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    """One JSON line per summary: its record's fields but the text, and its
+    measures (regard only when scored); schema versioned."""
+    record_fields = [f.name for f in fields(SummaryRecord) if f.name != "text"]
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for record, mv in rows:
-            rec = {
-                "schema_version": MEASURES_SCHEMA_VERSION,
-                "resume_id": record.resume_id,
-                "variant_id": record.variant_id,
-                "model_name": record.model_name,
-                "length_setting": record.length_setting,
-                "pov": record.pov,
-                "temperature": record.temperature,
-                "run_index": record.run_index,
-                "reading_ease": mv.reading_ease,
-                "reading_time": mv.reading_time,
-                "polarity": mv.polarity,
-                "subjectivity": mv.subjectivity,
-            }
-            if mv.regard is not None:
-                rec["regard"] = mv.regard
+            rec = {name: getattr(record, name) for name in record_fields}
+            rec.update((name, getattr(mv, name)) for name in MeasureVector.NAMES)
+            if mv.regard is None:
+                del rec["regard"]
+            rec["schema_version"] = MEASURES_SCHEMA_VERSION
             fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
             fh.write("\n")
+
+
+def _from_row(cls, row: dict, **given):
+    """cls from a JSON row keyed by its field names, with `given` values for
+    fields the row does not hold; a missing field without a default is a
+    KeyError."""
+    for f in fields(cls):
+        if f.name not in given and (f.name in row or f.default is MISSING):
+            given[f.name] = row[f.name]
+    return cls(**given)
 
 
 def read_measures(path) -> list[tuple[SummaryRecord, MeasureVector]]:
@@ -401,16 +404,6 @@ def read_measures(path) -> list[tuple[SummaryRecord, MeasureVector]]:
             rec = json.loads(line)
             if rec.get("schema_version") != MEASURES_SCHEMA_VERSION:
                 raise TextMetricsError(f"line {lineno}: unsupported measures schema")
-            record = SummaryRecord(
-                resume_id=rec["resume_id"], variant_id=rec["variant_id"],
-                model_name=rec["model_name"], length_setting=rec["length_setting"],
-                pov=rec["pov"], temperature=rec["temperature"],
-                run_index=rec["run_index"], text="",
-            )
-            mv = MeasureVector(
-                reading_ease=rec["reading_ease"], reading_time=rec["reading_time"],
-                polarity=rec["polarity"], subjectivity=rec["subjectivity"],
-                regard=rec.get("regard"),
-            )
-            rows.append((record, mv))
+            rows.append((_from_row(SummaryRecord, rec, text=""),
+                         _from_row(MeasureVector, rec)))
     return rows

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import sys
 import threading
@@ -482,6 +483,20 @@ def test_retries_bounded(monkeypatch):
     assert calls["n"] == 2
 
 
+def test_http_pool_holds_every_request_in_flight(loopback, caplog):
+    """The session pools `parallelism` connections, so a batch wider than
+    urllib3's default pool of 10 throws none away."""
+    loopback.delay = 0.02
+    config = BackendConfig(id="wide", kind="embedding", protocol="openai-compatible",
+                           model_name="loop-embed", endpoint=f"{loopback.url}/v1/embeddings",
+                           parallelism=16)
+    with caplog.at_level(logging.WARNING, logger="urllib3"):
+        vectors = build_backend(config).embed_batch([f"text {i}" for i in range(200)])
+    assert len(vectors) == 200
+    assert loopback.inflight_max["*"] > 10
+    assert "Connection pool is full" not in caplog.text
+
+
 @pytest.mark.parametrize("status", [400, 401])
 def test_client_errors_fail_without_retry(monkeypatch, status):
     config = http_config("openai-compatible", "embedding", monkeypatch)
@@ -580,6 +595,20 @@ def test_config_validation():
         BackendConfig(id="x", kind="embedding", protocol="echo", model_name="m")
     with pytest.raises(BackendError, match="serves no kind"):
         BackendConfig(id="x", kind="completion", protocol="mock-biased", model_name="m")
+
+
+def test_config_fields_take_their_json_type():
+    from hirefair.backends import RetryPolicy
+
+    with pytest.raises(BackendError, match="parallelism must be int"):
+        BackendConfig(id="x", kind="embedding", protocol="mock", parallelism=True)
+    with pytest.raises(BackendError, match=r"max_chars must be int \| None"):
+        BackendConfig(id="x", kind="embedding", protocol="mock", max_chars="9")
+    with pytest.raises(BackendError, match="max must be int"):  # the file key
+        RetryPolicy(max_attempts=2.5)
+    with pytest.raises(BackendError, match="params must be dict"):
+        BackendConfig(id="x", kind="embedding", protocol="mock", params=[])
+    assert BackendConfig(id="x", kind="embedding", protocol="mock").max_chars is None
 
 
 # ---------------------------------------------------------------------------

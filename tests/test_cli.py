@@ -129,9 +129,25 @@ MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name"
     {"grid": {"n_values": ["a"]}},
     {"grid": {"x_values": 5}},
     {"extracurricular": "false"},
+    {"corpus": 7},
+    {"out_dir": 3},
+    {"frequency_table": 5},
+    {"occupation_aliases": [1]},
+    {"occupation_aliases": {"IT": 5}},
+    {"master_seed": 7.9},
+    {"master_seed": True},
+    {"typo_count": 2.5},
+    {"alpha": "0.05"},
+    {"grid": [["n_values", [3]], ["x_values", [25]]]},
+    pytest.param("[]", id="config-not-an-object"),
+    pytest.param('{"schema_version": 1}', id="config-without-corpus"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
-    path = write_config(tmp_path, fixtures_dir, **extra)
+    if isinstance(extra, str):
+        path = tmp_path / "run.json"
+        path.write_text(extra)
+    else:
+        path = write_config(tmp_path, fixtures_dir, **extra)
     with pytest.raises(ConfigError):
         load_run_config(path)
     result = CliRunner().invoke(main, ["run", "--config", str(path)])
@@ -151,6 +167,26 @@ def test_cli_stage_rejects_invalid_backend_block(tmp_path, fixtures_dir, command
         "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(tmp_path / "out"),
     ])
     assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("command", ["embed", "summarize"])
+@pytest.mark.parametrize("doc", [[1], {"backends": 5}, "x"])
+def test_cli_stage_rejects_malformed_backends_file(tmp_path, fixtures_dir, command, doc):
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, [
+        command, "--backends", str(backends_path),
+        "--in", str(fixtures_dir / "mini_corpus.jsonl"), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "backend blocks" in result.output
+
+
+def test_config_numbers_stay_as_written(tmp_path, fixtures_dir):
+    config = load_run_config(write_config(tmp_path, fixtures_dir, alpha=0.1))
+    assert config.grid.x_values == (25,) and type(config.grid.x_values[0]) is int
+    assert type(config.alpha) is float
+    assert json.dumps(config.canonical_dict()["grid"]["x_values"]) == "[25]"
 
 
 def test_config_overrides_win(tmp_path, fixtures_dir):
@@ -237,6 +273,42 @@ def test_run_audit_reruns_byte_identically(tmp_path, fixtures_dir):
                  "plot_exclusion.csv"):
         assert (Path(config_a.out_dir) / name).read_bytes() == \
             (Path(config_b.out_dir) / name).read_bytes()
+
+
+def test_run_identity_comes_from_content_not_paths(tmp_path, fixtures_dir, pools,
+                                                   monkeypatch):
+    """The manifest pins the corpus and the frequency table by their bytes:
+    one run copied to two directories, loaded through a relative and an
+    absolute config path, with relative and absolute paths inside, at
+    another parallelism, retry and out_dir, writes identical artifacts."""
+    table = {code: {name: rank + 1 for rank, name in enumerate(pool.names)}
+             for code, pool in pools.items()}
+    for name, absolute, backend in (
+            ("a", False, {}),
+            ("b", True, {"parallelism": 3, "retry": {"max": 5, "base_delay_ms": 1}})):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "corpus.jsonl").write_bytes((fixtures_dir / "mini_corpus.jsonl").read_bytes())
+        (work / "freq.json").write_text(json.dumps(table))
+        prefix = f"{work}/" if absolute else ""
+        write_config(work, fixtures_dir, corpus=f"{prefix}corpus.jsonl",
+                     frequency_table=f"{prefix}freq.json", out_dir=f"{prefix}out-{name}",
+                     backends=[dict(MOCK_EMBED, **backend),
+                               {"id": "gen", "kind": "completion", "protocol": "mock",
+                                "model_name": "mock-summarizer", **backend}])
+    monkeypatch.chdir(tmp_path)
+    result_a = run_audit(load_run_config("a/run.json"))
+    result_b = run_audit(load_run_config(tmp_path / "b" / "run.json"))
+    assert result_a.run_id == result_b.run_id
+    for name in CRITERION_8_ARTIFACTS:
+        assert (tmp_path / "a" / "out-a" / name).read_bytes() == \
+            (tmp_path / "b" / "out-b" / name).read_bytes(), name
+
+    # another table at the same path is another run
+    (tmp_path / "a" / "freq.json").write_text(json.dumps(
+        {code: {name: 100 - rank for name, rank in counts.items()}
+         for code, counts in table.items()}))
+    assert run_audit(load_run_config("a/run.json")).run_id != result_a.run_id
 
 
 def test_run_audit_second_run_hits_cache(tmp_path, fixtures_dir):
