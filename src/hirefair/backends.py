@@ -26,14 +26,14 @@ import random
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from dataclasses import dataclass, field
 from pathlib import Path
-from types import UnionType
-from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import requests
+
+from hirefair.records import check_types
 
 logger = logging.getLogger(__name__)
 
@@ -42,40 +42,6 @@ MOCK_DIM = 256
 
 class BackendError(Exception):
     """Raised for backend configuration or transport failures."""
-
-
-_type_hints = lru_cache(maxsize=None)(get_type_hints)
-
-
-def _is_a(value, hint) -> bool:
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return any(_is_a(value, arg) for arg in args)
-    if origin is tuple:
-        return isinstance(value, (tuple, list)) and all(_is_a(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items())
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    return isinstance(value, hint)
-
-
-def check_types(record, error: type[Exception]) -> None:
-    """Raise `error` unless each field of the dataclass `record` holds a value
-    of its annotated type as JSON gives it: a float field takes an int too
-    and keeps it as written, a number field takes no bool or string, and a
-    tuple field takes a list, stored as a tuple. The message names the
-    field's config file key (its metadata "key", else its name)."""
-    hints = _type_hints(type(record))
-    for f in fields(record):
-        value, hint = getattr(record, f.name), hints[f.name]
-        if not _is_a(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
-            raise error(f"{f.metadata.get('key', f.name)} must be {name}, "
-                        f"got {value!r:.80}")
-        if isinstance(value, list):
-            object.__setattr__(record, f.name, tuple(value))
 
 
 @dataclass(frozen=True)

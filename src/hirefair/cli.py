@@ -6,10 +6,8 @@ Exit codes: 0 ok, 2 configuration error, 3 backend error, 4 data error.
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
-from pathlib import Path
 
 import click
 
@@ -28,29 +26,40 @@ from hirefair.corpus import (
 from hirefair.pipeline import (
     DataError,
     VariantSet,
-    _write_jsonl,
     measure_summaries,
     paired_samples,
     run_audit,
     score_variants,
     summarize,
 )
+from hirefair.records import read_json, to_row, write_jsonl
 from hirefair.report import ReportError, aggregate, emit, read_ledger
 from hirefair.retrieval import RetrievalError
 
-EXIT_CONFIG = 2
-EXIT_BACKEND = 3
-EXIT_DATA = 4
+#: The exit code of each error a command may raise: config, backend, data.
+EXIT_CODES = {
+    ConfigError: 2,
+    BackendError: 3,
+    **dict.fromkeys((CorpusError, DataError, RetrievalError, textmetrics.TextMetricsError,
+                     perturb.PerturbError, stats.StatsError, ReportError), 4),
+}
 
 logger = logging.getLogger(__name__)
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Commands(click.Group):
+    """A command group whose commands end on one of the EXIT_CODES errors
+    with an error line and its exit code, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for error, code in EXIT_CODES.items() if isinstance(exc, error)))
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.option("--verbose", "-v", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
     """Fairness audits for embedding-based resume retrieval and summarization."""
@@ -69,12 +78,8 @@ def corpus():
 @click.argument("path", type=click.Path(exists=True))
 def corpus_validate(path):
     """Load a corpus, run invariant checks, and summarize occupation pairing."""
-    try:
-        resumes, jobs = load_corpus(path)
-        pools = load_name_pools()
-        problems = validate_corpus(resumes, jobs, pools)
-    except CorpusError as exc:
-        _fail(EXIT_DATA, str(exc))
+    resumes, jobs = load_corpus(path)
+    problems = validate_corpus(resumes, jobs, load_name_pools())
     click.echo(f"resumes: {len(resumes)}")
     click.echo(f"jobs: {len(jobs)}")
     groups = pair_jobs(resumes, jobs)
@@ -84,7 +89,7 @@ def corpus_validate(path):
     if problems:
         for p in problems:
             click.echo(f"problem: {p}", err=True)
-        _fail(EXIT_DATA, f"{len(problems)} validation problem(s)")
+        raise CorpusError(f"{len(problems)} validation problem(s)")
     click.echo("corpus ok")
 
 
@@ -97,25 +102,19 @@ def corpus_validate(path):
               help="A {group: {name: count}} JSON, the run config's frequency_table.")
 def perturb_cmd(plan_path, in_path, out_path, frequency_table):
     """Apply an ordered perturbation plan to a corpus."""
-    try:
-        specs = perturb.load_plan(plan_path)
-        resumes, jobs = load_corpus(in_path)
-        pools = load_name_pools(frequency_overrides=(
-            read_frequency_table(frequency_table) if frequency_table else None))
-        perturbed = perturb.apply_plan(resumes, specs, pools=pools)
-        save_corpus(perturbed, jobs, out_path)
-    except (CorpusError, perturb.PerturbError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    specs = perturb.load_plan(plan_path)
+    resumes, jobs = load_corpus(in_path)
+    pools = load_name_pools(frequency_overrides=(
+        read_frequency_table(frequency_table) if frequency_table else None))
+    perturbed = perturb.apply_plan(resumes, specs, pools=pools)
+    save_corpus(perturbed, jobs, out_path)
     click.echo(f"wrote {len(perturbed)} resumes to {out_path}")
 
 
 def _load_backend(path, backend_id, kind, cache_dir):
     """The first `kind` block of a backends file (or the one named
     backend_id), built over a response cache in cache_dir if given."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read backends file {path}: {exc}") from exc
+    doc = read_json(path, ConfigError, "backends file")
     blocks = doc.get("backends", [doc]) if isinstance(doc, dict) else doc
     if not isinstance(blocks, list) or not all(isinstance(raw, dict) for raw in blocks):
         raise ConfigError(f"backends file {path} must hold backend blocks, got {doc!r:.80}")
@@ -140,22 +139,15 @@ def _variant_id(resume) -> str:
 @click.option("--cache-dir", default=None, type=click.Path())
 def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
     """Embed a corpus and write the (job, resume, variant, score) table."""
-    try:
-        backend = _load_backend(backends_path, backend_id, "embedding", cache_dir)
-        resumes, jobs = load_corpus(in_path)
-        if not jobs:
-            _fail(EXIT_DATA, "corpus has no job posts to score against")
-        variants = VariantSet(draw=0, resumes={})
-        for resume in resumes:
-            variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume
-        rows = score_variants(backend, jobs, variants)
-        retrieval.write_score_table(rows, out_path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except BackendError as exc:
-        _fail(EXIT_BACKEND, str(exc))
-    except (CorpusError, RetrievalError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    backend = _load_backend(backends_path, backend_id, "embedding", cache_dir)
+    resumes, jobs = load_corpus(in_path)
+    if not jobs:
+        raise CorpusError("corpus has no job posts to score against")
+    variants = VariantSet(draw=0, resumes={})
+    for resume in resumes:
+        variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume
+    rows = score_variants(backend, jobs, variants)
+    retrieval.write_score_table(rows, out_path)
     click.echo(f"wrote {len(rows)} scores to {out_path}")
 
 
@@ -172,18 +164,11 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
 def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
                   temperature, runs, cache_dir):
     """Generate summaries for every resume at one grid cell."""
-    try:
-        backend = _load_backend(backends_path, backend_id, "completion", cache_dir)
-        resumes, _ = load_corpus(in_path)
-        records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
-                            [(float(temperature), int(length), pov)], runs)
-        _write_jsonl([textmetrics.summary_row(r) for r in records], Path(out_path))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except BackendError as exc:
-        _fail(EXIT_BACKEND, str(exc))
-    except CorpusError as exc:
-        _fail(EXIT_DATA, str(exc))
+    backend = _load_backend(backends_path, backend_id, "completion", cache_dir)
+    resumes, _ = load_corpus(in_path)
+    records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
+                        [(float(temperature), int(length), pov)], runs)
+    write_jsonl(map(to_row, records), out_path)
     click.echo(f"wrote {len(records)} summaries to {out_path}")
 
 
@@ -193,11 +178,8 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
 @click.option("--out", "out_path", required=True, type=click.Path())
 def measure_cmd(in_path, out_path):
     """Compute the proxy measures for generated summaries."""
-    try:
-        rows = measure_summaries(textmetrics.read_summaries(in_path))
-        textmetrics.write_measures(rows, out_path)
-    except (KeyError, json.JSONDecodeError, textmetrics.TextMetricsError) as exc:
-        _fail(EXIT_DATA, f"bad summaries file: {exc}")
+    rows = measure_summaries(textmetrics.read_summaries(in_path))
+    textmetrics.write_measures(rows, out_path)
     click.echo(f"wrote {len(rows)} measure rows to {out_path}")
 
 
@@ -207,11 +189,8 @@ def measure_cmd(in_path, out_path):
 @click.option("--top", default=0, type=int, help="Print only the top N rows per job.")
 def rank_cmd(scores_path, variant, top):
     """Print competition ranks per job from a saved score table."""
-    try:
-        table = retrieval.score_array(retrieval.read_score_table(scores_path))
-        scores = table.of(variant)
-    except (RetrievalError, OSError, ValueError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    table = retrieval.score_array(retrieval.read_score_table(scores_path))
+    scores = table.of(variant)
     for job_id, job_scores in zip(table.jobs, scores):
         ranks = retrieval.competition_ranks(job_scores)
         order = sorted(range(len(job_scores)),
@@ -242,23 +221,20 @@ def audit_retrieval(scores_path, metric, n_values, x_values,
                     original_variant, perturbed_variant, alpha):
     """Recompute retrieval metrics from a saved score table. Non-uniformity is
     tested per job post; a score table has no occupations to pool by."""
-    try:
-        table = retrieval.score_array(retrieval.read_score_table(scores_path))
-        if metric == "exclusion":
-            original = table.of(original_variant)
-            perturbed = table.of(perturbed_variant)
-            for j, job_id in enumerate(table.jobs):
-                for n in n_values or (5, 10, 100):
-                    value = retrieval.exclusion(original[j], perturbed[j], n)
-                    click.echo(f"{job_id}\texclusion\tn={n}\t{value:.6f}")
-        else:
-            pools = table.pools()
-            for x in x_values or (5.0, 10.0):
-                for res in retrieval.non_uniformity(pools, x, alpha=alpha):
-                    click.echo(f"{res.unit_id}\tnonuniformity\tx={x:g}\tsep\t"
-                               f"chi2={res.chi2:.4f}\tp={res.p:.6f}\tflag={res.flag}")
-    except (RetrievalError, OSError, ValueError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    table = retrieval.score_array(retrieval.read_score_table(scores_path))
+    if metric == "exclusion":
+        original = table.of(original_variant)
+        perturbed = table.of(perturbed_variant)
+        for j, job_id in enumerate(table.jobs):
+            for n in n_values or (5, 10, 100):
+                value = retrieval.exclusion(original[j], perturbed[j], n)
+                click.echo(f"{job_id}\texclusion\tn={n}\t{value:.6f}")
+    else:
+        pools = table.pools()
+        for x in x_values or (5.0, 10.0):
+            for res in retrieval.non_uniformity(pools, x, alpha=alpha):
+                click.echo(f"{res.unit_id}\tnonuniformity\tx={x:g}\tsep\t"
+                           f"chi2={res.chi2:.4f}\tp={res.p:.6f}\tflag={res.flag}")
 
 
 @audit.command("summarization")
@@ -273,13 +249,9 @@ def audit_summarization(measures_path, correction, alpha):
     generation runs are averaged per resume, and regard is included when
     the file has it.
     """
-    try:
-        measured = textmetrics.read_measures(measures_path)
-    except (textmetrics.TextMetricsError, OSError, ValueError, KeyError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    samples = paired_samples(measured)
+    samples = paired_samples(textmetrics.read_measures(measures_path))
     if not samples:
-        _fail(EXIT_DATA, "no pairable measures found (need name:* group variants)")
+        raise DataError("no pairable measures found (need name:* group variants)")
     results = [(sample.label, stats.paired_t_test(sample)) for sample in samples]
     rates, _ = stats.invariance_violation_rate(results, correction=correction,
                                                alpha=alpha)
@@ -297,16 +269,12 @@ def audit_summarization(measures_path, correction, alpha):
 @click.option("--svg", is_flag=True, help="Also emit SVG bar charts.")
 def report_cmd(ledger_paths, run_id, manifest_path, out_dir, svg):
     """Aggregate metric ledgers into report files."""
-    try:
-        entries = []
-        for path in ledger_paths:
-            entries.extend(read_ledger(path))
-        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-        manifest.pop("run_id", None)
-        rep = aggregate(entries, run_id, manifest)
-        files = emit(rep, out_dir, svg=svg)
-    except (ReportError, OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    entries = [entry for path in ledger_paths for entry in read_ledger(path)]
+    manifest = read_json(manifest_path, ReportError, "manifest")
+    if not isinstance(manifest, dict):
+        raise ReportError(f"manifest {manifest_path} must be a JSON object")
+    manifest.pop("run_id", None)
+    files = emit(aggregate(entries, run_id, manifest), out_dir, svg=svg)
     for f in files:
         click.echo(f"wrote {f}")
 
@@ -323,20 +291,11 @@ def report_cmd(ledger_paths, run_id, manifest_path, out_dir, svg):
 def run_cmd(config_path, out_dir, master_seed, draws, correction, alpha, svg):
     """Composite pipeline: validate, perturb, embed, summarize, measure,
     audit, report."""
-    try:
-        config = load_run_config(
-            config_path, out_dir=out_dir, master_seed=master_seed,
-            draws=draws, correction=correction, alpha=alpha,
-        )
-        result = run_audit(config, svg=svg)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except BackendError as exc:
-        _fail(EXIT_BACKEND, str(exc))
-    except (CorpusError, DataError, RetrievalError,
-            textmetrics.TextMetricsError, perturb.PerturbError,
-            stats.StatsError, ReportError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    config = load_run_config(
+        config_path, out_dir=out_dir, master_seed=master_seed,
+        draws=draws, correction=correction, alpha=alpha,
+    )
+    result = run_audit(config, svg=svg)
     click.echo(f"run {result.run_id} complete")
     click.echo(f"report rows: {len(result.report.rows)}")
     for f in result.files:

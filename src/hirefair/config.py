@@ -8,11 +8,11 @@ attempts to override those fields under the preset are configuration errors.
 
 from __future__ import annotations
 
-import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from hirefair.backends import BackendConfig, BackendError, RetryPolicy, check_types
+from hirefair.backends import BackendConfig, BackendError, RetryPolicy
+from hirefair.records import check_types, from_row, read_json
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -137,34 +137,13 @@ _NOT_IN_MANIFEST = _PATHS + ("regard_credential_env", "credential_env",
 _PINNED_BY_REPLICATION = ("temperatures", "lengths", "povs", "runs")
 
 
-def _values(cls, raw, where: str, extra: tuple[str, ...] = ()) -> dict:
-    """A config block's values by field name of dataclass `cls`; a key that
-    names no field (nor is in `extra`) is a ConfigError."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} block must be a JSON object, got {raw!r:.80}")
-    names = {f.metadata.get("key", f.name): f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - set(names) - set(extra))
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
-    return {names[key]: value for key, value in raw.items() if key in names}
-
-
-def _construct(cls, values: dict, where: str):
-    """cls(**values); a field with no default and no value is a ConfigError."""
-    missing = [f.metadata.get("key", f.name) for f in fields(cls) if f.name not in values
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigError(f"{where} must set {', '.join(missing)}")
-    return cls(**values)
-
-
 def backend_from_dict(raw) -> BackendConfig:
     """A backend block as a BackendConfig; any fault in it is a ConfigError."""
-    values = _values(BackendConfig, raw, "backend")
+    given = {}
+    if isinstance(raw, dict) and "retry" in raw:
+        given["retry"] = from_row(RetryPolicy, raw["retry"], ConfigError, "retry")
     try:
-        if "retry" in values:
-            values["retry"] = RetryPolicy(**_values(RetryPolicy, values["retry"], "retry"))
-        return _construct(BackendConfig, values, "backend block")
+        return from_row(BackendConfig, raw, ConfigError, "backend", **given)
     except BackendError as exc:
         raise ConfigError(f"invalid backend block: {exc}") from exc
 
@@ -173,36 +152,29 @@ def load_run_config(path, **overrides) -> RunConfig:
     """Load a JSON run config; keyword overrides (RunConfig fields, or the
     grid's draws) that are not None win over file values."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = _values(RunConfig, raw, "top-level", extra=("schema_version", "preset"))
-    if raw.get("schema_version") != CONFIG_SCHEMA_VERSION:
+    raw = read_json(path, ConfigError, "config")
+    if not isinstance(raw, dict) or raw.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError("config missing or unsupported schema_version")
     preset = raw.get("preset")
     if preset not in (None, "replication"):
         raise ConfigError(f"unknown preset {preset!r}")
-    grid = _values(GridConfig, values.pop("grid", {}), "grid")
 
-    for name in _PATHS:
-        if isinstance(values.get(name), str) and values[name]:
-            values[name] = str(path.parent / values[name])
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    if "out_dir" in overrides:  # CLI paths are cwd-relative
-        overrides["out_dir"] = str(Path(overrides["out_dir"]).absolute())
-    if "draws" in overrides:
-        grid["draws"] = overrides.pop("draws")
-    values.update(overrides)
-
+    given = {key: value for key, value in overrides.items() if value is not None}
+    if "out_dir" in given:  # CLI paths are cwd-relative
+        given["out_dir"] = str(Path(given["out_dir"]).absolute())
+    grid = raw.get("grid", {})
     if preset == "replication":
-        if values.get("alpha", RunConfig.alpha) != RunConfig.alpha:
+        if given.get("alpha", raw.get("alpha", RunConfig.alpha)) != RunConfig.alpha:
             raise ConfigError(f"replication preset pins alpha={RunConfig.alpha}")
         for key in _PINNED_BY_REPLICATION:
-            if key in grid:
+            if isinstance(grid, dict) and key in grid:
                 raise ConfigError(
                     f"replication preset pins grid.{key}; remove the override")
-    values["grid"] = GridConfig(**grid)
-    if isinstance(values.get("backends"), list):
-        values["backends"] = tuple(backend_from_dict(b) for b in values["backends"])
-    return _construct(RunConfig, values, "config")
+    draws = {"draws": given.pop("draws")} if "draws" in given else {}
+    given["grid"] = from_row(GridConfig, grid, ConfigError, "grid", **draws)
+    if isinstance(raw.get("backends"), list):
+        given["backends"] = tuple(backend_from_dict(b) for b in raw["backends"])
+    config = from_row(RunConfig, raw, ConfigError, "top-level",
+                      extra=("schema_version", "preset"), **given)
+    return replace(config, **{name: str(path.parent / getattr(config, name))
+                              for name in _PATHS if getattr(config, name) and name not in given})

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from hirefair.records import from_row, read_json, read_jsonl, to_row, write_jsonl
+
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
@@ -173,67 +175,22 @@ class NamePool:
         })
 
 
-def _group_to_json(group: DemographicGroup | None) -> str | None:
-    return group.code if group is not None else None
-
-
-def _resume_to_record(r: Resume) -> dict:
-    rec = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "resume",
-        "id": r.id,
-        "profession": r.profession,
-        "source": r.source,
-        "lineage": list(r.lineage),
-        "body": r.body,
-    }
-    if r.group is not None:
-        rec["group"] = _group_to_json(r.group)
-    return rec
-
-
-def _job_to_record(j: JobPost) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "job",
-        "id": j.id,
-        "occupation": j.occupation,
-        "body": j.body,
-    }
+def _record(item: Resume | JobPost) -> dict:
+    """A corpus file row: the item's fields, its kind and the schema version;
+    a resume's group as its code, left out when unset."""
+    if isinstance(item, JobPost):
+        return to_row(item, kind="job", schema_version=SCHEMA_VERSION)
+    row = to_row(item, kind="resume", schema_version=SCHEMA_VERSION)
+    if item.group is None:
+        del row["group"]
+    else:
+        row["group"] = item.group.code
+    return row
 
 
 def save_corpus(resumes: list[Resume], jobs: list[JobPost], path) -> None:
     """Write a corpus file: resumes first, then jobs, input order preserved."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for r in resumes:
-            fh.write(json.dumps(_resume_to_record(r), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-        for j in jobs:
-            fh.write(json.dumps(_job_to_record(j), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-
-
-def _parse_record(rec: dict, lineno: int) -> Resume | JobPost:
-    if rec.get("schema_version") != SCHEMA_VERSION:
-        raise CorpusError(f"line {lineno}: missing or unsupported schema_version")
-    kind = rec.get("kind")
-    try:
-        if kind == "resume":
-            group = rec.get("group")
-            return Resume(
-                id=rec["id"],
-                profession=rec["profession"],
-                body=rec["body"],
-                group=DemographicGroup.from_code(group) if group else None,
-                lineage=tuple(rec.get("lineage", ())),
-                source=rec.get("source", "user"),
-            )
-        if kind == "job":
-            return JobPost(id=rec["id"], occupation=rec["occupation"], body=rec["body"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CorpusError(f"line {lineno}: invalid {kind} record: {exc}") from exc
-    raise CorpusError(f"line {lineno}: unknown record kind {kind!r}")
+    write_jsonl(map(_record, [*resumes, *jobs]), path)
 
 
 def load_corpus(path) -> tuple[list[Resume], list[JobPost]]:
@@ -243,44 +200,43 @@ def load_corpus(path) -> tuple[list[Resume], list[JobPost]]:
     and for duplicate ids. Unknown profession labels log a warning but do
     not fail the load.
     """
-    path = Path(path)
     resumes: list[Resume] = []
     jobs: list[JobPost] = []
     seen_ids: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    for lineno, rec in read_jsonl(path, CorpusError):
+        where = f"{path} line {lineno}"
+        if rec.get("schema_version") != SCHEMA_VERSION:
+            raise CorpusError(f"{where}: missing or unsupported schema_version")
+        kind = rec.get("kind")
+        if kind not in ("resume", "job"):
+            raise CorpusError(f"{where}: unknown record kind {kind!r}")
+        given = {}
+        if kind == "resume" and rec.get("group") is not None:
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise CorpusError(f"line {lineno}: record must be an object")
-            item = _parse_record(rec, lineno)
-            if item.id in seen_ids:
-                raise CorpusError(
-                    f"line {lineno}: duplicate id {item.id!r} "
-                    f"(first seen on line {seen_ids[item.id]})"
-                )
-            seen_ids[item.id] = lineno
-            if isinstance(item, Resume):
-                if item.profession not in KNOWN_PROFESSIONS:
-                    logger.warning("line %d: unknown profession label %r",
-                                   lineno, item.profession)
-                resumes.append(item)
-            else:
-                jobs.append(item)
+                given["group"] = DemographicGroup.from_code(rec["group"])
+            except ValueError as exc:
+                raise CorpusError(f"{where}: {exc}") from exc
+        item = from_row(Resume if kind == "resume" else JobPost, rec, CorpusError,
+                        where, extra=("schema_version", "kind"), **given)
+        if item.id in seen_ids:
+            raise CorpusError(
+                f"{where}: duplicate id {item.id!r} "
+                f"(first seen on line {seen_ids[item.id]})"
+            )
+        seen_ids[item.id] = lineno
+        if isinstance(item, Resume):
+            if item.profession not in KNOWN_PROFESSIONS:
+                logger.warning("%s: unknown profession label %r", where, item.profession)
+            resumes.append(item)
+        else:
+            jobs.append(item)
     return resumes, jobs
 
 
 def read_frequency_table(path) -> dict[str, dict[str, int]]:
     """A ``{group code: {name: count}}`` JSON file, the ``frequency_overrides``
     of load_name_pools; a file that is not such a table is a CorpusError."""
-    try:
-        table = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorpusError(f"cannot read frequency table {path}: {exc}") from exc
+    table = read_json(path, CorpusError, "frequency table")
     if not isinstance(table, dict):
         raise CorpusError(f"frequency table {path}: expected a JSON object")
     for code, counts in table.items():

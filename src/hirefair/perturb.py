@@ -27,6 +27,7 @@ from hirefair.corpus import (
     Resume,
     overlapping_names,
 )
+from hirefair.records import from_row, read_json, to_row
 
 logger = logging.getLogger(__name__)
 
@@ -92,15 +93,13 @@ class PerturbationSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise PerturbError(f"spec id must be a non-empty string, got {self.id!r}")
+        if not self.id:
+            raise PerturbError("spec id must be non-empty")
         if self.kind not in KINDS:
             raise PerturbError(f"unknown perturbation kind {self.kind!r}")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise PerturbError(f"spec {self.id!r}: seed must be a 64-bit unsigned "
                                f"integer, got {self.seed!r}")
-        if not isinstance(self.params, dict):
-            raise PerturbError(f"spec {self.id!r}: params must be an object")
         missing = [p for p in _REQUIRED_PARAMS.get(self.kind, ()) if p not in self.params]
         if missing:
             raise PerturbError(f"spec {self.id!r} ({self.kind}) missing params: {missing}")
@@ -419,30 +418,15 @@ def apply_plan(resumes: Sequence[Resume], specs: Sequence[PerturbationSpec],
 
 def load_plan(path) -> list[PerturbationSpec]:
     """Read a plan file; a file that is not a valid plan is a PerturbError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise PerturbError(f"cannot read plan {path}: {exc}") from exc
+    doc = read_json(path, PerturbError, "plan")
     if not isinstance(doc, dict) or doc.get("schema_version") != PLAN_SCHEMA_VERSION:
         raise PerturbError("plan file missing or unsupported schema_version")
-    try:
-        return [
-            PerturbationSpec(id=s["id"], kind=s["kind"], seed=s["seed"],
-                             params=s.get("params", {}))
-            for s in doc["specs"]
-        ]
-    except KeyError as exc:
-        raise PerturbError(f"malformed plan {path}: missing {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise PerturbError(f"malformed plan {path}: {exc}") from exc
+    if not isinstance(doc.get("specs"), list):
+        raise PerturbError(f"plan {path} must list its specs")
+    return [from_row(PerturbationSpec, spec, PerturbError, f"plan {path} spec {i}")
+            for i, spec in enumerate(doc["specs"], start=1)]
 
 
 def save_plan(specs: Sequence[PerturbationSpec], path) -> None:
-    doc = {
-        "schema_version": PLAN_SCHEMA_VERSION,
-        "specs": [
-            {"id": s.id, "kind": s.kind, "seed": s.seed, "params": s.params}
-            for s in specs
-        ],
-    }
+    doc = {"schema_version": PLAN_SCHEMA_VERSION, "specs": [to_row(s) for s in specs]}
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -33,6 +33,8 @@ from hirefair.corpus import (
     validate_corpus,
 )
 from hirefair.perturb import PerturbationSpec
+# _write_jsonl is the module-level name perfbench/traced_audit.py wraps
+from hirefair.records import to_row, write_jsonl as _write_jsonl
 from hirefair.report import (
     LedgerEntry,
     MetricReport,
@@ -285,7 +287,7 @@ def summarize(backend, versions: list[tuple[Resume, str]],
     return [
         SummaryRecord(
             resume_id=resume_id, variant_id=variant_id, model_name=model,
-            length_setting=request.max_words_hint, pov=pov,
+            length=request.max_words_hint, pov=pov,
             temperature=request.temperature, run_index=request.run_index, text=text,
         )
         for (resume_id, variant_id, pov, request), text in zip(calls, texts)
@@ -328,7 +330,7 @@ def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
     models, cells, run_indices, resume_ids = set(), set(), set(), set()
     for record, mv in measured:
         group = record.variant_id.partition("@")[0]
-        cell = (record.temperature, record.length_setting, record.pov)
+        cell = (record.temperature, record.length, record.pov)
         models.add(record.model_name)
         cells.add(cell)
         run_indices.add(record.run_index)
@@ -407,13 +409,6 @@ class RunResult:
     out_dir: Path
     report: MetricReport
     files: list[Path]
-
-
-def _write_jsonl(rows: list[dict], path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
 
 
 def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
@@ -497,8 +492,7 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
         for backend in completers:
             records = generate_summaries(backend, variants, config)
             summaries_path = out_dir / f"summaries_{backend.config.id}{_suffix(draw)}.jsonl"
-            _write_jsonl([textmetrics.summary_row(r) for r in records],
-                         summaries_path)
+            _write_jsonl(map(to_row, records), summaries_path)
             files.append(summaries_path)
 
             # regard runs at the parallelism of the backend it scores

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from hirefair.records import from_row, read_jsonl, to_row, write_jsonl
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -47,37 +49,32 @@ class LedgerEntry:
     value: float
     sample_size: int = 1
 
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise ReportError(f"unknown metric {self.metric!r}")
+
 
 def make_entry(run_id: str, metric: str, model: str, perturbation: str,
                param: str, mode: str, value: float, sample_size: int = 1,
                detail: str = "") -> LedgerEntry:
     """Build an entry whose id is a digest of its content (so duplicates collide)."""
-    if metric not in METRICS:
-        raise ReportError(f"unknown metric {metric!r}")
     entry = LedgerEntry("", run_id, metric, model, perturbation, param, mode,
                         value, sample_size)
-    content = dict(asdict(entry), detail=detail)
+    content = to_row(entry, detail=detail)
     del content["entry_id"]
     entry_id = hashlib.sha256(_canonical(content).encode("utf-8")).hexdigest()[:16]
     return replace(entry, entry_id=entry_id)
 
 
 def write_ledger(entries: Iterable[LedgerEntry], path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for e in entries:
-            fh.write(_canonical(asdict(e)))
-            fh.write("\n")
+    """One compact JSON line per entry."""
+    write_jsonl(map(to_row, entries), path, separators=(",", ":"))
 
 
 def read_ledger(path) -> list[LedgerEntry]:
-    entries = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            entries.append(LedgerEntry(**rec))
-    return entries
+    """Entries from a ledger file; a row that is not an entry is a ReportError."""
+    return [from_row(LedgerEntry, row, ReportError, f"{path} line {lineno}")
+            for lineno, row in read_jsonl(path, ReportError)]
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def emit(report: MetricReport, out_dir, svg: bool = False) -> list[Path]:
         "schema_version": REPORT_SCHEMA_VERSION,
         "run_id": report.run_id,
         "manifest_digest": report.manifest_digest,
-        "rows": [asdict(r) for r in report.rows],
+        "rows": [to_row(r) for r in report.rows],
     }
     json_path.write_text(json.dumps(doc, indent=1, sort_keys=True,
                                     ensure_ascii=False) + "\n", encoding="utf-8")

@@ -17,13 +17,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from hirefair.corpus import GROUP_CODES
+from hirefair.records import to_row
 from hirefair.stats import uniform_gof
 
 logger = logging.getLogger(__name__)
@@ -228,33 +229,32 @@ class ScoreRow:
     score: float
 
 
-SCORE_TABLE_FIELDS = ("job_id", "resume_id", "variant_id", "score")
-
-
 def write_score_table(rows: Iterable[ScoreRow], path) -> None:
-    """Write scores as CSV so metrics can be recomputed without re-embedding."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    """Write scores as CSV so metrics can be recomputed without re-embedding;
+    the columns are ScoreRow's fields."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SCORE_TABLE_FIELDS)
-        for r in rows:
-            writer.writerow([r.job_id, r.resume_id, r.variant_id, repr(r.score)])
+        writer.writerow(f.name for f in fields(ScoreRow))
+        writer.writerows(to_row(r).values() for r in rows)
 
 
 def read_score_table(path) -> list[ScoreRow]:
-    path = Path(path)
+    """Rows of a score table; a file that is not one is a RetrievalError."""
+    columns = [f.name for f in fields(ScoreRow)]
     rows: list[ScoreRow] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(SCORE_TABLE_FIELDS):
-            raise RetrievalError(f"unexpected score table header: {header}")
-        for rec in reader:
-            if len(rec) != len(SCORE_TABLE_FIELDS):
-                raise RetrievalError(f"{path}: line {reader.line_num}: expected "
-                                     f"{len(SCORE_TABLE_FIELDS)} fields, got {len(rec)}")
-            rows.append(ScoreRow(job_id=rec[0], resume_id=rec[1],
-                                 variant_id=rec[2], score=float(rec[3])))
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != columns:
+                raise RetrievalError(f"unexpected score table header: {header}")
+            for rec in reader:
+                if len(rec) != len(columns):
+                    raise RetrievalError(f"{path}: line {reader.line_num}: expected "
+                                         f"{len(columns)} fields, got {len(rec)}")
+                rows.append(ScoreRow(*rec[:-1], score=float(rec[-1])))
+    except (OSError, UnicodeDecodeError, csv.Error, ValueError) as exc:
+        raise RetrievalError(f"cannot read score table {path}: {exc}") from exc
     return rows
 
 

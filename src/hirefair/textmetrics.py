@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from hirefair.backends import BackendError, JsonEndpoint, ResponseCache, RetryPolicy, cached_calls
+from hirefair.records import from_row, read_jsonl, to_row, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +34,7 @@ _DATA_DIR = Path(__file__).parent / "data"
 #: exact constant does not affect test outcomes.
 READING_MS_PER_CHAR = 14.69
 
-MEASURES_SCHEMA_VERSION = 1
+MEASURES_SCHEMA_VERSION = 2
 
 REGARD_CATEGORIES = ("positive", "negative", "neutral", "other")
 
@@ -69,16 +70,17 @@ def _abbreviations() -> frozenset[str]:
 
 def split_sentences(text: str) -> list[str]:
     """Split on terminal punctuation (. ! ?) followed by whitespace or EOF,
-    except after a known abbreviation. Segments without a word don't count."""
+    except right after a known abbreviation. Segments without a word don't
+    count."""
     abbreviations = _abbreviations()
-    # The last [A-Za-z.]+ run before a boundary is the first run found in the
-    # reversed text from that point, so no sentence is scanned twice.
+    # The [A-Za-z.]+ run that ends at a boundary is the run that starts at
+    # that point of the reversed text; a boundary after a digit has none.
     reverse = text[::-1]
     n = len(text)
     parts: list[str] = []
     start = 0
     for match in _SENTENCE_END_RE.finditer(text):
-        last_word = _WORD_CHARS_RE.search(reverse, n - match.start(), n - start)
+        last_word = _WORD_CHARS_RE.match(reverse, n - match.start(), n - start)
         if last_word and last_word.group()[::-1].rstrip(".").lower() in abbreviations:
             continue
         parts.append(text[start:match.end()])
@@ -281,15 +283,15 @@ class SummaryRecord:
     resume_id: str
     variant_id: str
     model_name: str
-    length_setting: int   # 100 | 200
+    length: int           # 100 | 200
     pov: str              # "first" | "third"
     temperature: float    # 0.0 | 0.3
     run_index: int        # 1..5
     text: str
 
     def __post_init__(self):
-        if self.length_setting not in (100, 200):
-            raise TextMetricsError(f"length_setting must be 100 or 200, got {self.length_setting}")
+        if self.length not in (100, 200):
+            raise TextMetricsError(f"length must be 100 or 200, got {self.length}")
         if self.pov not in ("first", "third"):
             raise TextMetricsError(f"pov must be first or third, got {self.pov!r}")
         if self.temperature not in (0.0, 0.3):
@@ -343,67 +345,35 @@ def measure_text(text: str, regard_client: RegardClient | None = None) -> Measur
     return measure_texts([text], regard_client)[0]
 
 
-def summary_row(record: SummaryRecord) -> dict:
-    """One line of a summaries JSONL file, the format read_summaries reads."""
-    return {
-        "resume_id": record.resume_id, "variant_id": record.variant_id,
-        "model_name": record.model_name, "temperature": record.temperature,
-        "length": record.length_setting, "pov": record.pov,
-        "run_index": record.run_index, "text": record.text,
-    }
-
-
 def read_summaries(path) -> list[SummaryRecord]:
-    """Summary records from a JSONL file of summary_row lines."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            records.append(SummaryRecord(
-                resume_id=rec["resume_id"], variant_id=rec["variant_id"],
-                model_name=rec["model_name"], length_setting=rec["length"],
-                pov=rec["pov"], temperature=rec["temperature"],
-                run_index=rec["run_index"], text=rec["text"],
-            ))
-    return records
+    """Summary records from a JSONL file of their rows; a row that is not a
+    summary is a TextMetricsError."""
+    return [from_row(SummaryRecord, row, TextMetricsError, f"{path} line {lineno}")
+            for lineno, row in read_jsonl(path, TextMetricsError)]
 
 
 def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path) -> None:
     """One JSON line per summary: its record's fields but the text, and its
     measures (regard only when scored); schema versioned."""
-    record_fields = [f.name for f in fields(SummaryRecord) if f.name != "text"]
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for record, mv in rows:
-            rec = {name: getattr(record, name) for name in record_fields}
-            rec.update((name, getattr(mv, name)) for name in MeasureVector.NAMES)
-            if mv.regard is None:
-                del rec["regard"]
-            rec["schema_version"] = MEASURES_SCHEMA_VERSION
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-
-
-def _from_row(cls, row: dict, **given):
-    """cls from a JSON row keyed by its field names, with `given` values for
-    fields the row does not hold; a missing field without a default is a
-    KeyError."""
-    for f in fields(cls):
-        if f.name not in given and (f.name in row or f.default is MISSING):
-            given[f.name] = row[f.name]
-    return cls(**given)
+    def row(record: SummaryRecord, mv: MeasureVector) -> dict:
+        rec = to_row(record, **to_row(mv), schema_version=MEASURES_SCHEMA_VERSION)
+        del rec["text"]
+        if mv.regard is None:
+            del rec["regard"]
+        return rec
+    write_jsonl((row(record, mv) for record, mv in rows), path)
 
 
 def read_measures(path) -> list[tuple[SummaryRecord, MeasureVector]]:
+    """(record, measures) of each row of a measures file; the record's text
+    is empty. A row of another schema or of other keys is a TextMetricsError."""
     rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec.get("schema_version") != MEASURES_SCHEMA_VERSION:
-                raise TextMetricsError(f"line {lineno}: unsupported measures schema")
-            rows.append((_from_row(SummaryRecord, rec, text=""),
-                         _from_row(MeasureVector, rec)))
+    for lineno, row in read_jsonl(path, TextMetricsError):
+        where = f"{path} line {lineno}"
+        if row.get("schema_version") != MEASURES_SCHEMA_VERSION:
+            raise TextMetricsError(f"{where}: unsupported measures schema")
+        measures = {name: row.pop(name) for name in MeasureVector.NAMES if name in row}
+        rows.append((from_row(SummaryRecord, row, TextMetricsError, where,
+                              extra=("schema_version",), text=""),
+                     from_row(MeasureVector, measures, TextMetricsError, where)))
     return rows

@@ -19,7 +19,8 @@ from hirefair.pipeline import (
 )
 from hirefair.report import make_entry, read_ledger
 from hirefair.retrieval import cosine, read_score_table
-from hirefair.textmetrics import read_measures, read_summaries, summary_row
+from hirefair.records import to_row
+from hirefair.textmetrics import read_measures, read_summaries
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -183,10 +184,26 @@ def test_cli_stage_rejects_malformed_backends_file(tmp_path, fixtures_dir, comma
 
 
 def test_config_numbers_stay_as_written(tmp_path, fixtures_dir):
+    """A float field's int is stored as a float, so one grid written two
+    ways is one run."""
     config = load_run_config(write_config(tmp_path, fixtures_dir, alpha=0.1))
-    assert config.grid.x_values == (25,) and type(config.grid.x_values[0]) is int
+    assert config.grid.x_values == (25.0,) and type(config.grid.x_values[0]) is float
     assert type(config.alpha) is float
-    assert json.dumps(config.canonical_dict()["grid"]["x_values"]) == "[25]"
+    assert json.dumps(config.canonical_dict()["grid"]["x_values"]) == "[25.0]"
+
+
+def test_grid_numbers_written_as_ints_are_one_run(tmp_path, fixtures_dir):
+    outputs = []
+    for temperature in (0, 0.0):
+        root = tmp_path / repr(temperature)
+        root.mkdir()
+        config = load_run_config(write_config(
+            root, fixtures_dir, grid={"n_values": [3], "x_values": [25],
+                                      "temperatures": [temperature], "lengths": [100],
+                                      "povs": ["third"], "runs": 1}))
+        outputs.append((run_audit(config).run_id,
+                        (Path(config.out_dir) / "summaries_gen.jsonl").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_config_overrides_win(tmp_path, fixtures_dir):
@@ -400,6 +417,7 @@ def test_cli_perturb_roundtrip(tmp_path, fixtures_dir):
     {"schema_version": 1, "specs": [
         {"id": "n", "kind": "assign_name", "seed": 1, "params": {"group": "FW"}},
         {"id": "x", "kind": "extracurricular", "seed": 1}]},
+    {"schema_version": 1, "specs": [{"id": "t", "kind": "typo", "seed": 1, "note": "x"}]},
 ])
 def test_cli_perturb_bad_plan_is_data_error(tmp_path, fixtures_dir, plan):
     plan_path = tmp_path / "plan.json"
@@ -642,9 +660,9 @@ def test_cli_summarize_then_measure(tmp_path, fixtures_dir):
     assert result.exit_code == 0, result.output
     lines = [json.loads(line) for line in summaries.read_text().splitlines()]
     records = read_summaries(summaries)
-    assert [summary_row(r) for r in records] == lines
+    assert [to_row(r) for r in records] == lines
     assert len(records) == 12 * 2
-    assert {(r.length_setting, r.pov, r.temperature) for r in records} == {(200, "first", 0.3)}
+    assert {(r.length, r.pov, r.temperature) for r in records} == {(200, "first", 0.3)}
     assert [r.run_index for r in records[:2]] == [1, 2]
 
     measures = tmp_path / "measures.jsonl"
@@ -690,6 +708,58 @@ def test_cli_stage_chain_reaches_audit_summarization(tmp_path, fixtures_dir):
     assert result.exit_code == 0, result.output
     rows = [line.split("\t") for line in result.output.strip().splitlines()]
     assert sorted(ctype for _, ctype, _, _ in rows) == ["gender", "race"]
+
+
+LEDGER_ROW = {"entry_id": "e1", "run_id": "r", "metric": "exclusion", "model": "m",
+              "perturbation": "p", "param": "n=5", "mode": "", "value": 0.5,
+              "sample_size": 1}
+SUMMARY_ROW = {"resume_id": "r1", "variant_id": "name:FW", "model_name": "m",
+               "length": 100, "pov": "third", "temperature": 0.0, "run_index": 1,
+               "text": "A good summary."}
+MEASURES_ROW = {**{key: value for key, value in SUMMARY_ROW.items() if key != "text"},
+                "reading_ease": 50.0, "reading_time": 1.0, "polarity": 0.0,
+                "subjectivity": 0.0, "schema_version": 2}
+RESUME_ROW = {"schema_version": 1, "kind": "resume", "id": "a", "profession": "Data Analyst",
+              "source": "user", "lineage": [], "body": "text a"}
+JOB_ROW = {"schema_version": 1, "kind": "job", "id": "j", "occupation": "IT", "body": "x"}
+
+
+@pytest.mark.parametrize("command,rows,manifest,expected", [
+    ("report", [[1]], {}, "must be a JSON object"),
+    ("report", [dict(LEDGER_ROW, foo=1)], {}, "key(s): foo"),
+    ("report", [dict(LEDGER_ROW, value="abc")], {}, "value must be float, got 'abc'"),
+    ("report", [dict(LEDGER_ROW, metric="bogus")], {}, "unknown metric 'bogus'"),
+    ("report", [LEDGER_ROW], [], "must be a JSON object"),
+    ("measure", [[1, 2]], None, "must be a JSON object"),
+    ("measure", [dict(SUMMARY_ROW, text=5)], None, "text must be str"),
+    ("measure", [dict(SUMMARY_ROW, colour="red")], None, "key(s): colour"),
+    ("measure", [dict(SUMMARY_ROW, temperature="0.0")], None,
+     "temperature must be float, got '0.0'"),
+    ("audit", [[1]], None, "must be a JSON object"),
+    ("audit", [dict(MEASURES_ROW, regard="bad")], None, "regard must be"),
+    ("corpus", [dict(RESUME_ROW, body=5)], None, "body must be str"),
+    ("corpus", [dict(RESUME_ROW, lineage="abc")], None, "lineage must be"),
+    ("corpus", [dict(RESUME_ROW, id=7)], None, "id must be str"),
+    ("corpus", [dict(JOB_ROW, note="x")], None, "key(s): note"),
+])
+def test_cli_malformed_rows_are_data_errors(tmp_path, command, rows, manifest, expected):
+    """Each artifact reader rejects a row that is not an object, a key that
+    names no field and a value of the wrong JSON type: exit 4, no traceback."""
+    data = tmp_path / "rows.jsonl"
+    data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    args = {
+        "report": ["report", "--ledger", str(data), "--run-id", "r",
+                   "--manifest", str(manifest_path), "--out", str(tmp_path / "out")],
+        "measure": ["measure", "--in", str(data), "--out", str(tmp_path / "m.jsonl")],
+        "audit": ["audit", "summarization", "--measures", str(data)],
+        "corpus": ["corpus", "validate", str(data)],
+    }[command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("error: ") and expected in result.output, result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_cli_rank_from_score_table(tmp_path, fixtures_dir):

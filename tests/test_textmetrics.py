@@ -109,6 +109,9 @@ def test_sentence_splitting():
     assert len(split_sentences("No terminal punctuation here")) == 1
     assert len(split_sentences("Dr. Smith writes docs.")) == 1
     assert len(split_sentences("Works at Corp. Ships docs.")) == 1  # corp is an abbreviation
+    # only a word that ends at the boundary can be an abbreviation
+    assert len(split_sentences("Joined Acme Co 2019. Led sales.")) == 2
+    assert len(split_sentences("Call Dr 42. Next one.")) == 2
     assert split_sentences("") == []
 
 
@@ -276,7 +279,7 @@ def test_regard_client_fails_fast_on_missing_credential(monkeypatch):
 
 def make_record(**overrides):
     base = dict(resume_id="r1", variant_id="name:FW", model_name="mock",
-                length_setting=100, pov="third", temperature=0.0,
+                length=100, pov="third", temperature=0.0,
                 run_index=1, text="A good summary. It reads well.")
     base.update(overrides)
     return SummaryRecord(**base)
@@ -285,7 +288,7 @@ def make_record(**overrides):
 def test_summary_record_factor_validation():
     make_record()
     with pytest.raises(TextMetricsError):
-        make_record(length_setting=150)
+        make_record(length=150)
     with pytest.raises(TextMetricsError):
         make_record(pov="second")
     with pytest.raises(TextMetricsError):
@@ -328,7 +331,7 @@ def test_measures_file_round_trip(tmp_path):
         assert mv.reading_ease == orig_mv.reading_ease
         assert mv.polarity == orig_mv.polarity
     doc = json.loads(path.read_text().splitlines()[0])
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
 
 
 def test_measures_file_rejects_unknown_schema(tmp_path):
@@ -363,8 +366,8 @@ def oracle_syllables(word: str) -> int:
 def oracle_sentence_count(text: str) -> int:
     count, start = 0, 0
     for end in re.finditer(r"[.!?]+(?:\s+|$)", text):
-        runs = re.findall(r"[A-Za-z.]+", text[start:end.start()])
-        if runs and runs[-1].rstrip(".").lower() in RULES["abbreviations"]:
+        run = re.search(r"[A-Za-z.]+$", text[start:end.start()])
+        if run and run.group().rstrip(".").lower() in RULES["abbreviations"]:
             continue
         count += bool(re.search(r"[A-Za-z0-9]", text[start:end.end()]))
         start = end.end()
