@@ -1,8 +1,10 @@
 """Embedding and completion backends with a persistent response cache.
 
-HTTP backends speak openai-, cohere-, or mistral-compatible wire schemas
-through thin adapters; credentials come only from environment variables named
-in the backend config. Responses are cached in a content-addressed on-disk
+One class serves each kind, EmbeddingBackend and CompletionBackend; the
+PROTOCOLS table says how each (kind, protocol) pair makes one uncached
+request. HTTP protocols speak openai-, cohere-, or mistral-compatible wire
+schemas; credentials come only from environment variables named in the
+backend config. Responses are cached in a content-addressed on-disk
 store keyed by a digest of the canonicalized request, so byte-identical
 requests replay without network access and audits can be re-run offline.
 
@@ -33,11 +35,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import requests
 
-from hirefair.records import check_types
+from hirefair.records import check_types, from_row
 
 logger = logging.getLogger(__name__)
 
 MOCK_DIM = 256
+
+#: Token whose hash bucket serves as the bias axis; queries that contain it
+#: reward biased documents. Configurable per backend.
+DEFAULT_ANCHOR_TOKEN = "the"
 
 
 class BackendError(Exception):
@@ -54,10 +60,25 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
+class BackendParams:
+    """A backend block's `params`; each protocol reads the ones PROTOCOLS
+    names for it."""
+
+    dim: int = MOCK_DIM                                       # mock embedders
+    tag_bias: dict[str, float] = field(default_factory=dict)  # mock-biased
+    anchor_token: str = DEFAULT_ANCHOR_TOKEN                  # mock-biased
+    input_type: str = "search_document"                       # cohere embeddings
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be a positive int, got {self.dim}")
+
+
+@dataclass(frozen=True)
 class BackendConfig:
     id: str
     kind: str       # "embedding" | "completion"
-    protocol: str   # (kind, protocol) must be a key of BACKENDS
+    protocol: str   # (kind, protocol) must be a key of PROTOCOLS
     model_name: str = ""
     endpoint: str = ""
     credential_env: str = ""
@@ -68,26 +89,20 @@ class BackendConfig:
 
     def __post_init__(self):
         check_types(self, BackendError)
-        if (self.kind, self.protocol) not in BACKENDS:
+        protocol = PROTOCOLS.get((self.kind, self.protocol))
+        if protocol is None:
             raise BackendError(f"backend {self.id}: protocol {self.protocol!r} "
                                f"serves no kind {self.kind!r}")
         if self.parallelism < 1 or self.retry.max_attempts < 1:
             raise BackendError(f"backend {self.id}: parallelism and retry.max must be >= 1")
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not all(np.isfinite(vals)):
-            raise BackendError("embedding vector contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
+        unread = sorted(set(self.params) - set(protocol.params))
+        if unread:
+            raise BackendError(f"backend {self.id}: protocol {self.protocol!r} reads "
+                               f"no param(s) {', '.join(unread)}")
+        # `params` checked, with defaults for those it leaves out; an
+        # attribute, not a field, so the manifest holds `params` as written
+        object.__setattr__(self, "options", from_row(
+            BackendParams, self.params, BackendError, f"backend {self.id} params"))
 
 
 @dataclass(frozen=True)
@@ -222,7 +237,7 @@ def token_bucket(token: str, dim: int = MOCK_DIM) -> int:
     return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big") % dim
 
 
-def mock_embedding(text: str, dim: int = MOCK_DIM) -> EmbeddingVector:
+def mock_embedding(text: str, dim: int = MOCK_DIM) -> np.ndarray:
     """Deterministic bag-of-words hashed projection, L2-normalized.
 
     Word order never matters; empty text maps to the zero vector (the only
@@ -234,17 +249,12 @@ def mock_embedding(text: str, dim: int = MOCK_DIM) -> EmbeddingVector:
     norm = float(np.linalg.norm(counts))
     if norm > 0.0:
         counts /= norm
-    return EmbeddingVector(values=tuple(counts))
-
-
-#: Token whose hash bucket serves as the bias axis; queries that contain it
-#: reward biased documents. Configurable per backend.
-DEFAULT_ANCHOR_TOKEN = "the"
+    return counts
 
 
 def mock_biased_embedding(text: str, tag_bias: Mapping[str, float],
                           dim: int = MOCK_DIM,
-                          anchor_token: str = DEFAULT_ANCHOR_TOKEN) -> EmbeddingVector:
+                          anchor_token: str = DEFAULT_ANCHOR_TOKEN) -> np.ndarray:
     """Bag-of-words embedding plus a scalar bias along a fixed direction.
 
     When any key of ``tag_bias`` appears as a whitespace token, the summed
@@ -253,17 +263,15 @@ def mock_biased_embedding(text: str, tag_bias: Mapping[str, float],
     documents higher, monotonically in the bias. Zero bias reproduces
     mock_embedding exactly.
     """
-    base = np.asarray(mock_embedding(text, dim).values)
-    present = set(text.split()) & set(tag_bias)
-    bias = sum(tag_bias[t] for t in present)
-    if bias == 0.0 or not present:
-        return EmbeddingVector(values=tuple(base))
-    vec = base.copy()
+    vec = mock_embedding(text, dim)
+    bias = sum(tag_bias[t] for t in set(text.split()) & set(tag_bias))
+    if bias == 0.0:
+        return vec
     vec[token_bucket(anchor_token, dim)] += bias
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
-    return EmbeddingVector(values=tuple(vec))
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +300,13 @@ class JsonEndpoint:
             self.headers["Authorization"] = f"Bearer {os.environ[credential_env]}"
         self.name, self.url, self.retry, self.timeout = name, url, retry, timeout
         self.session = requests.Session()
+        # Proxy, TLS and netrc settings are read from the environment once,
+        # here, not again on every post.
+        env = self.session.merge_environment_settings(url, {}, None, None, None)
+        self.session.proxies, self.session.verify, self.session.cert = (
+            env["proxies"], env["verify"], env["cert"])
+        self.session.auth = requests.utils.get_netrc_auth(url)
+        self.session.trust_env = False
         adapter = requests.adapters.HTTPAdapter(pool_maxsize=width)
         self.session.mount("http://", adapter)
         self.session.mount("https://", adapter)
@@ -334,163 +349,21 @@ def _numbers(values) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# backend implementations
+# protocols and backends
 # ---------------------------------------------------------------------------
 
-def _check_length(config: BackendConfig, text: str) -> None:
-    if config.max_chars is not None and len(text) > config.max_chars:
-        raise BackendError(
-            f"backend {config.id}: input of {len(text)} chars exceeds "
-            f"max_chars={config.max_chars}; refusing to truncate"
-        )
+@dataclass(frozen=True)
+class Protocol:
+    """How one (kind, protocol) pair answers one item, a text to embed or a
+    CompletionRequest: an HTTP protocol posts `body(config, item)` and answers
+    `read(json_answer)`, an in-process one answers `call(config, item)`. The
+    answer (a list of floats or a text) is what the cache stores. `params`
+    names the params the protocol reads."""
 
-
-class Backend:
-    """A backend's config and response cache.
-
-    `width` bounds the threads a batch fetches misses on. In-process
-    backends make no requests, so their batches run on the calling thread.
-    """
-
-    width = 1
-
-    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
-        self.config = config
-        self.cache = cache
-
-
-class EmbeddingBackend(Backend):
-    """Shared embed_batch plumbing: cache, ordering, dimension checks."""
-
-    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
-        super().__init__(config, cache)
-        self._dimension: int | None = None
-        self._dim_lock = threading.Lock()
-
-    def _embed_uncached(self, text: str) -> list[float]:
-        raise NotImplementedError
-
-    def _vector(self, values: Sequence[float]) -> EmbeddingVector:
-        """A response as a vector of the backend's established dimension."""
-        vec = EmbeddingVector(values=tuple(values))
-        with self._dim_lock:
-            if self._dimension is None:
-                self._dimension = vec.dimension
-            elif vec.dimension != self._dimension:
-                raise BackendError(
-                    f"backend {self.config.id}: dimension {vec.dimension} != "
-                    f"established {self._dimension}"
-                )
-        return vec
-
-    def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Embed in order, each distinct text once; cached entries are served
-        without touching the network."""
-        for text in texts:
-            _check_length(self.config, text)
-        keys = [(self.config.id, self.config.model_name, {"op": "embed", "text": text})
-                for text in texts]
-        return cached_calls(self.cache, keys, lambda i: self._embed_uncached(texts[i]),
-                            self._vector, self.width)
-
-
-class MockEmbeddingBackend(EmbeddingBackend):
-    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
-        super().__init__(config, cache)
-        self.dim = int(config.params.get("dim", MOCK_DIM))
-        self.tag_bias = {str(k): float(v)
-                         for k, v in config.params.get("tag_bias", {}).items()}
-        self.anchor_token = str(config.params.get("anchor_token", DEFAULT_ANCHOR_TOKEN))
-        self.biased = config.protocol == "mock-biased"
-
-    def _embed_uncached(self, text: str) -> list[float]:
-        if self.biased:
-            return list(mock_biased_embedding(text, self.tag_bias, self.dim,
-                                              self.anchor_token).values)
-        return list(mock_embedding(text, self.dim).values)
-
-
-class HttpBackend:
-    """Mixin for the HTTP protocols: the backend's JsonEndpoint, built (and its
-    credential checked) with the backend; batches keep up to `parallelism`
-    requests in flight."""
-
-    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
-        super().__init__(config, cache)
-        self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
-                                 config.credential_env, config.retry, timeout=60.0,
-                                 width=config.parallelism)
-        self.session = self.http.session
-        self.width = config.parallelism
-
-
-class HttpEmbeddingBackend(HttpBackend, EmbeddingBackend):
-    def _embed_uncached(self, text: str) -> list[float]:
-        if self.config.protocol == "cohere-compatible":
-            payload = {
-                "model": self.config.model_name,
-                "texts": [text],
-                "input_type": self.config.params.get("input_type", "search_document"),
-            }
-            return self.http.post(payload, lambda body: _numbers(body["embeddings"][0]))
-        # openai-compatible and mistral-compatible share the /embeddings schema
-        payload = {"model": self.config.model_name, "input": [text]}
-        return self.http.post(payload, lambda body: _numbers(body["data"][0]["embedding"]))
-
-
-class CompletionBackend(Backend):
-    def _complete_uncached(self, request: CompletionRequest) -> str:
-        raise NotImplementedError
-
-    def _text(self, text) -> str:
-        if not isinstance(text, str) or not text:
-            raise BackendError(f"backend {self.config.id}: empty or non-text "
-                               f"completion {text!r:.80}")
-        return text
-
-    def complete_batch(self, requests: Sequence[CompletionRequest]) -> list[str]:
-        """Run completions in order, each distinct request once; responses
-        are cached per (prompt, run_index, temperature) so reruns stay stable
-        despite provider nondeterminism."""
-        keys = []
-        for request in requests:
-            _check_length(self.config, request.prompt)
-            keys.append((self.config.id, self.config.model_name, {
-                "op": "complete", "prompt": request.prompt,
-                "temperature": request.temperature, "run_index": request.run_index,
-                "max_words_hint": request.max_words_hint,
-            }))
-        return cached_calls(self.cache, keys,
-                            lambda i: self._complete_uncached(requests[i]),
-                            self._text, self.width)
-
-    def complete(self, request: CompletionRequest) -> str:
-        """Run one completion: a batch of one."""
-        return self.complete_batch([request])[0]
-
-    def complete_text(self, prompt: str, temperature: float = 0.0,
-                      run_index: int = 1, max_words_hint: int = 0) -> str:
-        return self.complete(CompletionRequest(
-            prompt=prompt, temperature=temperature, run_index=run_index,
-            max_words_hint=max_words_hint,
-        ))
-
-
-class HttpCompletionBackend(HttpBackend, CompletionBackend):
-    def _complete_uncached(self, request: CompletionRequest) -> str:
-        if self.config.protocol == "cohere-compatible":
-            payload = {
-                "model": self.config.model_name,
-                "message": request.prompt,
-                "temperature": request.temperature,
-            }
-            return self.http.post(payload, lambda body: body["text"])
-        payload = {
-            "model": self.config.model_name,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-        }
-        return self.http.post(payload, lambda body: body["choices"][0]["message"]["content"])
+    body: Callable | None = None
+    read: Callable | None = None
+    call: Callable | None = None
+    params: tuple[str, ...] = ()
 
 
 #: Word stock for the deterministic mock summarizer; includes evaluative
@@ -506,49 +379,170 @@ _MOCK_VOCAB = (
 ).split()
 
 
-class MockCompletionBackend(CompletionBackend):
-    """Deterministic pseudo-summaries seeded by the prompt digest."""
-
-    def _complete_uncached(self, request: CompletionRequest) -> str:
-        digest = hashlib.sha256(request.prompt.encode("utf-8")).hexdigest()
-        rng = random.Random(
-            f"{self.config.model_name}:{digest}:{request.run_index}:{request.temperature}"
-        )
-        n_words = request.max_words_hint or 60
-        words = [rng.choice(_MOCK_VOCAB) for _ in range(n_words)]
-        sentences = []
-        i = 0
-        while i < len(words):
-            n = min(rng.randint(8, 14), len(words) - i)
-            chunk = words[i:i + n]
-            sentences.append(chunk[0].capitalize() + " " + " ".join(chunk[1:]) + ".")
-            i += n
-        return " ".join(sentences)
+def _mock_summary(config: BackendConfig, request: CompletionRequest) -> str:
+    """Deterministic pseudo-summary seeded by the prompt digest."""
+    digest = hashlib.sha256(request.prompt.encode("utf-8")).hexdigest()
+    rng = random.Random(f"{config.model_name}:{digest}:{request.run_index}:{request.temperature}")
+    n_words = request.max_words_hint or 60
+    words = [rng.choice(_MOCK_VOCAB) for _ in range(n_words)]
+    sentences = []
+    i = 0
+    while i < len(words):
+        n = min(rng.randint(8, 14), len(words) - i)
+        chunk = words[i:i + n]
+        sentences.append(chunk[0].capitalize() + " " + " ".join(chunk[1:]) + ".")
+        i += n
+    return " ".join(sentences)
 
 
-class EchoCompletionBackend(CompletionBackend):
-    """Returns the prompt's trailing line; handy as a test double."""
+# openai-compatible and mistral-compatible share the /embeddings and chat schemas
+_EMBEDDINGS = Protocol(
+    body=lambda config, text: {"model": config.model_name, "input": [text]},
+    read=lambda answer: _numbers(answer["data"][0]["embedding"]))
+_CHAT = Protocol(
+    body=lambda config, request: {
+        "model": config.model_name,
+        "messages": [{"role": "user", "content": request.prompt}],
+        "temperature": request.temperature},
+    read=lambda answer: answer["choices"][0]["message"]["content"])
 
-    def _complete_uncached(self, request: CompletionRequest) -> str:
-        return request.prompt.rstrip("\n").rsplit("\n", 1)[-1]
-
-
-#: The backend class serving each (kind, protocol) pair; BackendConfig
+#: How each (kind, protocol) pair makes one uncached request; BackendConfig
 #: rejects every other pair.
-BACKENDS = {
-    ("embedding", "openai-compatible"): HttpEmbeddingBackend,
-    ("embedding", "mistral-compatible"): HttpEmbeddingBackend,
-    ("embedding", "cohere-compatible"): HttpEmbeddingBackend,
-    ("embedding", "mock"): MockEmbeddingBackend,
-    ("embedding", "mock-biased"): MockEmbeddingBackend,
-    ("completion", "openai-compatible"): HttpCompletionBackend,
-    ("completion", "mistral-compatible"): HttpCompletionBackend,
-    ("completion", "cohere-compatible"): HttpCompletionBackend,
-    ("completion", "mock"): MockCompletionBackend,
-    ("completion", "echo"): EchoCompletionBackend,
+PROTOCOLS = {
+    ("embedding", "openai-compatible"): _EMBEDDINGS,
+    ("embedding", "mistral-compatible"): _EMBEDDINGS,
+    ("embedding", "cohere-compatible"): Protocol(
+        body=lambda config, text: {"model": config.model_name, "texts": [text],
+                                   "input_type": config.options.input_type},
+        read=lambda answer: _numbers(answer["embeddings"][0]),
+        params=("input_type",)),
+    ("embedding", "mock"): Protocol(
+        call=lambda config, text: mock_embedding(text, config.options.dim).tolist(),
+        params=("dim",)),
+    ("embedding", "mock-biased"): Protocol(
+        call=lambda config, text: mock_biased_embedding(
+            text, config.options.tag_bias, config.options.dim,
+            config.options.anchor_token).tolist(),
+        params=("dim", "tag_bias", "anchor_token")),
+    ("completion", "openai-compatible"): _CHAT,
+    ("completion", "mistral-compatible"): _CHAT,
+    ("completion", "cohere-compatible"): Protocol(
+        body=lambda config, request: {"model": config.model_name, "message": request.prompt,
+                                      "temperature": request.temperature},
+        read=lambda answer: answer["text"]),
+    ("completion", "mock"): Protocol(call=_mock_summary),
+    # the prompt's trailing line; handy as a test double
+    ("completion", "echo"): Protocol(
+        call=lambda config, request: request.prompt.rstrip("\n").rsplit("\n", 1)[-1]),
 }
 
 
-def build_backend(config: BackendConfig, cache: ResponseCache | None = None):
+class Backend:
+    """A backend's config, response cache and protocol.
+
+    `width` bounds the threads a batch fetches misses on. An HTTP protocol
+    posts through a JsonEndpoint, built (and its credential checked) with the
+    backend, with up to `parallelism` requests in flight; an in-process one
+    makes no requests, so its batches run on the calling thread."""
+
+    width = 1
+
+    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
+        self.config = config
+        self.cache = cache
+        self.protocol = PROTOCOLS[config.kind, config.protocol]
+        if self.protocol.call is None:
+            self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
+                                     config.credential_env, config.retry, timeout=60.0,
+                                     width=config.parallelism)
+            self.session = self.http.session
+            self.width = config.parallelism
+
+    def _request(self, item):
+        """The uncached answer to one item, made as the protocol says."""
+        if self.protocol.call is not None:
+            return self.protocol.call(self.config, item)
+        return self.http.post(self.protocol.body(self.config, item), self.protocol.read)
+
+    def _batch(self, items: Sequence, texts: Sequence[str], payloads: Sequence[dict],
+               validate: Callable) -> list:
+        """validate(answer) for each item in order, each distinct payload
+        requested once; no item's input text may exceed max_chars."""
+        limit = self.config.max_chars
+        for text in texts:
+            if limit is not None and len(text) > limit:
+                raise BackendError(
+                    f"backend {self.config.id}: input of {len(text)} chars exceeds "
+                    f"max_chars={limit}; refusing to truncate")
+        keys = [(self.config.id, self.config.model_name, payload) for payload in payloads]
+        return cached_calls(self.cache, keys, lambda i: self._request(items[i]),
+                            validate, self.width)
+
+
+class EmbeddingBackend(Backend):
+    """Texts as read-only float64 vectors of one dimension."""
+
+    def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
+        super().__init__(config, cache)
+        self._dimension: int | None = None
+        self._dim_lock = threading.Lock()
+
+    def _vector(self, values: Sequence[float]) -> np.ndarray:
+        """A response as a vector of the backend's established dimension.
+        One vector serves every text of a batch that shares its request, so
+        it is read-only."""
+        vec = np.array(values, dtype=np.float64)
+        if not np.isfinite(vec).all():
+            raise BackendError(f"backend {self.config.id}: embedding vector contains "
+                               f"non-finite values")
+        vec.flags.writeable = False
+        with self._dim_lock:
+            if self._dimension is None:
+                self._dimension = len(vec)
+            elif len(vec) != self._dimension:
+                raise BackendError(
+                    f"backend {self.config.id}: dimension {len(vec)} != "
+                    f"established {self._dimension}"
+                )
+        return vec
+
+    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Embed in order, each distinct text once; cached entries are served
+        without touching the network."""
+        return self._batch(texts, texts, [{"op": "embed", "text": text} for text in texts],
+                           self._vector)
+
+
+class CompletionBackend(Backend):
+    def _text(self, text) -> str:
+        if not isinstance(text, str) or not text:
+            raise BackendError(f"backend {self.config.id}: empty or non-text "
+                               f"completion {text!r:.80}")
+        return text
+
+    def complete_batch(self, requests: Sequence[CompletionRequest]) -> list[str]:
+        """Run completions in order, each distinct request once; responses
+        are cached per (prompt, run_index, temperature) so reruns stay stable
+        despite provider nondeterminism."""
+        payloads = [{"op": "complete", "prompt": request.prompt,
+                     "temperature": request.temperature, "run_index": request.run_index,
+                     "max_words_hint": request.max_words_hint} for request in requests]
+        return self._batch(requests, [request.prompt for request in requests], payloads,
+                           self._text)
+
+    def complete(self, request: CompletionRequest) -> str:
+        """Run one completion: a batch of one."""
+        return self.complete_batch([request])[0]
+
+    def complete_text(self, prompt: str, temperature: float = 0.0,
+                      run_index: int = 1, max_words_hint: int = 0) -> str:
+        return self.complete(CompletionRequest(
+            prompt=prompt, temperature=temperature, run_index=run_index,
+            max_words_hint=max_words_hint,
+        ))
+
+
+def build_backend(config: BackendConfig, cache: ResponseCache | None = None) -> Backend:
     """Construct a backend from config, failing fast on missing credentials."""
-    return BACKENDS[(config.kind, config.protocol)](config, cache)
+    kind = EmbeddingBackend if config.kind == "embedding" else CompletionBackend
+    return kind(config, cache)

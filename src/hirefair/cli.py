@@ -1,7 +1,7 @@
 """Operator command line: validate, perturb, embed, summarize, measure,
 audit, report, and the composite run.
 
-Exit codes: 0 ok, 2 configuration error, 3 backend error, 4 data error.
+Exit codes: 0 ok, 2 configuration error, 3 backend error, 4 data or write error.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from hirefair.records import read_json, to_row, write_jsonl
 from hirefair.report import ReportError, aggregate, emit, read_ledger
 from hirefair.retrieval import RetrievalError
 
-#: The exit code of each error a command may raise: config, backend, data.
+#: The exit code of each error a command may raise: config, backend, data. An
+#: OSError is a failed write: readers and backends wrap their own OSErrors.
 EXIT_CODES = {
     ConfigError: 2,
     BackendError: 3,
     **dict.fromkeys((CorpusError, DataError, RetrievalError, textmetrics.TextMetricsError,
-                     perturb.PerturbError, stats.StatsError, ReportError), 4),
+                     perturb.PerturbError, stats.StatsError, ReportError, OSError), 4),
 }
 
 logger = logging.getLogger(__name__)

@@ -153,16 +153,15 @@ def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[S
         for rid in sorted(variants.resumes[vid]):
             keys.append((vid, rid))
             texts.append(variants.resumes[vid][rid].body)
-    job_vectors = {j.id: v for j, v in zip(jobs, backend.embed_batch([j.body for j in jobs]))}
+    job_vectors = backend.embed_batch([j.body for j in jobs])
     resume_vectors = dict(zip(keys, backend.embed_batch(texts)))
     rows: list[ScoreRow] = []
     tag = _suffix(variants.draw)
-    for job in jobs:
-        jv = job_vectors[job.id].values
+    for job, jv in zip(jobs, job_vectors):
         for (vid, rid), vec in resume_vectors.items():
             rows.append(ScoreRow(
                 job_id=job.id, resume_id=rid, variant_id=vid + tag,
-                score=retrieval.cosine(vec.values, jv),
+                score=retrieval.cosine(vec, jv),
             ))
     return rows
 

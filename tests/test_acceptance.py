@@ -164,7 +164,7 @@ def test_criterion_5_bias_detection_power(pools):
         high_flags = zero_flags = 0
         for i in range(N_BIAS_JOBS):
             rng = random.Random(f"bias:{i}")
-            job_vec = mock_embedding(" ".join(rng.sample(VOCAB, 10) + ["the"])).values
+            job_vec = mock_embedding(" ".join(rng.sample(VOCAB, 10) + ["the"]))
             pooled_high = {g: [] for g in GROUP_CODES}
             pooled_zero = {g: [] for g in GROUP_CODES}
             for r in range(N_BIAS_RESUMES):
@@ -174,8 +174,8 @@ def test_criterion_5_bias_detection_power(pools):
                     text = " ".join(base + [name, "Williams"])
                     biased = mock_biased_embedding(text, tag_bias)
                     plain = mock_embedding(text)
-                    pooled_high[g].append(cosine(biased.values, job_vec))
-                    pooled_zero[g].append(cosine(plain.values, job_vec))
+                    pooled_high[g].append(cosine(biased, job_vec))
+                    pooled_zero[g].append(cosine(plain, job_vec))
             high = np.array([pooled_high[g] for g in GROUP_CODES])
             zero = np.array([pooled_zero[g] for g in GROUP_CODES])
             high_flags += non_uniformity({"j": high}, x=25.0)[0].flag
@@ -186,14 +186,14 @@ def test_criterion_5_bias_detection_power(pools):
         rows = []
         for i in range(N_BIAS_JOBS):
             rng = random.Random(f"dir:{i}")
-            job_vec = mock_embedding(" ".join(rng.sample(VOCAB, 10))).values
+            job_vec = mock_embedding(" ".join(rng.sample(VOCAB, 10)))
             scores = {g: [] for g in GROUP_CODES}
             for r in range(N_BIAS_RESUMES):
                 base = rng.sample(VOCAB, 12)
                 for g in GROUP_CODES:
                     name = rng.choice(pools[g].names)
                     text = " ".join(base + [name, "Williams"])
-                    scores[g].append(cosine(mock_embedding(text).values, job_vec))
+                    scores[g].append(cosine(mock_embedding(text), job_vec))
             for src, tgt in (("MW", "FW"), ("MB", "FB"), ("FW", "MW"), ("FB", "MB"),
                              ("MW", "MB"), ("FW", "FB"), ("MB", "MW"), ("FB", "FW")):
                 rows.append(SwapExclusion(src, tgt, exclusion(scores[src], scores[tgt], 5)))

@@ -127,6 +127,9 @@ MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name"
     {"backends": [dict(MOCK_EMBED, retry={"tries": 3})]},
     {"backends": [dict(MOCK_EMBED, protocol="echo")]},
     {"backends": [dict(MOCK_EMBED, kind="completion", protocol="mock-biased")]},
+    {"backends": [dict(MOCK_EMBED, params={"dim": "abc"})]},
+    {"backends": [dict(MOCK_EMBED, protocol="mock-biased", params={"tag_bias": [1]})]},
+    {"backends": [dict(MOCK_EMBED, params={"dim": 0})]},
     {"grid": {"n_values": ["a"]}},
     {"grid": {"x_values": 5}},
     {"extracurricular": "false"},
@@ -153,6 +156,7 @@ def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
         load_run_config(path)
     result = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 2, result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,block", [
@@ -544,7 +548,7 @@ def test_cli_embed_and_audit_retrieval(tmp_path, fixtures_dir):
     job_vectors = backend.embed_batch([j.body for j in jobs])
     expected = {
         (job.id, resume.id, resume.lineage[-1] if resume.lineage else "original",
-         cosine(rv.values, jv.values))
+         cosine(rv, jv))
         for job, jv in zip(jobs, job_vectors)
         for resume, rv in zip(resumes, resume_vectors)
     }
@@ -759,6 +763,38 @@ def test_cli_malformed_rows_are_data_errors(tmp_path, command, rows, manifest, e
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 4, result.output
     assert result.output.startswith("error: ") and expected in result.output, result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["perturb", "embed", "summarize", "measure", "report",
+                                     "run"])
+def test_cli_unwritable_output_exits_4(tmp_path, fixtures_dir, command):
+    """An --out under a regular file cannot be written: exit 4, no traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    corpus = str(fixtures_dir / "mini_corpus.jsonl")
+    data = tmp_path / "rows.jsonl"
+    data.write_text(json.dumps(LEDGER_ROW if command == "report" else SUMMARY_ROW) + "\n")
+    (tmp_path / "manifest.json").write_text("{}")
+    (tmp_path / "plan.json").write_text(json.dumps({"schema_version": 1, "specs": [
+        {"id": "n", "kind": "assign_name", "seed": 1, "params": {"group": "FW"}}]}))
+    (tmp_path / "backends.json").write_text(json.dumps({"backends": [
+        MOCK_EMBED, {"id": "gen", "kind": "completion", "protocol": "mock",
+                     "model_name": "m"}]}))
+    backends = ["--backends", str(tmp_path / "backends.json"), "--in", corpus]
+    args = {
+        "perturb": ["perturb", "--plan", str(tmp_path / "plan.json"), "--in", corpus],
+        "embed": ["embed", *backends],
+        "summarize": ["summarize", *backends],
+        "measure": ["measure", "--in", str(data)],
+        "report": ["report", "--ledger", str(data), "--run-id", "r",
+                   "--manifest", str(tmp_path / "manifest.json")],
+        "run": ["run", "--config", str(write_config(tmp_path, fixtures_dir))],
+    }[command]
+    result = CliRunner().invoke(main, args + ["--out", out])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("error: "), result.output
     assert isinstance(result.exception, SystemExit)
 
 
