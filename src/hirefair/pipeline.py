@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hirefair import perturb, retrieval, stats, textmetrics
 from hirefair.backends import (
     CompletionRequest,
     ResponseCache,
+    RetryPolicy,
     build_backend,
 )
 from hirefair.config import RunConfig
@@ -44,7 +46,7 @@ from hirefair.report import (
     manifest_digest,
     write_ledger,
 )
-from hirefair.retrieval import ScoreRow, SwapExclusion
+from hirefair.retrieval import ScoreRow
 from hirefair.textmetrics import MeasureVector, RegardClient, SummaryRecord
 
 logger = logging.getLogger(__name__)
@@ -56,16 +58,16 @@ SUMMARY_PROMPT = (
     "written in {pov} person."
 )
 
-#: Ordered between-group swaps: gender flips and race flips.
-SWAP_PAIRS = tuple(pair for pairs in retrieval.DIRECTIONS.values() for pair in pairs)
+#: Between-group swaps as (direction, source, target), two per direction.
+SWAPS = (
+    ("M->F", "MW", "FW"), ("M->F", "MB", "FB"),
+    ("F->M", "FW", "MW"), ("F->M", "FB", "MB"),
+    ("W->B", "MW", "MB"), ("W->B", "FW", "FB"),
+    ("B->W", "MB", "MW"), ("B->W", "FB", "FW"),
+)
 
 #: Comparison pairs for summarization invariance: (first group, second group).
-COMPARISON_PAIRS = {
-    "MW-FW": ("MW", "FW"),
-    "MB-FB": ("MB", "FB"),
-    "MW-MB": ("MW", "MB"),
-    "FW-FB": ("FW", "FB"),
-}
+COMPARISON_PAIRS = {c: tuple(c.split("-")) for c in stats.ALL_COMPARISONS}
 
 
 class DataError(Exception):
@@ -89,40 +91,68 @@ class VariantSet:
         return sorted(self.resumes)
 
 
-def variant_plans(config: RunConfig, draw: int) -> list[list[PerturbationSpec]]:
-    """One perturbation plan per variant of the corpus for one draw, in build
-    order. Every plan starts by naming the resume for one group (name:FW);
-    a variant's id is the id of its plan's last spec."""
-    master = config.master_seed
+@dataclass(frozen=True)
+class Variant:
+    """One variant of the corpus: the spec that makes it from the variant it
+    is applied on, the variant its exclusion is measured against, and the
+    aggregate labels its per-job exclusion values join."""
 
-    def spec(spec_id: str, kind: str, label: str, *parts, **params) -> PerturbationSpec:
-        return PerturbationSpec(id=spec_id, kind=kind,
-                                seed=derive_seed(master, label, draw, *parts),
-                                params=params)
+    spec: PerturbationSpec
+    applied_on: str | None = None
+    baseline: str | None = None
+    aggregates: tuple[str, ...] = ()
 
-    name = {g: spec(f"name:{g}", "assign_name", "assign", g, group=g)
-            for g in GROUP_CODES}
-    swap = {(src, tgt): spec(f"swap:{src}->{tgt}", "between_group_name", "swap",
-                             src, tgt, source=src, target=tgt,
-                             matching=config.swap_matching)
-            for src, tgt in SWAP_PAIRS}
-    plans = [[name[g]] for g in GROUP_CODES]
-    plans += [[name[src], swap[src, tgt]] for src, tgt in SWAP_PAIRS]
+    @property
+    def id(self) -> str:
+        return self.spec.id
+
+
+def variant_table(config: RunConfig, draw: int) -> list[Variant]:
+    """Every variant of the corpus for one draw, in build order; a variant
+    comes after the variants it is applied on and compared against."""
+
+    def variant(variant_id: str, kind: str, label: str, groups: tuple,
+                on: str | None = None, baseline: str | None = None,
+                aggregates: tuple[str, ...] = (), **params) -> Variant:
+        spec = PerturbationSpec(id=variant_id, kind=kind, params=params,
+                                seed=derive_seed(config.master_seed, label, draw, *groups))
+        return Variant(spec, on, baseline, aggregates)
+
+    table = [variant(f"name:{g}", "assign_name", "assign", (g,), group=g)
+             for g in GROUP_CODES]
+    # a swap that keeps the race letter flips gender
+    table += [variant(f"swap:{s}->{t}", "between_group_name", "swap", (s, t),
+                      f"name:{s}", f"name:{s}",
+                      (f"dir:{d}", "gender" if s[1] == t[1] else "race"),
+                      source=s, target=t, matching=config.swap_matching)
+              for d, s, t in SWAPS]
     for g in GROUP_CODES:
-        plans += [
-            [name[g], spec(f"within:{g}", "within_group_name", "within", g)],
-            [name[g], spec(f"typo:{g}", "typo", "typo", g, count=config.typo_count)],
-            [name[g], spec(f"spacing:{g}", "spacing", "spacing", g,
-                           mode=config.spacing_mode)],
+        on = f"name:{g}"
+        table += [
+            variant(f"within:{g}", "within_group_name", "within", (g,), on, on, ("within",)),
+            variant(f"typo:{g}", "typo", "typo", (g,), on, on, ("typo",),
+                    count=config.typo_count),
+            variant(f"spacing:{g}", "spacing", "spacing", (g,), on, on, ("spacing",),
+                    mode=config.spacing_mode),
         ]
     if config.extracurricular:
-        plans += [[name[g], spec(f"extra:{g}", "extracurricular", "extra", g)]
+        table += [variant(f"extra:{g}", "extracurricular", "extra", (g,), f"name:{g}")
                   for g in GROUP_CODES]
-        plans += [[name[src], swap[src, tgt],
-                   spec(f"extraswap:{src}->{tgt}", "extracurricular", "extra-swap",
-                        src, tgt)]
-                  for src, tgt in SWAP_PAIRS]
-    return plans
+        table += [variant(f"extraswap:{s}->{t}", "extracurricular", "extra-swap", (s, t),
+                          f"swap:{s}->{t}", f"extra:{s}", (f"dir-extra:{d}",))
+                  for d, s, t in SWAPS]
+    return table
+
+
+def variant_plans(config: RunConfig, draw: int) -> list[list[PerturbationSpec]]:
+    """One perturbation plan per variant of the corpus for one draw, in build
+    order: the plan of the variant it is applied on, plus its spec. Every
+    plan starts by naming the resume for one group (name:FW); a variant's id
+    is the id of its plan's last spec."""
+    plans: dict[str, list[PerturbationSpec]] = {}
+    for v in variant_table(config, draw):
+        plans[v.id] = plans.get(v.applied_on, []) + [v.spec]
+    return list(plans.values())
 
 
 def build_variants(resumes: list[Resume], pools, config: RunConfig, draw: int,
@@ -170,71 +200,32 @@ def retrieval_metrics(model: str, run_id: str, jobs: list[JobPost],
                       rows: list[ScoreRow], variants: VariantSet,
                       occupation_of: dict[str, str], config: RunConfig,
                       detail_log: list | None = None) -> list[LedgerEntry]:
-    """Exclusion (per swap, direction, and non-demographic kind) plus
-    non-uniformity entries for one embedding backend and one draw."""
+    """Exclusion of each variant against its baseline and of each aggregate,
+    plus non-uniformity entries, for one embedding backend and one draw."""
     table = retrieval.score_array(rows)
+    compared = [v for v in variant_table(config, variants.draw) if v.baseline]
     entries: list[LedgerEntry] = []
-
-    contrasts: list[tuple[str, str, str]] = []  # (label, original variant, perturbed variant)
-    for src, tgt in SWAP_PAIRS:
-        contrasts.append((f"swap:{src}->{tgt}", f"name:{src}", f"swap:{src}->{tgt}"))
-    for g in GROUP_CODES:
-        contrasts.append((f"within:{g}", f"name:{g}", f"within:{g}"))
-        contrasts.append((f"typo:{g}", f"name:{g}", f"typo:{g}"))
-        contrasts.append((f"spacing:{g}", f"name:{g}", f"spacing:{g}"))
-    if config.extracurricular:
-        for src, tgt in SWAP_PAIRS:
-            contrasts.append((f"extraswap:{src}->{tgt}", f"extra:{src}",
-                              f"extraswap:{src}->{tgt}"))
-
     for n in config.grid.n_values:
-        swaps: dict[str, list[SwapExclusion]] = {"swap": [], "extraswap": []}
-        kind_values: dict[str, list[float]] = {}
+        aggregates: dict[str, list[float]] = {}
         for job in jobs:
             j = table.jobs.index(job.id)
-            for label, orig, pert in contrasts:
-                value = retrieval.exclusion(table.of(orig)[j], table.of(pert)[j], n)
+            for v in compared:
+                value = retrieval.exclusion(table.of(v.baseline)[j], table.of(v.id)[j], n)
                 entries.append(make_entry(
-                    run_id, "exclusion", model, label, f"n={n}", "",
+                    run_id, "exclusion", model, v.id, f"n={n}", "",
                     value, sample_size=1, detail=f"job={job.id};draw={variants.draw}",
                 ))
-                kind, _, rest = label.partition(":")
-                if kind in swaps:
-                    src, _, tgt = rest.partition("->")
-                    swaps[kind].append(SwapExclusion(source=src, target=tgt, value=value))
-                else:
-                    kind_values.setdefault(kind, []).append(value)
-
-        swap_rows = swaps["swap"]
-        for result in retrieval.directional_exclusion(swap_rows):
+                for label in v.aggregates:
+                    aggregates.setdefault(label, []).append(value)
+        for label, values in sorted(aggregates.items()):
+            # directions (dir:, dir-extra:) take the exact sum; axes and kinds
+            # sum left to right. The report digests pin both rules.
+            total = math.fsum(values) if label.startswith("dir") else sum(values)
             entries.append(make_entry(
-                run_id, "exclusion", model, f"dir:{result.direction}", f"n={n}", "",
-                result.value, sample_size=result.samples,
+                run_id, "exclusion", model, label, f"n={n}", "",
+                total / len(values), sample_size=len(values),
                 detail=f"draw={variants.draw}",
             ))
-        for axis, directions in (("gender", ("M->F", "F->M")),
-                                 ("race", ("W->B", "B->W"))):
-            values = [r.value for r in swap_rows
-                      if retrieval.direction_of(r.source, r.target) in directions]
-            entries.append(make_entry(
-                run_id, "exclusion", model, axis, f"n={n}", "",
-                sum(values) / len(values), sample_size=len(values),
-                detail=f"draw={variants.draw}",
-            ))
-        for kind in sorted(kind_values):
-            values = kind_values[kind]
-            entries.append(make_entry(
-                run_id, "exclusion", model, kind, f"n={n}", "",
-                sum(values) / len(values), sample_size=len(values),
-                detail=f"draw={variants.draw}",
-            ))
-        if config.extracurricular:
-            for result in retrieval.directional_exclusion(swaps["extraswap"]):
-                entries.append(make_entry(
-                    run_id, "exclusion", model, f"dir-extra:{result.direction}",
-                    f"n={n}", "", result.value, sample_size=result.samples,
-                    detail=f"draw={variants.draw}",
-                ))
 
     pooled = table.pools()
     for x in config.grid.x_values:
@@ -420,11 +411,15 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     backends = {b.id: build_backend(b, cache) for b in config.backends}
     regard_client = None
     if config.regard_endpoint:
-        # pooled for the widest completion backend whose summaries it scores
-        width = max((b.parallelism for b in config.completion_backends()), default=1)
+        # pooled for the widest completion backend whose summaries it scores,
+        # and retried as often as the most persistent one
+        scored = config.completion_backends()
+        width = max((b.parallelism for b in scored), default=1)
+        retry = max((b.retry for b in scored), key=lambda r: r.max_attempts,
+                    default=RetryPolicy(max_attempts=1))
         regard_client = RegardClient(config.regard_endpoint,
                                      credential_env=config.regard_credential_env,
-                                     cache=cache, width=width)
+                                     cache=cache, width=width, retry=retry)
     embedders = [backends[b.id] for b in config.embedding_backends()]
     completers = [backends[b.id] for b in config.completion_backends()]
     if not embedders and not completers:

@@ -29,18 +29,6 @@ from hirefair.stats import uniform_gof
 
 logger = logging.getLogger(__name__)
 
-#: Aggregate perturbation directions and their constituent (source, target) swaps.
-DIRECTIONS = {
-    "M->F": (("MW", "FW"), ("MB", "FB")),
-    "F->M": (("FW", "MW"), ("FB", "MB")),
-    "W->B": (("MW", "MB"), ("FW", "FB")),
-    "B->W": (("MB", "MW"), ("FB", "FW")),
-}
-
-_PAIR_TO_DIRECTION = {
-    pair: direction for direction, pairs in DIRECTIONS.items() for pair in pairs
-}
-
 
 class RetrievalError(Exception):
     """Raised for invalid retrieval inputs."""
@@ -178,43 +166,6 @@ def non_uniformity(
             underpowered = underpowered or up
         results.append(build(occupation, counts, k_total, underpowered))
     return results
-
-
-def direction_of(source: str, target: str) -> str | None:
-    """Aggregate direction for a (source, target) group swap, if any."""
-    return _PAIR_TO_DIRECTION.get((source, target))
-
-
-@dataclass(frozen=True)
-class SwapExclusion:
-    """Exclusion measured for one job under one between-group swap."""
-
-    source: str
-    target: str
-    value: float
-
-
-@dataclass(frozen=True)
-class DirectionResult:
-    direction: str
-    value: float  # mean exclusion across constituent swaps and jobs
-    samples: int
-
-
-def directional_exclusion(grid: Iterable[SwapExclusion]) -> list[DirectionResult]:
-    """Partition per-swap exclusion values into the four aggregate directions."""
-    sums: dict[str, list[float]] = {}
-    for row in grid:
-        direction = direction_of(row.source, row.target)
-        if direction is None:
-            raise RetrievalError(
-                f"swap {row.source}->{row.target} maps to no aggregate direction"
-            )
-        sums.setdefault(direction, []).append(row.value)
-    return [
-        DirectionResult(direction=d, value=math.fsum(vals) / len(vals), samples=len(vals))
-        for d, vals in sorted(sums.items())
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -239,20 +239,21 @@ class RegardClient:
     """Thin client for an external regard classifier endpoint.
 
     The endpoint receives {"text": ...} and must answer with the four
-    category scores. Construction fails fast when `credential_env` is unset;
-    a failed request degrades gracefully: score() returns None and the
-    measure is recorded as absent. The client pools `width` connections, as
-    many as the widest batch it scores keeps in flight.
+    category scores. Construction fails fast when `credential_env` is unset.
+    Transient failures are retried under `retry`; a request that still fails
+    degrades gracefully: score() returns None and the measure is recorded as
+    absent. The client pools `width` connections, as many as the widest
+    batch it scores keeps in flight.
     """
 
     def __init__(self, endpoint: str, credential_env: str = "",
                  cache: ResponseCache | None = None, post: Callable | None = None,
-                 width: int = 1):
+                 width: int = 1, retry: RetryPolicy = RetryPolicy(max_attempts=1)):
         self.endpoint = endpoint
         self.cache = cache
         self._post = post or partial(
             JsonEndpoint("regard endpoint", endpoint, credential_env,
-                         RetryPolicy(max_attempts=1), timeout=30.0, width=width).post,
+                         retry, timeout=30.0, width=width).post,
             read=validate_regard)
 
     def _absent(self, exc: Exception) -> None:

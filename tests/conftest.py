@@ -67,7 +67,8 @@ class LoopbackService:
     requests get identical answers whatever order they arrive in. Each
     request waits `delay` seconds while counted as in flight, per path and
     over all paths ("*"). Paths listed in
-    `refuse` are answered with 400.
+    `refuse` are answered with 400, and paths listed in `fail_first` answer
+    503 to the first request of each distinct body.
     """
 
     VOCAB = ("the candidate shows strong steady experience with reliable "
@@ -80,6 +81,7 @@ class LoopbackService:
 
         self.delay = delay
         self.refuse: set[str] = set()
+        self.fail_first: set[str] = set()
         self.lock = threading.Lock()
         self.reset()
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
@@ -94,6 +96,7 @@ class LoopbackService:
             self.regard_texts: dict[str, int] = {}
             self.inflight: dict[str, int] = {}
             self.inflight_max: dict[str, int] = {}  # per path, and "*" for all
+            self.failed: set[tuple[str, bytes]] = set()  # (path, body) answered 503
 
     def close(self) -> None:
         self.server.shutdown()
@@ -134,6 +137,10 @@ class LoopbackService:
                 body = json.loads(raw)
                 with service.lock:
                     service.requests[self.path] = service.requests.get(self.path, 0) + 1
+                    transient = (self.path in service.fail_first
+                                 and (self.path, raw) not in service.failed)
+                    if transient:
+                        service.failed.add((self.path, raw))
                     if self.path == "/regard":
                         text = body["text"]
                         service.regard_texts[text] = service.regard_texts.get(text, 0) + 1
@@ -150,6 +157,8 @@ class LoopbackService:
                         for name in (self.path, "*"):
                             service.inflight[name] -= 1
                 status = 400 if doc is None or self.path in service.refuse else 200
+                if transient:
+                    status = 503
                 payload = json.dumps(doc if status == 200 else {"error": "refused"})
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")

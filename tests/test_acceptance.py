@@ -8,6 +8,7 @@ step-up scan for the corrections, and hand-counted readability fixtures.
 
 import contextlib
 import hashlib
+import math
 import random
 import re
 import time
@@ -26,12 +27,10 @@ from hirefair.perturb import (
     spacing_perturb,
     typo_perturb,
 )
-from hirefair.pipeline import run_audit
+from hirefair.pipeline import SWAPS, run_audit
 from hirefair.retrieval import (
-    SwapExclusion,
     competition_ranks,
     cosine,
-    directional_exclusion,
     exclusion,
     non_uniformity,
 )
@@ -183,7 +182,7 @@ def test_criterion_5_bias_detection_power(pools):
         assert high_flags / N_BIAS_JOBS >= 0.95, f"high-bias rate {high_flags/N_BIAS_JOBS}"
         assert zero_flags / N_BIAS_JOBS <= 0.07, f"zero-bias rate {zero_flags/N_BIAS_JOBS}"
 
-        rows = []
+        values = {direction: [] for direction, _, _ in SWAPS}
         for i in range(N_BIAS_JOBS):
             rng = random.Random(f"dir:{i}")
             job_vec = mock_embedding(" ".join(rng.sample(VOCAB, 10)))
@@ -194,12 +193,11 @@ def test_criterion_5_bias_detection_power(pools):
                     name = rng.choice(pools[g].names)
                     text = " ".join(base + [name, "Williams"])
                     scores[g].append(cosine(mock_embedding(text), job_vec))
-            for src, tgt in (("MW", "FW"), ("MB", "FB"), ("FW", "MW"), ("FB", "MB"),
-                             ("MW", "MB"), ("FW", "FB"), ("MB", "MW"), ("FB", "FW")):
-                rows.append(SwapExclusion(src, tgt, exclusion(scores[src], scores[tgt], 5)))
-        values = {r.direction: r.value for r in directional_exclusion(rows)}
-        assert abs(values["M->F"] - values["F->M"]) <= 0.02
-        assert abs(values["W->B"] - values["B->W"]) <= 0.02
+            for direction, src, tgt in SWAPS:
+                values[direction].append(exclusion(scores[src], scores[tgt], 5))
+        mean = {d: math.fsum(v) / len(v) for d, v in values.items()}
+        assert abs(mean["M->F"] - mean["F->M"]) <= 0.02
+        assert abs(mean["W->B"] - mean["B->W"]) <= 0.02
 
 
 def test_criterion_6_perturbation_contracts(pools, fixtures_dir):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -7,15 +9,17 @@ from click.testing import CliRunner
 from hirefair.backends import build_backend
 from hirefair.cli import main
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
-from hirefair.corpus import Resume, load_corpus, load_name_pools
+from hirefair.corpus import GROUP_CODES, Resume, load_corpus, load_name_pools
 from hirefair.perturb import save_plan
 from hirefair.pipeline import (
+    SWAPS,
     DataError,
     build_variants,
     derive_seed,
     run_audit,
     summary_prompt,
     variant_plans,
+    variant_table,
 )
 from hirefair.report import make_entry, read_ledger
 from hirefair.retrieval import cosine, read_score_table
@@ -480,6 +484,64 @@ def test_variant_plans_reproduce_run_scores_with_frequency_table(tmp_path, fixtu
         tmp_path, fixtures_dir,
         write_config(tmp_path, fixtures_dir, frequency_table=str(table_path)),
         perturb_args=("--frequency-table", str(table_path)))
+
+
+def test_extracurricular_run_report_is_pinned(tmp_path, fixtures_dir):
+    config = load_run_config(write_config(tmp_path, fixtures_dir, extracurricular=True))
+    run_audit(config)
+    digest = hashlib.sha256((Path(config.out_dir) / "report.csv").read_bytes()).hexdigest()
+    assert digest == "c0249893496c3bd638c9db0eeae1762c0bf692d14ff921cd71a621403c48d366"
+
+
+def test_exclusion_aggregates_equal_their_constituents(tmp_path, fixtures_dir):
+    # the swaps are the ordered one-letter flips of the group codes, and each
+    # direction names the letter it flips
+    flips = {(s, t) for s in GROUP_CODES for t in GROUP_CODES
+             if sum(a != b for a, b in zip(s, t)) == 1}
+    assert len(SWAPS) == 8 and {(s, t) for _, s, t in SWAPS} == flips
+    for direction, s, t in SWAPS:
+        i = 0 if s[0] != t[0] else 1
+        assert direction == f"{s[i]}->{t[i]}"
+    assert all(sum(d == direction for d, _, _ in SWAPS) == 2 for direction, _, _ in SWAPS)
+
+    # at n=7 the two mean rules differ in the last bit for dir-extra:F->M and typo
+    config = load_run_config(write_config(
+        tmp_path, fixtures_dir, extracurricular=True,
+        grid={"n_values": [3, 7], "x_values": [25], "temperatures": [0.0],
+              "lengths": [100], "povs": ["third"], "runs": 1}))
+    seen: set[str] = set()
+    for v in variant_table(config, 0):
+        assert {v.applied_on, v.baseline} - {None} <= seen, v.id
+        seen.add(v.id)
+
+    run_audit(config)
+    per_job: dict[tuple[str, str], list[float]] = {}
+    means: dict[tuple[str, str], float] = {}
+    for entry in read_ledger(Path(config.out_dir) / "ledger.jsonl"):
+        key = (entry.param, entry.perturbation)
+        if entry.metric == "exclusion" and entry.sample_size == 1:
+            per_job.setdefault(key, []).append(entry.value)
+        elif entry.metric == "exclusion":
+            means[key] = entry.value
+
+    def pooled(n, variant_ids):  # job order, then variant order, as the ledger lists them
+        rows = zip(*(per_job[n, vid] for vid in variant_ids))
+        return [value for row in rows for value in row]
+
+    expected = {}
+    for n in ("n=3", "n=7"):
+        for prefix, variant in (("dir", "swap"), ("dir-extra", "extraswap")):
+            for direction in {d for d, _, _ in SWAPS}:
+                values = pooled(n, [f"{variant}:{s}->{t}" for d, s, t in SWAPS
+                                    if d == direction])
+                expected[n, f"{prefix}:{direction}"] = math.fsum(values) / len(values)
+        for axis, directions in (("gender", ("M->F", "F->M")), ("race", ("W->B", "B->W"))):
+            values = pooled(n, [f"swap:{s}->{t}" for d, s, t in SWAPS if d in directions])
+            expected[n, axis] = sum(values) / len(values)
+        for kind in ("within", "typo", "spacing"):
+            values = pooled(n, [f"{kind}:{g}" for g in GROUP_CODES])
+            expected[n, kind] = sum(values) / len(values)
+    assert means == expected
 
 
 @pytest.mark.parametrize("table", [
@@ -989,7 +1051,7 @@ CRITERION_8_ARTIFACTS = (
     "plot_violation_rate.csv")
 
 
-def http_config(tmp_path, fixtures_dir, url, parallelism, out):
+def http_config(tmp_path, fixtures_dir, url, parallelism, out, **completion):
     return write_config(
         tmp_path, fixtures_dir, out_dir=str(out), regard_endpoint=f"{url}/regard",
         backends=[
@@ -998,7 +1060,7 @@ def http_config(tmp_path, fixtures_dir, url, parallelism, out):
              "parallelism": parallelism},
             {"id": "gen", "kind": "completion", "protocol": "openai-compatible",
              "model_name": "loop-chat", "endpoint": f"{url}/v1/chat/completions",
-             "parallelism": parallelism},
+             "parallelism": parallelism, **completion},
         ],
         grid={"n_values": [3], "x_values": [25], "temperatures": [0.0, 0.3],
               "lengths": [100], "povs": ["third"], "runs": 2})
@@ -1039,3 +1101,23 @@ def test_http_backend_error_cancels_the_batch_and_exits_3(tmp_path, fixtures_dir
     # 12 resumes x 4 groups x 2 temperatures x 2 runs were due; the first
     # refusal cancelled the queued ones
     assert loopback.requests["/v1/chat/completions"] < 12 * 4 * 2 * 2 // 4
+
+
+def test_regard_retries_transient_failures(tmp_path, fixtures_dir, loopback):
+    """Regard retries as often as the completion backend it scores, so a 503
+    on each text's first attempt changes neither the cold nor the warm run."""
+    def run(out):
+        run_audit(load_run_config(http_config(
+            tmp_path, fixtures_dir, loopback.url, 4, out,
+            retry={"max": 2, "base_delay_ms": 1})))
+        return {name: (out / name).read_bytes()
+                for name in ("measures_gen.jsonl", "report.csv")}
+
+    clean = run(tmp_path / "clean")
+    loopback.reset()
+    loopback.fail_first.add("/regard")
+    assert run(tmp_path / "flaky") == clean
+    assert set(loopback.regard_texts.values()) == {2}
+    loopback.reset()
+    assert run(tmp_path / "flaky") == clean
+    assert loopback.requests == {}

@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 
 from hirefair.corpus import GROUP_CODES
 from hirefair.retrieval import (
-    DIRECTIONS,
     RetrievalError,
     ScoreRow,
-    SwapExclusion,
     competition_ranks,
     cosine,
-    direction_of,
-    directional_exclusion,
     exclusion,
     non_uniformity,
     read_score_table,
@@ -305,50 +301,6 @@ def test_non_uniformity_counts_invariant_under_monotone_transform():
         res = non_uniformity({"j": mapped(f, pool)}, x=25.0)[0]
         assert res.counts == base.counts
         assert res.flag == base.flag
-
-
-# ---------------------------------------------------------------------------
-# directional exclusion
-# ---------------------------------------------------------------------------
-
-def test_direction_partition():
-    assert direction_of("MW", "FW") == "M->F"
-    assert direction_of("MB", "FB") == "M->F"
-    assert direction_of("FW", "MW") == "F->M"
-    assert direction_of("MW", "MB") == "W->B"
-    assert direction_of("FB", "FW") == "B->W"
-    assert direction_of("MW", "FB") is None  # diagonal swap: not a direction
-
-
-def test_directions_cover_all_gender_race_pairs():
-    pairs = {pair for pairs in DIRECTIONS.values() for pair in pairs}
-    assert len(pairs) == 8
-
-
-def test_directional_exclusion_identity_grid():
-    grid = [SwapExclusion(source=s, target=t, value=0.0)
-            for pairs in DIRECTIONS.values() for s, t in pairs]
-    results = directional_exclusion(grid)
-    assert {r.direction for r in results} == set(DIRECTIONS)
-    assert all(r.value == 0.0 for r in results)
-
-
-def test_directional_exclusion_averages_constituents():
-    grid = [
-        SwapExclusion("MW", "FW", 0.2),
-        SwapExclusion("MB", "FB", 0.4),
-        SwapExclusion("FW", "MW", 0.1),
-        SwapExclusion("FB", "MB", 0.1),
-    ]
-    results = {r.direction: r for r in directional_exclusion(grid)}
-    assert results["M->F"].value == pytest.approx(0.3)
-    assert results["M->F"].samples == 2
-    assert results["F->M"].value == pytest.approx(0.1)
-
-
-def test_directional_exclusion_rejects_diagonal():
-    with pytest.raises(RetrievalError):
-        directional_exclusion([SwapExclusion("MW", "FB", 0.5)])
 
 
 # ---------------------------------------------------------------------------

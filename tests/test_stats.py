@@ -62,6 +62,14 @@ def test_chi2_sf_matches_quadrature(df):
         assert chi2_sf(float(x), df) == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("df", [100_000, 1_000_000])
+def test_chi2_sf_raises_rather_than_return_an_unconverged_tail(df):
+    # the gamma series needs more than _MAX_ITER terms here; cut short, it
+    # once returned 0.7393 at df 1e6, where the true value is 0.4998
+    with pytest.raises(StatsError, match="did not converge"):
+        chi2_sf(float(df), df)
+
+
 # ---------------------------------------------------------------------------
 # paired t-test
 # ---------------------------------------------------------------------------
