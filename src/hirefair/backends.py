@@ -4,9 +4,13 @@ One class serves each kind, EmbeddingBackend and CompletionBackend; the
 PROTOCOLS table says how each (kind, protocol) pair makes one uncached
 request. HTTP protocols speak openai-, cohere-, or mistral-compatible wire
 schemas; credentials come only from environment variables named in the
-backend config. Responses are cached in a content-addressed on-disk
-store keyed by a digest of the canonicalized request, so byte-identical
-requests replay without network access and audits can be re-run offline.
+backend config. Responses are cached in one sqlite3 file keyed by a digest
+of the canonicalized request, so byte-identical requests replay without
+network access and audits can be re-run offline. Each response is written
+once, as zlib-compressed JSON, after it validated; a batch reads its cached
+responses in one query per READ_CHUNK keys and commits its fresh ones in
+transactions of WRITE_CHUNK rows. A cache directory written by earlier
+versions, one JSON file per response, is imported into the file once.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -25,8 +29,10 @@ import json
 import logging
 import os
 import random
+import sqlite3
 import threading
 import time
+import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +50,13 @@ MOCK_DIM = 256
 #: Token whose hash bucket serves as the bias axis; queries that contain it
 #: reward biased documents. Configurable per backend.
 DEFAULT_ANCHOR_TOKEN = "the"
+
+#: The response cache's file, under the cache directory.
+CACHE_FILE = "responses.sqlite"
+#: Keys per query when a batch reads its cached responses.
+READ_CHUNK = 500
+#: Fresh responses per write transaction; a batch flushes the rest when it ends.
+WRITE_CHUNK = 256
 
 
 class BackendError(Exception):
@@ -133,40 +146,117 @@ def cache_key(backend_id: str, model_name: str, payload) -> str:
 
 
 class ResponseCache:
-    """Content-addressed on-disk store; eviction is manual (audits are archival)."""
+    """Responses in one sqlite3 file, `<root>/responses.sqlite`, keyed by
+    cache_key; eviction is manual (audits are archival).
+
+    Each key is written once (INSERT OR IGNORE), its value the response as
+    zlib-compressed JSON. Reads take a batch's keys at once; writes are
+    buffered and committed in transactions of WRITE_CHUNK rows, and flush()
+    commits the rest. One connection serves every thread, behind a lock.
+    When the file is created in a directory that holds an older cache of one
+    `??/<key>.json` file per response, those responses are imported once, in
+    one transaction, and the files are left alone. close() (or leaving a
+    `with` block) flushes and leaves the single file behind.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._pending: list[tuple[str, bytes]] = []
         self.hits = 0
         self.misses = 0
+        self._db = sqlite3.connect(self.root / CACHE_FILE, check_same_thread=False)
+        self._db.execute("PRAGMA journal_mode=WAL")
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        self._db.execute("PRAGMA cache_size=-256")
+        with self._db:
+            self._db.execute("BEGIN IMMEDIATE")
+            if not self._db.execute(
+                    "SELECT 1 FROM sqlite_master WHERE name = 'responses'").fetchone():
+                self._db.execute("CREATE TABLE responses "
+                                 "(key TEXT PRIMARY KEY, response BLOB) WITHOUT ROWID")
+                self._db.executemany(_INSERT, _file_entries(self.root))
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def __enter__(self) -> ResponseCache:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return self._db.execute("SELECT COUNT(*) FROM responses").fetchone()[0]
+
+    def close(self) -> None:
+        try:
+            self.flush()
+        finally:
+            with self._lock:
+                self._db.close()
+
+    def _write(self, rows: list[tuple[str, bytes]]) -> None:
+        """Store `rows` in one transaction; the caller holds the lock."""
+        if rows:
+            with self._db:
+                self._db.executemany(_INSERT, rows)
+
+    def get_many(self, keys: Sequence[str]) -> dict[str, bytes]:
+        """The encoded responses of those of the distinct `keys` that are
+        stored (see decode_response), read with one query per READ_CHUNK keys."""
+        found: dict[str, bytes] = {}
+        with self._lock:
+            for start in range(0, len(keys), READ_CHUNK):
+                chunk = keys[start:start + READ_CHUNK]
+                found.update(self._db.execute(
+                    "SELECT key, response FROM responses WHERE key IN "
+                    f"({', '.join('?' * len(chunk))})", chunk))
+            self.hits += len(found)
+            self.misses += len(keys) - len(found)
+        return found
 
     def get(self, key: str):
-        path = self._path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
-        with self._lock:
-            self.hits += 1
-        return json.loads(raw)["response"]
+        """The stored response for `key`, or None."""
+        blob = self.get_many([key]).get(key)
+        return None if blob is None else decode_response(blob)
 
     def put(self, key: str, response) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(
-            json.dumps({"key": key, "response": response}, sort_keys=True,
-                       ensure_ascii=False),
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        """Store `response` under `key`, encoded on the calling thread; it is
+        written with the next full chunk or by flush()."""
+        row = (key, encode_response(response))
+        with self._lock:
+            self._pending.append(row)
+            if len(self._pending) >= WRITE_CHUNK:
+                self._write(self._pending)
+                self._pending = []
+
+    def flush(self) -> None:
+        """Write every response put but not yet written."""
+        with self._lock:
+            self._write(self._pending)
+            self._pending = []
+
+
+_INSERT = "INSERT OR IGNORE INTO responses (key, response) VALUES (?, ?)"
+
+
+def _file_entries(root: Path):
+    """(key, encoded response) of each readable `??/<key>.json` file of a
+    cache written one file per response."""
+    for path in sorted(root.glob("??/*.json")):
+        try:
+            yield path.stem, encode_response(json.loads(path.read_bytes())["response"])
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            logger.warning("skipped unreadable cache file %s: %s", path, exc)
+
+
+def encode_response(response) -> bytes:
+    return zlib.compress(json.dumps(response, sort_keys=True,
+                                    ensure_ascii=False).encode("utf-8"))
+
+
+def decode_response(blob: bytes):
+    return json.loads(zlib.decompress(blob))
 
 
 def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
@@ -176,13 +266,15 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     read through `cache` when there is one.
 
     `keys[i]` holds cache_key's arguments for request i, and `fetch(i)` makes
-    that request. Requests with one key share one result. Cached responses
-    are validated again on the calling thread; misses are fetched on
-    min(width, misses) threads, on the calling thread when that is one. A
-    fetched response is stored only after it validated, so a bad response is
-    never cached. Without `on_error`, the first failure cancels the requests
-    still queued and is raised; with it, `on_error(exc)` becomes the failed
-    request's result (and may raise instead).
+    that request. Requests with one key share one result. A batch's cached
+    responses are read in one go and validated again, one at a time, on the
+    calling thread; misses are fetched on min(width, misses) threads, on the
+    calling thread when that is one. A fetched response is stored only after
+    it validated, so a bad response is never cached; responses that
+    validated are stored even when the batch then fails. Without `on_error`,
+    the first failure cancels the requests still queued and is raised; with
+    it, `on_error(exc)` becomes the failed request's result (and may raise
+    instead).
     """
     digests = [cache_key(*key) for key in keys]
     first: dict[str, int] = {}
@@ -206,25 +298,30 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
 
     results: dict[str, object] = {}
     misses: list[tuple[str, int]] = []
+    stored = cache.get_many(list(first)) if cache is not None else {}
     for digest, i in first.items():
-        response = cache.get(digest) if cache is not None else None
-        if response is None:
+        blob = stored.pop(digest, None)
+        if blob is None:
             misses.append((digest, i))
         else:
-            results[digest] = guarded(validate, response)
+            results[digest] = guarded(validate, decode_response(blob))
     workers = min(width, len(misses))
-    if workers <= 1:
-        for digest, i in misses:
-            results[digest] = guarded(call, digest, i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(guarded, call, digest, i) for digest, i in misses]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            pool.shutdown(cancel_futures=True)
-        # Queued calls start in order, so the first failure comes before
-        # every cancelled call.
-        for (digest, _), future in zip(misses, futures):
-            results[digest] = future.result()
+    try:
+        if workers <= 1:
+            for digest, i in misses:
+                results[digest] = guarded(call, digest, i)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(guarded, call, digest, i) for digest, i in misses]
+                wait(futures, return_when=FIRST_EXCEPTION)
+                pool.shutdown(cancel_futures=True)
+            # Queued calls start in order, so the first failure comes before
+            # every cancelled call.
+            for (digest, _), future in zip(misses, futures):
+                results[digest] = future.result()
+    finally:
+        if cache is not None:
+            cache.flush()
     return [results[digest] for digest in digests]
 
 

@@ -7,7 +7,9 @@ Exit codes: 0 ok, 2 configuration error, 3 backend error, 4 data or write error.
 from __future__ import annotations
 
 import logging
+import sqlite3
 import sys
+from contextlib import contextmanager, nullcontext
 
 import click
 
@@ -37,12 +39,14 @@ from hirefair.report import ReportError, aggregate, emit, read_ledger
 from hirefair.retrieval import RetrievalError
 
 #: The exit code of each error a command may raise: config, backend, data. An
-#: OSError is a failed write: readers and backends wrap their own OSErrors.
+#: OSError is a failed write: readers and backends wrap their own OSErrors. A
+#: response cache that cannot be read or written (sqlite3.Error) is a data error.
 EXIT_CODES = {
     ConfigError: 2,
     BackendError: 3,
     **dict.fromkeys((CorpusError, DataError, RetrievalError, textmetrics.TextMetricsError,
-                     perturb.PerturbError, stats.StatsError, ReportError, OSError), 4),
+                     perturb.PerturbError, stats.StatsError, ReportError, OSError,
+                     sqlite3.Error), 4),
 }
 
 logger = logging.getLogger(__name__)
@@ -112,17 +116,21 @@ def perturb_cmd(plan_path, in_path, out_path, frequency_table):
     click.echo(f"wrote {len(perturbed)} resumes to {out_path}")
 
 
+@contextmanager
 def _load_backend(path, backend_id, kind, cache_dir):
     """The first `kind` block of a backends file (or the one named
-    backend_id), built over a response cache in cache_dir if given."""
+    backend_id), built over a response cache in cache_dir if given, which
+    is closed when the block ends."""
     doc = read_json(path, ConfigError, "backends file")
     blocks = doc.get("backends", [doc]) if isinstance(doc, dict) else doc
     if not isinstance(blocks, list) or not all(isinstance(raw, dict) for raw in blocks):
         raise ConfigError(f"backends file {path} must hold backend blocks, got {doc!r:.80}")
     for raw in blocks:
         if raw.get("kind") == kind and backend_id in (None, raw.get("id")):
-            return build_backend(backend_from_dict(raw),
-                                 ResponseCache(cache_dir) if cache_dir else None)
+            config = backend_from_dict(raw)
+            with ResponseCache(cache_dir) if cache_dir else nullcontext() as cache:
+                yield build_backend(config, cache)
+            return
     raise ConfigError(f"no {kind} backend {backend_id or ''!r} found in {path}")
 
 
@@ -140,14 +148,14 @@ def _variant_id(resume) -> str:
 @click.option("--cache-dir", default=None, type=click.Path())
 def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
     """Embed a corpus and write the (job, resume, variant, score) table."""
-    backend = _load_backend(backends_path, backend_id, "embedding", cache_dir)
-    resumes, jobs = load_corpus(in_path)
-    if not jobs:
-        raise CorpusError("corpus has no job posts to score against")
-    variants = VariantSet(draw=0, resumes={})
-    for resume in resumes:
-        variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume
-    rows = score_variants(backend, jobs, variants)
+    with _load_backend(backends_path, backend_id, "embedding", cache_dir) as backend:
+        resumes, jobs = load_corpus(in_path)
+        if not jobs:
+            raise CorpusError("corpus has no job posts to score against")
+        variants = VariantSet(draw=0, resumes={})
+        for resume in resumes:
+            variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume
+        rows = score_variants(backend, jobs, variants)
     retrieval.write_score_table(rows, out_path)
     click.echo(f"wrote {len(rows)} scores to {out_path}")
 
@@ -165,10 +173,10 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
 def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
                   temperature, runs, cache_dir):
     """Generate summaries for every resume at one grid cell."""
-    backend = _load_backend(backends_path, backend_id, "completion", cache_dir)
-    resumes, _ = load_corpus(in_path)
-    records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
-                        [(float(temperature), int(length), pov)], runs)
+    with _load_backend(backends_path, backend_id, "completion", cache_dir) as backend:
+        resumes, _ = load_corpus(in_path)
+        records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
+                            [(float(temperature), int(length), pov)], runs)
     write_jsonl(map(to_row, records), out_path)
     click.echo(f"wrote {len(records)} summaries to {out_path}")
 

@@ -405,8 +405,11 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     """Execute the full audit and write every artifact under config.out_dir."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = ResponseCache(out_dir / "cache")
+    with ResponseCache(out_dir / "cache") as cache:
+        return _audit(config, out_dir, cache, svg)
 
+
+def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) -> RunResult:
     # fail fast: build every backend and the regard client (each checks its credential)
     backends = {b.id: build_backend(b, cache) for b in config.backends}
     regard_client = None

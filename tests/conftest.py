@@ -67,8 +67,9 @@ class LoopbackService:
     requests get identical answers whatever order they arrive in. Each
     request waits `delay` seconds while counted as in flight, per path and
     over all paths ("*"). Paths listed in
-    `refuse` are answered with 400, and paths listed in `fail_first` answer
-    503 to the first request of each distinct body.
+    `refuse` are answered with 400, paths listed in `unavailable` with 503,
+    and paths listed in `fail_first` answer 503 to the first request of each
+    distinct body.
     """
 
     VOCAB = ("the candidate shows strong steady experience with reliable "
@@ -81,6 +82,7 @@ class LoopbackService:
 
         self.delay = delay
         self.refuse: set[str] = set()
+        self.unavailable: set[str] = set()
         self.fail_first: set[str] = set()
         self.lock = threading.Lock()
         self.reset()
@@ -157,7 +159,7 @@ class LoopbackService:
                         for name in (self.path, "*"):
                             service.inflight[name] -= 1
                 status = 400 if doc is None or self.path in service.refuse else 200
-                if transient:
+                if transient or self.path in service.unavailable:
                     status = 503
                 payload = json.dumps(doc if status == 200 else {"error": "refused"})
                 self.send_response(status)

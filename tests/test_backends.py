@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hirefair.backends import (
     MOCK_DIM,
+    WRITE_CHUNK,
     BackendConfig,
     BackendError,
     PROTOCOLS,
@@ -328,15 +329,46 @@ def test_cached_calls_never_cache_an_invalid_response(tmp_path):
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="invalid"):
         cached_calls(cache, keys, fetch, validate, width=4)
-    stored = [p.read_text() for p in tmp_path.rglob("*.json")]
-    assert stored and not any('"bad"' in text for text in stored)
+    stored = [cache.get(cache_key(*key)) for key in keys]
+    assert len(cache) > 0 and "bad" not in stored
 
     # with on_error the failed request's result is absent, the rest is stored
     results = cached_calls(cache, keys, fetch, validate, width=4,
                            on_error=lambda exc: None)
     assert results == [None if i == 5 else f"good {i}" for i in range(12)]
     assert cache.get(cache_key(*keys[5])) is None
-    assert len(list(tmp_path.rglob("*.json"))) == 11
+    assert len(cache) == 11
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_a_failed_batch_keeps_its_validated_responses(tmp_path, width):
+    """Responses that validated before a failure are stored, in full chunks
+    and in the final flush; a retry fetches only what is missing."""
+    n, k = WRITE_CHUNK + 60, WRITE_CHUNK + 30
+    keys = [key_of(i) for i in range(n)]
+    fetched, lock = [], threading.Lock()
+
+    def fetch(i):
+        with lock:
+            fetched.append(i)
+        if i == k:
+            raise BackendError("refused")
+        return f"good {i}"
+
+    cache = ResponseCache(tmp_path)
+    with pytest.raises(BackendError, match="refused"):
+        cached_calls(cache, keys, fetch, str, width=width)
+    stored = {i for i in range(n) if cache.get(cache_key(*keys[i])) is not None}
+    # queued calls start in order, so every request before k was fetched
+    assert stored == set(fetched) - {k} >= set(range(k))
+    assert len(cache) == len(stored)
+
+    fetched.clear()
+    results = cached_calls(cache, keys, fetch=lambda i: fetched.append(i) or f"good {i}",
+                           validate=str, width=width)
+    assert results == [f"good {i}" for i in range(n)]
+    assert sorted(fetched) == sorted(set(range(n)) - stored)
+    assert len(cache) == n
 
 
 def test_embed_batch_stress_with_more_workers_than_cores(tmp_path):
@@ -351,8 +383,9 @@ def test_embed_batch_stress_with_more_workers_than_cores(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
-    assert len(list(tmp_path.rglob("*.json"))) == len(set(texts))
-    assert not list(tmp_path.rglob("*.tmp.*"))
+    assert len(cache) == len(set(texts))
+    cache.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["responses.sqlite"]
 
 
 def test_single_calls_are_batches_of_one(monkeypatch):
@@ -571,7 +604,7 @@ def test_malformed_body_is_backend_error(monkeypatch, tmp_path, kind, response):
             backend.embed_batch(["x"])
         else:
             backend.complete_text("prompt")
-    assert not list(tmp_path.rglob("*.json"))  # never cached
+    assert len(cache) == 0  # never cached
 
 
 def test_missing_credential_fails_fast(monkeypatch):

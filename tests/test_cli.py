@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import sqlite3
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from hirefair.backends import build_backend
+from hirefair.backends import ResponseCache, build_backend, cache_key, decode_response
 from hirefair.cli import main
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import GROUP_CODES, Resume, load_corpus, load_name_pools
@@ -191,6 +192,25 @@ def test_cli_stage_rejects_malformed_backends_file(tmp_path, fixtures_dir, comma
     assert "backend blocks" in result.output
 
 
+@pytest.mark.parametrize("command", ["embed", "summarize"])
+def test_cli_stage_closes_its_cache(tmp_path, fixtures_dir, command):
+    """A stage's --cache-dir holds only the sqlite file once the command
+    ends, whether it succeeded or failed."""
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps({"backends": [MOCK_EMBED, {
+        "id": "gen", "kind": "completion", "protocol": "mock", "model_name": "m"}]}))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    cache_dir = tmp_path / "cache"
+    for corpus, code in ((fixtures_dir / "mini_corpus.jsonl", 0), (bad, 4)):
+        result = CliRunner().invoke(main, [
+            command, "--backends", str(backends_path), "--cache-dir", str(cache_dir),
+            "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert result.exit_code == code, result.output
+        assert [p.name for p in cache_dir.iterdir()] == ["responses.sqlite"]
+    assert cache_rows(cache_dir) > 0
+
+
 def test_config_numbers_stay_as_written(tmp_path, fixtures_dir):
     """A float field's int is stored as a float, so one grid written two
     ways is one run."""
@@ -336,14 +356,20 @@ def test_run_identity_comes_from_content_not_paths(tmp_path, fixtures_dir, pools
     assert run_audit(load_run_config("a/run.json")).run_id != result_a.run_id
 
 
+def cache_rows(cache_dir) -> int:
+    with ResponseCache(cache_dir) as cache:
+        return len(cache)
+
+
 def test_run_audit_second_run_hits_cache(tmp_path, fixtures_dir):
     config = load_run_config(write_config(tmp_path, fixtures_dir))
     run_audit(config)
     cache_dir = Path(config.out_dir) / "cache"
-    files_before = sum(1 for _ in cache_dir.rglob("*.json"))
+    assert [p.name for p in cache_dir.iterdir()] == ["responses.sqlite"]
+    rows_before = cache_rows(cache_dir)
+    assert rows_before > 0
     run_audit(config)
-    files_after = sum(1 for _ in cache_dir.rglob("*.json"))
-    assert files_after == files_before  # cached stages re-served, not re-written
+    assert cache_rows(cache_dir) == rows_before  # cached stages re-served, not re-written
 
 
 def test_run_audit_rejects_contaminated_corpus(tmp_path, fixtures_dir):
@@ -860,6 +886,18 @@ def test_cli_unwritable_output_exits_4(tmp_path, fixtures_dir, command):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_cli_unreadable_cache_exits_4(tmp_path, fixtures_dir):
+    """A cache file that is not a sqlite database is a data error, not a
+    traceback."""
+    cache_dir = tmp_path / "out" / "cache"
+    cache_dir.mkdir(parents=True)
+    (cache_dir / "responses.sqlite").write_bytes(b"not a database" * 100)
+    result = CliRunner().invoke(main, ["run", "--config",
+                                       str(write_config(tmp_path, fixtures_dir))])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("error: "), result.output
+
+
 def test_cli_rank_from_score_table(tmp_path, fixtures_dir):
     config = load_run_config(write_config(tmp_path, fixtures_dir))
     run_audit(config)
@@ -1098,6 +1136,7 @@ def test_http_backend_error_cancels_the_batch_and_exits_3(tmp_path, fixtures_dir
     result = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 3, result.output
     assert "HTTP 400" in result.output
+    assert [p.name for p in (tmp_path / "out" / "cache").iterdir()] == ["responses.sqlite"]
     # 12 resumes x 4 groups x 2 temperatures x 2 runs were due; the first
     # refusal cancelled the queued ones
     assert loopback.requests["/v1/chat/completions"] < 12 * 4 * 2 * 2 // 4
@@ -1121,3 +1160,57 @@ def test_regard_retries_transient_failures(tmp_path, fixtures_dir, loopback):
     loopback.reset()
     assert run(tmp_path / "flaky") == clean
     assert loopback.requests == {}
+
+
+def test_regard_endpoint_that_always_fails(tmp_path, fixtures_dir, loopback):
+    """Every regard measure is absent, no regard answer is cached, and a warm
+    rerun posts every text again."""
+    loopback.unavailable.add("/regard")
+    out = tmp_path / "out"
+    config = load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 4, out,
+                                         retry={"max": 2, "base_delay_ms": 1}))
+    run_audit(config)
+    texts = {r.text for r in read_summaries(out / "summaries_gen.jsonl")}
+    assert set(loopback.regard_texts) == texts
+    measured = read_measures(out / "measures_gen.jsonl")
+    assert measured and all(mv.regard is None for _, mv in measured)
+    with ResponseCache(out / "cache") as cache:
+        rows = len(cache)
+        assert all(cache.get(cache_key("regard", config.regard_endpoint, {"text": text}))
+                   is None for text in texts)
+    posted = dict(loopback.regard_texts)
+
+    loopback.reset()
+    run_audit(config)
+    assert set(loopback.requests) == {"/regard"}
+    assert loopback.regard_texts == posted
+    assert cache_rows(out / "cache") == rows
+
+
+def test_a_cache_of_one_file_per_response_replays_offline(tmp_path, fixtures_dir,
+                                                          loopback):
+    """A cache directory in the layout of earlier versions, `??/<key>.json`
+    per response, is imported when the sqlite file is created, and its files
+    are left alone."""
+    cold = tmp_path / "cold"
+    run_audit(load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 4, cold)))
+    db = sqlite3.connect(cold / "cache" / "responses.sqlite")
+    rows = db.execute("SELECT key, response FROM responses").fetchall()
+    db.close()
+    old = tmp_path / "old" / "cache"
+    for key, blob in rows:
+        path = old / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"key": key, "response": decode_response(blob)},
+                                   sort_keys=True, ensure_ascii=False), encoding="utf-8")
+    files = sorted(p.relative_to(old) for p in old.rglob("*.json"))
+    assert len(files) == len(rows) > 0
+
+    loopback.reset()
+    run_audit(load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 4,
+                                          tmp_path / "old")))
+    assert loopback.requests == {}
+    assert cache_rows(old) == len(rows)
+    assert sorted(p.relative_to(old) for p in old.rglob("*.json")) == files
+    for name in ("report.csv", "measures_gen.jsonl", "scores_emb.csv"):
+        assert (tmp_path / "old" / name).read_bytes() == (cold / name).read_bytes(), name
