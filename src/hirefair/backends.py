@@ -1,16 +1,19 @@
-"""Embedding and completion backends with a persistent response cache.
+"""Backends: every remote call the audit makes, with a persistent response
+cache.
 
-One class serves each kind, EmbeddingBackend and CompletionBackend; the
-PROTOCOLS table says how each (kind, protocol) pair makes one uncached
-request. HTTP protocols speak openai-, cohere-, or mistral-compatible wire
-schemas; credentials come only from environment variables named in the
-backend config. Responses are cached in one sqlite3 file keyed by a digest
-of the canonicalized request, so byte-identical requests replay without
-network access and audits can be re-run offline. Each response is written
-once, as zlib-compressed JSON, after it validated; a batch reads its cached
-responses in one query per READ_CHUNK keys and commits its fresh ones in
-transactions of WRITE_CHUNK rows. A cache directory written by earlier
-versions, one JSON file per response, is imported into the file once.
+One class serves each kind: EmbeddingBackend, CompletionBackend and the
+regard classifier, RegardClient. The PROTOCOLS table says how each (kind,
+protocol) pair makes one uncached request. HTTP protocols speak openai-,
+cohere-, or mistral-compatible wire schemas, or the regard schema; every
+HTTP call has one timeout, HTTP_TIMEOUT_S. Credentials come only from
+environment variables named in the backend config. Responses are cached in
+one sqlite3 file keyed by a digest of the canonicalized request, so
+byte-identical requests replay without network access and audits can be
+re-run offline. Each response is written once, as zlib-compressed JSON,
+after it validated; a batch reads its cached responses in one query per
+READ_CHUNK keys and commits its fresh ones in transactions of WRITE_CHUNK
+rows. A cache directory written by earlier versions, one JSON file per
+response, is imported into the file once.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -51,6 +54,12 @@ MOCK_DIM = 256
 #: reward biased documents. Configurable per backend.
 DEFAULT_ANCHOR_TOKEN = "the"
 
+#: Seconds each HTTP request may take.
+HTTP_TIMEOUT_S = 60.0
+
+#: The categories a regard classifier scores; their scores sum to 1.
+REGARD_CATEGORIES = ("positive", "negative", "neutral", "other")
+
 #: The response cache's file, under the cache directory.
 CACHE_FILE = "responses.sqlite"
 #: Keys per query when a batch reads its cached responses.
@@ -90,7 +99,7 @@ class BackendParams:
 @dataclass(frozen=True)
 class BackendConfig:
     id: str
-    kind: str       # "embedding" | "completion"
+    kind: str       # "embedding" | "completion" | "regard"
     protocol: str   # (kind, protocol) must be a key of PROTOCOLS
     model_name: str = ""
     endpoint: str = ""
@@ -382,11 +391,12 @@ class JsonEndpoint:
     credential variable is unset. Connection errors, timeouts, 429 and 5xx
     are retried under `retry` with exponential backoff; any other 4xx, a body
     that is not JSON, and a body the schema adapter cannot read fail at once.
-    The session pools `width` connections, one per request in flight.
+    Each request may take HTTP_TIMEOUT_S. The session pools `width`
+    connections, one per request in flight.
     """
 
     def __init__(self, name: str, url: str, credential_env: str,
-                 retry: RetryPolicy, timeout: float, width: int = 1):
+                 retry: RetryPolicy, width: int = 1):
         if not url:
             raise BackendError(f"{name}: endpoint required for HTTP protocols")
         self.headers = {"Content-Type": "application/json"}
@@ -395,7 +405,7 @@ class JsonEndpoint:
                 raise BackendError(
                     f"{name}: credential env var {credential_env!r} is not set")
             self.headers["Authorization"] = f"Bearer {os.environ[credential_env]}"
-        self.name, self.url, self.retry, self.timeout = name, url, retry, timeout
+        self.name, self.url, self.retry = name, url, retry
         self.session = requests.Session()
         # Proxy, TLS and netrc settings are read from the environment once,
         # here, not again on every post.
@@ -415,7 +425,7 @@ class JsonEndpoint:
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
                 resp = self.session.post(self.url, json=payload, headers=self.headers,
-                                         timeout=self.timeout)
+                                         timeout=HTTP_TIMEOUT_S)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 error = str(exc)
             except requests.RequestException as exc:
@@ -445,17 +455,30 @@ def _numbers(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def validate_regard(scores: Mapping[str, float]) -> dict[str, float]:
+    """Check a regard response: all four categories, summing to 1 within 1e-6."""
+    missing = [c for c in REGARD_CATEGORIES if c not in scores]
+    if missing:
+        raise ValueError(f"regard response missing categories: {missing}")
+    values = {c: float(scores[c]) for c in REGARD_CATEGORIES}
+    total = sum(values.values())
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"regard scores sum to {total}, not 1")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # protocols and backends
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Protocol:
-    """How one (kind, protocol) pair answers one item, a text to embed or a
-    CompletionRequest: an HTTP protocol posts `body(config, item)` and answers
-    `read(json_answer)`, an in-process one answers `call(config, item)`. The
-    answer (a list of floats or a text) is what the cache stores. `params`
-    names the params the protocol reads."""
+    """How one (kind, protocol) pair answers one item, a text to embed or to
+    score for regard, or a CompletionRequest: an HTTP protocol posts
+    `body(config, item)` and answers `read(json_answer)`, an in-process one
+    answers `call(config, item)`. The answer (a list of floats, a text, or
+    the regard scores) is what the cache stores. `params` names the params
+    the protocol reads."""
 
     body: Callable | None = None
     read: Callable | None = None
@@ -531,6 +554,8 @@ PROTOCOLS = {
     # the prompt's trailing line; handy as a test double
     ("completion", "echo"): Protocol(
         call=lambda config, request: request.prompt.rstrip("\n").rsplit("\n", 1)[-1]),
+    ("regard", "http"): Protocol(body=lambda config, text: {"text": text},
+                                 read=validate_regard),
 }
 
 
@@ -550,7 +575,7 @@ class Backend:
         self.protocol = PROTOCOLS[config.kind, config.protocol]
         if self.protocol.call is None:
             self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
-                                     config.credential_env, config.retry, timeout=60.0,
+                                     config.credential_env, config.retry,
                                      width=config.parallelism)
             self.session = self.http.session
             self.width = config.parallelism
@@ -562,9 +587,10 @@ class Backend:
         return self.http.post(self.protocol.body(self.config, item), self.protocol.read)
 
     def _batch(self, items: Sequence, texts: Sequence[str], payloads: Sequence[dict],
-               validate: Callable) -> list:
+               validate: Callable, on_error: Callable | None = None) -> list:
         """validate(answer) for each item in order, each distinct payload
-        requested once; no item's input text may exceed max_chars."""
+        requested once; no item's input text may exceed max_chars. A failed
+        request raises, or gives on_error(exc) (see cached_calls)."""
         limit = self.config.max_chars
         for text in texts:
             if limit is not None and len(text) > limit:
@@ -573,7 +599,7 @@ class Backend:
                     f"max_chars={limit}; refusing to truncate")
         keys = [(self.config.id, self.config.model_name, payload) for payload in payloads]
         return cached_calls(self.cache, keys, lambda i: self._request(items[i]),
-                            validate, self.width)
+                            validate, self.width, on_error)
 
 
 class EmbeddingBackend(Backend):
@@ -637,6 +663,34 @@ class CompletionBackend(Backend):
             prompt=prompt, temperature=temperature, run_index=run_index,
             max_words_hint=max_words_hint,
         ))
+
+
+class RegardClient(Backend):
+    """Category scores of texts from an external regard classifier.
+
+    The endpoint receives {"text": ...} and must answer with the four
+    category scores. A request that still fails after its retries is not
+    cached: its score is None and the measure is recorded as absent."""
+
+    @staticmethod
+    def _failed(exc: Exception) -> Exception:
+        if not isinstance(exc, (BackendError, ValueError, TypeError)):
+            raise exc
+        return exc
+
+    def score_batch(self, texts: Sequence[str]) -> list[dict[str, float] | None]:
+        """Scores of each text in order, each distinct text posted once; None
+        where a request failed, with one warning per batch that has any."""
+        results = self._batch(texts, texts, [{"text": text} for text in texts],
+                              validate_regard, self._failed)
+        errors = [r for r in results if isinstance(r, Exception)]
+        if errors:
+            logger.warning("backend %s: regard absent for %d of %d texts; first error: %s",
+                           self.config.id, len(errors), len(texts), errors[0])
+        return [None if isinstance(r, Exception) else r for r in results]
+
+    def score(self, text: str) -> dict[str, float] | None:
+        return self.score_batch([text])[0]
 
 
 def build_backend(config: BackendConfig, cache: ResponseCache | None = None) -> Backend:

@@ -138,14 +138,19 @@ _PINNED_BY_REPLICATION = ("temperatures", "lengths", "povs", "runs")
 
 
 def backend_from_dict(raw) -> BackendConfig:
-    """A backend block as a BackendConfig; any fault in it is a ConfigError."""
+    """A backend block as a BackendConfig; any fault in it is a ConfigError.
+    No block is of kind "regard": regard_endpoint sets the classifier."""
     given = {}
     if isinstance(raw, dict) and "retry" in raw:
         given["retry"] = from_row(RetryPolicy, raw["retry"], ConfigError, "retry")
     try:
-        return from_row(BackendConfig, raw, ConfigError, "backend", **given)
+        config = from_row(BackendConfig, raw, ConfigError, "backend", **given)
     except BackendError as exc:
         raise ConfigError(f"invalid backend block: {exc}") from exc
+    if config.kind == "regard":
+        raise ConfigError(f"backend {config.id}: the regard classifier is set by "
+                          f"regard_endpoint, not by a backend block")
+    return config
 
 
 def load_run_config(path, **overrides) -> RunConfig:

@@ -334,14 +334,16 @@ def validate_corpus(resumes: list[Resume], jobs: list[JobPost],
                     known_spec_ids: set[str] | None = None) -> list[str]:
     """Run the deep corpus invariant checks; returns a list of problems.
 
-    Checks beyond what load_corpus enforces structurally: unperturbed
-    resumes (empty lineage) must carry no group label and contain no
-    first-name token from any pool; lineage entries must reference known
-    perturbation spec ids when a manifest is supplied.
+    Checks beyond what load_corpus enforces structurally: no resume body is
+    blank; unperturbed resumes (empty lineage) must carry no group label and
+    contain no first-name token from any pool; lineage entries must reference
+    known perturbation spec ids when a manifest is supplied.
     """
     problems: list[str] = []
     pattern = name_token_pattern(pools) if pools else None
     for r in resumes:
+        if not r.body.strip():
+            problems.append(f"resume {r.id}: empty body")
         if not r.lineage:
             if r.group is not None:
                 problems.append(f"resume {r.id}: group set but lineage empty")

@@ -18,7 +18,9 @@ from pathlib import Path
 
 from hirefair import perturb, retrieval, stats, textmetrics
 from hirefair.backends import (
+    BackendConfig,
     CompletionRequest,
+    RegardClient,
     ResponseCache,
     RetryPolicy,
     build_backend,
@@ -47,7 +49,7 @@ from hirefair.report import (
     write_ledger,
 )
 from hirefair.retrieval import ScoreRow
-from hirefair.textmetrics import MeasureVector, RegardClient, SummaryRecord
+from hirefair.textmetrics import MeasureVector, SummaryRecord
 
 logger = logging.getLogger(__name__)
 
@@ -157,14 +159,17 @@ def variant_plans(config: RunConfig, draw: int) -> list[list[PerturbationSpec]]:
 
 def build_variants(resumes: list[Resume], pools, config: RunConfig, draw: int,
                    completion_backend=None, audit_log: list | None = None) -> VariantSet:
-    """Every variant of the corpus for one draw: each of variant_plans
-    applied by perturb.apply_plan, the code `hirefair perturb` runs."""
+    """Every variant of the corpus for one draw: each variant's spec applied
+    by perturb.apply_plan, the code `hirefair perturb` runs, on the variant it
+    is applied on. That is its plan of variant_plans applied to `resumes`."""
+    built: dict[str | None, list[Resume]] = {None: resumes}
+    for v in variant_table(config, draw):
+        built[v.id] = perturb.apply_plan(built[v.applied_on], [v.spec], pools,
+                                         completion_backend, audit_log)
+    del built[None]
     ids = [r.id for r in resumes]
     return VariantSet(draw=draw, resumes={
-        plan[-1].id: dict(zip(ids, perturb.apply_plan(
-            resumes, plan, pools, completion_backend, audit_log)))
-        for plan in variant_plans(config, draw)
-    })
+        vid: dict(zip(ids, variant)) for vid, variant in built.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +246,8 @@ def retrieval_metrics(model: str, run_id: str, jobs: list[JobPost],
                     detail=f"unit={res.unit_id};draw={variants.draw}",
                 ))
                 if detail_log is not None:
-                    detail_log.append({
-                        "model": model, "draw": variants.draw, "unit": res.unit_id,
-                        "mode": mode_key, "x": x, "k": res.k, "counts": res.counts,
-                        "chi2": res.chi2, "p": res.p, "flag": res.flag,
-                        "underpowered": res.underpowered,
-                    })
+                    detail_log.append(to_row(res, model=model, draw=variants.draw,
+                                             mode=mode_key))
     return entries
 
 
@@ -296,10 +297,10 @@ def generate_summaries(backend, variants: VariantSet, config: RunConfig,
 
 
 def measure_summaries(records: list[SummaryRecord],
-                      regard_client: RegardClient | None = None, width: int = 1,
+                      regard_client: RegardClient | None = None,
                       ) -> list[tuple[SummaryRecord, MeasureVector]]:
-    """Measures of each record; regard requests keep up to `width` in flight."""
-    vectors = textmetrics.measure_texts([r.text for r in records], regard_client, width)
+    """Measures of each record; regard is scored as one batch."""
+    vectors = textmetrics.measure_texts([r.text for r in records], regard_client)
     return list(zip(records, vectors))
 
 
@@ -373,14 +374,8 @@ def summarization_metrics(samples: list[stats.PairedSample], run_id: str,
         results, correction=config.correction, alpha=config.alpha)
     if test_log is not None:
         for sample, (label, result), flag in zip(samples, results, rejected):
-            test_log.append({
-                "model": label.model, "measure": label.measure,
-                "comparison": label.comparison, "temperature": label.temperature,
-                "length": label.length, "pov": label.pov,
-                "t": result.t, "df": result.df, "p": result.p,
-                "degenerate": result.degenerate, "rejected": flag,
-                "n": len(sample.differences),
-            })
+            test_log.append(to_row(label, **to_row(result), rejected=flag,
+                                   n=len(sample.differences)))
     return [
         make_entry(run_id, "violation_rate", rate.model, rate.comparison_type,
                    f"alpha={config.alpha:g}", config.correction,
@@ -414,15 +409,17 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
     backends = {b.id: build_backend(b, cache) for b in config.backends}
     regard_client = None
     if config.regard_endpoint:
-        # pooled for the widest completion backend whose summaries it scores,
-        # and retried as often as the most persistent one
+        # as wide as the widest completion backend whose summaries it scores,
+        # and retried as often as the most persistent one; keyed by its
+        # endpoint, so its cache entries do not depend on either
         scored = config.completion_backends()
-        width = max((b.parallelism for b in scored), default=1)
-        retry = max((b.retry for b in scored), key=lambda r: r.max_attempts,
-                    default=RetryPolicy(max_attempts=1))
-        regard_client = RegardClient(config.regard_endpoint,
-                                     credential_env=config.regard_credential_env,
-                                     cache=cache, width=width, retry=retry)
+        regard_client = RegardClient(BackendConfig(
+            id="regard", kind="regard", protocol="http",
+            model_name=config.regard_endpoint, endpoint=config.regard_endpoint,
+            credential_env=config.regard_credential_env,
+            parallelism=max((b.parallelism for b in scored), default=1),
+            retry=max((b.retry for b in scored), key=lambda r: r.max_attempts,
+                      default=RetryPolicy(max_attempts=1))), cache)
     embedders = [backends[b.id] for b in config.embedding_backends()]
     completers = [backends[b.id] for b in config.completion_backends()]
     if not embedders and not completers:
@@ -440,7 +437,6 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
         freq_overrides = read_frequency_table(config.frequency_table_path)
     pools = load_name_pools(frequency_overrides=freq_overrides)
     problems = validate_corpus(resumes, jobs, pools)
-    problems.extend(f"resume {r.id}: empty body" for r in resumes if not r.body.strip())
     if problems:
         raise DataError("corpus validation failed:\n" + "\n".join(problems))
 
@@ -492,9 +488,7 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
             _write_jsonl(map(to_row, records), summaries_path)
             files.append(summaries_path)
 
-            # regard runs at the parallelism of the backend it scores
-            measured = measure_summaries(records, regard_client,
-                                         backend.config.parallelism)
+            measured = measure_summaries(records, regard_client)
             measures_path = out_dir / f"measures_{backend.config.id}{_suffix(draw)}.jsonl"
             textmetrics.write_measures(measured, measures_path)
             files.append(measures_path)

@@ -85,7 +85,8 @@ def exclusion(original, perturbed, n: int) -> float:
 
 @dataclass(frozen=True)
 class NonUniformityResult:
-    unit_id: str  # job id (separated) or occupation (pooled)
+    # job id (separated) or occupation (pooled)
+    unit_id: str = field(metadata={"key": "unit"})
     mode: str
     x: float
     k: int  # selected pool members (ties included)

@@ -2,8 +2,9 @@
 
 Five measures: Flesch reading ease, reading time, sentiment polarity,
 subjectivity, and regard. The first four are deterministic pure functions of
-the text; regard is delegated to an external HTTP classifier endpoint and is
-simply absent when no endpoint is configured or the endpoint fails.
+the text, measured here. Regard comes from an external classifier, which
+backends.RegardClient calls; it is simply absent when no classifier is
+configured or its request fails.
 
 The syllable rules, sentence-boundary abbreviations, and sentiment lexicon
 ship as JSON assets in hirefair/data so scores are reproducible across
@@ -15,17 +16,14 @@ change what a returned score means.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from hirefair.backends import BackendError, JsonEndpoint, ResponseCache, RetryPolicy, cached_calls
+from hirefair.backends import RegardClient
 from hirefair.records import from_row, read_jsonl, to_row, write_jsonl
-
-logger = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -35,8 +33,6 @@ _DATA_DIR = Path(__file__).parent / "data"
 READING_MS_PER_CHAR = 14.69
 
 MEASURES_SCHEMA_VERSION = 2
-
-REGARD_CATEGORIES = ("positive", "negative", "neutral", "other")
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*")
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
@@ -220,60 +216,6 @@ def subjectivity(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# regard
-# ---------------------------------------------------------------------------
-
-def validate_regard(scores: Mapping[str, float]) -> dict[str, float]:
-    """Check a regard response: all four categories, summing to 1 within 1e-6."""
-    missing = [c for c in REGARD_CATEGORIES if c not in scores]
-    if missing:
-        raise TextMetricsError(f"regard response missing categories: {missing}")
-    values = {c: float(scores[c]) for c in REGARD_CATEGORIES}
-    total = sum(values.values())
-    if abs(total - 1.0) > 1e-6:
-        raise TextMetricsError(f"regard scores sum to {total}, not 1")
-    return values
-
-
-class RegardClient:
-    """Thin client for an external regard classifier endpoint.
-
-    The endpoint receives {"text": ...} and must answer with the four
-    category scores. Construction fails fast when `credential_env` is unset.
-    Transient failures are retried under `retry`; a request that still fails
-    degrades gracefully: score() returns None and the measure is recorded as
-    absent. The client pools `width` connections, as many as the widest
-    batch it scores keeps in flight.
-    """
-
-    def __init__(self, endpoint: str, credential_env: str = "",
-                 cache: ResponseCache | None = None, post: Callable | None = None,
-                 width: int = 1, retry: RetryPolicy = RetryPolicy(max_attempts=1)):
-        self.endpoint = endpoint
-        self.cache = cache
-        self._post = post or partial(
-            JsonEndpoint("regard endpoint", endpoint, credential_env,
-                         retry, timeout=30.0, width=width).post,
-            read=validate_regard)
-
-    def _absent(self, exc: Exception) -> None:
-        if not isinstance(exc, (BackendError, TextMetricsError, ValueError, TypeError)):
-            raise exc
-        logger.warning("regard endpoint failed; measure absent: %s", exc)
-        return None
-
-    def score_batch(self, texts: Sequence[str], width: int = 1) -> list[dict[str, float] | None]:
-        """Scores of each text in order, each distinct text posted once with
-        up to `width` requests in flight; None where a request failed."""
-        keys = [("regard", self.endpoint, {"text": text}) for text in texts]
-        return cached_calls(self.cache, keys, lambda i: self._post({"text": texts[i]}),
-                            validate_regard, width, on_error=self._absent)
-
-    def score(self, text: str) -> dict[str, float] | None:
-        return self.score_batch([text])[0]
-
-
-# ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
 
@@ -321,13 +263,13 @@ MeasureVector.NAMES = tuple(f.name for f in fields(MeasureVector))
 
 
 def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
-                  width: int = 1) -> list[MeasureVector]:
+                  ) -> list[MeasureVector]:
     """All five measures of each text; regard is absent without a configured
-    client and is scored as one batch with up to `width` requests in flight."""
+    client and is scored as one batch."""
     if regard_client is None:
         regards = [None] * len(texts)
     else:
-        regards = regard_client.score_batch(texts, width)
+        regards = regard_client.score_batch(texts)
     vectors = []
     for text, regard in zip(texts, regards):
         pol, subj = _sentiment(text)

@@ -399,17 +399,18 @@ def test_single_calls_are_batches_of_one(monkeypatch):
         return cached_calls(cache, keys, *args, **kwargs)
 
     monkeypatch.setattr(backends, "cached_calls", recording)
-    monkeypatch.setattr(textmetrics, "cached_calls", recording)
     backend = CompletionBackend(mock_config(kind="completion"))
     backend.complete(CompletionRequest(prompt="p"))
     backend.complete_text("q", max_words_hint=20)
     resume = Resume(id="r1", profession="Data Analyst", body="Data Analyst\nSQL\n",
                     source="generated", group=DemographicGroup.from_code("FW"))
     perturb.add_extracurriculars(resume, backend)
-    client = textmetrics.RegardClient("https://example.invalid/regard",
-                                      post=lambda payload: None)
+    client = backends.RegardClient(BackendConfig(
+        id="regard", kind="regard", protocol="http", endpoint="https://example.invalid"))
+    monkeypatch.setattr(client.http, "post", lambda payload, read: None)
     client.score("text")
-    assert batches == [1, 1, 1, 1]
+    textmetrics.measure_text("A summary.", client)
+    assert batches == [1, 1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +623,7 @@ def test_endpoint_reads_the_proxy_environment_once(monkeypatch):
     for name in ("https_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("HTTPS_PROXY", "http://proxy.invalid:3128")
-    endpoint = JsonEndpoint("e", "https://example.invalid", "", RetryPolicy(), timeout=1.0)
+    endpoint = JsonEndpoint("e", "https://example.invalid", "", RetryPolicy())
     assert endpoint.session.proxies["https"] == "http://proxy.invalid:3128"
     monkeypatch.setenv("HTTPS_PROXY", "http://other.invalid:3128")
     settings = endpoint.session.merge_environment_settings(

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import logging
 import math
+import os
 import sqlite3
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -416,6 +420,22 @@ def test_cli_corpus_validate_exit_code_on_bad_data(tmp_path):
     assert result.exit_code == 4
 
 
+def test_cli_corpus_validate_refuses_an_empty_body_as_run_does(tmp_path, fixtures_dir):
+    rows = [json.loads(line) for line in
+            (fixtures_dir / "mini_corpus.jsonl").read_text().splitlines() if line.strip()]
+    blank = next(row for row in rows if row["kind"] == "resume")
+    blank["body"] = "   \n"
+    corpus = tmp_path / "blank.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    result = CliRunner().invoke(main, ["corpus", "validate", str(corpus)])
+    assert result.exit_code == 4, result.output
+    assert f"problem: resume {blank['id']}: empty body" in result.output
+    config_path = write_config(tmp_path, fixtures_dir, corpus=str(corpus))
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 4, result.output
+    assert f"resume {blank['id']}: empty body" in result.output
+
+
 def test_cli_perturb_roundtrip(tmp_path, fixtures_dir):
     plan = {
         "schema_version": 1,
@@ -693,6 +713,19 @@ def test_cli_run_malformed_endpoint_exits_3(tmp_path, fixtures_dir, monkeypatch,
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
     assert result.exit_code == 3, result.output
     assert "unreadable response" in result.output
+
+
+def test_a_regard_backend_block_is_a_config_error(tmp_path, fixtures_dir):
+    """The regard classifier is set only by regard_endpoint."""
+    config_path = write_config(tmp_path, fixtures_dir, backends=[MOCK_EMBED, {
+        "id": "reg", "kind": "regard", "protocol": "http",
+        "endpoint": "https://example.invalid/regard"}])
+    with pytest.raises(ConfigError, match="regard_endpoint"):
+        load_run_config(config_path)
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and "regard_endpoint" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_regard_without_credential_exits_3(tmp_path, fixtures_dir, monkeypatch):
@@ -1126,7 +1159,36 @@ def test_http_run_is_identical_at_any_parallelism(tmp_path, fixtures_dir, loopba
         assert set(loopback.regard_texts.values()) == {1}
         measured = read_measures(out / "measures_gen.jsonl")
         assert all(mv.regard is not None for _, mv in measured)
+        # each answer is keyed as it was before regard became a backend, so
+        # caches written then replay
+        by_text = {record.text: mv.regard for record, (_, mv) in zip(
+            read_summaries(out / "summaries_gen.jsonl"), measured)}
+        with ResponseCache(out / "cache") as cache:
+            for text, regard in by_text.items():
+                assert cache.get(cache_key("regard", config.regard_endpoint,
+                                           {"text": text})) == regard
     assert outputs[1] == outputs[4]
+
+
+def test_traced_http_run_with_regard(tmp_path, fixtures_dir, loopback):
+    """perfbench's traced audit wraps the backends and the regard client that
+    run_audit builds; over HTTP it leaves the report as an untraced run's."""
+    plain = tmp_path / "plain"
+    run_audit(load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 2, plain)))
+    traced, trace = tmp_path / "traced", tmp_path / "trace.json"
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_audit.py"), str(trace), "run",
+         "--config", str(http_config(tmp_path, fixtures_dir, loopback.url, 2, traced)),
+         "--out", str(traced)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert (traced / "report.csv").read_bytes() == (plain / "report.csv").read_bytes()
+    doc = json.loads(trace.read_text())
+    names = {span["name"] for span in doc["spans"]}
+    assert {"pipeline", "backends.embed", "textmetrics.measure"} <= names
+    assert doc["counters"]["textmetrics.texts"] > 0
 
 
 def test_http_backend_error_cancels_the_batch_and_exits_3(tmp_path, fixtures_dir,
@@ -1162,15 +1224,21 @@ def test_regard_retries_transient_failures(tmp_path, fixtures_dir, loopback):
     assert loopback.requests == {}
 
 
-def test_regard_endpoint_that_always_fails(tmp_path, fixtures_dir, loopback):
-    """Every regard measure is absent, no regard answer is cached, and a warm
-    rerun posts every text again."""
+def test_regard_endpoint_that_always_fails(tmp_path, fixtures_dir, loopback, caplog):
+    """Every regard measure is absent, one warning line says so, no regard
+    answer is cached, and a warm rerun posts every text again."""
     loopback.unavailable.add("/regard")
     out = tmp_path / "out"
     config = load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 4, out,
                                          retry={"max": 2, "base_delay_ms": 1}))
-    run_audit(config)
+    with caplog.at_level(logging.WARNING, logger="hirefair.backends"):
+        run_audit(config)
     texts = {r.text for r in read_summaries(out / "summaries_gen.jsonl")}
+    absent = [r.getMessage() for r in caplog.records if "regard absent" in r.getMessage()]
+    assert len(absent) == 1, absent
+    summaries = len(read_summaries(out / "summaries_gen.jsonl"))
+    assert f"for {summaries} of {summaries} texts" in absent[0]
+    assert "HTTP 503" in absent[0]
     assert set(loopback.regard_texts) == texts
     measured = read_measures(out / "measures_gen.jsonl")
     assert measured and all(mv.regard is None for _, mv in measured)

@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hirefair
-from hirefair.backends import BackendError, ResponseCache
+from hirefair.backends import (
+    BackendConfig,
+    BackendError,
+    RegardClient,
+    ResponseCache,
+    validate_regard,
+)
 from hirefair.textmetrics import (
     MeasureVector,
-    RegardClient,
     SummaryRecord,
     TextMetricsError,
     count_syllables,
@@ -21,7 +26,6 @@ from hirefair.textmetrics import (
     reading_time,
     split_sentences,
     subjectivity,
-    validate_regard,
     write_measures,
 )
 
@@ -223,54 +227,67 @@ def test_validate_regard_accepts_unit_sum():
 
 
 def test_validate_regard_rejects_bad_sum():
-    with pytest.raises(TextMetricsError, match="sum"):
+    with pytest.raises(ValueError, match="sum"):
         validate_regard({"positive": 0.9, "negative": 0.2, "neutral": 0.0, "other": 0.0})
-    with pytest.raises(TextMetricsError, match="missing"):
+    with pytest.raises(ValueError, match="missing"):
         validate_regard({"positive": 1.0})
 
 
-def test_regard_client_passthrough():
-    client = RegardClient("https://example.invalid/regard",
-                          post=lambda payload: dict(FIXED_SCORES))
+REGARD_URL = "https://example.invalid/regard"
+
+
+def regard_client(monkeypatch, answer=None, cache=None, **config):
+    """A regard client whose endpoint answers `answer(payload)`, read as the
+    regard protocol reads an answer; the payloads it posts are recorded in
+    its `posted`."""
+    client = RegardClient(BackendConfig(id="regard", kind="regard", protocol="http",
+                                        model_name=REGARD_URL, endpoint=REGARD_URL,
+                                        **config), cache)
+    client.posted = []
+
+    def post(payload, read):
+        client.posted.append(payload)
+        return read(answer(payload))
+
+    monkeypatch.setattr(client.http, "post", post)
+    return client
+
+
+def test_regard_client_passthrough(monkeypatch):
+    client = regard_client(monkeypatch, lambda payload: dict(FIXED_SCORES))
     assert client.score("any text") == FIXED_SCORES
+    assert client.posted == [{"text": "any text"}]
 
 
-def test_regard_client_failure_degrades_to_none():
+def test_regard_client_failure_degrades_to_none(monkeypatch):
     def broken(payload):
-        raise ValueError("endpoint down")
+        raise BackendError("endpoint down")
 
-    client = RegardClient("https://example.invalid/regard", post=broken)
+    client = regard_client(monkeypatch, broken)
     assert client.score("text") is None
     mv = measure_text("A good summary.", regard_client=client)
     assert mv.regard is None
     assert mv.polarity == pytest.approx(0.7)
 
 
-def test_regard_client_rejects_invalid_distribution():
-    client = RegardClient("https://example.invalid/regard",
-                          post=lambda payload: {"positive": 2.0, "negative": 0.0,
-                                                "neutral": 0.0, "other": 0.0})
+def test_regard_client_rejects_invalid_distribution(monkeypatch):
+    client = regard_client(monkeypatch, lambda payload: {
+        "positive": 2.0, "negative": 0.0, "neutral": 0.0, "other": 0.0})
     assert client.score("text") is None
 
 
-def test_regard_client_caches(tmp_path):
-    calls = {"n": 0}
-
-    def post(payload):
-        calls["n"] += 1
-        return dict(FIXED_SCORES)
-
+def test_regard_client_caches(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path)
-    client = RegardClient("https://example.invalid/regard", cache=cache, post=post)
+    client = regard_client(monkeypatch, lambda payload: dict(FIXED_SCORES), cache)
     assert client.score("same text") == FIXED_SCORES
     assert client.score("same text") == FIXED_SCORES
-    assert calls["n"] == 1
+    assert client.posted == [{"text": "same text"}]
 
 
 def test_regard_client_fails_fast_on_missing_credential(monkeypatch):
     monkeypatch.delenv("NOPE_REGARD_KEY", raising=False)
     with pytest.raises(BackendError, match="NOPE_REGARD_KEY"):
-        RegardClient("https://example.invalid/regard", credential_env="NOPE_REGARD_KEY")
+        regard_client(monkeypatch, credential_env="NOPE_REGARD_KEY")
 
 
 # ---------------------------------------------------------------------------
