@@ -72,6 +72,13 @@ class BackendError(Exception):
     """Raised for backend configuration or transport failures."""
 
 
+class Stopped(Exception):
+    """Raised for a request not made because the run's stop signal was set.
+
+    Not a BackendError: the failure that set the signal is the one to report.
+    """
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = field(default=3, metadata={"key": "max"})
@@ -270,7 +277,8 @@ def decode_response(blob: bytes):
 
 def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
                  fetch: Callable[[int], object], validate: Callable, width: int = 1,
-                 on_error: Callable[[Exception], object] | None = None) -> list:
+                 on_error: Callable[[Exception], object] | None = None,
+                 stop: threading.Event | None = None) -> list:
     """[validate(fetch(i)) for each i], each distinct request made once and
     read through `cache` when there is one.
 
@@ -283,7 +291,8 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     validated are stored even when the batch then fails. Without `on_error`,
     the first failure cancels the requests still queued and is raised; with
     it, `on_error(exc)` becomes the failed request's result (and may raise
-    instead).
+    instead). Once `stop` is set, every request not yet made raises Stopped,
+    which on_error never sees.
     """
     digests = [cache_key(*key) for key in keys]
     first: dict[str, int] = {}
@@ -305,6 +314,11 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
             cache.put(digest, response)
         return result
 
+    def fetched(digest: str, i: int):
+        if stop is not None and stop.is_set():
+            raise Stopped("not requested: the run is stopping")
+        return guarded(call, digest, i)
+
     results: dict[str, object] = {}
     misses: list[tuple[str, int]] = []
     stored = cache.get_many(list(first)) if cache is not None else {}
@@ -318,10 +332,10 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     try:
         if workers <= 1:
             for digest, i in misses:
-                results[digest] = guarded(call, digest, i)
+                results[digest] = fetched(digest, i)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(guarded, call, digest, i) for digest, i in misses]
+                futures = [pool.submit(fetched, digest, i) for digest, i in misses]
                 wait(futures, return_when=FIRST_EXCEPTION)
                 pool.shutdown(cancel_futures=True)
             # Queued calls start in order, so the first failure comes before
@@ -563,11 +577,15 @@ class Backend:
     """A backend's config, response cache and protocol.
 
     `width` bounds the threads a batch fetches misses on. An HTTP protocol
-    posts through a JsonEndpoint, built (and its credential checked) with the
-    backend, with up to `parallelism` requests in flight; an in-process one
-    makes no requests, so its batches run on the calling thread."""
+    posts through `http`, a JsonEndpoint built (and its credential checked)
+    with the backend, with up to `parallelism` requests in flight; an
+    in-process one makes no requests (`http` is None), so its batches run on
+    the calling thread. Once `stop`, the run's stop signal, is set, the
+    backend makes no further request (see cached_calls)."""
 
     width = 1
+    http: JsonEndpoint | None = None
+    stop: threading.Event | None = None
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         self.config = config
@@ -599,7 +617,7 @@ class Backend:
                     f"max_chars={limit}; refusing to truncate")
         keys = [(self.config.id, self.config.model_name, payload) for payload in payloads]
         return cached_calls(self.cache, keys, lambda i: self._request(items[i]),
-                            validate, self.width, on_error)
+                            validate, self.width, on_error, self.stop)
 
 
 class EmbeddingBackend(Backend):

@@ -4,6 +4,18 @@ audit, report.
 Every stage seed derives deterministically from the master seed, and all
 backend traffic flows through the response cache, so reruns with identical
 inputs produce byte-identical artifacts and skip remote calls.
+
+Each draw builds its variants, then runs two independent stages on them:
+the retrieval stage (every embedder scores the variants) and the summary
+stage (every completer summarizes, then the summaries are measured, regard
+included, and tested). When a backend of the run makes HTTP requests, the
+retrieval stage runs on a worker thread while the summary stage runs on the
+calling thread, so their network waits overlap; when every backend is
+in-process, both run on the calling thread. Within a stage the backends run
+one after another, so each keeps at most its `parallelism` requests in
+flight. The first failure sets the run's stop signal, so the other stage
+makes no further request, and is raised. Results join in one order,
+retrieval first, so the artifacts do not depend on which stage ends first.
 """
 
 from __future__ import annotations
@@ -13,8 +25,12 @@ import itertools
 import json
 import logging
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from hirefair import perturb, retrieval, stats, textmetrics
 from hirefair.backends import (
@@ -388,6 +404,89 @@ def summarization_metrics(samples: list[stats.PairedSample], run_id: str,
 # composite run
 # ---------------------------------------------------------------------------
 
+#: What one stage of a draw adds to the run: ledger entries, the artifact
+#: files it wrote, and its side-log rows.
+Stage = tuple[list[LedgerEntry], list[Path], list[dict]]
+
+
+def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
+                    run_id: str, occupation_of: dict[str, str], config: RunConfig,
+                    out_dir: Path) -> Stage:
+    """Every embedder in turn scores the variants of one draw, writes its
+    score table and makes its retrieval metrics; the side log holds the
+    non-uniformity tests."""
+    entries: list[LedgerEntry] = []
+    files: list[Path] = []
+    log: list[dict] = []
+    for backend in embedders:
+        rows = score_variants(backend, jobs, variants)
+        score_path = out_dir / f"scores_{backend.config.id}{_suffix(variants.draw)}.csv"
+        retrieval.write_score_table(rows, score_path)
+        files.append(score_path)
+        entries.extend(retrieval_metrics(
+            backend.config.model_name, run_id, jobs, rows, variants,
+            occupation_of, config, detail_log=log,
+        ))
+    return entries, files, log
+
+
+def summary_stage(completers: list, regard_client: RegardClient | None,
+                  variants: VariantSet, run_id: str, config: RunConfig,
+                  out_dir: Path) -> Stage:
+    """Every completer in turn summarizes the named versions of one draw,
+    writes the summaries and their measures (regard included) and runs its
+    t-tests; the side log holds the t-tests."""
+    entries: list[LedgerEntry] = []
+    files: list[Path] = []
+    log: list[dict] = []
+    suffix = _suffix(variants.draw)
+    for backend in completers:
+        records = generate_summaries(backend, variants, config)
+        summaries_path = out_dir / f"summaries_{backend.config.id}{suffix}.jsonl"
+        _write_jsonl(map(to_row, records), summaries_path)
+        files.append(summaries_path)
+
+        measured = measure_summaries(records, regard_client)
+        measures_path = out_dir / f"measures_{backend.config.id}{suffix}.jsonl"
+        textmetrics.write_measures(measured, measures_path)
+        files.append(measures_path)
+
+        samples = paired_samples(measured, config.pair_runs)
+        entries.extend(summarization_metrics(samples, run_id, config, variants.draw,
+                                             test_log=log))
+    return entries, files, log
+
+
+def _run_stages(retrieve: Callable[[], Stage], summarize: Callable[[], Stage],
+                stop: threading.Event | None) -> tuple[Stage, Stage]:
+    """(retrieve(), summarize()). Without `stop`, one after the other on the
+    calling thread. With it, retrieve() runs on a worker thread while
+    summarize() runs here; a stage that fails, or an interrupt here, sets
+    `stop`, so the other stage makes no further request (it raises Stopped),
+    and the first failure is raised, never the Stopped it caused."""
+    if stop is None:
+        return retrieve(), summarize()
+    failures: list[BaseException] = []
+
+    def stage(run: Callable[[], Stage]) -> Stage:
+        try:
+            return run()
+        except BaseException as exc:
+            failures.append(exc)
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        retrieving = pool.submit(stage, retrieve)
+        try:
+            summarized = stage(summarize)
+            return retrieving.result(), summarized
+        except BaseException as exc:
+            first = failures[0] if failures else exc
+            stop.set()
+            raise first  # once the worker has stopped: leaving `with` waits for it
+
+
 @dataclass
 class RunResult:
     run_id: str
@@ -460,6 +559,14 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
 
     occupation_of = {j.id: j.occupation for j in jobs}
 
+    # the two stages of a draw overlap only when a backend waits on the network
+    run_backends = [*backends.values(), *([regard_client] if regard_client else [])]
+    stop = None
+    if any(backend.http is not None for backend in run_backends):
+        stop = threading.Event()
+        for backend in run_backends:
+            backend.stop = stop
+
     entries: list[LedgerEntry] = []
     files: list[Path] = []
     extra_audit: list[dict] = []
@@ -471,31 +578,17 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
         variants = build_variants(resumes, pools, config, draw,
                                   completion_backend=aug_backend,
                                   audit_log=extra_audit)
-
-        for backend in embedders:
-            rows = score_variants(backend, jobs, variants)
-            score_path = out_dir / f"scores_{backend.config.id}{_suffix(draw)}.csv"
-            retrieval.write_score_table(rows, score_path)
-            files.append(score_path)
-            entries.extend(retrieval_metrics(
-                backend.config.model_name, run_id, jobs, rows, variants,
-                occupation_of, config, detail_log=nonuniformity_log,
-            ))
-
-        for backend in completers:
-            records = generate_summaries(backend, variants, config)
-            summaries_path = out_dir / f"summaries_{backend.config.id}{_suffix(draw)}.jsonl"
-            _write_jsonl(map(to_row, records), summaries_path)
-            files.append(summaries_path)
-
-            measured = measure_summaries(records, regard_client)
-            measures_path = out_dir / f"measures_{backend.config.id}{_suffix(draw)}.jsonl"
-            textmetrics.write_measures(measured, measures_path)
-            files.append(measures_path)
-
-            samples = paired_samples(measured, config.pair_runs)
-            entries.extend(summarization_metrics(samples, run_id, config, draw,
-                                                 test_log=test_log))
+        stages = _run_stages(
+            partial(retrieval_stage, embedders, jobs, variants, run_id, occupation_of,
+                    config, out_dir),
+            partial(summary_stage, completers, regard_client, variants, run_id, config,
+                    out_dir),
+            stop)
+        for (stage_entries, stage_files, rows), log in zip(
+                stages, (nonuniformity_log, test_log)):
+            entries.extend(stage_entries)
+            files.extend(stage_files)
+            log.extend(rows)
 
     ledger_path = out_dir / "ledger.jsonl"
     write_ledger(entries, ledger_path)

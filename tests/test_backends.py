@@ -22,6 +22,7 @@ from hirefair.backends import (
     JsonEndpoint,
     ResponseCache,
     RetryPolicy,
+    Stopped,
     build_backend,
     cache_key,
     cached_calls,
@@ -313,6 +314,31 @@ def test_cached_calls_first_error_cancels_queued_calls():
     with pytest.raises(BackendError, match="refused"):
         cached_calls(None, keys, fetch, int, width=2)
     assert len(started) < 10
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_cached_calls_make_no_request_once_stopped(tmp_path, width):
+    """A set stop signal turns every request not yet made into Stopped, which
+    on_error never sees; cached responses are still served."""
+    stop = threading.Event()
+    cache = ResponseCache(tmp_path)
+    keys = [key_of(i) for i in range(12)]
+    fetched = []
+
+    def fetch(i):
+        fetched.append(i)
+        if i == 3:
+            stop.set()
+        return f"response {i}"
+
+    with pytest.raises(Stopped):
+        cached_calls(cache, keys, fetch, str, width=width,
+                     on_error=lambda exc: pytest.fail(f"on_error saw {exc!r}"), stop=stop)
+    assert 3 in fetched and len(fetched) < len(keys)
+    # responses that validated before the stop stay cached
+    assert all(cache.get(cache_key(*keys[i])) == f"response {i}" for i in fetched)
+    assert cached_calls(cache, keys[:1], lambda i: pytest.fail("fetched a hit"), str,
+                        stop=stop) == ["response 0"]
 
 
 def test_cached_calls_never_cache_an_invalid_response(tmp_path):

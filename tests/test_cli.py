@@ -6,12 +6,21 @@ import os
 import sqlite3
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from hirefair.backends import ResponseCache, build_backend, cache_key, decode_response
+from hirefair import pipeline
+from hirefair.backends import (
+    BackendError,
+    ResponseCache,
+    Stopped,
+    build_backend,
+    cache_key,
+    decode_response,
+)
 from hirefair.cli import main
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import GROUP_CODES, Resume, load_corpus, load_name_pools
@@ -1147,7 +1156,13 @@ def test_http_run_is_identical_at_any_parallelism(tmp_path, fixtures_dir, loopba
         run_audit(config)
         outputs[parallelism] = {name: (out / name).read_bytes()
                                 for name in CRITERION_8_ARTIFACTS}
-        assert 1 <= loopback.inflight_max["*"] <= parallelism
+        # each backend stays within its bound; a draw's retrieval and summary
+        # stages overlap, so the run as a whole may have both widths in flight
+        for path in ("/v1/embeddings", "/v1/chat/completions", "/regard"):
+            assert 1 <= loopback.inflight_max[path] <= parallelism, path
+        assert loopback.inflight_max["*"] <= 2 * parallelism
+        if parallelism == 1:
+            assert loopback.inflight_max["*"] == 2
         if parallelism > 1:
             # embeddings, completions and regard each overlap their requests
             assert min(loopback.inflight_max.values()) > 1
@@ -1202,6 +1217,100 @@ def test_http_backend_error_cancels_the_batch_and_exits_3(tmp_path, fixtures_dir
     # 12 resumes x 4 groups x 2 temperatures x 2 runs were due; the first
     # refusal cancelled the queued ones
     assert loopback.requests["/v1/chat/completions"] < 12 * 4 * 2 * 2 // 4
+
+
+def test_a_failed_stage_stops_the_other_and_exits_3(tmp_path, fixtures_dir, loopback):
+    """Over HTTP the summary stage runs beside the retrieval stage; the first
+    refused embedding stops it too, and is the error the run reports."""
+    loopback.refuse.add("/v1/embeddings")
+    path = http_config(tmp_path, fixtures_dir, loopback.url, 4, tmp_path / "out")
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "backend emb: HTTP 400" in result.output
+    assert [p.name for p in (tmp_path / "out" / "cache").iterdir()] == ["responses.sqlite"]
+    # 12 resumes x 4 groups x 2 temperatures x 2 runs were due
+    assert loopback.requests.get("/v1/chat/completions", 0) < 12 * 4 * 2 * 2 // 4
+
+
+def test_http_artifacts_do_not_depend_on_which_stage_ends_first(
+        tmp_path, fixtures_dir, loopback, monkeypatch):
+    """Retrieval ends last in one run and the summaries in the other; both
+    runs write the same bytes."""
+    ended = []
+
+    def recorded(name, run, done):
+        def stage(*args, **kwargs):
+            result = run(*args, **kwargs)
+            ended.append(name)
+            done.set()
+            return result
+        return stage
+
+    def delayed(run, other_done):
+        def late(*args, **kwargs):
+            other_done.wait(timeout=30)  # begin once the other stage has ended
+            return run(*args, **kwargs)
+        return late
+
+    outputs = {}
+    for late, other in (("score_variants", "summary"), ("generate_summaries", "retrieval")):
+        done = {name: threading.Event() for name in ("retrieval", "summary")}
+        with monkeypatch.context() as m:
+            for name, event in done.items():
+                m.setattr(pipeline, f"{name}_stage",
+                          recorded(name, getattr(pipeline, f"{name}_stage"), event))
+            m.setattr(pipeline, late, delayed(getattr(pipeline, late), done[other]))
+            out = tmp_path / late
+            run_audit(load_run_config(http_config(tmp_path, fixtures_dir, loopback.url,
+                                                  4, out)))
+        outputs[late] = {name: (out / name).read_bytes() for name in CRITERION_8_ARTIFACTS}
+    assert ended == ["summary", "retrieval", "retrieval", "summary"]
+    assert outputs["score_variants"] == outputs["generate_summaries"]
+
+
+def test_in_process_runs_stay_on_the_calling_thread(tmp_path, fixtures_dir, monkeypatch):
+    """With no backend that makes HTTP requests, both stages of every draw run
+    on the calling thread."""
+    threads = []
+    for name in ("score_variants", "measure_summaries"):
+        def recorded(*args, _run=getattr(pipeline, name), **kwargs):
+            threads.append(threading.current_thread())
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, recorded)
+    run_audit(load_run_config(write_config(tmp_path, fixtures_dir)))
+    assert len(threads) == 2
+    assert all(thread is threading.main_thread() for thread in threads)
+
+
+def test_an_interrupt_stops_the_retrieval_stage():
+    """An interrupt on the calling thread sets the stop signal the worker's
+    stage waits on, and is what the run raises."""
+    stop, seen = threading.Event(), []
+
+    def retrieve():
+        seen.append(stop.wait(timeout=30))
+        raise Stopped("not requested")
+
+    def summarize():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        pipeline._run_stages(retrieve, summarize, stop)
+    assert seen == [True]
+
+
+def test_the_first_failure_is_raised_not_the_stop_it_caused():
+    stop = threading.Event()
+
+    def retrieve():
+        raise BackendError("backend emb: HTTP 400")
+
+    def summarize():
+        assert stop.wait(timeout=30)
+        raise Stopped("not requested")
+
+    with pytest.raises(BackendError, match="HTTP 400"):
+        pipeline._run_stages(retrieve, summarize, stop)
 
 
 def test_regard_retries_transient_failures(tmp_path, fixtures_dir, loopback):
