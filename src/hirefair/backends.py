@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import requests
 
 from hirefair.records import check_types, from_row
 
@@ -420,6 +419,8 @@ class JsonEndpoint:
                     f"{name}: credential env var {credential_env!r} is not set")
             self.headers["Authorization"] = f"Bearer {os.environ[credential_env]}"
         self.name, self.url, self.retry = name, url, retry
+        import requests  # only HTTP backends need it, and importing it is slow
+
         self.session = requests.Session()
         # Proxy, TLS and netrc settings are read from the environment once,
         # here, not again on every post.
@@ -435,6 +436,8 @@ class JsonEndpoint:
     def post(self, payload: dict, read: Callable):
         """`read(body)` of the JSON answer to `payload`; `read` raises
         LookupError, TypeError or ValueError for a body it cannot use."""
+        import requests
+
         delay = self.retry.base_delay_ms / 1000.0
         for attempt in range(1, self.retry.max_attempts + 1):
             try:

@@ -315,8 +315,16 @@ def generate_summaries(backend, variants: VariantSet, config: RunConfig,
 def measure_summaries(records: list[SummaryRecord],
                       regard_client: RegardClient | None = None,
                       ) -> list[tuple[SummaryRecord, MeasureVector]]:
-    """Measures of each record; regard is scored as one batch."""
-    vectors = textmetrics.measure_texts([r.text for r in records], regard_client)
+    """Measures of each record; regard is scored as one batch. A summary
+    without a word is a TextMetricsError that names it."""
+    try:
+        vectors = textmetrics.measure_texts([r.text for r in records], regard_client)
+    except textmetrics.NoWordError as exc:
+        r = records[exc.index]
+        raise textmetrics.TextMetricsError(
+            f"summary by {r.model_name} of resume {r.resume_id}, variant {r.variant_id}, "
+            f"temperature {r.temperature}, length {r.length}, pov {r.pov}, "
+            f"run {r.run_index} has no word: {exc}") from exc
     return list(zip(records, vectors))
 
 

@@ -6,6 +6,13 @@ the text, measured here. Regard comes from an external classifier, which
 backends.RegardClient calls; it is simply absent when no classifier is
 configured or its request fails.
 
+Reading ease, polarity and subjectivity come from one pass over the chunks of
+a text: its whitespace-separated words, punctuation attached. No part of a
+measure crosses whitespace: words, sentiment tokens, the terminal punctuation
+that ends a sentence and the abbreviation before it each lie inside one chunk.
+So the facts of each distinct chunk are computed once and memoised in a cache
+of fixed size, and the pass adds them up in text order.
+
 The syllable rules, sentence-boundary abbreviations, and sentiment lexicon
 ship as JSON assets in hirefair/data so scores are reproducible across
 installations. The lexicon is a curated subset of common evaluative
@@ -36,13 +43,22 @@ MEASURES_SCHEMA_VERSION = 2
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*")
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
-_SENTENCE_END_RE = re.compile(r"[.!?]+(?:\s+|$)")
+_CHUNK_RE = re.compile(r"\S+")
 _WORD_CHARS_RE = re.compile(r"[A-Za-z.]+")
 _NON_LETTER_RE = re.compile(r"[^a-z]")
 
 
 class TextMetricsError(Exception):
     """Raised for texts that violate a measure's preconditions."""
+
+
+class NoWordError(TextMetricsError):
+    """A text without a word, which has no reading ease; `index` is its place
+    in the texts measure_texts was given."""
+
+    def __init__(self, index: int = 0):
+        super().__init__("reading ease needs at least one word")
+        self.index = index
 
 
 @lru_cache(maxsize=1)
@@ -61,30 +77,8 @@ def _abbreviations() -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# readability
+# one pass over the chunks of a text
 # ---------------------------------------------------------------------------
-
-def split_sentences(text: str) -> list[str]:
-    """Split on terminal punctuation (. ! ?) followed by whitespace or EOF,
-    except right after a known abbreviation. Segments without a word don't
-    count."""
-    abbreviations = _abbreviations()
-    # The [A-Za-z.]+ run that ends at a boundary is the run that starts at
-    # that point of the reversed text; a boundary after a digit has none.
-    reverse = text[::-1]
-    n = len(text)
-    parts: list[str] = []
-    start = 0
-    for match in _SENTENCE_END_RE.finditer(text):
-        last_word = _WORD_CHARS_RE.match(reverse, n - match.start(), n - start)
-        if last_word and last_word.group()[::-1].rstrip(".").lower() in abbreviations:
-            continue
-        parts.append(text[start:match.end()])
-        start = match.end()
-    if start < len(text):
-        parts.append(text[start:])
-    return [p for p in parts if _WORD_RE.search(p)]
-
 
 @lru_cache(maxsize=16384)
 def count_syllables(word: str) -> int:
@@ -120,39 +114,6 @@ def count_syllables(word: str) -> int:
     return max(1, count)
 
 
-def flesch_reading_ease(text: str) -> float:
-    """206.835 - 1.015 * (words/sentences) - 84.6 * (syllables/words)."""
-    words = _WORD_RE.findall(text)
-    if not words:
-        raise TextMetricsError("reading ease needs at least one word")
-    sentences = split_sentences(text)
-    n_sentences = max(1, len(sentences))
-    n_words = len(words)
-    n_syllables = sum(map(count_syllables, words))
-    return 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
-
-
-def reading_time(text: str, ms_per_char: float = READING_MS_PER_CHAR) -> float:
-    """Seconds to read: character count times a constant per-character cost.
-
-    The per-character cost is snapped to the nearest multiple of 2**-31
-    seconds so every product is exactly representable; reading times then
-    add exactly under concatenation (time(a+b) == time(a)+time(b) bitwise).
-    """
-    if ms_per_char <= 0:
-        raise TextMetricsError("ms_per_char must be positive")
-    per_char = round(ms_per_char / 1000.0 * 2**31) / 2**31
-    return len(text) * per_char
-
-
-# ---------------------------------------------------------------------------
-# sentiment
-# ---------------------------------------------------------------------------
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, value))
-
-
 @lru_cache(maxsize=16384)
 def _token_fact(token: str) -> tuple[tuple[float, float] | None, float | None, bool]:
     """Lexicon facts of one token, resolved once per distinct token:
@@ -168,51 +129,129 @@ def _token_fact(token: str) -> tuple[tuple[float, float] | None, float | None, b
     return (float(entry.get("polarity", 0.0)), float(entry.get("subjectivity", 0.0))), None, negates
 
 
-def _sentiment_scores(text: str) -> tuple[list[float], list[float]]:
-    """Polarity and subjectivity of each matched word, in text order.
+@lru_cache(maxsize=16384)
+def _chunk_facts(chunk: str) -> tuple[int, int, tuple, bool]:
+    """Facts of one chunk, resolved once per distinct chunk: (its words, their
+    syllables, the _token_fact of each sentiment token in order, whether it
+    ends a sentence). The chunk holds a word when it has a nonzero word count.
 
-    A modifier right before a matched word scales both of its scores; a
-    negation among the two tokens before it scales its polarity. Curly
-    apostrophes count as straight ones, so "don’t" negates like "don't".
+    Sentiment tokens are read after lowercasing, with a curly apostrophe as a
+    straight one, so "don’t" negates like "don't". A chunk ends a sentence
+    when it ends in terminal punctuation (. ! ?) that does not follow a known
+    abbreviation: the run of letters and dots before it, lowercased.
+    """
+    words = _WORD_RE.findall(chunk)
+    tokens = _TOKEN_RE.findall(chunk.lower().replace("’", "'"))
+    body = chunk.rstrip(".!?")
+    ends = len(body) < len(chunk)
+    if ends:
+        # The run that ends the body is the run that starts its reverse.
+        run = _WORD_CHARS_RE.match(body[::-1])
+        ends = run is None or run.group()[::-1].lower() not in _abbreviations()
+    return (len(words), sum(map(count_syllables, words)),
+            tuple(map(_token_fact, tokens)), ends)
+
+
+def _scan(text: str) -> tuple[float | None, float, float]:
+    """(reading ease, polarity, subjectivity) from one pass over the chunks
+    of a text; reading ease is None for a text without a word.
+
+    A sentence is the run of chunks up to one that ends a sentence, or the
+    unterminated tail; it counts when it holds a word, and a text with a word
+    has at least one. Polarity and subjectivity are the clamped means of the
+    scores of the scored tokens, summed in text order; (0, 0) with none. A
+    modifier right before a scored token scales both of its scores; a
+    negation among the two tokens before it scales its polarity.
     """
     neg_mult = _lexicon()["negation_multiplier"]
+    n_words = n_syllables = n_sentences = 0
+    has_word = False                 # whether the open sentence holds a word
     pols: list[float] = []
     subjs: list[float] = []
     intensity = None                 # modifier intensity of the previous token
     negated_1 = negated_2 = False    # whether the previous / the one before negates
-    tokens = _TOKEN_RE.findall(text.lower().replace("’", "'"))
-    for scores, own_intensity, negates in map(_token_fact, tokens):
-        if scores is not None:
-            pol, subj = scores
-            if intensity is not None:
-                pol *= intensity
-                subj *= intensity
-            if negated_1 or negated_2:
-                pol *= neg_mult
-            pols.append(pol)
-            subjs.append(subj)
-        intensity, negated_1, negated_2 = own_intensity, negates, negated_1
-    return pols, subjs
-
-
-def _sentiment(text: str) -> tuple[float, float]:
-    """(polarity, subjectivity) from one scan: mean scores of matched words,
-    clamped to [-1, 1] and [0, 1]; (0, 0) with no matches."""
-    pols, subjs = _sentiment_scores(text)
+    for words, syllables, facts, ends in map(_chunk_facts, text.split()):
+        if words:
+            n_words += words
+            n_syllables += syllables
+            has_word = True
+        if ends:
+            n_sentences += has_word
+            has_word = False
+        for scores, own_intensity, negates in facts:
+            if scores is not None:
+                pol, subj = scores
+                if intensity is not None:
+                    pol *= intensity
+                    subj *= intensity
+                if negated_1 or negated_2:
+                    pol *= neg_mult
+                pols.append(pol)
+                subjs.append(subj)
+            intensity, negated_1, negated_2 = own_intensity, negates, negated_1
+    ease = None
+    if n_words:
+        n_sentences = max(1, n_sentences + has_word)
+        ease = 206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words)
     if not pols:
-        return 0.0, 0.0
-    return (_clamp(sum(pols) / len(pols), -1.0, 1.0),
+        return ease, 0.0, 0.0
+    return (ease, _clamp(sum(pols) / len(pols), -1.0, 1.0),
             _clamp(sum(subjs) / len(subjs), 0.0, 1.0))
+
+
+def _clamp(value: float, lo: float, hi: float) -> float:
+    return max(lo, min(hi, value))
+
+
+# ---------------------------------------------------------------------------
+# measures of one text
+# ---------------------------------------------------------------------------
+
+def split_sentences(text: str) -> list[str]:
+    """The sentences of a text, cut after each chunk that ends one (see
+    _chunk_facts) and the whitespace that follows it. Segments without a word
+    don't count."""
+    parts: list[str] = []
+    start = 0
+    cut = False
+    for chunk in _CHUNK_RE.finditer(text):
+        if cut:
+            parts.append(text[start:chunk.start()])
+            start = chunk.start()
+        cut = _chunk_facts(chunk.group())[3]
+    parts.append(text[start:])
+    return [p for p in parts if _WORD_RE.search(p)]
+
+
+def flesch_reading_ease(text: str) -> float:
+    """206.835 - 1.015 * (words/sentences) - 84.6 * (syllables/words)."""
+    ease = _scan(text)[0]
+    if ease is None:
+        raise NoWordError()
+    return ease
+
+
+def reading_time(text: str, ms_per_char: float = READING_MS_PER_CHAR) -> float:
+    """Seconds to read: character count times a constant per-character cost.
+
+    The per-character cost is snapped to the nearest multiple of 2**-31
+    seconds so every product is exactly representable; reading times then
+    add exactly under concatenation (time(a+b) == time(a)+time(b) bitwise).
+    """
+    if ms_per_char <= 0:
+        raise TextMetricsError("ms_per_char must be positive")
+    per_char = round(ms_per_char / 1000.0 * 2**31) / 2**31
+    return len(text) * per_char
 
 
 def polarity(text: str) -> float:
     """Mean lexicon polarity of matched words in [-1, 1]; 0 with no matches."""
-    return _sentiment(text)[0]
+    return _scan(text)[1]
 
 
 def subjectivity(text: str) -> float:
     """Mean lexicon subjectivity of matched words in [0, 1]; 0 with no matches."""
-    return _sentiment(text)[1]
+    return _scan(text)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +304,20 @@ MeasureVector.NAMES = tuple(f.name for f in fields(MeasureVector))
 def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
                   ) -> list[MeasureVector]:
     """All five measures of each text; regard is absent without a configured
-    client and is scored as one batch."""
+    client and is scored as one batch, after every text has a reading ease.
+    A text without a word is a NoWordError."""
+    measured = []
+    for index, text in enumerate(texts):
+        ease, pol, subj = _scan(text)
+        if ease is None:
+            raise NoWordError(index)
+        measured.append((ease, reading_time(text), pol, subj))
     if regard_client is None:
         regards = [None] * len(texts)
     else:
         regards = regard_client.score_batch(texts)
-    vectors = []
-    for text, regard in zip(texts, regards):
-        pol, subj = _sentiment(text)
-        vectors.append(MeasureVector(
-            reading_ease=flesch_reading_ease(text),
-            reading_time=reading_time(text),
-            polarity=pol,
-            subjectivity=subj,
-            regard=regard,
-        ))
-    return vectors
+    return [MeasureVector(*measures, regard=regard)
+            for measures, regard in zip(measured, regards)]
 
 
 def measure_text(text: str, regard_client: RegardClient | None = None) -> MeasureVector:

@@ -246,6 +246,9 @@ E2E_BUDGET_SECONDS = 60.0
 #: replication workload against the same digest, so a refactor that flips a
 #: score tie fails here first.
 FIXTURE_REPORT_SHA256 = "83f519e70deb034ca72e4b85b61f04feaef1bf73cab0a0f19ad2c02e0e2dfbb8"
+#: sha256 of the fixture run's measures file: a text measure that drifts in
+#: its last bit fails here even when no reported figure moves.
+FIXTURE_MEASURES_SHA256 = "6c23036b205bf3fe26bb3f822ae133c48f25f7682af3c4bd2066fe549c445a18"
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path, fixtures_dir):
@@ -279,6 +282,8 @@ def test_criterion_8_end_to_end_determinism(tmp_path, fixtures_dir):
             assert a == b, f"{name} differs between reruns"
         report = (Path(config_a.out_dir) / "report.csv").read_bytes()
         assert hashlib.sha256(report).hexdigest() == FIXTURE_REPORT_SHA256
+        measures = (Path(config_a.out_dir) / "measures_mock-complete.jsonl").read_bytes()
+        assert hashlib.sha256(measures).hexdigest() == FIXTURE_MEASURES_SHA256
         assert len(result_a.report.rows) > 0
         assert {r.metric for r in result_a.report.rows} == \
             {"exclusion", "nonuniformity", "violation_rate"}

@@ -779,6 +779,24 @@ def test_cli_measure_stage(tmp_path, fixtures_dir):
     assert out.exists()
 
 
+def test_cli_measure_names_the_summary_without_a_word(tmp_path):
+    """A summary with no word has no reading ease: exit 4 with an error line
+    that names the summary, not a traceback."""
+    summaries = tmp_path / "summaries.jsonl"
+    rows = [dict(SUMMARY_ROW),
+            dict(SUMMARY_ROW, resume_id="r7", variant_id="name:MB", model_name="gen-x",
+                 length=200, pov="first", temperature=0.3, run_index=4, text="...")]
+    summaries.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "measures.jsonl"
+    result = CliRunner().invoke(main, ["measure", "--in", str(summaries), "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (
+        "error: summary by gen-x of resume r7, variant name:MB, temperature 0.3, "
+        "length 200, pov first, run 4 has no word: reading ease needs at least one word\n")
+    assert not out.exists()
+
+
 def test_cli_summarize_then_measure(tmp_path, fixtures_dir):
     backends = {"backends": [{"id": "gen", "kind": "completion",
                               "protocol": "mock", "model_name": "m"}]}

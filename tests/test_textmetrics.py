@@ -3,7 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hirefair
@@ -388,13 +388,12 @@ def oracle_sentence_count(text: str) -> int:
             continue
         count += bool(re.search(r"[A-Za-z0-9]", text[start:end.end()]))
         start = end.end()
-    count += bool(re.search(r"[A-Za-z0-9]", text[start:]))
-    return max(1, count)
+    return count + bool(re.search(r"[A-Za-z0-9]", text[start:]))
 
 
 def oracle_reading_ease(text: str) -> float:
     words = re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text)
-    return flesch_formula(len(words), oracle_sentence_count(text),
+    return flesch_formula(len(words), max(1, oracle_sentence_count(text)),
                           sum(oracle_syllables(w) for w in words))
 
 
@@ -426,27 +425,48 @@ def oracle_sentiment(text: str) -> tuple[float, float]:
 ORACLE_WORDS = sorted(LEXICON["entries"]) + LEXICON["negations"] + [
     "don't", "don’t", "isn't", "isn’t", "won’t", "n't", "candidate", "the",
     "people", "little", "business", "area", "rhythm", "42", "well-known",
+    "...", "?!",
 ] + RULES["abbreviations"]
+
+#: Whitespace between words: a word's measures never reach across any of it.
+ORACLE_GAPS = [" ", " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\x1c"]
 
 
 @st.composite
 def oracle_texts(draw):
+    """Words, punctuation-only chunks and abbreviations, cased, quoted and
+    punctuated, between gaps of any whitespace, with or without whitespace
+    at either end."""
     pieces = draw(st.lists(st.tuples(
         st.sampled_from(ORACLE_WORDS),
         st.sampled_from(["lower", "title", "upper"]),
+        st.sampled_from(["", "", "''", '""', "‘’"]),
         st.sampled_from(["", "", ",", ".", "!", "?", "...", "?!", "'"]),
-        st.sampled_from([" ", " ", "  ", "\n"]),
+        st.sampled_from(ORACLE_GAPS),
     ), min_size=1, max_size=40))
-    return "".join(getattr(word, case)() + end + gap for word, case, end, gap in pieces)
+    text = draw(st.sampled_from(["", ""] + ORACLE_GAPS)) + "".join(
+        quotes[:1] + getattr(word, case)() + quotes[1:] + end + gap
+        for word, case, quotes, end, gap in pieces)
+    return text if draw(st.booleans()) else text[:-len(pieces[-1][-1])]
 
 
 @given(oracle_texts())
+@example("e.g. this")
+@example("Call Dr 42. Next one.")
+@example("  Mr. Smith\tleft?!  ")
+@example("don’t great.")
 @settings(max_examples=300, deadline=None)
 def test_measures_agree_with_oracle(text):
+    words = re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text)
+    assert len(split_sentences(text)) == oracle_sentence_count(text)
+    assert (polarity(text), subjectivity(text)) == oracle_sentiment(text)
+    for word in words:
+        assert count_syllables(word) == oracle_syllables(word)
+    if not words:
+        with pytest.raises(TextMetricsError, match="at least one word"):
+            measure_text(text)
+        return
     mv = measure_text(text)
     assert (mv.reading_ease, mv.reading_time, mv.polarity, mv.subjectivity) == (
         flesch_reading_ease(text), reading_time(text), polarity(text), subjectivity(text))
     assert mv.reading_ease == oracle_reading_ease(text)
-    assert (mv.polarity, mv.subjectivity) == oracle_sentiment(text)
-    for word in re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text):
-        assert count_syllables(word) == oracle_syllables(word)
