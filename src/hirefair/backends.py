@@ -15,6 +15,13 @@ READ_CHUNK keys and commits its fresh ones in transactions of WRITE_CHUNK
 rows. A cache directory written by earlier versions, one JSON file per
 response, is imported into the file once.
 
+An HTTP backend fetches a batch's misses on up to `parallelism` threads. An
+in-process one answers them through the map a batch is given: cpu_map opens
+one per run or command, over a pool of `fork` worker processes as wide as
+the CPUs the process may use (its affinity; nothing sets the width), where
+each worker also encodes its answers for the cache. With one CPU, or without
+`fork`, that map is the builtin map, on the calling thread.
+
 Two deterministic mocks support offline runs and metric validation:
 
 * mock embedding: bag-of-words hashed projection. Whitespace tokens are
@@ -32,14 +39,17 @@ import json
 import logging
 import os
 import random
+import re
 import sqlite3
 import threading
 import time
 import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +75,13 @@ CACHE_FILE = "responses.sqlite"
 READ_CHUNK = 500
 #: Fresh responses per write transaction; a batch flushes the rest when it ends.
 WRITE_CHUNK = 256
+#: Items per task sent to cpu_map's pool: small, so that each task's pickled
+#: items and answers take little memory in the calling process.
+MAP_CHUNK = 64
+
+#: A completion holds a word when it holds one of these characters; each
+#: word of textmetrics holds one.
+_WORD_CHAR_RE = re.compile(r"[A-Za-z0-9]")
 
 
 class BackendError(Exception):
@@ -235,12 +252,11 @@ class ResponseCache:
         blob = self.get_many([key]).get(key)
         return None if blob is None else decode_response(blob)
 
-    def put(self, key: str, response) -> None:
-        """Store `response` under `key`, encoded on the calling thread; it is
-        written with the next full chunk or by flush()."""
-        row = (key, encode_response(response))
+    def put(self, key: str, blob: bytes) -> None:
+        """Store `blob`, an encoded response (see encode_response), under
+        `key`; it is written with the next full chunk or by flush()."""
         with self._lock:
-            self._pending.append(row)
+            self._pending.append((key, blob))
             if len(self._pending) >= WRITE_CHUNK:
                 self._write(self._pending)
                 self._pending = []
@@ -274,26 +290,44 @@ def decode_response(blob: bytes):
     return json.loads(zlib.decompress(blob))
 
 
-def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
-                 fetch: Callable[[int], object], validate: Callable, width: int = 1,
-                 on_error: Callable[[Exception], object] | None = None,
-                 stop: threading.Event | None = None) -> list:
-    """[validate(fetch(i)) for each i], each distinct request made once and
-    read through `cache` when there is one.
+def _answered(fetch: Callable, item) -> tuple[object, bytes | None]:
+    """(fetch(item), its encoding for the cache), both made where fetch runs;
+    (the exception, None) when either raised, so that a failure on a worker
+    of cpu_map stays with its item and not with the whole task."""
+    try:
+        answer = fetch(item)
+        return answer, encode_response(answer)
+    except Exception as exc:
+        return exc, None
 
-    `keys[i]` holds cache_key's arguments for request i, and `fetch(i)` makes
-    that request. Requests with one key share one result. A batch's cached
+
+def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
+                 fetch: Callable, validate: Callable, width: int = 1,
+                 on_error: Callable[[Exception], object] | None = None,
+                 stop: threading.Event | None = None, items: Sequence | None = None,
+                 map_fn: Callable = map) -> list:
+    """[validate(fetch(items[i])) for each i], each distinct request made
+    once and read through `cache` when there is one.
+
+    `keys[i]` holds cache_key's arguments for request i, and
+    `fetch(items[i])` makes that request; `items` default to the indices of
+    `keys`. Requests with one key share one result. A batch's cached
     responses are read in one go and validated again, one at a time, on the
-    calling thread; misses are fetched on min(width, misses) threads, on the
-    calling thread when that is one. A fetched response is stored only after
-    it validated, so a bad response is never cached; responses that
-    validated are stored even when the batch then fails. Without `on_error`,
-    the first failure cancels the requests still queued and is raised; with
-    it, `on_error(exc)` becomes the failed request's result (and may raise
-    instead). Once `stop` is set, every request not yet made raises Stopped,
-    which on_error never sees.
+    calling thread. Misses are fetched on min(width, misses) threads when
+    that is more than one; otherwise `map_fn` answers them in order, each
+    with its encoding for the cache, and they are validated here as they
+    arrive. `map_fn` is the builtin map or the map of cpu_map, which needs a
+    `fetch` that pickles. A fetched response is stored only after it
+    validated, so a bad response is never cached; responses that validated
+    are stored even when the batch then fails. Without `on_error`, the first
+    failure cancels the requests still queued and is raised; with it,
+    `on_error(exc)` becomes the failed request's result (and may raise
+    instead). Once `stop` is set, no further response is taken: each request
+    whose response was not taken yet raises Stopped, which on_error never
+    sees.
     """
     digests = [cache_key(*key) for key in keys]
+    items = range(len(keys)) if items is None else items
     first: dict[str, int] = {}
     for i, digest in enumerate(digests):
         first.setdefault(digest, i)
@@ -306,23 +340,25 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
                 raise
             return on_error(exc)
 
-    def call(digest: str, i: int):
-        response = fetch(i)
+    def stored(digest: str, answer: Callable[[], tuple[object, bytes | None]]):
+        response, blob = answer()
+        if blob is None:
+            raise response
         result = validate(response)
         if cache is not None:
-            cache.put(digest, response)
+            cache.put(digest, blob)
         return result
 
-    def fetched(digest: str, i: int):
+    def fetched(digest: str, answer: Callable[[], tuple[object, bytes | None]]):
         if stop is not None and stop.is_set():
             raise Stopped("not requested: the run is stopping")
-        return guarded(call, digest, i)
+        return guarded(stored, digest, answer)
 
     results: dict[str, object] = {}
     misses: list[tuple[str, int]] = []
-    stored = cache.get_many(list(first)) if cache is not None else {}
+    found = cache.get_many(list(first)) if cache is not None else {}
     for digest, i in first.items():
-        blob = stored.pop(digest, None)
+        blob = found.pop(digest, None)
         if blob is None:
             misses.append((digest, i))
         else:
@@ -330,11 +366,13 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     workers = min(width, len(misses))
     try:
         if workers <= 1:
-            for digest, i in misses:
-                results[digest] = fetched(digest, i)
+            answers = map_fn(partial(_answered, fetch), [items[i] for _, i in misses])
+            for digest, _ in misses:
+                results[digest] = fetched(digest, partial(next, answers))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(fetched, digest, i) for digest, i in misses]
+                futures = [pool.submit(fetched, digest, partial(_answered, fetch, items[i]))
+                           for digest, i in misses]
                 wait(futures, return_when=FIRST_EXCEPTION)
                 pool.shutdown(cancel_futures=True)
             # Queued calls start in order, so the first failure comes before
@@ -345,6 +383,37 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
         if cache is not None:
             cache.flush()
     return [results[digest] for digest in digests]
+
+
+@contextmanager
+def cpu_map() -> Iterator[Callable]:
+    """A map for the pure per-item work of one run or command, answered in
+    order: the imap of a pool of `fork` worker processes, one per CPU this
+    process may use, in tasks of MAP_CHUNK items; the builtin map with one
+    CPU or without `fork`. Nothing sets the width.
+
+    Each worker is a copy of this process as it was when the pool opened,
+    so open it before the response cache and before any thread starts.
+    Workers ignore SIGINT, which the calling process handles; the pool is
+    terminated and joined when the block ends, however it ends.
+    """
+    width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if width < 2:
+        yield map
+        return
+    import multiprocessing  # only a pool needs it, and importing it is slow
+    import signal
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield map
+        return
+    pool = multiprocessing.get_context("fork").Pool(
+        width, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        yield partial(pool.imap, chunksize=MAP_CHUNK)
+    finally:
+        pool.terminate()
+        pool.join()
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +651,14 @@ class Backend:
     `width` bounds the threads a batch fetches misses on. An HTTP protocol
     posts through `http`, a JsonEndpoint built (and its credential checked)
     with the backend, with up to `parallelism` requests in flight; an
-    in-process one makes no requests (`http` is None), so its batches run on
-    the calling thread. Once `stop`, the run's stop signal, is set, the
-    backend makes no further request (see cached_calls)."""
+    in-process one makes no requests (`http` is None), so a batch answers
+    its misses through the `map_fn` it is given (see cached_calls). A
+    backend pickles as its class and config, without its cache, so that a
+    worker of cpu_map's pool can answer for it. Once a batch's `stop`, the
+    run's stop signal, is set, the batch takes no further answer."""
 
     width = 1
     http: JsonEndpoint | None = None
-    stop: threading.Event | None = None
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         self.config = config
@@ -601,6 +671,9 @@ class Backend:
             self.session = self.http.session
             self.width = config.parallelism
 
+    def __reduce__(self):
+        return type(self), (self.config,)
+
     def _request(self, item):
         """The uncached answer to one item, made as the protocol says."""
         if self.protocol.call is not None:
@@ -608,10 +681,12 @@ class Backend:
         return self.http.post(self.protocol.body(self.config, item), self.protocol.read)
 
     def _batch(self, items: Sequence, texts: Sequence[str], payloads: Sequence[dict],
-               validate: Callable, on_error: Callable | None = None) -> list:
+               validate: Callable, on_error: Callable | None = None,
+               map_fn: Callable = map, stop: threading.Event | None = None) -> list:
         """validate(answer) for each item in order, each distinct payload
         requested once; no item's input text may exceed max_chars. A failed
-        request raises, or gives on_error(exc) (see cached_calls)."""
+        request raises, or gives on_error(exc) (see cached_calls). Only an
+        in-process protocol's answers go through `map_fn`."""
         limit = self.config.max_chars
         for text in texts:
             if limit is not None and len(text) > limit:
@@ -619,8 +694,8 @@ class Backend:
                     f"backend {self.config.id}: input of {len(text)} chars exceeds "
                     f"max_chars={limit}; refusing to truncate")
         keys = [(self.config.id, self.config.model_name, payload) for payload in payloads]
-        return cached_calls(self.cache, keys, lambda i: self._request(items[i]),
-                            validate, self.width, on_error, self.stop)
+        return cached_calls(self.cache, keys, self._request, validate, self.width, on_error,
+                            stop, items, map_fn if self.http is None else map)
 
 
 class EmbeddingBackend(Backend):
@@ -650,21 +725,25 @@ class EmbeddingBackend(Backend):
                 )
         return vec
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str], map_fn: Callable = map,
+                    stop: threading.Event | None = None) -> list[np.ndarray]:
         """Embed in order, each distinct text once; cached entries are served
         without touching the network."""
         return self._batch(texts, texts, [{"op": "embed", "text": text} for text in texts],
-                           self._vector)
+                           self._vector, map_fn=map_fn, stop=stop)
 
 
 class CompletionBackend(Backend):
     def _text(self, text) -> str:
-        if not isinstance(text, str) or not text:
-            raise BackendError(f"backend {self.config.id}: empty or non-text "
-                               f"completion {text!r:.80}")
+        """A completion that holds a word; any other answer is a backend
+        error, so it is never cached and a rerun asks again."""
+        if not isinstance(text, str) or not _WORD_CHAR_RE.search(text):
+            raise BackendError(f"backend {self.config.id}: completion without a word "
+                               f"{text!r:.80}")
         return text
 
-    def complete_batch(self, requests: Sequence[CompletionRequest]) -> list[str]:
+    def complete_batch(self, requests: Sequence[CompletionRequest], map_fn: Callable = map,
+                       stop: threading.Event | None = None) -> list[str]:
         """Run completions in order, each distinct request once; responses
         are cached per (prompt, run_index, temperature) so reruns stay stable
         despite provider nondeterminism."""
@@ -672,7 +751,7 @@ class CompletionBackend(Backend):
                      "temperature": request.temperature, "run_index": request.run_index,
                      "max_words_hint": request.max_words_hint} for request in requests]
         return self._batch(requests, [request.prompt for request in requests], payloads,
-                           self._text)
+                           self._text, map_fn=map_fn, stop=stop)
 
     def complete(self, request: CompletionRequest) -> str:
         """Run one completion: a batch of one."""
@@ -699,11 +778,12 @@ class RegardClient(Backend):
             raise exc
         return exc
 
-    def score_batch(self, texts: Sequence[str]) -> list[dict[str, float] | None]:
+    def score_batch(self, texts: Sequence[str], stop: threading.Event | None = None,
+                    ) -> list[dict[str, float] | None]:
         """Scores of each text in order, each distinct text posted once; None
         where a request failed, with one warning per batch that has any."""
         results = self._batch(texts, texts, [{"text": text} for text in texts],
-                              validate_regard, self._failed)
+                              validate_regard, self._failed, stop=stop)
         errors = [r for r in results if isinstance(r, Exception)]
         if errors:
             logger.warning("backend %s: regard absent for %d of %d texts; first error: %s",

@@ -16,6 +16,13 @@ one after another, so each keeps at most its `parallelism` requests in
 flight. The first failure sets the run's stop signal, so the other stage
 makes no further request, and is raised. Results join in one order,
 retrieval first, so the artifacts do not depend on which stage ends first.
+
+A run opens one process pool, backends.cpu_map, before its response cache:
+the answers of in-process backends (mock embeddings and completions, with
+their cache encoding) and the text scans of the measures are spread over
+its workers, one per CPU the run may use. Nothing sets that width; with one
+CPU, or without `fork`, the same code runs through the builtin map. The pool
+and the stop signal reach each stage as arguments.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from hirefair.backends import (
     ResponseCache,
     RetryPolicy,
     build_backend,
+    cpu_map,
 )
 from hirefair.config import RunConfig
 from hirefair.corpus import (
@@ -196,16 +204,19 @@ def _suffix(draw: int) -> str:
     return f"@d{draw}" if draw > 0 else ""
 
 
-def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[ScoreRow]:
-    """Embed every variant and job, then score all (job, variant) pairs."""
+def score_variants(backend, jobs: list[JobPost], variants: VariantSet,
+                   map_fn: Callable = map, stop: threading.Event | None = None,
+                   ) -> list[ScoreRow]:
+    """Embed every variant and job, then score all (job, variant) pairs.
+    `map_fn` and `stop` go to the backend's batches."""
     keys: list[tuple[str, str]] = []
     texts: list[str] = []
     for vid in variants.variant_ids():
         for rid in sorted(variants.resumes[vid]):
             keys.append((vid, rid))
             texts.append(variants.resumes[vid][rid].body)
-    job_vectors = backend.embed_batch([j.body for j in jobs])
-    resume_vectors = dict(zip(keys, backend.embed_batch(texts)))
+    job_vectors = backend.embed_batch([j.body for j in jobs], map_fn=map_fn, stop=stop)
+    resume_vectors = dict(zip(keys, backend.embed_batch(texts, map_fn=map_fn, stop=stop)))
     rows: list[ScoreRow] = []
     tag = _suffix(variants.draw)
     for job, jv in zip(jobs, job_vectors):
@@ -278,9 +289,11 @@ def summary_prompt(resume: Resume, length: int, pov: str) -> str:
 
 
 def summarize(backend, versions: list[tuple[Resume, str]],
-              cells: list[tuple[float, int, str]], runs: int) -> list[SummaryRecord]:
+              cells: list[tuple[float, int, str]], runs: int, map_fn: Callable = map,
+              stop: threading.Event | None = None) -> list[SummaryRecord]:
     """Summaries of each (resume, variant id) version at each (temperature,
-    length, pov) cell, one per run index, requested as one batch."""
+    length, pov) cell, one per run index, requested as one batch through
+    `map_fn` and `stop` (see CompletionBackend.complete_batch)."""
     calls: list[tuple[str, str, str, CompletionRequest]] = []
     for resume, variant_id in versions:
         for temperature, length, pov in cells:
@@ -289,7 +302,8 @@ def summarize(backend, versions: list[tuple[Resume, str]],
                 prompt=prompt, temperature=temperature, max_words_hint=length,
                 run_index=run_index,
             )) for run_index in range(1, runs + 1))
-    texts = backend.complete_batch([request for *_, request in calls])
+    texts = backend.complete_batch([request for *_, request in calls], map_fn=map_fn,
+                                   stop=stop)
     model = backend.config.model_name
     return [
         SummaryRecord(
@@ -302,6 +316,7 @@ def summarize(backend, versions: list[tuple[Resume, str]],
 
 
 def generate_summaries(backend, variants: VariantSet, config: RunConfig,
+                       map_fn: Callable = map, stop: threading.Event | None = None,
                        ) -> list[SummaryRecord]:
     """Summaries for every named group version over the full grid."""
     grid = config.grid
@@ -309,16 +324,19 @@ def generate_summaries(backend, variants: VariantSet, config: RunConfig,
     versions = [(resume, f"name:{g}" + tag) for g in GROUP_CODES
                 for _, resume in sorted(variants.resumes[f"name:{g}"].items())]
     cells = list(itertools.product(grid.temperatures, grid.lengths, grid.povs))
-    return summarize(backend, versions, cells, grid.runs)
+    return summarize(backend, versions, cells, grid.runs, map_fn, stop)
 
 
 def measure_summaries(records: list[SummaryRecord],
-                      regard_client: RegardClient | None = None,
+                      regard_client: RegardClient | None = None, map_fn: Callable = map,
+                      stop: threading.Event | None = None,
                       ) -> list[tuple[SummaryRecord, MeasureVector]]:
-    """Measures of each record; regard is scored as one batch. A summary
-    without a word is a TextMetricsError that names it."""
+    """Measures of each record, the texts scanned through `map_fn`; regard is
+    scored as one batch. A summary without a word is a TextMetricsError that
+    names it."""
     try:
-        vectors = textmetrics.measure_texts([r.text for r in records], regard_client)
+        vectors = textmetrics.measure_texts([r.text for r in records], regard_client,
+                                            map_fn, stop)
     except textmetrics.NoWordError as exc:
         r = records[exc.index]
         raise textmetrics.TextMetricsError(
@@ -419,7 +437,8 @@ Stage = tuple[list[LedgerEntry], list[Path], list[dict]]
 
 def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
                     run_id: str, occupation_of: dict[str, str], config: RunConfig,
-                    out_dir: Path) -> Stage:
+                    out_dir: Path, map_fn: Callable = map,
+                    stop: threading.Event | None = None) -> Stage:
     """Every embedder in turn scores the variants of one draw, writes its
     score table and makes its retrieval metrics; the side log holds the
     non-uniformity tests."""
@@ -427,7 +446,7 @@ def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
     files: list[Path] = []
     log: list[dict] = []
     for backend in embedders:
-        rows = score_variants(backend, jobs, variants)
+        rows = score_variants(backend, jobs, variants, map_fn, stop)
         score_path = out_dir / f"scores_{backend.config.id}{_suffix(variants.draw)}.csv"
         retrieval.write_score_table(rows, score_path)
         files.append(score_path)
@@ -440,7 +459,8 @@ def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
 
 def summary_stage(completers: list, regard_client: RegardClient | None,
                   variants: VariantSet, run_id: str, config: RunConfig,
-                  out_dir: Path) -> Stage:
+                  out_dir: Path, map_fn: Callable = map,
+                  stop: threading.Event | None = None) -> Stage:
     """Every completer in turn summarizes the named versions of one draw,
     writes the summaries and their measures (regard included) and runs its
     t-tests; the side log holds the t-tests."""
@@ -449,12 +469,12 @@ def summary_stage(completers: list, regard_client: RegardClient | None,
     log: list[dict] = []
     suffix = _suffix(variants.draw)
     for backend in completers:
-        records = generate_summaries(backend, variants, config)
+        records = generate_summaries(backend, variants, config, map_fn, stop)
         summaries_path = out_dir / f"summaries_{backend.config.id}{suffix}.jsonl"
         _write_jsonl(map(to_row, records), summaries_path)
         files.append(summaries_path)
 
-        measured = measure_summaries(records, regard_client)
+        measured = measure_summaries(records, regard_client, map_fn, stop)
         measures_path = out_dir / f"measures_{backend.config.id}{suffix}.jsonl"
         textmetrics.write_measures(measured, measures_path)
         files.append(measures_path)
@@ -507,11 +527,12 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     """Execute the full audit and write every artifact under config.out_dir."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with ResponseCache(out_dir / "cache") as cache:
-        return _audit(config, out_dir, cache, svg)
+    with cpu_map() as map_fn, ResponseCache(out_dir / "cache") as cache:
+        return _audit(config, out_dir, cache, svg, map_fn)
 
 
-def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) -> RunResult:
+def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool,
+           map_fn: Callable) -> RunResult:
     # fail fast: build every backend and the regard client (each checks its credential)
     backends = {b.id: build_backend(b, cache) for b in config.backends}
     regard_client = None
@@ -569,11 +590,7 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
 
     # the two stages of a draw overlap only when a backend waits on the network
     run_backends = [*backends.values(), *([regard_client] if regard_client else [])]
-    stop = None
-    if any(backend.http is not None for backend in run_backends):
-        stop = threading.Event()
-        for backend in run_backends:
-            backend.stop = stop
+    stop = threading.Event() if any(b.http is not None for b in run_backends) else None
 
     entries: list[LedgerEntry] = []
     files: list[Path] = []
@@ -588,9 +605,9 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
                                   audit_log=extra_audit)
         stages = _run_stages(
             partial(retrieval_stage, embedders, jobs, variants, run_id, occupation_of,
-                    config, out_dir),
+                    config, out_dir, map_fn, stop),
             partial(summary_stage, completers, regard_client, variants, run_id, config,
-                    out_dir),
+                    out_dir, map_fn, stop),
             stop)
         for (stage_entries, stage_files, rows), log in zip(
                 stages, (nonuniformity_log, test_log)):

@@ -11,7 +11,9 @@ a text: its whitespace-separated words, punctuation attached. No part of a
 measure crosses whitespace: words, sentiment tokens, the terminal punctuation
 that ends a sentence and the abbreviation before it each lie inside one chunk.
 So the facts of each distinct chunk are computed once and memoised in a cache
-of fixed size, and the pass adds them up in text order.
+of fixed size, and the pass adds them up in text order. measure_texts runs
+the pass over its texts through the map it is given, which may spread them
+over the worker processes of backends.cpu_map, each with its own memo.
 
 The syllable rules, sentence-boundary abbreviations, and sentiment lexicon
 ship as JSON assets in hirefair/data so scores are reproducible across
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from hirefair.backends import RegardClient
 from hirefair.records import from_row, read_jsonl, to_row, write_jsonl
@@ -302,20 +305,22 @@ MeasureVector.NAMES = tuple(f.name for f in fields(MeasureVector))
 
 
 def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
+                  map_fn: Callable = map, stop: threading.Event | None = None,
                   ) -> list[MeasureVector]:
     """All five measures of each text; regard is absent without a configured
     client and is scored as one batch, after every text has a reading ease.
-    A text without a word is a NoWordError."""
+    A text without a word is a NoWordError. The texts are scanned through
+    `map_fn`, the builtin map or the map of backends.cpu_map; `stop` is the
+    run's stop signal for the regard batch."""
     measured = []
-    for index, text in enumerate(texts):
-        ease, pol, subj = _scan(text)
+    for index, (text, (ease, pol, subj)) in enumerate(zip(texts, map_fn(_scan, texts))):
         if ease is None:
             raise NoWordError(index)
         measured.append((ease, reading_time(text), pol, subj))
     if regard_client is None:
         regards = [None] * len(texts)
     else:
-        regards = regard_client.score_batch(texts)
+        regards = regard_client.score_batch(texts, stop=stop)
     return [MeasureVector(*measures, regard=regard)
             for measures, regard in zip(measured, regards)]
 

@@ -11,6 +11,20 @@ from hirefair.corpus import (
 FIXTURE_DIR_NAME = "data/fixtures"
 
 
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fails a test after which a worker process it started still runs (and
+    stops those, so the next test starts without them)."""
+    yield
+    import multiprocessing
+
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join(timeout=10)
+    assert not leaked, f"worker processes left running: {leaked}"
+
+
 @pytest.fixture(scope="session")
 def pools():
     return load_name_pools()

@@ -1,6 +1,9 @@
 import hashlib
 import logging
 import math
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
@@ -26,6 +29,8 @@ from hirefair.backends import (
     build_backend,
     cache_key,
     cached_calls,
+    cpu_map,
+    decode_response,
     mock_biased_embedding,
     mock_embedding,
     token_bucket,
@@ -412,6 +417,128 @@ def test_embed_batch_stress_with_more_workers_than_cores(tmp_path):
     assert len(cache) == len(set(texts))
     cache.close()
     assert [p.name for p in tmp_path.iterdir()] == ["responses.sqlite"]
+
+
+# ---------------------------------------------------------------------------
+# cpu_map: the run's process pool
+# ---------------------------------------------------------------------------
+
+def cpus(monkeypatch, n):
+    """Let this process use `n` CPUs, as cpu_map sees them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_cpu_map_on_one_cpu_is_the_builtin_map(monkeypatch):
+    cpus(monkeypatch, 1)
+    with cpu_map() as map_fn:
+        assert map_fn is map
+
+
+def test_cpu_map_workers_ignore_sigint_and_end_with_the_block(monkeypatch):
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="run failed"):
+        with cpu_map() as map_fn:
+            assert map_fn is not map
+            assert len(multiprocessing.active_children()) == 2
+            assert set(map_fn(signal.getsignal, [signal.SIGINT] * 200)) == {signal.SIG_IGN}
+            map_fn(time.sleep, [0.05] * 40)  # still running when the block ends
+            raise RuntimeError("run failed")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pooled_answers_and_cache_rows_equal_the_serial_ones(tmp_path, monkeypatch, n):
+    texts = [f"word{i % 97} shared text {i % 3}" for i in range(300)]
+    requests = [CompletionRequest(prompt=f"resume {i % 150}", max_words_hint=100)
+                for i in range(300)]
+    cpus(monkeypatch, n)
+    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+        vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts, map_fn=map_fn)
+        summaries = CompletionBackend(mock_config(kind="completion"),
+                                      cache).complete_batch(requests, map_fn=map_fn)
+        rows = cache._db.execute("SELECT key, response FROM responses").fetchall()
+    serial = CompletionBackend(mock_config(kind="completion"))
+    assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
+    assert summaries == [serial.complete(request) for request in requests]
+    assert len(rows) == len(set(texts)) + 150
+    by_key = dict(rows)
+    for text, vec in zip(texts, vectors):
+        blob = by_key[cache_key("m", "mock-model", {"op": "embed", "text": text})]
+        assert decode_response(blob) == vec.tolist()
+
+
+class StopAfterThree(EmbeddingBackend):
+    """Sets `stop` once three answers validated; at module level, so that a
+    pool's worker can answer for it."""
+
+    def _vector(self, values):
+        self.validated += 1
+        if self.validated == 3:
+            self.stop.set()
+        return super()._vector(values)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_batch_takes_no_answer_once_stopped(tmp_path, monkeypatch, n):
+    """Once the stop signal is set, the batch takes no further answer, from
+    the builtin map or the pool, and raises Stopped; what validated stays
+    cached."""
+    cpus(monkeypatch, n)
+    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+        backend = StopAfterThree(mock_config(), cache)
+        backend.stop, backend.validated = threading.Event(), 0
+        with pytest.raises(Stopped):
+            backend.embed_batch([f"text {i}" for i in range(200)], map_fn=map_fn,
+                                stop=backend.stop)
+        assert backend.validated == 3
+        assert len(cache) == 3
+
+
+class FailsOnFive(CompletionBackend):
+    """Refuses the prompt "p 5"; at module level, so that a pool's worker can
+    answer for it."""
+
+    def _request(self, request):
+        if request.prompt == "p 5":
+            raise BackendError("refused p 5")
+        return super()._request(request)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_pooled_failure_stays_with_its_item(tmp_path, monkeypatch, n):
+    """A request that fails on a worker fails alone, as with the builtin map:
+    on_error sees it at its place, and the items of its task around it are
+    answered and stored."""
+    cpus(monkeypatch, n)
+    requests = [CompletionRequest(prompt=f"p {i}") for i in range(150)]
+    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+        backend = FailsOnFive(mock_config(kind="completion"), cache)
+        keys = [(backend.config.id, backend.config.model_name, {"prompt": r.prompt})
+                for r in requests]
+        results = cached_calls(cache, keys, backend._request, backend._text,
+                               on_error=lambda exc: str(exc), items=requests,
+                               map_fn=map_fn)
+        assert results[5] == "refused p 5"
+        assert results[:5] + results[6:] == [backend._request(r) for r in requests
+                                             if r.prompt != "p 5"]
+        assert len(cache) == 149
+
+
+def test_a_completion_without_a_word_is_never_cached(tmp_path):
+    asked = []
+
+    class Dots(CompletionBackend):
+        def _request(self, request):
+            asked.append(request.prompt)
+            return "..." if request.prompt == "p 1" else "A word."
+
+    with ResponseCache(tmp_path) as cache:
+        for _ in range(2):
+            with pytest.raises(BackendError, match="completion without a word '...'"):
+                Dots(mock_config(kind="completion"), cache).complete_batch(
+                    [CompletionRequest(prompt=f"p {i}") for i in range(3)])
+        assert asked == ["p 0", "p 1", "p 1"]
+        assert len(cache) == 1
 
 
 def test_single_calls_are_batches_of_one(monkeypatch):

@@ -2,11 +2,15 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
 import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -14,11 +18,14 @@ from click.testing import CliRunner
 
 from hirefair import pipeline
 from hirefair.backends import (
+    MAP_CHUNK,
     BackendError,
+    JsonEndpoint,
     ResponseCache,
     Stopped,
     build_backend,
     cache_key,
+    cpu_map,
     decode_response,
 )
 from hirefair.cli import main
@@ -1409,3 +1416,150 @@ def test_a_cache_of_one_file_per_response_replays_offline(tmp_path, fixtures_dir
     assert sorted(p.relative_to(old) for p in old.rglob("*.json")) == files
     for name in ("report.csv", "measures_gen.jsonl", "scores_emb.csv"):
         assert (tmp_path / "old" / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the run's process pool
+# ---------------------------------------------------------------------------
+
+def cpus(monkeypatch, n):
+    """Let this process use `n` CPUs, as backends.cpu_map sees them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_the_pool_changes_no_byte(tmp_path, fixtures_dir, monkeypatch):
+    """A run whose mock answers and text scans are spread over the pool
+    writes the bytes of a run on one CPU, its response cache included."""
+    maps = []
+
+    @contextmanager
+    def recorded():
+        with cpu_map() as map_fn:
+            maps.append(map_fn)
+            yield map_fn
+
+    monkeypatch.setattr(pipeline, "cpu_map", recorded)
+
+    def run(n):
+        cpus(monkeypatch, n)
+        out = tmp_path / f"cpus-{n}"
+        # several pool tasks per batch: 288 texts to embed, 192 summaries
+        run_audit(load_run_config(write_config(
+            tmp_path, fixtures_dir, out_dir=str(out),
+            grid={"n_values": [3], "x_values": [25], "temperatures": [0.0, 0.3],
+                  "lengths": [100], "povs": ["third"], "runs": 2})))
+        with sqlite3.connect(out / "cache" / "responses.sqlite") as db:
+            rows = db.execute("SELECT key, response FROM responses ORDER BY key").fetchall()
+        return {name: (out / name).read_bytes() for name in CRITERION_8_ARTIFACTS}, rows
+
+    pooled, serial = run(2), run(1)
+    assert maps[0] is not map and maps[1] is map
+    assert len(pooled[1]) > 2 * MAP_CHUNK
+    assert pooled == serial
+
+
+def test_a_failed_run_leaves_no_worker(tmp_path, fixtures_dir, loopback, monkeypatch):
+    """An HTTP embedder that stays unavailable, beside a mock completer that
+    answers on the pool: exit 3 with an error line, no traceback, and no
+    worker process left."""
+    cpus(monkeypatch, 2)
+    loopback.unavailable.add("/v1/embeddings")
+    path = write_config(tmp_path, fixtures_dir, backends=[
+        {"id": "emb", "kind": "embedding", "protocol": "openai-compatible",
+         "model_name": "loop-embed", "endpoint": f"{loopback.url}/v1/embeddings",
+         "parallelism": 2, "retry": {"max": 2, "base_delay_ms": 1}},
+        {"id": "gen", "kind": "completion", "protocol": "mock",
+         "model_name": "mock-summarizer"}])
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: backend emb: request failed after 2 attempts")
+    assert "Traceback" not in result.output
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupted_run_leaves_no_worker(tmp_path, fixtures_dir, monkeypatch):
+    cpus(monkeypatch, 2)
+    measure = pipeline.measure_summaries
+
+    def interrupted(*args, **kwargs):
+        measure(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "measure_summaries", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_audit(load_run_config(write_config(tmp_path, fixtures_dir)))
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    """multiprocessing is imported only when a run opens its pool, so the
+    command line starts as fast as before."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hirefair.cli; "
+                               "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.stdout == "False\n", proc.stderr
+
+
+def test_a_completion_without_a_word_fails_the_run_and_is_never_cached(
+        tmp_path, fixtures_dir, monkeypatch):
+    """A chat answer without a word is a backend error (exit 3), not a
+    summary: it is not stored, so the next run asks for it again."""
+    posted = []
+
+    def post(self, payload, read):
+        posted.append(payload)
+        return read({"choices": [{"message": {"content": "..."}}]})
+
+    monkeypatch.setattr(JsonEndpoint, "post", post)
+    path = write_config(tmp_path, fixtures_dir, backends=[
+        MOCK_EMBED,
+        {"id": "gen", "kind": "completion", "protocol": "openai-compatible",
+         "model_name": "chat", "endpoint": "https://example.invalid/v1/chat",
+         "parallelism": 1}])
+    for run in (1, 2):
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(
+            "error: backend gen: completion without a word '...'"), result.output
+        assert len(posted) == run
+        with sqlite3.connect(tmp_path / "out" / "cache" / "responses.sqlite") as db:
+            stored = [decode_response(blob) for blob, in
+                      db.execute("SELECT response FROM responses")]
+        assert "..." not in stored
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs the /proc list of a process's children")
+def test_ctrl_c_ends_a_run_and_its_workers(tmp_path, fixtures_dir):
+    """SIGINT to the whole process group, as Ctrl-C sends it, ends a run
+    without a traceback: the workers ignore it, and the run stops them."""
+    path = write_config(tmp_path, fixtures_dir, grid={
+        "n_values": [3], "x_values": [25], "temperatures": [0.0, 0.3],
+        "lengths": [100, 200], "povs": ["first", "third"], "runs": 5})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hirefair.cli", "run", "--config", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers: list[str] = []
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            workers = children.read_text().split()
+            time.sleep(0.01)
+        time.sleep(0.2)  # the workers have set their SIGINT handler
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:  # a run that did not end is killed, workers included
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert len(workers) == 2
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err, err
+    deadline = time.monotonic() + 10
+    while any(Path(f"/proc/{pid}").exists() for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(Path(f"/proc/{pid}").exists() for pid in workers)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -12,15 +13,18 @@ from hirefair.backends import (
     BackendError,
     RegardClient,
     ResponseCache,
+    cpu_map,
     validate_regard,
 )
 from hirefair.textmetrics import (
     MeasureVector,
+    NoWordError,
     SummaryRecord,
     TextMetricsError,
     count_syllables,
     flesch_reading_ease,
     measure_text,
+    measure_texts,
     polarity,
     read_measures,
     reading_time,
@@ -470,3 +474,27 @@ def test_measures_agree_with_oracle(text):
     assert (mv.reading_ease, mv.reading_time, mv.polarity, mv.subjectivity) == (
         flesch_reading_ease(text), reading_time(text), polarity(text), subjectivity(text))
     assert mv.reading_ease == oracle_reading_ease(text)
+
+
+def test_the_pool_measures_as_the_builtin_map(monkeypatch):
+    """Texts scanned on the workers of cpu_map's pool get the measures of
+    one scan on the calling thread, and a text without a word is found at
+    the same place."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with cpu_map() as pooled:
+        assert pooled is not map
+
+        @given(st.lists(oracle_texts(), min_size=1, max_size=150))
+        @example(["Call Dr 42. Next one.", "?! ...", "don’t great."])
+        @settings(max_examples=40, deadline=None)
+        def check(texts):
+            try:
+                expected = measure_texts(texts)
+            except NoWordError as exc:
+                with pytest.raises(NoWordError) as raised:
+                    measure_texts(texts, map_fn=pooled)
+                assert raised.value.index == exc.index
+            else:
+                assert measure_texts(texts, map_fn=pooled) == expected
+
+        check()
