@@ -15,12 +15,14 @@ READ_CHUNK keys and commits its fresh ones in transactions of WRITE_CHUNK
 rows. A cache directory written by earlier versions, one JSON file per
 response, is imported into the file once.
 
-An HTTP backend fetches a batch's misses on up to `parallelism` threads. An
-in-process one answers them through the map a batch is given: cpu_map opens
-one per run or command, over a pool of `fork` worker processes as wide as
-the CPUs the process may use (its affinity; nothing sets the width), where
-each worker also encodes its answers for the cache. With one CPU, or without
-`fork`, that map is the builtin map, on the calling thread.
+An HTTP backend fetches a batch's misses on up to `parallelism` threads,
+over as many keep-alive connections (see JsonEndpoint). An in-process one
+answers them through the map a batch is given: cpu_map opens one per run or
+command that has an in-process backend, over a pool of `fork` worker
+processes as wide as the CPUs the process may use (its affinity; nothing
+sets the width), where each worker also encodes its answers for the cache.
+With one CPU, or without `fork`, that map is the builtin map, on the
+calling thread.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -43,6 +45,7 @@ import re
 import sqlite3
 import threading
 import time
+import weakref
 import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -148,6 +151,11 @@ class BackendConfig:
         # attribute, not a field, so the manifest holds `params` as written
         object.__setattr__(self, "options", from_row(
             BackendParams, self.params, BackendError, f"backend {self.id} params"))
+
+    @property
+    def in_process(self) -> bool:
+        """Whether the protocol answers in this process, making no request."""
+        return PROTOCOLS[self.kind, self.protocol].call is not None
 
 
 @dataclass(frozen=True)
@@ -467,14 +475,29 @@ def mock_biased_embedding(text: str, tag_bias: Mapping[str, float],
 # ---------------------------------------------------------------------------
 
 class JsonEndpoint:
-    """JSON POSTs to one URL over one session; every failure is a BackendError.
+    """JSON POSTs to one http(s) URL over keep-alive connections; every
+    failure is a BackendError.
 
-    Construction fails fast, before any request, when the URL is empty or the
-    credential variable is unset. Connection errors, timeouts, 429 and 5xx
-    are retried under `retry` with exponential backoff; any other 4xx, a body
-    that is not JSON, and a body the schema adapter cannot read fail at once.
-    Each request may take HTTP_TIMEOUT_S. The session pools `width`
-    connections, one per request in flight.
+    Construction fails fast, before any request, when the URL is empty or
+    not an http(s) URL, or the credential variable is unset. It also reads
+    the proxy settings once, from the environment (`HTTP_PROXY`,
+    `HTTPS_PROXY` and `NO_PROXY`, through urllib.request), and fails when
+    the proxy is not an http URL: an https URL goes through its proxy by
+    CONNECT, an http one as an absolute-form target. TLS verifies against
+    ssl.create_default_context(). Redirects are not followed and netrc is
+    not read.
+
+    A post takes the connection that went idle last, or opens one; it goes
+    back, up to `width` idle connections, once its response was read in full
+    and did not ask to close. An idle connection whose socket turned
+    readable was closed by the server and is dropped. One that fails before
+    its response, because the server closed it meanwhile, is replaced once
+    by a new one, which costs no attempt. Connection errors, timeouts, 429
+    and 5xx are retried under `retry` with exponential backoff; 3xx, any
+    other 4xx, a body that is not JSON, and a body the schema adapter cannot
+    read fail at once. Each connect, send and read may wait HTTP_TIMEOUT_S.
+    close() closes the idle connections; it runs by itself when the
+    endpoint is collected.
     """
 
     def __init__(self, name: str, url: str, credential_env: str,
@@ -487,44 +510,73 @@ class JsonEndpoint:
                 raise BackendError(
                     f"{name}: credential env var {credential_env!r} is not set")
             self.headers["Authorization"] = f"Bearer {os.environ[credential_env]}"
-        self.name, self.url, self.retry = name, url, retry
-        import requests  # only HTTP backends need it, and importing it is slow
+        self.name, self.retry, self.width = name, retry, width
+        # only HTTP backends need these, and importing them is slow
+        import http.client
+        import urllib.request
 
-        self.session = requests.Session()
-        # Proxy, TLS and netrc settings are read from the environment once,
-        # here, not again on every post.
-        env = self.session.merge_environment_settings(url, {}, None, None, None)
-        self.session.proxies, self.session.verify, self.session.cert = (
-            env["proxies"], env["verify"], env["cert"])
-        self.session.auth = requests.utils.get_netrc_auth(url)
-        self.session.trust_env = False
-        adapter = requests.adapters.HTTPAdapter(pool_maxsize=width)
-        self.session.mount("http://", adapter)
-        self.session.mount("https://", adapter)
+        parts = _http_url(name, "endpoint", url)
+        proxy = None
+        if not urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+            proxy = urllib.request.getproxies().get(parts.scheme)
+        address = (parts.hostname, parts.port)
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += f"?{parts.query}"
+        self._tunnel = None
+        if proxy:
+            via = _http_url(name, "proxy", proxy if "://" in proxy else f"http://{proxy}",
+                            ("http",))
+            proxy_headers = {}
+            if via.username is not None:
+                from base64 import b64encode
+                from urllib.parse import unquote
+
+                user = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    f"Basic {b64encode(user.encode('utf-8')).decode('ascii')}")
+            if parts.scheme == "https":
+                self._tunnel = (*address, proxy_headers)
+            else:
+                self._target = parts._replace(fragment="").geturl()
+                self.headers.update(proxy_headers)
+            address = (via.hostname, via.port)
+        # a new connection, which its first request opens
+        self._connection = partial(http.client.HTTPConnection, *address,
+                                   timeout=HTTP_TIMEOUT_S)
+        if parts.scheme == "https":
+            import ssl
+
+            self._connection = partial(http.client.HTTPSConnection, *address,
+                                       timeout=HTTP_TIMEOUT_S,
+                                       context=ssl.create_default_context())
+        self._lock = threading.Lock()
+        self._idle: list = []
+        self.close = weakref.finalize(self, _close_all, self._idle, self._lock)
 
     def post(self, payload: dict, read: Callable):
         """`read(body)` of the JSON answer to `payload`; `read` raises
         LookupError, TypeError or ValueError for a body it cannot use."""
-        import requests
+        from http.client import HTTPException
 
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         delay = self.retry.base_delay_ms / 1000.0
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
-                resp = self.session.post(self.url, json=payload, headers=self.headers,
-                                         timeout=HTTP_TIMEOUT_S)
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                error = str(exc)
-            except requests.RequestException as exc:
+                status, answer = self._exchange(body)
+            except (OSError, HTTPException) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            except ValueError as exc:  # say, a header value http.client refuses
                 raise BackendError(f"{self.name}: request failed: {exc}") from exc
             else:
-                if resp.status_code < 400:
+                if status < 300:
                     try:
-                        return read(resp.json())
+                        return read(json.loads(answer))
                     except (LookupError, TypeError, ValueError) as exc:
                         raise BackendError(
                             f"{self.name}: unreadable response: {exc!r}") from exc
-                error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if resp.status_code != 429 and resp.status_code < 500:
+                error = f"HTTP {status}: {answer.decode('utf-8', 'replace')[:200]}"
+                if status != 429 and status < 500:
                     raise BackendError(f"{self.name}: {error}")
             if attempt < self.retry.max_attempts:
                 logger.warning("%s attempt %d failed: %s", self.name, attempt, error)
@@ -532,6 +584,80 @@ class JsonEndpoint:
                 delay *= 2
         raise BackendError(f"{self.name}: request failed after "
                            f"{self.retry.max_attempts} attempts: {error}")
+
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """(status, body) of the answer to one POST of `body`. A server that
+        closes an idle connection has not read a request sent on it, so when
+        an idle one fails that way, the request is sent once more on a new
+        connection."""
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                break
+            if _readable(conn.sock):  # closed by the server
+                conn.close()
+                continue
+            try:
+                return self._round_trip(conn, body)
+            except ConnectionError:
+                break
+        conn = self._connection()
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return self._round_trip(conn, body)
+
+    def _round_trip(self, conn, body: bytes) -> tuple[int, bytes]:
+        """(status, body) of the answer to `body` on `conn`, which then goes
+        back to the idle connections unless it closes."""
+        try:
+            conn.request("POST", self._target, body, self.headers)
+            response = conn.getresponse()
+            answer = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            keep = not response.will_close and len(self._idle) < self.width
+            if keep:
+                self._idle.append(conn)
+        if not keep:
+            conn.close()
+        return response.status, answer
+
+
+def _http_url(name: str, what: str, url: str, schemes=("http", "https")):
+    """`url` split, when it is a URL of one of `schemes` with a host and a
+    valid port."""
+    from urllib.parse import urlsplit
+
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number in range
+    except ValueError as exc:
+        raise BackendError(f"{name}: bad {what} URL {url!r}: {exc}") from exc
+    if parts.scheme not in schemes or not parts.hostname:
+        raise BackendError(f"{name}: {what} {url!r} is not a {'/'.join(schemes)} URL")
+    return parts
+
+
+def _readable(sock) -> bool:
+    """Whether `sock` has something to read (or has been closed by its peer)."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _close_all(connections: list, lock: threading.Lock) -> None:
+    """Close and forget every connection of `connections`, which `lock` guards."""
+    with lock:
+        closing, connections[:] = connections[:], []
+    for conn in closing:
+        conn.close()
 
 
 def _numbers(values) -> list[float]:
@@ -664,11 +790,10 @@ class Backend:
         self.config = config
         self.cache = cache
         self.protocol = PROTOCOLS[config.kind, config.protocol]
-        if self.protocol.call is None:
+        if not config.in_process:
             self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
                                      config.credential_env, config.retry,
                                      width=config.parallelism)
-            self.session = self.http.session
             self.width = config.parallelism
 
     def __reduce__(self):

@@ -120,8 +120,9 @@ def perturb_cmd(plan_path, in_path, out_path, frequency_table):
 def _load_backend(path, backend_id, kind, cache_dir):
     """(backend, map): the first `kind` block of a backends file (or the one
     named backend_id), built over a response cache in cache_dir if given,
-    and the map of cpu_map, opened before the cache. Both are closed when
-    the block ends."""
+    and the map of cpu_map, opened before the cache, when the backend
+    answers in-process (the builtin map when it makes HTTP requests). Both
+    are closed when the block ends."""
     doc = read_json(path, ConfigError, "backends file")
     blocks = doc.get("backends", [doc]) if isinstance(doc, dict) else doc
     if not isinstance(blocks, list) or not all(isinstance(raw, dict) for raw in blocks):
@@ -129,7 +130,7 @@ def _load_backend(path, backend_id, kind, cache_dir):
     for raw in blocks:
         if raw.get("kind") == kind and backend_id in (None, raw.get("id")):
             config = backend_from_dict(raw)
-            with cpu_map() as map_fn, \
+            with cpu_map() if config.in_process else nullcontext(map) as map_fn, \
                     ResponseCache(cache_dir) if cache_dir else nullcontext() as cache:
                 yield build_backend(config, cache), map_fn
             return

@@ -17,12 +17,14 @@ flight. The first failure sets the run's stop signal, so the other stage
 makes no further request, and is raised. Results join in one order,
 retrieval first, so the artifacts do not depend on which stage ends first.
 
-A run opens one process pool, backends.cpu_map, before its response cache:
-the answers of in-process backends (mock embeddings and completions, with
-their cache encoding) and the text scans of the measures are spread over
-its workers, one per CPU the run may use. Nothing sets that width; with one
-CPU, or without `fork`, the same code runs through the builtin map. The pool
-and the stop signal reach each stage as arguments.
+A run with a backend that answers in-process opens one process pool,
+backends.cpu_map, before its response cache: the answers of in-process
+backends (mock embeddings and completions, with their cache encoding) and
+the text scans of the measures are spread over its workers, one per CPU the
+run may use. Nothing sets that width; with one CPU, or without `fork`, the
+same code runs through the builtin map, and so does a run whose backends
+all make HTTP requests, which opens no pool. The map and the stop signal
+reach each stage as arguments.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import logging
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -527,7 +530,9 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     """Execute the full audit and write every artifact under config.out_dir."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with cpu_map() as map_fn, ResponseCache(out_dir / "cache") as cache:
+    in_process = any(b.in_process for b in config.backends)
+    with cpu_map() if in_process else nullcontext(map) as map_fn, \
+            ResponseCache(out_dir / "cache") as cache:
         return _audit(config, out_dir, cache, svg, map_fn)
 
 

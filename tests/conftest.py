@@ -84,13 +84,23 @@ class LoopbackService:
     `refuse` are answered with 400, paths listed in `unavailable` with 503,
     and paths listed in `fail_first` answer 503 to the first request of each
     distinct body.
+
+    `script` maps a path to the answers its next requests get, one per
+    request, before any derived answer: a (status, body) pair, whose body is
+    sent as JSON or, when it is bytes, as is, or DROP, which closes the
+    connection without an answer. `received` records each request (method,
+    target, headers, body and client port); a CONNECT request is recorded
+    and refused with 502. With `hang_up` set, each connection is closed
+    after its answer without saying so. Given `tls`, an ssl.SSLContext, the
+    service speaks https.
     """
 
     VOCAB = ("the candidate shows strong steady experience with reliable "
              "delivery clear communication and careful planning across "
              "demanding projects").split()
+    DROP = "drop"
 
-    def __init__(self, delay: float = 0.002):
+    def __init__(self, delay: float = 0.002, tls=None):
         import threading
         from http.server import ThreadingHTTPServer
 
@@ -98,11 +108,15 @@ class LoopbackService:
         self.refuse: set[str] = set()
         self.unavailable: set[str] = set()
         self.fail_first: set[str] = set()
+        self.hang_up = False
         self.lock = threading.Lock()
         self.reset()
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
         self.server.daemon_threads = True
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        if tls is not None:
+            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
+        scheme = "http" if tls is None else "https"
+        self.url = f"{scheme}://127.0.0.1:{self.server.server_address[1]}"
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -113,6 +127,13 @@ class LoopbackService:
             self.inflight: dict[str, int] = {}
             self.inflight_max: dict[str, int] = {}  # per path, and "*" for all
             self.failed: set[tuple[str, bytes]] = set()  # (path, body) answered 503
+            self.script: dict[str, list] = {}
+            self.received: list[dict] = []
+
+    def ports(self) -> set[int]:
+        """The client ports of the requests received: one per connection."""
+        with self.lock:
+            return {request["port"] for request in self.received}
 
     def close(self) -> None:
         self.server.shutdown()
@@ -138,6 +159,7 @@ class LoopbackService:
         import json
         import time
         from http.server import BaseHTTPRequestHandler
+        from urllib.parse import urlsplit
 
         service = self
 
@@ -148,39 +170,67 @@ class LoopbackService:
             def log_message(self, format, *args):  # noqa: A002 - stdlib signature
                 pass
 
+            def _record(self, raw: bytes) -> None:
+                service.received.append({
+                    "method": self.command, "target": self.path,
+                    "headers": dict(self.headers), "body": raw,
+                    "port": self.client_address[1]})
+
+            def _send(self, status: int, payload: bytes) -> None:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+                self.close_connection = self.close_connection or service.hang_up
+
+            def do_CONNECT(self):
+                with service.lock:
+                    self._record(b"")
+                self._send(502, b"")
+
             def do_POST(self):
                 raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                path = urlsplit(self.path).path
+                with service.lock:
+                    self._record(raw)
+                    service.requests[path] = service.requests.get(path, 0) + 1
+                    scripted = service.script.get(path)
+                    scripted = scripted.pop(0) if scripted else None
+                if scripted == service.DROP:
+                    self.close_connection = True
+                    return
+                if scripted is not None:
+                    status, doc = scripted
+                    self._send(status, doc if isinstance(doc, bytes)
+                               else json.dumps(doc).encode("utf-8"))
+                    return
                 body = json.loads(raw)
                 with service.lock:
-                    service.requests[self.path] = service.requests.get(self.path, 0) + 1
-                    transient = (self.path in service.fail_first
-                                 and (self.path, raw) not in service.failed)
+                    transient = (path in service.fail_first
+                                 and (path, raw) not in service.failed)
                     if transient:
-                        service.failed.add((self.path, raw))
-                    if self.path == "/regard":
+                        service.failed.add((path, raw))
+                    if path == "/regard":
                         text = body["text"]
                         service.regard_texts[text] = service.regard_texts.get(text, 0) + 1
-                    for name in (self.path, "*"):
+                    for name in (path, "*"):
                         service.inflight[name] = service.inflight.get(name, 0) + 1
                         service.inflight_max[name] = max(
                             service.inflight_max.get(name, 0), service.inflight[name])
                 try:
                     time.sleep(service.delay)
-                    doc = service.answer(self.path, body, hashlib.sha256(raw).digest())
+                    doc = service.answer(path, body, hashlib.sha256(raw).digest())
                 finally:
                     # out of flight before the client can see the answer
                     with service.lock:
-                        for name in (self.path, "*"):
+                        for name in (path, "*"):
                             service.inflight[name] -= 1
-                status = 400 if doc is None or self.path in service.refuse else 200
-                if transient or self.path in service.unavailable:
+                status = 400 if doc is None or path in service.refuse else 200
+                if transient or path in service.unavailable:
                     status = 503
                 payload = json.dumps(doc if status == 200 else {"error": "refused"})
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload.encode("utf-8"))
+                self._send(status, payload.encode("utf-8"))
 
         return Handler
 
@@ -190,5 +240,30 @@ def loopback():
     service = LoopbackService()
     try:
         yield service
+    finally:
+        service.close()
+
+
+@pytest.fixture
+def https_loopback(tmp_path):
+    """(service, certificate file): a LoopbackService over https whose
+    self-signed certificate names 127.0.0.1; skipped without `openssl`."""
+    import shutil
+    import ssl
+    import subprocess
+
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("needs the openssl command")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run([openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+                    "-keyout", str(key), "-out", str(cert), "-subj", "/CN=127.0.0.1",
+                    "-addext", "subjectAltName=IP:127.0.0.1"],
+                   check=True, capture_output=True, timeout=60)
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    service = LoopbackService(tls=tls)
+    try:
+        yield service, cert
     finally:
         service.close()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 import math
 import multiprocessing
@@ -570,189 +571,150 @@ def test_single_calls_are_batches_of_one(monkeypatch):
 # HTTP adapters
 # ---------------------------------------------------------------------------
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = str(payload)
-
-    def json(self):
-        return self._payload
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            import requests
-
-            raise requests.HTTPError(f"{self.status_code}")
-
-
-def http_config(protocol, kind, monkeypatch):
+def http_config(protocol, kind, monkeypatch, loopback, **fields):
+    """A backend of `protocol` posting to the loopback service's /v1, whose
+    answers a test scripts."""
     monkeypatch.setenv("FAKE_KEY", "secret")
     return BackendConfig(
         id="live", kind=kind, protocol=protocol, model_name="model-x",
-        endpoint="https://example.invalid/v1", credential_env="FAKE_KEY",
-        parallelism=1,
+        endpoint=f"{loopback.url}/v1", credential_env="FAKE_KEY",
+        parallelism=1, **fields,
     )
 
 
-def test_openai_style_embedding_parses(monkeypatch):
-    config = http_config("openai-compatible", "embedding", monkeypatch)
-    backend = build_backend(config)
-    sent = {}
+def loop_config(loopback, parallelism=1, **fields):
+    """An embedding backend of the loopback service's derived answers."""
+    return BackendConfig(id="loop", kind="embedding", protocol="openai-compatible",
+                         model_name="loop-embed", endpoint=f"{loopback.url}/v1/embeddings",
+                         parallelism=parallelism, **fields)
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        sent.update(url=url, json=json, headers=headers)
-        return FakeResponse(payload={"data": [{"embedding": [0.1, 0.2]}]})
 
-    monkeypatch.setattr(backend.session, "post", fake_post)
+def sent_bodies(loopback) -> list:
+    return [json.loads(request["body"]) for request in loopback.received]
+
+
+def test_openai_style_embedding_parses(monkeypatch, loopback):
+    backend = build_backend(http_config("openai-compatible", "embedding", monkeypatch,
+                                        loopback))
+    loopback.script["/v1"] = [(200, {"data": [{"embedding": [0.1, 0.2]}]})]
     (vec,) = backend.embed_batch(["hello"])
     assert np.array_equal(vec, [0.1, 0.2])
-    assert sent["json"] == {"model": "model-x", "input": ["hello"]}
-    assert sent["headers"]["Authorization"] == "Bearer secret"
+    assert sent_bodies(loopback) == [{"model": "model-x", "input": ["hello"]}]
+    assert loopback.received[0]["headers"]["Authorization"] == "Bearer secret"
 
 
-def test_cohere_style_embedding_parses(monkeypatch):
-    config = http_config("cohere-compatible", "embedding", monkeypatch)
-    backend = build_backend(config)
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        assert json["texts"] == ["hello"]
-        assert json["input_type"] == "search_document"
-        return FakeResponse(payload={"embeddings": [[0.5, 0.5]]})
-
-    monkeypatch.setattr(backend.session, "post", fake_post)
+def test_cohere_style_embedding_parses(monkeypatch, loopback):
+    backend = build_backend(http_config("cohere-compatible", "embedding", monkeypatch,
+                                        loopback))
+    loopback.script["/v1"] = [(200, {"embeddings": [[0.5, 0.5]]})]
     assert np.array_equal(backend.embed_batch(["hello"])[0], [0.5, 0.5])
+    (sent,) = sent_bodies(loopback)
+    assert sent["texts"] == ["hello"]
+    assert sent["input_type"] == "search_document"
 
 
-def test_completion_chat_schema(monkeypatch):
-    config = http_config("mistral-compatible", "completion", monkeypatch)
-    backend = build_backend(config)
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        assert json["messages"] == [{"role": "user", "content": "prompt here"}]
-        assert json["temperature"] == 0.3
-        return FakeResponse(payload={"choices": [{"message": {"content": "a summary"}}]})
-
-    monkeypatch.setattr(backend.session, "post", fake_post)
+def test_completion_chat_schema(monkeypatch, loopback):
+    backend = build_backend(http_config("mistral-compatible", "completion", monkeypatch,
+                                        loopback))
+    loopback.script["/v1"] = [(200, {"choices": [{"message": {"content": "a summary"}}]})]
     assert backend.complete_text("prompt here", temperature=0.3) == "a summary"
+    (sent,) = sent_bodies(loopback)
+    assert sent["messages"] == [{"role": "user", "content": "prompt here"}]
+    assert sent["temperature"] == 0.3
 
 
-def test_retry_then_success(monkeypatch):
-    config = BackendConfig(
-        id="flaky", kind="embedding", protocol="openai-compatible",
-        model_name="m", endpoint="https://example.invalid", parallelism=1,
-        retry=__import__("hirefair.backends", fromlist=["RetryPolicy"]).RetryPolicy(
-            max_attempts=3, base_delay_ms=1),
-    )
-    backend = build_backend(config)
-    calls = {"n": 0}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls["n"] += 1
-        if calls["n"] < 3:
-            return FakeResponse(status_code=500, payload={"err": "boom"})
-        return FakeResponse(payload={"data": [{"embedding": [1.0]}]})
-
-    monkeypatch.setattr(backend.session, "post", fake_post)
+def test_retry_then_success(monkeypatch, loopback):
+    backend = build_backend(http_config("openai-compatible", "embedding", monkeypatch,
+                                        loopback, retry=RetryPolicy(max_attempts=3,
+                                                                    base_delay_ms=1)))
+    loopback.script["/v1"] = [(500, {"err": "boom"}), (500, {"err": "boom"}),
+                              (200, {"data": [{"embedding": [1.0]}]})]
     assert np.array_equal(backend.embed_batch(["x"])[0], [1.0])
-    assert calls["n"] == 3
+    assert loopback.requests == {"/v1": 3}
 
 
-def test_retries_bounded(monkeypatch):
-    from hirefair.backends import RetryPolicy
-
-    config = BackendConfig(
-        id="dead", kind="embedding", protocol="openai-compatible",
-        model_name="m", endpoint="https://example.invalid", parallelism=1,
-        retry=RetryPolicy(max_attempts=2, base_delay_ms=1),
-    )
-    backend = build_backend(config)
-    calls = {"n": 0}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls["n"] += 1
-        return FakeResponse(status_code=503, payload={})
-
-    monkeypatch.setattr(backend.session, "post", fake_post)
+def test_retries_bounded(monkeypatch, loopback):
+    backend = build_backend(http_config("openai-compatible", "embedding", monkeypatch,
+                                        loopback, retry=RetryPolicy(max_attempts=2,
+                                                                    base_delay_ms=1)))
+    loopback.script["/v1"] = [(503, {}), (503, {}), (503, {})]
     with pytest.raises(BackendError, match="after 2 attempts"):
         backend.embed_batch(["x"])
-    assert calls["n"] == 2
+    assert loopback.requests == {"/v1": 2}
 
 
-def test_http_pool_holds_every_request_in_flight(loopback, caplog):
-    """The session pools `parallelism` connections, so a batch wider than
-    urllib3's default pool of 10 throws none away."""
+def test_http_pool_holds_every_request_in_flight(loopback):
+    """A batch keeps up to `parallelism` requests in flight, more than a
+    pool of 10 would, over at most that many connections."""
     loopback.delay = 0.02
-    config = BackendConfig(id="wide", kind="embedding", protocol="openai-compatible",
-                           model_name="loop-embed", endpoint=f"{loopback.url}/v1/embeddings",
-                           parallelism=16)
-    with caplog.at_level(logging.WARNING, logger="urllib3"):
-        vectors = build_backend(config).embed_batch([f"text {i}" for i in range(200)])
+    vectors = build_backend(loop_config(loopback, 16)).embed_batch(
+        [f"text {i}" for i in range(200)])
     assert len(vectors) == 200
     assert loopback.inflight_max["*"] > 10
-    assert "Connection pool is full" not in caplog.text
+    assert len(loopback.ports()) <= 16
 
 
-@pytest.mark.parametrize("status", [400, 401])
-def test_client_errors_fail_without_retry(monkeypatch, status):
-    config = http_config("openai-compatible", "embedding", monkeypatch)
-    backend = build_backend(config)
-    calls = {"n": 0}
+def test_a_batch_reuses_its_connections(loopback):
+    """Requests take turns on keep-alive connections: a batch at parallelism
+    2 opens at most two, however many texts it posts."""
+    vectors = build_backend(loop_config(loopback, 2)).embed_batch(
+        [f"text {i}" for i in range(50)])
+    assert len(vectors) == 50
+    assert loopback.requests == {"/v1/embeddings": 50}
+    assert 1 <= len(loopback.ports()) <= 2
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls["n"] += 1
-        return FakeResponse(status_code=status, payload={"error": "denied"})
 
-    monkeypatch.setattr(backend.session, "post", fake_post)
+def test_a_server_that_hangs_up_gets_each_request_once(loopback, caplog):
+    """A server that closes each connection after its answer, without
+    saying so, gets one request per body and causes no retry."""
+    loopback.hang_up = True
+    texts = [f"text {i}" for i in range(30)]
+    with caplog.at_level(logging.WARNING, logger="hirefair.backends"):
+        vectors = build_backend(loop_config(loopback, 2)).embed_batch(texts)
+    assert len(vectors) == 30
+    assert sorted(body["input"][0] for body in sent_bodies(loopback)) == sorted(texts)
+    assert len(loopback.ports()) == 30  # one request per connection
+    assert caplog.text == ""
+
+
+@pytest.mark.parametrize("status", [301, 400, 401])
+def test_client_errors_fail_without_retry(monkeypatch, loopback, status):
+    """Any 4xx but 429 fails at once, and so does a redirect, which is not
+    followed."""
+    backend = build_backend(http_config("openai-compatible", "embedding", monkeypatch,
+                                        loopback))
+    loopback.script["/v1"] = [(status, {"error": "denied"})] * 2
     with pytest.raises(BackendError, match=f"HTTP {status}"):
         backend.embed_batch(["x"])
-    assert calls["n"] == 1
+    assert loopback.requests == {"/v1": 1}
 
 
-def test_connection_errors_and_429_are_retried(monkeypatch):
-    import requests
-
-    from hirefair.backends import RetryPolicy
-
-    config = BackendConfig(
-        id="flaky", kind="embedding", protocol="openai-compatible",
-        model_name="m", endpoint="https://example.invalid", parallelism=1,
-        retry=RetryPolicy(max_attempts=3, base_delay_ms=1),
-    )
-    backend = build_backend(config)
-    answers = [requests.ConnectionError("refused"), FakeResponse(status_code=429),
-               FakeResponse(payload={"data": [{"embedding": [2.0]}]})]
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        answer = answers.pop(0)
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
-
-    monkeypatch.setattr(backend.session, "post", fake_post)
+def test_connection_errors_and_429_are_retried(monkeypatch, loopback):
+    backend = build_backend(http_config("openai-compatible", "embedding", monkeypatch,
+                                        loopback, retry=RetryPolicy(max_attempts=3,
+                                                                    base_delay_ms=1)))
+    loopback.script["/v1"] = [loopback.DROP, (429, {}),
+                              (200, {"data": [{"embedding": [2.0]}]})]
     assert np.array_equal(backend.embed_batch(["x"])[0], [2.0])
-    assert answers == []
-
-
-class NotJsonResponse(FakeResponse):
-    def json(self):
-        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+    assert loopback.script["/v1"] == []
+    assert loopback.requests == {"/v1": 3}
 
 
 #: Answers with status 200 that the schema adapters cannot read.
 MALFORMED_BODIES = [
-    ("embedding", FakeResponse(payload={"data": []})),
-    ("embedding", FakeResponse(payload={"data": [{"embedding": "abc"}]})),
-    ("embedding", NotJsonResponse()),
-    ("completion", FakeResponse(payload={"id": "chat-1"})),
+    ("embedding", (200, {"data": []})),
+    ("embedding", (200, {"data": [{"embedding": "abc"}]})),
+    ("embedding", (200, b"not json")),
+    ("completion", (200, {"id": "chat-1"})),
 ]
 
 
 @pytest.mark.parametrize("kind,response", MALFORMED_BODIES)
-def test_malformed_body_is_backend_error(monkeypatch, tmp_path, kind, response):
+def test_malformed_body_is_backend_error(monkeypatch, loopback, tmp_path, kind, response):
     cache = ResponseCache(tmp_path)
-    backend = build_backend(http_config("openai-compatible", kind, monkeypatch), cache)
-    monkeypatch.setattr(backend.session, "post", lambda *a, **k: response)
+    backend = build_backend(http_config("openai-compatible", kind, monkeypatch, loopback),
+                            cache)
+    loopback.script["/v1"] = [response]
     with pytest.raises(BackendError, match="unreadable response"):
         if kind == "embedding":
             backend.embed_batch(["x"])
@@ -772,16 +734,86 @@ def test_missing_credential_fails_fast(monkeypatch):
         build_backend(config)
 
 
-def test_endpoint_reads_the_proxy_environment_once(monkeypatch):
-    for name in ("https_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("HTTPS_PROXY", "http://proxy.invalid:3128")
-    endpoint = JsonEndpoint("e", "https://example.invalid", "", RetryPolicy())
-    assert endpoint.session.proxies["https"] == "http://proxy.invalid:3128"
-    monkeypatch.setenv("HTTPS_PROXY", "http://other.invalid:3128")
-    settings = endpoint.session.merge_environment_settings(
-        endpoint.url, {}, None, None, None)
-    assert settings["proxies"]["https"] == "http://proxy.invalid:3128"
+def proxy_env(monkeypatch, **values):
+    """Set the proxy variables named in `values` (in lower case), in both
+    cases, and unset the others."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        for variable in (name, name.upper()):
+            if name in values:
+                monkeypatch.setenv(variable, values[name])
+            else:
+                monkeypatch.delenv(variable, raising=False)
+
+
+def test_endpoint_reads_the_proxy_environment_once(monkeypatch, loopback):
+    """An endpoint keeps the proxy of the environment it was built in; an
+    https URL goes through it by CONNECT."""
+    proxy_env(monkeypatch, https_proxy=loopback.url)
+    endpoint = JsonEndpoint("e", "https://backend.invalid/v1", "",
+                            RetryPolicy(max_attempts=1))
+    proxy_env(monkeypatch, https_proxy="http://other.invalid:3128")
+    with pytest.raises(BackendError, match="Tunnel connection failed: 502"):
+        endpoint.post({}, dict)
+    assert [(r["method"], r["target"]) for r in loopback.received] == [
+        ("CONNECT", "backend.invalid:443")]
+
+
+def test_an_http_proxy_is_sent_the_absolute_target(monkeypatch, loopback):
+    import base64
+
+    proxy_env(monkeypatch, http_proxy=loopback.url.replace("//", "//user:p%40ss@"))
+    (vec,) = build_backend(BackendConfig(
+        id="e", kind="embedding", protocol="openai-compatible", model_name="m",
+        endpoint="http://backend.invalid/v1/embeddings")).embed_batch(["hello"])
+    assert len(vec) == 16
+    (request,) = loopback.received
+    assert request["target"] == "http://backend.invalid/v1/embeddings"
+    assert request["headers"]["Host"] == "backend.invalid"
+    assert request["headers"]["Proxy-Authorization"] == (
+        "Basic " + base64.b64encode(b"user:p@ss").decode())
+
+
+def test_no_proxy_reaches_the_endpoint_directly(monkeypatch, loopback):
+    import socket
+
+    with socket.socket() as unused:  # bound, never listening: refused
+        unused.bind(("127.0.0.1", 0))
+        proxy_env(monkeypatch, http_proxy=f"http://127.0.0.1:{unused.getsockname()[1]}",
+                  no_proxy="127.0.0.1")
+        build_backend(loop_config(loopback, retry=RetryPolicy(max_attempts=1))).embed_batch(
+            ["hello"])
+    assert [r["target"] for r in loopback.received] == ["/v1/embeddings"]
+
+
+def test_an_https_endpoint_trusts_the_default_store(monkeypatch, https_loopback):
+    """TLS verifies the server against ssl.create_default_context(), whose
+    store SSL_CERT_FILE names: a server it does not trust is a backend
+    error, one it trusts answers over a kept connection."""
+    service, cert = https_loopback
+    proxy_env(monkeypatch)
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    config = BackendConfig(id="tls", kind="embedding", protocol="openai-compatible",
+                           model_name="m", endpoint=f"{service.url}/v1/embeddings",
+                           parallelism=1, retry=RetryPolicy(max_attempts=1))
+    with pytest.raises(BackendError, match="CERTIFICATE_VERIFY_FAILED"):
+        build_backend(config).embed_batch(["hello"])
+    assert service.requests == {}
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    assert len(build_backend(config).embed_batch(["hello", "again"])[1]) == 16
+    assert service.requests == {"/v1/embeddings": 2}
+    assert len(service.ports()) == 1
+
+
+def test_netrc_leaves_the_bearer_credential(monkeypatch, loopback, tmp_path):
+    """A netrc entry for the host does not replace the documented header."""
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password pw\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("FAKE_KEY", "secret")
+    proxy_env(monkeypatch)
+    build_backend(loop_config(loopback, credential_env="FAKE_KEY")).embed_batch(["hello"])
+    assert [r["headers"]["Authorization"] for r in loopback.received] == ["Bearer secret"]
 
 
 def test_http_protocol_requires_endpoint():
@@ -789,6 +821,20 @@ def test_http_protocol_requires_endpoint():
                            protocol="openai-compatible", model_name="m")
     with pytest.raises(BackendError, match="endpoint"):
         build_backend(config)
+
+
+@pytest.mark.parametrize("endpoint,proxy,message", [
+    ("example.invalid/v1", "", "endpoint 'example.invalid/v1' is not a http/https URL"),
+    ("ftp://example.invalid/v1", "", "is not a http/https URL"),
+    ("https://example.invalid:port/v1", "", "bad endpoint URL"),
+    ("https://example.invalid/v1", "socks5://proxy.invalid:1080", "proxy .* is not a http URL"),
+    ("https://example.invalid/v1", "https://proxy.invalid:3128", "proxy .* is not a http URL"),
+])
+def test_endpoint_and_proxy_urls_are_checked_when_built(monkeypatch, endpoint, proxy,
+                                                        message):
+    proxy_env(monkeypatch, https_proxy=proxy)
+    with pytest.raises(BackendError, match=message):
+        JsonEndpoint("e", endpoint, "", RetryPolicy())
 
 
 @pytest.mark.parametrize("kind", ["embedding", "completion", "oracle"])
@@ -834,21 +880,15 @@ def test_malformed_params_are_refused(protocol, params, message):
     assert message in str(info.value)
 
 
-def test_params_a_protocol_reads_take_effect(monkeypatch):
+def test_params_a_protocol_reads_take_effect(loopback):
     backend = build_backend(mock_config(dim=16))
     assert backend.embed_batch(["a b"])[0].shape == (16,)
     backend = build_backend(BackendConfig(
         id="live", kind="embedding", protocol="cohere-compatible",
-        endpoint="https://example.invalid", params={"input_type": "search_query"}))
-    sent = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        sent.update(json)
-        return FakeResponse(payload={"embeddings": [[1.0]]})
-
-    monkeypatch.setattr(backend.session, "post", fake_post)
+        endpoint=f"{loopback.url}/v1", params={"input_type": "search_query"}))
+    loopback.script["/v1"] = [(200, {"embeddings": [[1.0]]})]
     backend.embed_batch(["q"])
-    assert sent["input_type"] == "search_query"
+    assert sent_bodies(loopback)[0]["input_type"] == "search_query"
 
 
 def test_config_fields_take_their_json_type():

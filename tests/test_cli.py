@@ -710,20 +710,10 @@ def test_cli_run_fails_fast_without_credentials(tmp_path, fixtures_dir, monkeypa
     ("embedding", {"data": []}),
     ("completion", {"id": "chat-1"}),
 ])
-def test_cli_run_malformed_endpoint_exits_3(tmp_path, fixtures_dir, monkeypatch,
-                                            kind, body):
-    import requests
-
-    class Response:
-        status_code = 200
-        text = ""
-
-        def json(self):
-            return body
-
-    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **k: Response())
+def test_cli_run_malformed_endpoint_exits_3(tmp_path, fixtures_dir, loopback, kind, body):
+    loopback.script["/v1"] = [(200, body)] * 1000  # more than the run posts
     live = {"id": "live", "kind": kind, "protocol": "openai-compatible",
-            "model_name": "x", "endpoint": "https://example.invalid"}
+            "model_name": "x", "endpoint": f"{loopback.url}/v1"}
     backends = [MOCK_EMBED, live] if kind == "completion" else [live]
     config_path = write_config(tmp_path, fixtures_dir, backends=backends)
     result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
@@ -1475,6 +1465,23 @@ def test_a_failed_run_leaves_no_worker(tmp_path, fixtures_dir, loopback, monkeyp
     assert result.output.startswith("error: backend emb: request failed after 2 attempts")
     assert "Traceback" not in result.output
     assert multiprocessing.active_children() == []
+
+
+def test_an_http_run_starts_no_worker(tmp_path, fixtures_dir, loopback, monkeypatch):
+    """A run whose backends all make HTTP requests has no in-process answers
+    to spread, so it opens no pool, however many CPUs it may use."""
+    cpus(monkeypatch, 2)
+    children = []
+    answer = loopback.answer
+
+    def watched(*args):
+        children.append(len(multiprocessing.active_children()))
+        return answer(*args)
+
+    monkeypatch.setattr(loopback, "answer", watched)
+    run_audit(load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 2,
+                                          tmp_path / "out")))
+    assert children and set(children) == {0}
 
 
 def test_an_interrupted_run_leaves_no_worker(tmp_path, fixtures_dir, monkeypatch):
