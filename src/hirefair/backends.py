@@ -199,6 +199,7 @@ class ResponseCache:
     `with` block) flushes and leaves the single file behind.
     """
 
+    # perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -255,11 +256,6 @@ class ResponseCache:
             self.misses += len(keys) - len(found)
         return found
 
-    def get(self, key: str):
-        """The stored response for `key`, or None."""
-        blob = self.get_many([key]).get(key)
-        return None if blob is None else decode_response(blob)
-
     def put(self, key: str, blob: bytes) -> None:
         """Store `blob`, an encoded response (see encode_response), under
         `key`; it is written with the next full chunk or by flush()."""
@@ -281,7 +277,8 @@ _INSERT = "INSERT OR IGNORE INTO responses (key, response) VALUES (?, ?)"
 
 def _file_entries(root: Path):
     """(key, encoded response) of each readable `??/<key>.json` file of a
-    cache written one file per response."""
+    cache written one file per response, as before the sqlite file. Kept so
+    that archived audits of those versions still replay offline."""
     for path in sorted(root.glob("??/*.json")):
         try:
             yield path.stem, encode_response(json.loads(path.read_bytes())["response"])
@@ -393,17 +390,24 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     return [results[digest] for digest in digests]
 
 
+def _each(fn: Callable, items: list) -> list:
+    return [fn(item) for item in items]
+
+
 @contextmanager
 def cpu_map() -> Iterator[Callable]:
     """A map for the pure per-item work of one run or command, answered in
-    order: the imap of a pool of `fork` worker processes, one per CPU this
-    process may use, in tasks of MAP_CHUNK items; the builtin map with one
-    CPU or without `fork`. Nothing sets the width.
+    order: on a pool of `fork` worker processes, one per CPU this process
+    may use, in tasks of MAP_CHUNK items; the builtin map with one CPU or
+    without `fork`. Nothing sets the width.
 
     Each worker is a copy of this process as it was when the pool opened,
     so open it before the response cache and before any thread starts.
-    Workers ignore SIGINT, which the calling process handles; the pool is
-    terminated and joined when the block ends, however it ends.
+    Workers ignore SIGINT, which the calling process handles. The map
+    raises BackendError once a worker the pool opened with has ended (say,
+    killed), as the pool would never answer its task: it checks before each
+    task's answers and each second it waits. When the block ends, however
+    it ends, the workers are killed and the pool is terminated and joined.
     """
     width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if width < 2:
@@ -415,11 +419,38 @@ def cpu_map() -> Iterator[Callable]:
     if "fork" not in multiprocessing.get_all_start_methods():
         yield map
         return
+    before = set(multiprocessing.active_children())
     pool = multiprocessing.get_context("fork").Pool(
         width, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    workers = [p for p in multiprocessing.active_children() if p not in before]
+
+    def pooled(fn: Callable, items: Sequence) -> Iterator:
+        # one task per chunk, so that imap's next() takes a timeout
+        answers = pool.imap(partial(_each, fn), [
+            items[start:start + MAP_CHUNK] for start in range(0, len(items), MAP_CHUNK)])
+        while True:
+            ended = [p.exitcode for p in workers if p.exitcode is not None]
+            if ended:
+                raise BackendError(
+                    f"a worker process of the pool ended with exit code {ended[0]}")
+            try:
+                answered = answers.next(timeout=1.0)
+            except multiprocessing.TimeoutError:
+                continue
+            except StopIteration:
+                return
+            yield from answered
+
     try:
-        yield partial(pool.imap, chunksize=MAP_CHUNK)
+        yield pooled
     finally:
+        # an ended worker may hold a lock of the pool's queues, which terminate()
+        # would wait for forever; once every worker is killed, they are released
+        for child in set(multiprocessing.active_children()) - before:
+            child.kill()
+        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
+            lock.acquire(False)
+            lock.release()
         pool.terminate()
         pool.join()
 
@@ -878,16 +909,10 @@ class CompletionBackend(Backend):
         return self._batch(requests, [request.prompt for request in requests], payloads,
                            self._text, map_fn=map_fn, stop=stop)
 
+    # perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
     def complete(self, request: CompletionRequest) -> str:
         """Run one completion: a batch of one."""
         return self.complete_batch([request])[0]
-
-    def complete_text(self, prompt: str, temperature: float = 0.0,
-                      run_index: int = 1, max_words_hint: int = 0) -> str:
-        return self.complete(CompletionRequest(
-            prompt=prompt, temperature=temperature, run_index=run_index,
-            max_words_hint=max_words_hint,
-        ))
 
 
 class RegardClient(Backend):
@@ -915,10 +940,12 @@ class RegardClient(Backend):
                            self.config.id, len(errors), len(texts), errors[0])
         return [None if isinstance(r, Exception) else r for r in results]
 
+    # perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
     def score(self, text: str) -> dict[str, float] | None:
         return self.score_batch([text])[0]
 
 
+# perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
 def build_backend(config: BackendConfig, cache: ResponseCache | None = None) -> Backend:
     """Construct a backend from config, failing fast on missing credentials."""
     kind = EmbeddingBackend if config.kind == "embedding" else CompletionBackend

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from hirefair.backends import CompletionRequest
 from hirefair.corpus import (
     GROUP_CODES,
     DemographicGroup,
@@ -332,31 +333,31 @@ def spacing_perturb(resume: Resume, mode: str = "collapse",
     return resume.with_body(body, lineage_entry=lineage_entry(spec_id, mode=mode))
 
 
-def add_extracurriculars(resume: Resume, backend,
+def add_extracurriculars(resumes: Sequence[Resume], backend,
                          audit_log: list | None = None,
-                         spec_id: str = "extracurricular") -> Resume:
-    """Append identity-conditioned extracurricular sections from a completion
-    backend. The raw prompt and completion are recorded in ``audit_log``."""
-    if resume.group is None:
-        raise PerturbError(
-            f"resume {resume.id}: extracurricular augmentation needs a group label"
-        )
-    prompt = AUGMENTATION_PROMPT.format(
-        race=resume.group.race, gender=resume.group.gender, resume=resume.body,
-    )
-    completion = backend.complete_text(prompt)
-    if not completion or not completion.strip():
-        raise PerturbError(f"resume {resume.id}: backend returned empty completion")
-    if audit_log is not None:
-        audit_log.append({
-            "resume_id": resume.id,
-            "spec_id": spec_id,
-            "group": resume.group.code,
-            "prompt": prompt,
-            "completion": completion,
-        })
-    body = resume.body.rstrip("\n") + "\n\n" + completion.strip() + "\n"
-    return resume.with_body(body, lineage_entry=lineage_entry(spec_id, group=resume.group.code))
+                         spec_id: str = "extracurricular") -> list[Resume]:
+    """Append identity-conditioned extracurricular sections to each resume,
+    written by a completion backend in one batch once every resume's group
+    label was checked. Each raw prompt and completion is recorded in
+    ``audit_log``, in order."""
+    unnamed = [resume.id for resume in resumes if resume.group is None]
+    if unnamed:
+        raise PerturbError(f"resume {unnamed[0]}: extracurricular augmentation needs a group label")
+    prompts = [AUGMENTATION_PROMPT.format(race=r.group.race, gender=r.group.gender,
+                                          resume=r.body) for r in resumes]
+    completions = backend.complete_batch([CompletionRequest(prompt=p) for p in prompts])
+    out = []
+    for resume, prompt, completion in zip(resumes, prompts, completions):
+        if not completion or not completion.strip():
+            raise PerturbError(f"resume {resume.id}: backend returned empty completion")
+        if audit_log is not None:
+            audit_log.append({"resume_id": resume.id, "spec_id": spec_id,
+                              "group": resume.group.code, "prompt": prompt,
+                              "completion": completion})
+        body = resume.body.rstrip("\n") + "\n\n" + completion.strip() + "\n"
+        out.append(resume.with_body(
+            body, lineage_entry=lineage_entry(spec_id, group=resume.group.code)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +393,33 @@ def apply_spec(resume: Resume, spec: PerturbationSpec,
     if kind == "spacing":
         return spacing_perturb(resume, mode=params.get("mode", "collapse"),
                                spec_id=spec.id)
-    # extracurricular, the one kind that calls a backend
-    if backend is None:
-        raise PerturbError(f"spec {spec.id!r}: extracurricular augmentation needs "
-                           "a completion backend")
-    if resume.source != "generated" and not params.get("all_sources", False):
-        logger.debug("spec %s skips resume %s (source %s)", spec.id, resume.id, resume.source)
-        return resume
-    return add_extracurriculars(resume, backend, audit_log=audit_log, spec_id=spec.id)
+    return apply_plan([resume], [spec], backend=backend, audit_log=audit_log)[0]
 
 
 def apply_plan(resumes: Sequence[Resume], specs: Sequence[PerturbationSpec],
                pools: Mapping[str, NamePool] | None = None,
                backend=None, audit_log: list | None = None) -> list[Resume]:
-    """Apply an ordered list of specs to every resume."""
+    """Apply an ordered list of specs to every resume. Resumes are
+    independent, so each spec is applied in turn to the whole list. An
+    extracurricular spec augments the resumes it targets (generated ones, or
+    all with `all_sources`) with one complete_batch call, with up to the
+    backend's `parallelism` requests in flight, and appends their
+    ``audit_log`` rows in resume order."""
     shared_names = overlapping_names(pools) if pools is not None else None
-    out = []
-    for resume in resumes:
-        for spec in specs:
-            resume = apply_spec(resume, spec, pools=pools, backend=backend,
-                                audit_log=audit_log, shared_names=shared_names)
-        out.append(resume)
+    out = list(resumes)
+    for spec in specs:
+        if spec.kind != "extracurricular":
+            out = [apply_spec(resume, spec, pools, shared_names=shared_names)
+                   for resume in out]
+            continue
+        if backend is None:
+            raise PerturbError(f"spec {spec.id!r}: extracurricular augmentation needs "
+                               "a completion backend")
+        targets = [i for i, resume in enumerate(out)
+                   if resume.source == "generated" or spec.params.get("all_sources", False)]
+        for i, resume in zip(targets, add_extracurriculars(
+                [out[i] for i in targets], backend, audit_log, spec.id)):
+            out[i] = resume
     return out
 
 

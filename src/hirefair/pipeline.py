@@ -64,7 +64,7 @@ from hirefair.corpus import (
     validate_corpus,
 )
 from hirefair.perturb import PerturbationSpec
-# _write_jsonl is the module-level name perfbench/traced_audit.py wraps
+# perfbench/traced_audit.py wraps _write_jsonl until ROADMAP item 1's benchmark change
 from hirefair.records import to_row, write_jsonl as _write_jsonl
 from hirefair.report import (
     LedgerEntry,
@@ -115,9 +115,6 @@ class VariantSet:
 
     draw: int
     resumes: dict[str, dict[str, Resume]]  # variant_id -> resume_id -> Resume
-
-    def variant_ids(self) -> list[str]:
-        return sorted(self.resumes)
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def score_variants(backend, jobs: list[JobPost], variants: VariantSet,
     `map_fn` and `stop` go to the backend's batches."""
     keys: list[tuple[str, str]] = []
     texts: list[str] = []
-    for vid in variants.variant_ids():
+    for vid in sorted(variants.resumes):
         for rid in sorted(variants.resumes[vid]):
             keys.append((vid, rid))
             texts.append(variants.resumes[vid][rid].body)
@@ -623,18 +620,11 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool,
     ledger_path = out_dir / "ledger.jsonl"
     write_ledger(entries, ledger_path)
     files.append(ledger_path)
-    if nonuniformity_log:
-        path = out_dir / "nonuniformity_tests.jsonl"
-        _write_jsonl(nonuniformity_log, path)
-        files.append(path)
-    if test_log:
-        path = out_dir / "t_tests.jsonl"
-        _write_jsonl(test_log, path)
-        files.append(path)
-    if extra_audit:
-        path = out_dir / "augmentation_audit.jsonl"
-        _write_jsonl(extra_audit, path)
-        files.append(path)
+    for name, rows in (("nonuniformity_tests", nonuniformity_log), ("t_tests", test_log),
+                       ("augmentation_audit", extra_audit)):
+        if rows:
+            files.append(out_dir / f"{name}.jsonl")
+            _write_jsonl(rows, files[-1])
 
     report = aggregate(entries, run_id, manifest=manifest_core)
     files.extend(emit(report, out_dir, svg=svg))

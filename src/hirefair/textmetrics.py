@@ -325,11 +325,6 @@ def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = Non
             for measures, regard in zip(measured, regards)]
 
 
-def measure_text(text: str, regard_client: RegardClient | None = None) -> MeasureVector:
-    """Compute all five measures; regard is absent without a configured client."""
-    return measure_texts([text], regard_client)[0]
-
-
 def read_summaries(path) -> list[SummaryRecord]:
     """Summary records from a JSONL file of their rows; a row that is not a
     summary is a TextMetricsError."""

@@ -25,6 +25,14 @@ def no_worker_left():
     assert not leaked, f"worker processes left running: {leaked}"
 
 
+def cached_response(cache, key: str):
+    """The response `cache` stores under `key`, a cache_key digest, or None."""
+    from hirefair.backends import decode_response
+
+    blob = cache.get_many([key]).get(key)
+    return None if blob is None else decode_response(blob)
+
+
 @pytest.fixture(scope="session")
 def pools():
     return load_name_pools()

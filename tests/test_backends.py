@@ -38,6 +38,8 @@ from hirefair.backends import (
 )
 from hirefair.retrieval import cosine
 
+from conftest import cached_response
+
 
 def mock_config(backend_id="m", kind="embedding", protocol="mock", **params):
     return BackendConfig(id=backend_id, kind=kind, protocol=protocol,
@@ -342,7 +344,7 @@ def test_cached_calls_make_no_request_once_stopped(tmp_path, width):
                      on_error=lambda exc: pytest.fail(f"on_error saw {exc!r}"), stop=stop)
     assert 3 in fetched and len(fetched) < len(keys)
     # responses that validated before the stop stay cached
-    assert all(cache.get(cache_key(*keys[i])) == f"response {i}" for i in fetched)
+    assert all(cached_response(cache, cache_key(*keys[i])) == f"response {i}" for i in fetched)
     assert cached_calls(cache, keys[:1], lambda i: pytest.fail("fetched a hit"), str,
                         stop=stop) == ["response 0"]
 
@@ -361,14 +363,14 @@ def test_cached_calls_never_cache_an_invalid_response(tmp_path):
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="invalid"):
         cached_calls(cache, keys, fetch, validate, width=4)
-    stored = [cache.get(cache_key(*key)) for key in keys]
+    stored = [cached_response(cache, cache_key(*key)) for key in keys]
     assert len(cache) > 0 and "bad" not in stored
 
     # with on_error the failed request's result is absent, the rest is stored
     results = cached_calls(cache, keys, fetch, validate, width=4,
                            on_error=lambda exc: None)
     assert results == [None if i == 5 else f"good {i}" for i in range(12)]
-    assert cache.get(cache_key(*keys[5])) is None
+    assert cached_response(cache, cache_key(*keys[5])) is None
     assert len(cache) == 11
 
 
@@ -390,7 +392,7 @@ def test_a_failed_batch_keeps_its_validated_responses(tmp_path, width):
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="refused"):
         cached_calls(cache, keys, fetch, str, width=width)
-    stored = {i for i in range(n) if cache.get(cache_key(*keys[i])) is not None}
+    stored = {i for i in range(n) if cached_response(cache, cache_key(*keys[i])) is not None}
     # queued calls start in order, so every request before k was fetched
     assert stored == set(fetched) - {k} >= set(range(k))
     assert len(cache) == len(stored)
@@ -444,6 +446,24 @@ def test_cpu_map_workers_ignore_sigint_and_end_with_the_block(monkeypatch):
             assert set(map_fn(signal.getsignal, [signal.SIGINT] * 200)) == {signal.SIG_IGN}
             map_fn(time.sleep, [0.05] * 40)  # still running when the block ends
             raise RuntimeError("run failed")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_ends_the_map_in_seconds(monkeypatch):
+    """A worker killed during a long map loses its task, which the pool never
+    answers: the map raises BackendError within seconds instead of waiting
+    for it, the block ends, and no worker is left."""
+    cpus(monkeypatch, 2)
+    with pytest.raises(BackendError, match="worker process of the pool ended with exit "
+                                           f"code -{int(signal.SIGKILL)}"):
+        with cpu_map() as map_fn:
+            victim = multiprocessing.active_children()[0]
+            # 40 tasks of 64 items, 1.28 s each: about 26 s on two workers
+            for i, _ in enumerate(map_fn(time.sleep, [0.02] * 2560)):
+                if i == 0:
+                    os.kill(victim.pid, signal.SIGKILL)
+                    killed = time.monotonic()
+    assert time.monotonic() - killed < 6
     assert multiprocessing.active_children() == []
 
 
@@ -543,6 +563,9 @@ def test_a_completion_without_a_word_is_never_cached(tmp_path):
 
 
 def test_single_calls_are_batches_of_one(monkeypatch):
+    """Every request goes through a batch: a single completion, score or
+    augmentation is a batch of one, and augmenting N resumes one batch of N,
+    made once every resume's group label was checked."""
     from hirefair import backends, perturb, textmetrics
     from hirefair.corpus import DemographicGroup, Resume
 
@@ -555,16 +578,25 @@ def test_single_calls_are_batches_of_one(monkeypatch):
     monkeypatch.setattr(backends, "cached_calls", recording)
     backend = CompletionBackend(mock_config(kind="completion"))
     backend.complete(CompletionRequest(prompt="p"))
-    backend.complete_text("q", max_words_hint=20)
-    resume = Resume(id="r1", profession="Data Analyst", body="Data Analyst\nSQL\n",
-                    source="generated", group=DemographicGroup.from_code("FW"))
-    perturb.add_extracurriculars(resume, backend)
+    resumes = [Resume(id=f"r{i}", profession="Data Analyst", body=f"Data Analyst\nSQL {i}\n",
+                      source="generated", group=DemographicGroup.from_code(code))
+               for i, code in enumerate(("FW", "MB", "FB"))]
+    spec = perturb.PerturbationSpec(id="extra", kind="extracurricular", seed=1)
+    perturb.apply_spec(resumes[0], spec, backend=backend)
+    augmented = perturb.apply_plan(resumes, [spec], backend=backend)
+    assert augmented[0] == perturb.apply_spec(resumes[0], spec, backend=backend)
     client = backends.RegardClient(BackendConfig(
         id="regard", kind="regard", protocol="http", endpoint="https://example.invalid"))
     monkeypatch.setattr(client.http, "post", lambda payload, read: None)
     client.score("text")
-    textmetrics.measure_text("A summary.", client)
-    assert batches == [1, 1, 1, 1, 1]
+    textmetrics.measure_texts(["A summary."], client)
+    assert batches == [1, 1, 3, 1, 1, 1]
+
+    batches.clear()
+    unnamed = Resume(id="anon", profession="Data Analyst", body="SQL\n", source="generated")
+    with pytest.raises(perturb.PerturbError, match="resume anon: .* needs a group label"):
+        perturb.apply_plan([*resumes, unnamed], [spec], backend=backend)
+    assert batches == []
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +649,7 @@ def test_completion_chat_schema(monkeypatch, loopback):
     backend = build_backend(http_config("mistral-compatible", "completion", monkeypatch,
                                         loopback))
     loopback.script["/v1"] = [(200, {"choices": [{"message": {"content": "a summary"}}]})]
-    assert backend.complete_text("prompt here", temperature=0.3) == "a summary"
+    assert backend.complete(CompletionRequest("prompt here", temperature=0.3)) == "a summary"
     (sent,) = sent_bodies(loopback)
     assert sent["messages"] == [{"role": "user", "content": "prompt here"}]
     assert sent["temperature"] == 0.3
@@ -719,7 +751,7 @@ def test_malformed_body_is_backend_error(monkeypatch, loopback, tmp_path, kind, 
         if kind == "embedding":
             backend.embed_batch(["x"])
         else:
-            backend.complete_text("prompt")
+            backend.complete(CompletionRequest("prompt"))
     assert len(cache) == 0  # never cached
 
 
@@ -911,16 +943,16 @@ def test_config_fields_take_their_json_type():
 
 def test_echo_backend_returns_trailing_line():
     backend = CompletionBackend(mock_config(kind="completion", protocol="echo"))
-    assert backend.complete_text("line one\nline two\nSENTINEL") == "SENTINEL"
+    assert backend.complete(CompletionRequest("line one\nline two\nSENTINEL")) == "SENTINEL"
 
 
 def test_mock_completion_deterministic_and_sized():
     backend = CompletionBackend(mock_config(kind="completion"))
-    a = backend.complete_text("describe this resume", max_words_hint=100)
-    b = backend.complete_text("describe this resume", max_words_hint=100)
+    a = backend.complete(CompletionRequest("describe this resume", max_words_hint=100))
+    b = backend.complete(CompletionRequest("describe this resume", max_words_hint=100))
     assert a == b
     assert len(a.split()) == 100
-    c = backend.complete_text("a different resume", max_words_hint=100)
+    c = backend.complete(CompletionRequest("a different resume", max_words_hint=100))
     assert c != a
 
 
@@ -960,6 +992,6 @@ def test_live_backends_smoke(tmp_path):
             (vec,) = backend.embed_batch(["smoke test resume text"])
             assert len(vec) > 0
         else:
-            text = backend.complete_text("Reply with one short sentence.",
-                                         max_words_hint=20)
+            text = backend.complete(CompletionRequest("Reply with one short sentence.",
+                                                      max_words_hint=20))
             assert text.strip()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -46,6 +47,8 @@ from hirefair.report import make_entry, read_ledger
 from hirefair.retrieval import cosine, read_score_table
 from hirefair.records import to_row
 from hirefair.textmetrics import read_measures, read_summaries
+
+from conftest import cached_response
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -634,8 +637,8 @@ def test_bad_frequency_table_is_data_error(tmp_path, fixtures_dir, table):
 
 def test_run_augments_generated_resumes_only(tmp_path, fixtures_dir, pools):
     class Backend:
-        def complete_text(self, prompt):
-            return "Awards\n- Prize"
+        def complete_batch(self, requests):
+            return ["Awards\n- Prize" for _ in requests]
 
     config = load_run_config(write_config(tmp_path, fixtures_dir, extracurricular=True))
     resumes = [Resume(id="g", profession="Accountant", body="Ledgers.\n", source="generated"),
@@ -1195,8 +1198,37 @@ def test_http_run_is_identical_at_any_parallelism(tmp_path, fixtures_dir, loopba
             read_summaries(out / "summaries_gen.jsonl"), measured)}
         with ResponseCache(out / "cache") as cache:
             for text, regard in by_text.items():
-                assert cache.get(cache_key("regard", config.regard_endpoint,
-                                           {"text": text})) == regard
+                assert cached_response(cache, cache_key("regard", config.regard_endpoint,
+                                                        {"text": text})) == regard
+    assert outputs[1] == outputs[4]
+
+
+def test_http_augmented_run_is_identical_at_any_parallelism(tmp_path, fixtures_dir,
+                                                             loopback):
+    """With `extracurricular: true`, each augmentation spec asks the chat
+    endpoint for all its resumes in one batch: the artifacts and the
+    augmentation audit are the same at parallelism 1 and 4, and a rerun on
+    the warm cache makes no request."""
+    outputs = {}
+    for parallelism in (1, 4):
+        loopback.reset()
+        out = tmp_path / f"out-{parallelism}"
+        config = load_run_config(http_config(tmp_path, fixtures_dir, loopback.url,
+                                             parallelism, out))
+        config = dataclasses.replace(config, extracurricular=True)
+        run_audit(config)
+        outputs[parallelism] = {name: (out / name).read_bytes() for name in
+                                (*CRITERION_8_ARTIFACTS, "augmentation_audit.jsonl")}
+        assert 1 <= loopback.inflight_max["/v1/chat/completions"] <= parallelism
+        audit = [json.loads(line) for line in
+                 (out / "augmentation_audit.jsonl").read_text().splitlines()]
+        assert {row["spec_id"] for row in audit} == {
+            v.id for v in variant_table(config, 0) if v.spec.kind == "extracurricular"}
+        loopback.reset()
+        run_audit(config)
+        assert loopback.requests == {}
+        assert {name: (out / name).read_bytes()
+                for name in outputs[parallelism]} == outputs[parallelism]
     assert outputs[1] == outputs[4]
 
 
@@ -1368,8 +1400,8 @@ def test_regard_endpoint_that_always_fails(tmp_path, fixtures_dir, loopback, cap
     assert measured and all(mv.regard is None for _, mv in measured)
     with ResponseCache(out / "cache") as cache:
         rows = len(cache)
-        assert all(cache.get(cache_key("regard", config.regard_endpoint, {"text": text}))
-                   is None for text in texts)
+        assert all(cached_response(cache, cache_key("regard", config.regard_endpoint,
+                                                    {"text": text})) is None for text in texts)
     posted = dict(loopback.regard_texts)
 
     loopback.reset()
@@ -1464,6 +1496,34 @@ def test_a_failed_run_leaves_no_worker(tmp_path, fixtures_dir, loopback, monkeyp
     assert result.exit_code == 3, result.output
     assert result.output.startswith("error: backend emb: request failed after 2 attempts")
     assert "Traceback" not in result.output
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_ends_the_run_with_exit_3(tmp_path, fixtures_dir, monkeypatch):
+    """A worker of the run's pool that is killed (say, by the kernel's
+    out-of-memory killer) ends the run in seconds with exit 3 and an error
+    line, and no worker is left."""
+    cpus(monkeypatch, 2)
+
+    @contextmanager
+    def losing_a_worker():
+        with cpu_map() as map_fn:
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while victim.exitcode is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            yield map_fn
+
+    monkeypatch.setattr(pipeline, "cpu_map", losing_a_worker)
+    start = time.monotonic()
+    result = CliRunner().invoke(main, ["run", "--config", str(write_config(tmp_path,
+                                                                          fixtures_dir))])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith(
+        f"error: a worker process of the pool ended with exit code -{int(signal.SIGKILL)}")
+    assert "Traceback" not in result.output
+    assert time.monotonic() - start < 15
     assert multiprocessing.active_children() == []
 
 

@@ -327,12 +327,16 @@ class FixedBlockBackend:
              "Mentorship and Leadership\n- Mentored interns\n"
              "Clubs and Organizations\n- Analytics guild")
 
-    def complete_text(self, prompt, **kwargs):
-        return self.block
+    def complete_batch(self, requests):
+        return [self.block for _ in requests]
 
 
 class GroupKeyedBackend:
-    def complete_text(self, prompt, **kwargs):
+    def complete_batch(self, requests):
+        return [self.section(request.prompt) for request in requests]
+
+    @staticmethod
+    def section(prompt):
         for token in ("female", "male"):
             if f"You are Black, {token} professional" in prompt:
                 return f"Awards\n- Black {token} section"
@@ -343,15 +347,14 @@ class GroupKeyedBackend:
 
 def test_extracurricular_appends_block(unnamed_resume, pools):
     named = assign_name(unnamed_resume, FW, pools, seed=1)
-    out = add_extracurriculars(named, FixedBlockBackend())
+    (out,) = add_extracurriculars([named], FixedBlockBackend())
     assert out.body == named.body.rstrip("\n") + "\n\n" + FixedBlockBackend.block + "\n"
 
 
 def test_extracurricular_group_conditioned(unnamed_resume, pools):
-    backend = GroupKeyedBackend()
-    fw = add_extracurriculars(assign_name(unnamed_resume, FW, pools, 1), backend)
-    mb_named = assign_name(unnamed_resume, MB, pools, 1)
-    mb = add_extracurriculars(mb_named, backend)
+    fw, mb = add_extracurriculars([assign_name(unnamed_resume, FW, pools, 1),
+                                   assign_name(unnamed_resume, MB, pools, 1)],
+                                  GroupKeyedBackend())
     assert fw.body != mb.body
     assert "White female section" in fw.body
     assert "Black male section" in mb.body
@@ -359,23 +362,23 @@ def test_extracurricular_group_conditioned(unnamed_resume, pools):
 
 def test_extracurricular_requires_group(unnamed_resume):
     with pytest.raises(PerturbError, match="group"):
-        add_extracurriculars(unnamed_resume, FixedBlockBackend())
+        add_extracurriculars([unnamed_resume], FixedBlockBackend())
 
 
 def test_extracurricular_empty_completion_rejected(unnamed_resume, pools):
     class EmptyBackend:
-        def complete_text(self, prompt, **kwargs):
-            return "   "
+        def complete_batch(self, requests):
+            return ["   " for _ in requests]
 
     named = assign_name(unnamed_resume, FW, pools, seed=1)
     with pytest.raises(PerturbError, match="empty completion"):
-        add_extracurriculars(named, EmptyBackend())
+        add_extracurriculars([named], EmptyBackend())
 
 
 def test_extracurricular_audit_log(unnamed_resume, pools):
     named = assign_name(unnamed_resume, FW, pools, seed=1)
     log = []
-    add_extracurriculars(named, FixedBlockBackend(), audit_log=log)
+    add_extracurriculars([named], FixedBlockBackend(), audit_log=log)
     (entry,) = log
     assert entry["resume_id"] == named.id
     assert "You are White, female professional" in entry["prompt"]

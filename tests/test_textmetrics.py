@@ -23,7 +23,6 @@ from hirefair.textmetrics import (
     TextMetricsError,
     count_syllables,
     flesch_reading_ease,
-    measure_text,
     measure_texts,
     polarity,
     read_measures,
@@ -269,7 +268,7 @@ def test_regard_client_failure_degrades_to_none(monkeypatch):
 
     client = regard_client(monkeypatch, broken)
     assert client.score("text") is None
-    mv = measure_text("A good summary.", regard_client=client)
+    mv = measure_texts(["A good summary."], regard_client=client)[0]
     assert mv.regard is None
     assert mv.polarity == pytest.approx(0.7)
 
@@ -319,7 +318,7 @@ def test_summary_record_factor_validation():
 
 
 def test_measure_text_fields():
-    mv = measure_text("A good summary. Clear and very reliable.")
+    mv = measure_texts(["A good summary. Clear and very reliable."])[0]
     assert mv.reading_ease == flesch_reading_ease("A good summary. Clear and very reliable.")
     assert mv.reading_time > 0
     assert mv.polarity > 0
@@ -338,9 +337,9 @@ def test_measure_vector_regard_scalar():
 
 def test_measures_file_round_trip(tmp_path):
     rows = [
-        (make_record(), measure_text("A good summary.")),
+        (make_record(), measure_texts(["A good summary."])[0]),
         (make_record(resume_id="r2", run_index=2, temperature=0.3),
-         measure_text("A terrible and sloppy draft.")),
+         measure_texts(["A terrible and sloppy draft."])[0]),
     ]
     path = tmp_path / "measures.jsonl"
     write_measures(rows, path)
@@ -468,9 +467,9 @@ def test_measures_agree_with_oracle(text):
         assert count_syllables(word) == oracle_syllables(word)
     if not words:
         with pytest.raises(TextMetricsError, match="at least one word"):
-            measure_text(text)
+            measure_texts([text])[0]
         return
-    mv = measure_text(text)
+    mv = measure_texts([text])[0]
     assert (mv.reading_ease, mv.reading_time, mv.polarity, mv.subjectivity) == (
         flesch_reading_ease(text), reading_time(text), polarity(text), subjectivity(text))
     assert mv.reading_ease == oracle_reading_ease(text)
