@@ -11,9 +11,12 @@ one sqlite3 file keyed by a digest of the canonicalized request, so
 byte-identical requests replay without network access and audits can be
 re-run offline. Each response is written once, as zlib-compressed JSON,
 after it validated; a batch reads its cached responses in one query per
-READ_CHUNK keys and commits its fresh ones in transactions of WRITE_CHUNK
-rows. A cache directory written by earlier versions, one JSON file per
-response, is imported into the file once.
+READ_CHUNK keys. Fresh responses are committed in key order, which fills
+the table's pages densely: when WRITE_CHUNK are pending, so that a run makes
+few commits; when the oldest pending one is WRITE_AGE_S old, so that a
+killed run loses little of what it fetched; and when a batch ends. A cache
+directory written by earlier versions, one JSON file per response, is
+imported into the file once.
 
 An HTTP backend fetches a batch's misses on up to `parallelism` threads,
 over as many keep-alive connections (see JsonEndpoint). An in-process one
@@ -50,7 +53,7 @@ import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -76,8 +79,12 @@ REGARD_CATEGORIES = ("positive", "negative", "neutral", "other")
 CACHE_FILE = "responses.sqlite"
 #: Keys per query when a batch reads its cached responses.
 READ_CHUNK = 500
-#: Fresh responses per write transaction; a batch flushes the rest when it ends.
-WRITE_CHUNK = 256
+#: Fresh responses pending that make a put commit them: few, large
+#: transactions. A batch flushes the rest when it ends.
+WRITE_CHUNK = 4096
+#: Seconds after which the oldest pending response is committed by the next
+#: put, so that a run that is killed loses about that much of what it fetched.
+WRITE_AGE_S = 1.0
 #: Items per task sent to cpu_map's pool: small, so that each task's pickled
 #: items and answers take little memory in the calling process.
 MAP_CHUNK = 64
@@ -176,12 +183,16 @@ class CompletionRequest:
 # response cache
 # ---------------------------------------------------------------------------
 
+#: The canonical JSON of a request, for cache_key.
+_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+#: The JSON of a cached response, for encode_response.
+_RESPONSE_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def cache_key(backend_id: str, model_name: str, payload) -> str:
     """Digest of the canonicalized request; any byte difference changes it."""
-    canonical = json.dumps(
-        {"backend_id": backend_id, "model_name": model_name, "payload": payload},
-        sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-    )
+    canonical = _KEY_JSON.encode(
+        {"backend_id": backend_id, "model_name": model_name, "payload": payload})
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -190,9 +201,13 @@ class ResponseCache:
     cache_key; eviction is manual (audits are archival).
 
     Each key is written once (INSERT OR IGNORE), its value the response as
-    zlib-compressed JSON. Reads take a batch's keys at once; writes are
-    buffered and committed in transactions of WRITE_CHUNK rows, and flush()
-    commits the rest. One connection serves every thread, behind a lock.
+    zlib-compressed JSON. Reads take a batch's keys at once. Writes are
+    buffered; a put commits every pending row once WRITE_CHUNK are pending
+    (few, large transactions) or the oldest is WRITE_AGE_S old (a killed
+    run loses little), and flush() commits the rest. Each transaction
+    inserts its rows in key order, so that it rewrites each page of the
+    table it touches once and leaves pages fuller than inserts in arrival
+    order do. One connection serves every thread, behind a lock.
     When the file is created in a directory that holds an older cache of one
     `??/<key>.json` file per response, those responses are imported once, in
     one transaction, and the files are left alone. close() (or leaving a
@@ -205,6 +220,7 @@ class ResponseCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._pending: list[tuple[str, bytes]] = []
+        self._oldest = 0.0  # time.monotonic() of the first pending put
         self.hits = 0
         self.misses = 0
         self._db = sqlite3.connect(self.root / CACHE_FILE, check_same_thread=False)
@@ -236,11 +252,13 @@ class ResponseCache:
             with self._lock:
                 self._db.close()
 
-    def _write(self, rows: list[tuple[str, bytes]]) -> None:
-        """Store `rows` in one transaction; the caller holds the lock."""
-        if rows:
+    def _write(self) -> None:
+        """Store the pending rows in one transaction, in key order; the
+        caller holds the lock."""
+        if self._pending:
             with self._db:
-                self._db.executemany(_INSERT, rows)
+                self._db.executemany(_INSERT, sorted(self._pending))
+            self._pending = []
 
     def get_many(self, keys: Sequence[str]) -> dict[str, bytes]:
         """The encoded responses of those of the distinct `keys` that are
@@ -258,18 +276,20 @@ class ResponseCache:
 
     def put(self, key: str, blob: bytes) -> None:
         """Store `blob`, an encoded response (see encode_response), under
-        `key`; it is written with the next full chunk or by flush()."""
+        `key`; it is written once WRITE_CHUNK rows are pending or the oldest
+        is WRITE_AGE_S old, or by flush()."""
+        now = time.monotonic()
         with self._lock:
+            if not self._pending:
+                self._oldest = now
             self._pending.append((key, blob))
-            if len(self._pending) >= WRITE_CHUNK:
-                self._write(self._pending)
-                self._pending = []
+            if len(self._pending) >= WRITE_CHUNK or now - self._oldest >= WRITE_AGE_S:
+                self._write()
 
     def flush(self) -> None:
         """Write every response put but not yet written."""
         with self._lock:
-            self._write(self._pending)
-            self._pending = []
+            self._write()
 
 
 _INSERT = "INSERT OR IGNORE INTO responses (key, response) VALUES (?, ?)"
@@ -287,8 +307,7 @@ def _file_entries(root: Path):
 
 
 def encode_response(response) -> bytes:
-    return zlib.compress(json.dumps(response, sort_keys=True,
-                                    ensure_ascii=False).encode("utf-8"))
+    return zlib.compress(_RESPONSE_JSON.encode(response).encode("utf-8"))
 
 
 def decode_response(blob: bytes):
@@ -407,7 +426,8 @@ def cpu_map() -> Iterator[Callable]:
     raises BackendError once a worker the pool opened with has ended (say,
     killed), as the pool would never answer its task: it checks before each
     task's answers and each second it waits. When the block ends, however
-    it ends, the workers are killed and the pool is terminated and joined.
+    it ends, the workers are killed, none while it sends answers, and the
+    pool is terminated and joined.
     """
     width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if width < 2:
@@ -444,10 +464,23 @@ def cpu_map() -> Iterator[Callable]:
     try:
         yield pooled
     finally:
-        # an ended worker may hold a lock of the pool's queues, which terminate()
-        # would wait for forever; once every worker is killed, they are released
+        # A worker killed while it sends a task's answers cuts a message
+        # short, and the pool's result handler, which terminate() joins,
+        # would wait for the rest of it forever. So the pool's worker handler
+        # ends first, replacing no killed worker, and the workers are killed
+        # while this process holds the lock they send under; only an ended
+        # worker holds it for long.
+        from multiprocessing.pool import TERMINATE
+
+        pool._worker_handler._state = TERMINATE
+        pool._change_notifier.put(None)
+        pool._worker_handler.join()
+        pool._outqueue._wlock.acquire(timeout=1.0)
         for child in set(multiprocessing.active_children()) - before:
             child.kill()
+            child.join()
+        # an ended worker may hold a lock of the pool's queues, which terminate()
+        # would wait for forever; once every worker is killed, they are released
         for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
             lock.acquire(False)
             lock.release()
@@ -459,6 +492,9 @@ def cpu_map() -> Iterator[Callable]:
 # mock embeddings
 # ---------------------------------------------------------------------------
 
+# Memoized, as texts repeat most of their words; bounded, as a corpus's
+# vocabulary is not.
+@lru_cache(maxsize=1 << 16)
 def token_bucket(token: str, dim: int = MOCK_DIM) -> int:
     """Stable hash bucket: first 8 bytes of sha256(token), big-endian, mod dim."""
     return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big") % dim
@@ -470,9 +506,8 @@ def mock_embedding(text: str, dim: int = MOCK_DIM) -> np.ndarray:
     Word order never matters; empty text maps to the zero vector (the only
     non-unit output).
     """
-    counts = np.zeros(dim, dtype=np.float64)
-    for token in text.split():
-        counts[token_bucket(token, dim)] += 1.0
+    buckets = np.array([token_bucket(token, dim) for token in text.split()], dtype=np.intp)
+    counts = np.bincount(buckets, minlength=dim).astype(np.float64)
     norm = float(np.linalg.norm(counts))
     if norm > 0.0:
         counts /= norm

@@ -42,6 +42,8 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from hirefair import perturb, retrieval, stats, textmetrics
 from hirefair.backends import (
     BackendConfig,
@@ -216,14 +218,17 @@ def score_variants(backend, jobs: list[JobPost], variants: VariantSet,
             keys.append((vid, rid))
             texts.append(variants.resumes[vid][rid].body)
     job_vectors = backend.embed_batch([j.body for j in jobs], map_fn=map_fn, stop=stop)
-    resume_vectors = dict(zip(keys, backend.embed_batch(texts, map_fn=map_fn, stop=stop)))
+    # each vector's norm once, not once per pair
+    normed = [(key, vec, float(np.linalg.norm(vec))) for key, vec in
+              zip(keys, backend.embed_batch(texts, map_fn=map_fn, stop=stop))]
     rows: list[ScoreRow] = []
     tag = _suffix(variants.draw)
     for job, jv in zip(jobs, job_vectors):
-        for (vid, rid), vec in resume_vectors.items():
+        nj = float(np.linalg.norm(jv))
+        for (vid, rid), vec, nv in normed:
             rows.append(ScoreRow(
                 job_id=job.id, resume_id=rid, variant_id=vid + tag,
-                score=retrieval.cosine(vec, jv),
+                score=retrieval.normed_cosine(vec, jv, nv, nj),
             ))
     return rows
 

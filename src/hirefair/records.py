@@ -148,8 +148,8 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
 
 def write_jsonl(rows: Iterable[dict], path, separators: tuple[str, str] | None = None) -> None:
     """One JSON line per row, keys sorted."""
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=separators).encode
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False,
-                                separators=separators))
+            fh.write(encode(row))
             fh.write("\n")

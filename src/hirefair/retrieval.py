@@ -38,10 +38,14 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     """Cosine similarity of two vectors."""
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
+    return normed_cosine(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def normed_cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """cosine(a, b) of float64 arrays given their norms `na` and `nb`, so
+    that scoring many pairs takes each vector's norm once."""
     if a.shape != b.shape or a.ndim != 1:
         raise RetrievalError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         raise RetrievalError("cosine undefined for zero vector")
     value = float(np.dot(a, b) / (na * nb))

@@ -1,3 +1,7 @@
+import faulthandler
+import signal
+import sys
+
 import pytest
 
 from hirefair.corpus import (
@@ -8,7 +12,42 @@ from hirefair.corpus import (
     load_name_pools,
 )
 
+pytest_plugins = ["pytester"]
+
 FIXTURE_DIR_NAME = "data/fixtures"
+
+#: Seconds any one test may take; the slowest takes about 5.
+WATCHDOG_S = 120.0
+
+
+@pytest.fixture
+def watchdog_s() -> float:
+    """The budget of the watchdog; a test module may override it."""
+    return WATCHDOG_S
+
+
+@pytest.fixture(autouse=True)
+def watchdog(watchdog_s):
+    """Fails a test that runs past `watchdog_s` seconds, so that a hang
+    stalls one test and not the suite, and dumps every thread's stack to
+    stderr then, even when the main thread cannot take the failure. Does
+    nothing where SIGALRM does not exist."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expired(signum, frame):
+        pytest.fail(f"the test ran past its {watchdog_s} s budget")
+
+    faulthandler.dump_traceback_later(watchdog_s, file=sys.__stderr__)
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, watchdog_s)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

@@ -6,16 +6,21 @@ import multiprocessing
 import os
 import signal
 import sys
+import sqlite3
 import threading
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hirefair import backends
 from hirefair.backends import (
+    DEFAULT_ANCHOR_TOKEN,
     MOCK_DIM,
+    WRITE_AGE_S,
     WRITE_CHUNK,
     BackendConfig,
     BackendError,
@@ -32,6 +37,7 @@ from hirefair.backends import (
     cached_calls,
     cpu_map,
     decode_response,
+    encode_response,
     mock_biased_embedding,
     mock_embedding,
     token_bucket,
@@ -50,9 +56,28 @@ def mock_config(backend_id="m", kind="embedding", protocol="mock", **params):
 # mock embedding: the published hashing rule
 # ---------------------------------------------------------------------------
 
-def reference_bucket(token: str) -> int:
+def reference_bucket(token: str, dim: int = MOCK_DIM) -> int:
     # independent evaluation of the documented rule
-    return int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") % MOCK_DIM
+    return int.from_bytes(hashlib.sha256(token.encode()).digest()[:8], "big") % dim
+
+
+def reference_embedding(text: str, dim: int = MOCK_DIM, tag_bias=None,
+                        anchor_token: str = DEFAULT_ANCHOR_TOKEN) -> np.ndarray:
+    """The mock embedders token by token, each bucket hashed afresh."""
+    counts = np.zeros(dim, dtype=np.float64)
+    for token in text.split():
+        counts[reference_bucket(token, dim)] += 1.0
+    norm = float(np.linalg.norm(counts))
+    if norm > 0.0:
+        counts /= norm
+    bias = sum((tag_bias or {})[t] for t in set(text.split()) & set(tag_bias or {}))
+    if bias == 0.0:
+        return counts
+    counts[reference_bucket(anchor_token, dim)] += bias
+    norm = float(np.linalg.norm(counts))
+    if norm > 0.0:
+        counts /= norm
+    return counts
 
 
 def test_empty_text_is_zero_vector():
@@ -91,6 +116,20 @@ def test_word_order_never_matters(words):
 def test_nonempty_vectors_are_unit_norm():
     vec = mock_embedding("one two three two")
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(words=st.lists(st.sampled_from(["the", "analyst", "Latoya", "Émile", "x", "дата"]),
+                      max_size=30),
+       dim=st.sampled_from([1, 7, MOCK_DIM]),
+       bias=st.sampled_from([0.0, 0.5, -2.0]))
+@settings(max_examples=80, deadline=None)
+def test_mock_embedders_equal_their_unmemoized_oracle(words, dim, bias):
+    """Bit for bit, the empty text included, however often a token repeats."""
+    text = "  ".join(words)
+    assert mock_embedding(text, dim).tobytes() == reference_embedding(text, dim).tobytes()
+    tag_bias = {"Latoya": bias}
+    assert mock_biased_embedding(text, tag_bias, dim).tobytes() == \
+        reference_embedding(text, dim, tag_bias).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +171,105 @@ def test_cache_key_sensitivity():
     assert cache_key("b", "m", {"op": "embed", "text": "hello!"}) != base
     assert cache_key("b2", "m", {"op": "embed", "text": "hello"}) != base
     assert cache_key("b", "m2", {"op": "embed", "text": "hello"}) != base
+
+
+class Clock:
+    """A time.monotonic that stands still until `now` is set."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    clock = Clock()
+    monkeypatch.setattr(backends.time, "monotonic", clock)
+    return clock
+
+
+def stored_keys(root) -> list[str]:
+    """The keys committed to the cache file under `root`, as a second
+    connection sees them."""
+    with closing(sqlite3.connect(root / "responses.sqlite")) as db:
+        return [key for (key,) in db.execute("SELECT key FROM responses ORDER BY key")]
+
+
+def fresh_rows(n: int) -> list[tuple[str, bytes]]:
+    return [(cache_key(*key_of(i)), encode_response(f"response {i}")) for i in range(n)]
+
+
+def test_put_rows_wait_for_a_full_chunk_or_flush(tmp_path, clock):
+    rows = fresh_rows(WRITE_CHUNK + 2)
+    with ResponseCache(tmp_path) as cache:
+        for row in rows[:WRITE_CHUNK - 1]:
+            cache.put(*row)
+        assert stored_keys(tmp_path) == []
+        cache.put(*rows[WRITE_CHUNK - 1])
+        assert stored_keys(tmp_path) == sorted(key for key, _ in rows[:WRITE_CHUNK])
+        cache.put(*rows[WRITE_CHUNK])
+        cache.put(*rows[WRITE_CHUNK + 1])
+        assert len(stored_keys(tmp_path)) == WRITE_CHUNK
+        cache.flush()
+        assert stored_keys(tmp_path) == sorted(key for key, _ in rows)
+
+
+def test_a_put_commits_every_pending_row_once_the_oldest_is_old(tmp_path, clock):
+    rows = fresh_rows(6)
+    with ResponseCache(tmp_path) as cache:
+        cache.put(*rows[0])
+        clock.now += WRITE_AGE_S / 2
+        cache.put(*rows[1])
+        clock.now += WRITE_AGE_S / 2 - 1e-3
+        cache.put(*rows[2])
+        assert stored_keys(tmp_path) == []
+        clock.now += 1e-3  # the first row is WRITE_AGE_S old
+        cache.put(*rows[3])
+        assert stored_keys(tmp_path) == sorted(key for key, _ in rows[:4])
+        # the age counts from the oldest row still pending
+        clock.now += WRITE_AGE_S / 2
+        cache.put(*rows[4])
+        clock.now += WRITE_AGE_S / 2 - 1e-3
+        cache.put(*rows[5])
+        assert len(stored_keys(tmp_path)) == 4
+    assert stored_keys(tmp_path) == sorted(key for key, _ in rows)
+
+
+class RecordingConnection:
+    """A sqlite3 connection that records the rows of each executemany."""
+
+    def __init__(self, db):
+        self.db = db
+        self.batches: list[list] = []
+
+    def __enter__(self):
+        return self.db.__enter__()
+
+    def __exit__(self, *exc):
+        return self.db.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self.db, name)
+
+    def executemany(self, sql, rows):
+        self.batches.append(list(rows))
+        return self.db.executemany(sql, self.batches[-1])
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_each_write_transaction_inserts_its_rows_in_key_order(tmp_path, clock, width):
+    keys = [key_of(i) for i in range(WRITE_CHUNK + 100)]
+    with ResponseCache(tmp_path) as cache:
+        cache._db = recording = RecordingConnection(cache._db)
+        cached_calls(cache, keys, lambda i: f"response {i}", str, width=width)
+        # one full chunk, then the batch's flush
+        assert [len(batch) for batch in recording.batches] == [WRITE_CHUNK, 100]
+        for batch in recording.batches:
+            assert [key for key, _ in batch] == sorted(key for key, _ in batch)
+        assert sorted(key for batch in recording.batches for key, _ in batch) == \
+            sorted(cache_key(*key) for key in keys)
 
 
 def test_same_text_twice_served_from_cache(tmp_path):
@@ -465,6 +603,21 @@ def test_a_killed_worker_ends_the_map_in_seconds(monkeypatch):
                     killed = time.monotonic()
     assert time.monotonic() - killed < 6
     assert multiprocessing.active_children() == []
+
+
+def large_answer(i: int) -> bytes:
+    """An answer whose task of MAP_CHUNK takes many writes to send."""
+    return bytes(8192)
+
+
+def test_leaving_a_map_while_workers_send_ends_the_block(monkeypatch):
+    """Workers that send large answers when the block is left are killed
+    between messages, so the pool's teardown waits for no message cut short."""
+    cpus(monkeypatch, 2)
+    for _ in range(10):
+        with cpu_map() as map_fn:
+            assert next(iter(map_fn(large_answer, range(4096)))) == bytes(8192)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
@@ -384,11 +384,21 @@ def cache_rows(cache_dir) -> int:
         return len(cache)
 
 
+#: sha256 over the key and response of each row of the mini-corpus run's
+#: cache, in key order: how and when rows are written moves no stored byte.
+MINI_CACHE_SHA256 = "b44d4426cafebed69b6cab04b87f74dd8ed625f1c60e02d2ac27dac43f280609"
+
+
 def test_run_audit_second_run_hits_cache(tmp_path, fixtures_dir):
     config = load_run_config(write_config(tmp_path, fixtures_dir))
     run_audit(config)
     cache_dir = Path(config.out_dir) / "cache"
     assert [p.name for p in cache_dir.iterdir()] == ["responses.sqlite"]
+    digest = hashlib.sha256()
+    with closing(sqlite3.connect(cache_dir / "responses.sqlite")) as db:
+        for key, response in db.execute("SELECT key, response FROM responses ORDER BY key"):
+            digest.update(key.encode("utf-8") + response)
+    assert digest.hexdigest() == MINI_CACHE_SHA256
     rows_before = cache_rows(cache_dir)
     assert rows_before > 0
     run_audit(config)

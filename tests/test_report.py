@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hirefair.records import write_jsonl
 from hirefair.report import (
     LedgerEntry,
     ReportError,
@@ -81,6 +84,27 @@ def test_ledger_round_trip(tmp_path):
     path = tmp_path / "ledger.jsonl"
     write_ledger(entries, path)
     assert read_ledger(path) == entries
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+@given(rows=st.lists(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5),
+                     max_size=4),
+       separators=st.sampled_from([None, (",", ":")]))
+@settings(max_examples=80, deadline=None)
+def test_write_jsonl_writes_json_dumps_lines(tmp_path_factory, rows, separators):
+    """One encoder per file writes each row as json.dumps would, with the
+    default separators and with the ledger's."""
+    path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+    write_jsonl(rows, path, separators)
+    assert path.read_bytes() == "".join(
+        json.dumps(row, sort_keys=True, ensure_ascii=False, separators=separators) + "\n"
+        for row in rows).encode("utf-8")
 
 
 def test_emit_byte_deterministic(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hirefair.retrieval import (
     cosine,
     exclusion,
     non_uniformity,
+    normed_cosine,
     read_score_table,
     score_array,
     write_score_table,
@@ -89,6 +91,39 @@ def test_cosine_errors():
         cosine([1, 2], [1, 2, 3])
     with pytest.raises(RetrievalError):
         cosine([0.0, 0.0], [1.0, 0.0])
+
+
+def reference_cosine(u, v) -> float:
+    """Cosine with both norms taken for the pair, as a one-off score does."""
+    a, b = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    return float(np.dot(a, b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
+
+
+def test_normed_cosine_is_cosine_bit_for_bit():
+    """Scores from norms taken once per vector, as score_variants takes
+    them, are cosine's scores exactly, at magnitudes from 1e-100 to 1e100."""
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 16, 256):
+        vectors = rng.normal(size=(12, dim)) * 10.0 ** rng.integers(-100, 100, size=(12, 1))
+        norms = [float(np.linalg.norm(v)) for v in vectors]
+        for a, na in zip(vectors, norms):
+            for b, nb in zip(vectors, norms):
+                score = normed_cosine(a, b, na, nb)
+                assert score == cosine(a.tolist(), b.tolist()) == reference_cosine(a, b)
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ([1.0, 2.0], [1.0, 2.0, 3.0], "dimension mismatch"),
+    ([[1.0, 2.0]], [[1.0, 2.0]], "dimension mismatch"),
+    ([0.0, 0.0], [1.0, 0.0], "zero vector"),
+    ([1e200, 1e200], [1e200, 1e200], "non-finite"),
+])
+def test_normed_cosine_fails_as_cosine_does(u, v, message):
+    a, b = np.asarray(u), np.asarray(v)
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    for score in (partial(cosine, u, v), partial(normed_cosine, a, b, na, nb)):
+        with pytest.raises(RetrievalError, match=message):
+            score()
 
 
 # ---------------------------------------------------------------------------
