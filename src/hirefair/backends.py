@@ -20,12 +20,9 @@ imported into the file once.
 
 An HTTP backend fetches a batch's misses on up to `parallelism` threads,
 over as many keep-alive connections (see JsonEndpoint). An in-process one
-answers them through the map a batch is given: cpu_map opens one per run or
-command that has an in-process backend, over a pool of `fork` worker
-processes as wide as the CPUs the process may use (its affinity; nothing
-sets the width), where each worker also encodes its answers for the cache.
-With one CPU, or without `fork`, that map is the builtin map, on the
-calling thread.
+answers them through the map a batch is given: the builtin map, or that of
+cpu_map, whose `fork` workers, one per CPU and each with a pipe of its own,
+also encode the answers for the cache.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -51,7 +48,7 @@ import time
 import weakref
 import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
@@ -409,83 +406,85 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     return [results[digest] for digest in digests]
 
 
-def _each(fn: Callable, items: list) -> list:
-    return [fn(item) for item in items]
+def _serve(conn, parent_ends: list) -> None:
+    """A worker of cpu_map's pool: answers each task (fn, items) with
+    [fn(item) for item in items] until the calling process ends."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process handles Ctrl-C
+    for end in parent_ends:  # so that only the calling process holds them
+        end.close()
+    with suppress(EOFError):  # the calling process has ended
+        while True:
+            fn, items = conn.recv()
+            conn.send([fn(item) for item in items])
 
 
 @contextmanager
 def cpu_map() -> Iterator[Callable]:
     """A map for the pure per-item work of one run or command, answered in
-    order: on a pool of `fork` worker processes, one per CPU this process
-    may use, in tasks of MAP_CHUNK items; the builtin map with one CPU or
-    without `fork`. Nothing sets the width.
+    order: on one `fork` worker process per CPU this process may use, in
+    tasks of MAP_CHUNK items; the builtin map with one CPU or without
+    `fork`. Nothing sets the width. Open it before the response cache and
+    any thread, as each worker copies this process, and map only on this
+    thread. Workers ignore SIGINT, which the calling process handles.
 
-    Each worker is a copy of this process as it was when the pool opened,
-    so open it before the response cache and before any thread starts.
-    Workers ignore SIGINT, which the calling process handles. The map
-    raises BackendError once a worker the pool opened with has ended (say,
-    killed), as the pool would never answer its task: it checks before each
-    task's answers and each second it waits. When the block ends, however
-    it ends, the workers are killed, none while it sends answers, and the
-    pool is terminated and joined.
+    Each worker has a pipe of its own and at most one task, since a worker
+    blocked sending answers and this process blocked sending it a second
+    task would wait for each other: task i goes to worker i % width, which
+    gets task i + width once its answers are read. A map left early leaves
+    answers owed, which the next map drops. An end of file on a worker's
+    pipe, even mid-message, means that it ended (say, killed; `fn` must not
+    raise): the map raises BackendError. The workers are killed when the
+    block ends, however it ends.
     """
     width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if width < 2:
         yield map
         return
     import multiprocessing  # only a pool needs it, and importing it is slow
-    import signal
 
     if "fork" not in multiprocessing.get_all_start_methods():
         yield map
         return
-    before = set(multiprocessing.active_children())
-    pool = multiprocessing.get_context("fork").Pool(
-        width, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-    workers = [p for p in multiprocessing.active_children() if p not in before]
+    context = multiprocessing.get_context("fork")
+    workers, pipes, owing = [], [], []  # owing: the workers that owe answers, in task order
+
+    def talk(w: int, *task):
+        """Sends worker w `task`, (fn, items), or without one, reads its answers."""
+        try:
+            return pipes[w].send(task) if task else pipes[w].recv()
+        except (EOFError, OSError):
+            workers[w].join()
+            raise BackendError("a worker process of the pool ended with exit code "
+                               f"{workers[w].exitcode}") from None
 
     def pooled(fn: Callable, items: Sequence) -> Iterator:
-        # one task per chunk, so that imap's next() takes a timeout
-        answers = pool.imap(partial(_each, fn), [
-            items[start:start + MAP_CHUNK] for start in range(0, len(items), MAP_CHUNK)])
-        while True:
-            ended = [p.exitcode for p in workers if p.exitcode is not None]
-            if ended:
-                raise BackendError(
-                    f"a worker process of the pool ended with exit code {ended[0]}")
-            try:
-                answered = answers.next(timeout=1.0)
-            except multiprocessing.TimeoutError:
-                continue
-            except StopIteration:
-                return
-            yield from answered
+        while owing:  # the answers a map left early owes
+            talk(owing.pop(0))
+        for i, start in enumerate(range(0, len(items), MAP_CHUNK)):
+            answers = talk(owing.pop(0)) if i >= width else ()
+            talk(i % width, fn, items[start:start + MAP_CHUNK])
+            owing.append(i % width)
+            yield from answers
+        while owing:
+            yield from talk(owing.pop(0))
 
     try:
+        for _ in range(width):
+            pipe, child_end = context.Pipe()
+            pipes.append(pipe)
+            worker = context.Process(target=_serve, args=(child_end, pipes), daemon=True)
+            worker.start()
+            workers.append(worker)
+            child_end.close()
         yield pooled
     finally:
-        # A worker killed while it sends a task's answers cuts a message
-        # short, and the pool's result handler, which terminate() joins,
-        # would wait for the rest of it forever. So the pool's worker handler
-        # ends first, replacing no killed worker, and the workers are killed
-        # while this process holds the lock they send under; only an ended
-        # worker holds it for long.
-        from multiprocessing.pool import TERMINATE
-
-        pool._worker_handler._state = TERMINATE
-        pool._change_notifier.put(None)
-        pool._worker_handler.join()
-        pool._outqueue._wlock.acquire(timeout=1.0)
-        for child in set(multiprocessing.active_children()) - before:
-            child.kill()
-            child.join()
-        # an ended worker may hold a lock of the pool's queues, which terminate()
-        # would wait for forever; once every worker is killed, they are released
-        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
-            lock.acquire(False)
-            lock.release()
-        pool.terminate()
-        pool.join()
+        for worker, pipe in zip(workers, pipes):
+            worker.kill()
+            worker.join()
+            worker.close()
+            pipe.close()
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,11 @@ makes no further request, and is raised. Results join in one order,
 retrieval first, so the artifacts do not depend on which stage ends first.
 
 A run with a backend that answers in-process opens one process pool,
-backends.cpu_map, before its response cache: the answers of in-process
-backends (mock embeddings and completions, with their cache encoding) and
-the text scans of the measures are spread over its workers, one per CPU the
-run may use. Nothing sets that width; with one CPU, or without `fork`, the
-same code runs through the builtin map, and so does a run whose backends
-all make HTTP requests, which opens no pool. The map and the stop signal
-reach each stage as arguments.
+backends.cpu_map, before its response cache, and spreads the in-process
+answers and the text scans over it. The pool maps only on the calling
+thread: a retrieval stage on the worker thread uses the builtin map, as
+does a run on one CPU or with only HTTP backends, which opens no pool. The
+map and the stop signal reach each stage as arguments.
 """
 
 from __future__ import annotations
@@ -610,9 +608,9 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool,
         variants = build_variants(resumes, pools, config, draw,
                                   completion_backend=aug_backend,
                                   audit_log=extra_audit)
-        stages = _run_stages(
+        stages = _run_stages(  # the pool maps only on this thread
             partial(retrieval_stage, embedders, jobs, variants, run_id, occupation_of,
-                    config, out_dir, map_fn, stop),
+                    config, out_dir, map if stop else map_fn, stop),
             partial(summary_stage, completers, regard_client, variants, run_id, config,
                     out_dir, map_fn, stop),
             stop)

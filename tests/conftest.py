@@ -1,6 +1,7 @@
 import faulthandler
 import signal
 import sys
+import threading
 
 import pytest
 
@@ -30,16 +31,18 @@ def watchdog_s() -> float:
 def watchdog(watchdog_s):
     """Fails a test that runs past `watchdog_s` seconds, so that a hang
     stalls one test and not the suite, and dumps every thread's stack to
-    stderr then, even when the main thread cannot take the failure. Does
-    nothing where SIGALRM does not exist."""
+    stderr before the failure unwinds them. A main thread that cannot take
+    the failure gets its stacks dumped at twice the budget. Does nothing
+    where SIGALRM does not exist."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def expired(signum, frame):
+        faulthandler.dump_traceback(file=sys.__stderr__)
         pytest.fail(f"the test ran past its {watchdog_s} s budget")
 
-    faulthandler.dump_traceback_later(watchdog_s, file=sys.__stderr__)
+    faulthandler.dump_traceback_later(2 * watchdog_s, file=sys.__stderr__)
     previous = signal.signal(signal.SIGALRM, expired)
     signal.setitimer(signal.ITIMER_REAL, watchdog_s)
     try:
@@ -53,7 +56,9 @@ def watchdog(watchdog_s):
 @pytest.fixture(autouse=True)
 def no_worker_left():
     """Fails a test after which a worker process it started still runs (and
-    stops those, so the next test starts without them)."""
+    stops those, so the next test starts without them), or a non-daemon
+    thread it started still runs after 5 s more."""
+    threads = set(threading.enumerate())
     yield
     import multiprocessing
 
@@ -62,6 +67,11 @@ def no_worker_left():
         child.terminate()
         child.join(timeout=10)
     assert not leaked, f"worker processes left running: {leaked}"
+    started = [t for t in threading.enumerate() if t not in threads and not t.daemon]
+    for thread in started:
+        thread.join(timeout=5)
+    running = [t for t in started if t.is_alive()]
+    assert not running, f"threads left running: {running}"
 
 
 def cached_response(cache, key: str):

@@ -7,9 +7,11 @@ import os
 import signal
 import sys
 import sqlite3
+import subprocess
 import threading
 import time
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +612,59 @@ def large_answer(i: int) -> bytes:
     return bytes(8192)
 
 
+#: Five times over, a worker is killed while the workers send 64 KB answers:
+#: each time the map raises BackendError within 6 s and no worker is left.
+KILLED_WHILE_SENDING = """
+import multiprocessing, os, signal, time
+
+from hirefair.backends import BackendError, cpu_map
+
+
+def large(i):
+    return bytes(65536)
+
+
+os.sched_getaffinity = lambda pid: {0, 1}
+for _ in range(5):
+    try:
+        with cpu_map() as map_fn:
+            victim = multiprocessing.active_children()[0]
+            for i, _ in enumerate(map_fn(large, range(20000))):
+                if i == 0:
+                    os.kill(victim.pid, signal.SIGKILL)
+                    killed = time.monotonic()
+    except BackendError as exc:
+        assert "exit code -9" in str(exc), exc
+        assert time.monotonic() - killed < 6
+    else:
+        raise AssertionError("the map ended without BackendError")
+    assert multiprocessing.active_children() == []
+print("ended five times")
+"""
+
+
+def test_a_worker_killed_while_sending_ends_the_map():
+    """A worker killed in the middle of a message cuts it short, which ends
+    the map like any killed worker. In a subprocess with a timeout, so that
+    a hang fails in seconds."""
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WHILE_SENDING], capture_output=True, text=True,
+        timeout=30, env={**os.environ, "PYTHONPATH": str(Path(backends.__file__).parents[1])})
+    assert proc.stdout == "ended five times\n", proc.stderr
+
+
+def test_a_map_left_early_leaves_the_next_map_its_own_answers(monkeypatch):
+    """A map abandoned after one answer leaves answers owed; the next map
+    drops those and returns exactly its own."""
+    cpus(monkeypatch, 2)
+    with cpu_map() as map_fn:
+        first = map_fn(str, range(1000))
+        assert next(first) == "0"
+        first.close()
+        assert list(map_fn(abs, range(-500, 0))) == list(range(500, 0, -1))
+        assert list(map_fn(str, range(3))) == ["0", "1", "2"]
+
+
 def test_leaving_a_map_while_workers_send_ends_the_block(monkeypatch):
     """Workers that send large answers when the block is left are killed
     between messages, so the pool's teardown waits for no message cut short."""
@@ -656,16 +711,18 @@ class StopAfterThree(EmbeddingBackend):
 def test_a_batch_takes_no_answer_once_stopped(tmp_path, monkeypatch, n):
     """Once the stop signal is set, the batch takes no further answer, from
     the builtin map or the pool, and raises Stopped; what validated stays
-    cached."""
+    cached, and the next batch on the same map gets its own answers."""
     cpus(monkeypatch, n)
+    texts = [f"text {i}" for i in range(200)]
     with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
         backend = StopAfterThree(mock_config(), cache)
         backend.stop, backend.validated = threading.Event(), 0
         with pytest.raises(Stopped):
-            backend.embed_batch([f"text {i}" for i in range(200)], map_fn=map_fn,
-                                stop=backend.stop)
+            backend.embed_batch(texts, map_fn=map_fn, stop=backend.stop)
         assert backend.validated == 3
         assert len(cache) == 3
+        vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts, map_fn=map_fn)
+        assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
 
 
 class FailsOnFive(CompletionBackend):

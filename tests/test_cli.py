@@ -1490,6 +1490,36 @@ def test_the_pool_changes_no_byte(tmp_path, fixtures_dir, monkeypatch):
     assert pooled == serial
 
 
+def test_the_pool_maps_only_on_the_main_thread(tmp_path, fixtures_dir, loopback, monkeypatch):
+    """In-process backends beside an HTTP regard endpoint: the retrieval stage
+    runs on a worker thread beside the summary stage and embeds serially
+    there, so the pool maps only on the thread that opened it, and a run on
+    two CPUs writes the bytes of a run on one."""
+    threads = []
+
+    @contextmanager
+    def watched():
+        with cpu_map() as map_fn:
+            def mapped(fn, items):
+                threads.append(threading.get_ident())
+                return map_fn(fn, items)
+            yield mapped
+
+    monkeypatch.setattr(pipeline, "cpu_map", watched)
+
+    def run(n):
+        cpus(monkeypatch, n)
+        out = tmp_path / f"cpus-{n}"
+        run_audit(load_run_config(write_config(
+            tmp_path, fixtures_dir, out_dir=str(out), regard_endpoint=f"{loopback.url}/regard",
+            grid={"n_values": [3], "x_values": [25], "temperatures": [0.0, 0.3],
+                  "lengths": [100], "povs": ["third"], "runs": 2})))
+        return {name: (out / name).read_bytes() for name in CRITERION_8_ARTIFACTS}
+
+    assert run(2) == run(1)
+    assert threads and set(threads) == {threading.main_thread().ident}
+
+
 def test_a_failed_run_leaves_no_worker(tmp_path, fixtures_dir, loopback, monkeypatch):
     """An HTTP embedder that stays unavailable, beside a mock completer that
     answers on the pool: exit 3 with an error line, no traceback, and no
