@@ -22,7 +22,10 @@ An HTTP backend fetches a batch's misses on up to `parallelism` threads,
 over as many keep-alive connections (see JsonEndpoint). An in-process one
 answers them through the map a batch is given: the builtin map, or that of
 cpu_map, whose `fork` workers, one per CPU and each with a pipe of its own,
-also encode the answers for the cache.
+also encode the answers for the cache. The same map computes the batch's
+cache keys and decodes its cached responses; validation, caching and the
+order of results stay on the calling thread. An HTTP backend's batches use
+the builtin map for all three.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -51,12 +54,13 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from hirefair.records import check_types, from_row
+from hirefair.records import check_types, from_row, raised, valued
 
 logger = logging.getLogger(__name__)
 
@@ -93,6 +97,10 @@ _WORD_CHAR_RE = re.compile(r"[A-Za-z0-9]")
 
 class BackendError(Exception):
     """Raised for backend configuration or transport failures."""
+
+
+class CacheError(Exception):
+    """Raised for a response cache row that does not decode."""
 
 
 class Stopped(Exception):
@@ -211,7 +219,7 @@ class ResponseCache:
     `with` block) flushes and leaves the single file behind.
     """
 
-    # perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
+    # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -311,6 +319,11 @@ def decode_response(blob: bytes):
     return json.loads(zlib.decompress(blob))
 
 
+def _digest(key: tuple) -> str:
+    """cache_key(*key)."""
+    return cache_key(*key)
+
+
 def _answered(fetch: Callable, item) -> tuple[object, bytes | None]:
     """(fetch(item), its encoding for the cache), both made where fetch runs;
     (the exception, None) when either raised, so that a failure on a worker
@@ -332,13 +345,15 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
 
     `keys[i]` holds cache_key's arguments for request i, and
     `fetch(items[i])` makes that request; `items` default to the indices of
-    `keys`. Requests with one key share one result. A batch's cached
-    responses are read in one go and validated again, one at a time, on the
-    calling thread. Misses are fetched on min(width, misses) threads when
-    that is more than one; otherwise `map_fn` answers them in order, each
-    with its encoding for the cache, and they are validated here as they
-    arrive. `map_fn` is the builtin map or the map of cpu_map, which needs a
-    `fetch` that pickles. A fetched response is stored only after it
+    `keys`. `map_fn` digests the keys; requests with one key share one
+    result. A batch's cached responses are read in one go, decoded through
+    `map_fn` and validated again, one at a time, on the calling thread; a
+    response that does not decode is a CacheError naming its key. Misses
+    are fetched on min(width, misses) threads when that is more than one;
+    otherwise `map_fn` answers them in order, each with its encoding for the
+    cache, and they are validated here as they arrive. `map_fn` is the
+    builtin map or the map of cpu_map, which needs keys and a `fetch` that
+    pickle. A fetched response is stored only after it
     validated, so a bad response is never cached; responses that validated
     are stored even when the batch then fails. Without `on_error`, the first
     failure cancels the requests still queued and is raised; with it,
@@ -347,7 +362,7 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     whose response was not taken yet raises Stopped, which on_error never
     sees.
     """
-    digests = [cache_key(*key) for key in keys]
+    digests = [raised(digest) for digest in map_fn(partial(valued, _digest), keys)]
     items = range(len(keys)) if items is None else items
     first: dict[str, int] = {}
     for i, digest in enumerate(digests):
@@ -376,14 +391,15 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
         return guarded(stored, digest, answer)
 
     results: dict[str, object] = {}
-    misses: list[tuple[str, int]] = []
     found = cache.get_many(list(first)) if cache is not None else {}
-    for digest, i in first.items():
-        blob = found.pop(digest, None)
-        if blob is None:
-            misses.append((digest, i))
-        else:
-            results[digest] = guarded(validate, decode_response(blob))
+    misses = [(digest, i) for digest, i in first.items() if digest not in found]
+    hits = [digest for digest in first if digest in found]
+    for digest, response in zip(hits, map_fn(partial(valued, decode_response),
+                                             [found[digest] for digest in hits])):
+        if isinstance(response, Exception):
+            raise CacheError(f"response cache {cache.root / CACHE_FILE}: the row of key "
+                             f"{digest} does not decode: {response}") from response
+        results[digest] = guarded(validate, response)
     workers = min(width, len(misses))
     try:
         if workers <= 1:
@@ -424,19 +440,22 @@ def _serve(conn, parent_ends: list) -> None:
 def cpu_map() -> Iterator[Callable]:
     """A map for the pure per-item work of one run or command, answered in
     order: on one `fork` worker process per CPU this process may use, in
-    tasks of MAP_CHUNK items; the builtin map with one CPU or without
-    `fork`. Nothing sets the width. Open it before the response cache and
-    any thread, as each worker copies this process, and map only on this
-    thread. Workers ignore SIGINT, which the calling process handles.
+    tasks of MAP_CHUNK items read from the iterable as they are sent; the
+    builtin map with one CPU or without `fork`. Nothing sets the width.
+    Open it before the response cache and any thread, as each worker copies
+    this process, and map only on this thread. Workers ignore SIGINT, which
+    the calling process handles.
 
     Each worker has a pipe of its own and at most one task, since a worker
     blocked sending answers and this process blocked sending it a second
     task would wait for each other: task i goes to worker i % width, which
     gets task i + width once its answers are read. A map left early leaves
     answers owed, which the next map drops. An end of file on a worker's
-    pipe, even mid-message, means that it ended (say, killed; `fn` must not
-    raise): the map raises BackendError. The workers are killed when the
-    block ends, however it ends.
+    pipe, even mid-message, means that it ended (say, killed): the map
+    raises BackendError. `fn` must not raise, as that ends its worker too;
+    the functions this package maps return their failures instead (see
+    records.valued). The workers are killed when the block ends, however
+    it ends.
     """
     width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if width < 2:
@@ -459,12 +478,14 @@ def cpu_map() -> Iterator[Callable]:
             raise BackendError("a worker process of the pool ended with exit code "
                                f"{workers[w].exitcode}") from None
 
-    def pooled(fn: Callable, items: Sequence) -> Iterator:
+    def pooled(fn: Callable, items: Iterable) -> Iterator:
         while owing:  # the answers a map left early owes
             talk(owing.pop(0))
-        for i, start in enumerate(range(0, len(items), MAP_CHUNK)):
+        items = iter(items)
+        chunks = iter(lambda: list(islice(items, MAP_CHUNK)), [])
+        for i, chunk in enumerate(chunks):
             answers = talk(owing.pop(0)) if i >= width else ()
-            talk(i % width, fn, items[start:start + MAP_CHUNK])
+            talk(i % width, fn, chunk)
             owing.append(i % width)
             yield from answers
         while owing:
@@ -943,7 +964,7 @@ class CompletionBackend(Backend):
         return self._batch(requests, [request.prompt for request in requests], payloads,
                            self._text, map_fn=map_fn, stop=stop)
 
-    # perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
+    # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def complete(self, request: CompletionRequest) -> str:
         """Run one completion: a batch of one."""
         return self.complete_batch([request])[0]
@@ -974,12 +995,12 @@ class RegardClient(Backend):
                            self.config.id, len(errors), len(texts), errors[0])
         return [None if isinstance(r, Exception) else r for r in results]
 
-    # perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
+    # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def score(self, text: str) -> dict[str, float] | None:
         return self.score_batch([text])[0]
 
 
-# perfbench/traced_audit.py wraps this until ROADMAP item 1's benchmark change
+# perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
 def build_backend(config: BackendConfig, cache: ResponseCache | None = None) -> Backend:
     """Construct a backend from config, failing fast on missing credentials."""
     kind = EmbeddingBackend if config.kind == "embedding" else CompletionBackend

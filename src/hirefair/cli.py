@@ -14,7 +14,7 @@ from contextlib import contextmanager, nullcontext
 import click
 
 from hirefair import perturb, retrieval, stats, textmetrics
-from hirefair.backends import BackendError, ResponseCache, build_backend, cpu_map
+from hirefair.backends import BackendError, CacheError, ResponseCache, build_backend, cpu_map
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import (
     CorpusError,
@@ -40,13 +40,14 @@ from hirefair.retrieval import RetrievalError
 
 #: The exit code of each error a command may raise: config, backend, data. An
 #: OSError is a failed write: readers and backends wrap their own OSErrors. A
-#: response cache that cannot be read or written (sqlite3.Error) is a data error.
+#: response cache that cannot be read or written (sqlite3.Error), or one of
+#: whose rows does not decode (CacheError), is a data error.
 EXIT_CODES = {
     ConfigError: 2,
     BackendError: 3,
     **dict.fromkeys((CorpusError, DataError, RetrievalError, textmetrics.TextMetricsError,
                      perturb.PerturbError, stats.StatsError, ReportError, OSError,
-                     sqlite3.Error), 4),
+                     sqlite3.Error, CacheError), 4),
 }
 
 logger = logging.getLogger(__name__)
@@ -180,7 +181,7 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
         resumes, _ = load_corpus(in_path)
         records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
                             [(float(temperature), int(length), pov)], runs, map_fn)
-    write_jsonl(map(to_row, records), out_path)
+        write_jsonl(map(to_row, records), out_path, map_fn=map_fn)
     click.echo(f"wrote {len(records)} summaries to {out_path}")
 
 
@@ -193,7 +194,7 @@ def measure_cmd(in_path, out_path):
     records = textmetrics.read_summaries(in_path)
     with cpu_map() as map_fn:
         rows = measure_summaries(records, map_fn=map_fn)
-    textmetrics.write_measures(rows, out_path)
+        textmetrics.write_measures(rows, out_path, map_fn)
     click.echo(f"wrote {len(rows)} measure rows to {out_path}")
 
 

@@ -18,11 +18,13 @@ makes no further request, and is raised. Results join in one order,
 retrieval first, so the artifacts do not depend on which stage ends first.
 
 A run with a backend that answers in-process opens one process pool,
-backends.cpu_map, before its response cache, and spreads the in-process
-answers and the text scans over it. The pool maps only on the calling
-thread: a retrieval stage on the worker thread uses the builtin map, as
-does a run on one CPU or with only HTTP backends, which opens no pool. The
-map and the stop signal reach each stage as arguments.
+backends.cpu_map, before its response cache, and spreads over it the
+in-process answers, the cache keys and cached responses of each batch, the
+text scans and the lines of the summaries and measures files. The pool
+maps only on the calling thread: a retrieval stage on the worker thread
+uses the builtin map, as does a run on one CPU or with only HTTP backends,
+which opens no pool. The map and the stop signal reach each stage as
+arguments.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from hirefair.corpus import (
     validate_corpus,
 )
 from hirefair.perturb import PerturbationSpec
-# perfbench/traced_audit.py wraps _write_jsonl until ROADMAP item 1's benchmark change
+# perfbench/traced_audit.py wraps _write_jsonl until ROADMAP item 2's benchmark change
 from hirefair.records import to_row, write_jsonl as _write_jsonl
 from hirefair.report import (
     LedgerEntry,
@@ -474,12 +476,12 @@ def summary_stage(completers: list, regard_client: RegardClient | None,
     for backend in completers:
         records = generate_summaries(backend, variants, config, map_fn, stop)
         summaries_path = out_dir / f"summaries_{backend.config.id}{suffix}.jsonl"
-        _write_jsonl(map(to_row, records), summaries_path)
+        _write_jsonl(map(to_row, records), summaries_path, map_fn=map_fn)
         files.append(summaries_path)
 
         measured = measure_summaries(records, regard_client, map_fn, stop)
         measures_path = out_dir / f"measures_{backend.config.id}{suffix}.jsonl"
-        textmetrics.write_measures(measured, measures_path)
+        textmetrics.write_measures(measured, measures_path, map_fn)
         files.append(measures_path)
 
         samples = paired_samples(measured, config.pair_runs)

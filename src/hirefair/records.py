@@ -3,17 +3,19 @@ dataclass fields and read back from one.
 
 A row's keys are the record's field names, or a field's metadata "key" where
 the file spells it differently. Reading checks each value against its field's
-annotation as JSON gives it; writing trusts the record.
+annotation as JSON gives it; writing trusts the record. `valued` and
+`raised` carry a failure of a function mapped on backends.cpu_map's pool
+back to the calling thread as a value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from types import UnionType
-from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 _type_hints = lru_cache(maxsize=None)(get_type_hints)
 
@@ -146,10 +148,31 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
         raise error(f"cannot read {path} at line {lineno + 1}: {exc}") from exc
 
 
-def write_jsonl(rows: Iterable[dict], path, separators: tuple[str, str] | None = None) -> None:
-    """One JSON line per row, keys sorted."""
-    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=separators).encode
+def valued(fn: Callable, item):
+    """fn(item), or the exception it raised. A function run on
+    backends.cpu_map's pool must not raise, so the pool maps this instead,
+    and the calling thread raises a failure at its item's place: the
+    failure stays with its item and ends no worker."""
+    try:
+        return fn(item)
+    except Exception as exc:
+        return exc
+
+
+def raised(value):
+    """`value`, raised when it is an exception (see valued)."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def write_jsonl(rows: Iterable[dict], path, separators: tuple[str, str] | None = None,
+                map_fn: Callable = map) -> None:
+    """One JSON line per row, keys sorted, encoded through `map_fn`: the
+    builtin map or the map of backends.cpu_map. A row that does not encode
+    raises where its line would be written."""
+    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=separators)
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(encode(row))
+        for line in map_fn(partial(valued, encoder.encode), rows):
+            fh.write(raised(line))
             fh.write("\n")

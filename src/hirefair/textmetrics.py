@@ -332,16 +332,18 @@ def read_summaries(path) -> list[SummaryRecord]:
             for lineno, row in read_jsonl(path, TextMetricsError)]
 
 
-def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path) -> None:
+def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path,
+                   map_fn: Callable = map) -> None:
     """One JSON line per summary: its record's fields but the text, and its
-    measures (regard only when scored); schema versioned."""
+    measures (regard only when scored); schema versioned. The lines are
+    encoded through `map_fn` (see records.write_jsonl)."""
     def row(record: SummaryRecord, mv: MeasureVector) -> dict:
         rec = to_row(record, **to_row(mv), schema_version=MEASURES_SCHEMA_VERSION)
         del rec["text"]
         if mv.regard is None:
             del rec["regard"]
         return rec
-    write_jsonl((row(record, mv) for record, mv in rows), path)
+    write_jsonl((row(record, mv) for record, mv in rows), path, map_fn=map_fn)
 
 
 def read_measures(path) -> list[tuple[SummaryRecord, MeasureVector]]:

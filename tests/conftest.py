@@ -174,7 +174,9 @@ class LoopbackService:
             self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
         scheme = "http" if tls is None else "https"
         self.url = f"{scheme}://127.0.0.1:{self.server.server_address[1]}"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll, so that shutdown() at teardown waits 50 ms at most
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.05,),
+                                       daemon=True)
         self.thread.start()
 
     def reset(self) -> None:

@@ -4,6 +4,7 @@ import logging
 import math
 import multiprocessing
 import os
+import shutil
 import signal
 import sys
 import sqlite3
@@ -12,6 +13,7 @@ import threading
 import time
 from contextlib import closing
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from hirefair import backends
 from hirefair.backends import (
     DEFAULT_ANCHOR_TOKEN,
+    MAP_CHUNK,
     MOCK_DIM,
     WRITE_AGE_S,
     WRITE_CHUNK,
@@ -44,6 +47,7 @@ from hirefair.backends import (
     mock_embedding,
     token_bucket,
 )
+from hirefair.records import write_jsonl
 from hirefair.retrieval import cosine
 
 from conftest import cached_response
@@ -590,9 +594,9 @@ def test_cpu_map_workers_ignore_sigint_and_end_with_the_block(monkeypatch):
 
 
 def test_a_killed_worker_ends_the_map_in_seconds(monkeypatch):
-    """A worker killed during a long map loses its task, which the pool never
-    answers: the map raises BackendError within seconds instead of waiting
-    for it, the block ends, and no worker is left."""
+    """A worker killed during a long map closes its pipe, so the map raises
+    BackendError, naming its exit code, within seconds instead of waiting
+    for the task it held; the block ends, and no worker is left."""
     cpus(monkeypatch, 2)
     with pytest.raises(BackendError, match="worker process of the pool ended with exit "
                                            f"code -{int(signal.SIGKILL)}"):
@@ -666,8 +670,9 @@ def test_a_map_left_early_leaves_the_next_map_its_own_answers(monkeypatch):
 
 
 def test_leaving_a_map_while_workers_send_ends_the_block(monkeypatch):
-    """Workers that send large answers when the block is left are killed
-    between messages, so the pool's teardown waits for no message cut short."""
+    """Workers still sending large answers when the block is left are killed,
+    even in the middle of a message; as nothing reads their pipes any more,
+    the block ends at once and no worker is left."""
     cpus(monkeypatch, 2)
     for _ in range(10):
         with cpu_map() as map_fn:
@@ -753,6 +758,127 @@ def test_a_pooled_failure_stays_with_its_item(tmp_path, monkeypatch, n):
         assert results[:5] + results[6:] == [backend._request(r) for r in requests
                                              if r.prompt != "p 5"]
         assert len(cache) == 149
+
+
+def answer(i: int) -> str:
+    """The response to request i; at module level, so that a pool's worker
+    can make it."""
+    return f"answer {i}"
+
+
+def refusing_sevens(response: str) -> str:
+    if response.endswith("7"):
+        raise ValueError(f"refused {response!r}")
+    return response.upper()
+
+
+#: 300 requests of 150 keys, each key twice; every third key is cached.
+KEYS = [("b", "m", {"i": i % 150}) for i in range(300)]
+CACHED = {cache_key(*key): encode_response(f"cached {key[2]['i']}") for key in KEYS[:150:3]}
+#: A cached row that does not decode, for the key of request 10.
+CORRUPT = {**CACHED, cache_key(*KEYS[10]): b"garbage"}
+#: A key that does not digest (a set is not JSON), at request 100.
+UNDIGESTIBLE = [*KEYS[:100], ("b", "m", {"i": {1, 2}}), *KEYS[100:]]
+
+
+def outcome(call: Callable):
+    """call()'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("keys, stored, validate, on_error", [
+    (KEYS, CACHED, str, None),
+    (KEYS, CACHED, refusing_sevens, None),
+    (KEYS, CACHED, refusing_sevens, repr),
+    (UNDIGESTIBLE, CACHED, str, None),
+    (KEYS, CORRUPT, str, None),
+    (KEYS, CORRUPT, str, repr),
+], ids=["hits-and-misses", "failing-validation", "failing-validation-on-error",
+        "digest-raises", "decoding-raises", "decoding-raises-on-error"])
+def test_pooled_batches_equal_builtin_ones(tmp_path, monkeypatch, keys, stored, validate,
+                                           on_error):
+    """Over a two-worker pool, cached_calls gives what it gives over the
+    builtin map, results or error, and leaves the same rows in the cache; an
+    item that fails on a worker ends no worker."""
+    cpus(monkeypatch, 2)
+
+    def batch(map_fn: Callable):
+        shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+        with ResponseCache(tmp_path / "cache") as cache:
+            for key, blob in stored.items():
+                cache.put(key, blob)
+            cache.flush()
+            result = outcome(lambda: cached_calls(cache, keys, answer, validate,
+                                                  on_error=on_error, map_fn=map_fn))
+            rows = cache._db.execute("SELECT key, response FROM responses ORDER BY key")
+            return result, rows.fetchall()
+
+    serial = batch(map)
+    with cpu_map() as map_fn:
+        assert map_fn is not map
+        pooled = batch(map_fn)
+        assert list(map_fn(abs, range(-200, 0))) == list(range(200, 0, -1))
+        assert [w.is_alive() for w in multiprocessing.active_children()] == [True, True]
+    assert pooled == serial
+
+
+def test_a_batch_digests_decodes_and_fetches_on_the_pool(tmp_path, monkeypatch):
+    """Every key is digested, every cached response decoded and every miss
+    answered through the batch's map."""
+    cpus(monkeypatch, 2)
+    mapped = []
+    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+        def counted(fn: Callable, items):
+            items = list(items)
+            mapped.append(len(items))
+            return map_fn(fn, items)
+
+        for key, blob in CACHED.items():
+            cache.put(key, blob)
+        cache.flush()
+        results = cached_calls(cache, KEYS, answer, str, map_fn=counted)
+    assert results == [f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}"
+                       for i in range(300)]
+    assert mapped == [300, 50, 100]
+
+
+def test_pooled_jsonl_lines_equal_the_serial_ones(tmp_path, monkeypatch):
+    """write_jsonl over the pool encodes every row there and writes the
+    serial path's bytes, non-ASCII text included, from a one-pass iterable."""
+    rows = [{"text": f"Zoë’s résumé {i}: 東京, naïve “quotes”\u2028 \U0001f600 \\ \"",
+             "i": i, "share": i / 7, "none": None, "nested": {"b": [1, 2.5], "a": "ü"}}
+            for i in range(4 * MAP_CHUNK + 5)]
+    cpus(monkeypatch, 2)
+    with cpu_map() as map_fn:
+        assert map_fn is not map
+        for separators in (None, (",", ":")):
+            mapped = []
+            write_jsonl(iter(rows), tmp_path / "pooled.jsonl", separators,
+                        map_fn=lambda fn, items: map_fn(fn, (mapped.append(row) or row
+                                                             for row in items)))
+            assert mapped == rows
+            write_jsonl(rows, tmp_path / "serial.jsonl", separators)
+            pooled = (tmp_path / "pooled.jsonl").read_bytes()
+            assert pooled == (tmp_path / "serial.jsonl").read_bytes()
+            assert pooled.count(b"\n") == len(rows)
+
+
+def test_a_row_that_does_not_encode_raises_on_the_calling_thread(tmp_path, monkeypatch):
+    """A row that cannot be encoded raises TypeError where its line would be
+    written, over the pool as over the builtin map, and ends no worker."""
+    rows = [{"a": 1}] * 100 + [{"a": {1, 2}}] + [{"a": 2}] * 100
+    cpus(monkeypatch, 2)
+    with cpu_map() as map_fn:
+        for mapped in (map, map_fn):
+            path = tmp_path / "rows.jsonl"
+            with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+                write_jsonl(rows, path, map_fn=mapped)
+            assert path.read_text() == '{"a": 1}\n' * 100
+        assert list(map_fn(str, range(3))) == ["0", "1", "2"]
+        assert [w.is_alive() for w in multiprocessing.active_children()] == [True, True]
 
 
 def test_a_completion_without_a_word_is_never_cached(tmp_path):

@@ -1567,6 +1567,25 @@ def test_a_killed_worker_ends_the_run_with_exit_3(tmp_path, fixtures_dir, monkey
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_cache_row_that_does_not_decode_exits_4(tmp_path, fixtures_dir, monkeypatch, n):
+    """A rerun that reads a corrupt response cache row ends with exit 4 and
+    an error line naming the row's key, over the pool as on one CPU, and no
+    worker is left."""
+    cpus(monkeypatch, n)
+    args = ["run", "--config", str(write_config(tmp_path, fixtures_dir))]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    with closing(sqlite3.connect(tmp_path / "out" / "cache" / "responses.sqlite")) as db, db:
+        key, = db.execute("SELECT key FROM responses ORDER BY key LIMIT 1").fetchone()
+        db.execute("UPDATE responses SET response = ? WHERE key = ?", (b"garbage", key))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("error: response cache "), result.output
+    assert f"the row of key {key} does not decode" in result.output
+    assert "Traceback" not in result.output
+    assert multiprocessing.active_children() == []
+
+
 def test_an_http_run_starts_no_worker(tmp_path, fixtures_dir, loopback, monkeypatch):
     """A run whose backends all make HTTP requests has no in-process answers
     to spread, so it opens no pool, however many CPUs it may use."""
