@@ -20,12 +20,13 @@ imported into the file once.
 
 An HTTP backend fetches a batch's misses on up to `parallelism` threads,
 over as many keep-alive connections (see JsonEndpoint). An in-process one
-answers them through the map a batch is given: the builtin map, or that of
-cpu_map, whose `fork` workers, one per CPU and each with a pipe of its own,
-also encode the answers for the cache. The same map computes the batch's
-cache keys and decodes its cached responses; validation, caching and the
-order of results stay on the calling thread. An HTTP backend's batches use
-the builtin map for all three.
+answers them through thread_map(), the map of cpu_map's pool on the thread
+that opened it, whose `fork` workers, one per CPU and each with a pipe of
+its own, also encode the answers for the cache. The same map computes the
+batch's cache keys and decodes its cached responses; validation, caching
+and the order of results stay on the calling thread. An HTTP backend's
+batches use the builtin map for all three. A backend's `stop` is the run's
+stop signal: once it is set, its batches take no further answer.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -61,6 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from hirefair.records import check_types, from_row, raised, valued
+from hirefair.retrieval import norm
 
 logger = logging.getLogger(__name__)
 
@@ -422,12 +424,23 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     return [results[digest] for digest in digests]
 
 
+#: Per thread, as `map`, the map of the cpu_map block that the thread opened.
+_opened = threading.local()
+
+
+def thread_map() -> Callable:
+    """The map of the cpu_map block this thread opened and has not left; else
+    the builtin map, as on other threads and in the pool's workers."""
+    return getattr(_opened, "map", map)
+
+
 def _serve(conn, parent_ends: list) -> None:
     """A worker of cpu_map's pool: answers each task (fn, items) with
     [fn(item) for item in items] until the calling process ends."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process handles Ctrl-C
+    _opened.map = map  # not the binding copied from the thread that forked it
     for end in parent_ends:  # so that only the calling process holds them
         end.close()
     with suppress(EOFError):  # the calling process has ended
@@ -443,8 +456,9 @@ def cpu_map() -> Iterator[Callable]:
     tasks of MAP_CHUNK items read from the iterable as they are sent; the
     builtin map with one CPU or without `fork`. Nothing sets the width.
     Open it before the response cache and any thread, as each worker copies
-    this process, and map only on this thread. Workers ignore SIGINT, which
-    the calling process handles.
+    this process. Only where thread_map() gives this map, on the thread that
+    opened it, does it use the pool; elsewhere it maps serially. Workers
+    ignore SIGINT, which the calling process handles.
 
     Each worker has a pipe of its own and at most one task, since a worker
     blocked sending answers and this process blocked sending it a second
@@ -479,6 +493,9 @@ def cpu_map() -> Iterator[Callable]:
                                f"{workers[w].exitcode}") from None
 
     def pooled(fn: Callable, items: Iterable) -> Iterator:
+        if thread_map() is not pooled:
+            yield from map(fn, items)
+            return
         while owing:  # the answers a map left early owes
             talk(owing.pop(0))
         items = iter(items)
@@ -491,6 +508,7 @@ def cpu_map() -> Iterator[Callable]:
         while owing:
             yield from talk(owing.pop(0))
 
+    outer = thread_map()
     try:
         for _ in range(width):
             pipe, child_end = context.Pipe()
@@ -499,8 +517,10 @@ def cpu_map() -> Iterator[Callable]:
             worker.start()
             workers.append(worker)
             child_end.close()
+        _opened.map = pooled
         yield pooled
     finally:
+        _opened.map = outer
         for worker, pipe in zip(workers, pipes):
             worker.kill()
             worker.join()
@@ -528,9 +548,9 @@ def mock_embedding(text: str, dim: int = MOCK_DIM) -> np.ndarray:
     """
     buckets = np.array([token_bucket(token, dim) for token in text.split()], dtype=np.intp)
     counts = np.bincount(buckets, minlength=dim).astype(np.float64)
-    norm = float(np.linalg.norm(counts))
-    if norm > 0.0:
-        counts /= norm
+    length = norm(counts)
+    if length > 0.0:
+        counts /= length
     return counts
 
 
@@ -550,9 +570,9 @@ def mock_biased_embedding(text: str, tag_bias: Mapping[str, float],
     if bias == 0.0:
         return vec
     vec[token_bucket(anchor_token, dim)] += bias
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
+    length = norm(vec)
+    if length > 0.0:
+        vec /= length
     return vec
 
 
@@ -864,13 +884,14 @@ class Backend:
     posts through `http`, a JsonEndpoint built (and its credential checked)
     with the backend, with up to `parallelism` requests in flight; an
     in-process one makes no requests (`http` is None), so a batch answers
-    its misses through the `map_fn` it is given (see cached_calls). A
-    backend pickles as its class and config, without its cache, so that a
-    worker of cpu_map's pool can answer for it. Once a batch's `stop`, the
-    run's stop signal, is set, the batch takes no further answer."""
+    its misses through thread_map() (see cached_calls). Once `stop`, the
+    run's stop signal, is set, a batch takes no further answer. A backend
+    pickles as its class and config, without its cache or stop signal, so
+    that a worker of cpu_map's pool can answer for it."""
 
     width = 1
     http: JsonEndpoint | None = None
+    stop: threading.Event | None = None
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         self.config = config
@@ -892,12 +913,11 @@ class Backend:
         return self.http.post(self.protocol.body(self.config, item), self.protocol.read)
 
     def _batch(self, items: Sequence, texts: Sequence[str], payloads: Sequence[dict],
-               validate: Callable, on_error: Callable | None = None,
-               map_fn: Callable = map, stop: threading.Event | None = None) -> list:
+               validate: Callable, on_error: Callable | None = None) -> list:
         """validate(answer) for each item in order, each distinct payload
         requested once; no item's input text may exceed max_chars. A failed
         request raises, or gives on_error(exc) (see cached_calls). Only an
-        in-process protocol's answers go through `map_fn`."""
+        in-process protocol's batches go through thread_map()."""
         limit = self.config.max_chars
         for text in texts:
             if limit is not None and len(text) > limit:
@@ -906,7 +926,7 @@ class Backend:
                     f"max_chars={limit}; refusing to truncate")
         keys = [(self.config.id, self.config.model_name, payload) for payload in payloads]
         return cached_calls(self.cache, keys, self._request, validate, self.width, on_error,
-                            stop, items, map_fn if self.http is None else map)
+                            self.stop, items, thread_map() if self.http is None else map)
 
 
 class EmbeddingBackend(Backend):
@@ -936,12 +956,11 @@ class EmbeddingBackend(Backend):
                 )
         return vec
 
-    def embed_batch(self, texts: Sequence[str], map_fn: Callable = map,
-                    stop: threading.Event | None = None) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed in order, each distinct text once; cached entries are served
         without touching the network."""
         return self._batch(texts, texts, [{"op": "embed", "text": text} for text in texts],
-                           self._vector, map_fn=map_fn, stop=stop)
+                           self._vector)
 
 
 class CompletionBackend(Backend):
@@ -953,8 +972,7 @@ class CompletionBackend(Backend):
                                f"{text!r:.80}")
         return text
 
-    def complete_batch(self, requests: Sequence[CompletionRequest], map_fn: Callable = map,
-                       stop: threading.Event | None = None) -> list[str]:
+    def complete_batch(self, requests: Sequence[CompletionRequest]) -> list[str]:
         """Run completions in order, each distinct request once; responses
         are cached per (prompt, run_index, temperature) so reruns stay stable
         despite provider nondeterminism."""
@@ -962,7 +980,7 @@ class CompletionBackend(Backend):
                      "temperature": request.temperature, "run_index": request.run_index,
                      "max_words_hint": request.max_words_hint} for request in requests]
         return self._batch(requests, [request.prompt for request in requests], payloads,
-                           self._text, map_fn=map_fn, stop=stop)
+                           self._text)
 
     # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def complete(self, request: CompletionRequest) -> str:
@@ -983,12 +1001,11 @@ class RegardClient(Backend):
             raise exc
         return exc
 
-    def score_batch(self, texts: Sequence[str], stop: threading.Event | None = None,
-                    ) -> list[dict[str, float] | None]:
+    def score_batch(self, texts: Sequence[str]) -> list[dict[str, float] | None]:
         """Scores of each text in order, each distinct text posted once; None
         where a request failed, with one warning per batch that has any."""
         results = self._batch(texts, texts, [{"text": text} for text in texts],
-                              validate_regard, self._failed, stop=stop)
+                              validate_regard, self._failed)
         errors = [r for r in results if isinstance(r, Exception)]
         if errors:
             logger.warning("backend %s: regard absent for %d of %d texts; first error: %s",

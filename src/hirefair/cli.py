@@ -119,11 +119,10 @@ def perturb_cmd(plan_path, in_path, out_path, frequency_table):
 
 @contextmanager
 def _load_backend(path, backend_id, kind, cache_dir):
-    """(backend, map): the first `kind` block of a backends file (or the one
-    named backend_id), built over a response cache in cache_dir if given,
-    and the map of cpu_map, opened before the cache, when the backend
-    answers in-process (the builtin map when it makes HTTP requests). Both
-    are closed when the block ends."""
+    """The first `kind` block of a backends file (or the one named
+    backend_id), built over a response cache in cache_dir if given, which
+    opens after cpu_map's pool when the backend answers in-process. Both
+    close when the block ends."""
     doc = read_json(path, ConfigError, "backends file")
     blocks = doc.get("backends", [doc]) if isinstance(doc, dict) else doc
     if not isinstance(blocks, list) or not all(isinstance(raw, dict) for raw in blocks):
@@ -131,9 +130,9 @@ def _load_backend(path, backend_id, kind, cache_dir):
     for raw in blocks:
         if raw.get("kind") == kind and backend_id in (None, raw.get("id")):
             config = backend_from_dict(raw)
-            with cpu_map() if config.in_process else nullcontext(map) as map_fn, \
+            with cpu_map() if config.in_process else nullcontext(), \
                     ResponseCache(cache_dir) if cache_dir else nullcontext() as cache:
-                yield build_backend(config, cache), map_fn
+                yield build_backend(config, cache)
             return
     raise ConfigError(f"no {kind} backend {backend_id or ''!r} found in {path}")
 
@@ -152,14 +151,14 @@ def _variant_id(resume) -> str:
 @click.option("--cache-dir", default=None, type=click.Path())
 def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
     """Embed a corpus and write the (job, resume, variant, score) table."""
-    with _load_backend(backends_path, backend_id, "embedding", cache_dir) as (backend, map_fn):
+    with _load_backend(backends_path, backend_id, "embedding", cache_dir) as backend:
         resumes, jobs = load_corpus(in_path)
         if not jobs:
             raise CorpusError("corpus has no job posts to score against")
         variants = VariantSet(draw=0, resumes={})
         for resume in resumes:
             variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume
-        rows = score_variants(backend, jobs, variants, map_fn)
+        rows = score_variants(backend, jobs, variants)
     retrieval.write_score_table(rows, out_path)
     click.echo(f"wrote {len(rows)} scores to {out_path}")
 
@@ -177,11 +176,11 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
 def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
                   temperature, runs, cache_dir):
     """Generate summaries for every resume at one grid cell."""
-    with _load_backend(backends_path, backend_id, "completion", cache_dir) as (backend, map_fn):
+    with _load_backend(backends_path, backend_id, "completion", cache_dir) as backend:
         resumes, _ = load_corpus(in_path)
         records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
-                            [(float(temperature), int(length), pov)], runs, map_fn)
-        write_jsonl(map(to_row, records), out_path, map_fn=map_fn)
+                            [(float(temperature), int(length), pov)], runs)
+        write_jsonl(map(to_row, records), out_path)
     click.echo(f"wrote {len(records)} summaries to {out_path}")
 
 
@@ -192,9 +191,9 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
 def measure_cmd(in_path, out_path):
     """Compute the proxy measures for generated summaries."""
     records = textmetrics.read_summaries(in_path)
-    with cpu_map() as map_fn:
-        rows = measure_summaries(records, map_fn=map_fn)
-        textmetrics.write_measures(rows, out_path, map_fn)
+    with cpu_map():
+        rows = measure_summaries(records)
+        textmetrics.write_measures(rows, out_path)
     click.echo(f"wrote {len(rows)} measure rows to {out_path}")
 
 

@@ -20,11 +20,11 @@ retrieval first, so the artifacts do not depend on which stage ends first.
 A run with a backend that answers in-process opens one process pool,
 backends.cpu_map, before its response cache, and spreads over it the
 in-process answers, the cache keys and cached responses of each batch, the
-text scans and the lines of the summaries and measures files. The pool
-maps only on the calling thread: a retrieval stage on the worker thread
-uses the builtin map, as does a run on one CPU or with only HTTP backends,
-which opens no pool. The map and the stop signal reach each stage as
-arguments.
+text scans and the lines of the JSONL files, each through
+backends.thread_map(): only on the calling thread, which opened the pool.
+A retrieval stage on the worker thread maps serially, as does a run on one
+CPU or with only HTTP backends, which opens no pool. Every backend of the
+run, the regard client included, holds the run's stop signal.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from hirefair import perturb, retrieval, stats, textmetrics
 from hirefair.backends import (
@@ -206,25 +204,22 @@ def _suffix(draw: int) -> str:
     return f"@d{draw}" if draw > 0 else ""
 
 
-def score_variants(backend, jobs: list[JobPost], variants: VariantSet,
-                   map_fn: Callable = map, stop: threading.Event | None = None,
-                   ) -> list[ScoreRow]:
-    """Embed every variant and job, then score all (job, variant) pairs.
-    `map_fn` and `stop` go to the backend's batches."""
+def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[ScoreRow]:
+    """Embed every variant and job, then score all (job, variant) pairs."""
     keys: list[tuple[str, str]] = []
     texts: list[str] = []
     for vid in sorted(variants.resumes):
         for rid in sorted(variants.resumes[vid]):
             keys.append((vid, rid))
             texts.append(variants.resumes[vid][rid].body)
-    job_vectors = backend.embed_batch([j.body for j in jobs], map_fn=map_fn, stop=stop)
+    job_vectors = backend.embed_batch([j.body for j in jobs])
     # each vector's norm once, not once per pair
-    normed = [(key, vec, float(np.linalg.norm(vec))) for key, vec in
-              zip(keys, backend.embed_batch(texts, map_fn=map_fn, stop=stop))]
+    normed = [(key, vec, retrieval.norm(vec)) for key, vec in
+              zip(keys, backend.embed_batch(texts))]
     rows: list[ScoreRow] = []
     tag = _suffix(variants.draw)
     for job, jv in zip(jobs, job_vectors):
-        nj = float(np.linalg.norm(jv))
+        nj = retrieval.norm(jv)
         for (vid, rid), vec, nv in normed:
             rows.append(ScoreRow(
                 job_id=job.id, resume_id=rid, variant_id=vid + tag,
@@ -294,11 +289,9 @@ def summary_prompt(resume: Resume, length: int, pov: str) -> str:
 
 
 def summarize(backend, versions: list[tuple[Resume, str]],
-              cells: list[tuple[float, int, str]], runs: int, map_fn: Callable = map,
-              stop: threading.Event | None = None) -> list[SummaryRecord]:
+              cells: list[tuple[float, int, str]], runs: int) -> list[SummaryRecord]:
     """Summaries of each (resume, variant id) version at each (temperature,
-    length, pov) cell, one per run index, requested as one batch through
-    `map_fn` and `stop` (see CompletionBackend.complete_batch)."""
+    length, pov) cell, one per run index, requested as one batch."""
     calls: list[tuple[str, str, str, CompletionRequest]] = []
     for resume, variant_id in versions:
         for temperature, length, pov in cells:
@@ -307,8 +300,7 @@ def summarize(backend, versions: list[tuple[Resume, str]],
                 prompt=prompt, temperature=temperature, max_words_hint=length,
                 run_index=run_index,
             )) for run_index in range(1, runs + 1))
-    texts = backend.complete_batch([request for *_, request in calls], map_fn=map_fn,
-                                   stop=stop)
+    texts = backend.complete_batch([request for *_, request in calls])
     model = backend.config.model_name
     return [
         SummaryRecord(
@@ -321,7 +313,6 @@ def summarize(backend, versions: list[tuple[Resume, str]],
 
 
 def generate_summaries(backend, variants: VariantSet, config: RunConfig,
-                       map_fn: Callable = map, stop: threading.Event | None = None,
                        ) -> list[SummaryRecord]:
     """Summaries for every named group version over the full grid."""
     grid = config.grid
@@ -329,19 +320,16 @@ def generate_summaries(backend, variants: VariantSet, config: RunConfig,
     versions = [(resume, f"name:{g}" + tag) for g in GROUP_CODES
                 for _, resume in sorted(variants.resumes[f"name:{g}"].items())]
     cells = list(itertools.product(grid.temperatures, grid.lengths, grid.povs))
-    return summarize(backend, versions, cells, grid.runs, map_fn, stop)
+    return summarize(backend, versions, cells, grid.runs)
 
 
 def measure_summaries(records: list[SummaryRecord],
-                      regard_client: RegardClient | None = None, map_fn: Callable = map,
-                      stop: threading.Event | None = None,
+                      regard_client: RegardClient | None = None,
                       ) -> list[tuple[SummaryRecord, MeasureVector]]:
-    """Measures of each record, the texts scanned through `map_fn`; regard is
-    scored as one batch. A summary without a word is a TextMetricsError that
-    names it."""
+    """Measures of each record; regard is scored as one batch. A summary
+    without a word is a TextMetricsError that names it."""
     try:
-        vectors = textmetrics.measure_texts([r.text for r in records], regard_client,
-                                            map_fn, stop)
+        vectors = textmetrics.measure_texts([r.text for r in records], regard_client)
     except textmetrics.NoWordError as exc:
         r = records[exc.index]
         raise textmetrics.TextMetricsError(
@@ -383,31 +371,22 @@ def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
         run_groups = [(r,) for r in sorted(run_indices)]
     else:
         run_groups = [tuple(sorted(run_indices))]
+    pairs = [(comparison, f"name:{left}", f"name:{right}")
+             for comparison, (left, right) in COMPARISON_PAIRS.items()]
+    per_cell = list(itertools.product(sorted(resume_ids), run_groups))
     samples: list[stats.PairedSample] = []
-    for model in sorted(models):
-        for comparison, (left, right) in COMPARISON_PAIRS.items():
-            for measure in measures:
-                for cell in sorted(cells):
-                    diffs: list[float] = []
-                    for rid in sorted(resume_ids):
-                        for runs in run_groups:
-                            lvals = [values.get((model, f"name:{left}", rid,
-                                                 measure, cell, r)) for r in runs]
-                            rvals = [values.get((model, f"name:{right}", rid,
-                                                 measure, cell, r)) for r in runs]
-                            if None in lvals or None in rvals:
-                                continue
-                            diffs.append(sum(lvals) / len(lvals)
-                                         - sum(rvals) / len(rvals))
-                    if len(diffs) >= 2:
-                        temperature, length, pov = cell
-                        samples.append(stats.PairedSample(
-                            differences=tuple(diffs),
-                            label=stats.TestLabel(
-                                model=model, measure=measure, comparison=comparison,
-                                temperature=temperature, length=length, pov=pov,
-                            ),
-                        ))
+    for model, (comparison, left, right), measure, cell in itertools.product(
+            sorted(models), pairs, measures, sorted(cells)):
+        diffs: list[float] = []
+        for rid, runs in per_cell:
+            lvals = [values.get((model, left, rid, measure, cell, r)) for r in runs]
+            rvals = [values.get((model, right, rid, measure, cell, r)) for r in runs]
+            if None not in lvals and None not in rvals:
+                diffs.append(sum(lvals) / len(lvals) - sum(rvals) / len(rvals))
+        if len(diffs) >= 2:
+            samples.append(stats.PairedSample(
+                differences=tuple(diffs),
+                label=stats.TestLabel(model, measure, comparison, *cell)))
     return samples
 
 
@@ -442,8 +421,7 @@ Stage = tuple[list[LedgerEntry], list[Path], list[dict]]
 
 def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
                     run_id: str, occupation_of: dict[str, str], config: RunConfig,
-                    out_dir: Path, map_fn: Callable = map,
-                    stop: threading.Event | None = None) -> Stage:
+                    out_dir: Path) -> Stage:
     """Every embedder in turn scores the variants of one draw, writes its
     score table and makes its retrieval metrics; the side log holds the
     non-uniformity tests."""
@@ -451,7 +429,7 @@ def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
     files: list[Path] = []
     log: list[dict] = []
     for backend in embedders:
-        rows = score_variants(backend, jobs, variants, map_fn, stop)
+        rows = score_variants(backend, jobs, variants)
         score_path = out_dir / f"scores_{backend.config.id}{_suffix(variants.draw)}.csv"
         retrieval.write_score_table(rows, score_path)
         files.append(score_path)
@@ -464,8 +442,7 @@ def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
 
 def summary_stage(completers: list, regard_client: RegardClient | None,
                   variants: VariantSet, run_id: str, config: RunConfig,
-                  out_dir: Path, map_fn: Callable = map,
-                  stop: threading.Event | None = None) -> Stage:
+                  out_dir: Path) -> Stage:
     """Every completer in turn summarizes the named versions of one draw,
     writes the summaries and their measures (regard included) and runs its
     t-tests; the side log holds the t-tests."""
@@ -474,14 +451,14 @@ def summary_stage(completers: list, regard_client: RegardClient | None,
     log: list[dict] = []
     suffix = _suffix(variants.draw)
     for backend in completers:
-        records = generate_summaries(backend, variants, config, map_fn, stop)
+        records = generate_summaries(backend, variants, config)
         summaries_path = out_dir / f"summaries_{backend.config.id}{suffix}.jsonl"
-        _write_jsonl(map(to_row, records), summaries_path, map_fn=map_fn)
+        _write_jsonl(map(to_row, records), summaries_path)
         files.append(summaries_path)
 
-        measured = measure_summaries(records, regard_client, map_fn, stop)
+        measured = measure_summaries(records, regard_client)
         measures_path = out_dir / f"measures_{backend.config.id}{suffix}.jsonl"
-        textmetrics.write_measures(measured, measures_path, map_fn)
+        textmetrics.write_measures(measured, measures_path)
         files.append(measures_path)
 
         samples = paired_samples(measured, config.pair_runs)
@@ -533,13 +510,11 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     in_process = any(b.in_process for b in config.backends)
-    with cpu_map() if in_process else nullcontext(map) as map_fn, \
-            ResponseCache(out_dir / "cache") as cache:
-        return _audit(config, out_dir, cache, svg, map_fn)
+    with cpu_map() if in_process else nullcontext(), ResponseCache(out_dir / "cache") as cache:
+        return _audit(config, out_dir, cache, svg)
 
 
-def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool,
-           map_fn: Callable) -> RunResult:
+def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) -> RunResult:
     # fail fast: build every backend and the regard client (each checks its credential)
     backends = {b.id: build_backend(b, cache) for b in config.backends}
     regard_client = None
@@ -598,6 +573,8 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool,
     # the two stages of a draw overlap only when a backend waits on the network
     run_backends = [*backends.values(), *([regard_client] if regard_client else [])]
     stop = threading.Event() if any(b.http is not None for b in run_backends) else None
+    for backend in run_backends:
+        backend.stop = stop
 
     entries: list[LedgerEntry] = []
     files: list[Path] = []
@@ -610,11 +587,11 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool,
         variants = build_variants(resumes, pools, config, draw,
                                   completion_backend=aug_backend,
                                   audit_log=extra_audit)
-        stages = _run_stages(  # the pool maps only on this thread
+        stages = _run_stages(
             partial(retrieval_stage, embedders, jobs, variants, run_id, occupation_of,
-                    config, out_dir, map if stop else map_fn, stop),
+                    config, out_dir),
             partial(summary_stage, completers, regard_client, variants, run_id, config,
-                    out_dir, map_fn, stop),
+                    out_dir),
             stop)
         for (stage_entries, stage_files, rows), log in zip(
                 stages, (nonuniformity_log, test_log)):

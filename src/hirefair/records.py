@@ -166,13 +166,15 @@ def raised(value):
     return value
 
 
-def write_jsonl(rows: Iterable[dict], path, separators: tuple[str, str] | None = None,
-                map_fn: Callable = map) -> None:
-    """One JSON line per row, keys sorted, encoded through `map_fn`: the
-    builtin map or the map of backends.cpu_map. A row that does not encode
-    raises where its line would be written."""
+def write_jsonl(rows: Iterable[dict], path,
+                separators: tuple[str, str] | None = None) -> None:
+    """One JSON line per row, keys sorted, encoded through
+    backends.thread_map(). A row that does not encode raises where its line
+    would be written."""
+    from hirefair.backends import thread_map  # which imports this module
+
     encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=separators)
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for line in map_fn(partial(valued, encoder.encode), rows):
+        for line in thread_map()(partial(valued, encoder.encode), rows):
             fh.write(raised(line))
             fh.write("\n")

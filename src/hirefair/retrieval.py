@@ -34,11 +34,21 @@ class RetrievalError(Exception):
     """Raised for invalid retrieval inputs."""
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of float64 vectors; every score and norm of the audit is one."""
+    return np.dot(a, b)
+
+
+def norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a float64 array, read flat: sqrt(dot(x, x))."""
+    return math.sqrt(dot(x.ravel(), x.ravel()))
+
+
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     """Cosine similarity of two vectors."""
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
-    return normed_cosine(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    return normed_cosine(a, b, norm(a), norm(b))
 
 
 def normed_cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
@@ -48,7 +58,7 @@ def normed_cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
         raise RetrievalError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if na == 0.0 or nb == 0.0:
         raise RetrievalError("cosine undefined for zero vector")
-    value = float(np.dot(a, b) / (na * nb))
+    value = float(dot(a, b) / (na * nb))
     if not math.isfinite(value):
         raise RetrievalError("non-finite cosine similarity")
     return value

@@ -12,7 +12,7 @@ measure crosses whitespace: words, sentiment tokens, the terminal punctuation
 that ends a sentence and the abbreviation before it each lie inside one chunk.
 So the facts of each distinct chunk are computed once and memoised in a cache
 of fixed size, and the pass adds them up in text order. measure_texts runs
-the pass over its texts through the map it is given, which may spread them
+the pass over its texts through backends.thread_map(), which may spread them
 over the worker processes of backends.cpu_map, each with its own memo.
 
 The syllable rules, sentence-boundary abbreviations, and sentiment lexicon
@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from hirefair.backends import RegardClient
+from hirefair.backends import RegardClient, thread_map
 from hirefair.records import from_row, read_jsonl, to_row, write_jsonl
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -305,22 +304,19 @@ MeasureVector.NAMES = tuple(f.name for f in fields(MeasureVector))
 
 
 def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
-                  map_fn: Callable = map, stop: threading.Event | None = None,
                   ) -> list[MeasureVector]:
-    """All five measures of each text; regard is absent without a configured
-    client and is scored as one batch, after every text has a reading ease.
-    A text without a word is a NoWordError. The texts are scanned through
-    `map_fn`, the builtin map or the map of backends.cpu_map; `stop` is the
-    run's stop signal for the regard batch."""
+    """All five measures of each text, scanned through backends.thread_map().
+    Regard is absent without a configured client and is scored as one batch
+    once every text has a reading ease. A text without a word is a NoWordError."""
     measured = []
-    for index, (text, (ease, pol, subj)) in enumerate(zip(texts, map_fn(_scan, texts))):
+    for index, (text, (ease, pol, subj)) in enumerate(zip(texts, thread_map()(_scan, texts))):
         if ease is None:
             raise NoWordError(index)
         measured.append((ease, reading_time(text), pol, subj))
     if regard_client is None:
         regards = [None] * len(texts)
     else:
-        regards = regard_client.score_batch(texts, stop=stop)
+        regards = regard_client.score_batch(texts)
     return [MeasureVector(*measures, regard=regard)
             for measures, regard in zip(measured, regards)]
 
@@ -332,18 +328,16 @@ def read_summaries(path) -> list[SummaryRecord]:
             for lineno, row in read_jsonl(path, TextMetricsError)]
 
 
-def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path,
-                   map_fn: Callable = map) -> None:
+def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path) -> None:
     """One JSON line per summary: its record's fields but the text, and its
-    measures (regard only when scored); schema versioned. The lines are
-    encoded through `map_fn` (see records.write_jsonl)."""
+    measures (regard only when scored); schema versioned."""
     def row(record: SummaryRecord, mv: MeasureVector) -> dict:
         rec = to_row(record, **to_row(mv), schema_version=MEASURES_SCHEMA_VERSION)
         del rec["text"]
         if mv.regard is None:
             del rec["regard"]
         return rec
-    write_jsonl((row(record, mv) for record, mv in rows), path, map_fn=map_fn)
+    write_jsonl((row(record, mv) for record, mv in rows), path)
 
 
 def read_measures(path) -> list[tuple[SummaryRecord, MeasureVector]]:

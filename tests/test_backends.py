@@ -3,7 +3,9 @@ import json
 import logging
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
 import shutil
 import signal
 import sys
@@ -11,6 +13,7 @@ import sqlite3
 import subprocess
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
 from typing import Callable
@@ -45,6 +48,7 @@ from hirefair.backends import (
     encode_response,
     mock_biased_embedding,
     mock_embedding,
+    thread_map,
     token_bucket,
 )
 from hirefair.records import write_jsonl
@@ -575,10 +579,70 @@ def cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def recorded_tasks(monkeypatch) -> list:
+    """(thread id, task) of each task that this process sends to a worker of
+    cpu_map's pool from now on; a task is (fn, items)."""
+    tasks = []
+    send = multiprocessing.connection.Connection.send
+
+    def recorded(conn, task):
+        tasks.append((threading.get_ident(), task))
+        return send(conn, task)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded)
+    return tasks
+
+
+def pid(item) -> int:
+    """The process that maps `item`; at module level, so that a pool's worker
+    can run it."""
+    return os.getpid()
+
+
+def sees_a_pool(item) -> bool:
+    return thread_map() is not map
+
+
 def test_cpu_map_on_one_cpu_is_the_builtin_map(monkeypatch):
     cpus(monkeypatch, 1)
     with cpu_map() as map_fn:
         assert map_fn is map
+        assert thread_map() is map
+
+
+def test_the_pool_maps_only_on_the_thread_that_opened_it(monkeypatch):
+    """thread_map() gives the pool's map on the thread that opened the block,
+    and the builtin map on another thread and after the block. The pool's
+    map, called from another thread, runs serially there and sends the pool
+    nothing; the pool still answers afterwards."""
+    cpus(monkeypatch, 2)
+    tasks = recorded_tasks(monkeypatch)
+    assert thread_map() is map
+    with cpu_map() as map_fn:
+        assert thread_map() is map_fn is not map
+        with ThreadPoolExecutor(max_workers=1) as other:
+            assert other.submit(thread_map).result() is map
+            serial = other.submit(lambda: list(map_fn(pid, range(4 * MAP_CHUNK)))).result()
+        assert serial == [os.getpid()] * (4 * MAP_CHUNK)
+        assert tasks == []
+        pooled = set(map_fn(pid, range(4 * MAP_CHUNK)))
+        assert pooled == {w.pid for w in multiprocessing.active_children()}
+        assert {thread for thread, _ in tasks} == {threading.get_ident()}
+    assert thread_map() is map
+
+
+def test_a_function_run_in_a_worker_sees_no_pool(monkeypatch):
+    """A worker forked on a thread that has a pool open sees none there, so
+    that it never writes to the pipes of the process it copies; leaving the
+    inner block gives the thread back the outer pool."""
+    cpus(monkeypatch, 2)
+    with cpu_map() as outer:
+        with cpu_map() as inner:  # its workers copy a thread bound to `outer`
+            assert thread_map() is inner
+            assert not any(inner(sees_a_pool, range(4 * MAP_CHUNK)))
+        assert thread_map() is outer
+        assert not any(outer(sees_a_pool, range(4 * MAP_CHUNK)))
+    assert multiprocessing.active_children() == []
 
 
 def test_cpu_map_workers_ignore_sigint_and_end_with_the_block(monkeypatch):
@@ -686,10 +750,10 @@ def test_pooled_answers_and_cache_rows_equal_the_serial_ones(tmp_path, monkeypat
     requests = [CompletionRequest(prompt=f"resume {i % 150}", max_words_hint=100)
                 for i in range(300)]
     cpus(monkeypatch, n)
-    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
-        vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts, map_fn=map_fn)
+    with cpu_map(), ResponseCache(tmp_path) as cache:
+        vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts)
         summaries = CompletionBackend(mock_config(kind="completion"),
-                                      cache).complete_batch(requests, map_fn=map_fn)
+                                      cache).complete_batch(requests)
         rows = cache._db.execute("SELECT key, response FROM responses").fetchall()
     serial = CompletionBackend(mock_config(kind="completion"))
     assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
@@ -712,6 +776,27 @@ class StopAfterThree(EmbeddingBackend):
         return super()._vector(values)
 
 
+class Refusing(EmbeddingBackend):
+    def _request(self, item):
+        pytest.fail(f"requested {item!r}")
+
+
+def test_a_backend_whose_stop_is_set_makes_no_request(tmp_path, loopback):
+    """A batch of a backend whose stop signal is set raises Stopped before
+    any request, over HTTP as in process. A pickled backend carries neither
+    the signal nor the cache."""
+    with ResponseCache(tmp_path) as cache:
+        for backend in (build_backend(loop_config(loopback), cache),
+                        Refusing(mock_config(), cache)):
+            backend.stop = threading.Event()
+            backend.stop.set()
+            with pytest.raises(Stopped):
+                backend.embed_batch(["hello"])
+            copy = pickle.loads(pickle.dumps(backend))
+            assert (copy.stop, copy.cache) == (None, None)
+    assert loopback.requests == {}
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_batch_takes_no_answer_once_stopped(tmp_path, monkeypatch, n):
     """Once the stop signal is set, the batch takes no further answer, from
@@ -719,14 +804,14 @@ def test_a_batch_takes_no_answer_once_stopped(tmp_path, monkeypatch, n):
     cached, and the next batch on the same map gets its own answers."""
     cpus(monkeypatch, n)
     texts = [f"text {i}" for i in range(200)]
-    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+    with cpu_map(), ResponseCache(tmp_path) as cache:
         backend = StopAfterThree(mock_config(), cache)
         backend.stop, backend.validated = threading.Event(), 0
         with pytest.raises(Stopped):
-            backend.embed_batch(texts, map_fn=map_fn, stop=backend.stop)
+            backend.embed_batch(texts)
         assert backend.validated == 3
         assert len(cache) == 3
-        vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts, map_fn=map_fn)
+        vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts)
         assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
 
 
@@ -846,37 +931,42 @@ def test_a_batch_digests_decodes_and_fetches_on_the_pool(tmp_path, monkeypatch):
 
 
 def test_pooled_jsonl_lines_equal_the_serial_ones(tmp_path, monkeypatch):
-    """write_jsonl over the pool encodes every row there and writes the
-    serial path's bytes, non-ASCII text included, from a one-pass iterable."""
+    """write_jsonl inside a cpu_map block encodes every row on the pool and
+    writes the serial path's bytes, non-ASCII text included, from a one-pass
+    iterable."""
     rows = [{"text": f"Zoë’s résumé {i}: 東京, naïve “quotes”\u2028 \U0001f600 \\ \"",
              "i": i, "share": i / 7, "none": None, "nested": {"b": [1, 2.5], "a": "ü"}}
             for i in range(4 * MAP_CHUNK + 5)]
     cpus(monkeypatch, 2)
-    with cpu_map() as map_fn:
-        assert map_fn is not map
-        for separators in (None, (",", ":")):
-            mapped = []
-            write_jsonl(iter(rows), tmp_path / "pooled.jsonl", separators,
-                        map_fn=lambda fn, items: map_fn(fn, (mapped.append(row) or row
-                                                             for row in items)))
-            assert mapped == rows
-            write_jsonl(rows, tmp_path / "serial.jsonl", separators)
-            pooled = (tmp_path / "pooled.jsonl").read_bytes()
-            assert pooled == (tmp_path / "serial.jsonl").read_bytes()
-            assert pooled.count(b"\n") == len(rows)
+    tasks = recorded_tasks(monkeypatch)
+    for separators in (None, (",", ":")):
+        tasks.clear()
+        with cpu_map():
+            write_jsonl(iter(rows), tmp_path / "pooled.jsonl", separators)
+        assert [row for _, (fn, items) in tasks for row in items] == rows
+        write_jsonl(rows, tmp_path / "serial.jsonl", separators)
+        pooled = (tmp_path / "pooled.jsonl").read_bytes()
+        assert pooled == (tmp_path / "serial.jsonl").read_bytes()
+        assert pooled.count(b"\n") == len(rows)
 
 
 def test_a_row_that_does_not_encode_raises_on_the_calling_thread(tmp_path, monkeypatch):
     """A row that cannot be encoded raises TypeError where its line would be
     written, over the pool as over the builtin map, and ends no worker."""
     rows = [{"a": 1}] * 100 + [{"a": {1, 2}}] + [{"a": 2}] * 100
+    path = tmp_path / "rows.jsonl"
+
+    def written():
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            write_jsonl(rows, path)
+        return path.read_text()
+
     cpus(monkeypatch, 2)
+    assert written() == '{"a": 1}\n' * 100
+    tasks = recorded_tasks(monkeypatch)
     with cpu_map() as map_fn:
-        for mapped in (map, map_fn):
-            path = tmp_path / "rows.jsonl"
-            with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-                write_jsonl(rows, path, map_fn=mapped)
-            assert path.read_text() == '{"a": 1}\n' * 100
+        assert written() == '{"a": 1}\n' * 100
+        assert tasks
         assert list(map_fn(str, range(3))) == ["0", "1", "2"]
         assert [w.is_alive() for w in multiprocessing.active_children()] == [True, True]
 

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import sqlite3
@@ -1493,19 +1494,16 @@ def test_the_pool_changes_no_byte(tmp_path, fixtures_dir, monkeypatch):
 def test_the_pool_maps_only_on_the_main_thread(tmp_path, fixtures_dir, loopback, monkeypatch):
     """In-process backends beside an HTTP regard endpoint: the retrieval stage
     runs on a worker thread beside the summary stage and embeds serially
-    there, so the pool maps only on the thread that opened it, and a run on
-    two CPUs writes the bytes of a run on one."""
+    there, so the pool is sent tasks only from the thread that opened it,
+    and a run on two CPUs writes the bytes of a run on one."""
     threads = []
+    send = multiprocessing.connection.Connection.send
 
-    @contextmanager
-    def watched():
-        with cpu_map() as map_fn:
-            def mapped(fn, items):
-                threads.append(threading.get_ident())
-                return map_fn(fn, items)
-            yield mapped
+    def sent(conn, task):
+        threads.append(threading.get_ident())
+        return send(conn, task)
 
-    monkeypatch.setattr(pipeline, "cpu_map", watched)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", sent)
 
     def run(n):
         cpus(monkeypatch, n)
@@ -1618,14 +1616,16 @@ def test_an_interrupted_run_leaves_no_worker(tmp_path, fixtures_dir, monkeypatch
 
 
 def test_importing_the_cli_starts_no_pool_machinery():
-    """multiprocessing is imported only when a run opens its pool, so the
-    command line starts as fast as before."""
+    """multiprocessing is imported only when a run opens its pool, and the
+    HTTP modules only when a backend makes requests, so the command line
+    starts as fast as before."""
+    lazy = ("multiprocessing", "http.client", "urllib.request", "ssl")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, hirefair.cli; "
-                               "print('multiprocessing' in sys.modules)"],
+                               f"print([m for m in {lazy!r} if m in sys.modules])"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
-    assert proc.stdout == "False\n", proc.stderr
+    assert proc.stdout == "[]\n", proc.stderr
 
 
 def test_a_completion_without_a_word_fails_the_run_and_is_never_cached(

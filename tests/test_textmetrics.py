@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hirefair.backends import (
     RegardClient,
     ResponseCache,
     cpu_map,
+    thread_map,
     validate_regard,
 )
 from hirefair.textmetrics import (
@@ -477,23 +479,23 @@ def test_measures_agree_with_oracle(text):
 
 def test_the_pool_measures_as_the_builtin_map(monkeypatch):
     """Texts scanned on the workers of cpu_map's pool get the measures of
-    one scan on the calling thread, and a text without a word is found at
-    the same place."""
+    one scan on another thread, which has the builtin map, and a text
+    without a word is found at the same place."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with cpu_map() as pooled:
-        assert pooled is not map
+    with cpu_map() as pooled, ThreadPoolExecutor(max_workers=1) as other:
+        assert thread_map() is pooled is not map
 
         @given(st.lists(oracle_texts(), min_size=1, max_size=150))
         @example(["Call Dr 42. Next one.", "?! ...", "don’t great."])
         @settings(max_examples=40, deadline=None)
         def check(texts):
             try:
-                expected = measure_texts(texts)
+                expected = other.submit(measure_texts, texts).result()
             except NoWordError as exc:
                 with pytest.raises(NoWordError) as raised:
-                    measure_texts(texts, map_fn=pooled)
+                    measure_texts(texts)
                 assert raised.value.index == exc.index
             else:
-                assert measure_texts(texts, map_fn=pooled) == expected
+                assert measure_texts(texts) == expected
 
         check()
