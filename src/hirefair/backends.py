@@ -23,10 +23,14 @@ over as many keep-alive connections (see JsonEndpoint). An in-process one
 answers them through thread_map(), the map of cpu_map's pool on the thread
 that opened it, whose `fork` workers, one per CPU and each with a pipe of
 its own, also encode the answers for the cache. The same map computes the
-batch's cache keys and decodes its cached responses; validation, caching
-and the order of results stay on the calling thread. An HTTP backend's
-batches use the builtin map for all three. A backend's `stop` is the run's
-stop signal: once it is set, its batches take no further answer.
+batch's cache keys and decodes its cached responses; caching and the order
+of results stay on the calling thread, and so does validation, unless the
+batch has per-request steps: a completion batch may give each request a
+step, which runs with the check where the answer is decoded or made (on
+the pool, or on the fetching thread for an HTTP miss), so that only its
+result comes back. An HTTP backend's batches use the builtin map for all
+three. A backend's `stop` is the run's stop signal: once it is set, its
+batches take no further answer.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -51,7 +55,7 @@ import threading
 import time
 import weakref
 import zlib
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -326,49 +330,104 @@ def _digest(key: tuple) -> str:
     return cache_key(*key)
 
 
-def _answered(fetch: Callable, item) -> tuple[object, bytes | None]:
-    """(fetch(item), its encoding for the cache), both made where fetch runs;
-    (the exception, None) when either raised, so that a failure on a worker
-    of cpu_map stays with its item and not with the whole task."""
+def _answered(fetch: Callable, check: Callable | None,
+              task: tuple) -> tuple[object, bytes | None]:
+    """One distinct request of cached_calls, answered where this runs: on a
+    worker of cpu_map, on a fetching thread or on the calling thread. `task`
+    is (blob, item, steps): the cached response `blob` is decoded, or
+    without one, fetch(item) makes the answer. With `steps`, the answer is
+    then checked and each step is applied to what check returns.
+
+    Returns (the answer, or the list of step results; the answer's encoding
+    for the cache when it was made here, else None). A failure is returned
+    as (the exception, None), and a blob that does not decode as
+    (CacheError(its exception), None), so that a failure on the pool stays
+    with its request and not with the whole task."""
+    blob, item, steps = task
+    fresh = None
     try:
-        answer = fetch(item)
-        return answer, encode_response(answer)
+        if blob is None:
+            answer = fetch(item)
+            fresh = encode_response(answer)
+        else:
+            try:
+                answer = decode_response(blob)
+            except Exception as exc:
+                return CacheError(exc), None
+        if steps is not None:
+            checked = check(answer)
+            answer = [step(checked) for step in steps]
+        return answer, fresh
     except Exception as exc:
         return exc, None
+
+
+def _cancel_on_failure(futures: list, done) -> None:
+    """Cancel every call of `futures` (None where taken) not yet started once
+    `done` failed."""
+    if not done.cancelled() and done.exception() is not None:
+        for future in futures:
+            if future is not None:
+                future.cancel()
 
 
 def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
                  fetch: Callable, validate: Callable, width: int = 1,
                  on_error: Callable[[Exception], object] | None = None,
                  stop: threading.Event | None = None, items: Sequence | None = None,
-                 map_fn: Callable = map) -> list:
+                 map_fn: Callable = map, steps: Sequence[Callable] | None = None):
     """[validate(fetch(items[i])) for each i], each distinct request made
-    once and read through `cache` when there is one.
+    once and read through `cache` when there is one; with `steps`, the
+    results steps[i](validate(fetch(items[i]))) as an iterator.
 
     `keys[i]` holds cache_key's arguments for request i, and
     `fetch(items[i])` makes that request; `items` default to the indices of
     `keys`. `map_fn` digests the keys; requests with one key share one
-    result. A batch's cached responses are read in one go, decoded through
-    `map_fn` and validated again, one at a time, on the calling thread; a
-    response that does not decode is a CacheError naming its key. Misses
-    are fetched on min(width, misses) threads when that is more than one;
-    otherwise `map_fn` answers them in order, each with its encoding for the
-    cache, and they are validated here as they arrive. `map_fn` is the
-    builtin map or the map of cpu_map, which needs keys and a `fetch` that
-    pickle. A fetched response is stored only after it
-    validated, so a bad response is never cached; responses that validated
-    are stored even when the batch then fails. Without `on_error`, the first
-    failure cancels the requests still queued and is raised; with it,
+    answer. A batch's cached responses are read in one go and decoded
+    through `map_fn`; a response that does not decode is a CacheError naming
+    its key. Misses are fetched on min(width, misses) threads when that is
+    more than one; otherwise `map_fn` answers them in order, each with its
+    encoding for the cache. `map_fn` is the builtin map or the map of
+    cpu_map, which needs keys, `fetch` (and `validate` and `steps`, when
+    given) that pickle. Hits come before misses, and results come out in
+    order, each once every result before it is known.
+
+    Without `steps`, each answer is validated on the thread that takes it;
+    with them, validate (which must then be pure) and the steps of every
+    request that shares its key run where the answer is decoded or made: on
+    the pool, or on the fetching thread for a miss fetched on threads, and
+    only the step results come back. A fetched response is stored only
+    after it validated (and with `steps`, after each step took it), so a
+    bad response is never cached; responses that validated are stored even
+    when the batch then fails. Without `on_error`, the first failure
+    cancels the requests still queued and is raised; with it,
     `on_error(exc)` becomes the failed request's result (and may raise
-    instead). Once `stop` is set, no further response is taken: each request
-    whose response was not taken yet raises Stopped, which on_error never
-    sees.
+    instead). Once `stop` is set, no further response is taken: each
+    request whose response was not taken yet raises Stopped, which on_error
+    never sees. The cache is flushed when the results end, however they
+    end.
     """
-    digests = [raised(digest) for digest in map_fn(partial(valued, _digest), keys)]
+    calls = _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, steps)
+    return calls if steps is not None else list(calls)
+
+
+def _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, steps):
+    """The results of cached_calls, in order, as an iterator."""
+    places: dict[str, list[int]] = {}  # each distinct digest's requests
+    for i, digest in enumerate(map_fn(partial(valued, _digest), keys)):
+        places.setdefault(raised(digest), []).append(i)
     items = range(len(keys)) if items is None else items
-    first: dict[str, int] = {}
-    for i, digest in enumerate(digests):
-        first.setdefault(digest, i)
+    found = cache.get_many(list(places)) if cache is not None else {}
+    hits = [digest for digest in places if digest in found]
+    misses = [digest for digest in places if digest not in found]
+    answer = partial(_answered, fetch, None if steps is None else validate)
+
+    def task(digest: str) -> tuple:
+        """_answered's task for `digest`; a hit's blob is let go once sent."""
+        at = places[digest]
+        blob = found.pop(digest, None)
+        return (blob, items[at[0]] if blob is None else None,
+                None if steps is None else [steps[i] for i in at])
 
     def guarded(step: Callable, *args):
         try:
@@ -378,50 +437,62 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
                 raise
             return on_error(exc)
 
-    def stored(digest: str, answer: Callable[[], tuple[object, bytes | None]]):
-        response, blob = answer()
-        if blob is None:
-            raise response
-        result = validate(response)
-        if cache is not None:
+    def stored(digest: str, value, blob: bytes | None):
+        result = raised(value) if steps is not None else validate(raised(value))
+        if blob is not None and cache is not None:
             cache.put(digest, blob)
         return result
 
-    def fetched(digest: str, answer: Callable[[], tuple[object, bytes | None]]):
+    def settled(digest: str, outcome: tuple[object, bytes | None]) -> list:
+        """The results of the requests of `digest`, from _answered's outcome."""
+        value, blob = outcome
+        if isinstance(value, CacheError):
+            cause = value.args[0]
+            raise CacheError(f"response cache {cache.root / CACHE_FILE}: the row of key "
+                             f"{digest} does not decode: {cause}") from cause
+        result = guarded(stored, digest, value, blob)
+        if steps is not None and not isinstance(value, Exception):
+            return result
+        return [result] * len(places[digest])
+
+    def fetched(digest: str, outcome: Callable[[], tuple[object, bytes | None]]) -> list:
         if stop is not None and stop.is_set():
             raise Stopped("not requested: the run is stopping")
-        return guarded(stored, digest, answer)
+        return settled(digest, outcome())
 
-    results: dict[str, object] = {}
-    found = cache.get_many(list(first)) if cache is not None else {}
-    misses = [(digest, i) for digest, i in first.items() if digest not in found]
-    hits = [digest for digest in first if digest in found]
-    for digest, response in zip(hits, map_fn(partial(valued, decode_response),
-                                             [found[digest] for digest in hits])):
-        if isinstance(response, Exception):
-            raise CacheError(f"response cache {cache.root / CACHE_FILE}: the row of key "
-                             f"{digest} does not decode: {response}") from response
-        results[digest] = guarded(validate, response)
-    workers = min(width, len(misses))
-    try:
+    def outcomes() -> Iterator[tuple[str, list]]:
+        """(digest, the results of its requests) of each hit, then of each miss."""
+        yield from zip(hits, map(settled, hits, map_fn(answer, map(task, hits))))
+        workers = min(width, len(misses))
         if workers <= 1:
-            answers = map_fn(partial(_answered, fetch), [items[i] for _, i in misses])
-            for digest, _ in misses:
-                results[digest] = fetched(digest, partial(next, answers))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(fetched, digest, partial(_answered, fetch, items[i]))
-                           for digest, i in misses]
-                wait(futures, return_when=FIRST_EXCEPTION)
-                pool.shutdown(cancel_futures=True)
+            answers = map_fn(answer, map(task, misses))
+            yield from ((digest, fetched(digest, partial(next, answers))) for digest in misses)
+            return
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(fetched, digest, partial(answer, task(digest)))
+                       for digest in misses]
+            for future in futures:
+                future.add_done_callback(partial(_cancel_on_failure, futures))
             # Queued calls start in order, so the first failure comes before
-            # every cancelled call.
-            for (digest, _), future in zip(misses, futures):
-                results[digest] = future.result()
+            # every cancelled call. A result is let go once taken.
+            for i, digest in enumerate(misses):
+                future, futures[i] = futures[i], None
+                yield digest, future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    ahead: dict[int, object] = {}  # results of requests after the next one out
+    done = 0
+    try:
+        for digest, results in outcomes():
+            ahead.update(zip(places[digest], results))
+            while done in ahead:
+                yield ahead.pop(done)
+                done += 1
     finally:
         if cache is not None:
             cache.flush()
-    return [results[digest] for digest in digests]
 
 
 #: Per thread, as `map`, the map of the cpu_map block that the thread opened.
@@ -913,11 +984,14 @@ class Backend:
         return self.http.post(self.protocol.body(self.config, item), self.protocol.read)
 
     def _batch(self, items: Sequence, texts: Sequence[str], payloads: Sequence[dict],
-               validate: Callable, on_error: Callable | None = None) -> list:
+               validate: Callable, on_error: Callable | None = None,
+               steps: Sequence[Callable] | None = None):
         """validate(answer) for each item in order, each distinct payload
         requested once; no item's input text may exceed max_chars. A failed
-        request raises, or gives on_error(exc) (see cached_calls). Only an
-        in-process protocol's batches go through thread_map()."""
+        request raises, or gives on_error(exc). With `steps`, an iterator of
+        steps[i](validate(answer)), each made where its answer is (see
+        cached_calls). Only an in-process protocol's batches go through
+        thread_map()."""
         limit = self.config.max_chars
         for text in texts:
             if limit is not None and len(text) > limit:
@@ -926,7 +1000,8 @@ class Backend:
                     f"max_chars={limit}; refusing to truncate")
         keys = [(self.config.id, self.config.model_name, payload) for payload in payloads]
         return cached_calls(self.cache, keys, self._request, validate, self.width, on_error,
-                            self.stop, items, thread_map() if self.http is None else map)
+                            self.stop, items, thread_map() if self.http is None else map,
+                            steps)
 
 
 class EmbeddingBackend(Backend):
@@ -966,21 +1041,26 @@ class EmbeddingBackend(Backend):
 class CompletionBackend(Backend):
     def _text(self, text) -> str:
         """A completion that holds a word; any other answer is a backend
-        error, so it is never cached and a rerun asks again."""
+        error, so it is never cached and a rerun asks again. Pure, so that
+        a batch with steps checks its answers where it makes them."""
         if not isinstance(text, str) or not _WORD_CHAR_RE.search(text):
             raise BackendError(f"backend {self.config.id}: completion without a word "
                                f"{text!r:.80}")
         return text
 
-    def complete_batch(self, requests: Sequence[CompletionRequest]) -> list[str]:
+    def complete_batch(self, requests: Sequence[CompletionRequest],
+                       steps: Sequence[Callable] | None = None):
         """Run completions in order, each distinct request once; responses
         are cached per (prompt, run_index, temperature) so reruns stay stable
-        despite provider nondeterminism."""
+        despite provider nondeterminism. With `steps`, an iterator of
+        steps[i](text of request i), each step made where its text is
+        decoded or made: on cpu_map's pool for an in-process protocol, so
+        that the text itself need not come back (see cached_calls)."""
         payloads = [{"op": "complete", "prompt": request.prompt,
                      "temperature": request.temperature, "run_index": request.run_index,
                      "max_words_hint": request.max_words_hint} for request in requests]
         return self._batch(requests, [request.prompt for request in requests], payloads,
-                           self._text)
+                           self._text, steps=steps)
 
     # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def complete(self, request: CompletionRequest) -> str:

@@ -178,8 +178,8 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
     """Generate summaries for every resume at one grid cell."""
     with _load_backend(backends_path, backend_id, "completion", cache_dir) as backend:
         resumes, _ = load_corpus(in_path)
-        records = summarize(backend, [(r, _variant_id(r)) for r in resumes],
-                            [(float(temperature), int(length), pov)], runs)
+        records = list(summarize(backend, [(r, _variant_id(r)) for r in resumes],
+                                 [(float(temperature), int(length), pov)], runs))
         write_jsonl(map(to_row, records), out_path)
     click.echo(f"wrote {len(records)} summaries to {out_path}")
 

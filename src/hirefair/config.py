@@ -45,15 +45,14 @@ class GridConfig:
             raise ConfigError(f"n_values must be positive integers: {self.n_values}")
         if not self.x_values or any(not 0 < x <= 100 for x in self.x_values):
             raise ConfigError(f"x_values must lie in (0, 100]: {self.x_values}")
-        for t in self.temperatures:
-            if t not in ALLOWED_TEMPERATURES:
-                raise ConfigError(f"temperature {t} outside supported {ALLOWED_TEMPERATURES}")
-        for length in self.lengths:
-            if length not in ALLOWED_LENGTHS:
-                raise ConfigError(f"length {length} outside supported {ALLOWED_LENGTHS}")
-        for pov in self.povs:
-            if pov not in ALLOWED_POVS:
-                raise ConfigError(f"pov {pov!r} outside supported {ALLOWED_POVS}")
+        for name, values, allowed in (("temperatures", self.temperatures, ALLOWED_TEMPERATURES),
+                                      ("lengths", self.lengths, ALLOWED_LENGTHS),
+                                      ("povs", self.povs, ALLOWED_POVS)):
+            if not values:
+                raise ConfigError(f"{name} must not be empty")
+            for value in values:
+                if value not in allowed:
+                    raise ConfigError(f"{name[:-1]} {value!r} outside supported {allowed}")
         if not 1 <= self.runs <= MAX_RUNS:
             raise ConfigError(f"runs must be in [1, {MAX_RUNS}], got {self.runs}")
         if self.draws < 1:

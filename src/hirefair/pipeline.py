@@ -25,6 +25,15 @@ backends.thread_map(): only on the calling thread, which opened the pool.
 A retrieval stage on the worker thread maps serially, as does a run on one
 CPU or with only HTTP backends, which opens no pool. Every backend of the
 run, the regard client included, holds the run's stop signal.
+
+The summary stage streams each completer's grid: it requests the grid in
+consecutive slices of backends.WRITE_CHUNK requests, and each summary is one
+step of its batch, made where its text is read or made (on the pool for an
+in-process completer): the text is checked and scanned, and its summaries
+line and, without a regard client, its measures line are encoded there.
+The calling thread writes the lines as they come, stores fresh answers and
+keeps only the measures that pairing needs; with a regard client it holds a
+slice's texts until the slice's regard batch is scored.
 """
 
 from __future__ import annotations
@@ -36,13 +45,13 @@ import logging
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass
+from contextlib import closing, nullcontext
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator, TextIO
 
-from hirefair import perturb, retrieval, stats, textmetrics
+from hirefair import backends, perturb, retrieval, stats, textmetrics
 from hirefair.backends import (
     BackendConfig,
     CompletionRequest,
@@ -65,7 +74,7 @@ from hirefair.corpus import (
 )
 from hirefair.perturb import PerturbationSpec
 # perfbench/traced_audit.py wraps _write_jsonl until ROADMAP item 2's benchmark change
-from hirefair.records import to_row, write_jsonl as _write_jsonl
+from hirefair.records import encode_line, open_jsonl, to_row, write_jsonl as _write_jsonl
 from hirefair.report import (
     LedgerEntry,
     MetricReport,
@@ -289,57 +298,99 @@ def summary_prompt(resume: Resume, length: int, pov: str) -> str:
 
 
 def summarize(backend, versions: list[tuple[Resume, str]],
-              cells: list[tuple[float, int, str]], runs: int) -> list[SummaryRecord]:
+              cells: list[tuple[float, int, str]], runs: int,
+              step: Callable | None = None) -> Iterator:
     """Summaries of each (resume, variant id) version at each (temperature,
-    length, pov) cell, one per run index, requested as one batch."""
-    calls: list[tuple[str, str, str, CompletionRequest]] = []
-    for resume, variant_id in versions:
-        for temperature, length, pov in cells:
-            prompt = summary_prompt(resume, length, pov)
-            calls.extend((resume.id, variant_id, pov, CompletionRequest(
-                prompt=prompt, temperature=temperature, max_words_hint=length,
-                run_index=run_index,
-            )) for run_index in range(1, runs + 1))
-    texts = backend.complete_batch([request for *_, request in calls])
+    length, pov) cell, one per run index, in that order, each given as it
+    comes: the grid is requested in consecutive slices of WRITE_CHUNK
+    requests, a batch each, so that one slice's requests are held at a time.
+    Without `step`, each summary's SummaryRecord; with it, (the record with
+    an empty text, step(record, text)), the step made where the text is
+    decoded or made (see CompletionBackend.complete_batch)."""
     model = backend.config.model_name
-    return [
-        SummaryRecord(
-            resume_id=resume_id, variant_id=variant_id, model_name=model,
-            length=request.max_words_hint, pov=pov,
-            temperature=request.temperature, run_index=request.run_index, text=text,
-        )
-        for (resume_id, variant_id, pov, request), text in zip(calls, texts)
-    ]
+
+    def calls():
+        for resume, variant_id in versions:
+            for temperature, length, pov in cells:
+                prompt = summary_prompt(resume, length, pov)
+                for run_index in range(1, runs + 1):
+                    yield (SummaryRecord(resume.id, variant_id, model, length, pov,
+                                         temperature, run_index, text=""),
+                           CompletionRequest(prompt, temperature, length, run_index))
+
+    grid = calls()
+    for chunk in iter(lambda: list(itertools.islice(grid, backends.WRITE_CHUNK)), []):
+        records, requests = zip(*chunk)
+        if step is None:
+            texts = backend.complete_batch(requests)
+            yield from (replace(record, text=text) for record, text in zip(records, texts))
+        else:
+            yield from zip(records, backend.complete_batch(
+                requests, [partial(step, record) for record in records]))
 
 
 def generate_summaries(backend, variants: VariantSet, config: RunConfig,
-                       ) -> list[SummaryRecord]:
-    """Summaries for every named group version over the full grid."""
+                       step: Callable | None = None) -> Iterator:
+    """Summaries for every named group version over the full grid (see
+    summarize)."""
     grid = config.grid
     tag = _suffix(variants.draw)
     versions = [(resume, f"name:{g}" + tag) for g in GROUP_CODES
                 for _, resume in sorted(variants.resumes[f"name:{g}"].items())]
     cells = list(itertools.product(grid.temperatures, grid.lengths, grid.povs))
-    return summarize(backend, versions, cells, grid.runs)
+    return summarize(backend, versions, cells, grid.runs, step)
 
 
 def measure_summaries(records: list[SummaryRecord],
                       regard_client: RegardClient | None = None,
+                      scanned: list[tuple] | None = None,
                       ) -> list[tuple[SummaryRecord, MeasureVector]]:
-    """Measures of each record; regard is scored as one batch. A summary
-    without a word is a TextMetricsError that names it."""
+    """Measures of each record; regard is scored as one batch. `scanned`
+    holds the measures but regard of each record when its text was scanned
+    already (see textmetrics.measure_texts). A summary without a word is a
+    TextMetricsError that names it."""
     try:
-        vectors = textmetrics.measure_texts([r.text for r in records], regard_client)
+        vectors = textmetrics.measure_texts([r.text for r in records], regard_client, scanned)
     except textmetrics.NoWordError as exc:
-        r = records[exc.index]
-        raise textmetrics.TextMetricsError(
-            f"summary by {r.model_name} of resume {r.resume_id}, variant {r.variant_id}, "
-            f"temperature {r.temperature}, length {r.length}, pov {r.pov}, "
-            f"run {r.run_index} has no word: {exc}") from exc
+        raise textmetrics.no_word(records[exc.index]) from exc
     return list(zip(records, vectors))
 
 
-def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
+def _measured(summarized: Iterator, regard_client: RegardClient | None,
+              summaries_out: TextIO, measures_out: TextIO,
+              ) -> Iterator[tuple[SummaryRecord, MeasureVector]]:
+    """(record, measures) of each summary of `summarized`, summarize's output
+    with textmetrics.summary_lines as its step, its lines written to the
+    open summaries and measures files. Each summaries line, and without a
+    regard client each measures line, is written as it comes; the summaries
+    are measured a slice of WRITE_CHUNK at a time, as summarize requests
+    them, so that regard scores one slice's texts as a batch, and the
+    slice's measures lines follow it."""
+    records: list[SummaryRecord] = []
+    scanned: list[tuple] = []
+
+    def measured() -> list[tuple[SummaryRecord, MeasureVector]]:
+        pairs = measure_summaries(records, regard_client, scanned)
+        if regard_client is not None:
+            for record, mv in pairs:
+                measures_out.write(encode_line(textmetrics.measures_row(record, mv)) + "\n")
+        records.clear()
+        scanned.clear()
+        return pairs
+
+    for record, (summary_line, measures, measures_line, text) in summarized:
+        summaries_out.write(summary_line + "\n")
+        if measures_line is not None:
+            measures_out.write(measures_line + "\n")
+        records.append(record if text is None else replace(record, text=text))
+        scanned.append(measures)
+        if len(records) == backends.WRITE_CHUNK:
+            yield from measured()
+    if records:
+        yield from measured()
+
+
+def paired_samples(measured: Iterable[tuple[SummaryRecord, MeasureVector]],
                    pair_runs: str = "average") -> list[stats.PairedSample]:
     """Pair group-version measures per resume across the four comparisons.
 
@@ -347,12 +398,11 @@ def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
     tag (``@dN``) of a variant id is ignored, so a measures file from any
     draw pairs the same way. Generation runs are averaged per resume before
     pairing by default; pair_runs="separate" keeps each run index as its
-    own pair.
+    own pair. `measured` is read once, so it may be a stream; regard pairs
+    only where it was scored.
     """
-    has_regard = any(mv.regard is not None for _, mv in measured)
-    measures = [m for m in MeasureVector.NAMES if m != "regard" or has_regard]
-
-    values: dict[tuple, float] = {}
+    # (model, group, measure, cell) -> (resume, run) -> value
+    values: dict[tuple, dict[tuple[str, int], float]] = {}
     models, cells, run_indices, resume_ids = set(), set(), set(), set()
     for record, mv in measured:
         group = record.variant_id.partition("@")[0]
@@ -361,11 +411,12 @@ def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
         cells.add(cell)
         run_indices.add(record.run_index)
         resume_ids.add(record.resume_id)
-        for measure in measures:
+        at = (record.resume_id, record.run_index)
+        for measure in MeasureVector.NAMES:
             v = mv.scalar(measure)
             if v is not None:
-                values.setdefault((record.model_name, group, record.resume_id,
-                                   measure, cell, record.run_index), v)
+                values.setdefault((record.model_name, group, measure, cell),
+                                  {}).setdefault(at, v)
 
     if pair_runs == "separate":
         run_groups = [(r,) for r in sorted(run_indices)]
@@ -373,14 +424,17 @@ def paired_samples(measured: list[tuple[SummaryRecord, MeasureVector]],
         run_groups = [tuple(sorted(run_indices))]
     pairs = [(comparison, f"name:{left}", f"name:{right}")
              for comparison, (left, right) in COMPARISON_PAIRS.items()]
-    per_cell = list(itertools.product(sorted(resume_ids), run_groups))
+    per_cell = [[(rid, r) for r in runs]
+                for rid, runs in itertools.product(sorted(resume_ids), run_groups)]
     samples: list[stats.PairedSample] = []
     for model, (comparison, left, right), measure, cell in itertools.product(
-            sorted(models), pairs, measures, sorted(cells)):
+            sorted(models), pairs, MeasureVector.NAMES, sorted(cells)):
+        lvalues = values.get((model, left, measure, cell), {})
+        rvalues = values.get((model, right, measure, cell), {})
         diffs: list[float] = []
-        for rid, runs in per_cell:
-            lvals = [values.get((model, left, rid, measure, cell, r)) for r in runs]
-            rvals = [values.get((model, right, rid, measure, cell, r)) for r in runs]
+        for runs in per_cell:
+            lvals = [lvalues.get(at) for at in runs]
+            rvals = [rvalues.get(at) for at in runs]
             if None not in lvals and None not in rvals:
                 diffs.append(sum(lvals) / len(lvals) - sum(rvals) / len(rvals))
         if len(diffs) >= 2:
@@ -445,23 +499,25 @@ def summary_stage(completers: list, regard_client: RegardClient | None,
                   out_dir: Path) -> Stage:
     """Every completer in turn summarizes the named versions of one draw,
     writes the summaries and their measures (regard included) and runs its
-    t-tests; the side log holds the t-tests."""
+    t-tests; the side log holds the t-tests. Each summary is read or made,
+    checked, scanned and encoded as one step of its batch, and the grid
+    streams through in slices (see summarize and _measured), so that what
+    pairing needs is all the stage keeps of it."""
     entries: list[LedgerEntry] = []
     files: list[Path] = []
     log: list[dict] = []
     suffix = _suffix(variants.draw)
+    step = partial(textmetrics.summary_lines, regard_client is None)
     for backend in completers:
-        records = generate_summaries(backend, variants, config)
-        summaries_path = out_dir / f"summaries_{backend.config.id}{suffix}.jsonl"
-        _write_jsonl(map(to_row, records), summaries_path)
-        files.append(summaries_path)
-
-        measured = measure_summaries(records, regard_client)
-        measures_path = out_dir / f"measures_{backend.config.id}{suffix}.jsonl"
-        textmetrics.write_measures(measured, measures_path)
-        files.append(measures_path)
-
-        samples = paired_samples(measured, config.pair_runs)
+        paths = [out_dir / f"{name}_{backend.config.id}{suffix}.jsonl"
+                 for name in ("summaries", "measures")]
+        # closed when the stage ends, however it ends, so that a batch left
+        # early stops its requests and flushes its answers then
+        with open_jsonl(paths[0]) as summaries, open_jsonl(paths[1]) as measures, \
+                closing(generate_summaries(backend, variants, config, step)) as summarized:
+            samples = paired_samples(_measured(summarized, regard_client, summaries,
+                                               measures), config.pair_runs)
+        files.extend(paths)
         entries.extend(summarization_metrics(samples, run_id, config, variants.draw,
                                              test_log=log))
     return entries, files, log
@@ -516,7 +572,7 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
 
 def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) -> RunResult:
     # fail fast: build every backend and the regard client (each checks its credential)
-    backends = {b.id: build_backend(b, cache) for b in config.backends}
+    built = {b.id: build_backend(b, cache) for b in config.backends}
     regard_client = None
     if config.regard_endpoint:
         # as wide as the widest completion backend whose summaries it scores,
@@ -530,8 +586,8 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
             parallelism=max((b.parallelism for b in scored), default=1),
             retry=max((b.retry for b in scored), key=lambda r: r.max_attempts,
                       default=RetryPolicy(max_attempts=1))), cache)
-    embedders = [backends[b.id] for b in config.embedding_backends()]
-    completers = [backends[b.id] for b in config.completion_backends()]
+    embedders = [built[b.id] for b in config.embedding_backends()]
+    completers = [built[b.id] for b in config.completion_backends()]
     if not embedders and not completers:
         raise DataError("no usable backends configured")
 
@@ -571,7 +627,7 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
     occupation_of = {j.id: j.occupation for j in jobs}
 
     # the two stages of a draw overlap only when a backend waits on the network
-    run_backends = [*backends.values(), *([regard_client] if regard_client else [])]
+    run_backends = [*built.values(), *([regard_client] if regard_client else [])]
     stop = threading.Event() if any(b.http is not None for b in run_backends) else None
     for backend in run_backends:
         backend.stop = stop

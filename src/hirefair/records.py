@@ -166,15 +166,25 @@ def raised(value):
     return value
 
 
+#: A row as a line of a JSONL file, keys sorted, without its newline.
+encode_line = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
+def open_jsonl(path):
+    """A JSONL file opened for writing lines, each ended by "\\n"."""
+    return Path(path).open("w", encoding="utf-8", newline="\n")
+
+
 def write_jsonl(rows: Iterable[dict], path,
                 separators: tuple[str, str] | None = None) -> None:
-    """One JSON line per row, keys sorted, encoded through
-    backends.thread_map(). A row that does not encode raises where its line
-    would be written."""
+    """One JSON line per row, as encode_line writes it (or with other
+    `separators`), encoded through backends.thread_map(). A row that does
+    not encode raises where its line would be written."""
     from hirefair.backends import thread_map  # which imports this module
 
-    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=separators)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for line in thread_map()(partial(valued, encoder.encode), rows):
+    encode = encode_line if separators is None else json.JSONEncoder(
+        sort_keys=True, ensure_ascii=False, separators=separators).encode
+    with open_jsonl(path) as fh:
+        for line in thread_map()(partial(valued, encode), rows):
             fh.write(raised(line))
             fh.write("\n")

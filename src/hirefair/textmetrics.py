@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from hirefair.backends import RegardClient, thread_map
-from hirefair.records import from_row, read_jsonl, to_row, write_jsonl
+from hirefair.records import encode_line, from_row, read_jsonl, to_row, write_jsonl
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -303,16 +303,49 @@ class MeasureVector:
 MeasureVector.NAMES = tuple(f.name for f in fields(MeasureVector))
 
 
+def no_word(record: SummaryRecord) -> TextMetricsError:
+    """The error for a summary without a word, which names the summary."""
+    r = record
+    return TextMetricsError(
+        f"summary by {r.model_name} of resume {r.resume_id}, variant {r.variant_id}, "
+        f"temperature {r.temperature}, length {r.length}, pov {r.pov}, "
+        f"run {r.run_index} has no word: {NoWordError()}")
+
+
+def summary_lines(with_measures: bool, record: SummaryRecord, text: str,
+                  ) -> tuple[str, tuple[float, float, float, float], str | None, str | None]:
+    """What a run keeps of one summary, `text`, of `record` (whose own text
+    is left empty), made where the text is: its summaries line; its measures
+    but regard (the scan measure_texts maps, and the reading time); and its
+    measures line when `with_measures`, else the text, for regard to score.
+    The lines are those write_jsonl and write_measures write. A text without
+    a word is no_word(record)."""
+    ease, pol, subj = _scan(text)
+    if ease is None:
+        raise no_word(record)
+    measures = (ease, reading_time(text), pol, subj)
+    line = encode_line(to_row(record, text=text))
+    if not with_measures:
+        return line, measures, None, text
+    return line, measures, encode_line(measures_row(record, MeasureVector(*measures))), None
+
+
 def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
-                  ) -> list[MeasureVector]:
+                  scanned: Sequence[tuple] | None = None) -> list[MeasureVector]:
     """All five measures of each text, scanned through backends.thread_map().
     Regard is absent without a configured client and is scored as one batch
-    once every text has a reading ease. A text without a word is a NoWordError."""
-    measured = []
-    for index, (text, (ease, pol, subj)) in enumerate(zip(texts, thread_map()(_scan, texts))):
-        if ease is None:
-            raise NoWordError(index)
-        measured.append((ease, reading_time(text), pol, subj))
+    once every text has a reading ease. A text without a word is a NoWordError.
+    `scanned` holds the measures but regard of each text when they were
+    made already, as summary_lines makes them; the texts are then read only
+    by regard."""
+    measured = scanned
+    if measured is None:
+        measured = []
+        for index, (text, (ease, pol, subj)) in enumerate(zip(texts,
+                                                              thread_map()(_scan, texts))):
+            if ease is None:
+                raise NoWordError(index)
+            measured.append((ease, reading_time(text), pol, subj))
     if regard_client is None:
         regards = [None] * len(texts)
     else:
@@ -328,16 +361,19 @@ def read_summaries(path) -> list[SummaryRecord]:
             for lineno, row in read_jsonl(path, TextMetricsError)]
 
 
+def measures_row(record: SummaryRecord, mv: MeasureVector) -> dict:
+    """A summary's row of a measures file: its record's fields but the text,
+    and its measures (regard only when scored); schema versioned."""
+    row = to_row(record, **to_row(mv), schema_version=MEASURES_SCHEMA_VERSION)
+    del row["text"]
+    if mv.regard is None:
+        del row["regard"]
+    return row
+
+
 def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path) -> None:
-    """One JSON line per summary: its record's fields but the text, and its
-    measures (regard only when scored); schema versioned."""
-    def row(record: SummaryRecord, mv: MeasureVector) -> dict:
-        rec = to_row(record, **to_row(mv), schema_version=MEASURES_SCHEMA_VERSION)
-        del rec["text"]
-        if mv.regard is None:
-            del rec["regard"]
-        return rec
-    write_jsonl((row(record, mv) for record, mv in rows), path)
+    """One measures_row line per summary."""
+    write_jsonl((measures_row(record, mv) for record, mv in rows), path)
 
 
 def read_measures(path) -> list[tuple[SummaryRecord, MeasureVector]]:

@@ -82,6 +82,22 @@ def cached_response(cache, key: str):
     return None if blob is None else decode_response(blob)
 
 
+def recorded_tasks(monkeypatch) -> list:
+    """(thread id, task) of each task that this process sends to a worker of
+    cpu_map's pool from now on; a task is (fn, items)."""
+    import multiprocessing.connection
+
+    tasks = []
+    send = multiprocessing.connection.Connection.send
+
+    def recorded(conn, task):
+        tasks.append((threading.get_ident(), task))
+        return send(conn, task)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded)
+    return tasks
+
+
 @pytest.fixture(scope="session")
 def pools():
     return load_name_pools()

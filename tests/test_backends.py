@@ -3,7 +3,6 @@ import json
 import logging
 import math
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import shutil
@@ -15,6 +14,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -54,7 +54,7 @@ from hirefair.backends import (
 from hirefair.records import write_jsonl
 from hirefair.retrieval import cosine
 
-from conftest import cached_response
+from conftest import cached_response, recorded_tasks
 
 
 def mock_config(backend_id="m", kind="embedding", protocol="mock", **params):
@@ -579,20 +579,6 @@ def cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def recorded_tasks(monkeypatch) -> list:
-    """(thread id, task) of each task that this process sends to a worker of
-    cpu_map's pool from now on; a task is (fn, items)."""
-    tasks = []
-    send = multiprocessing.connection.Connection.send
-
-    def recorded(conn, task):
-        tasks.append((threading.get_ident(), task))
-        return send(conn, task)
-
-    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded)
-    return tasks
-
-
 def pid(item) -> int:
     """The process that maps `item`; at module level, so that a pool's worker
     can run it."""
@@ -928,6 +914,34 @@ def test_a_batch_digests_decodes_and_fetches_on_the_pool(tmp_path, monkeypatch):
     assert results == [f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}"
                        for i in range(300)]
     assert mapped == [300, 50, 100]
+
+
+def tagged(tag: int, text: str) -> tuple[int, str, int]:
+    """A step: its request's tag, the checked answer, and the process that
+    ran it; at module level, so that a pool's worker can run it."""
+    return tag, text, os.getpid()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_batch_with_steps_runs_them_where_answers_are(tmp_path, monkeypatch, n):
+    """With steps, each request's step takes its key's one answer, checked,
+    in the process that decoded or made it; a request that repeats a key
+    gets its own step on the same answer. Results come in request order as
+    an iterator, and each distinct answer is made and stored once."""
+    cpus(monkeypatch, n)
+    keys = [("b", "m", {"i": i % 5}) for i in range(12)]
+    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+        cache.put(cache_key(*keys[0]), encode_response("cached 0"))
+        cache.flush()
+        results = cached_calls(cache, keys, answer, str.upper, items=[i % 5 for i in range(12)],
+                               map_fn=map_fn, steps=[partial(tagged, i) for i in range(12)])
+        assert not isinstance(results, list)
+        results = list(results)
+        workers = {w.pid for w in multiprocessing.active_children()}
+        assert len(cache) == 5
+    assert [(tag, text) for tag, text, _ in results] == [
+        (i, "CACHED 0" if i % 5 == 0 else f"ANSWER {i % 5}") for i in range(12)]
+    assert {pid for *_, pid in results} <= (workers if n > 1 else {os.getpid()})
 
 
 def test_pooled_jsonl_lines_equal_the_serial_ones(tmp_path, monkeypatch):

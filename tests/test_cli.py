@@ -1,27 +1,33 @@
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import signal
 import sqlite3
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from hirefair import pipeline
+from hirefair import backends, pipeline
 from hirefair.backends import (
     MAP_CHUNK,
     BackendError,
+    CompletionBackend,
+    CompletionRequest,
     JsonEndpoint,
     ResponseCache,
     Stopped,
@@ -49,7 +55,7 @@ from hirefair.retrieval import cosine, read_score_table
 from hirefair.records import to_row
 from hirefair.textmetrics import read_measures, read_summaries
 
-from conftest import cached_response
+from conftest import cached_response, recorded_tasks
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -174,6 +180,9 @@ MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name"
     {"grid": [["n_values", [3]], ["x_values", [25]]]},
     pytest.param("[]", id="config-not-an-object"),
     pytest.param('{"schema_version": 1}', id="config-without-corpus"),
+    {"grid": {"temperatures": []}},
+    {"grid": {"lengths": []}},
+    {"grid": {"povs": []}},
 ])
 def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
     if isinstance(extra, str):
@@ -1689,3 +1698,210 @@ def test_ctrl_c_ends_a_run_and_its_workers(tmp_path, fixtures_dir):
     while any(Path(f"/proc/{pid}").exists() for pid in workers) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(Path(f"/proc/{pid}").exists() for pid in workers)
+
+
+# ---------------------------------------------------------------------------
+# the summary grid, streamed in slices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_runs_measures_are_what_measure_makes(tmp_path, fixtures_dir, monkeypatch, n):
+    """The measures file a run writes from each summary's step is, byte for
+    byte, what `hirefair measure` writes for the run's summaries file, on one
+    CPU and over the pool: one scan and one row builder."""
+    cpus(monkeypatch, n)
+    path = write_config(tmp_path, fixtures_dir, grid={
+        "n_values": [3], "x_values": [25], "temperatures": [0.0, 0.3],
+        "lengths": [100, 200], "povs": ["first", "third"], "runs": 2})
+    assert CliRunner().invoke(main, ["run", "--config", str(path)]).exit_code == 0
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["measure", "--in", str(out / "summaries_gen.jsonl"),
+                                       "--out", str(tmp_path / "measured.jsonl")])
+    assert result.exit_code == 0, result.output
+    assert result.output == "wrote 768 measure rows to " f"{tmp_path / 'measured.jsonl'}\n"
+    assert (tmp_path / "measured.jsonl").read_bytes() == \
+        (out / "measures_gen.jsonl").read_bytes()
+
+
+#: Requests per slice in the slice tests; it does not divide their grids.
+SLICE = 7
+
+
+def grid_requests(config, draw: int = 0) -> list[CompletionRequest]:
+    """The completion requests of one draw's summary grid, in run order."""
+    resumes, _ = load_corpus(config.corpus_path)
+    variants = build_variants(resumes, load_name_pools(), config, draw)
+    grid = config.grid
+    return [CompletionRequest(summary_prompt(resume, length, pov), temperature, length, run)
+            for g in GROUP_CODES for _, resume in sorted(variants.resumes[f"name:{g}"].items())
+            for temperature, length, pov in itertools.product(
+                grid.temperatures, grid.lengths, grid.povs)
+            for run in range(1, grid.runs + 1)]
+
+
+def completion_key(backend: dict, request: CompletionRequest) -> str:
+    return cache_key(backend["id"], backend["model_name"], {
+        "op": "complete", "prompt": request.prompt, "temperature": request.temperature,
+        "run_index": request.run_index, "max_words_hint": request.max_words_hint})
+
+
+def outputs_of(out: Path) -> tuple[dict[str, bytes], list]:
+    """Every artifact of a run's directory, and its cache rows in key order."""
+    with closing(sqlite3.connect(out / "cache" / "responses.sqlite")) as db:
+        rows = db.execute("SELECT key, response FROM responses ORDER BY key").fetchall()
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}, rows
+
+
+def batch_sizes(monkeypatch) -> list[int]:
+    """The number of requests of each completion batch from now on."""
+    sizes = []
+    complete_batch = CompletionBackend.complete_batch
+
+    def recorded(self, requests, *args, **kwargs):
+        sizes.append(len(requests))
+        return complete_batch(self, requests, *args, **kwargs)
+
+    monkeypatch.setattr(CompletionBackend, "complete_batch", recorded)
+    return sizes
+
+
+#: The request that refused_one answers without a word: (prompt, run index).
+REFUSED = None
+
+
+def refused_one(config, request):
+    """The mock summary of `request`, but none for REFUSED."""
+    if (request.prompt, request.run_index) == REFUSED:
+        return "..."
+    return MOCK_SUMMARY(config, request)
+
+
+MOCK_SUMMARY = backends.PROTOCOLS["completion", "mock"].call
+SLICED_GRID = {"n_values": [3], "x_values": [25], "temperatures": [0.0], "lengths": [100],
+               "povs": ["third"], "runs": 2, "draws": 2}
+
+
+def test_an_in_process_grid_in_slices(tmp_path, fixtures_dir, monkeypatch):
+    """On the pool, a grid walked 7 requests at a time writes the bytes and
+    cache rows of the default run; no task sent to the pool carries a
+    summary's text (or its row, which holds it); and a refusal in the second
+    slice ends the run with exit 3, the answers that validated before it
+    kept."""
+    cpus(monkeypatch, 2)
+    default = tmp_path / "default"
+    run_audit(load_run_config(write_config(tmp_path, fixtures_dir, out_dir=str(default),
+                                           grid=SLICED_GRID)))
+
+    monkeypatch.setattr(backends, "WRITE_CHUNK", SLICE)
+    sizes, tasks = batch_sizes(monkeypatch), recorded_tasks(monkeypatch)
+    path = write_config(tmp_path, fixtures_dir, out_dir=str(tmp_path / "sliced"),
+                        grid=SLICED_GRID)
+    run_audit(load_run_config(path))
+    assert sizes == ([SLICE] * (96 // SLICE) + [96 % SLICE]) * 2
+    assert outputs_of(tmp_path / "sliced") == outputs_of(default)
+    texts = {r.text for name in ("summaries_gen.jsonl", "summaries_gen@d1.jsonl")
+             for r in read_summaries(default / name)}
+    assert len(texts) > 96 and tasks
+    assert not any(text.encode("utf-8") in pickle.dumps(task) for _, task in tasks
+                   for text in texts)
+
+    config = load_run_config(write_config(tmp_path, fixtures_dir, grid=SLICED_GRID))
+    requests = grid_requests(config)
+    monkeypatch.setattr(sys.modules[__name__], "REFUSED",
+                        (requests[SLICE + 2].prompt, requests[SLICE + 2].run_index))
+    monkeypatch.setitem(backends.PROTOCOLS, ("completion", "mock"),
+                        backends.Protocol(call=refused_one))
+    result = CliRunner().invoke(main, ["run", "--config", str(write_config(
+        tmp_path, fixtures_dir, grid=SLICED_GRID))])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: backend gen: completion without a word '...'")
+    gen = config.completion_backends()[0]
+    with ResponseCache(tmp_path / "out" / "cache") as cache:
+        stored = [cached_response(cache, completion_key(dataclasses.asdict(gen), request))
+                  for request in requests]
+    assert [text is not None for text in stored] == [True] * (SLICE + 2) + \
+        [False] * (len(requests) - SLICE - 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_http_grid_in_slices(tmp_path, fixtures_dir, loopback, monkeypatch):
+    """Over HTTP with regard at parallelism 4, a grid walked 7 requests at a
+    time writes the bytes and cache rows of the default run, and the
+    service receives each request once, as in the default run. A refusal in
+    the second slice ends the run with exit 3, and the first slice's
+    answers, regard included, stay cached."""
+    def run(out):
+        loopback.reset()
+        run_audit(load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 4, out),
+                                  draws=2))
+        return [(r["target"], r["body"]) for r in loopback.received]
+
+    default = run(tmp_path / "default")
+    monkeypatch.setattr(backends, "WRITE_CHUNK", SLICE)
+    sizes = batch_sizes(monkeypatch)
+    sliced = run(tmp_path / "sliced")
+    assert sizes == ([SLICE] * (192 // SLICE) + [192 % SLICE]) * 2
+    assert outputs_of(tmp_path / "sliced") == outputs_of(tmp_path / "default")
+    assert collections.Counter(sliced) == collections.Counter(default)
+    posted = collections.Counter(sliced)
+    # the chat schema carries no run index, so runs 1 and 2 post one body
+    assert {count for (target, _), count in posted.items()
+            if target == "/v1/chat/completions"} == {2}
+    assert {count for (target, _), count in posted.items()
+            if target != "/v1/chat/completions"} == {1}
+
+    out = tmp_path / "refused"
+    path = http_config(tmp_path, fixtures_dir, loopback.url, 4, out)
+    config = load_run_config(path)
+    requests = grid_requests(config)
+    refused = requests[SLICE + 1]  # run 1 of a version whose run 2 follows it
+    answer = loopback.answer
+
+    def refusing(target, body, digest):
+        if target == "/v1/chat/completions" and \
+                body["messages"][0]["content"] == refused.prompt:
+            return None
+        return answer(target, body, digest)
+
+    monkeypatch.setattr(loopback, "answer", refusing)
+    loopback.reset()
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: backend gen: HTTP 400"), result.output
+    gen = {"id": "gen", "model_name": "loop-chat"}
+    with ResponseCache(out / "cache") as cache:
+        first = [cached_response(cache, completion_key(gen, request))
+                 for request in requests[:SLICE]]
+        assert None not in first
+        assert all(cached_response(cache, cache_key("regard", config.regard_endpoint,
+                                                    {"text": text})) is not None
+                   for text in first)
+        assert cached_response(cache, completion_key(gen, refused)) is None
+
+
+def test_the_summary_stage_holds_one_slice_at_a_time(tmp_path, fixtures_dir, monkeypatch):
+    """tracemalloc's peak over the summary stage of a grid walked in eight
+    slices stays well below the peak of the same grid in one slice, and both
+    write the same bytes: the stage streams the grid, so a change that
+    gathers it again fails here."""
+    config = load_run_config(write_config(tmp_path, fixtures_dir, grid={
+        "n_values": [3], "x_values": [25]}))
+    resumes, _ = load_corpus(config.corpus_path)
+    variants = build_variants(resumes, load_name_pools(), config, 0)
+    completer = build_backend(config.completion_backends()[0])
+    size = len(grid_requests(config))
+    assert size == 12 * 4 * 8 * 5
+    peaks, outputs = {}, {}
+    for slices in (8, 1):  # the one-slice run finds the scan's memos filled
+        monkeypatch.setattr(backends, "WRITE_CHUNK", size // slices)
+        out = tmp_path / f"slices-{slices}"
+        out.mkdir()
+        tracemalloc.start()
+        try:
+            pipeline.summary_stage([completer], None, variants, "run", config, out)
+            peaks[slices] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs[slices] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs[8] == outputs[1]
+    assert peaks[8] < peaks[1] / 2, peaks
