@@ -19,7 +19,6 @@ from hirefair.corpus import (
     save_corpus,
 )
 from hirefair.perturb import PerturbationSpec
-from hirefair.retrieval import competition_ranks, exclusion, non_uniformity, score_array
 from hirefair.stats import (
     bh_correct,
     bonferroni_correct,
@@ -46,3 +45,14 @@ __all__ = [
     "save_corpus",
     "score_array",
 ]
+
+#: Names loaded from hirefair.retrieval, and so numpy, on first use.
+_RETRIEVAL = ("competition_ranks", "exclusion", "non_uniformity", "score_array")
+
+
+def __getattr__(name: str):
+    if name in _RETRIEVAL:
+        from hirefair import retrieval
+
+        return getattr(retrieval, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

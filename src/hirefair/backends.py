@@ -40,6 +40,9 @@ Two deterministic mocks support offline runs and metric validation:
 * biased mock: adds a configurable scalar bias along a fixed direction
   whenever a tagged token is present, for validating that the retrieval
   metrics detect injected group preference.
+
+numpy is imported where a vector is made or checked (the mock embedders and
+EmbeddingBackend), so that a process that embeds nothing never loads it.
 """
 
 from __future__ import annotations
@@ -61,12 +64,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from hirefair.records import check_types, from_row, raised, valued
-from hirefair.retrieval import norm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -526,10 +529,11 @@ def cpu_map() -> Iterator[Callable]:
     order: on one `fork` worker process per CPU this process may use, in
     tasks of MAP_CHUNK items read from the iterable as they are sent; the
     builtin map with one CPU or without `fork`. Nothing sets the width.
-    Open it before the response cache and any thread, as each worker copies
-    this process. Only where thread_map() gives this map, on the thread that
-    opened it, does it use the pool; elsewhere it maps serially. Workers
-    ignore SIGINT, which the calling process handles.
+    Open it before the response cache and any thread, numpy's BLAS pool
+    included, as each worker copies this process. Only where thread_map()
+    gives this map, on the thread that opened it, does it use the pool;
+    elsewhere it maps serially. Workers ignore SIGINT, which the calling
+    process handles.
 
     Each worker has a pipe of its own and at most one task, since a worker
     blocked sending answers and this process blocked sending it a second
@@ -617,6 +621,10 @@ def mock_embedding(text: str, dim: int = MOCK_DIM) -> np.ndarray:
     Word order never matters; empty text maps to the zero vector (the only
     non-unit output).
     """
+    import numpy as np
+
+    from hirefair.retrieval import norm
+
     buckets = np.array([token_bucket(token, dim) for token in text.split()], dtype=np.intp)
     counts = np.bincount(buckets, minlength=dim).astype(np.float64)
     length = norm(counts)
@@ -636,6 +644,8 @@ def mock_biased_embedding(text: str, tag_bias: Mapping[str, float],
     documents higher, monotonically in the bias. Zero bias reproduces
     mock_embedding exactly.
     """
+    from hirefair.retrieval import norm
+
     vec = mock_embedding(text, dim)
     bias = sum(tag_bias[t] for t in set(text.split()) & set(tag_bias))
     if bias == 0.0:
@@ -845,11 +855,15 @@ def _numbers(values) -> list[float]:
 
 
 def validate_regard(scores: Mapping[str, float]) -> dict[str, float]:
-    """Check a regard response: all four categories, summing to 1 within 1e-6."""
+    """Check a regard response: all four categories, each in [0, 1] (so not
+    NaN), summing to 1 within 1e-6."""
     missing = [c for c in REGARD_CATEGORIES if c not in scores]
     if missing:
         raise ValueError(f"regard response missing categories: {missing}")
     values = {c: float(scores[c]) for c in REGARD_CATEGORIES}
+    outside = {c: v for c, v in values.items() if not 0.0 <= v <= 1.0}
+    if outside:
+        raise ValueError(f"regard scores outside [0, 1]: {outside}")
     total = sum(values.values())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"regard scores sum to {total}, not 1")
@@ -1016,6 +1030,8 @@ class EmbeddingBackend(Backend):
         """A response as a vector of the backend's established dimension.
         One vector serves every text of a batch that shares its request, so
         it is read-only."""
+        import numpy as np
+
         vec = np.array(values, dtype=np.float64)
         if not np.isfinite(vec).all():
             raise BackendError(f"backend {self.config.id}: embedding vector contains "

@@ -7,13 +7,14 @@ Exit codes: 0 ok, 2 configuration error, 3 backend error, 4 data or write error.
 from __future__ import annotations
 
 import logging
+import os
 import sqlite3
 import sys
 from contextlib import contextmanager, nullcontext
 
 import click
 
-from hirefair import perturb, retrieval, stats, textmetrics
+from hirefair import perturb, stats, textmetrics
 from hirefair.backends import BackendError, CacheError, ResponseCache, build_backend, cpu_map
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import (
@@ -34,9 +35,8 @@ from hirefair.pipeline import (
     score_variants,
     summarize,
 )
-from hirefair.records import read_json, to_row, write_jsonl
+from hirefair.records import RetrievalError, read_json, to_row, write_jsonl
 from hirefair.report import ReportError, aggregate, emit, read_ledger
-from hirefair.retrieval import RetrievalError
 
 #: The exit code of each error a command may raise: config, backend, data. An
 #: OSError is a failed write: readers and backends wrap their own OSErrors. A
@@ -49,6 +49,9 @@ EXIT_CODES = {
                      perturb.PerturbError, stats.StatsError, ReportError, OSError,
                      sqlite3.Error, CacheError), 4),
 }
+
+#: A significance level of the stage commands, as `run` takes it: in (0, 1).
+ALPHA = click.FloatRange(0, 1, min_open=True, max_open=True)
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +72,9 @@ class _Commands(click.Group):
 @click.option("--verbose", "-v", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
     """Fairness audits for embedding-based resume retrieval and summarization."""
+    # before anything loads numpy: the audit's BLAS calls are dots of one
+    # vector pair, which OpenBLAS makes on the calling thread anyway
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -151,6 +157,8 @@ def _variant_id(resume) -> str:
 @click.option("--cache-dir", default=None, type=click.Path())
 def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
     """Embed a corpus and write the (job, resume, variant, score) table."""
+    from hirefair import retrieval  # before the pool forks, so that workers share numpy
+
     with _load_backend(backends_path, backend_id, "embedding", cache_dir) as backend:
         resumes, jobs = load_corpus(in_path)
         if not jobs:
@@ -200,9 +208,12 @@ def measure_cmd(in_path, out_path):
 @main.command("rank")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True))
 @click.option("--variant", default="name:MW", help="Variant id to rank.")
-@click.option("--top", default=0, type=int, help="Print only the top N rows per job.")
+@click.option("--top", default=0, type=click.IntRange(min=0),
+              help="Print only the top N rows per job.")
 def rank_cmd(scores_path, variant, top):
     """Print competition ranks per job from a saved score table."""
+    from hirefair import retrieval
+
     table = retrieval.score_array(retrieval.read_score_table(scores_path))
     scores = table.of(variant)
     for job_id, job_scores in zip(table.jobs, scores):
@@ -230,11 +241,13 @@ def audit():
               help="Variant id treated as the original ranking (exclusion).")
 @click.option("--perturbed", "perturbed_variant", default="swap:MW->FW",
               help="Variant id whose scores re-rank the originals (exclusion).")
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--alpha", type=ALPHA, default=0.05)
 def audit_retrieval(scores_path, metric, n_values, x_values,
                     original_variant, perturbed_variant, alpha):
     """Recompute retrieval metrics from a saved score table. Non-uniformity is
     tested per job post; a score table has no occupations to pool by."""
+    from hirefair import retrieval
+
     table = retrieval.score_array(retrieval.read_score_table(scores_path))
     if metric == "exclusion":
         original = table.of(original_variant)
@@ -254,7 +267,7 @@ def audit_retrieval(scores_path, metric, n_values, x_values,
 @audit.command("summarization")
 @click.option("--measures", "measures_path", required=True, type=click.Path(exists=True))
 @click.option("--correction", type=click.Choice(["bh", "bonferroni"]), default="bh")
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--alpha", type=ALPHA, default=0.05)
 def audit_summarization(measures_path, correction, alpha):
     """Invariance-violation rates from a measures file.
 

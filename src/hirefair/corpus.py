@@ -19,8 +19,6 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from hirefair.records import from_row, read_json, read_jsonl, to_row, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -168,10 +166,12 @@ class NamePool:
             if f < 0:
                 raise ValueError(f"negative frequency for {name!r}")
         object.__setattr__(self, "frequencies", freqs)
-        boundaries = np.percentile(list(freqs.values()), (25.0, 50.0, 75.0),
-                                   method="higher")
+        # the quartiles of np.percentile(method="higher"): the sorted counts
+        # at ceil(q * (n - 1)), exact in integers
+        counts = sorted(freqs.values())
+        boundaries = [counts[-(-q * (len(counts) - 1) // 4)] for q in (1, 2, 3)]
         object.__setattr__(self, "bins", {
-            name: int(np.count_nonzero(boundaries < f)) for name, f in freqs.items()
+            name: sum(b < f for b in boundaries) for name, f in freqs.items()
         })
 
 

@@ -24,7 +24,10 @@ text scans and the lines of the JSONL files, each through
 backends.thread_map(): only on the calling thread, which opened the pool.
 A retrieval stage on the worker thread maps serially, as does a run on one
 CPU or with only HTTP backends, which opens no pool. Every backend of the
-run, the regard client included, holds the run's stop signal.
+run, the regard client included, holds the run's stop signal. Only the
+retrieval stage needs numpy (through hirefair.retrieval), and a run without
+embedders never loads it; one with an in-process embedder loads it before
+the pool forks, so that its workers do not each import it.
 
 The summary stage streams each completer's grid: it requests the grid in
 consecutive slices of backends.WRITE_CHUNK requests, and each summary is one
@@ -49,9 +52,9 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
-from hirefair import backends, perturb, retrieval, stats, textmetrics
+from hirefair import backends, perturb, stats, textmetrics
 from hirefair.backends import (
     BackendConfig,
     CompletionRequest,
@@ -84,8 +87,10 @@ from hirefair.report import (
     manifest_digest,
     write_ledger,
 )
-from hirefair.retrieval import ScoreRow
 from hirefair.textmetrics import MeasureVector, SummaryRecord
+
+if TYPE_CHECKING:
+    from hirefair.retrieval import ScoreRow
 
 logger = logging.getLogger(__name__)
 
@@ -215,6 +220,8 @@ def _suffix(draw: int) -> str:
 
 def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[ScoreRow]:
     """Embed every variant and job, then score all (job, variant) pairs."""
+    from hirefair import retrieval
+
     keys: list[tuple[str, str]] = []
     texts: list[str] = []
     for vid in sorted(variants.resumes):
@@ -230,7 +237,7 @@ def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[S
     for job, jv in zip(jobs, job_vectors):
         nj = retrieval.norm(jv)
         for (vid, rid), vec, nv in normed:
-            rows.append(ScoreRow(
+            rows.append(retrieval.ScoreRow(
                 job_id=job.id, resume_id=rid, variant_id=vid + tag,
                 score=retrieval.normed_cosine(vec, jv, nv, nj),
             ))
@@ -243,6 +250,8 @@ def retrieval_metrics(model: str, run_id: str, jobs: list[JobPost],
                       detail_log: list | None = None) -> list[LedgerEntry]:
     """Exclusion of each variant against its baseline and of each aggregate,
     plus non-uniformity entries, for one embedding backend and one draw."""
+    from hirefair import retrieval
+
     table = retrieval.score_array(rows)
     compared = [v for v in variant_table(config, variants.draw) if v.baseline]
     entries: list[LedgerEntry] = []
@@ -483,6 +492,8 @@ def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
     files: list[Path] = []
     log: list[dict] = []
     for backend in embedders:
+        from hirefair import retrieval  # with the first embedder, not before
+
         rows = score_variants(backend, jobs, variants)
         score_path = out_dir / f"scores_{backend.config.id}{_suffix(variants.draw)}.csv"
         retrieval.write_score_table(rows, score_path)
@@ -566,6 +577,9 @@ def run_audit(config: RunConfig, svg: bool = False) -> RunResult:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     in_process = any(b.in_process for b in config.backends)
+    if any(b.in_process for b in config.embedding_backends()):
+        # numpy, once, here: each worker of the pool makes vectors with it
+        from hirefair import retrieval  # noqa: F401
     with cpu_map() if in_process else nullcontext(), ResponseCache(out_dir / "cache") as cache:
         return _audit(config, out_dir, cache, svg)
 

@@ -22,6 +22,12 @@ _type_hints = lru_cache(maxsize=None)(get_type_hints)
 _BAD = object()
 
 
+class RetrievalError(Exception):
+    """Raised for invalid retrieval inputs. Defined here rather than in
+    hirefair.retrieval, so that the command line maps it to its exit code
+    without loading numpy."""
+
+
 def _as(value, hint):
     """`value` as a `hint` from JSON, or _BAD: a float takes an int and stores
     it as a float, a number takes no bool, and a tuple takes a list."""

@@ -24,14 +24,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from hirefair.corpus import GROUP_CODES
-from hirefair.records import to_row
+from hirefair.records import RetrievalError, to_row
 from hirefair.stats import uniform_gof
 
 logger = logging.getLogger(__name__)
-
-
-class RetrievalError(Exception):
-    """Raised for invalid retrieval inputs."""
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

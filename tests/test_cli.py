@@ -1625,16 +1625,59 @@ def test_an_interrupted_run_leaves_no_worker(tmp_path, fixtures_dir, monkeypatch
 
 
 def test_importing_the_cli_starts_no_pool_machinery():
-    """multiprocessing is imported only when a run opens its pool, and the
-    HTTP modules only when a backend makes requests, so the command line
-    starts as fast as before."""
-    lazy = ("multiprocessing", "http.client", "urllib.request", "ssl")
+    """multiprocessing is imported only when a run opens its pool, the
+    HTTP modules only when a backend makes requests, and numpy only when
+    vectors are made, so the command line starts fast."""
+    lazy = ("multiprocessing", "http.client", "urllib.request", "ssl", "numpy")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, hirefair.cli; "
                                f"print([m for m in {lazy!r} if m in sys.modules])"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert proc.stdout == "[]\n", proc.stderr
+
+
+def run_in_subprocess(script: str, config_path, env=os.environ) -> str:
+    """The stdout of `script`, run as `python -c` with argv[1] the config's
+    path, after it asserted that the `hirefair run` it makes succeeded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(config_path)], capture_output=True, text=True,
+        timeout=60, env={**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+CLI_RUN = """
+from hirefair.cli import main
+main(["run", "--config", sys.argv[1]], standalone_mode=False)
+"""
+
+
+def test_a_run_without_embedders_never_loads_numpy(tmp_path, fixtures_dir):
+    """Only vectors need numpy: a summary-only run ends without it."""
+    path = write_config(tmp_path, fixtures_dir, backends=[
+        {"id": "gen", "kind": "completion", "protocol": "mock", "model_name": "m"}])
+    out = run_in_subprocess("import sys" + CLI_RUN + "print('numpy' in sys.modules)", path)
+    assert out.endswith("False\n"), out
+    assert (tmp_path / "out" / "measures_gen.jsonl").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU opens no pool")
+def test_the_pool_forks_from_a_process_of_one_thread(tmp_path, fixtures_dir):
+    """cpu_map forks its workers from a process that runs no other thread:
+    the command line runs OpenBLAS on one thread unless told otherwise. numpy,
+    which a mock embedder needs, loads before the pool forks, so that the
+    workers share it rather than each importing it."""
+    path = write_config(tmp_path, fixtures_dir)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = run_in_subprocess(
+        "import os, sys\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(\n"
+        "    (len(os.listdir('/proc/self/task')), 'numpy' in sys.modules)))"
+        + CLI_RUN + "print(forks)", path, env)
+    assert out.endswith(f"{[(1, True)] * len(os.sched_getaffinity(0))}\n"), out
 
 
 def test_a_completion_without_a_word_fails_the_run_and_is_never_cached(
@@ -1905,3 +1948,46 @@ def test_the_summary_stage_holds_one_slice_at_a_time(tmp_path, fixtures_dir, mon
         outputs[slices] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert outputs[8] == outputs[1]
     assert peaks[8] < peaks[1] / 2, peaks
+
+
+@pytest.mark.parametrize("args, option", [
+    (["audit", "summarization", "--measures", "{file}", "--alpha", "2"], "--alpha"),
+    (["audit", "summarization", "--measures", "{file}", "--alpha", "-1"], "--alpha"),
+    (["audit", "retrieval", "--scores", "{file}", "--metric", "nonuniformity",
+      "--alpha", "5"], "--alpha"),
+    (["rank", "--scores", "{file}", "--top", "-1"], "--top"),
+])
+def test_stage_commands_refuse_numbers_out_of_range(tmp_path, args, option):
+    """A significance level outside (0, 1), as `run` refuses it, and a
+    negative --top are usage errors (exit 2), before any file is read."""
+    path = tmp_path / "input"
+    path.write_text("")
+    result = CliRunner().invoke(main, [a.format(file=path) for a in args])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+
+
+def test_a_regard_answer_outside_the_unit_interval_is_absent_and_never_cached(
+        tmp_path, fixtures_dir, loopback, caplog):
+    """A regard endpoint that answers NaN (a JSON literal Python parses) is
+    refused like any unreadable answer: the run exits 0 with regard absent
+    and caches nothing of it, so its rerun asks again and exits 0 too."""
+    answer = loopback.answer
+
+    def nan_regard(path, body, digest):
+        if path == "/regard":
+            return {"positive": math.nan, "negative": 0.5, "neutral": 0.25, "other": 0.25}
+        return answer(path, body, digest)
+
+    loopback.answer = nan_regard
+    out = tmp_path / "out"
+    path = write_config(tmp_path, fixtures_dir, regard_endpoint=f"{loopback.url}/regard")
+    for run in (1, 2):
+        with caplog.at_level(logging.WARNING, logger="hirefair.backends"):
+            result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        measured = read_measures(out / "measures_gen.jsonl")
+        assert measured and all(mv.regard is None for _, mv in measured)
+        absent = [r.getMessage() for r in caplog.records if "regard absent" in r.getMessage()]
+        assert len(absent) == run and "outside [0, 1]" in absent[-1], absent
+        assert set(loopback.regard_texts.values()) == {run}

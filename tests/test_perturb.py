@@ -172,6 +172,18 @@ def test_frequency_bins_degenerate_equal_frequencies():
     assert set(pool.bins.values()) == {0}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**12), min_size=2, max_size=120))
+def test_frequency_bins_match_numpy_percentile(counts):
+    """The bins are the upper-value quartiles np.percentile gives."""
+    import numpy as np
+
+    frequencies = {f"N{i}": count for i, count in enumerate(counts)}
+    boundaries = np.percentile(counts, (25.0, 50.0, 75.0), method="higher")
+    assert make_pool("MW", frequencies).bins == {
+        name: int(np.count_nonzero(boundaries < f)) for name, f in frequencies.items()}
+
+
 def test_within_swap_same_bin(tiny_pools, unnamed_resume):
     named = assign_name(unnamed_resume, MW, tiny_pools, seed=0)
     named = named.with_body(named.body.replace(assigned_first_name(named), "Arlo"),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -236,6 +237,18 @@ def test_validate_regard_rejects_bad_sum():
         validate_regard({"positive": 0.9, "negative": 0.2, "neutral": 0.0, "other": 0.0})
     with pytest.raises(ValueError, match="missing"):
         validate_regard({"positive": 1.0})
+
+
+@pytest.mark.parametrize("scores", [
+    (math.nan, 0.5, 0.25, 0.25),
+    (math.inf, 0.5, 0.25, 0.25),
+    (1.5, -0.5, 0.0, 0.0),
+])
+def test_validate_regard_rejects_scores_outside_the_unit_interval(scores):
+    """NaN passes the sum check (abs(nan - 1) > 1e-6 is False), and
+    (1.5, -0.5, 0, 0) sums to 1; each is refused."""
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        validate_regard(dict(zip(("positive", "negative", "neutral", "other"), scores)))
 
 
 REGARD_URL = "https://example.invalid/regard"
