@@ -11,11 +11,13 @@ import os
 import sqlite3
 import sys
 from contextlib import contextmanager, nullcontext
+from functools import partial
 
 import click
 
 from hirefair import perturb, stats, textmetrics
-from hirefair.backends import BackendError, CacheError, ResponseCache, build_backend, cpu_map
+from hirefair.backends import (BackendError, CacheError, ResponseCache, build_backend,
+                               cpu_map, thread_map)
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
 from hirefair.corpus import (
     CorpusError,
@@ -29,13 +31,12 @@ from hirefair.corpus import (
 from hirefair.pipeline import (
     DataError,
     VariantSet,
-    measure_summaries,
     paired_samples,
     run_audit,
     score_variants,
     summarize,
 )
-from hirefair.records import RetrievalError, read_json, to_row, write_jsonl
+from hirefair.records import RetrievalError, open_jsonl, raised, read_json, valued
 from hirefair.report import ReportError, aggregate, emit, read_ledger
 
 #: The exit code of each error a command may raise: config, backend, data. An
@@ -186,10 +187,17 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
     """Generate summaries for every resume at one grid cell."""
     with _load_backend(backends_path, backend_id, "completion", cache_dir) as backend:
         resumes, _ = load_corpus(in_path)
-        records = list(summarize(backend, [(r, _variant_id(r)) for r in resumes],
-                                 [(float(temperature), int(length), pov)], runs))
-        write_jsonl(map(to_row, records), out_path)
-    click.echo(f"wrote {len(records)} summaries to {out_path}")
+        lines = [line for _, (line, *_) in summarize(
+            backend, [(r, _variant_id(r)) for r in resumes],
+            [(float(temperature), int(length), pov)], runs,
+            partial(textmetrics.summary_lines, False))]
+    _write_lines(lines, out_path)
+    click.echo(f"wrote {len(lines)} summaries to {out_path}")
+
+
+def _measures_line(record) -> str:
+    """A read summary's measures line; a module function, so that the pool can send it."""
+    return textmetrics.summary_lines(True, record, record.text)[2]
 
 
 @main.command("measure")
@@ -200,9 +208,15 @@ def measure_cmd(in_path, out_path):
     """Compute the proxy measures for generated summaries."""
     records = textmetrics.read_summaries(in_path)
     with cpu_map():
-        rows = measure_summaries(records)
-        textmetrics.write_measures(rows, out_path)
-    click.echo(f"wrote {len(rows)} measure rows to {out_path}")
+        lines = list(map(raised, thread_map()(partial(valued, _measures_line), records)))
+    _write_lines(lines, out_path)
+    click.echo(f"wrote {len(lines)} measure rows to {out_path}")
+
+
+def _write_lines(lines: list[str], path) -> None:
+    """A JSONL file of encoded lines, once all are made: a failed command leaves none."""
+    with open_jsonl(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 @main.command("rank")
@@ -235,8 +249,9 @@ def audit():
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True))
 @click.option("--metric", type=click.Choice(["exclusion", "nonuniformity"]),
               required=True)
-@click.option("--n", "n_values", multiple=True, type=int, help="Top-n sizes.")
-@click.option("--x", "x_values", multiple=True, type=float, help="Top-x percentages.")
+@click.option("--n", "n_values", multiple=True, type=click.IntRange(min=1), help="Top-n sizes.")
+@click.option("--x", "x_values", multiple=True, type=click.FloatRange(0, 100, min_open=True),
+              help="Top-x percentages.")
 @click.option("--original", "original_variant", default="name:MW",
               help="Variant id treated as the original ranking (exclusion).")
 @click.option("--perturbed", "perturbed_variant", default="swap:MW->FW",

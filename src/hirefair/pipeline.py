@@ -307,15 +307,13 @@ def summary_prompt(resume: Resume, length: int, pov: str) -> str:
 
 
 def summarize(backend, versions: list[tuple[Resume, str]],
-              cells: list[tuple[float, int, str]], runs: int,
-              step: Callable | None = None) -> Iterator:
-    """Summaries of each (resume, variant id) version at each (temperature,
-    length, pov) cell, one per run index, in that order, each given as it
-    comes: the grid is requested in consecutive slices of WRITE_CHUNK
-    requests, a batch each, so that one slice's requests are held at a time.
-    Without `step`, each summary's SummaryRecord; with it, (the record with
-    an empty text, step(record, text)), the step made where the text is
-    decoded or made (see CompletionBackend.complete_batch)."""
+              cells: list[tuple[float, int, str]], runs: int, step: Callable) -> Iterator:
+    """(record, step(record, text)) of each summary of each (resume, variant
+    id) version at each (temperature, length, pov) cell, one per run index,
+    in that order, as it comes: the record's text is empty, and the step is
+    made where the text is decoded or made (see CompletionBackend.complete_batch).
+    The grid is requested in consecutive slices of WRITE_CHUNK requests, a
+    batch each, so that one slice's requests are held at a time."""
     model = backend.config.model_name
 
     def calls():
@@ -330,16 +328,12 @@ def summarize(backend, versions: list[tuple[Resume, str]],
     grid = calls()
     for chunk in iter(lambda: list(itertools.islice(grid, backends.WRITE_CHUNK)), []):
         records, requests = zip(*chunk)
-        if step is None:
-            texts = backend.complete_batch(requests)
-            yield from (replace(record, text=text) for record, text in zip(records, texts))
-        else:
-            yield from zip(records, backend.complete_batch(
-                requests, [partial(step, record) for record in records]))
+        yield from zip(records, backend.complete_batch(
+            requests, [partial(step, record) for record in records]))
 
 
 def generate_summaries(backend, variants: VariantSet, config: RunConfig,
-                       step: Callable | None = None) -> Iterator:
+                       step: Callable) -> Iterator:
     """Summaries for every named group version over the full grid (see
     summarize)."""
     grid = config.grid
@@ -350,19 +344,15 @@ def generate_summaries(backend, variants: VariantSet, config: RunConfig,
     return summarize(backend, versions, cells, grid.runs, step)
 
 
-def measure_summaries(records: list[SummaryRecord],
-                      regard_client: RegardClient | None = None,
-                      scanned: list[tuple] | None = None,
-                      ) -> list[tuple[SummaryRecord, MeasureVector]]:
-    """Measures of each record; regard is scored as one batch. `scanned`
-    holds the measures but regard of each record when its text was scanned
-    already (see textmetrics.measure_texts). A summary without a word is a
-    TextMetricsError that names it."""
-    try:
-        vectors = textmetrics.measure_texts([r.text for r in records], regard_client, scanned)
-    except textmetrics.NoWordError as exc:
-        raise textmetrics.no_word(records[exc.index]) from exc
-    return list(zip(records, vectors))
+def measure_summaries(records: list[SummaryRecord], regard_client: RegardClient | None,
+                      scanned: list[tuple]) -> list[tuple[SummaryRecord, MeasureVector]]:
+    """Each record with its measures: `scanned` holds its measures but regard,
+    as textmetrics.summary_lines made them, and regard is scored from the
+    records' texts as one batch, or is absent without a client."""
+    regards = ([None] * len(records) if regard_client is None
+               else regard_client.score_batch([r.text for r in records]))
+    return [(record, MeasureVector(*measures, regard=regard))
+            for record, measures, regard in zip(records, scanned, regards)]
 
 
 def _measured(summarized: Iterator, regard_client: RegardClient | None,

@@ -11,9 +11,10 @@ a text: its whitespace-separated words, punctuation attached. No part of a
 measure crosses whitespace: words, sentiment tokens, the terminal punctuation
 that ends a sentence and the abbreviation before it each lie inside one chunk.
 So the facts of each distinct chunk are computed once and memoised in a cache
-of fixed size, and the pass adds them up in text order. measure_texts runs
-the pass over its texts through backends.thread_map(), which may spread them
-over the worker processes of backends.cpu_map, each with its own memo.
+of fixed size, and the pass adds them up in text order. summary_lines runs
+the pass once per summary, as the step that `run`, `summarize` and `measure`
+map over their summaries, which may spread them over the worker processes of
+backends.cpu_map, each with its own memo.
 
 The syllable rules, sentence-boundary abbreviations, and sentiment lexicon
 ship as JSON assets in hirefair/data so scores are reproducible across
@@ -29,9 +30,8 @@ import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from hirefair.backends import RegardClient, thread_map
 from hirefair.records import encode_line, from_row, read_jsonl, to_row, write_jsonl
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -55,12 +55,10 @@ class TextMetricsError(Exception):
 
 
 class NoWordError(TextMetricsError):
-    """A text without a word, which has no reading ease; `index` is its place
-    in the texts measure_texts was given."""
+    """A text without a word, which has no reading ease."""
 
-    def __init__(self, index: int = 0):
+    def __init__(self):
         super().__init__("reading ease needs at least one word")
-        self.index = index
 
 
 @lru_cache(maxsize=1)
@@ -314,12 +312,12 @@ def no_word(record: SummaryRecord) -> TextMetricsError:
 
 def summary_lines(with_measures: bool, record: SummaryRecord, text: str,
                   ) -> tuple[str, tuple[float, float, float, float], str | None, str | None]:
-    """What a run keeps of one summary, `text`, of `record` (whose own text
-    is left empty), made where the text is: its summaries line; its measures
-    but regard (the scan measure_texts maps, and the reading time); and its
-    measures line when `with_measures`, else the text, for regard to score.
-    The lines are those write_jsonl and write_measures write. A text without
-    a word is no_word(record)."""
+    """What a command keeps of one summary, `text`, of `record` (whose own
+    text may be left empty), made where the text is: its summaries line; its
+    measures but regard (one scan, and the reading time); and its measures
+    line when `with_measures`, else the text, for regard to score. The lines
+    are those write_jsonl and write_measures write; `run`, `summarize` and
+    `measure` make them all with it. A text without a word is no_word(record)."""
     ease, pol, subj = _scan(text)
     if ease is None:
         raise no_word(record)
@@ -328,30 +326,6 @@ def summary_lines(with_measures: bool, record: SummaryRecord, text: str,
     if not with_measures:
         return line, measures, None, text
     return line, measures, encode_line(measures_row(record, MeasureVector(*measures))), None
-
-
-def measure_texts(texts: Sequence[str], regard_client: RegardClient | None = None,
-                  scanned: Sequence[tuple] | None = None) -> list[MeasureVector]:
-    """All five measures of each text, scanned through backends.thread_map().
-    Regard is absent without a configured client and is scored as one batch
-    once every text has a reading ease. A text without a word is a NoWordError.
-    `scanned` holds the measures but regard of each text when they were
-    made already, as summary_lines makes them; the texts are then read only
-    by regard."""
-    measured = scanned
-    if measured is None:
-        measured = []
-        for index, (text, (ease, pol, subj)) in enumerate(zip(texts,
-                                                              thread_map()(_scan, texts))):
-            if ease is None:
-                raise NoWordError(index)
-            measured.append((ease, reading_time(text), pol, subj))
-    if regard_client is None:
-        regards = [None] * len(texts)
-    else:
-        regards = regard_client.score_batch(texts)
-    return [MeasureVector(*measures, regard=regard)
-            for measures, regard in zip(measured, regards)]
 
 
 def read_summaries(path) -> list[SummaryRecord]:

@@ -1006,7 +1006,7 @@ def test_single_calls_are_batches_of_one(monkeypatch):
     """Every request goes through a batch: a single completion, score or
     augmentation is a batch of one, and augmenting N resumes one batch of N,
     made once every resume's group label was checked."""
-    from hirefair import backends, perturb, textmetrics
+    from hirefair import backends, perturb, pipeline, textmetrics
     from hirefair.corpus import DemographicGroup, Resume
 
     batches = []
@@ -1029,7 +1029,8 @@ def test_single_calls_are_batches_of_one(monkeypatch):
         id="regard", kind="regard", protocol="http", endpoint="https://example.invalid"))
     monkeypatch.setattr(client.http, "post", lambda payload, read: None)
     client.score("text")
-    textmetrics.measure_texts(["A summary."], client)
+    record = textmetrics.SummaryRecord("r", "name:FW", "m", 100, "third", 0.0, 1, "A summary.")
+    pipeline.measure_summaries([record], client, [(0.0, 0.0, 0.0, 0.0)])
     assert batches == [1, 1, 3, 1, 1, 1]
 
     batches.clear()

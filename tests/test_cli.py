@@ -845,6 +845,26 @@ def test_cli_summarize_then_measure(tmp_path, fixtures_dir):
     assert [r.resume_id for r, _ in measured] == [r.resume_id for r in records]
 
 
+def test_a_failed_summarize_writes_no_file(tmp_path, fixtures_dir, monkeypatch):
+    """A backend that refuses a later slice's prompt (longer than its
+    max_chars) fails `summarize` with exit 3 after earlier slices made their
+    lines, and no summaries file is written."""
+    corpus = fixtures_dir / "mini_corpus.jsonl"
+    lengths = [len(summary_prompt(r, 100, "third")) for r in load_corpus(corpus)[0]]
+    assert lengths[0] < max(lengths)  # the first slice is made
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps({"backends": [
+        {"id": "gen", "kind": "completion", "protocol": "mock", "model_name": "m",
+         "max_chars": max(lengths) - 1}]}))
+    monkeypatch.setattr(backends, "WRITE_CHUNK", 1)
+    out = tmp_path / "summaries.jsonl"
+    result = CliRunner().invoke(main, ["summarize", "--backends", str(backends_path),
+                                       "--in", str(corpus), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert f"max_chars={max(lengths) - 1}; refusing to truncate" in result.output
+    assert not out.exists()
+
+
 def test_cli_stage_chain_reaches_audit_summarization(tmp_path, fixtures_dir):
     """perturb -> summarize per group, then measure -> audit summarization:
     the summaries carry the spec ids (name:FB ...), so the groups pair."""
@@ -1956,10 +1976,18 @@ def test_the_summary_stage_holds_one_slice_at_a_time(tmp_path, fixtures_dir, mon
     (["audit", "retrieval", "--scores", "{file}", "--metric", "nonuniformity",
       "--alpha", "5"], "--alpha"),
     (["rank", "--scores", "{file}", "--top", "-1"], "--top"),
+    (["audit", "retrieval", "--scores", "{file}", "--metric", "exclusion", "--n", "0"], "--n"),
+    (["audit", "retrieval", "--scores", "{file}", "--metric", "exclusion", "--n", "-3"], "--n"),
+    (["audit", "retrieval", "--scores", "{file}", "--metric", "nonuniformity",
+      "--x", "0"], "--x"),
+    (["audit", "retrieval", "--scores", "{file}", "--metric", "nonuniformity",
+      "--x", "100.5"], "--x"),
 ])
 def test_stage_commands_refuse_numbers_out_of_range(tmp_path, args, option):
-    """A significance level outside (0, 1), as `run` refuses it, and a
-    negative --top are usage errors (exit 2), before any file is read."""
+    """A significance level outside (0, 1), as `run` refuses it, a negative
+    --top, a top-n below 1 and a top-x percentage outside (0, 100], as `run`
+    refuses its n_values and x_values, are usage errors (exit 2), before any
+    file is read."""
     path = tmp_path / "input"
     path.write_text("")
     result = CliRunner().invoke(main, [a.format(file=path) for a in args])

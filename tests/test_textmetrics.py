@@ -3,6 +3,7 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,19 +20,21 @@ from hirefair.backends import (
     thread_map,
     validate_regard,
 )
+from hirefair.pipeline import measure_summaries
+from hirefair.records import encode_line, to_row, valued
 from hirefair.textmetrics import (
     MeasureVector,
-    NoWordError,
     SummaryRecord,
     TextMetricsError,
     count_syllables,
     flesch_reading_ease,
-    measure_texts,
+    measures_row,
     polarity,
     read_measures,
     reading_time,
     split_sentences,
     subjectivity,
+    summary_lines,
     write_measures,
 )
 
@@ -283,7 +286,8 @@ def test_regard_client_failure_degrades_to_none(monkeypatch):
 
     client = regard_client(monkeypatch, broken)
     assert client.score("text") is None
-    mv = measure_texts(["A good summary."], regard_client=client)[0]
+    record = make_record(text="A good summary.")
+    [(_, mv)] = measure_summaries([record], client, [measures_of(record.text)])
     assert mv.regard is None
     assert mv.polarity == pytest.approx(0.7)
 
@@ -320,6 +324,11 @@ def make_record(**overrides):
     return SummaryRecord(**base)
 
 
+def measures_of(text: str) -> tuple[float, float, float, float]:
+    """The measures but regard of a text, from the public measure functions."""
+    return flesch_reading_ease(text), reading_time(text), polarity(text), subjectivity(text)
+
+
 def test_summary_record_factor_validation():
     make_record()
     with pytest.raises(TextMetricsError):
@@ -333,14 +342,22 @@ def test_summary_record_factor_validation():
 
 
 def test_measure_text_fields():
-    mv = measure_texts(["A good summary. Clear and very reliable."])[0]
-    assert mv.reading_ease == flesch_reading_ease("A good summary. Clear and very reliable.")
+    """A summary's step gives its summaries line, its measures but regard,
+    and its measures line, or in its place the text that regard scores."""
+    text = "A good summary. Clear and very reliable."
+    record = make_record(text="")
+    line, measures, measures_line, kept = summary_lines(True, record, text)
+    mv = MeasureVector(*measures)
+    assert measures == measures_of(text)
     assert mv.reading_time > 0
     assert mv.polarity > 0
     assert 0 <= mv.subjectivity <= 1
-    assert mv.regard is None
     assert mv.scalar("polarity") == mv.polarity
     assert mv.scalar("regard") is None
+    assert line == encode_line(to_row(make_record(text=text)))
+    assert measures_line == encode_line(measures_row(record, mv))
+    assert "regard" not in json.loads(measures_line) and kept is None
+    assert summary_lines(False, record, text) == (line, measures, None, text)
 
 
 def test_measure_vector_regard_scalar():
@@ -352,9 +369,9 @@ def test_measure_vector_regard_scalar():
 
 def test_measures_file_round_trip(tmp_path):
     rows = [
-        (make_record(), measure_texts(["A good summary."])[0]),
+        (make_record(), MeasureVector(*measures_of("A good summary."))),
         (make_record(resume_id="r2", run_index=2, temperature=0.3),
-         measure_texts(["A terrible and sloppy draft."])[0]),
+         MeasureVector(*measures_of("A terrible and sloppy draft."))),
     ]
     path = tmp_path / "measures.jsonl"
     write_measures(rows, path)
@@ -392,16 +409,19 @@ def oracle_syllables(word: str) -> int:
     if letters in RULES["exceptions"]:
         return RULES["exceptions"][letters]
     count = len(re.findall(r"[aeiouy]+", letters))
-    consonant_le = re.search(r"[^aeiouy]le$", letters) is not None
+    consonant_le = re.search(r"[^aeiouy]le\Z", letters) is not None
     if count > 1 and letters.endswith("e") and not consonant_le:
         count -= 1
     return max(1, count)
 
 
 def oracle_sentence_count(text: str) -> int:
+    """Sentences of a text. Each search is anchored at \\Z, the end of the
+    string: `$` also matches before a final newline, which would read the
+    word before a gap of "\\n" as touching the sentence end after it."""
     count, start = 0, 0
-    for end in re.finditer(r"[.!?]+(?:\s+|$)", text):
-        run = re.search(r"[A-Za-z.]+$", text[start:end.start()])
+    for end in re.finditer(r"[.!?]+(?:\s+|\Z)", text):
+        run = re.search(r"[A-Za-z.]+\Z", text[start:end.start()])
         if run and run.group().rstrip(".").lower() in RULES["abbreviations"]:
             continue
         count += bool(re.search(r"[A-Za-z0-9]", text[start:end.end()]))
@@ -473,6 +493,7 @@ def oracle_texts(draw):
 @example("Call Dr 42. Next one.")
 @example("  Mr. Smith\tleft?!  ")
 @example("don’t great.")
+@example("accomplished mr\n... accomplished")
 @settings(max_examples=300, deadline=None)
 def test_measures_agree_with_oracle(text):
     words = re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text)
@@ -482,33 +503,41 @@ def test_measures_agree_with_oracle(text):
         assert count_syllables(word) == oracle_syllables(word)
     if not words:
         with pytest.raises(TextMetricsError, match="at least one word"):
-            measure_texts([text])[0]
+            summary_lines(True, make_record(), text)
         return
-    mv = measure_texts([text])[0]
-    assert (mv.reading_ease, mv.reading_time, mv.polarity, mv.subjectivity) == (
-        flesch_reading_ease(text), reading_time(text), polarity(text), subjectivity(text))
-    assert mv.reading_ease == oracle_reading_ease(text)
+    measures = summary_lines(True, make_record(), text)[1]
+    assert measures == measures_of(text)
+    assert measures[0] == oracle_reading_ease(text)
+
+
+def text_step(record: SummaryRecord):
+    """The per-summary step of a run, for a record that holds its text."""
+    return summary_lines(True, record, record.text)
 
 
 def test_the_pool_measures_as_the_builtin_map(monkeypatch):
-    """Texts scanned on the workers of cpu_map's pool get the measures of
-    one scan on another thread, which has the builtin map, and a text
-    without a word is found at the same place."""
+    """The per-summary step mapped on the workers of cpu_map's pool gives,
+    item by item, what the builtin map gives on another thread, and a text
+    without a word fails at its own item, as the summary it names."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    step = partial(valued, text_step)
     with cpu_map() as pooled, ThreadPoolExecutor(max_workers=1) as other:
         assert thread_map() is pooled is not map
+
+        def outcomes(values) -> list:
+            return [repr(v) if isinstance(v, Exception) else v for v in values]
 
         @given(st.lists(oracle_texts(), min_size=1, max_size=150))
         @example(["Call Dr 42. Next one.", "?! ...", "don’t great."])
         @settings(max_examples=40, deadline=None)
         def check(texts):
-            try:
-                expected = other.submit(measure_texts, texts).result()
-            except NoWordError as exc:
-                with pytest.raises(NoWordError) as raised:
-                    measure_texts(texts)
-                assert raised.value.index == exc.index
-            else:
-                assert measure_texts(texts) == expected
+            records = [make_record(resume_id=f"r{i}", text=t) for i, t in enumerate(texts)]
+            expected = other.submit(lambda: list(thread_map()(step, records))).result()
+            made = list(thread_map()(step, records))
+            assert outcomes(made) == outcomes(expected)
+            for i, (text, value) in enumerate(zip(texts, made)):
+                wordless = not re.search(r"[A-Za-z0-9]", text)
+                assert isinstance(value, TextMetricsError) == wordless
+                assert not wordless or f"resume r{i}," in str(value)
 
         check()
