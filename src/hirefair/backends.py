@@ -10,27 +10,29 @@ environment variables named in the backend config. Responses are cached in
 one sqlite3 file keyed by a digest of the canonicalized request, so
 byte-identical requests replay without network access and audits can be
 re-run offline. Each response is written once, as zlib-compressed JSON,
-after it validated; a batch reads its cached responses in one query per
-READ_CHUNK keys. Fresh responses are committed in key order, which fills
+after it validated. Fresh responses are committed in key order, which fills
 the table's pages densely: when WRITE_CHUNK are pending, so that a run makes
 few commits; when the oldest pending one is WRITE_AGE_S old, so that a
 killed run loses little of what it fetched; and when a batch ends. A cache
 directory written by earlier versions, one JSON file per response, is
 imported into the file once.
 
-An HTTP backend fetches a batch's misses on up to `parallelism` threads,
-over as many keep-alive connections (see JsonEndpoint). An in-process one
-answers them through thread_map(), the map of cpu_map's pool on the thread
-that opened it, whose `fork` workers, one per CPU and each with a pipe of
-its own, also encode the answers for the cache. The same map computes the
-batch's cache keys and decodes its cached responses; caching and the order
-of results stay on the calling thread, and so does validation, unless the
-batch has per-request steps: a completion batch may give each request a
-step, which runs with the check where the answer is decoded or made (on
-the pool, or on the fetching thread for an HTTP miss), so that only its
-result comes back. An HTTP backend's batches use the builtin map for all
-three. A backend's `stop` is the run's stop signal: once it is set, its
-batches take no further answer.
+A batch (cached_calls) reads its requests from an iterable, one window at
+a time: the calling thread digests the window's cache keys and reads its
+cached responses, pending ones included, in one query per READ_CHUNK keys.
+An in-process backend's batch is one stream through thread_map(), the map
+of cpu_map's pool on the thread that opened it, whose `fork` workers, one
+per CPU and each with a pipe of its own, decode the cached responses and
+make the answers, each with its encoding for the cache; a window is looked
+up only when the map asks for its tasks. An HTTP backend fetches each
+window's misses on up to `parallelism` threads, over as many keep-alive
+connections (see JsonEndpoint), before it looks up the next. Caching and
+the order of results stay on the calling thread, and so does validation,
+unless the batch has per-request steps: a completion batch may give each
+request a step, which runs with the check where the answer is decoded or
+made (on the pool, or on the fetching thread for an HTTP miss), so that
+only its result comes back. A backend's `stop` is the run's stop signal:
+once it is set, its batches make no further request.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -47,6 +49,7 @@ EmbeddingBackend), so that a process that embeds nothing never loads it.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import logging
@@ -62,11 +65,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import count, islice, repeat, tee
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from hirefair.records import check_types, from_row, raised, valued
+from hirefair.records import check_types, from_row, raised
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,10 +91,12 @@ REGARD_CATEGORIES = ("positive", "negative", "neutral", "other")
 
 #: The response cache's file, under the cache directory.
 CACHE_FILE = "responses.sqlite"
-#: Keys per query when a batch reads its cached responses.
+#: Keys per query when a batch reads its cached responses, and requests per
+#: window of a batch answered through a map (see cached_calls).
 READ_CHUNK = 500
 #: Fresh responses pending that make a put commit them: few, large
-#: transactions. A batch flushes the rest when it ends.
+#: transactions. A batch flushes the rest when it ends. Also the requests per
+#: window of a batch fetched on threads.
 WRITE_CHUNK = 4096
 #: Seconds after which the oldest pending response is committed by the next
 #: put, so that a run that is killed loses about that much of what it fetched.
@@ -215,10 +221,11 @@ class ResponseCache:
     cache_key; eviction is manual (audits are archival).
 
     Each key is written once (INSERT OR IGNORE), its value the response as
-    zlib-compressed JSON. Reads take a batch's keys at once. Writes are
-    buffered; a put commits every pending row once WRITE_CHUNK are pending
-    (few, large transactions) or the oldest is WRITE_AGE_S old (a killed
-    run loses little), and flush() commits the rest. Each transaction
+    zlib-compressed JSON. Reads take a window's keys at once and see the
+    rows still pending. Writes are buffered; a put commits every pending
+    row once WRITE_CHUNK are pending (few, large transactions) or the
+    oldest is WRITE_AGE_S old (a killed run loses little), and flush()
+    commits the rest. Each transaction
     inserts its rows in key order, so that it rewrites each page of the
     table it touches once and leaves pages fuller than inserts in arrival
     order do. One connection serves every thread, behind a lock.
@@ -233,7 +240,7 @@ class ResponseCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._pending: list[tuple[str, bytes]] = []
+        self._pending: dict[str, bytes] = {}
         self._oldest = 0.0  # time.monotonic() of the first pending put
         self.hits = 0
         self.misses = 0
@@ -271,16 +278,18 @@ class ResponseCache:
         caller holds the lock."""
         if self._pending:
             with self._db:
-                self._db.executemany(_INSERT, sorted(self._pending))
-            self._pending = []
+                self._db.executemany(_INSERT, sorted(self._pending.items()))
+            self._pending = {}
 
     def get_many(self, keys: Sequence[str]) -> dict[str, bytes]:
         """The encoded responses of those of the distinct `keys` that are
-        stored (see decode_response), read with one query per READ_CHUNK keys."""
-        found: dict[str, bytes] = {}
+        stored (see decode_response), rows put but not yet written included;
+        the others are read with one query per READ_CHUNK keys."""
         with self._lock:
-            for start in range(0, len(keys), READ_CHUNK):
-                chunk = keys[start:start + READ_CHUNK]
+            found = {key: self._pending[key] for key in keys if key in self._pending}
+            unwritten = [key for key in keys if key not in found]
+            for start in range(0, len(unwritten), READ_CHUNK):
+                chunk = unwritten[start:start + READ_CHUNK]
                 found.update(self._db.execute(
                     "SELECT key, response FROM responses WHERE key IN "
                     f"({', '.join('?' * len(chunk))})", chunk))
@@ -296,7 +305,7 @@ class ResponseCache:
         with self._lock:
             if not self._pending:
                 self._oldest = now
-            self._pending.append((key, blob))
+            self._pending.setdefault(key, blob)
             if len(self._pending) >= WRITE_CHUNK or now - self._oldest >= WRITE_AGE_S:
                 self._write()
 
@@ -326,11 +335,6 @@ def encode_response(response) -> bytes:
 
 def decode_response(blob: bytes):
     return json.loads(zlib.decompress(blob))
-
-
-def _digest(key: tuple) -> str:
-    """cache_key(*key)."""
-    return cache_key(*key)
 
 
 def _answered(fetch: Callable, check: Callable | None,
@@ -365,6 +369,21 @@ def _answered(fetch: Callable, check: Callable | None,
         return exc, None
 
 
+class _Call:
+    """One distinct request of a window of cached_calls: its digest, the item
+    its first request fetches, the window's requests that share it (their
+    indices and steps) and its cached response, if any."""
+
+    __slots__ = ("digest", "item", "at", "steps", "blob", "hit")
+
+    def __init__(self, digest: str, item):
+        self.digest, self.item = digest, item
+        self.at: list[int] = []
+        self.steps: list = []
+        self.blob: bytes | None = None
+        self.hit = False
+
+
 def _cancel_on_failure(futures: list, done) -> None:
     """Cancel every call of `futures` (None where taken) not yet started once
     `done` failed."""
@@ -374,27 +393,40 @@ def _cancel_on_failure(futures: list, done) -> None:
                 future.cancel()
 
 
-def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
+def cached_calls(cache: ResponseCache | None, keys: Iterable[tuple],
                  fetch: Callable, validate: Callable, width: int = 1,
                  on_error: Callable[[Exception], object] | None = None,
-                 stop: threading.Event | None = None, items: Sequence | None = None,
-                 map_fn: Callable = map, steps: Sequence[Callable] | None = None):
-    """[validate(fetch(items[i])) for each i], each distinct request made
-    once and read through `cache` when there is one; with `steps`, the
-    results steps[i](validate(fetch(items[i]))) as an iterator.
+                 stop: threading.Event | None = None, items: Iterable | None = None,
+                 map_fn: Callable = map, steps: Iterable[Callable] | None = None):
+    """[validate(fetch(items[i])) for each i], read through `cache` when
+    there is one; with `steps`, the results steps[i](validate(fetch(items[i])))
+    as an iterator.
 
     `keys[i]` holds cache_key's arguments for request i, and
     `fetch(items[i])` makes that request; `items` default to the indices of
-    `keys`. `map_fn` digests the keys; requests with one key share one
-    answer. A batch's cached responses are read in one go and decoded
-    through `map_fn`; a response that does not decode is a CacheError naming
-    its key. Misses are fetched on min(width, misses) threads when that is
-    more than one; otherwise `map_fn` answers them in order, each with its
-    encoding for the cache. `map_fn` is the builtin map or the map of
-    cpu_map, which needs keys, `fetch` (and `validate` and `steps`, when
-    given) that pickle. Hits come before misses, and results come out in
-    order, each once every result before it is known.
+    `keys`. `keys`, `items` and `steps` are iterables read in step, one
+    window at a time: the calling thread digests a window's keys, merges
+    the requests with one key, which share one answer, and reads the
+    window's stored responses with one get_many, rows put but not yet
+    written included. A response that does not decode is a CacheError
+    naming its key. How the answers are made depends on `width`:
 
+    * width 1: `map_fn`, the builtin map or the map of cpu_map, decodes the
+      cached responses and makes the misses, each with its encoding for the
+      cache, in one map over every window of the batch. A window is
+      READ_CHUNK requests, looked up only when the map asks for its tasks.
+      A key that repeats in a later window while its first request is still
+      on the pool is made again: in-process protocols are pure, so the
+      answers are equal, and the cache keeps one row. The pool needs keys,
+      `fetch` (and `validate` and `steps`, when given) that pickle.
+    * width > 1: a window is WRITE_CHUNK requests. Its hits are decoded
+      through `map_fn`, then its misses are fetched on min(width, misses)
+      threads when that is more than one, and in order on the calling thread
+      otherwise. The next window is looked up once they are all answered,
+      so a key that repeats in it is a hit and each distinct request is made
+      once per batch; without a cache it is made again.
+
+    Results come out in order, each once every result before it is known.
     Without `steps`, each answer is validated on the thread that takes it;
     with them, validate (which must then be pure) and the steps of every
     request that shares its key run where the answer is decoded or made: on
@@ -405,10 +437,10 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
     when the batch then fails. Without `on_error`, the first failure
     cancels the requests still queued and is raised; with it,
     `on_error(exc)` becomes the failed request's result (and may raise
-    instead). Once `stop` is set, no further response is taken: each
-    request whose response was not taken yet raises Stopped, which on_error
-    never sees. The cache is flushed when the results end, however they
-    end.
+    instead). Once `stop` is set, no further request is made: from the
+    first request not made yet (on the pool, whose answer was not taken
+    yet) on, the results raise Stopped, which on_error never sees. The
+    cache is flushed when the results end, however they end.
     """
     calls = _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, steps)
     return calls if steps is not None else list(calls)
@@ -416,21 +448,37 @@ def cached_calls(cache: ResponseCache | None, keys: Sequence[tuple],
 
 def _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, steps):
     """The results of cached_calls, in order, as an iterator."""
-    places: dict[str, list[int]] = {}  # each distinct digest's requests
-    for i, digest in enumerate(map_fn(partial(valued, _digest), keys)):
-        places.setdefault(raised(digest), []).append(i)
-    items = range(len(keys)) if items is None else items
-    found = cache.get_many(list(places)) if cache is not None else {}
-    hits = [digest for digest in places if digest in found]
-    misses = [digest for digest in places if digest not in found]
+    numbered = enumerate(zip(keys, count() if items is None else items,
+                             repeat(None) if steps is None else steps))
+    size = WRITE_CHUNK if width > 1 else READ_CHUNK
+    windows = iter(lambda: list(islice(numbered, size)), [])
     answer = partial(_answered, fetch, None if steps is None else validate)
 
-    def task(digest: str) -> tuple:
-        """_answered's task for `digest`; a hit's blob is let go once sent."""
-        at = places[digest]
-        blob = found.pop(digest, None)
-        return (blob, items[at[0]] if blob is None else None,
-                None if steps is None else [steps[i] for i in at])
+    def looked_up(window: list) -> list[_Call]:
+        """The distinct requests of `window`, in order of first appearance."""
+        calls: dict[str, _Call] = {}
+        for i, (key, item, step) in window:
+            digest = cache_key(*key)
+            call = calls.get(digest)
+            if call is None:
+                call = calls[digest] = _Call(digest, item)
+            call.at.append(i)
+            call.steps.append(step)
+        if cache is not None:
+            for digest, blob in cache.get_many(list(calls)).items():
+                calls[digest].blob, calls[digest].hit = blob, True
+        return list(calls.values())
+
+    def task(call: _Call) -> tuple:
+        """_answered's task for `call`; a hit's blob is let go once sent."""
+        blob, call.blob = call.blob, None
+        return blob, None if call.hit else call.item, None if steps is None else call.steps
+
+    def unless_stopped(call: _Call) -> _Call:
+        """`call`, unless it is a miss and the run is stopping."""
+        if not call.hit and stop is not None and stop.is_set():
+            raise Stopped("not requested: the run is stopping")
+        return call
 
     def guarded(step: Callable, *args):
         try:
@@ -446,50 +494,70 @@ def _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, s
             cache.put(digest, blob)
         return result
 
-    def settled(digest: str, outcome: tuple[object, bytes | None]) -> list:
-        """The results of the requests of `digest`, from _answered's outcome."""
+    def settled(call: _Call, outcome: tuple[object, bytes | None]) -> tuple[list, list]:
+        """(the indices, the results) of the requests of `call`, from
+        _answered's outcome."""
         value, blob = outcome
         if isinstance(value, CacheError):
             cause = value.args[0]
             raise CacheError(f"response cache {cache.root / CACHE_FILE}: the row of key "
-                             f"{digest} does not decode: {cause}") from cause
-        result = guarded(stored, digest, value, blob)
+                             f"{call.digest} does not decode: {cause}") from cause
+        result = guarded(stored, call.digest, value, blob)
         if steps is not None and not isinstance(value, Exception):
-            return result
-        return [result] * len(places[digest])
+            return call.at, result
+        return call.at, [result] * len(call.at)
 
-    def fetched(digest: str, outcome: Callable[[], tuple[object, bytes | None]]) -> list:
-        if stop is not None and stop.is_set():
-            raise Stopped("not requested: the run is stopping")
-        return settled(digest, outcome())
+    def fetched(call: _Call) -> tuple[list, list]:
+        return settled(call, answer(task(unless_stopped(call))))
 
-    def outcomes() -> Iterator[tuple[str, list]]:
-        """(digest, the results of its requests) of each hit, then of each miss."""
-        yield from zip(hits, map(settled, hits, map_fn(answer, map(task, hits))))
-        workers = min(width, len(misses))
-        if workers <= 1:
-            answers = map_fn(answer, map(task, misses))
-            yield from ((digest, fetched(digest, partial(next, answers))) for digest in misses)
-            return
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(fetched, digest, partial(answer, task(digest)))
-                       for digest in misses]
-            for future in futures:
-                future.add_done_callback(partial(_cancel_on_failure, futures))
-            # Queued calls start in order, so the first failure comes before
-            # every cancelled call. A result is let go once taken.
-            for i, digest in enumerate(misses):
-                future, futures[i] = futures[i], None
-                yield digest, future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    def mapped() -> Iterator[tuple[list, list]]:
+        """settled() of each distinct request of each window, through one map."""
+        sent: collections.deque[_Call] = collections.deque()  # in the map, in order
+
+        def tasks():
+            for window in windows:
+                for call in looked_up(window):
+                    sent.append(unless_stopped(call))
+                    yield task(call)
+
+        answers = map_fn(answer, tasks())
+        while True:
+            if sent:  # the next answer's call, when the map has taken it
+                unless_stopped(sent[0])
+            outcome = next(answers, None)
+            if outcome is None:
+                return
+            yield settled(sent.popleft(), outcome)
+
+    def threaded() -> Iterator[tuple[list, list]]:
+        """settled() of each distinct request of each window: its hits, then
+        its misses, on threads when more than one."""
+        for window in windows:
+            calls = looked_up(window)
+            hits = [call for call in calls if call.hit]
+            misses = [call for call in calls if not call.hit]
+            yield from map(settled, hits, map_fn(answer, map(task, hits)))
+            if len(misses) <= 1:
+                yield from map(fetched, misses)
+                continue
+            pool = ThreadPoolExecutor(max_workers=min(width, len(misses)))
+            try:
+                futures = [pool.submit(fetched, call) for call in misses]
+                for future in futures:
+                    future.add_done_callback(partial(_cancel_on_failure, futures))
+                # Queued calls start in order, so the first failure comes
+                # before every cancelled call. A result is let go once taken.
+                for i in range(len(futures)):
+                    future, futures[i] = futures[i], None
+                    yield future.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
 
     ahead: dict[int, object] = {}  # results of requests after the next one out
     done = 0
     try:
-        for digest, results in outcomes():
-            ahead.update(zip(places[digest], results))
+        for at, results in threaded() if width > 1 else mapped():
+            ahead.update(zip(at, results))
             while done in ahead:
                 yield ahead.pop(done)
                 done += 1
@@ -534,6 +602,10 @@ def cpu_map() -> Iterator[Callable]:
     gives this map, on the thread that opened it, does it use the pool;
     elsewhere it maps serially. Workers ignore SIGINT, which the calling
     process handles.
+
+    cached_calls streams each batch through one map: the calling thread
+    digests the keys a window at a time, and the workers decode the cached
+    responses and make the answers.
 
     Each worker has a pipe of its own and at most one task, since a worker
     blocked sending answers and this process blocked sending it a second
@@ -968,9 +1040,9 @@ class Backend:
     `width` bounds the threads a batch fetches misses on. An HTTP protocol
     posts through `http`, a JsonEndpoint built (and its credential checked)
     with the backend, with up to `parallelism` requests in flight; an
-    in-process one makes no requests (`http` is None), so a batch answers
-    its misses through thread_map() (see cached_calls). Once `stop`, the
-    run's stop signal, is set, a batch takes no further answer. A backend
+    in-process one makes no requests (`http` is None), so a batch streams
+    through thread_map() (see cached_calls). Once `stop`, the run's stop
+    signal, is set, a batch makes no further request. A backend
     pickles as its class and config, without its cache or stop signal, so
     that a worker of cpu_map's pool can answer for it."""
 
@@ -997,25 +1069,29 @@ class Backend:
             return self.protocol.call(self.config, item)
         return self.http.post(self.protocol.body(self.config, item), self.protocol.read)
 
-    def _batch(self, items: Sequence, texts: Sequence[str], payloads: Sequence[dict],
+    def _batch(self, items: Iterable, text: Callable, payload: Callable,
                validate: Callable, on_error: Callable | None = None,
-               steps: Sequence[Callable] | None = None):
-        """validate(answer) for each item in order, each distinct payload
-        requested once; no item's input text may exceed max_chars. A failed
-        request raises, or gives on_error(exc). With `steps`, an iterator of
-        steps[i](validate(answer)), each made where its answer is (see
-        cached_calls). Only an in-process protocol's batches go through
-        thread_map()."""
+               steps: Iterable[Callable] | None = None):
+        """validate(answer) for each item in order, its request's payload
+        payload(item); no item's input text, text(item), may exceed
+        max_chars, which each window of the batch checks before any of its
+        requests (see cached_calls). A failed request raises, or gives
+        on_error(exc). With `steps`, an iterator of steps[i](validate(answer)),
+        each made where its answer is. Only an in-process protocol's batches
+        go through thread_map()."""
         limit = self.config.max_chars
-        for text in texts:
-            if limit is not None and len(text) > limit:
+
+        def key(item) -> tuple:
+            if limit is not None and len(text(item)) > limit:
                 raise BackendError(
-                    f"backend {self.config.id}: input of {len(text)} chars exceeds "
+                    f"backend {self.config.id}: input of {len(text(item))} chars exceeds "
                     f"max_chars={limit}; refusing to truncate")
-        keys = [(self.config.id, self.config.model_name, payload) for payload in payloads]
-        return cached_calls(self.cache, keys, self._request, validate, self.width, on_error,
-                            self.stop, items, thread_map() if self.http is None else map,
-                            steps)
+            return self.config.id, self.config.model_name, payload(item)
+
+        items, keyed = tee(items)  # read in step, so tee holds one item
+        return cached_calls(self.cache, map(key, keyed), self._request, validate, self.width,
+                            on_error, self.stop, items,
+                            thread_map() if self.http is None else map, steps)
 
 
 class EmbeddingBackend(Backend):
@@ -1047,11 +1123,16 @@ class EmbeddingBackend(Backend):
                 )
         return vec
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Embed in order, each distinct text once; cached entries are served
-        without touching the network."""
-        return self._batch(texts, texts, [{"op": "embed", "text": text} for text in texts],
+    def embed_batch(self, texts: Iterable[str]) -> list[np.ndarray]:
+        """Embed in order; cached entries are served without touching the
+        network (see cached_calls)."""
+        return self._batch(texts, str, lambda text: {"op": "embed", "text": text},
                            self._vector)
+
+
+def _completion_payload(request: CompletionRequest) -> dict:
+    return {"op": "complete", "prompt": request.prompt, "temperature": request.temperature,
+            "run_index": request.run_index, "max_words_hint": request.max_words_hint}
 
 
 class CompletionBackend(Backend):
@@ -1064,19 +1145,17 @@ class CompletionBackend(Backend):
                                f"{text!r:.80}")
         return text
 
-    def complete_batch(self, requests: Sequence[CompletionRequest],
-                       steps: Sequence[Callable] | None = None):
-        """Run completions in order, each distinct request once; responses
-        are cached per (prompt, run_index, temperature) so reruns stay stable
-        despite provider nondeterminism. With `steps`, an iterator of
+    def complete_batch(self, requests: Iterable[CompletionRequest],
+                       steps: Iterable[Callable] | None = None):
+        """Run completions in order; responses are cached per (prompt,
+        run_index, temperature) so reruns stay stable despite provider
+        nondeterminism. `requests` (and `steps`) are read a window at a
+        time, so a lazy grid streams through. With `steps`, an iterator of
         steps[i](text of request i), each step made where its text is
         decoded or made: on cpu_map's pool for an in-process protocol, so
         that the text itself need not come back (see cached_calls)."""
-        payloads = [{"op": "complete", "prompt": request.prompt,
-                     "temperature": request.temperature, "run_index": request.run_index,
-                     "max_words_hint": request.max_words_hint} for request in requests]
-        return self._batch(requests, [request.prompt for request in requests], payloads,
-                           self._text, steps=steps)
+        return self._batch(requests, attrgetter("prompt"), _completion_payload, self._text,
+                           steps=steps)
 
     # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def complete(self, request: CompletionRequest) -> str:
@@ -1097,15 +1176,15 @@ class RegardClient(Backend):
             raise exc
         return exc
 
-    def score_batch(self, texts: Sequence[str]) -> list[dict[str, float] | None]:
-        """Scores of each text in order, each distinct text posted once; None
-        where a request failed, with one warning per batch that has any."""
-        results = self._batch(texts, texts, [{"text": text} for text in texts],
+    def score_batch(self, texts: Iterable[str]) -> list[dict[str, float] | None]:
+        """Scores of each text in order; None where a request failed, with
+        one warning per batch that has any."""
+        results = self._batch(texts, str, lambda text: {"text": text},
                               validate_regard, self._failed)
         errors = [r for r in results if isinstance(r, Exception)]
         if errors:
             logger.warning("backend %s: regard absent for %d of %d texts; first error: %s",
-                           self.config.id, len(errors), len(texts), errors[0])
+                           self.config.id, len(errors), len(results), errors[0])
         return [None if isinstance(r, Exception) else r for r in results]
 
     # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 configuration error, 3 backend error, 4 data or write error.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import sqlite3
 import sys
@@ -51,8 +52,19 @@ EXIT_CODES = {
                      sqlite3.Error, CacheError), 4),
 }
 
+class NumberRange(click.FloatRange):
+    """A FloatRange that also refuses NaN, which compares false with either
+    bound and so passes FloatRange."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if math.isnan(number):
+            self.fail(f"{value} is not in the range {self._describe_range()}.", param, ctx)
+        return number
+
+
 #: A significance level of the stage commands, as `run` takes it: in (0, 1).
-ALPHA = click.FloatRange(0, 1, min_open=True, max_open=True)
+ALPHA = NumberRange(0, 1, min_open=True, max_open=True)
 
 logger = logging.getLogger(__name__)
 
@@ -250,7 +262,7 @@ def audit():
 @click.option("--metric", type=click.Choice(["exclusion", "nonuniformity"]),
               required=True)
 @click.option("--n", "n_values", multiple=True, type=click.IntRange(min=1), help="Top-n sizes.")
-@click.option("--x", "x_values", multiple=True, type=click.FloatRange(0, 100, min_open=True),
+@click.option("--x", "x_values", multiple=True, type=NumberRange(0, 100, min_open=True),
               help="Top-x percentages.")
 @click.option("--original", "original_variant", default="name:MW",
               help="Variant id treated as the original ranking (exclusion).")

@@ -19,24 +19,26 @@ retrieval first, so the artifacts do not depend on which stage ends first.
 
 A run with a backend that answers in-process opens one process pool,
 backends.cpu_map, before its response cache, and spreads over it the
-in-process answers, the cache keys and cached responses of each batch, the
-text scans and the lines of the JSONL files, each through
-backends.thread_map(): only on the calling thread, which opened the pool.
-A retrieval stage on the worker thread maps serially, as does a run on one
+in-process answers, the cached responses of each batch, the text scans and
+the lines of the JSONL files, each through backends.thread_map(): only on
+the calling thread, which opened the pool. The calling thread digests each
+batch's cache keys a window at a time (see backends.cached_calls). A
+retrieval stage on the worker thread maps serially, as does a run on one
 CPU or with only HTTP backends, which opens no pool. Every backend of the
 run, the regard client included, holds the run's stop signal. Only the
 retrieval stage needs numpy (through hirefair.retrieval), and a run without
 embedders never loads it; one with an in-process embedder loads it before
-the pool forks, so that its workers do not each import it.
+the pool forks, so that its workers do not each import it. A draw's jobs
+and variants go out as one embedding batch per embedder.
 
-The summary stage streams each completer's grid: it requests the grid in
-consecutive slices of backends.WRITE_CHUNK requests, and each summary is one
-step of its batch, made where its text is read or made (on the pool for an
+The summary stage streams each completer's grid: the grid is one batch,
+made lazily and looked up a window at a time, and each summary is one step
+of its batch, made where its text is read or made (on the pool for an
 in-process completer): the text is checked and scanned, and its summaries
 line and, without a regard client, its measures line are encoded there.
 The calling thread writes the lines as they come, stores fresh answers and
-keeps only the measures that pairing needs; with a regard client it holds a
-slice's texts until the slice's regard batch is scored.
+keeps only the measures that pairing needs; with a regard client it holds
+the texts of one regard batch at a time (see _measured).
 """
 
 from __future__ import annotations
@@ -219,22 +221,22 @@ def _suffix(draw: int) -> str:
 
 
 def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[ScoreRow]:
-    """Embed every variant and job, then score all (job, variant) pairs."""
+    """Embed every job and variant as one batch, then score all (job,
+    variant) pairs."""
     from hirefair import retrieval
 
     keys: list[tuple[str, str]] = []
-    texts: list[str] = []
+    texts: list[str] = [j.body for j in jobs]
     for vid in sorted(variants.resumes):
         for rid in sorted(variants.resumes[vid]):
             keys.append((vid, rid))
             texts.append(variants.resumes[vid][rid].body)
-    job_vectors = backend.embed_batch([j.body for j in jobs])
+    vectors = backend.embed_batch(texts)
     # each vector's norm once, not once per pair
-    normed = [(key, vec, retrieval.norm(vec)) for key, vec in
-              zip(keys, backend.embed_batch(texts))]
+    normed = [(key, vec, retrieval.norm(vec)) for key, vec in zip(keys, vectors[len(jobs):])]
     rows: list[ScoreRow] = []
     tag = _suffix(variants.draw)
-    for job, jv in zip(jobs, job_vectors):
+    for job, jv in zip(jobs, vectors):
         nj = retrieval.norm(jv)
         for (vid, rid), vec, nv in normed:
             rows.append(retrieval.ScoreRow(
@@ -312,8 +314,8 @@ def summarize(backend, versions: list[tuple[Resume, str]],
     id) version at each (temperature, length, pov) cell, one per run index,
     in that order, as it comes: the record's text is empty, and the step is
     made where the text is decoded or made (see CompletionBackend.complete_batch).
-    The grid is requested in consecutive slices of WRITE_CHUNK requests, a
-    batch each, so that one slice's requests are held at a time."""
+    The grid is one batch, made lazily and read a window at a time, so that
+    only a window's requests are held."""
     model = backend.config.model_name
 
     def calls():
@@ -325,11 +327,11 @@ def summarize(backend, versions: list[tuple[Resume, str]],
                                          temperature, run_index, text=""),
                            CompletionRequest(prompt, temperature, length, run_index))
 
-    grid = calls()
-    for chunk in iter(lambda: list(itertools.islice(grid, backends.WRITE_CHUNK)), []):
-        records, requests = zip(*chunk)
-        yield from zip(records, backend.complete_batch(
-            requests, [partial(step, record) for record in records]))
+    records, requests, steps = itertools.tee(calls(), 3)
+    with closing(backend.complete_batch(
+            (request for _, request in requests),
+            (partial(step, record) for record, _ in steps))) as results:
+        yield from zip((record for record, _ in records), results)
 
 
 def generate_summaries(backend, variants: VariantSet, config: RunConfig,
@@ -362,9 +364,8 @@ def _measured(summarized: Iterator, regard_client: RegardClient | None,
     with textmetrics.summary_lines as its step, its lines written to the
     open summaries and measures files. Each summaries line, and without a
     regard client each measures line, is written as it comes; the summaries
-    are measured a slice of WRITE_CHUNK at a time, as summarize requests
-    them, so that regard scores one slice's texts as a batch, and the
-    slice's measures lines follow it."""
+    are measured WRITE_CHUNK at a time, so that regard scores their texts
+    as a batch, and their measures lines follow it."""
     records: list[SummaryRecord] = []
     scanned: list[tuple] = []
 
@@ -502,8 +503,8 @@ def summary_stage(completers: list, regard_client: RegardClient | None,
     writes the summaries and their measures (regard included) and runs its
     t-tests; the side log holds the t-tests. Each summary is read or made,
     checked, scanned and encoded as one step of its batch, and the grid
-    streams through in slices (see summarize and _measured), so that what
-    pairing needs is all the stage keeps of it."""
+    streams through as one batch (see summarize and _measured), so that
+    what pairing needs is all the stage keeps of it."""
     entries: list[LedgerEntry] = []
     files: list[Path] = []
     log: list[dict] = []

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -13,7 +14,7 @@ import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -32,6 +33,7 @@ from hirefair.backends import (
     WRITE_CHUNK,
     BackendConfig,
     BackendError,
+    CacheError,
     PROTOCOLS,
     CompletionBackend,
     CompletionRequest,
@@ -224,6 +226,17 @@ def test_put_rows_wait_for_a_full_chunk_or_flush(tmp_path, clock):
         assert len(stored_keys(tmp_path)) == WRITE_CHUNK
         cache.flush()
         assert stored_keys(tmp_path) == sorted(key for key, _ in rows)
+
+
+def test_get_many_returns_rows_put_but_not_yet_written(tmp_path, clock):
+    rows = fresh_rows(3)
+    with ResponseCache(tmp_path) as cache:
+        cache.put(*rows[0])
+        cache.flush()
+        cache.put(*rows[1])
+        assert stored_keys(tmp_path) == [rows[0][0]]
+        assert cache.get_many([key for key, _ in rows]) == dict(rows[:2])
+        assert (cache.hits, cache.misses) == (2, 1)
 
 
 def test_a_put_commits_every_pending_row_once_the_oldest_is_old(tmp_path, clock):
@@ -896,24 +909,31 @@ def test_pooled_batches_equal_builtin_ones(tmp_path, monkeypatch, keys, stored, 
     assert pooled == serial
 
 
-def test_a_batch_digests_decodes_and_fetches_on_the_pool(tmp_path, monkeypatch):
-    """Every key is digested, every cached response decoded and every miss
-    answered through the batch's map."""
+@pytest.mark.parametrize("window, tasks", [(500, 150), (40, 300)])
+def test_a_batch_decodes_and_fetches_on_the_pool_in_one_map(tmp_path, monkeypatch,
+                                                             window, tasks):
+    """Every cached response is decoded and every miss answered through one
+    map of the batch, however many windows it spans; the keys are digested
+    on the calling thread. A key that repeats in a later window is a task
+    of that window too, and the cache keeps one row for it."""
     cpus(monkeypatch, 2)
+    monkeypatch.setattr(backends, "READ_CHUNK", window)
     mapped = []
     with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
         def counted(fn: Callable, items):
             items = list(items)
-            mapped.append(len(items))
+            mapped.append((fn.func, len(items)))
             return map_fn(fn, items)
 
         for key, blob in CACHED.items():
             cache.put(key, blob)
         cache.flush()
-        results = cached_calls(cache, KEYS, answer, str, map_fn=counted)
+        results = cached_calls(cache, KEYS, answer, str, items=[i % 150 for i in range(300)],
+                               map_fn=counted)
+        assert len(cache) == 150
     assert results == [f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}"
                        for i in range(300)]
-    assert mapped == [300, 50, 100]
+    assert mapped == [(backends._answered, tasks)]
 
 
 def tagged(tag: int, text: str) -> tuple[int, str, int]:
@@ -942,6 +962,93 @@ def test_a_batch_with_steps_runs_them_where_answers_are(tmp_path, monkeypatch, n
     assert [(tag, text) for tag, text, _ in results] == [
         (i, "CACHED 0" if i % 5 == 0 else f"ANSWER {i % 5}") for i in range(12)]
     assert {pid for *_, pid in results} <= (workers if n > 1 else {os.getpid()})
+
+
+#: The paths of cached_calls that the stream tests take: one map on the
+#: calling thread, one map over cpu_map's pool, or fetching threads.
+PATHS = ["map", "pool", "threads"]
+#: Key ids of a stream read 5 at a time: keys repeat within a window (0 and
+#: 4) and in later ones (0, 1, 2, 3 and 7); the keys of CACHED_IDS are hits.
+STREAM = [0, 1, 0, 2, 3, 4, 4, 1, 5, 6, 0, 7, 9, 8, 2, 7, 3, 1]
+CACHED_IDS = {1, 5, 8}
+
+
+@contextmanager
+def stream_path(monkeypatch, path: str):
+    """(width, map) of cached_calls on `path`, each window 5 requests long."""
+    monkeypatch.setattr(backends, "READ_CHUNK", 5)
+    monkeypatch.setattr(backends, "WRITE_CHUNK", 5)
+    cpus(monkeypatch, 2 if path == "pool" else 1)
+    with cpu_map() as map_fn:
+        yield 4 if path == "threads" else 1, map_fn
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_stream_comes_out_in_request_order(tmp_path, monkeypatch, path):
+    """Requests read from generators give their results in request order,
+    hits among misses and keys repeated within and across windows; a
+    repeated key, even one made again on the pool, leaves one cache row."""
+    with stream_path(monkeypatch, path) as (width, map_fn), ResponseCache(tmp_path) as cache:
+        for i in CACHED_IDS:
+            cache.put(cache_key(*key_of(i)), encode_response(f"cached {i}"))
+        cache.flush()
+        results = cached_calls(cache, (key_of(i) for i in STREAM), answer, str, width=width,
+                               items=iter(STREAM), map_fn=map_fn)
+        rows = dict(cache._db.execute("SELECT key, response FROM responses"))
+    expected = [f"cached {i}" if i in CACHED_IDS else f"answer {i}" for i in STREAM]
+    assert results == expected
+    assert {key: decode_response(blob) for key, blob in rows.items()} == {
+        cache_key(*key_of(i)): text for i, text in zip(STREAM, expected)}
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_the_rest_of_a_stream_raises_stopped_once_stop_is_set(monkeypatch, path):
+    stop = threading.Event()
+    with stream_path(monkeypatch, path) as (width, map_fn):
+        results = cached_calls(None, (key_of(i) for i in range(20)), answer, str.upper,
+                               width=width, stop=stop, items=iter(range(20)), map_fn=map_fn,
+                               steps=(partial(tagged, i) for i in range(20)))
+        assert [tag for tag, *_ in itertools.islice(results, 5)] == list(range(5))
+        stop.set()
+        with pytest.raises(Stopped):
+            next(results)
+        assert next(results, None) is None
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_row_that_does_not_decode_is_a_cache_error_naming_its_key(tmp_path, monkeypatch,
+                                                                     path):
+    digest = cache_key(*key_of(7))
+    with stream_path(monkeypatch, path) as (width, map_fn), ResponseCache(tmp_path) as cache:
+        cache.put(digest, b"garbage")
+        cache.flush()
+        with pytest.raises(CacheError, match=f"the row of key {digest} does not decode"):
+            cached_calls(cache, (key_of(i) for i in range(12)), answer, str, width=width,
+                         items=iter(range(12)), map_fn=map_fn)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_stream_is_read_a_window_and_the_tasks_in_flight_ahead(monkeypatch, path):
+    """The requests are read no further ahead of the results taken than one
+    window, plus on the pool the tasks in flight: one per worker and the one
+    the map reads before it takes the oldest one's answers."""
+    monkeypatch.setattr(backends, "MAP_CHUNK", 2)
+    read = []
+
+    def keys():
+        for i in range(40):
+            read.append(i)
+            yield key_of(i % 13)
+
+    with stream_path(monkeypatch, path) as (width, map_fn):
+        results = cached_calls(None, keys(), answer, str.upper, width=width,
+                               items=(i % 13 for i in range(40)), map_fn=map_fn,
+                               steps=(partial(tagged, i) for i in range(40)))
+        ahead = 5 + (3 * 2 if path == "pool" else 0)
+        for taken, (tag, *_) in enumerate(results, 1):
+            assert tag == taken - 1
+            assert len(read) - taken <= ahead, (len(read), taken)
+    assert len(read) == 40
 
 
 def test_pooled_jsonl_lines_equal_the_serial_ones(tmp_path, monkeypatch):
@@ -1012,6 +1119,7 @@ def test_single_calls_are_batches_of_one(monkeypatch):
     batches = []
 
     def recording(cache, keys, *args, **kwargs):
+        keys = list(keys)
         batches.append(len(keys))
         return cached_calls(cache, keys, *args, **kwargs)
 
@@ -1060,6 +1168,21 @@ def loop_config(loopback, parallelism=1, **fields):
     return BackendConfig(id="loop", kind="embedding", protocol="openai-compatible",
                          model_name="loop-embed", endpoint=f"{loopback.url}/v1/embeddings",
                          parallelism=parallelism, **fields)
+
+
+def test_a_key_repeated_in_a_later_window_is_posted_once(tmp_path, loopback, monkeypatch):
+    """At parallelism 4, a batch fetched 3 texts at a time posts each
+    distinct text once: a text that repeats in a later window is read from
+    the row its first answer put, not yet written."""
+    monkeypatch.setattr(backends, "WRITE_CHUNK", 3)
+    texts = ["a", "b", "a", "c", "b", "d", "a", "e", "c"]
+    with ResponseCache(tmp_path) as cache:
+        backend = EmbeddingBackend(loop_config(loopback, parallelism=4), cache)
+        vectors = backend.embed_batch(iter(texts))
+    assert sorted(json.loads(r["body"])["input"][0] for r in loopback.received) == \
+        ["a", "b", "c", "d", "e"]
+    assert all(np.array_equal(vector, vectors[texts.index(text)])
+               for vector, text in zip(vectors, texts))
 
 
 def sent_bodies(loopback) -> list:

@@ -28,6 +28,7 @@ from hirefair.backends import (
     BackendError,
     CompletionBackend,
     CompletionRequest,
+    EmbeddingBackend,
     JsonEndpoint,
     ResponseCache,
     Stopped,
@@ -846,17 +847,17 @@ def test_cli_summarize_then_measure(tmp_path, fixtures_dir):
 
 
 def test_a_failed_summarize_writes_no_file(tmp_path, fixtures_dir, monkeypatch):
-    """A backend that refuses a later slice's prompt (longer than its
-    max_chars) fails `summarize` with exit 3 after earlier slices made their
-    lines, and no summaries file is written."""
+    """A backend that refuses a prompt of a later window (longer than its
+    max_chars) fails `summarize` with exit 3, and no summaries file is
+    written."""
     corpus = fixtures_dir / "mini_corpus.jsonl"
     lengths = [len(summary_prompt(r, 100, "third")) for r in load_corpus(corpus)[0]]
-    assert lengths[0] < max(lengths)  # the first slice is made
+    assert lengths[0] < max(lengths)  # the first window is not refused
     backends_path = tmp_path / "backends.json"
     backends_path.write_text(json.dumps({"backends": [
         {"id": "gen", "kind": "completion", "protocol": "mock", "model_name": "m",
          "max_chars": max(lengths) - 1}]}))
-    monkeypatch.setattr(backends, "WRITE_CHUNK", 1)
+    monkeypatch.setattr(backends, "READ_CHUNK", 1)
     out = tmp_path / "summaries.jsonl"
     result = CliRunner().invoke(main, ["summarize", "--backends", str(backends_path),
                                        "--in", str(corpus), "--out", str(out)])
@@ -1816,16 +1817,60 @@ def outputs_of(out: Path) -> tuple[dict[str, bytes], list]:
 
 
 def batch_sizes(monkeypatch) -> list[int]:
-    """The number of requests of each completion batch from now on."""
+    """The number of requests of each completion batch from now on, counted
+    as the batch reads them."""
     sizes = []
     complete_batch = CompletionBackend.complete_batch
 
     def recorded(self, requests, *args, **kwargs):
-        sizes.append(len(requests))
-        return complete_batch(self, requests, *args, **kwargs)
+        sizes.append(0)
+        at = len(sizes) - 1
+
+        def counted():
+            for request in requests:
+                sizes[at] += 1
+                yield request
+
+        return complete_batch(self, counted(), *args, **kwargs)
 
     monkeypatch.setattr(CompletionBackend, "complete_batch", recorded)
     return sizes
+
+
+def window_sizes(monkeypatch, digests: set[str]) -> list[int]:
+    """The number of keys of each cache lookup from now on whose keys all
+    are of `digests`: the windows of the batches that request them."""
+    sizes = []
+    get_many = ResponseCache.get_many
+
+    def recorded(self, keys):
+        if set(keys) <= digests:
+            sizes.append(len(keys))
+        return get_many(self, keys)
+
+    monkeypatch.setattr(ResponseCache, "get_many", recorded)
+    return sizes
+
+
+def test_each_draw_embeds_its_jobs_and_variants_as_one_batch(tmp_path, fixtures_dir,
+                                                             monkeypatch):
+    batches = []
+    embed_batch = EmbeddingBackend.embed_batch
+
+    def recorded(self, texts):
+        batches.append(list(texts))
+        return embed_batch(self, batches[-1])
+
+    monkeypatch.setattr(EmbeddingBackend, "embed_batch", recorded)
+    config = load_run_config(write_config(tmp_path, fixtures_dir, grid=SLICED_GRID))
+    run_audit(config)
+    resumes, jobs = load_corpus(config.corpus_path)
+    for draw, texts in enumerate(batches):
+        variants = build_variants(resumes, load_name_pools(), config, draw)
+        assert texts == [job.body for job in jobs] + [
+            variants.resumes[vid][rid].body for vid in sorted(variants.resumes)
+            for rid in sorted(variants.resumes[vid])]
+    assert len(batches) == config.grid.draws * len(config.embedding_backends()) == 2
 
 
 #: The request that refused_one answers without a word: (prompt, run index).
@@ -1845,22 +1890,27 @@ SLICED_GRID = {"n_values": [3], "x_values": [25], "temperatures": [0.0], "length
 
 
 def test_an_in_process_grid_in_slices(tmp_path, fixtures_dir, monkeypatch):
-    """On the pool, a grid walked 7 requests at a time writes the bytes and
-    cache rows of the default run; no task sent to the pool carries a
-    summary's text (or its row, which holds it); and a refusal in the second
-    slice ends the run with exit 3, the answers that validated before it
-    kept."""
+    """On the pool, a grid sent as one batch and looked up 7 requests at a
+    time writes the bytes and cache rows of the default run; no task sent to
+    the pool carries a summary's text (or its row, which holds it); and a
+    refusal in the second window ends the run with exit 3, the answers that
+    validated before it kept."""
     cpus(monkeypatch, 2)
     default = tmp_path / "default"
     run_audit(load_run_config(write_config(tmp_path, fixtures_dir, out_dir=str(default),
                                            grid=SLICED_GRID)))
 
-    monkeypatch.setattr(backends, "WRITE_CHUNK", SLICE)
-    sizes, tasks = batch_sizes(monkeypatch), recorded_tasks(monkeypatch)
+    monkeypatch.setattr(backends, "READ_CHUNK", SLICE)
     path = write_config(tmp_path, fixtures_dir, out_dir=str(tmp_path / "sliced"),
                         grid=SLICED_GRID)
-    run_audit(load_run_config(path))
-    assert sizes == ([SLICE] * (96 // SLICE) + [96 % SLICE]) * 2
+    config = load_run_config(path)
+    gen = dataclasses.asdict(config.completion_backends()[0])
+    sizes, tasks = batch_sizes(monkeypatch), recorded_tasks(monkeypatch)
+    windows = window_sizes(monkeypatch, {completion_key(gen, request) for draw in (0, 1)
+                                         for request in grid_requests(config, draw)})
+    run_audit(config)
+    assert sizes == [96, 96]
+    assert windows == ([SLICE] * (96 // SLICE) + [96 % SLICE]) * 2
     assert outputs_of(tmp_path / "sliced") == outputs_of(default)
     texts = {r.text for name in ("summaries_gen.jsonl", "summaries_gen@d1.jsonl")
              for r in read_summaries(default / name)}
@@ -1888,11 +1938,11 @@ def test_an_in_process_grid_in_slices(tmp_path, fixtures_dir, monkeypatch):
 
 
 def test_an_http_grid_in_slices(tmp_path, fixtures_dir, loopback, monkeypatch):
-    """Over HTTP with regard at parallelism 4, a grid walked 7 requests at a
-    time writes the bytes and cache rows of the default run, and the
-    service receives each request once, as in the default run. A refusal in
-    the second slice ends the run with exit 3, and the first slice's
-    answers, regard included, stay cached."""
+    """Over HTTP with regard at parallelism 4, a grid sent as one batch and
+    fetched 7 requests at a time writes the bytes and cache rows of the
+    default run, and the service receives each request once, as in the
+    default run. A refusal in the second window ends the run with exit 3,
+    and the first window's answers, regard included, stay cached."""
     def run(out):
         loopback.reset()
         run_audit(load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 4, out),
@@ -1901,9 +1951,15 @@ def test_an_http_grid_in_slices(tmp_path, fixtures_dir, loopback, monkeypatch):
 
     default = run(tmp_path / "default")
     monkeypatch.setattr(backends, "WRITE_CHUNK", SLICE)
+    config = load_run_config(http_config(tmp_path, fixtures_dir, loopback.url, 4,
+                                         tmp_path / "sliced"), draws=2)
+    gen = {"id": "gen", "model_name": "loop-chat"}
     sizes = batch_sizes(monkeypatch)
+    windows = window_sizes(monkeypatch, {completion_key(gen, request) for draw in (0, 1)
+                                         for request in grid_requests(config, draw)})
     sliced = run(tmp_path / "sliced")
-    assert sizes == ([SLICE] * (192 // SLICE) + [192 % SLICE]) * 2
+    assert sizes == [192, 192]
+    assert windows == ([SLICE] * (192 // SLICE) + [192 % SLICE]) * 2
     assert outputs_of(tmp_path / "sliced") == outputs_of(tmp_path / "default")
     assert collections.Counter(sliced) == collections.Counter(default)
     posted = collections.Counter(sliced)
@@ -1943,9 +1999,9 @@ def test_an_http_grid_in_slices(tmp_path, fixtures_dir, loopback, monkeypatch):
 
 
 def test_the_summary_stage_holds_one_slice_at_a_time(tmp_path, fixtures_dir, monkeypatch):
-    """tracemalloc's peak over the summary stage of a grid walked in eight
-    slices stays well below the peak of the same grid in one slice, and both
-    write the same bytes: the stage streams the grid, so a change that
+    """tracemalloc's peak over the summary stage of a grid looked up in eight
+    windows stays well below the peak of the same grid in one window, and
+    both write the same bytes: the stage streams the grid, so a change that
     gathers it again fails here."""
     config = load_run_config(write_config(tmp_path, fixtures_dir, grid={
         "n_values": [3], "x_values": [25]}))
@@ -1955,8 +2011,8 @@ def test_the_summary_stage_holds_one_slice_at_a_time(tmp_path, fixtures_dir, mon
     size = len(grid_requests(config))
     assert size == 12 * 4 * 8 * 5
     peaks, outputs = {}, {}
-    for slices in (8, 1):  # the one-slice run finds the scan's memos filled
-        monkeypatch.setattr(backends, "WRITE_CHUNK", size // slices)
+    for slices in (8, 1):  # the one-window run finds the scan's memos filled
+        monkeypatch.setattr(backends, "READ_CHUNK", size // slices)
         out = tmp_path / f"slices-{slices}"
         out.mkdir()
         tracemalloc.start()
@@ -1982,12 +2038,15 @@ def test_the_summary_stage_holds_one_slice_at_a_time(tmp_path, fixtures_dir, mon
       "--x", "0"], "--x"),
     (["audit", "retrieval", "--scores", "{file}", "--metric", "nonuniformity",
       "--x", "100.5"], "--x"),
+    (["audit", "summarization", "--measures", "{file}", "--alpha", "nan"], "--alpha"),
+    (["audit", "retrieval", "--scores", "{file}", "--metric", "nonuniformity",
+      "--x", "nan"], "--x"),
 ])
 def test_stage_commands_refuse_numbers_out_of_range(tmp_path, args, option):
     """A significance level outside (0, 1), as `run` refuses it, a negative
     --top, a top-n below 1 and a top-x percentage outside (0, 100], as `run`
     refuses its n_values and x_values, are usage errors (exit 2), before any
-    file is read."""
+    file is read; so is NaN, which is in no range."""
     path = tmp_path / "input"
     path.write_text("")
     result = CliRunner().invoke(main, [a.format(file=path) for a in args])
