@@ -43,11 +43,10 @@ __all__ = [
     "pair_jobs",
     "paired_t_test",
     "save_corpus",
-    "score_array",
 ]
 
 #: Names loaded from hirefair.retrieval, and so numpy, on first use.
-_RETRIEVAL = ("competition_ranks", "exclusion", "non_uniformity", "score_array")
+_RETRIEVAL = ("competition_ranks", "exclusion", "non_uniformity")
 
 
 def __getattr__(name: str):

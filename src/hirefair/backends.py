@@ -70,7 +70,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from hirefair.records import check_types, from_row, raised
+from hirefair.records import check_types, encode_compact, encode_line, from_row, raised
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,15 +203,9 @@ class CompletionRequest:
 # response cache
 # ---------------------------------------------------------------------------
 
-#: The canonical JSON of a request, for cache_key.
-_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-#: The JSON of a cached response, for encode_response.
-_RESPONSE_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-
-
 def cache_key(backend_id: str, model_name: str, payload) -> str:
     """Digest of the canonicalized request; any byte difference changes it."""
-    canonical = _KEY_JSON.encode(
+    canonical = encode_compact(
         {"backend_id": backend_id, "model_name": model_name, "payload": payload})
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -330,7 +324,7 @@ def _file_entries(root: Path):
 
 
 def encode_response(response) -> bytes:
-    return zlib.compress(_RESPONSE_JSON.encode(response).encode("utf-8"))
+    return zlib.compress(encode_line(response).encode("utf-8"))
 
 
 def decode_response(blob: bytes):

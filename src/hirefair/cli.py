@@ -37,7 +37,7 @@ from hirefair.pipeline import (
     score_variants,
     summarize,
 )
-from hirefair.records import RetrievalError, open_jsonl, raised, read_json, valued
+from hirefair.records import RetrievalError, raised, read_json, valued, write_jsonl
 from hirefair.report import ReportError, aggregate, emit, read_ledger
 
 #: The exit code of each error a command may raise: config, backend, data. An
@@ -179,9 +179,9 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
         variants = VariantSet(draw=0, resumes={})
         for resume in resumes:
             variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume
-        rows = score_variants(backend, jobs, variants)
-    retrieval.write_score_table(rows, out_path)
-    click.echo(f"wrote {len(rows)} scores to {out_path}")
+        table = score_variants(backend, jobs, variants)
+    retrieval.write_score_table(table, out_path)
+    click.echo(f"wrote {len(table)} scores to {out_path}")
 
 
 @main.command("summarize")
@@ -203,7 +203,7 @@ def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
             backend, [(r, _variant_id(r)) for r in resumes],
             [(float(temperature), int(length), pov)], runs,
             partial(textmetrics.summary_lines, False))]
-    _write_lines(lines, out_path)
+    write_jsonl(lines, out_path)
     click.echo(f"wrote {len(lines)} summaries to {out_path}")
 
 
@@ -221,14 +221,8 @@ def measure_cmd(in_path, out_path):
     records = textmetrics.read_summaries(in_path)
     with cpu_map():
         lines = list(map(raised, thread_map()(partial(valued, _measures_line), records)))
-    _write_lines(lines, out_path)
+    write_jsonl(lines, out_path)
     click.echo(f"wrote {len(lines)} measure rows to {out_path}")
-
-
-def _write_lines(lines: list[str], path) -> None:
-    """A JSONL file of encoded lines, once all are made: a failed command leaves none."""
-    with open_jsonl(path) as fh:
-        fh.writelines(line + "\n" for line in lines)
 
 
 @main.command("rank")
@@ -240,7 +234,7 @@ def rank_cmd(scores_path, variant, top):
     """Print competition ranks per job from a saved score table."""
     from hirefair import retrieval
 
-    table = retrieval.score_array(retrieval.read_score_table(scores_path))
+    table = retrieval.read_score_table(scores_path)
     scores = table.of(variant)
     for job_id, job_scores in zip(table.jobs, scores):
         ranks = retrieval.competition_ranks(job_scores)
@@ -275,7 +269,7 @@ def audit_retrieval(scores_path, metric, n_values, x_values,
     tested per job post; a score table has no occupations to pool by."""
     from hirefair import retrieval
 
-    table = retrieval.score_array(retrieval.read_score_table(scores_path))
+    table = retrieval.read_score_table(scores_path)
     if metric == "exclusion":
         original = table.of(original_variant)
         perturbed = table.of(perturbed_variant)

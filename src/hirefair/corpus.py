@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from hirefair.records import from_row, read_json, read_jsonl, to_row, write_jsonl
+from hirefair.records import (encode_line, from_row, read_json, read_jsonl, to_row,
+                              write_jsonl)
 
 logger = logging.getLogger(__name__)
 
@@ -190,7 +191,7 @@ def _record(item: Resume | JobPost) -> dict:
 
 def save_corpus(resumes: list[Resume], jobs: list[JobPost], path) -> None:
     """Write a corpus file: resumes first, then jobs, input order preserved."""
-    write_jsonl(map(_record, [*resumes, *jobs]), path)
+    write_jsonl((encode_line(_record(item)) for item in [*resumes, *jobs]), path)
 
 
 def load_corpus(path) -> tuple[list[Resume], list[JobPost]]:

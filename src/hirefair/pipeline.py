@@ -19,17 +19,18 @@ retrieval first, so the artifacts do not depend on which stage ends first.
 
 A run with a backend that answers in-process opens one process pool,
 backends.cpu_map, before its response cache, and spreads over it the
-in-process answers, the cached responses of each batch, the text scans and
-the lines of the JSONL files, each through backends.thread_map(): only on
-the calling thread, which opened the pool. The calling thread digests each
-batch's cache keys a window at a time (see backends.cached_calls). A
-retrieval stage on the worker thread maps serially, as does a run on one
-CPU or with only HTTP backends, which opens no pool. Every backend of the
-run, the regard client included, holds the run's stop signal. Only the
-retrieval stage needs numpy (through hirefair.retrieval), and a run without
-embedders never loads it; one with an in-process embedder loads it before
-the pool forks, so that its workers do not each import it. A draw's jobs
-and variants go out as one embedding batch per embedder.
+in-process answers, the cached responses of each batch and the summary
+steps, each through backends.thread_map(): only on the calling thread,
+which opened the pool. The calling thread digests each batch's cache keys
+a window at a time (see backends.cached_calls). A retrieval stage on the
+worker thread maps serially, as does a run on one CPU or with only HTTP
+backends, which opens no pool. Every backend of the run, the regard client
+included, holds the run's stop signal. Only the retrieval stage needs numpy
+(through hirefair.retrieval), and a run without embedders never loads it;
+one with an in-process embedder loads it before the pool forks, so that
+its workers do not each import it. A draw's jobs and variants go out as
+one embedding batch per embedder, and their scores make one
+retrieval.ScoreArray, which the score table and the metrics both read.
 
 The summary stage streams each completer's grid: the grid is one batch,
 made lazily and looked up a window at a time, and each summary is one step
@@ -92,7 +93,7 @@ from hirefair.report import (
 from hirefair.textmetrics import MeasureVector, SummaryRecord
 
 if TYPE_CHECKING:
-    from hirefair.retrieval import ScoreRow
+    from hirefair.retrieval import ScoreArray
 
 logger = logging.getLogger(__name__)
 
@@ -220,47 +221,40 @@ def _suffix(draw: int) -> str:
     return f"@d{draw}" if draw > 0 else ""
 
 
-def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> list[ScoreRow]:
-    """Embed every job and variant as one batch, then score all (job,
-    variant) pairs."""
+def score_variants(backend, jobs: list[JobPost], variants: VariantSet) -> ScoreArray:
+    """Embed every job and variant as one batch, then score each (variant,
+    job, resume) cell, pair by pair; the jobs keep their order. Variants
+    that do not all hold the same resumes leave cells that are a
+    RetrievalError."""
     from hirefair import retrieval
 
-    keys: list[tuple[str, str]] = []
-    texts: list[str] = [j.body for j in jobs]
-    for vid in sorted(variants.resumes):
-        for rid in sorted(variants.resumes[vid]):
-            keys.append((vid, rid))
-            texts.append(variants.resumes[vid][rid].body)
-    vectors = backend.embed_batch(texts)
-    # each vector's norm once, not once per pair
-    normed = [(key, vec, retrieval.norm(vec)) for key, vec in zip(keys, vectors[len(jobs):])]
-    rows: list[ScoreRow] = []
-    tag = _suffix(variants.draw)
-    for job, jv in zip(jobs, vectors):
-        nj = retrieval.norm(jv)
-        for (vid, rid), vec, nv in normed:
-            rows.append(retrieval.ScoreRow(
-                job_id=job.id, resume_id=rid, variant_id=vid + tag,
-                score=retrieval.normed_cosine(vec, jv, nv, nj),
-            ))
-    return rows
+    variant_ids = sorted(variants.resumes)
+    resume_ids = sorted({rid for resumes in variants.resumes.values() for rid in resumes})
+    at = {rid: r for r, rid in enumerate(resume_ids)}
+    cells = [(v, at[rid], resume) for v, vid in enumerate(variant_ids)
+             for rid, resume in sorted(variants.resumes[vid].items())]
+    vectors = backend.embed_batch([j.body for j in jobs]
+                                  + [resume.body for _, _, resume in cells])
+    norms = [retrieval.norm(vec) for vec in vectors]  # once each, not once per pair
+    return retrieval.dense(variant_ids, [j.id for j in jobs], resume_ids, (
+        ((v, j, r), retrieval.normed_cosine(vectors[i], vectors[j], norms[i], norms[j]))
+        for j in range(len(jobs)) for i, (v, r, _) in enumerate(cells, len(jobs))))
 
 
 def retrieval_metrics(model: str, run_id: str, jobs: list[JobPost],
-                      rows: list[ScoreRow], variants: VariantSet,
+                      table: ScoreArray, variants: VariantSet,
                       occupation_of: dict[str, str], config: RunConfig,
                       detail_log: list | None = None) -> list[LedgerEntry]:
     """Exclusion of each variant against its baseline and of each aggregate,
-    plus non-uniformity entries, for one embedding backend and one draw."""
+    plus non-uniformity entries, for one embedding backend and one draw;
+    `table` holds score_variants' scores of `jobs`, in their order."""
     from hirefair import retrieval
 
-    table = retrieval.score_array(rows)
     compared = [v for v in variant_table(config, variants.draw) if v.baseline]
     entries: list[LedgerEntry] = []
     for n in config.grid.n_values:
         aggregates: dict[str, list[float]] = {}
-        for job in jobs:
-            j = table.jobs.index(job.id)
+        for j, job in enumerate(jobs):
             for v in compared:
                 value = retrieval.exclusion(table.of(v.baseline)[j], table.of(v.id)[j], n)
                 entries.append(make_entry(
@@ -399,7 +393,8 @@ def paired_samples(measured: Iterable[tuple[SummaryRecord, MeasureVector]],
     draw pairs the same way. Generation runs are averaged per resume before
     pairing by default; pair_runs="separate" keeps each run index as its
     own pair. `measured` is read once, so it may be a stream; regard pairs
-    only where it was scored.
+    only where it was scored. A second row for one summary, draw tag
+    aside, is a DataError.
     """
     # (model, group, measure, cell) -> (resume, run) -> value
     values: dict[tuple, dict[tuple[str, int], float]] = {}
@@ -415,8 +410,10 @@ def paired_samples(measured: Iterable[tuple[SummaryRecord, MeasureVector]],
         for measure in MeasureVector.NAMES:
             v = mv.scalar(measure)
             if v is not None:
-                values.setdefault((record.model_name, group, measure, cell),
-                                  {}).setdefault(at, v)
+                by_run = values.setdefault((record.model_name, group, measure, cell), {})
+                if at in by_run:
+                    raise DataError(f"measures hold the {record} twice")
+                by_run[at] = v
 
     if pair_runs == "separate":
         run_groups = [(r,) for r in sorted(run_indices)]
@@ -482,15 +479,16 @@ def retrieval_stage(embedders: list, jobs: list[JobPost], variants: VariantSet,
     entries: list[LedgerEntry] = []
     files: list[Path] = []
     log: list[dict] = []
+    suffix = _suffix(variants.draw)
     for backend in embedders:
         from hirefair import retrieval  # with the first embedder, not before
 
-        rows = score_variants(backend, jobs, variants)
-        score_path = out_dir / f"scores_{backend.config.id}{_suffix(variants.draw)}.csv"
-        retrieval.write_score_table(rows, score_path)
+        table = score_variants(backend, jobs, variants)
+        score_path = out_dir / f"scores_{backend.config.id}{suffix}.csv"
+        retrieval.write_score_table(table, score_path, suffix)
         files.append(score_path)
         entries.extend(retrieval_metrics(
-            backend.config.model_name, run_id, jobs, rows, variants,
+            backend.config.model_name, run_id, jobs, table, variants,
             occupation_of, config, detail_log=log,
         ))
     return entries, files, log
@@ -667,7 +665,7 @@ def _audit(config: RunConfig, out_dir: Path, cache: ResponseCache, svg: bool) ->
                        ("augmentation_audit", extra_audit)):
         if rows:
             files.append(out_dir / f"{name}.jsonl")
-            _write_jsonl(rows, files[-1])
+            _write_jsonl(map(encode_line, rows), files[-1])
 
     report = aggregate(entries, run_id, manifest=manifest_core)
     files.extend(emit(report, out_dir, svg=svg))

@@ -3,16 +3,18 @@ dataclass fields and read back from one.
 
 A row's keys are the record's field names, or a field's metadata "key" where
 the file spells it differently. Reading checks each value against its field's
-annotation as JSON gives it; writing trusts the record. `valued` and
-`raised` carry a failure of a function mapped on backends.cpu_map's pool
-back to the calling thread as a value.
+annotation as JSON gives it; writing trusts the record. A row becomes a
+line with encode_line (encode_compact for the ledger) wherever its caller
+makes it, and write_jsonl writes lines so made. `valued` and `raised` carry
+a failure of a function mapped on backends.cpu_map's pool back to the
+calling thread as a value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
@@ -174,6 +176,10 @@ def raised(value):
 
 #: A row as a line of a JSONL file, keys sorted, without its newline.
 encode_line = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+#: encode_line without spaces: a ledger line, and the JSON that the manifest,
+#: ledger entry and cache key digests read.
+encode_compact = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                  separators=(",", ":")).encode
 
 
 def open_jsonl(path):
@@ -181,16 +187,10 @@ def open_jsonl(path):
     return Path(path).open("w", encoding="utf-8", newline="\n")
 
 
-def write_jsonl(rows: Iterable[dict], path,
-                separators: tuple[str, str] | None = None) -> None:
-    """One JSON line per row, as encode_line writes it (or with other
-    `separators`), encoded through backends.thread_map(). A row that does
-    not encode raises where its line would be written."""
-    from hirefair.backends import thread_map  # which imports this module
-
-    encode = encode_line if separators is None else json.JSONEncoder(
-        sort_keys=True, ensure_ascii=False, separators=separators).encode
+def write_jsonl(lines: Iterable[str], path) -> None:
+    """A JSONL file of `lines`, each already encoded (see encode_line); a
+    line that fails to be made raises where it would be written."""
     with open_jsonl(path) as fh:
-        for line in thread_map()(partial(valued, encode), rows):
-            fh.write(raised(line))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")

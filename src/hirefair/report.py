@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from hirefair.records import from_row, read_jsonl, to_row, write_jsonl
+from hirefair.records import encode_compact, from_row, read_jsonl, to_row, write_jsonl
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -26,13 +26,9 @@ class ReportError(Exception):
     """Raised for inconsistent ledger inputs."""
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
 def manifest_digest(manifest: dict) -> str:
     """Stable digest of the run manifest (corpus + config + seeds + backends)."""
-    return hashlib.sha256(_canonical(manifest).encode("utf-8")).hexdigest()
+    return hashlib.sha256(encode_compact(manifest).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -62,13 +58,13 @@ def make_entry(run_id: str, metric: str, model: str, perturbation: str,
                         value, sample_size)
     content = to_row(entry, detail=detail)
     del content["entry_id"]
-    entry_id = hashlib.sha256(_canonical(content).encode("utf-8")).hexdigest()[:16]
+    entry_id = hashlib.sha256(encode_compact(content).encode("utf-8")).hexdigest()[:16]
     return replace(entry, entry_id=entry_id)
 
 
 def write_ledger(entries: Iterable[LedgerEntry], path) -> None:
     """One compact JSON line per entry."""
-    write_jsonl(map(to_row, entries), path, separators=(",", ":"))
+    write_jsonl((encode_compact(to_row(entry)) for entry in entries), path)
 
 
 def read_ledger(path) -> list[LedgerEntry]:

@@ -10,6 +10,11 @@ The exclusion counterfactual re-ranks each perturbed resume one at a time
 against the original competitor pool (all other resumes keep their original
 scores). This pool choice is a configuration decision and is echoed into
 reports rather than treated as ground truth.
+
+A run's scores and a score table file are one ScoreArray (variant x job x
+resume), which pipeline.score_variants fills pair by pair with normed_cosine
+and write_score_table and read_score_table (used by `rank` and `audit
+retrieval`) carry to and from a file. `cosine` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from hirefair.corpus import GROUP_CODES
-from hirefair.records import RetrievalError, to_row
+from hirefair.records import RetrievalError
 from hirefair.stats import uniform_gof
 
 logger = logging.getLogger(__name__)
@@ -180,55 +185,27 @@ def non_uniformity(
 
 
 # ---------------------------------------------------------------------------
-# score table persistence
+# score table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScoreRow:
-    job_id: str
-    resume_id: str
-    variant_id: str
-    score: float
-
-
-def write_score_table(rows: Iterable[ScoreRow], path) -> None:
-    """Write scores as CSV so metrics can be recomputed without re-embedding;
-    the columns are ScoreRow's fields."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(ScoreRow))
-        writer.writerows(to_row(r).values() for r in rows)
-
-
-def read_score_table(path) -> list[ScoreRow]:
-    """Rows of a score table; a file that is not one is a RetrievalError."""
-    columns = [f.name for f in fields(ScoreRow)]
-    rows: list[ScoreRow] = []
-    try:
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != columns:
-                raise RetrievalError(f"unexpected score table header: {header}")
-            for rec in reader:
-                if len(rec) != len(columns):
-                    raise RetrievalError(f"{path}: line {reader.line_num}: expected "
-                                         f"{len(columns)} fields, got {len(rec)}")
-                rows.append(ScoreRow(*rec[:-1], score=float(rec[-1])))
-    except (OSError, UnicodeDecodeError, csv.Error, ValueError) as exc:
-        raise RetrievalError(f"cannot read score table {path}: {exc}") from exc
-    return rows
+#: The columns of a score table file, one row per score.
+SCORE_COLUMNS = ["job_id", "resume_id", "variant_id", "score"]
 
 
 @dataclass(frozen=True)
 class ScoreArray:
-    """A score table as one dense array indexed (variant, job, resume); each
-    axis lists its ids in sorted order."""
+    """Scores as one dense array indexed (variant, job, resume), with the ids
+    of each axis; its length is the number of scores. Variants and resumes
+    are sorted; jobs are in corpus order in a run, and sorted in a table
+    read from a file."""
 
     variants: tuple[str, ...]
     jobs: tuple[str, ...]
     resumes: tuple[str, ...]
     scores: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scores.size
 
     def of(self, variant: str) -> np.ndarray:
         """The (job, resume) scores of one variant."""
@@ -243,27 +220,65 @@ class ScoreArray:
         return {job_id: names[:, j] for j, job_id in enumerate(self.jobs)}
 
 
-def score_array(rows: Iterable[ScoreRow]) -> ScoreArray:
-    """Score rows as a ScoreArray; the draw tag of a variant id (name:MW@d1)
-    is dropped. A non-finite score, a duplicate (variant, job, resume) cell
-    and a missing one are RetrievalErrors."""
-    cells: dict[tuple[str, str, str], float] = {}
-    for r in rows:
-        key = (r.variant_id.partition("@")[0], r.job_id, r.resume_id)
-        if not math.isfinite(r.score):
-            raise RetrievalError(f"non-finite score for {key}")
-        if key in cells:
-            raise RetrievalError(f"duplicate score for {key}")
-        cells[key] = r.score
-    if not cells:
-        raise RetrievalError("score table is empty")
-    axes = [tuple(sorted({key[i] for key in cells})) for i in range(3)]
-    index = [{name: i for i, name in enumerate(axis)} for axis in axes]
+def dense(variants: Sequence[str], jobs: Sequence[str], resumes: Sequence[str],
+          cells: Iterable[tuple[tuple[int, int, int], float]]) -> ScoreArray:
+    """The ScoreArray over these axes of `cells`, each a (variant, job,
+    resume) index and its finite score; a cell that none gives is a
+    RetrievalError naming the first."""
+    axes = (tuple(variants), tuple(jobs), tuple(resumes))
     scores = np.full([len(axis) for axis in axes], np.nan)
-    for key, score in cells.items():
-        scores[tuple(ix[name] for ix, name in zip(index, key))] = score
+    for at, score in cells:
+        scores[at] = score
     missing = np.argwhere(np.isnan(scores))
     if missing.size:
         first = tuple(axis[i] for axis, i in zip(axes, missing[0]))
         raise RetrievalError(f"score table lacks {len(missing)} cell(s), first {first}")
     return ScoreArray(*axes, scores=scores)
+
+
+def write_score_table(table: ScoreArray, path, tag: str = "") -> None:
+    """Write scores as CSV so metrics can be recomputed without re-embedding:
+    a SCORE_COLUMNS row per score, jobs in table order, then variant and
+    resume, each variant id with the draw tag `tag` (@d1)."""
+    scores = table.scores.tolist()
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCORE_COLUMNS)
+        for j, job_id in enumerate(table.jobs):
+            for variant_id, by_job in zip(table.variants, scores):
+                writer.writerows((job_id, resume_id, variant_id + tag, score)
+                                 for resume_id, score in zip(table.resumes, by_job[j]))
+
+
+def read_score_table(path) -> ScoreArray:
+    """The ScoreArray of a score table file, every axis sorted; the draw tag
+    of a variant id (name:MW@d1) is dropped. A file that is not a score
+    table, a non-finite score, a (variant, job, resume) cell given twice, a
+    missing one and an empty table are RetrievalErrors."""
+    cells: dict[tuple[str, str, str], float] = {}
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != SCORE_COLUMNS:
+                raise RetrievalError(f"unexpected score table header: {header}")
+            for rec in reader:
+                if len(rec) != len(SCORE_COLUMNS):
+                    raise RetrievalError(f"{path}: line {reader.line_num}: expected "
+                                         f"{len(SCORE_COLUMNS)} fields, got {len(rec)}")
+                job_id, resume_id, variant_id, score = rec
+                key = (variant_id.partition("@")[0], job_id, resume_id)
+                score = float(score)
+                if not math.isfinite(score):
+                    raise RetrievalError(f"non-finite score for {key}")
+                if key in cells:
+                    raise RetrievalError(f"duplicate score for {key}")
+                cells[key] = score
+    except (OSError, UnicodeDecodeError, csv.Error, ValueError) as exc:
+        raise RetrievalError(f"cannot read score table {path}: {exc}") from exc
+    if not cells:
+        raise RetrievalError("score table is empty")
+    axes = [sorted({key[i] for key in cells}) for i in range(3)]
+    index = [{name: i for i, name in enumerate(axis)} for axis in axes]
+    return dense(*axes, ((tuple(ix[name] for ix, name in zip(index, key)), score)
+                         for key, score in cells.items()))

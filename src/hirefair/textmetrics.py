@@ -281,6 +281,12 @@ class SummaryRecord:
         if not 1 <= self.run_index <= 5:
             raise TextMetricsError(f"run_index must be in [1, 5], got {self.run_index}")
 
+    def __str__(self) -> str:
+        """The summary's name in error messages."""
+        return (f"summary by {self.model_name} of resume {self.resume_id}, variant "
+                f"{self.variant_id}, temperature {self.temperature}, length {self.length}, "
+                f"pov {self.pov}, run {self.run_index}")
+
 
 @dataclass(frozen=True)
 class MeasureVector:
@@ -303,11 +309,7 @@ MeasureVector.NAMES = tuple(f.name for f in fields(MeasureVector))
 
 def no_word(record: SummaryRecord) -> TextMetricsError:
     """The error for a summary without a word, which names the summary."""
-    r = record
-    return TextMetricsError(
-        f"summary by {r.model_name} of resume {r.resume_id}, variant {r.variant_id}, "
-        f"temperature {r.temperature}, length {r.length}, pov {r.pov}, "
-        f"run {r.run_index} has no word: {NoWordError()}")
+    return TextMetricsError(f"{record} has no word: {NoWordError()}")
 
 
 def summary_lines(with_measures: bool, record: SummaryRecord, text: str,
@@ -315,8 +317,8 @@ def summary_lines(with_measures: bool, record: SummaryRecord, text: str,
     """What a command keeps of one summary, `text`, of `record` (whose own
     text may be left empty), made where the text is: its summaries line; its
     measures but regard (one scan, and the reading time); and its measures
-    line when `with_measures`, else the text, for regard to score. The lines
-    are those write_jsonl and write_measures write; `run`, `summarize` and
+    line when `with_measures`, else the text, for regard to score. Each line
+    is encode_line's, as write_measures writes one; `run`, `summarize` and
     `measure` make them all with it. A text without a word is no_word(record)."""
     ease, pol, subj = _scan(text)
     if ease is None:
@@ -347,7 +349,7 @@ def measures_row(record: SummaryRecord, mv: MeasureVector) -> dict:
 
 def write_measures(rows: Iterable[tuple[SummaryRecord, MeasureVector]], path) -> None:
     """One measures_row line per summary."""
-    write_jsonl((measures_row(record, mv) for record, mv in rows), path)
+    write_jsonl((encode_line(measures_row(record, mv)) for record, mv in rows), path)
 
 
 def read_measures(path) -> list[tuple[SummaryRecord, MeasureVector]]:

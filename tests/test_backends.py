@@ -53,7 +53,6 @@ from hirefair.backends import (
     thread_map,
     token_bucket,
 )
-from hirefair.records import write_jsonl
 from hirefair.retrieval import cosine
 
 from conftest import cached_response, recorded_tasks
@@ -1049,47 +1048,6 @@ def test_a_stream_is_read_a_window_and_the_tasks_in_flight_ahead(monkeypatch, pa
             assert tag == taken - 1
             assert len(read) - taken <= ahead, (len(read), taken)
     assert len(read) == 40
-
-
-def test_pooled_jsonl_lines_equal_the_serial_ones(tmp_path, monkeypatch):
-    """write_jsonl inside a cpu_map block encodes every row on the pool and
-    writes the serial path's bytes, non-ASCII text included, from a one-pass
-    iterable."""
-    rows = [{"text": f"Zoë’s résumé {i}: 東京, naïve “quotes”\u2028 \U0001f600 \\ \"",
-             "i": i, "share": i / 7, "none": None, "nested": {"b": [1, 2.5], "a": "ü"}}
-            for i in range(4 * MAP_CHUNK + 5)]
-    cpus(monkeypatch, 2)
-    tasks = recorded_tasks(monkeypatch)
-    for separators in (None, (",", ":")):
-        tasks.clear()
-        with cpu_map():
-            write_jsonl(iter(rows), tmp_path / "pooled.jsonl", separators)
-        assert [row for _, (fn, items) in tasks for row in items] == rows
-        write_jsonl(rows, tmp_path / "serial.jsonl", separators)
-        pooled = (tmp_path / "pooled.jsonl").read_bytes()
-        assert pooled == (tmp_path / "serial.jsonl").read_bytes()
-        assert pooled.count(b"\n") == len(rows)
-
-
-def test_a_row_that_does_not_encode_raises_on_the_calling_thread(tmp_path, monkeypatch):
-    """A row that cannot be encoded raises TypeError where its line would be
-    written, over the pool as over the builtin map, and ends no worker."""
-    rows = [{"a": 1}] * 100 + [{"a": {1, 2}}] + [{"a": 2}] * 100
-    path = tmp_path / "rows.jsonl"
-
-    def written():
-        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-            write_jsonl(rows, path)
-        return path.read_text()
-
-    cpus(monkeypatch, 2)
-    assert written() == '{"a": 1}\n' * 100
-    tasks = recorded_tasks(monkeypatch)
-    with cpu_map() as map_fn:
-        assert written() == '{"a": 1}\n' * 100
-        assert tasks
-        assert list(map_fn(str, range(3))) == ["0", "1", "2"]
-        assert [w.is_alive() for w in multiprocessing.active_children()] == [True, True]
 
 
 def test_a_completion_without_a_word_is_never_cached(tmp_path):

@@ -39,7 +39,7 @@ from hirefair.backends import (
 )
 from hirefair.cli import main
 from hirefair.config import ConfigError, backend_from_dict, load_run_config
-from hirefair.corpus import GROUP_CODES, Resume, load_corpus, load_name_pools
+from hirefair.corpus import GROUP_CODES, Resume, load_corpus, load_name_pools, save_corpus
 from hirefair.perturb import save_plan
 from hirefair.pipeline import (
     SWAPS,
@@ -332,12 +332,12 @@ def test_run_audit_emits_all_artifacts(tmp_path, fixtures_dir):
 def test_run_audit_score_table_loadable(tmp_path, fixtures_dir):
     config = load_run_config(write_config(tmp_path, fixtures_dir))
     run_audit(config)
-    rows = read_score_table(Path(config.out_dir) / "scores_emb.csv")
-    variants = {r.variant_id for r in rows}
+    table = read_score_table(Path(config.out_dir) / "scores_emb.csv")
+    variants = set(table.variants)
     assert {"name:FB", "name:FW", "name:MB", "name:MW"} <= variants
     assert {f"swap:MW->FW", "within:FW", "typo:FW", "spacing:FW"} <= variants
     resumes, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
-    assert len(rows) == len(jobs) * len(variants) * len(resumes)
+    assert len(table) == len(jobs) * len(variants) * len(resumes)
 
 
 def test_run_audit_reruns_byte_identically(tmp_path, fixtures_dir):
@@ -434,8 +434,8 @@ def test_run_audit_extracurricular_variants(tmp_path, fixtures_dir):
     result = run_audit(config)
     out = Path(config.out_dir)
     assert (out / "augmentation_audit.jsonl").exists()
-    rows = read_score_table(out / "scores_emb.csv")
-    assert any(r.variant_id.startswith("extraswap:") for r in rows)
+    table = read_score_table(out / "scores_emb.csv")
+    assert any(v.startswith("extraswap:") for v in table.variants)
     assert any(r.perturbation.startswith("dir-extra:") for r in result.report.rows)
 
 
@@ -688,8 +688,9 @@ def test_cli_embed_and_audit_retrieval(tmp_path, fixtures_dir):
         "--out", str(scores_path),
     ])
     assert result.exit_code == 0, result.output
-    rows = read_score_table(scores_path)
-    assert len(rows) == 12 * 3
+    assert result.output.startswith("wrote 36 scores")
+    table = read_score_table(scores_path)
+    assert len(table) == 12 * 3
     resumes, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
     backend = build_backend(backend_from_dict(backends["backends"][0]))
     resume_vectors = backend.embed_batch([r.body for r in resumes])
@@ -700,7 +701,42 @@ def test_cli_embed_and_audit_retrieval(tmp_path, fixtures_dir):
         for job, jv in zip(jobs, job_vectors)
         for resume, rv in zip(resumes, resume_vectors)
     }
-    assert {(r.job_id, r.resume_id, r.variant_id, r.score) for r in rows} == expected
+    assert {(job, rid, variant, table.of(variant)[j, r])
+            for variant in table.variants for j, job in enumerate(table.jobs)
+            for r, rid in enumerate(table.resumes)} == expected
+
+
+def embed_corpus(tmp_path, resumes, jobs) -> tuple[object, Path]:
+    """`hirefair embed` of a corpus of `resumes` and `jobs` with a mock
+    embedder: the result and the score table path."""
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(resumes, jobs, corpus)
+    backends_path = tmp_path / "backends.json"
+    backends_path.write_text(json.dumps(MOCK_EMBED))
+    scores_path = tmp_path / "scores.csv"
+    result = CliRunner().invoke(main, ["embed", "--backends", str(backends_path),
+                                       "--in", str(corpus), "--out", str(scores_path)])
+    return result, scores_path
+
+
+def test_embed_of_variants_with_other_resumes_writes_nothing(tmp_path, fixtures_dir):
+    """A resume named name:FW beside the unnamed mini corpus leaves 39 of the
+    78 (variant, job, resume) cells empty: embed exits 4 with the reader's
+    gap error, before it writes a table that rank would refuse."""
+    resumes, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
+    named = dataclasses.replace(resumes[0], id="mini-named", lineage=("name:FW",))
+    result, scores_path = embed_corpus(tmp_path, [*resumes, named], jobs)
+    assert result.exit_code == 4, result.output
+    assert "score table lacks 39 cell(s)" in result.output
+    assert not scores_path.exists()
+
+
+def test_embed_of_a_corpus_without_resumes_writes_a_header(tmp_path, fixtures_dir):
+    _, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
+    result, scores_path = embed_corpus(tmp_path, [], jobs)
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("wrote 0 scores")
+    assert scores_path.read_bytes() == b"job_id,resume_id,variant_id,score\r\n"
 
 
 def test_cli_run_and_exit_codes(tmp_path, fixtures_dir):
@@ -1076,6 +1112,38 @@ def test_cli_audit_summarization_agrees_with_run(tmp_path, fixtures_dir):
         assert rows[ctype].value == pytest.approx(
             sum(rejected / total for rejected, total in draws) / 2)
         assert rows[ctype].sample_size == sum(total for _, total in draws)
+
+
+def test_audit_summarization_refuses_a_summary_measured_twice(tmp_path, fixtures_dir):
+    """The fixture run's measures file alone pairs as the run does, 0/64
+    rejected per comparison type. That file twice over, and one draw's file
+    followed by the next draw's, hold a summary twice, draw tag aside: each
+    exits 4 naming its first such summary, where the second row was once
+    dropped and the first draw's figures printed."""
+    fixture = load_run_config(fixtures_dir / "mock_run.json", out_dir=tmp_path / "fixture")
+    run_audit(fixture)
+    grid = {"n_values": [3], "x_values": [25], "temperatures": [0.0],
+            "lengths": [100], "povs": ["third"], "runs": 1, "draws": 2}
+    mini = load_run_config(write_config(tmp_path, fixtures_dir, grid=grid))
+    run_audit(mini)
+    measures = Path(fixture.out_dir) / "measures_mock-complete.jsonl"
+    draws = [Path(mini.out_dir) / name for name in ("measures_gen.jsonl",
+                                                    "measures_gen@d1.jsonl")]
+
+    def audit(*paths):
+        path = tmp_path / "measures.jsonl"
+        path.write_text("".join(p.read_text() for p in paths))
+        return CliRunner().invoke(main, ["audit", "summarization", "--measures", str(path)])
+
+    alone = audit(measures)
+    assert alone.exit_code == 0, alone.output
+    assert [line.split("\t")[1:3] for line in alone.output.splitlines()] == [
+        ["gender", "0/64"], ["race", "0/64"]]
+    for paths, again in (((measures, measures), measures), (draws, draws[1])):
+        result = audit(*paths)
+        assert result.exit_code == 4, result.output
+        record, _ = read_measures(again)[0]
+        assert result.output == f"error: measures hold the {record} twice\n"
 
 
 def test_cli_audit_retrieval_nonuniformity(tmp_path, fixtures_dir):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirefair.records import write_jsonl
+from hirefair.records import encode_compact, encode_line, write_jsonl
 from hirefair.report import (
     LedgerEntry,
     ReportError,
@@ -95,16 +95,44 @@ JSON_VALUES = st.recursive(
 
 @given(rows=st.lists(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5),
                      max_size=4),
-       separators=st.sampled_from([None, (",", ":")]))
+       encoder=st.sampled_from([(encode_line, None), (encode_compact, (",", ":"))]))
 @settings(max_examples=80, deadline=None)
-def test_write_jsonl_writes_json_dumps_lines(tmp_path_factory, rows, separators):
-    """One encoder per file writes each row as json.dumps would, with the
-    default separators and with the ledger's."""
+def test_write_jsonl_writes_json_dumps_lines(tmp_path_factory, rows, encoder):
+    """Each encoder writes each row as json.dumps would: encode_line with the
+    default separators and encode_compact with the ledger's."""
+    encode, separators = encoder
     path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
-    write_jsonl(rows, path, separators)
+    write_jsonl(map(encode, rows), path)
     assert path.read_bytes() == "".join(
         json.dumps(row, sort_keys=True, ensure_ascii=False, separators=separators) + "\n"
         for row in rows).encode("utf-8")
+
+
+def test_write_jsonl_keeps_non_ascii_text(tmp_path):
+    """Lines are written as UTF-8, one per row, from a one-pass iterable; text
+    is never escaped to ASCII, and a line separator inside a string does not
+    end its line."""
+    rows = [{"text": f"Zoë’s résumé {i}: 東京, naïve “quotes”\u2028 \U0001f600 \\ \"",
+             "i": i, "share": i / 7, "none": None, "nested": {"b": [1, 2.5], "a": "ü"}}
+            for i in range(5)]
+    for encode, separators in ((encode_line, None), (encode_compact, (",", ":"))):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(map(encode, rows), path)
+        written = path.read_bytes()
+        assert written == "".join(
+            json.dumps(row, sort_keys=True, ensure_ascii=False, separators=separators) + "\n"
+            for row in rows).encode("utf-8")
+        assert written.count(b"\n") == len(rows)
+        assert [json.loads(line) for line in written.decode("utf-8").split("\n")[:-1]] == rows
+
+
+def test_a_row_that_does_not_encode_raises_where_its_line_is_written(tmp_path):
+    """The lines before it are written, and the TypeError is raised."""
+    rows = [{"a": 1}] * 100 + [{"a": {1, 2}}] + [{"a": 2}] * 100
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        write_jsonl(map(encode_line, rows), path)
+    assert path.read_text() == '{"a": 1}\n' * 100
 
 
 def test_emit_byte_deterministic(tmp_path):

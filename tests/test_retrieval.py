@@ -3,6 +3,7 @@ import logging
 import math
 import random
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from hypothesis import strategies as st
 
 from hirefair.corpus import GROUP_CODES
 from hirefair.retrieval import (
+    SCORE_COLUMNS,
     RetrievalError,
-    ScoreRow,
+    ScoreArray,
     competition_ranks,
     cosine,
     exclusion,
     non_uniformity,
     normed_cosine,
     read_score_table,
-    score_array,
     write_score_table,
 )
 
@@ -150,10 +151,10 @@ def test_rank_matches_definition_on_random_scores():
             assert rank == sum(1 for s in scores if s > score) + 1
 
 
-def test_rank_duplicate_resume_error():
-    rows = [ScoreRow("j", "a", "name:MW", 0.9), ScoreRow("j", "a", "name:MW", 0.8)]
+def test_rank_duplicate_resume_error(tmp_path):
+    path = table_file(tmp_path, ("j", "a", "name:MW", 0.9), ("j", "a", "name:MW@d1", 0.8))
     with pytest.raises(RetrievalError, match="duplicate"):
-        score_array(rows)
+        read_score_table(path)
 
 
 def test_rank_multiple_jobs_error():
@@ -342,24 +343,42 @@ def test_non_uniformity_counts_invariant_under_monotone_transform():
 # score table persistence
 # ---------------------------------------------------------------------------
 
-def test_score_table_round_trip(tmp_path):
-    rows = [
-        ScoreRow("j1", "r1", "name:FW", 0.123456789123456),
-        ScoreRow("j1", "r2", "swap:MW->FW", -0.5),
-        ScoreRow("j2", "r1", "name:FW", 1.0),
-    ]
+def table_file(tmp_path, *rows) -> Path:
+    """A score table file of `rows` under SCORE_COLUMNS."""
     path = tmp_path / "scores.csv"
-    write_score_table(rows, path)
-    assert read_score_table(path) == rows
+    lines = [SCORE_COLUMNS, *rows]
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in lines))
+    return path
 
 
-def test_score_array_is_dense_and_sorted():
+def test_score_table_round_trip(tmp_path):
+    """A written table reads back bit for bit, the draw tag dropped and the
+    jobs sorted; the file lists jobs in table order, then variant, then
+    resume."""
+    rng = np.random.default_rng(5)
+    scores = rng.uniform(-1, 1, (2, 3, 2)) * np.array([1e-300, 1.0, 1e300])[:, None]
+    scores[0, 0, 0] = 0.1 + 0.2
+    table = ScoreArray(("name:FW", "swap:MW->FW"), ("j3", "j1", "j2"), ("r1", "r2"), scores)
+    path = tmp_path / "scores.csv"
+    write_score_table(table, path, "@d2")
+    rows = path.read_text().splitlines()
+    assert rows[0] == ",".join(SCORE_COLUMNS) and len(rows) == 1 + len(table) == 13
+    assert [row.split(",")[:3] for row in rows[1:4]] == [
+        ["j3", "r1", "name:FW@d2"], ["j3", "r2", "name:FW@d2"], ["j3", "r1", "swap:MW->FW@d2"]]
+    read = read_score_table(path)
+    assert (read.variants, read.jobs, read.resumes) == (
+        ("name:FW", "swap:MW->FW"), ("j1", "j2", "j3"), ("r1", "r2"))
+    assert read.scores.tobytes() == scores[:, [1, 2, 0]].tobytes()
+
+
+def test_score_array_is_dense_and_sorted(tmp_path):
     cells = itertools.product(("swap:MW->FW", "name:MW"), ("j2", "j1"), ("r2", "r1"))
-    rows = [ScoreRow(job, rid, variant + "@d1", float(score))
-            for score, (variant, job, rid) in enumerate(cells)]
-    table = score_array(rows)
+    table = read_score_table(table_file(tmp_path, *(
+        (job, rid, variant + "@d1", float(score))
+        for score, (variant, job, rid) in enumerate(cells))))
     assert table.variants == ("name:MW", "swap:MW->FW")  # draw tag dropped
     assert table.jobs == ("j1", "j2") and table.resumes == ("r1", "r2")
+    assert len(table) == 8
     assert table.of("name:MW").tolist() == [[7.0, 6.0], [5.0, 4.0]]
     assert table.of("swap:MW->FW")[1].tolist() == [1.0, 0.0]
     with pytest.raises(RetrievalError, match="not present"):
@@ -368,20 +387,24 @@ def test_score_array_is_dense_and_sorted():
         table.pools()
 
 
-def test_score_array_pools_follow_group_codes():
-    rows = [ScoreRow("j", "r", f"name:{g}", float(i)) for i, g in enumerate(GROUP_CODES)]
-    (job, pool), = score_array(reversed(rows)).pools().items()
+def test_score_array_pools_follow_group_codes(tmp_path):
+    rows = [("j", "r", f"name:{g}", float(i)) for i, g in enumerate(GROUP_CODES)]
+    (job, pool), = read_score_table(table_file(tmp_path, *reversed(rows))).pools().items()
     assert job == "j" and pool.tolist() == [[0.0], [1.0], [2.0], [3.0]]
 
 
-def test_score_array_rejects_gaps_and_bad_scores():
-    rows = [ScoreRow("j1", "r1", "name:MW", 0.5), ScoreRow("j2", "r2", "name:MW", 0.4)]
-    with pytest.raises(RetrievalError, match="lacks 2 cell"):
-        score_array(rows)
-    with pytest.raises(RetrievalError, match="non-finite"):
-        score_array([ScoreRow("j1", "r1", "name:MW", math.nan)])
-    with pytest.raises(RetrievalError, match="empty"):
-        score_array([])
+def test_score_array_rejects_gaps_and_bad_scores(tmp_path):
+    for rows, message in [
+        ([("j1", "r1", "name:MW", 0.5), ("j2", "r2", "name:MW", 0.4)],
+         r"lacks 2 cell\(s\), first \('name:MW', 'j1', 'r2'\)"),
+        ([("j1", "r1", "name:MW", "nan")], "non-finite"),
+        ([("j1", "r1", "name:MW", "-inf")], "non-finite"),
+        ([], "empty"),
+        ([("j1", "r1", "name:MW")], "expected 4 fields, got 3"),
+        ([("j1", "r1", "name:MW", "high")], "cannot read score table"),
+    ]:
+        with pytest.raises(RetrievalError, match=message):
+            read_score_table(table_file(tmp_path, *rows))
 
 
 def test_score_table_header_check(tmp_path):
