@@ -20,6 +20,9 @@ imported into the file once.
 A batch (cached_calls) reads its requests from an iterable, one window at
 a time: the calling thread digests the window's cache keys and reads its
 cached responses, pending ones included, in one query per READ_CHUNK keys.
+Every key is cache_key's digest of its request; a completion batch makes
+its keys with completion_keys, which hashes what a prompt's requests share
+once per prompt.
 An in-process backend's batch is one stream through thread_map(), the map
 of cpu_map's pool on the thread that opened it, whose `fork` workers, one
 per CPU and each with a pipe of its own, decode the cached responses and
@@ -387,7 +390,7 @@ def _cancel_on_failure(futures: list, done) -> None:
                 future.cancel()
 
 
-def cached_calls(cache: ResponseCache | None, keys: Iterable[tuple],
+def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
                  fetch: Callable, validate: Callable, width: int = 1,
                  on_error: Callable[[Exception], object] | None = None,
                  stop: threading.Event | None = None, items: Iterable | None = None,
@@ -396,14 +399,15 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[tuple],
     there is one; with `steps`, the results steps[i](validate(fetch(items[i])))
     as an iterator.
 
-    `keys[i]` holds cache_key's arguments for request i, and
+    `keys[i]` is the cache key of request i (see cache_key), and
     `fetch(items[i])` makes that request; `items` default to the indices of
     `keys`. `keys`, `items` and `steps` are iterables read in step, one
-    window at a time: the calling thread digests a window's keys, merges
-    the requests with one key, which share one answer, and reads the
-    window's stored responses with one get_many, rows put but not yet
-    written included. A response that does not decode is a CacheError
-    naming its key. How the answers are made depends on `width`:
+    window at a time, on the calling thread, so that keys made lazily are
+    digested there a window at a time. The calling thread merges the
+    window's requests with one key, which share one answer, and reads their
+    stored responses with one get_many, rows put but not yet written
+    included. A response that does not decode is a CacheError naming its
+    key. How the answers are made depends on `width`:
 
     * width 1: `map_fn`, the builtin map or the map of cpu_map, decodes the
       cached responses and makes the misses, each with its encoding for the
@@ -451,8 +455,7 @@ def _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, s
     def looked_up(window: list) -> list[_Call]:
         """The distinct requests of `window`, in order of first appearance."""
         calls: dict[str, _Call] = {}
-        for i, (key, item, step) in window:
-            digest = cache_key(*key)
+        for i, (digest, item, step) in window:
             call = calls.get(digest)
             if call is None:
                 call = calls[digest] = _Call(digest, item)
@@ -1063,11 +1066,15 @@ class Backend:
             return self.protocol.call(self.config, item)
         return self.http.post(self.protocol.body(self.config, item), self.protocol.read)
 
-    def _batch(self, items: Iterable, text: Callable, payload: Callable,
+    def _key(self, payload) -> str:
+        """The cache key of a request of this backend with `payload`."""
+        return cache_key(self.config.id, self.config.model_name, payload)
+
+    def _batch(self, items: Iterable, text: Callable, digest: Callable,
                validate: Callable, on_error: Callable | None = None,
                steps: Iterable[Callable] | None = None):
-        """validate(answer) for each item in order, its request's payload
-        payload(item); no item's input text, text(item), may exceed
+        """validate(answer) for each item in order, its request's cache key
+        digest(item); no item's input text, text(item), may exceed
         max_chars, which each window of the batch checks before any of its
         requests (see cached_calls). A failed request raises, or gives
         on_error(exc). With `steps`, an iterator of steps[i](validate(answer)),
@@ -1075,12 +1082,12 @@ class Backend:
         go through thread_map()."""
         limit = self.config.max_chars
 
-        def key(item) -> tuple:
+        def key(item) -> str:
             if limit is not None and len(text(item)) > limit:
                 raise BackendError(
                     f"backend {self.config.id}: input of {len(text(item))} chars exceeds "
                     f"max_chars={limit}; refusing to truncate")
-            return self.config.id, self.config.model_name, payload(item)
+            return digest(item)
 
         items, keyed = tee(items)  # read in step, so tee holds one item
         return cached_calls(self.cache, map(key, keyed), self._request, validate, self.width,
@@ -1120,13 +1127,52 @@ class EmbeddingBackend(Backend):
     def embed_batch(self, texts: Iterable[str]) -> list[np.ndarray]:
         """Embed in order; cached entries are served without touching the
         network (see cached_calls)."""
-        return self._batch(texts, str, lambda text: {"op": "embed", "text": text},
+        return self._batch(texts, str, lambda text: self._key({"op": "embed", "text": text}),
                            self._vector)
 
 
 def _completion_payload(request: CompletionRequest) -> dict:
     return {"op": "complete", "prompt": request.prompt, "temperature": request.temperature,
             "run_index": request.run_index, "max_words_hint": request.max_words_hint}
+
+
+#: Prompts whose hashed key head one completion batch keeps at most.
+PROMPT_MEMO = 64
+
+
+def completion_keys(backend_id: str, model_name: str) -> Callable[[CompletionRequest], str]:
+    """The cache key of each completion request of one batch: what
+    cache_key(backend_id, model_name, _completion_payload(request)) gives,
+    with the head that a prompt's requests share hashed once per prompt.
+
+    Its keys sorted, the JSON that cache_key digests ends with the payload,
+    whose max_words_hint, op and prompt come before run_index and
+    temperature. So the requests of one prompt and length, at any run
+    index and temperature, share every byte up to run_index. That head is
+    hashed once, and each request hashes its run index and temperature on a
+    copy of its hash. The hashes of up to PROMPT_MEMO heads are kept, and
+    dropped together when that many are."""
+    heads: dict[tuple[str, str], object] = {}  # (prompt, repr of length) -> sha256 of head
+
+    def key(request: CompletionRequest) -> str:
+        # by repr, as 100, 100.0 and True, which compare equal, are
+        # different JSON
+        shared = (request.prompt, repr(request.max_words_hint))
+        state = heads.get(shared)
+        if state is None:
+            if len(heads) >= PROMPT_MEMO:
+                heads.clear()
+            head = encode_compact({"backend_id": backend_id, "model_name": model_name,
+                                   "payload": {"max_words_hint": request.max_words_hint,
+                                               "op": "complete", "prompt": request.prompt}})
+            state = heads[shared] = hashlib.sha256(f"{head[:-2]},".encode("utf-8"))
+        state = state.copy()
+        tail = encode_compact({"run_index": request.run_index,
+                               "temperature": request.temperature})
+        state.update(f"{tail[1:]}}}".encode("utf-8"))
+        return state.hexdigest()
+
+    return key
 
 
 class CompletionBackend(Backend):
@@ -1148,8 +1194,9 @@ class CompletionBackend(Backend):
         steps[i](text of request i), each step made where its text is
         decoded or made: on cpu_map's pool for an in-process protocol, so
         that the text itself need not come back (see cached_calls)."""
-        return self._batch(requests, attrgetter("prompt"), _completion_payload, self._text,
-                           steps=steps)
+        return self._batch(requests, attrgetter("prompt"),
+                           completion_keys(self.config.id, self.config.model_name),
+                           self._text, steps=steps)
 
     # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def complete(self, request: CompletionRequest) -> str:
@@ -1173,7 +1220,7 @@ class RegardClient(Backend):
     def score_batch(self, texts: Iterable[str]) -> list[dict[str, float] | None]:
         """Scores of each text in order; None where a request failed, with
         one warning per batch that has any."""
-        results = self._batch(texts, str, lambda text: {"text": text},
+        results = self._batch(texts, str, lambda text: self._key({"text": text}),
                               validate_regard, self._failed)
         errors = [r for r in results if isinstance(r, Exception)]
         if errors:

@@ -176,6 +176,8 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
         resumes, jobs = load_corpus(in_path)
         if not jobs:
             raise CorpusError("corpus has no job posts to score against")
+        if not resumes:
+            raise CorpusError("corpus has no resumes to score")
         variants = VariantSet(draw=0, resumes={})
         for resume in resumes:
             variants.resumes.setdefault(_variant_id(resume), {})[resume.id] = resume

@@ -340,13 +340,12 @@ def generate_summaries(backend, variants: VariantSet, config: RunConfig,
     return summarize(backend, versions, cells, grid.runs, step)
 
 
-def measure_summaries(records: list[SummaryRecord], regard_client: RegardClient | None,
+def measure_summaries(records: list[SummaryRecord], regard_client: RegardClient,
                       scanned: list[tuple]) -> list[tuple[SummaryRecord, MeasureVector]]:
     """Each record with its measures: `scanned` holds its measures but regard,
     as textmetrics.summary_lines made them, and regard is scored from the
-    records' texts as one batch, or is absent without a client."""
-    regards = ([None] * len(records) if regard_client is None
-               else regard_client.score_batch([r.text for r in records]))
+    records' texts as one batch."""
+    regards = regard_client.score_batch([r.text for r in records])
     return [(record, MeasureVector(*measures, regard=regard))
             for record, measures, regard in zip(records, scanned, regards)]
 
@@ -356,27 +355,29 @@ def _measured(summarized: Iterator, regard_client: RegardClient | None,
               ) -> Iterator[tuple[SummaryRecord, MeasureVector]]:
     """(record, measures) of each summary of `summarized`, summarize's output
     with textmetrics.summary_lines as its step, its lines written to the
-    open summaries and measures files. Each summaries line, and without a
-    regard client each measures line, is written as it comes; the summaries
-    are measured WRITE_CHUNK at a time, so that regard scores their texts
-    as a batch, and their measures lines follow it."""
+    open summaries and measures files. Each summaries line is written as it
+    comes. Without a regard client, so is each measures line, and each
+    summary goes on as it comes; with one, the summaries are measured
+    WRITE_CHUNK at a time, so that regard scores their texts as a batch, and
+    their measures lines follow it."""
     records: list[SummaryRecord] = []
     scanned: list[tuple] = []
 
     def measured() -> list[tuple[SummaryRecord, MeasureVector]]:
         pairs = measure_summaries(records, regard_client, scanned)
-        if regard_client is not None:
-            for record, mv in pairs:
-                measures_out.write(encode_line(textmetrics.measures_row(record, mv)) + "\n")
+        for record, mv in pairs:
+            measures_out.write(encode_line(textmetrics.measures_row(record, mv)) + "\n")
         records.clear()
         scanned.clear()
         return pairs
 
     for record, (summary_line, measures, measures_line, text) in summarized:
         summaries_out.write(summary_line + "\n")
-        if measures_line is not None:
+        if regard_client is None:
             measures_out.write(measures_line + "\n")
-        records.append(record if text is None else replace(record, text=text))
+            yield record, MeasureVector(*measures)
+            continue
+        records.append(replace(record, text=text))
         scanned.append(measures)
         if len(records) == backends.WRITE_CHUNK:
             yield from measured()

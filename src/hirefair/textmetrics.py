@@ -10,11 +10,14 @@ Reading ease, polarity and subjectivity come from one pass over the chunks of
 a text: its whitespace-separated words, punctuation attached. No part of a
 measure crosses whitespace: words, sentiment tokens, the terminal punctuation
 that ends a sentence and the abbreviation before it each lie inside one chunk.
-So the facts of each distinct chunk are computed once and memoised in a cache
-of fixed size, and the pass adds them up in text order. summary_lines runs
-the pass once per summary, as the step that `run`, `summarize` and `measure`
-map over their summaries, which may spread them over the worker processes of
-backends.cpu_map, each with its own memo.
+So the facts of each distinct chunk are computed once and kept in a plain
+dict of at most CHUNK_MEMO chunks, emptied when full, and the pass adds them
+up in text order. summary_lines runs the pass once per summary, as the step
+that `run`, `summarize` and `measure` map over their summaries, which may
+spread them over the worker processes of backends.cpu_map, each with its own
+memo, or over the threads that fetch summaries from an HTTP backend, which
+share one: two threads that miss one chunk at once both work out its facts,
+which are equal, and the memo keeps one.
 
 The syllable rules, sentence-boundary abbreviations, and sentiment lexicon
 ship as JSON assets in hirefair/data so scores are reproducible across
@@ -129,7 +132,6 @@ def _token_fact(token: str) -> tuple[tuple[float, float] | None, float | None, b
     return (float(entry.get("polarity", 0.0)), float(entry.get("subjectivity", 0.0))), None, negates
 
 
-@lru_cache(maxsize=16384)
 def _chunk_facts(chunk: str) -> tuple[int, int, tuple, bool]:
     """Facts of one chunk, resolved once per distinct chunk: (its words, their
     syllables, the _token_fact of each sentiment token in order, whether it
@@ -152,6 +154,27 @@ def _chunk_facts(chunk: str) -> tuple[int, int, tuple, bool]:
             tuple(map(_token_fact, tokens)), ends)
 
 
+#: Chunks whose facts the memo keeps at most.
+CHUNK_MEMO = 16384
+
+
+class _ChunkMemo(dict):
+    """_chunk_facts of each chunk looked up, memoised: a hit is one dict
+    lookup, with none of lru_cache's bookkeeping. Emptied when it holds
+    CHUNK_MEMO chunks, so it stays bounded however many distinct chunks
+    the texts hold."""
+
+    def __missing__(self, chunk: str) -> tuple[int, int, tuple, bool]:
+        facts = _chunk_facts(chunk)
+        if len(self) >= CHUNK_MEMO:
+            self.clear()
+        self[chunk] = facts
+        return facts
+
+
+_chunks = _ChunkMemo()
+
+
 def _scan(text: str) -> tuple[float | None, float, float]:
     """(reading ease, polarity, subjectivity) from one pass over the chunks
     of a text; reading ease is None for a text without a word.
@@ -170,7 +193,7 @@ def _scan(text: str) -> tuple[float | None, float, float]:
     subjs: list[float] = []
     intensity = None                 # modifier intensity of the previous token
     negated_1 = negated_2 = False    # whether the previous / the one before negates
-    for words, syllables, facts, ends in map(_chunk_facts, text.split()):
+    for words, syllables, facts, ends in map(_chunks.__getitem__, text.split()):
         if words:
             n_words += words
             n_syllables += syllables
@@ -218,7 +241,7 @@ def split_sentences(text: str) -> list[str]:
         if cut:
             parts.append(text[start:chunk.start()])
             start = chunk.start()
-        cut = _chunk_facts(chunk.group())[3]
+        cut = _chunks[chunk.group()][3]
     parts.append(text[start:])
     return [p for p in parts if _WORD_RE.search(p)]
 
@@ -324,10 +347,11 @@ def summary_lines(with_measures: bool, record: SummaryRecord, text: str,
     if ease is None:
         raise no_word(record)
     measures = (ease, reading_time(text), pol, subj)
-    line = encode_line(to_row(record, text=text))
+    row = to_row(record, text=text)
+    line = encode_line(row)
     if not with_measures:
         return line, measures, None, text
-    return line, measures, encode_line(measures_row(record, MeasureVector(*measures))), None
+    return line, measures, encode_line(_measured_row(row, measures)), None
 
 
 def read_summaries(path) -> list[SummaryRecord]:
@@ -340,10 +364,17 @@ def read_summaries(path) -> list[SummaryRecord]:
 def measures_row(record: SummaryRecord, mv: MeasureVector) -> dict:
     """A summary's row of a measures file: its record's fields but the text,
     and its measures (regard only when scored); schema versioned."""
-    row = to_row(record, **to_row(mv), schema_version=MEASURES_SCHEMA_VERSION)
+    measures = [getattr(mv, name) for name in MeasureVector.NAMES]
+    return _measured_row(to_row(record), measures if mv.regard is not None else measures[:-1])
+
+
+def _measured_row(row: dict, measures) -> dict:
+    """`row`, a summary record's row, made its row of a measures file (see
+    measures_row): the text goes, and `measures`, in MeasureVector.NAMES
+    order and without regard when they stop before it, and the schema
+    version join."""
     del row["text"]
-    if mv.regard is None:
-        del row["regard"]
+    row.update(zip(MeasureVector.NAMES, measures), schema_version=MEASURES_SCHEMA_VERSION)
     return row
 
 

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -42,9 +42,11 @@ from hirefair.backends import (
     ResponseCache,
     RetryPolicy,
     Stopped,
+    _completion_payload,
     build_backend,
     cache_key,
     cached_calls,
+    completion_keys,
     cpu_map,
     decode_response,
     encode_response,
@@ -184,6 +186,58 @@ def test_cache_key_sensitivity():
     assert cache_key("b", "m2", {"op": "embed", "text": "hello"}) != base
 
 
+#: A completion request whose key is pinned, with non-ASCII text and a newline.
+GOLDEN_REQUEST = CompletionRequest("Résumé «x»\n\nGenerate a 100-word summary", 0.3, 100, 2)
+
+
+def test_cache_keys_keep_their_digests(tmp_path):
+    """The digests that key every archived cache: a change to how requests
+    are canonicalized would orphan them. A completion backend stores its
+    answer under the pinned key."""
+    assert cache_key("b", "m", {"op": "embed", "text": "hello"}) == (
+        "7a185f46d6584c6f44ed4aa0a0be7b41f4e11f905d33bd4c6165cd04becf2c24")
+    golden = "0a25bf4049f79d7ee2f56409a4ee695c4097c196bad242e3e707a25b30a8d607"
+    assert cache_key("mock-complete", "mock-summarizer",
+                     _completion_payload(GOLDEN_REQUEST)) == golden
+    assert completion_keys("mock-complete", "mock-summarizer")(GOLDEN_REQUEST) == golden
+    config = BackendConfig(id="mock-complete", kind="completion", protocol="echo",
+                           model_name="mock-summarizer")
+    with ResponseCache(tmp_path) as cache:
+        assert CompletionBackend(config, cache).complete(GOLDEN_REQUEST) == (
+            "Generate a 100-word summary")
+        assert cached_response(cache, golden) == "Generate a 100-word summary"
+
+
+#: Prompts with what JSON escapes or spells as it is: quotes, backslashes,
+#: control characters, non-ASCII text and line separators.
+PROMPTS = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\n\t é«»\u2028\U0001f600a'))
+
+
+@pytest.mark.parametrize("memo", [1, 64])
+def test_completion_keys_equal_cache_key(monkeypatch, memo):
+    """completion_keys gives each request what cache_key gives its payload,
+    as a batch's prompts repeat at other lengths, temperatures and run
+    indices, and its memo of prompts fills and empties. Lengths and
+    temperatures that compare equal but are different JSON (1, 1.0 and
+    True; 0.0 and -0.0) keep the different keys that cache_key gives."""
+    monkeypatch.setattr(backends, "PROMPT_MEMO", memo)
+
+    @given(st.text(), st.text(), st.lists(PROMPTS, min_size=1, max_size=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(backend_id, model_name, prompts, data):
+        key = completion_keys(backend_id, model_name)
+        requests = data.draw(st.lists(st.builds(
+            CompletionRequest, st.sampled_from(prompts),
+            st.one_of(st.floats(0, 1), st.sampled_from([0, 1, -0.0])),
+            st.one_of(st.integers(), st.booleans(), st.floats()),
+            st.one_of(st.integers(1, 5), st.just(True))), min_size=1, max_size=30))
+        for request in requests:
+            assert key(request) == cache_key(backend_id, model_name,
+                                             _completion_payload(request))
+
+    check()
+
+
 class Clock:
     """A time.monotonic that stands still until `now` is set."""
 
@@ -285,7 +339,7 @@ def test_each_write_transaction_inserts_its_rows_in_key_order(tmp_path, clock, w
     keys = [key_of(i) for i in range(WRITE_CHUNK + 100)]
     with ResponseCache(tmp_path) as cache:
         cache._db = recording = RecordingConnection(cache._db)
-        cached_calls(cache, keys, lambda i: f"response {i}", str, width=width)
+        cached_calls(cache, digests(keys), lambda i: f"response {i}", str, width=width)
         # one full chunk, then the batch's flush
         assert [len(batch) for batch in recording.batches] == [WRITE_CHUNK, 100]
         for batch in recording.batches:
@@ -404,13 +458,18 @@ def key_of(i):
     return ("b", "m", {"item": i})
 
 
+def digests(keys: Iterable[tuple]) -> Iterator[str]:
+    """The cache key of each of `keys`, cache_key's arguments, made as it is read."""
+    return itertools.starmap(cache_key, keys)
+
+
 def test_cached_calls_keep_input_order():
     def fetch(i):
         time.sleep(0.001 * (i % 5))
         return i * 10
 
     keys = [key_of(i) for i in range(30)]
-    assert cached_calls(None, keys, fetch, lambda r: r + 1, width=4) == \
+    assert cached_calls(None, digests(keys), fetch, lambda r: r + 1, width=4) == \
         [i * 10 + 1 for i in range(30)]
 
 
@@ -427,7 +486,7 @@ def test_cached_calls_fetch_each_distinct_key_once(tmp_path):
     keys = [key_of(i) for i in items]
     for cache in (None, ResponseCache(tmp_path)):
         fetched.clear()
-        results = cached_calls(cache, keys, fetch, str, width=4)
+        results = cached_calls(cache, digests(keys), fetch, str, width=4)
         assert results == [f"response {i}" for i in items]
         assert sorted(fetched) == [0, 1, 2]
 
@@ -435,14 +494,14 @@ def test_cached_calls_fetch_each_distinct_key_once(tmp_path):
 def test_cached_calls_all_hits_start_no_thread(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path)
     keys = [key_of(i) for i in range(10)]
-    cached_calls(cache, keys, lambda i: [float(i)], tuple, width=8)
+    cached_calls(cache, digests(keys), lambda i: [float(i)], tuple, width=8)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a batch of cache hits started a thread pool")
 
     monkeypatch.setattr("hirefair.backends.ThreadPoolExecutor", no_pool)
     threads = threading.active_count()
-    assert cached_calls(cache, keys, lambda i: pytest.fail("fetched a hit"),
+    assert cached_calls(cache, digests(keys), lambda i: pytest.fail("fetched a hit"),
                         tuple, width=8) == [(float(i),) for i in range(10)]
     assert threading.active_count() == threads
 
@@ -480,7 +539,7 @@ def test_cached_calls_first_error_cancels_queued_calls():
 
     keys = [key_of(i) for i in range(20)]
     with pytest.raises(BackendError, match="refused"):
-        cached_calls(None, keys, fetch, int, width=2)
+        cached_calls(None, digests(keys), fetch, int, width=2)
     assert len(started) < 10
 
 
@@ -500,12 +559,12 @@ def test_cached_calls_make_no_request_once_stopped(tmp_path, width):
         return f"response {i}"
 
     with pytest.raises(Stopped):
-        cached_calls(cache, keys, fetch, str, width=width,
+        cached_calls(cache, digests(keys), fetch, str, width=width,
                      on_error=lambda exc: pytest.fail(f"on_error saw {exc!r}"), stop=stop)
     assert 3 in fetched and len(fetched) < len(keys)
     # responses that validated before the stop stay cached
     assert all(cached_response(cache, cache_key(*keys[i])) == f"response {i}" for i in fetched)
-    assert cached_calls(cache, keys[:1], lambda i: pytest.fail("fetched a hit"), str,
+    assert cached_calls(cache, digests(keys[:1]), lambda i: pytest.fail("fetched a hit"), str,
                         stop=stop) == ["response 0"]
 
 
@@ -522,12 +581,12 @@ def test_cached_calls_never_cache_an_invalid_response(tmp_path):
     keys = [key_of(i) for i in range(12)]
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="invalid"):
-        cached_calls(cache, keys, fetch, validate, width=4)
+        cached_calls(cache, digests(keys), fetch, validate, width=4)
     stored = [cached_response(cache, cache_key(*key)) for key in keys]
     assert len(cache) > 0 and "bad" not in stored
 
     # with on_error the failed request's result is absent, the rest is stored
-    results = cached_calls(cache, keys, fetch, validate, width=4,
+    results = cached_calls(cache, digests(keys), fetch, validate, width=4,
                            on_error=lambda exc: None)
     assert results == [None if i == 5 else f"good {i}" for i in range(12)]
     assert cached_response(cache, cache_key(*keys[5])) is None
@@ -551,14 +610,14 @@ def test_a_failed_batch_keeps_its_validated_responses(tmp_path, width):
 
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="refused"):
-        cached_calls(cache, keys, fetch, str, width=width)
+        cached_calls(cache, digests(keys), fetch, str, width=width)
     stored = {i for i in range(n) if cached_response(cache, cache_key(*keys[i])) is not None}
     # queued calls start in order, so every request before k was fetched
     assert stored == set(fetched) - {k} >= set(range(k))
     assert len(cache) == len(stored)
 
     fetched.clear()
-    results = cached_calls(cache, keys, fetch=lambda i: fetched.append(i) or f"good {i}",
+    results = cached_calls(cache, digests(keys), fetch=lambda i: fetched.append(i) or f"good {i}",
                            validate=str, width=width)
     assert results == [f"good {i}" for i in range(n)]
     assert sorted(fetched) == sorted(set(range(n)) - stored)
@@ -834,7 +893,7 @@ def test_a_pooled_failure_stays_with_its_item(tmp_path, monkeypatch, n):
         backend = FailsOnFive(mock_config(kind="completion"), cache)
         keys = [(backend.config.id, backend.config.model_name, {"prompt": r.prompt})
                 for r in requests]
-        results = cached_calls(cache, keys, backend._request, backend._text,
+        results = cached_calls(cache, digests(keys), backend._request, backend._text,
                                on_error=lambda exc: str(exc), items=requests,
                                map_fn=map_fn)
         assert results[5] == "refused p 5"
@@ -894,7 +953,7 @@ def test_pooled_batches_equal_builtin_ones(tmp_path, monkeypatch, keys, stored, 
             for key, blob in stored.items():
                 cache.put(key, blob)
             cache.flush()
-            result = outcome(lambda: cached_calls(cache, keys, answer, validate,
+            result = outcome(lambda: cached_calls(cache, digests(keys), answer, validate,
                                                   on_error=on_error, map_fn=map_fn))
             rows = cache._db.execute("SELECT key, response FROM responses ORDER BY key")
             return result, rows.fetchall()
@@ -927,7 +986,7 @@ def test_a_batch_decodes_and_fetches_on_the_pool_in_one_map(tmp_path, monkeypatc
         for key, blob in CACHED.items():
             cache.put(key, blob)
         cache.flush()
-        results = cached_calls(cache, KEYS, answer, str, items=[i % 150 for i in range(300)],
+        results = cached_calls(cache, digests(KEYS), answer, str, items=[i % 150 for i in range(300)],
                                map_fn=counted)
         assert len(cache) == 150
     assert results == [f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}"
@@ -952,7 +1011,7 @@ def test_a_batch_with_steps_runs_them_where_answers_are(tmp_path, monkeypatch, n
     with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
         cache.put(cache_key(*keys[0]), encode_response("cached 0"))
         cache.flush()
-        results = cached_calls(cache, keys, answer, str.upper, items=[i % 5 for i in range(12)],
+        results = cached_calls(cache, digests(keys), answer, str.upper, items=[i % 5 for i in range(12)],
                                map_fn=map_fn, steps=[partial(tagged, i) for i in range(12)])
         assert not isinstance(results, list)
         results = list(results)
@@ -991,7 +1050,7 @@ def test_a_stream_comes_out_in_request_order(tmp_path, monkeypatch, path):
         for i in CACHED_IDS:
             cache.put(cache_key(*key_of(i)), encode_response(f"cached {i}"))
         cache.flush()
-        results = cached_calls(cache, (key_of(i) for i in STREAM), answer, str, width=width,
+        results = cached_calls(cache, digests((key_of(i) for i in STREAM)), answer, str, width=width,
                                items=iter(STREAM), map_fn=map_fn)
         rows = dict(cache._db.execute("SELECT key, response FROM responses"))
     expected = [f"cached {i}" if i in CACHED_IDS else f"answer {i}" for i in STREAM]
@@ -1004,7 +1063,7 @@ def test_a_stream_comes_out_in_request_order(tmp_path, monkeypatch, path):
 def test_the_rest_of_a_stream_raises_stopped_once_stop_is_set(monkeypatch, path):
     stop = threading.Event()
     with stream_path(monkeypatch, path) as (width, map_fn):
-        results = cached_calls(None, (key_of(i) for i in range(20)), answer, str.upper,
+        results = cached_calls(None, digests((key_of(i) for i in range(20))), answer, str.upper,
                                width=width, stop=stop, items=iter(range(20)), map_fn=map_fn,
                                steps=(partial(tagged, i) for i in range(20)))
         assert [tag for tag, *_ in itertools.islice(results, 5)] == list(range(5))
@@ -1022,7 +1081,7 @@ def test_a_row_that_does_not_decode_is_a_cache_error_naming_its_key(tmp_path, mo
         cache.put(digest, b"garbage")
         cache.flush()
         with pytest.raises(CacheError, match=f"the row of key {digest} does not decode"):
-            cached_calls(cache, (key_of(i) for i in range(12)), answer, str, width=width,
+            cached_calls(cache, digests((key_of(i) for i in range(12))), answer, str, width=width,
                          items=iter(range(12)), map_fn=map_fn)
 
 
@@ -1040,7 +1099,7 @@ def test_a_stream_is_read_a_window_and_the_tasks_in_flight_ahead(monkeypatch, pa
             yield key_of(i % 13)
 
     with stream_path(monkeypatch, path) as (width, map_fn):
-        results = cached_calls(None, keys(), answer, str.upper, width=width,
+        results = cached_calls(None, digests(keys()), answer, str.upper, width=width,
                                items=(i % 13 for i in range(40)), map_fn=map_fn,
                                steps=(partial(tagged, i) for i in range(40)))
         ahead = 5 + (3 * 2 if path == "pool" else 0)

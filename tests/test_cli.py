@@ -53,8 +53,8 @@ from hirefair.pipeline import (
 )
 from hirefair.report import make_entry, read_ledger
 from hirefair.retrieval import cosine, read_score_table
-from hirefair.records import to_row
-from hirefair.textmetrics import read_measures, read_summaries
+from hirefair.records import open_jsonl, to_row
+from hirefair.textmetrics import SummaryRecord, read_measures, read_summaries, summary_lines
 
 from conftest import cached_response, recorded_tasks
 
@@ -731,12 +731,19 @@ def test_embed_of_variants_with_other_resumes_writes_nothing(tmp_path, fixtures_
     assert not scores_path.exists()
 
 
-def test_embed_of_a_corpus_without_resumes_writes_a_header(tmp_path, fixtures_dir):
-    _, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
-    result, scores_path = embed_corpus(tmp_path, [], jobs)
-    assert result.exit_code == 0, result.output
-    assert result.output.startswith("wrote 0 scores")
-    assert scores_path.read_bytes() == b"job_id,resume_id,variant_id,score\r\n"
+@pytest.mark.parametrize("kept, missing", [("jobs", "resumes to score"),
+                                           ("resumes", "job posts to score against")],
+                         ids=["without-resumes", "without-jobs"])
+def test_embed_of_a_corpus_without_resumes_or_jobs_writes_nothing(tmp_path, fixtures_dir,
+                                                                   kept, missing):
+    """A corpus without resumes, or without job posts, has no score to write:
+    embed exits 4 before it writes a table that rank would refuse as empty."""
+    resumes, jobs = load_corpus(fixtures_dir / "mini_corpus.jsonl")
+    result, scores_path = embed_corpus(tmp_path, resumes if kept == "resumes" else [],
+                                       jobs if kept == "jobs" else [])
+    assert result.exit_code == 4, result.output
+    assert f"corpus has no {missing}" in result.output
+    assert not scores_path.exists()
 
 
 def test_cli_run_and_exit_codes(tmp_path, fixtures_dir):
@@ -1428,7 +1435,7 @@ def test_in_process_runs_stay_on_the_calling_thread(tmp_path, fixtures_dir, monk
     """With no backend that makes HTTP requests, both stages of every draw run
     on the calling thread."""
     threads = []
-    for name in ("score_variants", "measure_summaries"):
+    for name in ("score_variants", "paired_samples"):
         def recorded(*args, _run=getattr(pipeline, name), **kwargs):
             threads.append(threading.current_thread())
             return _run(*args, **kwargs)
@@ -1436,6 +1443,27 @@ def test_in_process_runs_stay_on_the_calling_thread(tmp_path, fixtures_dir, monk
     run_audit(load_run_config(write_config(tmp_path, fixtures_dir)))
     assert len(threads) == 2
     assert all(thread is threading.main_thread() for thread in threads)
+
+
+def test_without_regard_each_summary_goes_on_as_it_comes(tmp_path):
+    """Without a regard client, the summary stage writes each summary's lines
+    and hands its measures on before it reads the next summary: it holds
+    none of them."""
+    read = []
+
+    def summarized():
+        for i in range(1, 6):
+            read.append(i)
+            record = SummaryRecord("r1", "name:FW", "m", 100, "third", 0.0, i, text="")
+            yield record, summary_lines(True, record, f"A good summary, number {i}.")
+
+    with open_jsonl(tmp_path / "s.jsonl") as summaries, \
+            open_jsonl(tmp_path / "m.jsonl") as measures:
+        for taken, (record, mv) in enumerate(
+                pipeline._measured(summarized(), None, summaries, measures), 1):
+            assert record.run_index == taken == len(read)
+            assert mv.regard is None
+    assert [row.run_index for row, _ in read_measures(tmp_path / "m.jsonl")] == [1, 2, 3, 4, 5]
 
 
 def test_an_interrupt_stops_the_retrieval_stage():
@@ -1701,13 +1729,13 @@ def test_an_http_run_starts_no_worker(tmp_path, fixtures_dir, loopback, monkeypa
 
 def test_an_interrupted_run_leaves_no_worker(tmp_path, fixtures_dir, monkeypatch):
     cpus(monkeypatch, 2)
-    measure = pipeline.measure_summaries
+    pair = pipeline.paired_samples
 
     def interrupted(*args, **kwargs):
-        measure(*args, **kwargs)
+        pair(*args, **kwargs)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(pipeline, "measure_summaries", interrupted)
+    monkeypatch.setattr(pipeline, "paired_samples", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_audit(load_run_config(write_config(tmp_path, fixtures_dir)))
     assert multiprocessing.active_children() == []

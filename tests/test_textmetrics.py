@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hirefair
+from hirefair import textmetrics
 from hirefair.backends import (
     BackendConfig,
     BackendError,
@@ -508,6 +510,33 @@ def test_measures_agree_with_oracle(text):
     measures = summary_lines(True, make_record(), text)[1]
     assert measures == measures_of(text)
     assert measures[0] == oracle_reading_ease(text)
+
+
+def test_a_small_chunk_memo_measures_as_the_full_one(monkeypatch):
+    """With room for 8 chunks, the memo empties again and again over texts of
+    hundreds of distinct chunks, never holds more than 8, and gives the
+    measures that the full memo and the oracle give."""
+    rng = random.Random(29)
+    chunks = [word + end for word in ORACLE_WORDS for end in ("", ",", ".", "!", "...")]
+    texts = ["Candidate " + " ".join(rng.choices(chunks, k=30)) for _ in range(60)]
+    full = [(measures_of(text), split_sentences(text)) for text in texts]
+    sizes = []
+
+    class Watched(textmetrics._ChunkMemo):
+        def __setitem__(self, chunk, facts):
+            super().__setitem__(chunk, facts)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(textmetrics, "CHUNK_MEMO", 8)
+    monkeypatch.setattr(textmetrics, "_chunks", Watched())
+    small = [(measures_of(text), split_sentences(text)) for text in texts]
+    assert small == full
+    assert len(sizes) > 2 * len(set(" ".join(texts).split()))  # chunks made again
+    assert max(sizes) == 8
+    for text, ((ease, _, pol, subj), sentences) in zip(texts, small):
+        assert ease == oracle_reading_ease(text)
+        assert (pol, subj) == oracle_sentiment(text)
+        assert len(sentences) == oracle_sentence_count(text)
 
 
 def text_step(record: SummaryRecord):
