@@ -29,13 +29,15 @@ per CPU and each with a pipe of its own, decode the cached responses and
 make the answers, each with its encoding for the cache; a window is looked
 up only when the map asks for its tasks. An HTTP backend fetches each
 window's misses on up to `parallelism` threads, over as many keep-alive
-connections (see JsonEndpoint), before it looks up the next. Caching and
-the order of results stay on the calling thread, and so does validation,
-unless the batch has per-request steps: a completion batch may give each
-request a step, which runs with the check where the answer is decoded or
-made (on the pool, or on the fetching thread for an HTTP miss), so that
-only its result comes back. A backend's `stop` is the run's stop signal:
-once it is set, its batches make no further request.
+connections (see JsonEndpoint), before it looks up the next. Each answer
+is validated where it is decoded or made: on the pool, on the fetching
+thread for an HTTP miss, or on the calling thread for a hit decoded there.
+A request's step, when it has one (a completion batch gives each summary
+one), runs there too, so that only its result comes back. A validated
+answer is stored from the calling thread, or from the fetching thread for
+an HTTP miss; the results come out in request order on the calling
+thread. A backend's `stop` is the run's stop signal: once it is set, its
+batches make no further request.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -73,7 +75,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from hirefair.records import check_types, encode_compact, encode_line, from_row, raised
+from hirefair.records import check_types, encode_compact, encode_line, from_row
 
 if TYPE_CHECKING:
     import numpy as np
@@ -198,8 +200,13 @@ class CompletionRequest:
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 1.0:
             raise BackendError(f"temperature must be in [0, 1], got {self.temperature}")
-        if not 1 <= self.run_index <= 5:
-            raise BackendError(f"run_index must be in [1, 5], got {self.run_index}")
+        # type() and not isinstance(), as True is an int too and JSON
+        # spells it otherwise, which would key it apart from 1
+        if type(self.max_words_hint) is not int or self.max_words_hint < 0:
+            raise BackendError(f"max_words_hint must be an int >= 0, "
+                               f"got {self.max_words_hint!r}")
+        if type(self.run_index) is not int or not 1 <= self.run_index <= 5:
+            raise BackendError(f"run_index must be an int in [1, 5], got {self.run_index!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +341,20 @@ def decode_response(blob: bytes):
     return json.loads(zlib.decompress(blob))
 
 
-def _answered(fetch: Callable, check: Callable | None,
+def _answered(fetch: Callable, check: Callable,
               task: tuple) -> tuple[object, bytes | None]:
     """One distinct request of cached_calls, answered where this runs: on a
     worker of cpu_map, on a fetching thread or on the calling thread. `task`
     is (blob, item, steps): the cached response `blob` is decoded, or
-    without one, fetch(item) makes the answer. With `steps`, the answer is
-    then checked and each step is applied to what check returns.
+    without one, fetch(item) makes the answer. The answer is then checked,
+    and each of `steps`, one per request that shares it, is applied to what
+    check returns; a request without a step (None) takes that itself.
 
-    Returns (the answer, or the list of step results; the answer's encoding
-    for the cache when it was made here, else None). A failure is returned
-    as (the exception, None), and a blob that does not decode as
-    (CacheError(its exception), None), so that a failure on the pool stays
-    with its request and not with the whole task."""
+    Returns (the list of results; the answer's encoding for the cache when
+    it was made here, else None). A failure is returned as (the exception,
+    None), and a blob that does not decode as (CacheError(its exception),
+    None), so that a failure on the pool stays with its request and not
+    with the whole task."""
     blob, item, steps = task
     fresh = None
     try:
@@ -358,10 +366,8 @@ def _answered(fetch: Callable, check: Callable | None,
                 answer = decode_response(blob)
             except Exception as exc:
                 return CacheError(exc), None
-        if steps is not None:
-            checked = check(answer)
-            answer = [step(checked) for step in steps]
-        return answer, fresh
+        checked = check(answer)
+        return [checked if step is None else step(checked) for step in steps], fresh
     except Exception as exc:
         return exc, None
 
@@ -394,10 +400,11 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
                  fetch: Callable, validate: Callable, width: int = 1,
                  on_error: Callable[[Exception], object] | None = None,
                  stop: threading.Event | None = None, items: Iterable | None = None,
-                 map_fn: Callable = map, steps: Iterable[Callable] | None = None):
-    """[validate(fetch(items[i])) for each i], read through `cache` when
-    there is one; with `steps`, the results steps[i](validate(fetch(items[i])))
-    as an iterator.
+                 map_fn: Callable = map,
+                 steps: Iterable[Callable | None] = repeat(None)) -> Iterator:
+    """steps[i](validate(fetch(items[i]))) for each i, in order, read
+    through `cache` when there is one; a request whose step is None (each
+    one, without `steps`) gives validate(fetch(items[i])) itself.
 
     `keys[i]` is the cache key of request i (see cache_key), and
     `fetch(items[i])` makes that request; `items` default to the indices of
@@ -415,8 +422,8 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
       READ_CHUNK requests, looked up only when the map asks for its tasks.
       A key that repeats in a later window while its first request is still
       on the pool is made again: in-process protocols are pure, so the
-      answers are equal, and the cache keeps one row. The pool needs keys,
-      `fetch` (and `validate` and `steps`, when given) that pickle.
+      answers are equal, and the cache keeps one row. The pool needs items,
+      `fetch`, `validate` and steps that pickle.
     * width > 1: a window is WRITE_CHUNK requests. Its hits are decoded
       through `map_fn`, then its misses are fetched on min(width, misses)
       threads when that is more than one, and in order on the calling thread
@@ -424,33 +431,26 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
       so a key that repeats in it is a hit and each distinct request is made
       once per batch; without a cache it is made again.
 
-    Results come out in order, each once every result before it is known.
-    Without `steps`, each answer is validated on the thread that takes it;
-    with them, validate (which must then be pure) and the steps of every
-    request that shares its key run where the answer is decoded or made: on
-    the pool, or on the fetching thread for a miss fetched on threads, and
-    only the step results come back. A fetched response is stored only
-    after it validated (and with `steps`, after each step took it), so a
-    bad response is never cached; responses that validated are stored even
-    when the batch then fails. Without `on_error`, the first failure
-    cancels the requests still queued and is raised; with it,
-    `on_error(exc)` becomes the failed request's result (and may raise
-    instead). Once `stop` is set, no further request is made: from the
-    first request not made yet (on the pool, whose answer was not taken
-    yet) on, the results raise Stopped, which on_error never sees. The
-    cache is flushed when the results end, however they end.
+    Each answer is validated where it is decoded or made: on the pool, on
+    the fetching thread for a miss fetched on threads, or on the calling
+    thread, so `validate` must give the same result wherever it runs. The
+    steps of every request that shares its key run there too, and only
+    their results come back. Results come out in order, each once every
+    result before it is known. A fetched response is stored only after it
+    validated and each step took it, so a bad response is never cached;
+    responses that validated are stored even when the batch then fails.
+    Without `on_error`, the first failure cancels the requests still
+    queued and is raised; with it, `on_error(exc)` becomes the failed
+    request's result (and may raise instead). Once `stop` is set, no
+    further request is made: from the first request not made yet (on the
+    pool, whose answer was not taken yet) on, the results raise Stopped,
+    which on_error never sees. The cache is flushed when the results end,
+    however they end, so a caller that keeps them takes them all.
     """
-    calls = _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, steps)
-    return calls if steps is not None else list(calls)
-
-
-def _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, steps):
-    """The results of cached_calls, in order, as an iterator."""
-    numbered = enumerate(zip(keys, count() if items is None else items,
-                             repeat(None) if steps is None else steps))
+    numbered = enumerate(zip(keys, count() if items is None else items, steps))
     size = WRITE_CHUNK if width > 1 else READ_CHUNK
     windows = iter(lambda: list(islice(numbered, size)), [])
-    answer = partial(_answered, fetch, None if steps is None else validate)
+    answer = partial(_answered, fetch, validate)
 
     def looked_up(window: list) -> list[_Call]:
         """The distinct requests of `window`, in order of first appearance."""
@@ -469,7 +469,7 @@ def _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, s
     def task(call: _Call) -> tuple:
         """_answered's task for `call`; a hit's blob is let go once sent."""
         blob, call.blob = call.blob, None
-        return blob, None if call.hit else call.item, None if steps is None else call.steps
+        return blob, None if call.hit else call.item, call.steps
 
     def unless_stopped(call: _Call) -> _Call:
         """`call`, unless it is a miss and the run is stopping."""
@@ -477,32 +477,21 @@ def _calls(cache, keys, fetch, validate, width, on_error, stop, items, map_fn, s
             raise Stopped("not requested: the run is stopping")
         return call
 
-    def guarded(step: Callable, *args):
-        try:
-            return step(*args)
-        except Exception as exc:
-            if on_error is None:
-                raise
-            return on_error(exc)
-
-    def stored(digest: str, value, blob: bytes | None):
-        result = raised(value) if steps is not None else validate(raised(value))
-        if blob is not None and cache is not None:
-            cache.put(digest, blob)
-        return result
-
     def settled(call: _Call, outcome: tuple[object, bytes | None]) -> tuple[list, list]:
         """(the indices, the results) of the requests of `call`, from
-        _answered's outcome."""
+        _answered's outcome; a fresh answer, which validated, is stored."""
         value, blob = outcome
         if isinstance(value, CacheError):
             cause = value.args[0]
             raise CacheError(f"response cache {cache.root / CACHE_FILE}: the row of key "
                              f"{call.digest} does not decode: {cause}") from cause
-        result = guarded(stored, call.digest, value, blob)
-        if steps is not None and not isinstance(value, Exception):
-            return call.at, result
-        return call.at, [result] * len(call.at)
+        if isinstance(value, Exception):
+            if on_error is None:
+                raise value
+            return call.at, [on_error(value)] * len(call.at)
+        if blob is not None and cache is not None:
+            cache.put(call.digest, blob)
+        return call.at, value
 
     def fetched(call: _Call) -> tuple[list, list]:
         return settled(call, answer(task(unless_stopped(call))))
@@ -602,7 +591,7 @@ def cpu_map() -> Iterator[Callable]:
 
     cached_calls streams each batch through one map: the calling thread
     digests the keys a window at a time, and the workers decode the cached
-    responses and make the answers.
+    responses, make the answers and check them.
 
     Each worker has a pipe of its own and at most one task, since a worker
     blocked sending answers and this process blocked sending it a second
@@ -1072,14 +1061,14 @@ class Backend:
 
     def _batch(self, items: Iterable, text: Callable, digest: Callable,
                validate: Callable, on_error: Callable | None = None,
-               steps: Iterable[Callable] | None = None):
-        """validate(answer) for each item in order, its request's cache key
-        digest(item); no item's input text, text(item), may exceed
-        max_chars, which each window of the batch checks before any of its
-        requests (see cached_calls). A failed request raises, or gives
-        on_error(exc). With `steps`, an iterator of steps[i](validate(answer)),
-        each made where its answer is. Only an in-process protocol's batches
-        go through thread_map()."""
+               steps: Iterable[Callable | None] = repeat(None)) -> Iterator:
+        """steps[i](validate(answer)) for each item in order, as an iterator,
+        each made where its answer is, or validate(answer) for an item
+        without a step; its request's cache key is digest(item). No item's
+        input text, text(item), may exceed max_chars, which each window of
+        the batch checks before any of its requests (see cached_calls). A
+        failed request raises, or gives on_error(exc). Only an in-process
+        protocol's batches go through thread_map()."""
         limit = self.config.max_chars
 
         def key(item) -> str:
@@ -1100,35 +1089,41 @@ class EmbeddingBackend(Backend):
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None):
         super().__init__(config, cache)
-        self._dimension: int | None = None
+        # In process, the `dim` param, so that a copy of the backend on
+        # cpu_map's pool checks each vector as this one would; over HTTP,
+        # the first dimension a vector has.
+        self._dimension: int | None = config.options.dim if config.in_process else None
         self._dim_lock = threading.Lock()
 
     def _vector(self, values: Sequence[float]) -> np.ndarray:
-        """A response as a vector of the backend's established dimension.
-        One vector serves every text of a batch that shares its request, so
-        it is read-only."""
+        """A response as a finite vector of the backend's dimension."""
         import numpy as np
 
         vec = np.array(values, dtype=np.float64)
         if not np.isfinite(vec).all():
             raise BackendError(f"backend {self.config.id}: embedding vector contains "
                                f"non-finite values")
-        vec.flags.writeable = False
         with self._dim_lock:
             if self._dimension is None:
                 self._dimension = len(vec)
             elif len(vec) != self._dimension:
                 raise BackendError(
                     f"backend {self.config.id}: dimension {len(vec)} != "
-                    f"established {self._dimension}"
+                    f"expected {self._dimension}"
                 )
         return vec
 
     def embed_batch(self, texts: Iterable[str]) -> list[np.ndarray]:
         """Embed in order; cached entries are served without touching the
-        network (see cached_calls)."""
-        return self._batch(texts, str, lambda text: self._key({"op": "embed", "text": text}),
-                           self._vector)
+        network (see cached_calls). One vector serves every text of a window
+        that shares its request, so each is read-only: marked so here, as a
+        vector pickled back from the pool comes back writeable."""
+        vectors = list(self._batch(texts, str,
+                                   lambda text: self._key({"op": "embed", "text": text}),
+                                   self._vector))
+        for vec in vectors:
+            vec.flags.writeable = False
+        return vectors
 
 
 def _completion_payload(request: CompletionRequest) -> dict:
@@ -1152,12 +1147,10 @@ def completion_keys(backend_id: str, model_name: str) -> Callable[[CompletionReq
     hashed once, and each request hashes its run index and temperature on a
     copy of its hash. The hashes of up to PROMPT_MEMO heads are kept, and
     dropped together when that many are."""
-    heads: dict[tuple[str, str], object] = {}  # (prompt, repr of length) -> sha256 of head
+    heads: dict[tuple[str, int], object] = {}  # (prompt, length) -> sha256 of head
 
     def key(request: CompletionRequest) -> str:
-        # by repr, as 100, 100.0 and True, which compare equal, are
-        # different JSON
-        shared = (request.prompt, repr(request.max_words_hint))
+        shared = (request.prompt, request.max_words_hint)
         state = heads.get(shared)
         if state is None:
             if len(heads) >= PROMPT_MEMO:
@@ -1179,21 +1172,24 @@ class CompletionBackend(Backend):
     def _text(self, text) -> str:
         """A completion that holds a word; any other answer is a backend
         error, so it is never cached and a rerun asks again. Pure, so that
-        a batch with steps checks its answers where it makes them."""
+        a batch checks its answers where it makes them."""
         if not isinstance(text, str) or not _WORD_CHAR_RE.search(text):
             raise BackendError(f"backend {self.config.id}: completion without a word "
                                f"{text!r:.80}")
         return text
 
     def complete_batch(self, requests: Iterable[CompletionRequest],
-                       steps: Iterable[Callable] | None = None):
-        """Run completions in order; responses are cached per (prompt,
-        run_index, temperature) so reruns stay stable despite provider
-        nondeterminism. `requests` (and `steps`) are read a window at a
-        time, so a lazy grid streams through. With `steps`, an iterator of
-        steps[i](text of request i), each step made where its text is
-        decoded or made: on cpu_map's pool for an in-process protocol, so
-        that the text itself need not come back (see cached_calls)."""
+                       steps: Iterable[Callable | None] = repeat(None)) -> Iterator:
+        """Run completions in order, as an iterator of their texts;
+        responses are cached per (prompt, run_index, temperature) so reruns
+        stay stable despite provider nondeterminism. `requests` (and
+        `steps`) are read a window at a time, so a lazy grid streams
+        through. With `steps`, steps[i](text of request i) in place of each
+        text, each step made where its text is decoded or made: on
+        cpu_map's pool for an in-process protocol, so that the text itself
+        need not come back (see cached_calls). A caller that keeps the
+        results takes them all, so that the batch ends and flushes the
+        cache."""
         return self._batch(requests, attrgetter("prompt"),
                            completion_keys(self.config.id, self.config.model_name),
                            self._text, steps=steps)
@@ -1201,7 +1197,8 @@ class CompletionBackend(Backend):
     # perfbench/traced_audit.py wraps this until ROADMAP item 2's benchmark change
     def complete(self, request: CompletionRequest) -> str:
         """Run one completion: a batch of one."""
-        return self.complete_batch([request])[0]
+        [text] = self.complete_batch([request])
+        return text
 
 
 class RegardClient(Backend):
@@ -1220,8 +1217,8 @@ class RegardClient(Backend):
     def score_batch(self, texts: Iterable[str]) -> list[dict[str, float] | None]:
         """Scores of each text in order; None where a request failed, with
         one warning per batch that has any."""
-        results = self._batch(texts, str, lambda text: self._key({"text": text}),
-                              validate_regard, self._failed)
+        results = list(self._batch(texts, str, lambda text: self._key({"text": text}),
+                                   validate_regard, self._failed))
         errors = [r for r in results if isinstance(r, Exception)]
         if errors:
             logger.warning("backend %s: regard absent for %d of %d texts; first error: %s",

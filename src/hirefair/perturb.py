@@ -345,7 +345,7 @@ def add_extracurriculars(resumes: Sequence[Resume], backend,
         raise PerturbError(f"resume {unnamed[0]}: extracurricular augmentation needs a group label")
     prompts = [AUGMENTATION_PROMPT.format(race=r.group.race, gender=r.group.gender,
                                           resume=r.body) for r in resumes]
-    completions = backend.complete_batch([CompletionRequest(prompt=p) for p in prompts])
+    completions = list(backend.complete_batch([CompletionRequest(prompt=p) for p in prompts]))
     out = []
     for resume, prompt, completion in zip(resumes, prompts, completions):
         if not completion or not completion.strip():

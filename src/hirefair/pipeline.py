@@ -19,10 +19,10 @@ retrieval first, so the artifacts do not depend on which stage ends first.
 
 A run with a backend that answers in-process opens one process pool,
 backends.cpu_map, before its response cache, and spreads over it the
-in-process answers, the cached responses of each batch and the summary
-steps, each through backends.thread_map(): only on the calling thread,
-which opened the pool. The calling thread digests each batch's cache keys
-a window at a time (see backends.cached_calls). A retrieval stage on the
+in-process answers, the cached responses of each batch, the checks of
+both and the summary steps, each through backends.thread_map(): only on
+the calling thread, which opened the pool. The calling thread digests
+each batch's cache keys a window at a time (see backends.cached_calls). A retrieval stage on the
 worker thread maps serially, as does a run on one CPU or with only HTTP
 backends, which opens no pool. Every backend of the run, the regard client
 included, holds the run's stop signal. Only the retrieval stage needs numpy

@@ -48,7 +48,6 @@ MEASURES_SCHEMA_VERSION = 2
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*")
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
-_CHUNK_RE = re.compile(r"\S+")
 _WORD_CHARS_RE = re.compile(r"[A-Za-z.]+")
 _NON_LETTER_RE = re.compile(r"[^a-z]")
 
@@ -229,22 +228,6 @@ def _clamp(value: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # measures of one text
 # ---------------------------------------------------------------------------
-
-def split_sentences(text: str) -> list[str]:
-    """The sentences of a text, cut after each chunk that ends one (see
-    _chunk_facts) and the whitespace that follows it. Segments without a word
-    don't count."""
-    parts: list[str] = []
-    start = 0
-    cut = False
-    for chunk in _CHUNK_RE.finditer(text):
-        if cut:
-            parts.append(text[start:chunk.start()])
-            start = chunk.start()
-        cut = _chunks[chunk.group()][3]
-    parts.append(text[start:])
-    return [p for p in parts if _WORD_RE.search(p)]
-
 
 def flesch_reading_ease(text: str) -> float:
     """206.835 - 1.015 * (words/sentences) - 84.6 * (syllables/words)."""

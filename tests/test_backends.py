@@ -217,9 +217,9 @@ PROMPTS = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\n\t é«»\u202
 def test_completion_keys_equal_cache_key(monkeypatch, memo):
     """completion_keys gives each request what cache_key gives its payload,
     as a batch's prompts repeat at other lengths, temperatures and run
-    indices, and its memo of prompts fills and empties. Lengths and
-    temperatures that compare equal but are different JSON (1, 1.0 and
-    True; 0.0 and -0.0) keep the different keys that cache_key gives."""
+    indices, and its memo of prompts fills and empties. Temperatures that
+    compare equal but are different JSON (0 and 0.0, 1 and 1.0, 0.0 and
+    -0.0) keep the different keys that cache_key gives."""
     monkeypatch.setattr(backends, "PROMPT_MEMO", memo)
 
     @given(st.text(), st.text(), st.lists(PROMPTS, min_size=1, max_size=4), st.data())
@@ -229,13 +229,26 @@ def test_completion_keys_equal_cache_key(monkeypatch, memo):
         requests = data.draw(st.lists(st.builds(
             CompletionRequest, st.sampled_from(prompts),
             st.one_of(st.floats(0, 1), st.sampled_from([0, 1, -0.0])),
-            st.one_of(st.integers(), st.booleans(), st.floats()),
-            st.one_of(st.integers(1, 5), st.just(True))), min_size=1, max_size=30))
+            st.integers(min_value=0), st.integers(1, 5)), min_size=1, max_size=30))
         for request in requests:
             assert key(request) == cache_key(backend_id, model_name,
                                              _completion_payload(request))
 
     check()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_words_hint", 100.0), ("max_words_hint", -1), ("max_words_hint", True),
+    ("max_words_hint", "100"), ("max_words_hint", None),
+    ("run_index", 1.0), ("run_index", True), ("run_index", 0), ("run_index", 6),
+    ("run_index", "1"),
+])
+def test_a_bad_request_field_is_refused_before_any_request(field, value):
+    """A length that is not an int >= 0, or a run index that is not an int
+    in [1, 5], is a BackendError when the request is built. A bool is no
+    int here: its JSON would key it apart from the int it equals."""
+    with pytest.raises(BackendError, match=f"{field} must be an int"):
+        CompletionRequest("p", **{field: value})
 
 
 class Clock:
@@ -339,7 +352,7 @@ def test_each_write_transaction_inserts_its_rows_in_key_order(tmp_path, clock, w
     keys = [key_of(i) for i in range(WRITE_CHUNK + 100)]
     with ResponseCache(tmp_path) as cache:
         cache._db = recording = RecordingConnection(cache._db)
-        cached_calls(cache, digests(keys), lambda i: f"response {i}", str, width=width)
+        list(cached_calls(cache, digests(keys), lambda i: f"response {i}", str, width=width))
         # one full chunk, then the batch's flush
         assert [len(batch) for batch in recording.batches] == [WRITE_CHUNK, 100]
         for batch in recording.batches:
@@ -404,12 +417,26 @@ def test_empty_request_list():
     assert backend.embed_batch([]) == []
 
 
-def test_one_text_twice_is_one_read_only_vector():
+def test_one_text_twice_is_one_read_only_vector(monkeypatch):
+    """A text repeated within one window of a batch gets one vector, and a
+    text repeated in a later window an equal one of its own; each is
+    read-only. Windows are READ_CHUNK requests on a map and WRITE_CHUNK over
+    threads, here 5 each."""
     first, second = EmbeddingBackend(mock_config()).embed_batch(["a", "a"])
     assert first is second
     assert first.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
         first[0] = 1.0
+    monkeypatch.setattr(backends, "READ_CHUNK", 5)
+    monkeypatch.setattr(backends, "WRITE_CHUNK", 5)
+    texts = ["a", "b", "a", "c", "d", "e", "f", "g", "a"]
+    for width in (1, 4):
+        backend = EmbeddingBackend(mock_config())
+        backend.width = width
+        vectors = backend.embed_batch(texts)
+        assert vectors[0] is vectors[2] and vectors[0] is not vectors[8]
+        assert np.array_equal(vectors[0], vectors[8])
+        assert not any(v.flags.writeable for v in vectors)
 
 
 def test_order_preserved_under_parallelism(tmp_path):
@@ -469,7 +496,7 @@ def test_cached_calls_keep_input_order():
         return i * 10
 
     keys = [key_of(i) for i in range(30)]
-    assert cached_calls(None, digests(keys), fetch, lambda r: r + 1, width=4) == \
+    assert list(cached_calls(None, digests(keys), fetch, lambda r: r + 1, width=4)) == \
         [i * 10 + 1 for i in range(30)]
 
 
@@ -486,7 +513,7 @@ def test_cached_calls_fetch_each_distinct_key_once(tmp_path):
     keys = [key_of(i) for i in items]
     for cache in (None, ResponseCache(tmp_path)):
         fetched.clear()
-        results = cached_calls(cache, digests(keys), fetch, str, width=4)
+        results = list(cached_calls(cache, digests(keys), fetch, str, width=4))
         assert results == [f"response {i}" for i in items]
         assert sorted(fetched) == [0, 1, 2]
 
@@ -494,15 +521,15 @@ def test_cached_calls_fetch_each_distinct_key_once(tmp_path):
 def test_cached_calls_all_hits_start_no_thread(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path)
     keys = [key_of(i) for i in range(10)]
-    cached_calls(cache, digests(keys), lambda i: [float(i)], tuple, width=8)
+    list(cached_calls(cache, digests(keys), lambda i: [float(i)], tuple, width=8))
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a batch of cache hits started a thread pool")
 
     monkeypatch.setattr("hirefair.backends.ThreadPoolExecutor", no_pool)
     threads = threading.active_count()
-    assert cached_calls(cache, digests(keys), lambda i: pytest.fail("fetched a hit"),
-                        tuple, width=8) == [(float(i),) for i in range(10)]
+    assert list(cached_calls(cache, digests(keys), lambda i: pytest.fail("fetched a hit"),
+                             tuple, width=8)) == [(float(i),) for i in range(10)]
     assert threading.active_count() == threads
 
 
@@ -523,7 +550,7 @@ def test_in_process_backends_run_on_the_calling_thread():
     completer = Completer(mock_config(kind="completion"))
     assert embedder.config.parallelism == completer.config.parallelism == 8
     embedder.embed_batch([f"text {i}" for i in range(20)])
-    completer.complete_batch([CompletionRequest(prompt=f"p {i}") for i in range(20)])
+    list(completer.complete_batch([CompletionRequest(prompt=f"p {i}") for i in range(20)]))
     assert seen == {threading.get_ident()}
 
 
@@ -539,7 +566,7 @@ def test_cached_calls_first_error_cancels_queued_calls():
 
     keys = [key_of(i) for i in range(20)]
     with pytest.raises(BackendError, match="refused"):
-        cached_calls(None, digests(keys), fetch, int, width=2)
+        list(cached_calls(None, digests(keys), fetch, int, width=2))
     assert len(started) < 10
 
 
@@ -559,13 +586,13 @@ def test_cached_calls_make_no_request_once_stopped(tmp_path, width):
         return f"response {i}"
 
     with pytest.raises(Stopped):
-        cached_calls(cache, digests(keys), fetch, str, width=width,
-                     on_error=lambda exc: pytest.fail(f"on_error saw {exc!r}"), stop=stop)
+        list(cached_calls(cache, digests(keys), fetch, str, width=width,
+                          on_error=lambda exc: pytest.fail(f"on_error saw {exc!r}"), stop=stop))
     assert 3 in fetched and len(fetched) < len(keys)
     # responses that validated before the stop stay cached
     assert all(cached_response(cache, cache_key(*keys[i])) == f"response {i}" for i in fetched)
-    assert cached_calls(cache, digests(keys[:1]), lambda i: pytest.fail("fetched a hit"), str,
-                        stop=stop) == ["response 0"]
+    assert list(cached_calls(cache, digests(keys[:1]), lambda i: pytest.fail("fetched a hit"),
+                             str, stop=stop)) == ["response 0"]
 
 
 def test_cached_calls_never_cache_an_invalid_response(tmp_path):
@@ -581,13 +608,13 @@ def test_cached_calls_never_cache_an_invalid_response(tmp_path):
     keys = [key_of(i) for i in range(12)]
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="invalid"):
-        cached_calls(cache, digests(keys), fetch, validate, width=4)
+        list(cached_calls(cache, digests(keys), fetch, validate, width=4))
     stored = [cached_response(cache, cache_key(*key)) for key in keys]
     assert len(cache) > 0 and "bad" not in stored
 
     # with on_error the failed request's result is absent, the rest is stored
-    results = cached_calls(cache, digests(keys), fetch, validate, width=4,
-                           on_error=lambda exc: None)
+    results = list(cached_calls(cache, digests(keys), fetch, validate, width=4,
+                                on_error=lambda exc: None))
     assert results == [None if i == 5 else f"good {i}" for i in range(12)]
     assert cached_response(cache, cache_key(*keys[5])) is None
     assert len(cache) == 11
@@ -610,15 +637,16 @@ def test_a_failed_batch_keeps_its_validated_responses(tmp_path, width):
 
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="refused"):
-        cached_calls(cache, digests(keys), fetch, str, width=width)
+        list(cached_calls(cache, digests(keys), fetch, str, width=width))
     stored = {i for i in range(n) if cached_response(cache, cache_key(*keys[i])) is not None}
     # queued calls start in order, so every request before k was fetched
     assert stored == set(fetched) - {k} >= set(range(k))
     assert len(cache) == len(stored)
 
     fetched.clear()
-    results = cached_calls(cache, digests(keys), fetch=lambda i: fetched.append(i) or f"good {i}",
-                           validate=str, width=width)
+    results = list(cached_calls(cache, digests(keys),
+                                fetch=lambda i: fetched.append(i) or f"good {i}",
+                                validate=str, width=width))
     assert results == [f"good {i}" for i in range(n)]
     assert sorted(fetched) == sorted(set(range(n)) - stored)
     assert len(cache) == n
@@ -809,8 +837,8 @@ def test_pooled_answers_and_cache_rows_equal_the_serial_ones(tmp_path, monkeypat
     cpus(monkeypatch, n)
     with cpu_map(), ResponseCache(tmp_path) as cache:
         vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts)
-        summaries = CompletionBackend(mock_config(kind="completion"),
-                                      cache).complete_batch(requests)
+        summaries = list(CompletionBackend(mock_config(kind="completion"),
+                                           cache).complete_batch(requests))
         rows = cache._db.execute("SELECT key, response FROM responses").fetchall()
     serial = CompletionBackend(mock_config(kind="completion"))
     assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
@@ -822,15 +850,71 @@ def test_pooled_answers_and_cache_rows_equal_the_serial_ones(tmp_path, monkeypat
         assert decode_response(blob) == vec.tolist()
 
 
-class StopAfterThree(EmbeddingBackend):
-    """Sets `stop` once three answers validated; at module level, so that a
-    pool's worker can answer for it."""
+class Refuses(EmbeddingBackend):
+    """Answers "short" with a vector of 8 and "nan" with a non-finite one;
+    at module level, so that a pool's worker can answer for it."""
 
-    def _vector(self, values):
-        self.validated += 1
-        if self.validated == 3:
-            self.stop.set()
-        return super()._vector(values)
+    def _request(self, text):
+        if text == "short":
+            return [1.0] * 8
+        if text == "nan":
+            return [float("nan")] * MOCK_DIM
+        return super()._request(text)
+
+
+@pytest.mark.parametrize("at", [0, 12])
+@pytest.mark.parametrize("bad, error", [("short", "dimension 8 != expected 256"),
+                                        ("nan", "non-finite")])
+def test_a_pooled_embedding_batch_refuses_a_bad_vector(tmp_path, monkeypatch, bad, error, at):
+    """On the pool, a copy of an in-process embedder checks each vector
+    against its `dim` param, even the first one it makes, and refuses one
+    that is not finite; the batch raises at the bad vector's place, and
+    only the vectors before it are cached."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(backends, "READ_CHUNK", 5)
+    tasks = recorded_tasks(monkeypatch)
+    texts = [f"text {i}" for i in range(20)]
+    texts.insert(at, bad)
+    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+        assert map_fn is not map
+        backend = Refuses(mock_config(), cache)
+        with pytest.raises(BackendError, match=error):
+            backend.embed_batch(texts)
+        assert tasks
+        assert cached_response(cache, backend._key({"op": "embed", "text": bad})) is None
+        assert len(cache) == at
+
+
+def test_a_pooled_embedding_batch_gives_read_only_vectors(tmp_path, monkeypatch):
+    """Vectors made on the pool, and then decoded there from the cache, come
+    back equal to mock_embedding's and read-only."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(backends, "READ_CHUNK", 5)
+    tasks = recorded_tasks(monkeypatch)
+    texts = [f"word{i % 7} text {i % 3}" for i in range(40)]
+    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+        assert map_fn is not map
+        for made in (True, False):
+            misses = cache.misses
+            vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts)
+            assert (cache.misses > misses) is made
+            assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
+            assert not any(v.flags.writeable for v in vectors)
+    assert tasks
+
+
+class StopAfterThree(EmbeddingBackend):
+    """Sets `stop` once the calling thread took three results of a batch, as
+    a run's failure elsewhere would; at module level, so that a pool's
+    worker can answer for it."""
+
+    def _batch(self, *args, **kwargs):
+        self.taken = 0
+        for result in super()._batch(*args, **kwargs):
+            yield result
+            self.taken += 1
+            if self.taken == 3:
+                self.stop.set()
 
 
 class Refusing(EmbeddingBackend):
@@ -863,10 +947,10 @@ def test_a_batch_takes_no_answer_once_stopped(tmp_path, monkeypatch, n):
     texts = [f"text {i}" for i in range(200)]
     with cpu_map(), ResponseCache(tmp_path) as cache:
         backend = StopAfterThree(mock_config(), cache)
-        backend.stop, backend.validated = threading.Event(), 0
+        backend.stop = threading.Event()
         with pytest.raises(Stopped):
             backend.embed_batch(texts)
-        assert backend.validated == 3
+        assert backend.taken == 3
         assert len(cache) == 3
         vectors = EmbeddingBackend(mock_config(), cache).embed_batch(texts)
         assert all(np.array_equal(v, mock_embedding(t)) for v, t in zip(vectors, texts))
@@ -893,9 +977,9 @@ def test_a_pooled_failure_stays_with_its_item(tmp_path, monkeypatch, n):
         backend = FailsOnFive(mock_config(kind="completion"), cache)
         keys = [(backend.config.id, backend.config.model_name, {"prompt": r.prompt})
                 for r in requests]
-        results = cached_calls(cache, digests(keys), backend._request, backend._text,
-                               on_error=lambda exc: str(exc), items=requests,
-                               map_fn=map_fn)
+        results = list(cached_calls(cache, digests(keys), backend._request, backend._text,
+                                    on_error=lambda exc: str(exc), items=requests,
+                                    map_fn=map_fn))
         assert results[5] == "refused p 5"
         assert results[:5] + results[6:] == [backend._request(r) for r in requests
                                              if r.prompt != "p 5"]
@@ -953,8 +1037,8 @@ def test_pooled_batches_equal_builtin_ones(tmp_path, monkeypatch, keys, stored, 
             for key, blob in stored.items():
                 cache.put(key, blob)
             cache.flush()
-            result = outcome(lambda: cached_calls(cache, digests(keys), answer, validate,
-                                                  on_error=on_error, map_fn=map_fn))
+            result = outcome(lambda: list(cached_calls(cache, digests(keys), answer, validate,
+                                                       on_error=on_error, map_fn=map_fn)))
             rows = cache._db.execute("SELECT key, response FROM responses ORDER BY key")
             return result, rows.fetchall()
 
@@ -986,8 +1070,8 @@ def test_a_batch_decodes_and_fetches_on_the_pool_in_one_map(tmp_path, monkeypatc
         for key, blob in CACHED.items():
             cache.put(key, blob)
         cache.flush()
-        results = cached_calls(cache, digests(KEYS), answer, str, items=[i % 150 for i in range(300)],
-                               map_fn=counted)
+        results = list(cached_calls(cache, digests(KEYS), answer, str,
+                                    items=[i % 150 for i in range(300)], map_fn=counted))
         assert len(cache) == 150
     assert results == [f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}"
                        for i in range(300)]
@@ -1050,8 +1134,8 @@ def test_a_stream_comes_out_in_request_order(tmp_path, monkeypatch, path):
         for i in CACHED_IDS:
             cache.put(cache_key(*key_of(i)), encode_response(f"cached {i}"))
         cache.flush()
-        results = cached_calls(cache, digests((key_of(i) for i in STREAM)), answer, str, width=width,
-                               items=iter(STREAM), map_fn=map_fn)
+        results = list(cached_calls(cache, digests((key_of(i) for i in STREAM)), answer, str,
+                                    width=width, items=iter(STREAM), map_fn=map_fn))
         rows = dict(cache._db.execute("SELECT key, response FROM responses"))
     expected = [f"cached {i}" if i in CACHED_IDS else f"answer {i}" for i in STREAM]
     assert results == expected
@@ -1081,8 +1165,8 @@ def test_a_row_that_does_not_decode_is_a_cache_error_naming_its_key(tmp_path, mo
         cache.put(digest, b"garbage")
         cache.flush()
         with pytest.raises(CacheError, match=f"the row of key {digest} does not decode"):
-            cached_calls(cache, digests((key_of(i) for i in range(12))), answer, str, width=width,
-                         items=iter(range(12)), map_fn=map_fn)
+            list(cached_calls(cache, digests((key_of(i) for i in range(12))), answer, str,
+                              width=width, items=iter(range(12)), map_fn=map_fn))
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -1120,8 +1204,8 @@ def test_a_completion_without_a_word_is_never_cached(tmp_path):
     with ResponseCache(tmp_path) as cache:
         for _ in range(2):
             with pytest.raises(BackendError, match="completion without a word '...'"):
-                Dots(mock_config(kind="completion"), cache).complete_batch(
-                    [CompletionRequest(prompt=f"p {i}") for i in range(3)])
+                list(Dots(mock_config(kind="completion"), cache).complete_batch(
+                    [CompletionRequest(prompt=f"p {i}") for i in range(3)]))
         assert asked == ["p 0", "p 1", "p 1"]
         assert len(cache) == 1
 

@@ -39,3 +39,15 @@ def test_readme_has_two_python_blocks():
 @pytest.mark.parametrize("block", range(len(BLOCKS)))
 def test_readme_python_block_runs(workdir, block):
     exec(compile(BLOCKS[block], f"README.md python block {block}", "exec"), {})
+
+
+def test_readme_numbers_of_cache_constants_match_them():
+    """Each number README gives as "N ... (the cache's `NAME`)" is NAME's
+    value in hirefair.backends."""
+    from hirefair import backends
+
+    stated = re.findall(r"(\d[\d,]*)(?:\s+\w+){0,2}\s+\(the cache's `(\w+)`\)",
+                        README.read_text(encoding="utf-8"))
+    assert {name for _, name in stated} == {"READ_CHUNK", "WRITE_CHUNK"}
+    for number, name in stated:
+        assert int(number.replace(",", "")) == getattr(backends, name), name

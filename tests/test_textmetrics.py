@@ -34,7 +34,6 @@ from hirefair.textmetrics import (
     polarity,
     read_measures,
     reading_time,
-    split_sentences,
     subjectivity,
     summary_lines,
     write_measures,
@@ -118,16 +117,33 @@ def test_syllable_floor_is_one():
     assert count_syllables("42") == 1  # no letters
 
 
-def test_sentence_splitting():
-    assert len(split_sentences("I see. You go.")) == 2
-    assert len(split_sentences("One! Two? Three.")) == 3
-    assert len(split_sentences("No terminal punctuation here")) == 1
-    assert len(split_sentences("Dr. Smith writes docs.")) == 1
-    assert len(split_sentences("Works at Corp. Ships docs.")) == 1  # corp is an abbreviation
+#: Texts and their hand-counted sentences; each is also an example of
+#: test_measures_agree_with_oracle.
+SENTENCE_COUNTS = [
+    ("I see. You go.", 2),
+    ("One! Two? Three.", 3),
+    ("No terminal punctuation here", 1),
+    ("Dr. Smith writes docs.", 1),
+    ("Works at Corp. Ships docs.", 1),  # corp is an abbreviation
     # only a word that ends at the boundary can be an abbreviation
-    assert len(split_sentences("Joined Acme Co 2019. Led sales.")) == 2
-    assert len(split_sentences("Call Dr 42. Next one.")) == 2
-    assert split_sentences("") == []
+    ("Joined Acme Co 2019. Led sales.", 2),
+    ("Call Dr 42. Next one.", 2),
+    ("", 0),
+]
+
+
+def test_sentence_splitting():
+    """Each text's sentences, as the oracle counts them and as reading ease
+    reads them; a text without a word has no reading ease."""
+    for text, sentences in SENTENCE_COUNTS:
+        assert oracle_sentence_count(text) == sentences
+        words = re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text)
+        if not words:
+            with pytest.raises(TextMetricsError, match="at least one word"):
+                flesch_reading_ease(text)
+            continue
+        assert flesch_reading_ease(text) == flesch_formula(
+            len(words), sentences, sum(oracle_syllables(w) for w in words))
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +508,20 @@ def oracle_texts(draw):
 
 @given(oracle_texts())
 @example("e.g. this")
+@example("I see. You go.")
+@example("One! Two? Three.")
+@example("No terminal punctuation here")
+@example("Dr. Smith writes docs.")
+@example("Works at Corp. Ships docs.")
+@example("Joined Acme Co 2019. Led sales.")
 @example("Call Dr 42. Next one.")
+@example("")
 @example("  Mr. Smith\tleft?!  ")
 @example("don’t great.")
 @example("accomplished mr\n... accomplished")
 @settings(max_examples=300, deadline=None)
 def test_measures_agree_with_oracle(text):
     words = re.findall(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*", text)
-    assert len(split_sentences(text)) == oracle_sentence_count(text)
     assert (polarity(text), subjectivity(text)) == oracle_sentiment(text)
     for word in words:
         assert count_syllables(word) == oracle_syllables(word)
@@ -519,7 +541,7 @@ def test_a_small_chunk_memo_measures_as_the_full_one(monkeypatch):
     rng = random.Random(29)
     chunks = [word + end for word in ORACLE_WORDS for end in ("", ",", ".", "!", "...")]
     texts = ["Candidate " + " ".join(rng.choices(chunks, k=30)) for _ in range(60)]
-    full = [(measures_of(text), split_sentences(text)) for text in texts]
+    full = [measures_of(text) for text in texts]
     sizes = []
 
     class Watched(textmetrics._ChunkMemo):
@@ -529,14 +551,13 @@ def test_a_small_chunk_memo_measures_as_the_full_one(monkeypatch):
 
     monkeypatch.setattr(textmetrics, "CHUNK_MEMO", 8)
     monkeypatch.setattr(textmetrics, "_chunks", Watched())
-    small = [(measures_of(text), split_sentences(text)) for text in texts]
+    small = [measures_of(text) for text in texts]
     assert small == full
     assert len(sizes) > 2 * len(set(" ".join(texts).split()))  # chunks made again
     assert max(sizes) == 8
-    for text, ((ease, _, pol, subj), sentences) in zip(texts, small):
+    for text, (ease, _, pol, subj) in zip(texts, small):
         assert ease == oracle_reading_ease(text)
         assert (pol, subj) == oracle_sentiment(text)
-        assert len(sentences) == oracle_sentence_count(text)
 
 
 def text_step(record: SummaryRecord):
