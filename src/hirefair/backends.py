@@ -17,27 +17,15 @@ killed run loses little of what it fetched; and when a batch ends. A cache
 directory written by earlier versions, one JSON file per response, is
 imported into the file once.
 
-A batch (cached_calls) reads its requests from an iterable, one window at
-a time: the calling thread digests the window's cache keys and reads its
-cached responses, pending ones included, in one query per READ_CHUNK keys.
-Every key is cache_key's digest of its request; a completion batch makes
-its keys with completion_keys, which hashes what a prompt's requests share
-once per prompt.
-An in-process backend's batch is one stream through thread_map(), the map
-of cpu_map's pool on the thread that opened it, whose `fork` workers, one
-per CPU and each with a pipe of its own, decode the cached responses and
-make the answers, each with its encoding for the cache; a window is looked
-up only when the map asks for its tasks. An HTTP backend fetches each
-window's misses on up to `parallelism` threads, over as many keep-alive
-connections (see JsonEndpoint), before it looks up the next. Each answer
-is validated where it is decoded or made: on the pool, on the fetching
-thread for an HTTP miss, or on the calling thread for a hit decoded there.
-A request's step, when it has one (a completion batch gives each summary
-one), runs there too, so that only its result comes back. A validated
-answer is stored from the calling thread, or from the fetching thread for
-an HTTP miss; the results come out in request order on the calling
-thread. A backend's `stop` is the run's stop signal: once it is set, its
-batches make no further request.
+A batch (cached_calls) reads one stream of requests, a window at a time,
+and answers each from the cache, on cpu_map's pool (an in-process backend)
+or on up to `parallelism` threads (an HTTP one; see JsonEndpoint), each
+checked, and its step run, where its answer is decoded or made; the
+results come out in request order. Every key is cache_key's digest of its
+request, with the backend's `params` when its block sets any; a completion
+batch makes its keys with completion_keys, which hashes what a prompt's
+requests share once per prompt. A backend's `stop` is the run's stop
+signal: once it is set, its batches make no further request.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -70,7 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import count, islice, repeat, tee
+from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -97,11 +85,11 @@ REGARD_CATEGORIES = ("positive", "negative", "neutral", "other")
 #: The response cache's file, under the cache directory.
 CACHE_FILE = "responses.sqlite"
 #: Keys per query when a batch reads its cached responses, and requests per
-#: window of a batch answered through a map (see cached_calls).
+#: window of an in-process backend's batch (see cached_calls).
 READ_CHUNK = 500
 #: Fresh responses pending that make a put commit them: few, large
 #: transactions. A batch flushes the rest when it ends. Also the requests per
-#: window of a batch fetched on threads.
+#: window of an HTTP backend's batch.
 WRITE_CHUNK = 4096
 #: Seconds after which the oldest pending response is committed by the next
 #: put, so that a run that is killed loses about that much of what it fetched.
@@ -198,26 +186,29 @@ class CompletionRequest:
     run_index: int = 1
 
     def __post_init__(self):
+        # a bool is no number here, as JSON spells it otherwise, which would
+        # key it apart from the number it equals
+        check_types(self, BackendError)
         if not 0.0 <= self.temperature <= 1.0:
             raise BackendError(f"temperature must be in [0, 1], got {self.temperature}")
-        # type() and not isinstance(), as True is an int too and JSON
-        # spells it otherwise, which would key it apart from 1
-        if type(self.max_words_hint) is not int or self.max_words_hint < 0:
-            raise BackendError(f"max_words_hint must be an int >= 0, "
-                               f"got {self.max_words_hint!r}")
-        if type(self.run_index) is not int or not 1 <= self.run_index <= 5:
-            raise BackendError(f"run_index must be an int in [1, 5], got {self.run_index!r}")
+        if self.max_words_hint < 0:
+            raise BackendError(f"max_words_hint must be >= 0, got {self.max_words_hint}")
+        if not 1 <= self.run_index <= 5:
+            raise BackendError(f"run_index must be in [1, 5], got {self.run_index}")
 
 
 # ---------------------------------------------------------------------------
 # response cache
 # ---------------------------------------------------------------------------
 
-def cache_key(backend_id: str, model_name: str, payload) -> str:
-    """Digest of the canonicalized request; any byte difference changes it."""
-    canonical = encode_compact(
-        {"backend_id": backend_id, "model_name": model_name, "payload": payload})
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def cache_key(backend_id: str, model_name: str, payload,
+              params: Mapping | None = None) -> str:
+    """Digest of the canonicalized request, with the backend's `params` when
+    there are any; any byte difference changes it."""
+    request = {"backend_id": backend_id, "model_name": model_name, "payload": payload}
+    if params:
+        request["params"] = params
+    return hashlib.sha256(encode_compact(request).encode("utf-8")).hexdigest()
 
 
 class ResponseCache:
@@ -353,8 +344,8 @@ def _answered(fetch: Callable, check: Callable,
     Returns (the list of results; the answer's encoding for the cache when
     it was made here, else None). A failure is returned as (the exception,
     None), and a blob that does not decode as (CacheError(its exception),
-    None), so that a failure on the pool stays with its request and not
-    with the whole task."""
+    None), so that the calling thread can give on_error's result in its
+    place and go on, or name the key of the row."""
     blob, item, steps = task
     fresh = None
     try:
@@ -396,40 +387,38 @@ def _cancel_on_failure(futures: list, done) -> None:
                 future.cancel()
 
 
-def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
-                 fetch: Callable, validate: Callable, width: int = 1,
+def cached_calls(cache: ResponseCache | None, calls: Iterable[tuple],
+                 fetch: Callable, validate: Callable, width: int | None = None,
                  on_error: Callable[[Exception], object] | None = None,
-                 stop: threading.Event | None = None, items: Iterable | None = None,
-                 map_fn: Callable = map,
-                 steps: Iterable[Callable | None] = repeat(None)) -> Iterator:
-    """steps[i](validate(fetch(items[i]))) for each i, in order, read
-    through `cache` when there is one; a request whose step is None (each
-    one, without `steps`) gives validate(fetch(items[i])) itself.
+                 stop: threading.Event | None = None) -> Iterator:
+    """For each request (key, item, step) of `calls`, in order,
+    step(validate(fetch(item))), or validate(fetch(item)) when its step is
+    None, read through `cache` when there is one.
 
-    `keys[i]` is the cache key of request i (see cache_key), and
-    `fetch(items[i])` makes that request; `items` default to the indices of
-    `keys`. `keys`, `items` and `steps` are iterables read in step, one
-    window at a time, on the calling thread, so that keys made lazily are
-    digested there a window at a time. The calling thread merges the
-    window's requests with one key, which share one answer, and reads their
-    stored responses with one get_many, rows put but not yet written
-    included. A response that does not decode is a CacheError naming its
-    key. How the answers are made depends on `width`:
+    `key` is the request's cache key (see cache_key), and fetch(item) makes
+    the request. `calls` is read one window at a time on the calling
+    thread, so that keys made lazily are digested there a window at a time.
+    The calling thread merges the window's requests with one key, which
+    share one answer, and reads their stored responses with one get_many,
+    rows put but not yet written included. A response that does not decode
+    is a CacheError naming its key. How the answers are made depends on
+    `width`:
 
-    * width 1: `map_fn`, the builtin map or the map of cpu_map, decodes the
-      cached responses and makes the misses, each with its encoding for the
-      cache, in one map over every window of the batch. A window is
-      READ_CHUNK requests, looked up only when the map asks for its tasks.
-      A key that repeats in a later window while its first request is still
-      on the pool is made again: in-process protocols are pure, so the
-      answers are equal, and the cache keeps one row. The pool needs items,
-      `fetch`, `validate` and steps that pickle.
-    * width > 1: a window is WRITE_CHUNK requests. Its hits are decoded
-      through `map_fn`, then its misses are fetched on min(width, misses)
-      threads when that is more than one, and in order on the calling thread
-      otherwise. The next window is looked up once they are all answered,
-      so a key that repeats in it is a hit and each distinct request is made
-      once per batch; without a cache it is made again.
+    * None, for an in-process backend: thread_map() decodes the cached
+      responses and makes the misses, each with its encoding for the cache,
+      in one map over every window of the batch. A window is READ_CHUNK
+      requests, looked up only when the map asks for its tasks. A key that
+      repeats in a later window while its first request is still on the
+      pool is made again: in-process protocols are pure, so the answers are
+      equal, and the cache keeps one row. The pool needs items, `fetch`,
+      `validate` and steps that pickle.
+    * an int, for an HTTP backend: a window is WRITE_CHUNK requests. Its
+      hits are decoded on the calling thread, then its misses are fetched
+      on min(width, misses) threads when that is more than one, and in
+      order on the calling thread otherwise. The next window is looked up
+      once they are all answered, so a key that repeats in it is a hit and
+      each distinct request is made once per batch; without a cache it is
+      made again.
 
     Each answer is validated where it is decoded or made: on the pool, on
     the fetching thread for a miss fetched on threads, or on the calling
@@ -447,24 +436,24 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
     which on_error never sees. The cache is flushed when the results end,
     however they end, so a caller that keeps them takes them all.
     """
-    numbered = enumerate(zip(keys, count() if items is None else items, steps))
-    size = WRITE_CHUNK if width > 1 else READ_CHUNK
+    numbered = enumerate(calls)
+    size = READ_CHUNK if width is None else WRITE_CHUNK
     windows = iter(lambda: list(islice(numbered, size)), [])
     answer = partial(_answered, fetch, validate)
 
     def looked_up(window: list) -> list[_Call]:
         """The distinct requests of `window`, in order of first appearance."""
-        calls: dict[str, _Call] = {}
+        distinct: dict[str, _Call] = {}
         for i, (digest, item, step) in window:
-            call = calls.get(digest)
+            call = distinct.get(digest)
             if call is None:
-                call = calls[digest] = _Call(digest, item)
+                call = distinct[digest] = _Call(digest, item)
             call.at.append(i)
             call.steps.append(step)
         if cache is not None:
-            for digest, blob in cache.get_many(list(calls)).items():
-                calls[digest].blob, calls[digest].hit = blob, True
-        return list(calls.values())
+            for digest, blob in cache.get_many(list(distinct)).items():
+                distinct[digest].blob, distinct[digest].hit = blob, True
+        return list(distinct.values())
 
     def task(call: _Call) -> tuple:
         """_answered's task for `call`; a hit's blob is let go once sent."""
@@ -506,7 +495,7 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
                     sent.append(unless_stopped(call))
                     yield task(call)
 
-        answers = map_fn(answer, tasks())
+        answers = thread_map()(answer, tasks())
         while True:
             if sent:  # the next answer's call, when the map has taken it
                 unless_stopped(sent[0])
@@ -519,11 +508,10 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
         """settled() of each distinct request of each window: its hits, then
         its misses, on threads when more than one."""
         for window in windows:
-            calls = looked_up(window)
-            hits = [call for call in calls if call.hit]
-            misses = [call for call in calls if not call.hit]
-            yield from map(settled, hits, map_fn(answer, map(task, hits)))
-            if len(misses) <= 1:
+            distinct = looked_up(window)
+            misses = [call for call in distinct if not call.hit]
+            yield from map(fetched, (call for call in distinct if call.hit))
+            if min(width, len(misses)) <= 1:
                 yield from map(fetched, misses)
                 continue
             pool = ThreadPoolExecutor(max_workers=min(width, len(misses)))
@@ -542,7 +530,7 @@ def cached_calls(cache: ResponseCache | None, keys: Iterable[str],
     ahead: dict[int, object] = {}  # results of requests after the next one out
     done = 0
     try:
-        for at, results in threaded() if width > 1 else mapped():
+        for at, results in mapped() if width is None else threaded():
             ahead.update(zip(at, results))
             while done in ahead:
                 yield ahead.pop(done)
@@ -563,8 +551,9 @@ def thread_map() -> Callable:
 
 
 def _serve(conn, parent_ends: list) -> None:
-    """A worker of cpu_map's pool: answers each task (fn, items) with
-    [fn(item) for item in items] until the calling process ends."""
+    """A worker of cpu_map's pool: answers each task (fn, items) with (the
+    answers fn gave, in order, up to the first item it raised for; what it
+    raised, or None) until the calling process ends."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process handles Ctrl-C
@@ -574,7 +563,13 @@ def _serve(conn, parent_ends: list) -> None:
     with suppress(EOFError):  # the calling process has ended
         while True:
             fn, items = conn.recv()
-            conn.send([fn(item) for item in items])
+            answers, failure = [], None
+            try:
+                for item in items:
+                    answers.append(fn(item))
+            except Exception as exc:
+                failure = exc
+            conn.send((answers, failure))
 
 
 @contextmanager
@@ -589,20 +584,16 @@ def cpu_map() -> Iterator[Callable]:
     elsewhere it maps serially. Workers ignore SIGINT, which the calling
     process handles.
 
-    cached_calls streams each batch through one map: the calling thread
-    digests the keys a window at a time, and the workers decode the cached
-    responses, make the answers and check them.
-
     Each worker has a pipe of its own and at most one task, since a worker
     blocked sending answers and this process blocked sending it a second
     task would wait for each other: task i goes to worker i % width, which
     gets task i + width once its answers are read. A map left early leaves
-    answers owed, which the next map drops. An end of file on a worker's
-    pipe, even mid-message, means that it ended (say, killed): the map
-    raises BackendError. `fn` must not raise, as that ends its worker too;
-    the functions this package maps return their failures instead (see
-    records.valued). The workers are killed when the block ends, however
-    it ends.
+    answers owed, which the next map drops. What `fn` raises comes back
+    with the answers before it and is raised at its item's place, as the
+    builtin map raises it; the map then ends, and its worker serves on. An
+    end of file on a worker's pipe, even mid-message, means that it ended
+    (say, killed): the map raises BackendError. The workers are killed when
+    the block ends, however it ends.
     """
     width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if width < 2:
@@ -617,13 +608,20 @@ def cpu_map() -> Iterator[Callable]:
     workers, pipes, owing = [], [], []  # owing: the workers that owe answers, in task order
 
     def talk(w: int, *task):
-        """Sends worker w `task`, (fn, items), or without one, reads its answers."""
+        """Sends worker w `task`, (fn, items), or without one, reads its
+        (answers, failure)."""
         try:
             return pipes[w].send(task) if task else pipes[w].recv()
         except (EOFError, OSError):
             workers[w].join()
             raise BackendError("a worker process of the pool ended with exit code "
                                f"{workers[w].exitcode}") from None
+
+    def given(answers: list, failure: Exception | None) -> Iterator:
+        """A task's answers, then what `fn` raised, if anything."""
+        yield from answers
+        if failure is not None:
+            raise failure
 
     def pooled(fn: Callable, items: Iterable) -> Iterator:
         if thread_map() is not pooled:
@@ -634,12 +632,12 @@ def cpu_map() -> Iterator[Callable]:
         items = iter(items)
         chunks = iter(lambda: list(islice(items, MAP_CHUNK)), [])
         for i, chunk in enumerate(chunks):
-            answers = talk(owing.pop(0)) if i >= width else ()
+            answered = talk(owing.pop(0)) if i >= width else ((), None)
             talk(i % width, fn, chunk)
             owing.append(i % width)
-            yield from answers
+            yield from given(*answered)
         while owing:
-            yield from talk(owing.pop(0))
+            yield from given(*talk(owing.pop(0)))
 
     outer = thread_map()
     try:
@@ -1023,16 +1021,16 @@ PROTOCOLS = {
 class Backend:
     """A backend's config, response cache and protocol.
 
-    `width` bounds the threads a batch fetches misses on. An HTTP protocol
-    posts through `http`, a JsonEndpoint built (and its credential checked)
-    with the backend, with up to `parallelism` requests in flight; an
-    in-process one makes no requests (`http` is None), so a batch streams
-    through thread_map() (see cached_calls). Once `stop`, the run's stop
-    signal, is set, a batch makes no further request. A backend
-    pickles as its class and config, without its cache or stop signal, so
-    that a worker of cpu_map's pool can answer for it."""
+    An HTTP protocol posts through `http`, a JsonEndpoint built (and its
+    credential checked) with the backend, and its batches fetch misses on up
+    to `width`, its `parallelism`, threads; an in-process one makes no
+    requests (`http` and `width` are None), so a batch streams through
+    thread_map() (see cached_calls). Once `stop`, the run's stop signal, is
+    set, a batch makes no further request. A backend pickles as its class
+    and config, without its cache or stop signal, so that a worker of
+    cpu_map's pool can answer for it."""
 
-    width = 1
+    width: int | None = None
     http: JsonEndpoint | None = None
     stop: threading.Event | None = None
 
@@ -1057,7 +1055,7 @@ class Backend:
 
     def _key(self, payload) -> str:
         """The cache key of a request of this backend with `payload`."""
-        return cache_key(self.config.id, self.config.model_name, payload)
+        return cache_key(self.config.id, self.config.model_name, payload, self.config.params)
 
     def _batch(self, items: Iterable, text: Callable, digest: Callable,
                validate: Callable, on_error: Callable | None = None,
@@ -1067,21 +1065,19 @@ class Backend:
         without a step; its request's cache key is digest(item). No item's
         input text, text(item), may exceed max_chars, which each window of
         the batch checks before any of its requests (see cached_calls). A
-        failed request raises, or gives on_error(exc). Only an in-process
-        protocol's batches go through thread_map()."""
+        failed request raises, or gives on_error(exc)."""
         limit = self.config.max_chars
 
-        def key(item) -> str:
-            if limit is not None and len(text(item)) > limit:
-                raise BackendError(
-                    f"backend {self.config.id}: input of {len(text(item))} chars exceeds "
-                    f"max_chars={limit}; refusing to truncate")
-            return digest(item)
+        def calls() -> Iterator[tuple]:
+            for item, step in zip(items, steps):
+                if limit is not None and len(text(item)) > limit:
+                    raise BackendError(
+                        f"backend {self.config.id}: input of {len(text(item))} chars "
+                        f"exceeds max_chars={limit}; refusing to truncate")
+                yield digest(item), item, step
 
-        items, keyed = tee(items)  # read in step, so tee holds one item
-        return cached_calls(self.cache, map(key, keyed), self._request, validate, self.width,
-                            on_error, self.stop, items,
-                            thread_map() if self.http is None else map, steps)
+        return cached_calls(self.cache, calls(), self._request, validate, self.width,
+                            on_error, self.stop)
 
 
 class EmbeddingBackend(Backend):
@@ -1137,8 +1133,9 @@ PROMPT_MEMO = 64
 
 def completion_keys(backend_id: str, model_name: str) -> Callable[[CompletionRequest], str]:
     """The cache key of each completion request of one batch: what
-    cache_key(backend_id, model_name, _completion_payload(request)) gives,
-    with the head that a prompt's requests share hashed once per prompt.
+    cache_key(backend_id, model_name, _completion_payload(request)) gives
+    (a completion protocol reads no params), with the head that a prompt's
+    requests share hashed once per prompt.
 
     Its keys sorted, the JSON that cache_key digests ends with the payload,
     whose max_words_hint, op and prompt come before run_index and

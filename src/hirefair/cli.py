@@ -37,7 +37,7 @@ from hirefair.pipeline import (
     score_variants,
     summarize,
 )
-from hirefair.records import RetrievalError, raised, read_json, valued, write_jsonl
+from hirefair.records import RetrievalError, read_json, write_jsonl
 from hirefair.report import ReportError, aggregate, emit, read_ledger
 
 #: The exit code of each error a command may raise: config, backend, data. An
@@ -222,7 +222,7 @@ def measure_cmd(in_path, out_path):
     """Compute the proxy measures for generated summaries."""
     records = textmetrics.read_summaries(in_path)
     with cpu_map():
-        lines = list(map(raised, thread_map()(partial(valued, _measures_line), records)))
+        lines = list(thread_map()(_measures_line, records))
     write_jsonl(lines, out_path)
     click.echo(f"wrote {len(lines)} measure rows to {out_path}")
 

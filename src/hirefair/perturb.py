@@ -17,6 +17,7 @@ import logging
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -77,7 +78,6 @@ AUGMENTATION_PROMPT = (
 )
 
 _QWERTY_PATH = Path(__file__).parent / "data" / "qwerty_neighbors.json"
-_qwerty_cache: dict[str, list[str]] | None = None
 
 
 class PerturbError(Exception):
@@ -279,13 +279,11 @@ def within_group_swap(resume: Resume, pools: Mapping[str, NamePool], seed: int,
 # non-name perturbations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def qwerty_neighbors() -> dict[str, list[str]]:
     """Same-row horizontal neighbor map for lowercase letters."""
-    global _qwerty_cache
-    if _qwerty_cache is None:
-        doc = json.loads(_QWERTY_PATH.read_text())
-        _qwerty_cache = {k: list(v) for k, v in doc["neighbors"].items()}
-    return _qwerty_cache
+    doc = json.loads(_QWERTY_PATH.read_text())
+    return {k: list(v) for k, v in doc["neighbors"].items()}
 
 
 def typo_perturb(resume: Resume, seed: int, count: int = 10,

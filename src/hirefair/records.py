@@ -5,9 +5,7 @@ A row's keys are the record's field names, or a field's metadata "key" where
 the file spells it differently. Reading checks each value against its field's
 annotation as JSON gives it; writing trusts the record. A row becomes a
 line with encode_line (encode_compact for the ledger) wherever its caller
-makes it, and write_jsonl writes lines so made. `valued` and `raised` carry
-a failure of a function mapped on backends.cpu_map's pool back to the
-calling thread as a value.
+makes it, and write_jsonl writes lines so made.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import MISSING, fields
 from functools import lru_cache
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
 
 _type_hints = lru_cache(maxsize=None)(get_type_hints)
 
@@ -80,11 +78,14 @@ def check_types(record, error: type[Exception]) -> None:
     """Raise `error` unless each field of the dataclass `record` holds a value
     of its annotated type as JSON gives it; store a list as a tuple and a
     float field's int as a float. The message names the field's file key."""
-    for key, name in _keys(type(record)):
+    cls = type(record)
+    hints = _type_hints(cls)
+    for key, name in _keys(cls):
         value = getattr(record, name)
-        out = _typed(type(record), name, key, value, error)
-        if out is not value:
-            object.__setattr__(record, name, out)
+        if type(value) is not hints[name]:  # else _typed takes it as it is
+            out = _typed(cls, name, key, value, error)
+            if out is not value:
+                object.__setattr__(record, name, out)
 
 
 def from_row(cls, row, error: type[Exception], where: str, extra: Iterable[str] = (),
@@ -154,24 +155,6 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
                 yield lineno, row
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path} at line {lineno + 1}: {exc}") from exc
-
-
-def valued(fn: Callable, item):
-    """fn(item), or the exception it raised. A function run on
-    backends.cpu_map's pool must not raise, so the pool maps this instead,
-    and the calling thread raises a failure at its item's place: the
-    failure stays with its item and ends no worker."""
-    try:
-        return fn(item)
-    except Exception as exc:
-        return exc
-
-
-def raised(value):
-    """`value`, raised when it is an exception (see valued)."""
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 #: A row as a line of a JSONL file, keys sorted, without its newline.

@@ -184,6 +184,39 @@ def test_cache_key_sensitivity():
     assert cache_key("b", "m", {"op": "embed", "text": "hello!"}) != base
     assert cache_key("b2", "m", {"op": "embed", "text": "hello"}) != base
     assert cache_key("b", "m2", {"op": "embed", "text": "hello"}) != base
+    # params key a request only when there are any
+    assert cache_key("b", "m", {"op": "embed", "text": "hello"}, {}) == base
+    with_params = cache_key("b", "m", {"op": "embed", "text": "hello"}, {"dim": 8})
+    assert with_params != base
+    assert cache_key("b", "m", {"op": "embed", "text": "hello"}, {"dim": 9}) != with_params
+
+
+def test_a_backends_params_key_its_requests(tmp_path, monkeypatch, loopback):
+    """Requests of a backend block that sets params are keyed with them, so
+    that one cache answers a changed `tag_bias` or `input_type` afresh; a
+    block without params keys its requests as cache_key does without."""
+    text = "the x"
+    with ResponseCache(tmp_path) as cache:
+        for tag_bias in ({}, {"x": 5.0}):
+            backend = EmbeddingBackend(mock_config(protocol="mock-biased", tag_bias=tag_bias),
+                                       cache)
+            [vec] = backend.embed_batch([text])
+            assert np.array_equal(vec, mock_biased_embedding(text, tag_bias))
+        assert not np.array_equal(mock_biased_embedding(text, {}),
+                                  mock_biased_embedding(text, {"x": 5.0}))
+        assert len(cache) == 2
+        for params in ({}, {"input_type": "search_query"}, {}):
+            backend = build_backend(http_config("cohere-compatible", "embedding", monkeypatch,
+                                                loopback, params=params), cache)
+            loopback.script["/v1"] = [(200, {"embeddings": [[0.5, 0.5]]})]
+            assert np.array_equal(backend.embed_batch(["hello"])[0], [0.5, 0.5])
+        # the third batch, params as the first, was a hit
+        assert [sent["input_type"] for sent in sent_bodies(loopback)] == [
+            "search_document", "search_query"]
+        assert len(cache) == 4
+    payload = {"op": "embed", "text": text}
+    plain = EmbeddingBackend(mock_config())
+    assert plain._key(payload) == cache_key("m", "mock-model", payload)
 
 
 #: A completion request whose key is pinned, with non-ASCII text and a newline.
@@ -217,9 +250,10 @@ PROMPTS = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\n\t é«»\u202
 def test_completion_keys_equal_cache_key(monkeypatch, memo):
     """completion_keys gives each request what cache_key gives its payload,
     as a batch's prompts repeat at other lengths, temperatures and run
-    indices, and its memo of prompts fills and empties. Temperatures that
-    compare equal but are different JSON (0 and 0.0, 1 and 1.0, 0.0 and
-    -0.0) keep the different keys that cache_key gives."""
+    indices, and its memo of prompts fills and empties. A request stores an
+    int temperature as a float, so 0 and 0.0 share a key; 0.0 and -0.0,
+    which compare equal but are different JSON, keep the different keys
+    that cache_key gives."""
     monkeypatch.setattr(backends, "PROMPT_MEMO", memo)
 
     @given(st.text(), st.text(), st.lists(PROMPTS, min_size=1, max_size=4), st.data())
@@ -238,17 +272,26 @@ def test_completion_keys_equal_cache_key(monkeypatch, memo):
 
 
 @pytest.mark.parametrize("field, value", [
+    ("temperature", "0.3"), ("temperature", True),
     ("max_words_hint", 100.0), ("max_words_hint", -1), ("max_words_hint", True),
     ("max_words_hint", "100"), ("max_words_hint", None),
     ("run_index", 1.0), ("run_index", True), ("run_index", 0), ("run_index", 6),
     ("run_index", "1"),
 ])
 def test_a_bad_request_field_is_refused_before_any_request(field, value):
-    """A length that is not an int >= 0, or a run index that is not an int
-    in [1, 5], is a BackendError when the request is built. A bool is no
-    int here: its JSON would key it apart from the int it equals."""
-    with pytest.raises(BackendError, match=f"{field} must be an int"):
+    """A temperature that is not a number, a length that is not an int >= 0,
+    or a run index that is not an int in [1, 5], is a BackendError when the
+    request is built. A bool is no number here: its JSON would key it apart
+    from the number it equals."""
+    with pytest.raises(BackendError, match=f"{field} must be "):
         CompletionRequest("p", **{field: value})
+
+
+def test_an_int_temperature_is_stored_as_a_float():
+    request = CompletionRequest("p", 1)
+    assert type(request.temperature) is float
+    assert completion_keys("b", "m")(request) == completion_keys("b", "m")(
+        CompletionRequest("p", 1.0))
 
 
 class Clock:
@@ -347,12 +390,12 @@ class RecordingConnection:
         return self.db.executemany(sql, self.batches[-1])
 
 
-@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("width", [None, 1, 4])
 def test_each_write_transaction_inserts_its_rows_in_key_order(tmp_path, clock, width):
     keys = [key_of(i) for i in range(WRITE_CHUNK + 100)]
     with ResponseCache(tmp_path) as cache:
         cache._db = recording = RecordingConnection(cache._db)
-        list(cached_calls(cache, digests(keys), lambda i: f"response {i}", str, width=width))
+        list(cached_calls(cache, stream(keys), lambda i: f"response {i}", str, width=width))
         # one full chunk, then the batch's flush
         assert [len(batch) for batch in recording.batches] == [WRITE_CHUNK, 100]
         for batch in recording.batches:
@@ -430,7 +473,7 @@ def test_one_text_twice_is_one_read_only_vector(monkeypatch):
     monkeypatch.setattr(backends, "READ_CHUNK", 5)
     monkeypatch.setattr(backends, "WRITE_CHUNK", 5)
     texts = ["a", "b", "a", "c", "d", "e", "f", "g", "a"]
-    for width in (1, 4):
+    for width in (None, 1, 4):
         backend = EmbeddingBackend(mock_config())
         backend.width = width
         vectors = backend.embed_batch(texts)
@@ -485,9 +528,13 @@ def key_of(i):
     return ("b", "m", {"item": i})
 
 
-def digests(keys: Iterable[tuple]) -> Iterator[str]:
-    """The cache key of each of `keys`, cache_key's arguments, made as it is read."""
-    return itertools.starmap(cache_key, keys)
+def stream(keys: Iterable[tuple], items: Iterable | None = None,
+           steps: Iterable = itertools.repeat(None)) -> Iterator[tuple]:
+    """The requests of cached_calls for `keys`, cache_key's arguments: (the
+    cache key, made as it is read, the item, the step), the items the
+    indices of `keys` unless given."""
+    return zip(itertools.starmap(cache_key, keys),
+               itertools.count() if items is None else items, steps)
 
 
 def test_cached_calls_keep_input_order():
@@ -496,7 +543,7 @@ def test_cached_calls_keep_input_order():
         return i * 10
 
     keys = [key_of(i) for i in range(30)]
-    assert list(cached_calls(None, digests(keys), fetch, lambda r: r + 1, width=4)) == \
+    assert list(cached_calls(None, stream(keys), fetch, lambda r: r + 1, width=4)) == \
         [i * 10 + 1 for i in range(30)]
 
 
@@ -513,7 +560,7 @@ def test_cached_calls_fetch_each_distinct_key_once(tmp_path):
     keys = [key_of(i) for i in items]
     for cache in (None, ResponseCache(tmp_path)):
         fetched.clear()
-        results = list(cached_calls(cache, digests(keys), fetch, str, width=4))
+        results = list(cached_calls(cache, stream(keys), fetch, str, width=4))
         assert results == [f"response {i}" for i in items]
         assert sorted(fetched) == [0, 1, 2]
 
@@ -521,14 +568,14 @@ def test_cached_calls_fetch_each_distinct_key_once(tmp_path):
 def test_cached_calls_all_hits_start_no_thread(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path)
     keys = [key_of(i) for i in range(10)]
-    list(cached_calls(cache, digests(keys), lambda i: [float(i)], tuple, width=8))
+    list(cached_calls(cache, stream(keys), lambda i: [float(i)], tuple, width=8))
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a batch of cache hits started a thread pool")
 
     monkeypatch.setattr("hirefair.backends.ThreadPoolExecutor", no_pool)
     threads = threading.active_count()
-    assert list(cached_calls(cache, digests(keys), lambda i: pytest.fail("fetched a hit"),
+    assert list(cached_calls(cache, stream(keys), lambda i: pytest.fail("fetched a hit"),
                              tuple, width=8)) == [(float(i),) for i in range(10)]
     assert threading.active_count() == threads
 
@@ -566,11 +613,11 @@ def test_cached_calls_first_error_cancels_queued_calls():
 
     keys = [key_of(i) for i in range(20)]
     with pytest.raises(BackendError, match="refused"):
-        list(cached_calls(None, digests(keys), fetch, int, width=2))
+        list(cached_calls(None, stream(keys), fetch, int, width=2))
     assert len(started) < 10
 
 
-@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("width", [None, 1, 4])
 def test_cached_calls_make_no_request_once_stopped(tmp_path, width):
     """A set stop signal turns every request not yet made into Stopped, which
     on_error never sees; cached responses are still served."""
@@ -586,12 +633,12 @@ def test_cached_calls_make_no_request_once_stopped(tmp_path, width):
         return f"response {i}"
 
     with pytest.raises(Stopped):
-        list(cached_calls(cache, digests(keys), fetch, str, width=width,
+        list(cached_calls(cache, stream(keys), fetch, str, width=width,
                           on_error=lambda exc: pytest.fail(f"on_error saw {exc!r}"), stop=stop))
     assert 3 in fetched and len(fetched) < len(keys)
     # responses that validated before the stop stay cached
     assert all(cached_response(cache, cache_key(*keys[i])) == f"response {i}" for i in fetched)
-    assert list(cached_calls(cache, digests(keys[:1]), lambda i: pytest.fail("fetched a hit"),
+    assert list(cached_calls(cache, stream(keys[:1]), lambda i: pytest.fail("fetched a hit"),
                              str, stop=stop)) == ["response 0"]
 
 
@@ -608,19 +655,19 @@ def test_cached_calls_never_cache_an_invalid_response(tmp_path):
     keys = [key_of(i) for i in range(12)]
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="invalid"):
-        list(cached_calls(cache, digests(keys), fetch, validate, width=4))
+        list(cached_calls(cache, stream(keys), fetch, validate, width=4))
     stored = [cached_response(cache, cache_key(*key)) for key in keys]
     assert len(cache) > 0 and "bad" not in stored
 
     # with on_error the failed request's result is absent, the rest is stored
-    results = list(cached_calls(cache, digests(keys), fetch, validate, width=4,
+    results = list(cached_calls(cache, stream(keys), fetch, validate, width=4,
                                 on_error=lambda exc: None))
     assert results == [None if i == 5 else f"good {i}" for i in range(12)]
     assert cached_response(cache, cache_key(*keys[5])) is None
     assert len(cache) == 11
 
 
-@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("width", [None, 1, 4])
 def test_a_failed_batch_keeps_its_validated_responses(tmp_path, width):
     """Responses that validated before a failure are stored, in full chunks
     and in the final flush; a retry fetches only what is missing."""
@@ -637,14 +684,14 @@ def test_a_failed_batch_keeps_its_validated_responses(tmp_path, width):
 
     cache = ResponseCache(tmp_path)
     with pytest.raises(BackendError, match="refused"):
-        list(cached_calls(cache, digests(keys), fetch, str, width=width))
+        list(cached_calls(cache, stream(keys), fetch, str, width=width))
     stored = {i for i in range(n) if cached_response(cache, cache_key(*keys[i])) is not None}
     # queued calls start in order, so every request before k was fetched
     assert stored == set(fetched) - {k} >= set(range(k))
     assert len(cache) == len(stored)
 
     fetched.clear()
-    results = list(cached_calls(cache, digests(keys),
+    results = list(cached_calls(cache, stream(keys),
                                 fetch=lambda i: fetched.append(i) or f"good {i}",
                                 validate=str, width=width))
     assert results == [f"good {i}" for i in range(n)]
@@ -818,6 +865,42 @@ def test_a_map_left_early_leaves_the_next_map_its_own_answers(monkeypatch):
         assert list(map_fn(str, range(3))) == ["0", "1", "2"]
 
 
+def refuses_at(k: int, i: int) -> int:
+    """2 * i, or ValueError at item k; at module level, so that a pool's
+    worker can run it."""
+    if i == k:
+        raise ValueError(f"refused item {i}")
+    return 2 * i
+
+
+def until_raised(map_fn: Callable, k: int) -> tuple[list, type, tuple]:
+    """The answers a map of refuses_at over range(40) gives before it
+    raises, and the type and arguments of what it raises."""
+    answers = []
+    try:
+        for answer in map_fn(partial(refuses_at, k), range(40)):
+            answers.append(answer)
+    except Exception as exc:
+        return answers, type(exc), exc.args
+    pytest.fail("the map did not raise")
+
+
+@pytest.mark.parametrize("k", [0, 4, 5, 17, 39])
+def test_a_raising_fn_raises_at_its_item_as_the_builtin_map(monkeypatch, k):
+    """On a two-worker pool with tasks of 3 items, a function that raises at
+    item k gives the answers to items 0 to k-1 and then raises what the
+    builtin map raises. Both workers serve on, and the next map on the pool
+    gives its own answers."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(backends, "MAP_CHUNK", 3)
+    with cpu_map() as map_fn:
+        assert map_fn is not map
+        assert until_raised(map_fn, k) == until_raised(map, k) == (
+            [2 * i for i in range(k)], ValueError, (f"refused item {k}",))
+        assert [w.is_alive() for w in multiprocessing.active_children()] == [True, True]
+        assert list(map_fn(abs, range(-100, 0))) == list(range(100, 0, -1))
+
+
 def test_leaving_a_map_while_workers_send_ends_the_block(monkeypatch):
     """Workers still sending large answers when the block is left are killed,
     even in the middle of a message; as nothing reads their pipes any more,
@@ -973,13 +1056,12 @@ def test_a_pooled_failure_stays_with_its_item(tmp_path, monkeypatch, n):
     answered and stored."""
     cpus(monkeypatch, n)
     requests = [CompletionRequest(prompt=f"p {i}") for i in range(150)]
-    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+    with cpu_map(), ResponseCache(tmp_path) as cache:
         backend = FailsOnFive(mock_config(kind="completion"), cache)
         keys = [(backend.config.id, backend.config.model_name, {"prompt": r.prompt})
                 for r in requests]
-        results = list(cached_calls(cache, digests(keys), backend._request, backend._text,
-                                    on_error=lambda exc: str(exc), items=requests,
-                                    map_fn=map_fn))
+        results = list(cached_calls(cache, stream(keys, requests), backend._request,
+                                    backend._text, on_error=lambda exc: str(exc)))
         assert results[5] == "refused p 5"
         assert results[:5] + results[6:] == [backend._request(r) for r in requests
                                              if r.prompt != "p 5"]
@@ -1031,21 +1113,21 @@ def test_pooled_batches_equal_builtin_ones(tmp_path, monkeypatch, keys, stored, 
     item that fails on a worker ends no worker."""
     cpus(monkeypatch, 2)
 
-    def batch(map_fn: Callable):
+    def batch():
         shutil.rmtree(tmp_path / "cache", ignore_errors=True)
         with ResponseCache(tmp_path / "cache") as cache:
             for key, blob in stored.items():
                 cache.put(key, blob)
             cache.flush()
-            result = outcome(lambda: list(cached_calls(cache, digests(keys), answer, validate,
-                                                       on_error=on_error, map_fn=map_fn)))
+            result = outcome(lambda: list(cached_calls(cache, stream(keys), answer, validate,
+                                                       on_error=on_error)))
             rows = cache._db.execute("SELECT key, response FROM responses ORDER BY key")
             return result, rows.fetchall()
 
-    serial = batch(map)
+    serial = batch()
     with cpu_map() as map_fn:
         assert map_fn is not map
-        pooled = batch(map_fn)
+        pooled = batch()
         assert list(map_fn(abs, range(-200, 0))) == list(range(200, 0, -1))
         assert [w.is_alive() for w in multiprocessing.active_children()] == [True, True]
     assert pooled == serial
@@ -1067,11 +1149,12 @@ def test_a_batch_decodes_and_fetches_on_the_pool_in_one_map(tmp_path, monkeypatc
             mapped.append((fn.func, len(items)))
             return map_fn(fn, items)
 
+        monkeypatch.setattr(backends, "thread_map", lambda: counted)
         for key, blob in CACHED.items():
             cache.put(key, blob)
         cache.flush()
-        results = list(cached_calls(cache, digests(KEYS), answer, str,
-                                    items=[i % 150 for i in range(300)], map_fn=counted))
+        results = list(cached_calls(cache, stream(KEYS, [i % 150 for i in range(300)]),
+                                    answer, str))
         assert len(cache) == 150
     assert results == [f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}"
                        for i in range(300)]
@@ -1092,11 +1175,12 @@ def test_a_batch_with_steps_runs_them_where_answers_are(tmp_path, monkeypatch, n
     an iterator, and each distinct answer is made and stored once."""
     cpus(monkeypatch, n)
     keys = [("b", "m", {"i": i % 5}) for i in range(12)]
-    with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
+    with cpu_map(), ResponseCache(tmp_path) as cache:
         cache.put(cache_key(*keys[0]), encode_response("cached 0"))
         cache.flush()
-        results = cached_calls(cache, digests(keys), answer, str.upper, items=[i % 5 for i in range(12)],
-                               map_fn=map_fn, steps=[partial(tagged, i) for i in range(12)])
+        results = cached_calls(cache, stream(keys, [i % 5 for i in range(12)],
+                                             [partial(tagged, i) for i in range(12)]),
+                               answer, str.upper)
         assert not isinstance(results, list)
         results = list(results)
         workers = {w.pid for w in multiprocessing.active_children()}
@@ -1106,9 +1190,10 @@ def test_a_batch_with_steps_runs_them_where_answers_are(tmp_path, monkeypatch, n
     assert {pid for *_, pid in results} <= (workers if n > 1 else {os.getpid()})
 
 
-#: The paths of cached_calls that the stream tests take: one map on the
-#: calling thread, one map over cpu_map's pool, or fetching threads.
-PATHS = ["map", "pool", "threads"]
+#: The width of cached_calls on each path that the stream tests take: one
+#: map on the calling thread, one map over cpu_map's pool, fetching threads,
+#: or an HTTP backend's windows at parallelism 1, fetched on the calling thread.
+PATHS = {"map": None, "pool": None, "threads": 4, "width-1": 1}
 #: Key ids of a stream read 5 at a time: keys repeat within a window (0 and
 #: 4) and in later ones (0, 1, 2, 3 and 7); the keys of CACHED_IDS are hits.
 STREAM = [0, 1, 0, 2, 3, 4, 4, 1, 5, 6, 0, 7, 9, 8, 2, 7, 3, 1]
@@ -1117,12 +1202,16 @@ CACHED_IDS = {1, 5, 8}
 
 @contextmanager
 def stream_path(monkeypatch, path: str):
-    """(width, map) of cached_calls on `path`, each window 5 requests long."""
-    monkeypatch.setattr(backends, "READ_CHUNK", 5)
+    """The width of cached_calls on `path`, each window 5 requests long,
+    inside a cpu_map block whose map is a pool only on path "pool". On the
+    HTTP paths READ_CHUNK is 3, so that only WRITE_CHUNK can make the
+    window 5 there."""
+    monkeypatch.setattr(backends, "READ_CHUNK", 5 if PATHS[path] is None else 3)
     monkeypatch.setattr(backends, "WRITE_CHUNK", 5)
     cpus(monkeypatch, 2 if path == "pool" else 1)
     with cpu_map() as map_fn:
-        yield 4 if path == "threads" else 1, map_fn
+        assert (map_fn is not map) == (path == "pool")
+        yield PATHS[path]
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -1130,12 +1219,12 @@ def test_a_stream_comes_out_in_request_order(tmp_path, monkeypatch, path):
     """Requests read from generators give their results in request order,
     hits among misses and keys repeated within and across windows; a
     repeated key, even one made again on the pool, leaves one cache row."""
-    with stream_path(monkeypatch, path) as (width, map_fn), ResponseCache(tmp_path) as cache:
+    with stream_path(monkeypatch, path) as width, ResponseCache(tmp_path) as cache:
         for i in CACHED_IDS:
             cache.put(cache_key(*key_of(i)), encode_response(f"cached {i}"))
         cache.flush()
-        results = list(cached_calls(cache, digests((key_of(i) for i in STREAM)), answer, str,
-                                    width=width, items=iter(STREAM), map_fn=map_fn))
+        results = list(cached_calls(cache, stream((key_of(i) for i in STREAM), iter(STREAM)),
+                                    answer, str, width=width))
         rows = dict(cache._db.execute("SELECT key, response FROM responses"))
     expected = [f"cached {i}" if i in CACHED_IDS else f"answer {i}" for i in STREAM]
     assert results == expected
@@ -1146,10 +1235,10 @@ def test_a_stream_comes_out_in_request_order(tmp_path, monkeypatch, path):
 @pytest.mark.parametrize("path", PATHS)
 def test_the_rest_of_a_stream_raises_stopped_once_stop_is_set(monkeypatch, path):
     stop = threading.Event()
-    with stream_path(monkeypatch, path) as (width, map_fn):
-        results = cached_calls(None, digests((key_of(i) for i in range(20))), answer, str.upper,
-                               width=width, stop=stop, items=iter(range(20)), map_fn=map_fn,
-                               steps=(partial(tagged, i) for i in range(20)))
+    with stream_path(monkeypatch, path) as width:
+        results = cached_calls(None, stream((key_of(i) for i in range(20)), iter(range(20)),
+                                            (partial(tagged, i) for i in range(20))),
+                               answer, str.upper, width=width, stop=stop)
         assert [tag for tag, *_ in itertools.islice(results, 5)] == list(range(5))
         stop.set()
         with pytest.raises(Stopped):
@@ -1161,19 +1250,20 @@ def test_the_rest_of_a_stream_raises_stopped_once_stop_is_set(monkeypatch, path)
 def test_a_row_that_does_not_decode_is_a_cache_error_naming_its_key(tmp_path, monkeypatch,
                                                                      path):
     digest = cache_key(*key_of(7))
-    with stream_path(monkeypatch, path) as (width, map_fn), ResponseCache(tmp_path) as cache:
+    with stream_path(monkeypatch, path) as width, ResponseCache(tmp_path) as cache:
         cache.put(digest, b"garbage")
         cache.flush()
         with pytest.raises(CacheError, match=f"the row of key {digest} does not decode"):
-            list(cached_calls(cache, digests((key_of(i) for i in range(12))), answer, str,
-                              width=width, items=iter(range(12)), map_fn=map_fn))
+            list(cached_calls(cache, stream((key_of(i) for i in range(12)), iter(range(12))),
+                              answer, str, width=width))
 
 
 @pytest.mark.parametrize("path", PATHS)
 def test_a_stream_is_read_a_window_and_the_tasks_in_flight_ahead(monkeypatch, path):
     """The requests are read no further ahead of the results taken than one
     window, plus on the pool the tasks in flight: one per worker and the one
-    the map reads before it takes the oldest one's answers."""
+    the map reads before it takes the oldest one's answers. Off the pool,
+    the first result comes once the whole first window is read."""
     monkeypatch.setattr(backends, "MAP_CHUNK", 2)
     read = []
 
@@ -1182,14 +1272,15 @@ def test_a_stream_is_read_a_window_and_the_tasks_in_flight_ahead(monkeypatch, pa
             read.append(i)
             yield key_of(i % 13)
 
-    with stream_path(monkeypatch, path) as (width, map_fn):
-        results = cached_calls(None, digests(keys()), answer, str.upper, width=width,
-                               items=(i % 13 for i in range(40)), map_fn=map_fn,
-                               steps=(partial(tagged, i) for i in range(40)))
+    with stream_path(monkeypatch, path) as width:
+        results = cached_calls(None, stream(keys(), (i % 13 for i in range(40)),
+                                            (partial(tagged, i) for i in range(40))),
+                               answer, str.upper, width=width)
         ahead = 5 + (3 * 2 if path == "pool" else 0)
         for taken, (tag, *_) in enumerate(results, 1):
             assert tag == taken - 1
             assert len(read) - taken <= ahead, (len(read), taken)
+            assert taken > 1 or path == "pool" or len(read) == 5
     assert len(read) == 40
 
 
@@ -1219,10 +1310,10 @@ def test_single_calls_are_batches_of_one(monkeypatch):
 
     batches = []
 
-    def recording(cache, keys, *args, **kwargs):
-        keys = list(keys)
-        batches.append(len(keys))
-        return cached_calls(cache, keys, *args, **kwargs)
+    def recording(cache, calls, *args, **kwargs):
+        calls = list(calls)
+        batches.append(len(calls))
+        return cached_calls(cache, calls, *args, **kwargs)
 
     monkeypatch.setattr(backends, "cached_calls", recording)
     backend = CompletionBackend(mock_config(kind="completion"))
@@ -1308,6 +1399,25 @@ def test_cohere_style_embedding_parses(monkeypatch, loopback):
     (sent,) = sent_bodies(loopback)
     assert sent["texts"] == ["hello"]
     assert sent["input_type"] == "search_document"
+
+
+def test_a_regard_batch_at_parallelism_1_fails_only_at_a_refused_text(tmp_path, loopback):
+    """Over loopback at parallelism 1, a regard batch whose third text is
+    refused (400) gives None at that text alone; every other text is scored
+    and cached, and the refused one is asked again next time."""
+    config = BackendConfig(id="regard", kind="regard", protocol="http",
+                           endpoint=f"{loopback.url}/regard", parallelism=1)
+    even = dict.fromkeys(backends.REGARD_CATEGORIES, 0.25)
+    skewed = dict(zip(backends.REGARD_CATEGORIES, (0.4, 0.3, 0.2, 0.1)))
+    loopback.script["/regard"] = [(200, even), (200, skewed), (400, {"error": "refused"})]
+    texts = [f"text {i}" for i in range(5)]
+    with ResponseCache(tmp_path) as cache:
+        scores = backends.RegardClient(config, cache).score_batch(texts)
+        assert len(cache) == 4
+    assert loopback.requests == {"/regard": 5}
+    fresh = backends.RegardClient(config).score_batch(texts[2:])
+    assert scores == [even, skewed, None, *fresh[1:]]
+    assert all(score is not None for score in fresh)
 
 
 def test_completion_chat_schema(monkeypatch, loopback):

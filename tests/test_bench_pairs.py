@@ -93,9 +93,10 @@ def stand_in(root: Path, name: str, value: float) -> Path:
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text(STAND_IN.format(VALUE=value))
-    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "rerun_s", "better": "lower", "bound": 0.25},
-        {"name": "success_rate", "better": "higher", "bound": 0.05}]}))
+    (checkout / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}, {"name": "v"}],
+        "end_to_end": [{"name": "rerun_s", "better": "lower", "bound": 0.25},
+                       {"name": "success_rate", "better": "higher", "bound": 0.05}]}))
     return checkout
 
 
@@ -120,3 +121,19 @@ def test_a_failed_run_stops_the_pairs(tmp_path, capsys):
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seed", "7",
                              "--pairs", "2"]) == 1
     assert "pair 1: change run failed" in capsys.readouterr().err
+
+
+def test_without_a_workload_every_declared_workload_gets_its_pairs(tmp_path, capsys):
+    """Without --workload, each workload of PARENT's BENCHMARK.json gets its
+    pairs in turn, alternating, and a report of its own."""
+    parent = stand_in(tmp_path, "parent", 2.0)
+    change = stand_in(tmp_path, "change", 1.0)
+    assert bench_pairs.main([str(parent), str(change), "--seed", "7", "--pairs", "2"]) == 0
+    assert (tmp_path / "order.log").read_text().splitlines() == [
+        f"{name} --workload {workload} --seed 7" for workload in ("w", "v")
+        for name in ("parent", "change", "change", "parent")]
+    out = capsys.readouterr().out
+    for workload in ("w", "v"):
+        table = out.split(f"workload {workload}, seed 7, 2 pairs\n")[1].splitlines()
+        assert table[1].split()[0] == "rerun_s" and table[1].split()[-1] == "better"
+        assert table[2].split()[0] == "success_rate"

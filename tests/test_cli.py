@@ -843,9 +843,11 @@ def test_cli_measure_stage(tmp_path, fixtures_dir):
     assert out.exists()
 
 
-def test_cli_measure_names_the_summary_without_a_word(tmp_path):
+def test_cli_measure_names_the_summary_without_a_word(tmp_path, monkeypatch):
     """A summary with no word has no reading ease: exit 4 with an error line
-    that names the summary, not a traceback."""
+    that names the summary, not a traceback, also when it fails on a worker
+    of a two-worker pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     summaries = tmp_path / "summaries.jsonl"
     rows = [dict(SUMMARY_ROW),
             dict(SUMMARY_ROW, resume_id="r7", variant_id="name:MB", model_name="gen-x",

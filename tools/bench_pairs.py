@@ -5,8 +5,10 @@
 PARENT and CHANGE are two checkouts of the repository. Each pair runs the
 `perfbench/run.py` of both, one after the other, with the same workload and
 seed and the benchmark's own run length; the side that goes first alternates
-from pair to pair. Each run's result is the JSON object on the last line of
-its standard output. For every end-to-end metric that PARENT's
+from pair to pair. Without `--workload`, every workload that PARENT's
+BENCHMARK.json declares gets its pairs in turn, and a report of its own.
+Each run's result is the JSON object on the last line of its standard
+output. For every end-to-end metric that PARENT's
 BENCHMARK.json declares, the report gives each side's median and quartiles
 (statistics.quantiles, inclusive), the pairs the change won and tied, and:
 
@@ -130,31 +132,20 @@ def report(verdicts: list[Verdict]) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    try:
-        declared = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
-    except (OSError, ValueError, KeyError) as exc:
-        parser.error(f"cannot read the end-to-end metrics of {args.parent}: {exc}")
-
+def compare(args: argparse.Namespace, workload: str, declared: list[dict]) -> int:
+    """Runs the pairs of one workload and prints its report; 1 when a run
+    failed, else 0."""
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for name in order:
             try:
-                results[name].append(run(getattr(args, name), args.workload, args.seed))
+                results[name].append(run(getattr(args, name), workload, args.seed))
             except RunFailed as exc:
-                print(f"pair {i + 1}: {name} run failed: {exc}", file=sys.stderr)
+                print(f"{workload} pair {i + 1}: {name} run failed: {exc}", file=sys.stderr)
                 return 1
-        print(f"pair {i + 1}/{args.pairs} done ({' then '.join(order)})", flush=True)
+        print(f"{workload} pair {i + 1}/{args.pairs} done ({' then '.join(order)})",
+              flush=True)
 
     verdicts = []
     for metric in declared:
@@ -165,8 +156,31 @@ def main(argv=None) -> int:
         print(f"{name} change {values['change']}")
         verdicts.append(judge(name, values["parent"], values["change"], metric["better"],
                               metric["bound"]))
-    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
+    print(f"workload {workload}, seed {args.seed}, {args.pairs} pairs")
     print(report(verdicts))
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", help="default: every workload of PARENT's benchmark")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    try:
+        benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
+        declared = benchmark["end_to_end"]
+        workloads = ([args.workload] if args.workload
+                     else [workload["name"] for workload in benchmark["workloads"]])
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        parser.error(f"cannot read the benchmark of {args.parent}: {exc}")
+    for workload in workloads:
+        if compare(args, workload, declared):
+            return 1
     return 0
 
 
