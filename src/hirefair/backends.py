@@ -590,7 +590,9 @@ def cpu_map() -> Iterator[Callable]:
     gets task i + width once its answers are read. A map left early leaves
     answers owed, which the next map drops. What `fn` raises comes back
     with the answers before it and is raised at its item's place, as the
-    builtin map raises it; the map then ends, and its worker serves on. An
+    builtin map raises it, when it pickles back into itself (an exception
+    whose __init__ needs other arguments than its args does not); the map
+    then ends, and its worker serves on. An
     end of file on a worker's pipe, even mid-message, means that it ended
     (say, killed): the map raises BackendError. The workers are killed when
     the block ends, however it ends.
@@ -1038,6 +1040,11 @@ class Backend:
         self.config = config
         self.cache = cache
         self.protocol = PROTOCOLS[config.kind, config.protocol]
+        # the checked params that are not their defaults, which key the
+        # requests: `{"dim": 256}` keys as `{}`, `{"x": 5}` as `{"x": 5.0}`
+        defaults = vars(BackendParams())
+        self.key_params = {name: value for name, value in vars(config.options).items()
+                       if value != defaults[name]}
         if not config.in_process:
             self.http = JsonEndpoint(f"backend {config.id}", config.endpoint,
                                      config.credential_env, config.retry,
@@ -1055,7 +1062,7 @@ class Backend:
 
     def _key(self, payload) -> str:
         """The cache key of a request of this backend with `payload`."""
-        return cache_key(self.config.id, self.config.model_name, payload, self.config.params)
+        return cache_key(self.config.id, self.config.model_name, payload, self.key_params)
 
     def _batch(self, items: Iterable, text: Callable, digest: Callable,
                validate: Callable, on_error: Callable | None = None,

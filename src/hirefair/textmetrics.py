@@ -57,10 +57,11 @@ class TextMetricsError(Exception):
 
 
 class NoWordError(TextMetricsError):
-    """A text without a word, which has no reading ease."""
+    """A text without a word, which has no reading ease. Its message is an
+    argument with a default, so that it pickles back (as the pool sends it)."""
 
-    def __init__(self):
-        super().__init__("reading ease needs at least one word")
+    def __init__(self, message: str = "reading ease needs at least one word"):
+        super().__init__(message)
 
 
 @lru_cache(maxsize=1)

@@ -56,6 +56,7 @@ from hirefair.backends import (
     token_bucket,
 )
 from hirefair.retrieval import cosine
+from hirefair.textmetrics import NoWordError
 
 from conftest import cached_response, recorded_tasks
 
@@ -194,10 +195,11 @@ def test_cache_key_sensitivity():
 def test_a_backends_params_key_its_requests(tmp_path, monkeypatch, loopback):
     """Requests of a backend block that sets params are keyed with them, so
     that one cache answers a changed `tag_bias` or `input_type` afresh; a
-    block without params keys its requests as cache_key does without."""
+    block without params keys its requests as cache_key does without, and
+    params are keyed as checked, leaving out those at their defaults."""
     text = "the x"
     with ResponseCache(tmp_path) as cache:
-        for tag_bias in ({}, {"x": 5.0}):
+        for tag_bias in ({}, {"x": 5.0}, {"x": 5}):
             backend = EmbeddingBackend(mock_config(protocol="mock-biased", tag_bias=tag_bias),
                                        cache)
             [vec] = backend.embed_batch([text])
@@ -217,6 +219,9 @@ def test_a_backends_params_key_its_requests(tmp_path, monkeypatch, loopback):
     payload = {"op": "embed", "text": text}
     plain = EmbeddingBackend(mock_config())
     assert plain._key(payload) == cache_key("m", "mock-model", payload)
+    assert EmbeddingBackend(mock_config(dim=MOCK_DIM))._key(payload) == plain._key(payload)
+    assert EmbeddingBackend(mock_config(dim=8))._key(payload) == cache_key(
+        "m", "mock-model", payload, {"dim": 8})
 
 
 #: A completion request whose key is pinned, with non-ASCII text and a newline.
@@ -865,38 +870,42 @@ def test_a_map_left_early_leaves_the_next_map_its_own_answers(monkeypatch):
         assert list(map_fn(str, range(3))) == ["0", "1", "2"]
 
 
-def refuses_at(k: int, i: int) -> int:
-    """2 * i, or ValueError at item k; at module level, so that a pool's
+def refuses_at(k: int, error: type[Exception], i: int) -> int:
+    """2 * i, or `error` at item k; at module level, so that a pool's
     worker can run it."""
     if i == k:
-        raise ValueError(f"refused item {i}")
+        raise error(f"refused item {i}")
     return 2 * i
 
 
-def until_raised(map_fn: Callable, k: int) -> tuple[list, type, tuple]:
+def until_raised(map_fn: Callable, k: int,
+                 error: type[Exception] = ValueError) -> tuple[list, type, tuple]:
     """The answers a map of refuses_at over range(40) gives before it
     raises, and the type and arguments of what it raises."""
     answers = []
     try:
-        for answer in map_fn(partial(refuses_at, k), range(40)):
+        for answer in map_fn(partial(refuses_at, k, error), range(40)):
             answers.append(answer)
     except Exception as exc:
         return answers, type(exc), exc.args
     pytest.fail("the map did not raise")
 
 
-@pytest.mark.parametrize("k", [0, 4, 5, 17, 39])
-def test_a_raising_fn_raises_at_its_item_as_the_builtin_map(monkeypatch, k):
+@pytest.mark.parametrize("k, error", [(0, ValueError), (4, ValueError), (5, ValueError),
+                                      (17, ValueError), (39, ValueError), (5, NoWordError)])
+def test_a_raising_fn_raises_at_its_item_as_the_builtin_map(monkeypatch, k, error):
     """On a two-worker pool with tasks of 3 items, a function that raises at
     item k gives the answers to items 0 to k-1 and then raises what the
-    builtin map raises. Both workers serve on, and the next map on the pool
-    gives its own answers."""
+    builtin map raises, a NoWordError too, which pickles back as it is
+    raised. Both workers serve on, and the next map on the pool gives its
+    own answers."""
+    assert pickle.loads(pickle.dumps(error())).args == error().args
     cpus(monkeypatch, 2)
     monkeypatch.setattr(backends, "MAP_CHUNK", 3)
     with cpu_map() as map_fn:
         assert map_fn is not map
-        assert until_raised(map_fn, k) == until_raised(map, k) == (
-            [2 * i for i in range(k)], ValueError, (f"refused item {k}",))
+        assert until_raised(map_fn, k, error) == until_raised(map, k, error) == (
+            [2 * i for i in range(k)], error, (f"refused item {k}",))
         assert [w.is_alive() for w in multiprocessing.active_children()] == [True, True]
         assert list(map_fn(abs, range(-100, 0))) == list(range(100, 0, -1))
 
@@ -1137,27 +1146,36 @@ def test_pooled_batches_equal_builtin_ones(tmp_path, monkeypatch, keys, stored, 
 def test_a_batch_decodes_and_fetches_on_the_pool_in_one_map(tmp_path, monkeypatch,
                                                              window, tasks):
     """Every cached response is decoded and every miss answered through one
-    map of the batch, however many windows it spans; the keys are digested
-    on the calling thread. A key that repeats in a later window is a task
-    of that window too, and the cache keeps one row for it."""
+    map of the batch, however many windows it spans, on the pool's workers;
+    the keys are digested on the calling thread. A key that repeats in a
+    later window is a task of that window too, and the cache keeps one row
+    for it."""
     cpus(monkeypatch, 2)
     monkeypatch.setattr(backends, "READ_CHUNK", window)
     mapped = []
     with cpu_map() as map_fn, ResponseCache(tmp_path) as cache:
         def counted(fn: Callable, items):
+            """map_fn, counting its tasks; while it runs, thread_map() gives
+            map_fn, so that the pool, which checks it, does the work."""
             items = list(items)
             mapped.append((fn.func, len(items)))
-            return map_fn(fn, items)
+            with monkeypatch.context() as patch:
+                patch.setattr(backends, "thread_map", lambda: map_fn)
+                yield from map_fn(fn, items)
 
         monkeypatch.setattr(backends, "thread_map", lambda: counted)
         for key, blob in CACHED.items():
             cache.put(key, blob)
         cache.flush()
-        results = list(cached_calls(cache, stream(KEYS, [i % 150 for i in range(300)]),
+        results = list(cached_calls(cache, stream(KEYS, [i % 150 for i in range(300)],
+                                                  [partial(tagged, i) for i in range(300)]),
                                     answer, str))
+        workers = {w.pid for w in multiprocessing.active_children()}
         assert len(cache) == 150
-    assert results == [f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}"
-                       for i in range(300)]
+    assert [(tag, text) for tag, text, _ in results] == [
+        (i, f"cached {i % 150}" if i % 150 % 3 == 0 else f"answer {i % 150}")
+        for i in range(300)]
+    assert {pid for *_, pid in results} == workers and len(workers) == 2
     assert mapped == [(backends._answered, tasks)]
 
 
