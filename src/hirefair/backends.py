@@ -25,7 +25,7 @@ results come out in request order. Every key is cache_key's digest of its
 request, with the backend's `params` when its block sets any; a completion
 batch makes its keys with completion_keys, which hashes what a prompt's
 requests share once per prompt. A backend's `stop` is the run's stop
-signal: once it is set, its batches make no further request.
+signal: no batch makes a request once it is set or one of its own failed.
 
 Two deterministic mocks support offline runs and metric validation:
 
@@ -112,7 +112,8 @@ class CacheError(Exception):
 
 
 class Stopped(Exception):
-    """Raised for a request not made because the run's stop signal was set.
+    """Raised for a request not made because the run's stop signal was set
+    or a request before it in its batch failed.
 
     Not a BackendError: the failure that set the signal is the one to report.
     """
@@ -378,15 +379,6 @@ class _Call:
         self.hit = False
 
 
-def _cancel_on_failure(futures: list, done) -> None:
-    """Cancel every call of `futures` (None where taken) not yet started once
-    `done` failed."""
-    if not done.cancelled() and done.exception() is not None:
-        for future in futures:
-            if future is not None:
-                future.cancel()
-
-
 def cached_calls(cache: ResponseCache | None, calls: Iterable[tuple],
                  fetch: Callable, validate: Callable, width: int | None = None,
                  on_error: Callable[[Exception], object] | None = None,
@@ -414,26 +406,26 @@ def cached_calls(cache: ResponseCache | None, calls: Iterable[tuple],
       `validate` and steps that pickle.
     * an int, for an HTTP backend: a window is WRITE_CHUNK requests. Its
       hits are decoded on the calling thread, then its misses are fetched
-      on min(width, misses) threads when that is more than one, and in
-      order on the calling thread otherwise. The next window is looked up
-      once they are all answered, so a key that repeats in it is a hit and
-      each distinct request is made once per batch; without a cache it is
-      made again.
+      on min(width, misses) threads, which start them in order. The next
+      window is looked up once they are all answered, so a key that repeats
+      in it is a hit and each distinct request is made once per batch;
+      without a cache it is made again.
 
     Each answer is validated where it is decoded or made: on the pool, on
-    the fetching thread for a miss fetched on threads, or on the calling
-    thread, so `validate` must give the same result wherever it runs. The
-    steps of every request that shares its key run there too, and only
+    its fetching thread for a miss, or on the calling thread for a hit of
+    an HTTP backend, so `validate` must give the same result wherever it
+    runs. The steps of every request that shares its key run there too, and only
     their results come back. Results come out in order, each once every
     result before it is known. A fetched response is stored only after it
     validated and each step took it, so a bad response is never cached;
     responses that validated are stored even when the batch then fails.
-    Without `on_error`, the first failure cancels the requests still
-    queued and is raised; with it, `on_error(exc)` becomes the failed
-    request's result (and may raise instead). Once `stop` is set, no
+    Without `on_error`, the first failure is raised, and no request after
+    it that has not started is made; with it, `on_error(exc)` becomes the
+    failed request's result (and may raise instead). Once `stop` is set, no
     further request is made: from the first request not made yet (on the
     pool, whose answer was not taken yet) on, the results raise Stopped,
-    which on_error never sees. The cache is flushed when the results end,
+    which on_error never sees. Leaving the results early makes none of the
+    requests still queued. The cache is flushed when the results end,
     however they end, so a caller that keeps them takes them all.
     """
     numbered = enumerate(calls)
@@ -460,9 +452,15 @@ def cached_calls(cache: ResponseCache | None, calls: Iterable[tuple],
         blob, call.blob = call.blob, None
         return blob, None if call.hit else call.item, call.steps
 
+    failed: list[int] = []  # the first request of each fetched call that raised
+
     def unless_stopped(call: _Call) -> _Call:
-        """`call`, unless it is a miss and the run is stopping."""
-        if not call.hit and stop is not None and stop.is_set():
+        """`call`, unless it is a miss and the run is stopping or a call
+        before it in the batch raised: a failure refuses only the calls
+        after it, so that none before it, even one taken by a thread before
+        the failure but checked after, raises Stopped in its place."""
+        if not call.hit and (stop is not None and stop.is_set()
+                             or failed and min(failed) < call.at[0]):
             raise Stopped("not requested: the run is stopping")
         return call
 
@@ -483,7 +481,13 @@ def cached_calls(cache: ResponseCache | None, calls: Iterable[tuple],
         return call.at, value
 
     def fetched(call: _Call) -> tuple[list, list]:
-        return settled(call, answer(task(unless_stopped(call))))
+        """settled() of `call`, answered on this thread."""
+        unless_stopped(call)
+        try:
+            return settled(call, answer(task(call)))
+        except Exception:
+            failed.append(call.at[0])
+            raise
 
     def mapped() -> Iterator[tuple[list, list]]:
         """settled() of each distinct request of each window, through one map."""
@@ -506,26 +510,14 @@ def cached_calls(cache: ResponseCache | None, calls: Iterable[tuple],
 
     def threaded() -> Iterator[tuple[list, list]]:
         """settled() of each distinct request of each window: its hits, then
-        its misses, on threads when more than one."""
+        its misses on threads."""
         for window in windows:
             distinct = looked_up(window)
             misses = [call for call in distinct if not call.hit]
             yield from map(fetched, (call for call in distinct if call.hit))
-            if min(width, len(misses)) <= 1:
-                yield from map(fetched, misses)
-                continue
-            pool = ThreadPoolExecutor(max_workers=min(width, len(misses)))
-            try:
-                futures = [pool.submit(fetched, call) for call in misses]
-                for future in futures:
-                    future.add_done_callback(partial(_cancel_on_failure, futures))
-                # Queued calls start in order, so the first failure comes
-                # before every cancelled call. A result is let go once taken.
-                for i in range(len(futures)):
-                    future, futures[i] = futures[i], None
-                    yield future.result()
-            finally:
-                pool.shutdown(cancel_futures=True)
+            if misses:
+                with ThreadPoolExecutor(min(width, len(misses))) as pool:
+                    yield from pool.map(fetched, misses)
 
     ahead: dict[int, object] = {}  # results of requests after the next one out
     done = 0
@@ -800,8 +792,8 @@ class JsonEndpoint:
         self.close = weakref.finalize(self, _close_all, self._idle, self._lock)
 
     def post(self, payload: dict, read: Callable):
-        """`read(body)` of the JSON answer to `payload`; `read` raises
-        LookupError, TypeError or ValueError for a body it cannot use."""
+        """`read(body)` of the JSON answer to `payload`; `read` raises LookupError,
+        TypeError, ValueError or OverflowError for a body it cannot use."""
         from http.client import HTTPException
 
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -817,7 +809,7 @@ class JsonEndpoint:
                 if status < 300:
                     try:
                         return read(json.loads(answer))
-                    except (LookupError, TypeError, ValueError) as exc:
+                    except (LookupError, TypeError, ValueError, OverflowError) as exc:
                         raise BackendError(
                             f"{self.name}: unreadable response: {exc!r}") from exc
                 error = f"HTTP {status}: {answer.decode('utf-8', 'replace')[:200]}"
@@ -908,17 +900,17 @@ def _close_all(connections: list, lock: threading.Lock) -> None:
 def _numbers(values) -> list[float]:
     """A JSON array of numbers as floats."""
     if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-        raise TypeError(f"not an array of numbers: {str(values)[:80]}")
+        raise ValueError(f"not an array of numbers: {str(values)[:80]}")
     return [float(v) for v in values]
 
 
 def validate_regard(scores: Mapping[str, float]) -> dict[str, float]:
-    """Check a regard response: all four categories, each in [0, 1] (so not
-    NaN), summing to 1 within 1e-6."""
+    """Check a regard response: all four categories, each a JSON number (not
+    a boolean or a string) in [0, 1] (so not NaN), summing to 1 within 1e-6."""
     missing = [c for c in REGARD_CATEGORIES if c not in scores]
     if missing:
         raise ValueError(f"regard response missing categories: {missing}")
-    values = {c: float(scores[c]) for c in REGARD_CATEGORIES}
+    values = dict(zip(REGARD_CATEGORIES, _numbers([scores[c] for c in REGARD_CATEGORIES])))
     outside = {c: v for c, v in values.items() if not 0.0 <= v <= 1.0}
     if outside:
         raise ValueError(f"regard scores outside [0, 1]: {outside}")
@@ -1099,10 +1091,12 @@ class EmbeddingBackend(Backend):
         self._dim_lock = threading.Lock()
 
     def _vector(self, values: Sequence[float]) -> np.ndarray:
-        """A response as a finite vector of the backend's dimension."""
+        """A response as a non-empty finite vector of the backend's dimension."""
         import numpy as np
 
         vec = np.array(values, dtype=np.float64)
+        if not len(vec):
+            raise BackendError(f"backend {self.config.id}: empty embedding vector")
         if not np.isfinite(vec).all():
             raise BackendError(f"backend {self.config.id}: embedding vector contains "
                                f"non-finite values")

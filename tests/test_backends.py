@@ -606,20 +606,77 @@ def test_in_process_backends_run_on_the_calling_thread():
     assert seen == {threading.get_ident()}
 
 
-def test_cached_calls_first_error_cancels_queued_calls():
-    started = []
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("k", [0, 5])
+def test_cached_calls_first_error_cancels_queued_calls(k, width):
+    """Request k fails while request k - 1, if any, is still in flight: its
+    failure is raised, and no request that had not started when it failed
+    is made. The caller waits on request k - 1 meanwhile, so the threads
+    themselves must leave the queued requests alone."""
+    started, lock = [], threading.Lock()
 
     def fetch(i):
-        started.append(i)
-        if i == 0:
+        with lock:
+            started.append(i)
+        if i == k:
             raise BackendError("refused")
-        time.sleep(0.2)
+        time.sleep(0.5 if i == k - 1 else 0.05)
         return i
 
-    keys = [key_of(i) for i in range(20)]
+    keys = [key_of(i) for i in range(60)]
     with pytest.raises(BackendError, match="refused"):
-        list(cached_calls(None, stream(keys), fetch, int, width=2))
-    assert len(started) < 10
+        list(cached_calls(None, stream(keys), fetch, int, width=width))
+    # requests start in order: every one up to k, and at most the width - 1
+    # that other threads had taken when request k failed
+    assert set(range(k + 1)) <= set(started) <= set(range(k + width))
+
+
+def test_a_failure_never_turns_an_earlier_request_into_stopped():
+    """A thread that took request 0 before request 1 failed, but checks the
+    batch's failures only after, still makes request 0: its result comes out,
+    then request 1's failure, never Stopped in its place."""
+    failed = threading.Event()
+    calls = itertools.count()
+
+    class SlowToCheck:
+        """A stop signal that is never set, whose first check waits until
+        request 1 has failed."""
+
+        def is_set(self):
+            if next(calls) == 0:
+                failed.wait(timeout=10)
+            return False
+
+    def fetch(i):
+        if i == 1:
+            failed.set()
+            raise BackendError("refused")
+        return i
+
+    results = cached_calls(None, stream([key_of(0), key_of(1)]), fetch, int, width=2,
+                           stop=SlowToCheck())
+    assert next(results) == 0
+    with pytest.raises(BackendError, match="refused"):
+        next(results)
+
+
+def test_a_batch_closed_early_makes_none_of_its_queued_requests():
+    """Leaving a batch on threads after its first result waits for the
+    requests in flight and starts none of those still queued."""
+    started, lock = [], threading.Lock()
+
+    def fetch(i):
+        with lock:
+            started.append(i)
+        time.sleep(0.05)
+        return i
+
+    keys = [key_of(i) for i in range(40)]
+    with closing(cached_calls(None, stream(keys), fetch, int, width=4)) as results:
+        assert next(results) == 0
+    made = len(started)
+    time.sleep(0.3)
+    assert len(started) == made <= 2 * 4
 
 
 @pytest.mark.parametrize("width", [None, 1, 4])
@@ -1438,6 +1495,25 @@ def test_a_regard_batch_at_parallelism_1_fails_only_at_a_refused_text(tmp_path, 
     assert all(score is not None for score in fresh)
 
 
+@pytest.mark.parametrize("body", [
+    {"positive": True, "negative": False, "neutral": False, "other": False},
+    dict.fromkeys(backends.REGARD_CATEGORIES, "0.25"),
+    # an integer too large for a float
+    b'{"positive": 1' + b"0" * 400 + b', "negative": 0, "neutral": 0, "other": 0}',
+])
+def test_a_regard_answer_of_other_than_numbers_is_absent_and_never_cached(tmp_path, loopback,
+                                                                          body):
+    """Booleans, numeric strings and a number no float holds are no regard
+    scores: the text's regard is absent and nothing of it is cached."""
+    config = BackendConfig(id="regard", kind="regard", protocol="http",
+                           endpoint=f"{loopback.url}/regard", parallelism=1)
+    even = dict.fromkeys(backends.REGARD_CATEGORIES, 0.25)
+    loopback.script["/regard"] = [(200, body), (200, even)]
+    with ResponseCache(tmp_path) as cache:
+        assert backends.RegardClient(config, cache).score_batch(["odd", "even"]) == [None, even]
+        assert len(cache) == 1
+
+
 def test_completion_chat_schema(monkeypatch, loopback):
     backend = build_backend(http_config("mistral-compatible", "completion", monkeypatch,
                                         loopback))
@@ -1531,6 +1607,8 @@ MALFORMED_BODIES = [
     ("embedding", (200, {"data": [{"embedding": "abc"}]})),
     ("embedding", (200, b"not json")),
     ("completion", (200, {"id": "chat-1"})),
+    # an integer too large for a float
+    ("embedding", (200, b'{"data": [{"embedding": [1' + b"0" * 400 + b']}]}')),
 ]
 
 

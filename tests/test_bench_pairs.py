@@ -74,13 +74,17 @@ def test_a_result_is_the_last_line_of_json():
 
 
 #: A stand-in for perfbench/run.py: logs its checkout's name and prints a
-#: result with the checkout's rerun time.
+#: result with the checkout's rerun time, unless this is its run FAIL_ON.
 STAND_IN = """\
 import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parents[1]
 with open(here.parent / "order.log", "a") as log:
     log.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+with open(here / "runs.log", "a") as runs:
+    runs.write("x")
+if len((here / "runs.log").read_text()) == {FAIL_ON}:
+    raise SystemExit("stand-in failure")
 value = {VALUE}
 print("a table line")
 print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{
@@ -89,10 +93,11 @@ print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{
 """
 
 
-def stand_in(root: Path, name: str, value: float) -> Path:
+def stand_in(root: Path, name: str, value: float, fail_on: int = 0) -> Path:
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
-    (checkout / "perfbench" / "run.py").write_text(STAND_IN.format(VALUE=value))
+    (checkout / "perfbench" / "run.py").write_text(STAND_IN.format(VALUE=value,
+                                                                   FAIL_ON=fail_on))
     (checkout / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "w"}, {"name": "v"}],
         "end_to_end": [{"name": "rerun_s", "better": "lower", "bound": 0.25},
@@ -114,13 +119,32 @@ def test_pairs_alternate_and_report_each_metric(tmp_path, capsys):
     assert table[2].split()[-3:] == ["3", "no", "within"]
 
 
-def test_a_failed_run_stops_the_pairs(tmp_path, capsys):
+def test_a_failed_run_is_counted_and_the_pairs_go_on(tmp_path, capsys):
+    """The change's second run fails: its output is printed, every pair is
+    still run, the metrics are judged over the two pairs left whole, and the
+    exit code is 1."""
+    parent = stand_in(tmp_path, "parent", 2.0)
+    change = stand_in(tmp_path, "change", 1.0, fail_on=2)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seed", "7",
+                             "--pairs", "3"]) == 1
+    assert len((tmp_path / "order.log").read_text().splitlines()) == 6
+    out, err = capsys.readouterr()
+    assert "w pair 2: change run failed" in err and "stand-in failure" in err
+    table = out.split("workload w, seed 7, 3 pairs\n")[1].splitlines()
+    assert table[1].split()[0] == "rerun_s"
+    assert table[1].split()[-4:] == ["2/2", "0", "yes", "better"]
+    assert table[3] == "failed runs: parent 0, change 1"
+
+
+def test_a_side_that_always_fails_gets_no_verdict(tmp_path, capsys):
     parent = stand_in(tmp_path, "parent", 2.0)
     change = stand_in(tmp_path, "change", 1.0)
     (change / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seed", "7",
                              "--pairs", "2"]) == 1
-    assert "pair 1: change run failed" in capsys.readouterr().err
+    out = capsys.readouterr().out.split("workload w, seed 7, 2 pairs\n")[1].splitlines()
+    assert out == ["no pair in which both runs gave a result",
+                   "failed runs: parent 0, change 2"]
 
 
 def test_without_a_workload_every_declared_workload_gets_its_pairs(tmp_path, capsys):

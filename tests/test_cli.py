@@ -776,6 +776,8 @@ def test_cli_run_fails_fast_without_credentials(tmp_path, fixtures_dir, monkeypa
 @pytest.mark.parametrize("kind,body", [
     ("embedding", {"data": []}),
     ("completion", {"id": "chat-1"}),
+    # an integer too large for a float
+    ("embedding", b'{"data": [{"embedding": [1' + b"0" * 400 + b']}]}'),
 ])
 def test_cli_run_malformed_endpoint_exits_3(tmp_path, fixtures_dir, loopback, kind, body):
     loopback.script["/v1"] = [(200, body)] * 1000  # more than the run posts
@@ -1382,6 +1384,36 @@ def test_http_backend_error_cancels_the_batch_and_exits_3(tmp_path, fixtures_dir
     # 12 resumes x 4 groups x 2 temperatures x 2 runs were due; the first
     # refusal cancelled the queued ones
     assert loopback.requests["/v1/chat/completions"] < 12 * 4 * 2 * 2 // 4
+
+
+def test_at_parallelism_1_no_request_follows_a_refused_one(tmp_path, fixtures_dir,
+                                                           loopback):
+    """At parallelism 1 the chat batch sends nothing after its first refused
+    request, and the run exits 3 with that request's error."""
+    loopback.refuse.add("/v1/chat/completions")
+    path = http_config(tmp_path, fixtures_dir, loopback.url, 1, tmp_path / "out")
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "backend gen: HTTP 400" in result.output
+    assert loopback.requests["/v1/chat/completions"] == 1
+
+
+def test_an_empty_embedding_exits_3_and_is_never_cached(tmp_path, fixtures_dir, loopback):
+    """An embedding endpoint that answers one text with an empty vector ends
+    the run (exit 3) before that answer is stored, so the rerun asks for the
+    text again, gets a vector and succeeds."""
+    loopback.script["/v1/embeddings"] = [(200, {"data": [{"embedding": []}]})]
+    live = {"id": "live", "kind": "embedding", "protocol": "openai-compatible",
+            "model_name": "x", "endpoint": f"{loopback.url}/v1/embeddings"}
+    path = write_config(tmp_path, fixtures_dir, backends=[live])
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "backend live: empty embedding vector" in result.output
+    empty = loopback.received[0]["body"]
+    loopback.reset()
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    assert empty in [request["body"] for request in loopback.received]
 
 
 def test_a_failed_stage_stops_the_other_and_exits_3(tmp_path, fixtures_dir, loopback):

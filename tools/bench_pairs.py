@@ -22,9 +22,13 @@ BENCHMARK.json declares, the report gives each side's median and quartiles
   no worse than the parent's by more than the bound, and "worse" when it
   is.
 
+A run that gives no result is reported with the tail of its output, and
+the pairs go on: each metric is judged over the pairs in which both runs
+gave a result, and each side's count of failed runs follows the table.
+
 Only the standard library is used, and neither checkout is changed beyond
 what its own benchmark writes. Exit code 0 when every run gave a result, 1
-when a run failed (its output is printed), 2 for bad arguments.
+when a run failed, 2 for bad arguments.
 """
 
 from __future__ import annotations
@@ -134,31 +138,37 @@ def report(verdicts: list[Verdict]) -> str:
 
 def compare(args: argparse.Namespace, workload: str, declared: list[dict]) -> int:
     """Runs the pairs of one workload and prints its report; 1 when a run
-    failed, else 0."""
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    failed, else 0. A failed run counts as None, and its pair is judged on
+    no metric."""
+    results: dict[str, list[dict | None]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for name in order:
             try:
-                results[name].append(run(getattr(args, name), workload, args.seed))
+                result = run(getattr(args, name), workload, args.seed)
             except RunFailed as exc:
                 print(f"{workload} pair {i + 1}: {name} run failed: {exc}", file=sys.stderr)
-                return 1
+                result = None
+            results[name].append(result)
         print(f"{workload} pair {i + 1}/{args.pairs} done ({' then '.join(order)})",
               flush=True)
 
+    whole = [i for i in range(args.pairs) if results["parent"][i] and results["change"][i]]
     verdicts = []
     for metric in declared:
         name = metric["name"]
-        values = {side: [r["metrics"].get(name, {}).get("value", float("nan"))
-                         for r in runs] for side, runs in results.items()}
+        values = {side: [runs[i]["metrics"].get(name, {}).get("value", float("nan"))
+                         for i in whole] for side, runs in results.items()}
         print(f"{name} parent {values['parent']}")
         print(f"{name} change {values['change']}")
-        verdicts.append(judge(name, values["parent"], values["change"], metric["better"],
-                              metric["bound"]))
+        if whole:
+            verdicts.append(judge(name, values["parent"], values["change"], metric["better"],
+                                  metric["bound"]))
+    failed = {side: runs.count(None) for side, runs in results.items()}
     print(f"workload {workload}, seed {args.seed}, {args.pairs} pairs")
-    print(report(verdicts))
-    return 0
+    print(report(verdicts) if whole else "no pair in which both runs gave a result")
+    print(f"failed runs: parent {failed['parent']}, change {failed['change']}")
+    return 1 if any(failed.values()) else 0
 
 
 def main(argv=None) -> int:
@@ -178,10 +188,7 @@ def main(argv=None) -> int:
                      else [workload["name"] for workload in benchmark["workloads"]])
     except (OSError, ValueError, LookupError, TypeError) as exc:
         parser.error(f"cannot read the benchmark of {args.parent}: {exc}")
-    for workload in workloads:
-        if compare(args, workload, declared):
-            return 1
-    return 0
+    return max([compare(args, workload, declared) for workload in workloads])
 
 
 if __name__ == "__main__":
