@@ -164,6 +164,10 @@ class BackendConfig:
                                f"serves no kind {self.kind!r}")
         if self.parallelism < 1 or self.retry.max_attempts < 1:
             raise BackendError(f"backend {self.id}: parallelism and retry.max must be >= 1")
+        if self.retry.base_delay_ms < 0:
+            raise BackendError(f"backend {self.id}: retry.base_delay_ms must be >= 0")
+        if self.max_chars is not None and self.max_chars < 1:
+            raise BackendError(f"backend {self.id}: max_chars must be >= 1")
         unread = sorted(set(self.params) - set(protocol.params))
         if unread:
             raise BackendError(f"backend {self.id}: protocol {self.protocol!r} reads "
@@ -321,7 +325,7 @@ def _file_entries(root: Path):
     for path in sorted(root.glob("??/*.json")):
         try:
             yield path.stem, encode_response(json.loads(path.read_bytes())["response"])
-        except (OSError, ValueError, LookupError, TypeError) as exc:
+        except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
             logger.warning("skipped unreadable cache file %s: %s", path, exc)
 
 
@@ -793,7 +797,8 @@ class JsonEndpoint:
 
     def post(self, payload: dict, read: Callable):
         """`read(body)` of the JSON answer to `payload`; `read` raises LookupError,
-        TypeError, ValueError or OverflowError for a body it cannot use."""
+        TypeError, ValueError or OverflowError for a body it cannot use, and a
+        body nested too deep to parse is unreadable too."""
         from http.client import HTTPException
 
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -809,7 +814,8 @@ class JsonEndpoint:
                 if status < 300:
                     try:
                         return read(json.loads(answer))
-                    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                    except (LookupError, TypeError, ValueError, OverflowError,
+                            RecursionError) as exc:
                         raise BackendError(
                             f"{self.name}: unreadable response: {exc!r}") from exc
                 error = f"HTTP {status}: {answer.decode('utf-8', 'replace')[:200]}"

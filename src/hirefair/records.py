@@ -11,6 +11,7 @@ makes it, and write_jsonl writes lines so made.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, fields
 from functools import lru_cache
 from pathlib import Path
@@ -29,8 +30,9 @@ class RetrievalError(Exception):
 
 
 def _as(value, hint):
-    """`value` as a `hint` from JSON, or _BAD: a float takes an int and stores
-    it as a float, a number takes no bool, and a tuple takes a list."""
+    """`value` as a `hint` from JSON, or _BAD: a float takes an int, stored as
+    a float, but no NaN or infinity; a number takes no bool; and a tuple
+    takes a list."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         for arg in args:
@@ -52,9 +54,10 @@ def _as(value, hint):
         if not isinstance(value, (int, hint)) or isinstance(value, bool):
             return _BAD
         try:
-            return float(value) if hint is float else value
+            out = float(value) if hint is float else value
         except OverflowError:
             return _BAD
+        return _BAD if hint is float and not math.isfinite(out) else out
     return value if isinstance(value, hint) else _BAD
 
 
@@ -77,12 +80,14 @@ def _typed(cls, name: str, key: str, value, error: type[Exception], where: str =
 def check_types(record, error: type[Exception]) -> None:
     """Raise `error` unless each field of the dataclass `record` holds a value
     of its annotated type as JSON gives it; store a list as a tuple and a
-    float field's int as a float. The message names the field's file key."""
+    float field's int as a float. The message names the field's file key. A
+    value of exactly its annotated type is kept unchecked, a non-finite
+    float included."""
     cls = type(record)
     hints = _type_hints(cls)
     for key, name in _keys(cls):
         value = getattr(record, name)
-        if type(value) is not hints[name]:  # else _typed takes it as it is
+        if type(value) is not hints[name]:
             out = _typed(cls, name, key, value, error)
             if out is not value:
                 object.__setattr__(record, name, out)
@@ -128,17 +133,17 @@ def to_row(record, **extra) -> dict:
 
 def read_json(path, error: type[Exception], what: str):
     """The document of a JSON file holding a `what`; a file that cannot be
-    read or parsed is `error`."""
+    read or parsed, nested too deep for the parser included, is `error`."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """(line number, row) of each non-blank line of a JSONL file. A line that
-    is not JSON or not an object, and a file that cannot be read, are
-    `error`s naming the line."""
+    is not JSON, nested too deep for the parser or not an object, and a file
+    that cannot be read, are `error`s naming the line."""
     lineno = 0
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
@@ -147,7 +152,7 @@ def read_jsonl(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise error(f"{path} line {lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(row, dict):
                     raise error(f"{path} line {lineno}: row must be a JSON object, "

@@ -154,33 +154,21 @@ def non_uniformity(
 
     per_job = {job_id: top_x_counts(scores_by_job[job_id], x)
                for job_id in sorted(scores_by_job)}
-
-    def build(unit_id: str, counts: dict[str, int], k: int, underpowered: bool):
-        result = uniform_gof([counts[g] for g in GROUP_CODES])
-        return NonUniformityResult(
-            unit_id=unit_id, mode=mode, x=x, k=k, counts=counts,
-            chi2=result.t, p=result.p, flag=result.p < alpha,
-            underpowered=underpowered,
-        )
-
-    if mode == "separated":
-        return [build(job_id, *per_job[job_id]) for job_id in sorted(per_job)]
-
-    by_occupation: dict[str, list[str]] = {}
-    for job_id in per_job:
-        by_occupation.setdefault(occupation_of[job_id], []).append(job_id)
+    units: dict[str, list[tuple[dict[str, int], int, bool]]] = {}
+    for job_id, job in per_job.items():
+        units.setdefault(job_id if mode == "separated" else occupation_of[job_id],
+                         []).append(job)
     results = []
-    for occupation in sorted(by_occupation):
-        counts = {g: 0 for g in GROUP_CODES}
-        k_total = 0
-        underpowered = False
-        for job_id in by_occupation[occupation]:
-            job_counts, k, up = per_job[job_id]
-            for g in GROUP_CODES:
-                counts[g] += job_counts[g]
-            k_total += k
-            underpowered = underpowered or up
-        results.append(build(occupation, counts, k_total, underpowered))
+    for unit_id in sorted(units):
+        counts, k, underpowered = dict.fromkeys(GROUP_CODES, 0), 0, False
+        for job_counts, job_k, job_underpowered in units[unit_id]:
+            counts = {g: counts[g] + job_counts[g] for g in GROUP_CODES}
+            k += job_k
+            underpowered |= job_underpowered
+        result = uniform_gof(list(counts.values()))
+        results.append(NonUniformityResult(
+            unit_id=unit_id, mode=mode, x=x, k=k, counts=counts, chi2=result.t,
+            p=result.p, flag=result.p < alpha, underpowered=underpowered))
     return results
 
 

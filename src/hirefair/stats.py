@@ -45,6 +45,18 @@ def _gamma_p_series(s: float, x: float) -> float:
     return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 
+def _lentz(c: float, d: float, a: float, b: float) -> tuple[float, float]:
+    # one step of the modified Lentz method for a term a / (b + ...): the new
+    # c and 1/d, each kept off zero by _FPMIN
+    d = a * d + b
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = b + a / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    return c, 1.0 / d
+
+
 def _gamma_q_contfrac(s: float, x: float) -> float:
     # upper regularized incomplete gamma Q(s, x) by continued fraction; x >= s + 1
     b = x + 1.0 - s
@@ -52,15 +64,8 @@ def _gamma_q_contfrac(s: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz(c, d, -i * (i - s), b)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -96,23 +101,9 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz(c, d, m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz(c, d, -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -334,14 +325,12 @@ def invariance_violation_rate(
     for i, (label, _) in enumerate(items):
         groups.setdefault((label.model, label.comparison_type), []).append(i)
 
-    if scope == "global":
-        flags = correct([r.p for _, r in items], alpha)
-    else:
-        flags = [False] * len(items)
-        for indices in groups.values():
-            group_flags = correct([items[i][1].p for i in indices], alpha)
-            for i, f in zip(indices, group_flags):
-                flags[i] = f
+    # the global scope is one unit that holds every test
+    units = groups.values() if scope == "group" else [range(len(items))]
+    flags = [False] * len(items)
+    for indices in units:
+        for i, f in zip(indices, correct([items[i][1].p for i in indices], alpha)):
+            flags[i] = f
 
     rows = []
     for (model, ctype), indices in sorted(groups.items()):

@@ -17,6 +17,10 @@ pytest_plugins = ["pytester"]
 
 FIXTURE_DIR_NAME = "data/fixtures"
 
+#: One JSON document nested deeper than the json module parses: 100,000
+#: arrays, one inside the other.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
 #: Seconds any one test may take; the slowest takes about 5.
 WATCHDOG_S = 120.0
 

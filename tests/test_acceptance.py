@@ -249,6 +249,13 @@ FIXTURE_REPORT_SHA256 = "83f519e70deb034ca72e4b85b61f04feaef1bf73cab0a0f19ad2c02
 #: sha256 of the fixture run's measures file: a text measure that drifts in
 #: its last bit fails here even when no reported figure moves.
 FIXTURE_MEASURES_SHA256 = "6c23036b205bf3fe26bb3f822ae133c48f25f7682af3c4bd2066fe549c445a18"
+#: sha256 of the fixture run's paired t-tests: a p-value that drifts in its
+#: last bit fails here even when no flag, and so no reported rate, moves.
+FIXTURE_T_TESTS_SHA256 = "315e1a8e8a0010b77141c6a6aa6f855265574828ede0936e4c4be34f74525da1"
+#: sha256 of the fixture run's non-uniformity tests (their counts, k and
+#: p-values). They rank the scores, so, like report.csv, they depend on the
+#: BLAS kernel that sums each score (ROADMAP item 1).
+FIXTURE_NONUNIFORMITY_SHA256 = "09f3f47a43e47a846a931e2f2d168334c8eb954d66b7c009c13eebd0057dcc88"
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path, fixtures_dir):
@@ -282,8 +289,11 @@ def test_criterion_8_end_to_end_determinism(tmp_path, fixtures_dir):
             assert a == b, f"{name} differs between reruns"
         report = (Path(config_a.out_dir) / "report.csv").read_bytes()
         assert hashlib.sha256(report).hexdigest() == FIXTURE_REPORT_SHA256
-        measures = (Path(config_a.out_dir) / "measures_mock-complete.jsonl").read_bytes()
-        assert hashlib.sha256(measures).hexdigest() == FIXTURE_MEASURES_SHA256
+        for name, digest in (("measures_mock-complete.jsonl", FIXTURE_MEASURES_SHA256),
+                             ("t_tests.jsonl", FIXTURE_T_TESTS_SHA256),
+                             ("nonuniformity_tests.jsonl", FIXTURE_NONUNIFORMITY_SHA256)):
+            data = (Path(config_a.out_dir) / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
         assert len(result_a.report.rows) > 0
         assert {r.metric for r in result_a.report.rows} == \
             {"exclusion", "nonuniformity", "violation_rate"}

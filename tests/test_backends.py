@@ -58,7 +58,7 @@ from hirefair.backends import (
 from hirefair.retrieval import cosine
 from hirefair.textmetrics import NoWordError
 
-from conftest import cached_response, recorded_tasks
+from conftest import DEEP_JSON, cached_response, recorded_tasks
 
 
 def mock_config(backend_id="m", kind="embedding", protocol="mock", **params):
@@ -372,6 +372,22 @@ def test_a_put_commits_every_pending_row_once_the_oldest_is_old(tmp_path, clock)
         cache.put(*rows[5])
         assert len(stored_keys(tmp_path)) == 4
     assert stored_keys(tmp_path) == sorted(key for key, _ in rows)
+
+
+def test_a_response_file_nested_too_deep_is_skipped_on_import(tmp_path, caplog):
+    """A cache of one file per response imports each file it can read; a
+    file nested too deep to parse is skipped with a warning, as any other
+    unreadable file is."""
+    for key, doc in (("aa" * 32, b'{"response": "kept"}'),
+                     ("bb" * 32, b'{"response": ' + DEEP_JSON + b"}")):
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.parent.mkdir()
+        path.write_bytes(doc)
+    with caplog.at_level(logging.WARNING, logger="hirefair.backends"), \
+            ResponseCache(tmp_path) as cache:
+        assert stored_keys(tmp_path) == ["aa" * 32]
+        assert cached_response(cache, "aa" * 32) == "kept"
+    assert "skipped unreadable cache file" in caplog.text and "bb" * 32 in caplog.text
 
 
 class RecordingConnection:
@@ -1500,11 +1516,13 @@ def test_a_regard_batch_at_parallelism_1_fails_only_at_a_refused_text(tmp_path, 
     dict.fromkeys(backends.REGARD_CATEGORIES, "0.25"),
     # an integer too large for a float
     b'{"positive": 1' + b"0" * 400 + b', "negative": 0, "neutral": 0, "other": 0}',
+    pytest.param(DEEP_JSON, id="nested-too-deep"),
 ])
 def test_a_regard_answer_of_other_than_numbers_is_absent_and_never_cached(tmp_path, loopback,
                                                                           body):
-    """Booleans, numeric strings and a number no float holds are no regard
-    scores: the text's regard is absent and nothing of it is cached."""
+    """Booleans, numeric strings, a number no float holds and a body nested
+    too deep to parse are no regard scores: the text's regard is absent and
+    nothing of it is cached."""
     config = BackendConfig(id="regard", kind="regard", protocol="http",
                            endpoint=f"{loopback.url}/regard", parallelism=1)
     even = dict.fromkeys(backends.REGARD_CATEGORIES, 0.25)
@@ -1609,6 +1627,8 @@ MALFORMED_BODIES = [
     ("completion", (200, {"id": "chat-1"})),
     # an integer too large for a float
     ("embedding", (200, b'{"data": [{"embedding": [1' + b"0" * 400 + b']}]}')),
+    pytest.param("embedding", (200, DEEP_JSON), id="embedding-nested-too-deep"),
+    pytest.param("completion", (200, DEEP_JSON), id="completion-nested-too-deep"),
 ]
 
 
@@ -1764,6 +1784,14 @@ def test_config_parallelism_and_retries_are_positive():
     with pytest.raises(BackendError, match="must be >= 1"):
         BackendConfig(id="x", kind="embedding", protocol="mock",
                       retry=RetryPolicy(max_attempts=0))
+    with pytest.raises(BackendError, match="retry.base_delay_ms must be >= 0"):
+        BackendConfig(id="x", kind="embedding", protocol="mock",
+                      retry=RetryPolicy(base_delay_ms=-5))
+    for max_chars in (0, -1):
+        with pytest.raises(BackendError, match="max_chars must be >= 1"):
+            BackendConfig(id="x", kind="embedding", protocol="mock", max_chars=max_chars)
+    assert BackendConfig(id="x", kind="embedding", protocol="mock", max_chars=1,
+                         retry=RetryPolicy(base_delay_ms=0)).max_chars == 1
 
 
 @pytest.mark.parametrize("protocol,params,message", [
@@ -1776,6 +1804,8 @@ def test_config_parallelism_and_retries_are_positive():
     ("cohere-compatible", {"input_type": 1}, "input_type must be str"),
     ("mock", {"tag_bias": {"X": 1.0}}, "reads no param(s) tag_bias"),
     ("openai-compatible", {"input_type": "search_query"}, "reads no param(s) input_type"),
+    ("mock-biased", {"tag_bias": {"X": math.nan}}, "tag_bias must be dict[str, float], got"),
+    ("mock-biased", {"tag_bias": {"X": math.inf}}, "tag_bias must be dict[str, float], got"),
 ])
 def test_malformed_params_are_refused(protocol, params, message):
     with pytest.raises(BackendError) as info:

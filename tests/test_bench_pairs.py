@@ -147,6 +147,23 @@ def test_a_side_that_always_fails_gets_no_verdict(tmp_path, capsys):
                    "failed runs: parent 0, change 2"]
 
 
+@pytest.mark.parametrize("value", ["float('nan')", "None", "'fast'", "True", "missing"])
+def test_a_result_without_a_finite_metric_is_a_failed_run(tmp_path, capsys, value):
+    """A result whose declared metric is missing or not a finite number is
+    a failed run naming the metric, not a NaN in the verdicts."""
+    parent = stand_in(tmp_path, "parent", 2.0)
+    change = stand_in(tmp_path, "change", 1.0 if value == "missing" else value)
+    if value == "missing":
+        script = change / "perfbench" / "run.py"
+        script.write_text(script.read_text().replace('"rerun_s"', '"other_s"'))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seed", "7",
+                             "--pairs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "w pair 1: change run failed" in err and "no finite rerun_s" in err
+    assert out.split("workload w, seed 7, 2 pairs\n")[1].splitlines() == [
+        "no pair in which both runs gave a result", "failed runs: parent 0, change 2"]
+
+
 def test_without_a_workload_every_declared_workload_gets_its_pairs(tmp_path, capsys):
     """Without --workload, each workload of PARENT's BENCHMARK.json gets its
     pairs in turn, alternating, and a report of its own."""

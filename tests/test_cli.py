@@ -56,7 +56,7 @@ from hirefair.retrieval import cosine, read_score_table
 from hirefair.records import open_jsonl, to_row
 from hirefair.textmetrics import SummaryRecord, read_measures, read_summaries, summary_lines
 
-from conftest import cached_response, recorded_tasks
+from conftest import DEEP_JSON, cached_response, recorded_tasks
 
 
 def write_config(tmp_path, fixtures_dir, **extra):
@@ -184,6 +184,16 @@ MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name"
     {"grid": {"temperatures": []}},
     {"grid": {"lengths": []}},
     {"grid": {"povs": []}},
+    {"backends": [dict(MOCK_EMBED, retry={"max": 2, "base_delay_ms": -5})]},
+    {"backends": [dict(MOCK_EMBED, max_chars=-1)]},
+    {"backends": [dict(MOCK_EMBED, max_chars=0)]},
+    # JSON's reader takes NaN, Infinity and numbers beyond a float's range,
+    # which no float setting does
+    *({"backends": [dict(MOCK_EMBED, protocol="mock-biased", params={"tag_bias": {"X": x}})]}
+      for x in (math.nan, math.inf, -math.inf)),
+    pytest.param('{"schema_version": 1, "corpus": "c.jsonl", "out_dir": "out", "backends": '
+                 '[{"id": "e", "kind": "embedding", "protocol": "mock-biased", '
+                 '"params": {"tag_bias": {"X": 1e400}}}]}', id="tag-bias-beyond-a-float"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
     if isinstance(extra, str):
@@ -196,6 +206,43 @@ def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
     result = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 2, result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader, code", [
+    ("config", 2), ("backends", 2), ("corpus", 4), ("plan", 4), ("frequency table", 4),
+    ("summaries", 4), ("measures", 4), ("ledger", 4), ("manifest", 4),
+])
+def test_json_nested_too_deep_is_unreadable_input(tmp_path, fixtures_dir, reader, code):
+    """A JSON document nested deeper than the parser goes is input that does
+    not parse: its command ends with the reader's exit code and one error
+    line, not a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(DEEP_JSON + b"\n")
+    corpus = str(fixtures_dir / "mini_corpus.jsonl")
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text(json.dumps(LEDGER_ROW) + "\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{}")
+    report = ["report", "--run-id", "r", "--out", str(tmp_path / "out")]
+    args = {
+        "config": ["run", "--config", str(deep)],
+        "backends": ["embed", "--backends", str(deep), "--in", corpus,
+                     "--out", str(tmp_path / "scores.csv")],
+        "corpus": ["corpus", "validate", str(deep)],
+        "plan": ["perturb", "--plan", str(deep), "--in", corpus,
+                 "--out", str(tmp_path / "o.jsonl")],
+        "frequency table": ["run", "--config", str(write_config(
+            tmp_path, fixtures_dir, frequency_table=str(deep)))],
+        "summaries": ["measure", "--in", str(deep), "--out", str(tmp_path / "m.jsonl")],
+        "measures": ["audit", "summarization", "--measures", str(deep)],
+        "ledger": [*report, "--ledger", str(deep), "--manifest", str(manifest)],
+        "manifest": [*report, "--ledger", str(ledger), "--manifest", str(deep)],
+    }[reader]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert result.output.startswith("error: ") and len(result.output.splitlines()) == 1
+    assert "maximum recursion depth" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 @pytest.mark.parametrize("command,block", [
@@ -778,6 +825,8 @@ def test_cli_run_fails_fast_without_credentials(tmp_path, fixtures_dir, monkeypa
     ("completion", {"id": "chat-1"}),
     # an integer too large for a float
     ("embedding", b'{"data": [{"embedding": [1' + b"0" * 400 + b']}]}'),
+    pytest.param("embedding", DEEP_JSON, id="embedding-nested-too-deep"),
+    pytest.param("completion", DEEP_JSON, id="completion-nested-too-deep"),
 ])
 def test_cli_run_malformed_endpoint_exits_3(tmp_path, fixtures_dir, loopback, kind, body):
     loopback.script["/v1"] = [(200, body)] * 1000  # more than the run posts
@@ -981,6 +1030,14 @@ JOB_ROW = {"schema_version": 1, "kind": "job", "id": "j", "occupation": "IT", "b
     ("corpus", [dict(RESUME_ROW, lineage="abc")], None, "lineage must be"),
     ("corpus", [dict(RESUME_ROW, id=7)], None, "id must be str"),
     ("corpus", [dict(JOB_ROW, note="x")], None, "key(s): note"),
+    # JSON's reader takes NaN and Infinity, which no float field does
+    ("report", [LEDGER_ROW, dict(LEDGER_ROW, value=math.nan)], {},
+     "line 2: value must be float, got nan"),
+    ("report", [dict(LEDGER_ROW, value=-math.inf)], {}, "line 1: value must be float, got -inf"),
+    ("audit", [dict(MEASURES_ROW, polarity=math.nan)], None,
+     "line 1: polarity must be float, got nan"),
+    ("audit", [dict(MEASURES_ROW, regard=dict.fromkeys(backends.REGARD_CATEGORIES, math.inf))],
+     None, "regard must be"),
 ])
 def test_cli_malformed_rows_are_data_errors(tmp_path, command, rows, manifest, expected):
     """Each artifact reader rejects a row that is not an object, a key that
@@ -1580,6 +1637,21 @@ def test_regard_endpoint_that_always_fails(tmp_path, fixtures_dir, loopback, cap
     assert set(loopback.requests) == {"/regard"}
     assert loopback.regard_texts == posted
     assert cache_rows(out / "cache") == rows
+
+
+def test_a_regard_body_nested_too_deep_is_an_absence(tmp_path, fixtures_dir, loopback):
+    """A regard answer nested too deep to parse leaves its text's regard
+    absent, as any unreadable answer does, and the run completes."""
+    loopback.script["/regard"] = [(200, DEEP_JSON)]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(
+        http_config(tmp_path, fixtures_dir, loopback.url, 1, out))])
+    assert result.exit_code == 0, result.output
+    texts = {dataclasses.replace(record, text=""): record.text
+             for record in read_summaries(out / "summaries_gen.jsonl")}
+    measured = read_measures(out / "measures_gen.jsonl")
+    absent = {texts[record] for record, mv in measured if mv.regard is None}
+    assert len(absent) == 1 and len(measured) == len(texts) > 1
 
 
 def test_a_cache_of_one_file_per_response_replays_offline(tmp_path, fixtures_dir,

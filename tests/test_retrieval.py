@@ -23,6 +23,7 @@ from hirefair.retrieval import (
     read_score_table,
     write_score_table,
 )
+from hirefair.stats import uniform_gof
 
 # ---------------------------------------------------------------------------
 # independent oracle: exhaustive re-ranking
@@ -303,6 +304,35 @@ def test_non_uniformity_pooled_mode_sums_counts():
     assert pooled[0].unit_id == "Data Analyst"
     assert pooled[0].counts == {"FB": 10, "FW": 10, "MB": 10, "MW": 10}
     assert pooled[0].k == 40
+
+
+#: Scores on a grid of 21 values, so that pools hold ties.
+TIED_SCORES = st.integers(0, 20).map(lambda i: i / 20)
+
+
+@given(st.data(), st.sampled_from([5.0, 10.0, 37.5, 100.0]))
+@settings(max_examples=60, deadline=None)
+def test_pooled_non_uniformity_tests_the_summed_separated_counts(data, x):
+    """Per occupation, pooled mode is the chi-squared test of the summed
+    separated counts of its job posts, with k summed and underpowered OR-ed."""
+    resumes = data.draw(st.integers(1, 8))
+    pools = {f"j{i}": np.array(data.draw(st.lists(
+        st.lists(TIED_SCORES, min_size=resumes, max_size=resumes),
+        min_size=len(GROUP_CODES), max_size=len(GROUP_CODES))))
+        for i in range(data.draw(st.integers(1, 5)))}
+    occupation_of = {job: data.draw(st.sampled_from("ABC")) for job in pools}
+    separated = {res.unit_id: res for res in non_uniformity(pools, x)}
+    pooled = non_uniformity(pools, x, mode="pooled", occupation_of=occupation_of)
+    assert [res.unit_id for res in pooled] == sorted(set(occupation_of.values()))
+    for res in pooled:
+        members = [separated[job] for job in sorted(pools) if occupation_of[job] == res.unit_id]
+        counts = {g: sum(m.counts[g] for m in members) for g in GROUP_CODES}
+        test = uniform_gof(list(counts.values()))
+        assert res.counts == counts and all(type(c) is int for c in res.counts.values())
+        assert res.k == sum(m.k for m in members)
+        assert res.underpowered == any(m.underpowered for m in members)
+        assert (res.chi2, res.p, res.flag) == (test.t, test.p, test.p < 0.05)
+        assert (res.mode, res.x) == ("pooled", x)
 
 
 def test_non_uniformity_underpowered_warning(caplog):

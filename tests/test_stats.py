@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hirefair.stats import (
+    ALL_COMPARISONS,
+    CORRECTIONS,
     PairedSample,
     StatsError,
     TestLabel,
@@ -286,6 +288,26 @@ def test_correction_scope_global():
     assert sum(r.rejected for r in grouped) == 2
     # global: m=2, step-up keeps both (0.04 <= 2/2*0.05)
     assert sum(r.rejected for r in global_) == 2
+
+
+@given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from(ALL_COMPARISONS),
+                          st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1e-12, 1.0]))),
+                min_size=1, max_size=40),
+       st.sampled_from(sorted(CORRECTIONS)), st.floats(0.001, 0.2))
+@settings(max_examples=100, deadline=None)
+def test_global_scope_flags_are_one_correction_of_every_p_value(tests, correction, alpha):
+    """scope="global" flags each test as the correction of all p-values at
+    once does, and each group's row counts its tests and their flags."""
+    results = [(_label(model, comparison), TestResult(t=0.0, df=10, p=p))
+               for model, comparison, p in tests]
+    rows, flags = invariance_violation_rate(results, correction, alpha, scope="global")
+    assert flags == CORRECTIONS[correction]([p for _, _, p in tests], alpha)
+    groups = sorted({(label.model, label.comparison_type) for label, _ in results})
+    assert [(row.model, row.comparison_type) for row in rows] == groups
+    for row in rows:
+        mine = [f for (label, _), f in zip(results, flags)
+                if (label.model, label.comparison_type) == (row.model, row.comparison_type)]
+        assert (row.total, row.rejected) == (len(mine), sum(mine))
 
 
 def test_empty_results_error():

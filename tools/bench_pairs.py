@@ -22,7 +22,8 @@ BENCHMARK.json declares, the report gives each side's median and quartiles
   no worse than the parent's by more than the bound, and "worse" when it
   is.
 
-A run that gives no result is reported with the tail of its output, and
+A run that gives no result, or a result without a finite number for each
+declared end-to-end metric, is reported with the tail of its output, and
 the pairs go on: each metric is judged over the pairs in which both runs
 gave a result, and each side's count of failed runs follows the table.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -106,8 +108,9 @@ def result_of(stdout: str) -> dict:
     return result
 
 
-def run(checkout: Path, workload: str, seed: int) -> dict:
-    """The result of one run of `checkout`'s own benchmark."""
+def run(checkout: Path, workload: str, seed: int, metrics: list[str]) -> dict:
+    """The result of one run of `checkout`'s own benchmark, which must give
+    a finite number for each of `metrics`."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed)], cwd=checkout, capture_output=True, text=True)
@@ -119,6 +122,13 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not result.get("correct"):
         raise RunFailed(f"{checkout}: exit code {proc.returncode}, correct "
                         f"{result.get('correct')}\n{proc.stdout[-2000:]}")
+    for name in metrics:
+        value = result["metrics"].get(name)
+        value = value.get("value") if isinstance(value, dict) else None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise RunFailed(f"{checkout}: no finite {name} in the result, got {value!r}"
+                            f"\n{proc.stdout[-2000:]}")
     return result
 
 
@@ -145,7 +155,8 @@ def compare(args: argparse.Namespace, workload: str, declared: list[dict]) -> in
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for name in order:
             try:
-                result = run(getattr(args, name), workload, args.seed)
+                result = run(getattr(args, name), workload, args.seed,
+                             [metric["name"] for metric in declared])
             except RunFailed as exc:
                 print(f"{workload} pair {i + 1}: {name} run failed: {exc}", file=sys.stderr)
                 result = None
@@ -157,8 +168,8 @@ def compare(args: argparse.Namespace, workload: str, declared: list[dict]) -> in
     verdicts = []
     for metric in declared:
         name = metric["name"]
-        values = {side: [runs[i]["metrics"].get(name, {}).get("value", float("nan"))
-                         for i in whole] for side, runs in results.items()}
+        values = {side: [runs[i]["metrics"][name]["value"] for i in whole]
+                  for side, runs in results.items()}
         print(f"{name} parent {values['parent']}")
         print(f"{name} change {values['change']}")
         if whole:
