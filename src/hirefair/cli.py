@@ -191,10 +191,13 @@ def embed_cmd(backends_path, backend_id, in_path, out_path, cache_dir):
 @click.option("--backend-id", default=None)
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--length", type=click.Choice(["100", "200"]), default="100")
-@click.option("--pov", type=click.Choice(["first", "third"]), default="third")
-@click.option("--temperature", type=click.Choice(["0.0", "0.3"]), default="0.0")
-@click.option("--runs", type=click.IntRange(1, 5), default=1)
+@click.option("--length", type=click.Choice([str(v) for v in textmetrics.ALLOWED_LENGTHS]),
+              default="100")
+@click.option("--pov", type=click.Choice(textmetrics.ALLOWED_POVS), default="third")
+@click.option("--temperature",
+              type=click.Choice([str(v) for v in textmetrics.ALLOWED_TEMPERATURES]),
+              default="0.0")
+@click.option("--runs", type=click.IntRange(1, textmetrics.MAX_RUNS), default=1)
 @click.option("--cache-dir", default=None, type=click.Path())
 def summarize_cmd(backends_path, backend_id, in_path, out_path, length, pov,
                   temperature, runs, cache_dir):
@@ -289,7 +292,7 @@ def audit_retrieval(scores_path, metric, n_values, x_values,
 
 @audit.command("summarization")
 @click.option("--measures", "measures_path", required=True, type=click.Path(exists=True))
-@click.option("--correction", type=click.Choice(["bh", "bonferroni"]), default="bh")
+@click.option("--correction", type=click.Choice(list(stats.CORRECTIONS)), default="bh")
 @click.option("--alpha", type=ALPHA, default=0.05)
 def audit_summarization(measures_path, correction, alpha):
     """Invariance-violation rates from a measures file.
@@ -335,7 +338,7 @@ def report_cmd(ledger_paths, run_id, manifest_path, out_dir, svg):
               help="Override the config's output directory.")
 @click.option("--seed", "master_seed", default=None, type=int)
 @click.option("--draws", default=None, type=int)
-@click.option("--correction", default=None, type=click.Choice(["bh", "bonferroni"]))
+@click.option("--correction", default=None, type=click.Choice(list(stats.CORRECTIONS)))
 @click.option("--alpha", default=None, type=float)
 @click.option("--svg", is_flag=True)
 def run_cmd(config_path, out_dir, master_seed, draws, correction, alpha, svg):

@@ -12,14 +12,12 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from hirefair.backends import BackendConfig, BackendError, RetryPolicy
+from hirefair.perturb import _check_param
 from hirefair.records import check_types, from_row, read_json
+from hirefair.stats import CORRECTIONS
+from hirefair.textmetrics import ALLOWED_LENGTHS, ALLOWED_POVS, ALLOWED_TEMPERATURES, MAX_RUNS
 
 CONFIG_SCHEMA_VERSION = 1
-
-ALLOWED_TEMPERATURES = (0.0, 0.3)
-ALLOWED_LENGTHS = (100, 200)
-ALLOWED_POVS = ("first", "third")
-MAX_RUNS = 5
 
 
 class ConfigError(Exception):
@@ -83,18 +81,17 @@ class RunConfig:
 
     def __post_init__(self):
         check_types(self, ConfigError)
-        if self.correction not in ("bh", "bonferroni"):
-            raise ConfigError(f"correction must be bh or bonferroni, got {self.correction!r}")
+        if self.correction not in CORRECTIONS:
+            raise ConfigError(f"correction must be {' or '.join(CORRECTIONS)}, "
+                              f"got {self.correction!r}")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.pair_runs not in ("average", "separate"):
             raise ConfigError(f"pair_runs must be average or separate, got {self.pair_runs!r}")
-        if self.spacing_mode not in ("collapse", "per_newline"):
-            raise ConfigError(f"spacing_mode must be collapse or per_newline")
-        if self.swap_matching not in ("random", "frequency_binned"):
-            raise ConfigError(f"swap_matching must be random or frequency_binned")
-        if self.typo_count < 0:
-            raise ConfigError(f"typo_count must be non-negative, got {self.typo_count}")
+        for name, kind, key in (("typo_count", "typo", "count"),
+                                ("spacing_mode", "spacing", "mode"),
+                                ("swap_matching", "between_group_name", "matching")):
+            _check_param(kind, key, getattr(self, name), ConfigError, name)
         if not self.backends:
             raise ConfigError("at least one backend must be configured")
         ids = [b.id for b in self.backends]

@@ -291,7 +291,7 @@ def load_name_pools(path=None, *, frequency_overrides: dict[str, dict[str, int]]
 
 
 def overlapping_names(pools: dict[str, NamePool]) -> frozenset[str]:
-    """Names appearing in more than one pool (excluded as swap targets)."""
+    """Names appearing in more than one pool (excluded as between-group swap targets)."""
     seen: dict[str, int] = {}
     for pool in pools.values():
         for name in pool.names:

@@ -34,20 +34,23 @@ from hirefair.records import from_row, read_json, to_row
 logger = logging.getLogger(__name__)
 
 
-def _one_of(*values):
-    return lambda v: isinstance(v, str) and v in values
+class _OneOf(tuple):
+    """The check that a param is one of these strings."""
+
+    def __call__(self, value) -> bool:
+        return isinstance(value, str) and value in self
 
 
-_GROUP = _one_of(*GROUP_CODES)
+_GROUP = _OneOf(GROUP_CODES)
 
 #: Parameters each kind accepts, with a check of each value.
 _PARAMS = {
     "assign_name": {"group": _GROUP},
     "between_group_name": {"source": _GROUP, "target": _GROUP,
-                           "matching": _one_of("frequency_binned", "random")},
+                           "matching": _OneOf(("frequency_binned", "random"))},
     "within_group_name": {},
     "typo": {"count": lambda v: type(v) is int and v >= 0},
-    "spacing": {"mode": _one_of("collapse", "per_newline")},
+    "spacing": {"mode": _OneOf(("collapse", "per_newline"))},
     "extracurricular": {"all_sources": lambda v: type(v) is bool},
 }
 
@@ -82,6 +85,14 @@ _QWERTY_PATH = Path(__file__).parent / "data" / "qwerty_neighbors.json"
 
 class PerturbError(Exception):
     """Raised when a perturbation cannot be applied."""
+
+
+def _check_param(kind: str, key: str, value, error: type[Exception] = PerturbError,
+                 name: str = "") -> None:
+    """Raise ``error``, naming ``name`` (else ``key``) and ``value``, unless
+    ``_PARAMS`` allows ``value`` as the ``key`` param of a ``kind`` spec."""
+    if not _PARAMS[kind][key](value):
+        raise error(f"invalid {name or key} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +192,42 @@ def _replace_name(body: str, old: str, new: str) -> str:
     return re.sub(rf"\b{re.escape(old)}\b", new, body)
 
 
-def _bin_candidates(pool: NamePool, want_bin: int, exclude: set[str]) -> tuple[list[str], int]:
-    """Names of ``want_bin`` minus exclusions, falling back to the nearest bin."""
+def _swap(resume: Resume, target: DemographicGroup | None, pools: Mapping[str, NamePool],
+          seed: int, kind: str, spec_id: str, matching: str, exclude: frozenset[str],
+          details: dict) -> Resume:
+    """Replace every whole-word occurrence of the resume's first name with a
+    name of ``target``'s pool, drawn by ``_rng(seed, kind, resume.id)`` among
+    the names other than the old one and those in ``exclude``. With
+    frequency_binned matching the draw is from the target-pool bin matching
+    the old name's bin in its own pool, or from the nearest bin holding a
+    candidate (recorded as ``bin_fallback``); with random matching it is from
+    the whole pool. The lineage entry records the new and old names, then
+    ``details``."""
+    if resume.group is None:
+        raise PerturbError(f"resume {resume.id} is unnamed; assign a name first")
+    old = assigned_first_name(resume)
+    if old is None:
+        raise PerturbError(f"resume {resume.id}: cannot determine current first name")
+    want, bins = 0, dict.fromkeys(pools[target.code].names, 0)  # random: one bin
+    if matching == "frequency_binned":
+        want, bins = pools[resume.group.code].bins.get(old), pools[target.code].bins
+        if want is None:
+            raise PerturbError(
+                f"resume {resume.id}: first name {old!r} not in pool {resume.group.code}"
+            )
     by_bin: dict[int, list[str]] = {}
-    for name, b in pool.bins.items():
-        if name not in exclude:
+    for name, b in bins.items():
+        if name != old and name not in exclude:
             by_bin.setdefault(b, []).append(name)
     if not by_bin:
-        raise PerturbError(f"pool {pool.group.code}: no candidate names available")
-    best = min(by_bin, key=lambda b: (abs(b - want_bin), b))
-    return sorted(by_bin[best]), best
+        raise PerturbError(f"pool {target.code}: no candidate names available")
+    got = min(by_bin, key=lambda b: (abs(b - want), b))
+    new = _rng(seed, kind, resume.id).choice(sorted(by_bin[got]))
+    fallback = {"bin_fallback": got} if got != want else {}
+    return resume.with_body(
+        _replace_name(resume.body, old, new), group=target,
+        lineage_entry=lineage_entry(spec_id, first=new, prev=old, **details, **fallback),
+    )
 
 
 def between_group_swap(resume: Resume, target: DemographicGroup,
@@ -207,72 +244,24 @@ def between_group_swap(resume: Resume, target: DemographicGroup,
     has it. With frequency_binned matching the replacement comes from the
     target-pool quartile bin matching the old name's bin in its own pool.
     """
-    if resume.group is None:
-        raise PerturbError(f"resume {resume.id} is unnamed; assign a name first")
     if resume.group == target:
         raise PerturbError(f"resume {resume.id}: target group equals current group")
-    if matching not in ("random", "frequency_binned"):
-        raise PerturbError(f"unknown matching mode {matching!r}")
-    old = assigned_first_name(resume)
-    if old is None:
-        raise PerturbError(f"resume {resume.id}: cannot determine current first name")
-    source_pool = pools[resume.group.code]
-    target_pool = pools[target.code]
+    _check_param("between_group_name", "matching", matching)
     if shared_names is None:
         shared_names = overlapping_names(pools)
-    exclude = set(shared_names) | {old}
-    fallback_bin = None
-    if matching == "frequency_binned":
-        want = source_pool.bins.get(old)
-        if want is None:
-            raise PerturbError(
-                f"resume {resume.id}: first name {old!r} not in pool {resume.group.code}"
-            )
-        candidates, got = _bin_candidates(target_pool, want, exclude)
-        if got != want:
-            fallback_bin = got
-    else:
-        candidates = sorted(n for n in target_pool.names if n not in exclude)
-        if not candidates:
-            raise PerturbError(f"pool {target.code}: no candidate names available")
-    rng = _rng(seed, "between_group_name", resume.id)
-    new = rng.choice(candidates)
-    details = {"first": new, "prev": old, "matching": matching,
-               "source": resume.group.code, "target": target.code}
-    if fallback_bin is not None:
-        details["bin_fallback"] = fallback_bin
-    return resume.with_body(
-        _replace_name(resume.body, old, new), group=target,
-        lineage_entry=lineage_entry(spec_id, **details),
-    )
+    source = resume.group.code if resume.group else None  # _swap refuses an unnamed resume
+    return _swap(resume, target, pools, seed, "between_group_name", spec_id, matching,
+                 shared_names, {"matching": matching, "source": source, "target": target.code})
 
 
 def within_group_swap(resume: Resume, pools: Mapping[str, NamePool], seed: int,
                       spec_id: str = "within_group_name") -> Resume:
     """Swap the first name for a different same-group name in the same
     frequency bin; falls back to the nearest bin (recorded in lineage) when
-    the bin holds no other name."""
-    if resume.group is None:
-        raise PerturbError(f"resume {resume.id} is unnamed; assign a name first")
-    old = assigned_first_name(resume)
-    if old is None:
-        raise PerturbError(f"resume {resume.id}: cannot determine current first name")
-    pool = pools[resume.group.code]
-    if old not in pool.bins:
-        raise PerturbError(
-            f"resume {resume.id}: first name {old!r} not in pool {resume.group.code}"
-        )
-    want = pool.bins[old]
-    candidates, got = _bin_candidates(pool, want, exclude={old})
-    rng = _rng(seed, "within_group_name", resume.id)
-    new = rng.choice(candidates)
-    details = {"first": new, "prev": old}
-    if got != want:
-        details["bin_fallback"] = got
-    return resume.with_body(
-        _replace_name(resume.body, old, new),
-        lineage_entry=lineage_entry(spec_id, **details),
-    )
+    the bin holds no other name. Names shared with another pool may be
+    drawn."""
+    return _swap(resume, resume.group, pools, seed, "within_group_name", spec_id,
+                 "frequency_binned", frozenset(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +283,7 @@ def typo_perturb(resume: Resume, seed: int, count: int = 10,
     preserve case; body length never changes. Digits and punctuation are
     never touched.
     """
-    if count < 0:
-        raise PerturbError(f"count must be non-negative, got {count}")
+    _check_param("typo", "count", count)
     neighbors = qwerty_neighbors()
     eligible = [i for i, ch in enumerate(resume.body) if ch.lower() in neighbors]
     if len(eligible) < count:
@@ -322,12 +310,8 @@ def spacing_perturb(resume: Resume, mode: str = "collapse",
     into one space; per_newline maps each newline (CRLF counted once) to its
     own space.
     """
-    if mode == "collapse":
-        body = re.sub(r"[\r\n]+", " ", resume.body)
-    elif mode == "per_newline":
-        body = re.sub(r"\r\n|\r|\n", " ", resume.body)
-    else:
-        raise PerturbError(f"unknown spacing mode {mode!r}")
+    _check_param("spacing", "mode", mode)
+    body = re.sub(r"[\r\n]+" if mode == "collapse" else r"\r\n|\r|\n", " ", resume.body)
     return resume.with_body(body, lineage_entry=lineage_entry(spec_id, mode=mode))
 
 
@@ -364,34 +348,11 @@ def add_extracurriculars(resumes: Sequence[Resume], backend,
 
 def apply_spec(resume: Resume, spec: PerturbationSpec,
                pools: Mapping[str, NamePool] | None = None,
-               backend=None, audit_log: list | None = None,
-               shared_names: frozenset[str] | None = None) -> Resume:
-    """Apply one spec to one resume; returns the resume unchanged when the
-    spec does not target it (wrong source group / non-generated source).
-    ``shared_names`` is passed on to between_group_swap."""
-    kind, params = spec.kind, spec.params
-    if kind == "assign_name":
-        group = DemographicGroup.from_code(params["group"])
-        return assign_name(resume, group, pools, spec.seed, spec_id=spec.id)
-    if kind == "between_group_name":
-        if resume.group is None or resume.group.code != params["source"]:
-            logger.debug("spec %s skips resume %s (group mismatch)", spec.id, resume.id)
-            return resume
-        target = DemographicGroup.from_code(params["target"])
-        return between_group_swap(
-            resume, target, pools, spec.seed,
-            matching=params.get("matching", "frequency_binned"), spec_id=spec.id,
-            shared_names=shared_names,
-        )
-    if kind == "within_group_name":
-        return within_group_swap(resume, pools, spec.seed, spec_id=spec.id)
-    if kind == "typo":
-        return typo_perturb(resume, spec.seed, count=params.get("count", 10),
-                            spec_id=spec.id)
-    if kind == "spacing":
-        return spacing_perturb(resume, mode=params.get("mode", "collapse"),
-                               spec_id=spec.id)
-    return apply_plan([resume], [spec], backend=backend, audit_log=audit_log)[0]
+               backend=None, audit_log: list | None = None) -> Resume:
+    """Apply one spec to one resume: ``apply_plan`` with a plan of one. The
+    resume comes back unchanged when the spec does not target it (wrong
+    source group / non-generated source)."""
+    return apply_plan([resume], [spec], pools, backend, audit_log)[0]
 
 
 def apply_plan(resumes: Sequence[Resume], specs: Sequence[PerturbationSpec],
@@ -404,11 +365,32 @@ def apply_plan(resumes: Sequence[Resume], specs: Sequence[PerturbationSpec],
     backend's `parallelism` requests in flight, and appends their
     ``audit_log`` rows in resume order."""
     shared_names = overlapping_names(pools) if pools is not None else None
+
+    def apply(resume: Resume, spec: PerturbationSpec) -> Resume:
+        kind, params = spec.kind, spec.params
+        if kind == "assign_name":
+            group = DemographicGroup.from_code(params["group"])
+            return assign_name(resume, group, pools, spec.seed, spec_id=spec.id)
+        if kind == "between_group_name":
+            if resume.group is None or resume.group.code != params["source"]:
+                logger.debug("spec %s skips resume %s (group mismatch)", spec.id, resume.id)
+                return resume
+            target = DemographicGroup.from_code(params["target"])
+            return between_group_swap(
+                resume, target, pools, spec.seed,
+                matching=params.get("matching", "frequency_binned"), spec_id=spec.id,
+                shared_names=shared_names,
+            )
+        if kind == "within_group_name":
+            return within_group_swap(resume, pools, spec.seed, spec_id=spec.id)
+        if kind == "typo":
+            return typo_perturb(resume, spec.seed, spec_id=spec.id, **params)
+        return spacing_perturb(resume, spec_id=spec.id, **params)
+
     out = list(resumes)
     for spec in specs:
         if spec.kind != "extracurricular":
-            out = [apply_spec(resume, spec, pools, shared_names=shared_names)
-                   for resume in out]
+            out = [apply(resume, spec) for resume in out]
             continue
         if backend is None:
             raise PerturbError(f"spec {spec.id!r}: extracurricular augmentation needs "

@@ -265,6 +265,13 @@ def subjectivity(text: str) -> float:
 # records
 # ---------------------------------------------------------------------------
 
+#: The published summary grid, which bounds every summary and every run's grid.
+ALLOWED_TEMPERATURES = (0.0, 0.3)
+ALLOWED_LENGTHS = (100, 200)
+ALLOWED_POVS = ("first", "third")
+MAX_RUNS = 5
+
+
 @dataclass(frozen=True)
 class SummaryRecord:
     """One generated summary within the experimental grid."""
@@ -272,21 +279,21 @@ class SummaryRecord:
     resume_id: str
     variant_id: str
     model_name: str
-    length: int           # 100 | 200
-    pov: str              # "first" | "third"
-    temperature: float    # 0.0 | 0.3
-    run_index: int        # 1..5
+    length: int
+    pov: str
+    temperature: float
+    run_index: int        # 1..MAX_RUNS
     text: str
 
     def __post_init__(self):
-        if self.length not in (100, 200):
-            raise TextMetricsError(f"length must be 100 or 200, got {self.length}")
-        if self.pov not in ("first", "third"):
-            raise TextMetricsError(f"pov must be first or third, got {self.pov!r}")
-        if self.temperature not in (0.0, 0.3):
-            raise TextMetricsError(f"temperature must be 0.0 or 0.3, got {self.temperature}")
-        if not 1 <= self.run_index <= 5:
-            raise TextMetricsError(f"run_index must be in [1, 5], got {self.run_index}")
+        for name, allowed in (("length", ALLOWED_LENGTHS), ("pov", ALLOWED_POVS),
+                              ("temperature", ALLOWED_TEMPERATURES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise TextMetricsError(f"{name} must be {' or '.join(map(str, allowed))}, "
+                                       f"got {value!r}")
+        if not 1 <= self.run_index <= MAX_RUNS:
+            raise TextMetricsError(f"run_index must be in [1, {MAX_RUNS}], got {self.run_index}")
 
     def __str__(self) -> str:
         """The summary's name in error messages."""

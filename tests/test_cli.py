@@ -149,6 +149,11 @@ def test_config_validation_errors(tmp_path, fixtures_dir):
 
 MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name": "bow-256"}
 
+#: Perturbation settings outside what a plan's spec allows; each refusal
+#: names the key and the value.
+REFUSED_PERTURBATION_SETTINGS = (
+    {"typo_count": -1}, {"spacing_mode": "tabs"}, {"swap_matching": "psychic"})
+
 
 @pytest.mark.parametrize("extra", [
     {"alpha": "abc"},
@@ -194,6 +199,7 @@ MOCK_EMBED = {"id": "emb", "kind": "embedding", "protocol": "mock", "model_name"
     pytest.param('{"schema_version": 1, "corpus": "c.jsonl", "out_dir": "out", "backends": '
                  '[{"id": "e", "kind": "embedding", "protocol": "mock-biased", '
                  '"params": {"tag_bias": {"X": 1e400}}}]}', id="tag-bias-beyond-a-float"),
+    *REFUSED_PERTURBATION_SETTINGS,
 ])
 def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
     if isinstance(extra, str):
@@ -201,8 +207,11 @@ def test_bad_config_values_are_config_errors(tmp_path, fixtures_dir, extra):
         path.write_text(extra)
     else:
         path = write_config(tmp_path, fixtures_dir, **extra)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as refused:
         load_run_config(path)
+    if extra in REFUSED_PERTURBATION_SETTINGS:
+        (key, value), = extra.items()
+        assert f"{key} {value!r}" in str(refused.value)
     result = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 2, result.output
     assert not (tmp_path / "out").exists()

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import re
 from collections import Counter
 
@@ -5,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirefair.corpus import DemographicGroup, Resume, overlapping_names
+from hirefair.config import load_run_config
+from hirefair.corpus import (
+    DemographicGroup,
+    Resume,
+    load_corpus,
+    load_name_pools,
+    overlapping_names,
+)
 from hirefair.perturb import (
     AUGMENTATION_PROMPT,
     PerturbationSpec,
@@ -25,6 +35,7 @@ from hirefair.perturb import (
     typo_perturb,
     within_group_swap,
 )
+from hirefair.pipeline import build_variants
 from hirefair.stats import uniform_gof
 
 from conftest import make_pool
@@ -297,6 +308,13 @@ def test_typo_length_invariant(body, count):
 # spacing
 # ---------------------------------------------------------------------------
 
+def test_typo_and_spacing_refuse_what_a_spec_refuses(unnamed_resume):
+    with pytest.raises(PerturbError, match="invalid count -1"):
+        typo_perturb(unnamed_resume, seed=1, count=-1)
+    with pytest.raises(PerturbError, match="invalid mode 'tabs'"):
+        spacing_perturb(unnamed_resume, mode="tabs")
+
+
 def test_spacing_single_newline():
     r = Resume(id="s", profession="Data Analyst", body="a\nb")
     assert spacing_perturb(r).body == "a b"
@@ -482,3 +500,30 @@ def test_perturbations_deterministic_under_fixed_inputs(unnamed_resume, pools):
         lambda r: spacing_perturb(r),
     ):
         assert op(named) == op(named)
+
+
+#: sha256 of the fixture corpus's variants, draws 0-2, under a rank frequency
+#: table, by swap matching. Criterion 8 covers the bundled pools and
+#: frequency-binned matching only.
+RANK_TABLE_VARIANTS_SHA256 = {
+    "frequency_binned": "c7299b0bf2c1ea39d7461b41b4d0f09f88714157e443c0a023a506f5f9eb7949",
+    "random": "44d79ea0bb44abe8c2ec32746990f3e10109510dae8bdb46be3a4350a26cd025",
+}
+
+
+@pytest.mark.parametrize("matching", sorted(RANK_TABLE_VARIANTS_SHA256))
+def test_variants_under_a_rank_table_are_pinned(fixtures_dir, pools, matching):
+    config = dataclasses.replace(load_run_config(fixtures_dir / "mock_run.json"),
+                                 swap_matching=matching)
+    resumes, _ = load_corpus(config.corpus_path)
+    table = {code: {name: rank + 1 for rank, name in enumerate(pool.names)}
+             for code, pool in pools.items()}
+    ranked = load_name_pools(frequency_overrides=table)
+    digest = hashlib.sha256()
+    for draw in range(3):
+        variants = build_variants(resumes, ranked, config, draw)
+        for vid, variant in sorted(variants.resumes.items()):
+            for rid, resume in sorted(variant.items()):
+                digest.update(json.dumps([vid, rid, resume.body, list(resume.lineage),
+                                          resume.group and resume.group.code]).encode())
+    assert digest.hexdigest() == RANK_TABLE_VARIANTS_SHA256[matching]

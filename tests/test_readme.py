@@ -51,3 +51,16 @@ def test_readme_numbers_of_cache_constants_match_them():
     assert {name for _, name in stated} == {"READ_CHUNK", "WRITE_CHUNK"}
     for number, name in stated:
         assert int(number.replace(",", "")) == getattr(backends, name), name
+
+
+def test_readme_plan_paragraph_names_every_kind_and_choice():
+    """README's "Perturbation plan" paragraph names every kind of
+    hirefair.perturb and every allowed `matching` and `mode` value."""
+    from hirefair import perturb
+
+    paragraph = re.search(r"^\*\*Perturbation plan\*\*.*?(?=\n\n)",
+                          README.read_text(encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    named = set(re.findall(r"`(\w+)`", paragraph.group()))
+    choices = {*perturb._PARAMS["between_group_name"]["matching"],
+               *perturb._PARAMS["spacing"]["mode"]}
+    assert set(perturb.KINDS) | choices <= named
